@@ -23,8 +23,6 @@ from .operators import (
     StepCoefficients,
     apply_X,
     apply_Y,
-    assemble_azimuth_system,
-    assemble_depth_system,
     compute_rhs,
 )
 from .parallel import (
@@ -32,7 +30,6 @@ from .parallel import (
     FarmReport,
     TimingRecord,
     frequency_farm,
-    parallel_map_columns,
     scaling_harness,
     static_assignment,
 )
@@ -69,14 +66,11 @@ __all__ = [
     "StepCoefficients",
     "apply_X",
     "apply_Y",
-    "assemble_azimuth_system",
-    "assemble_depth_system",
     "compute_rhs",
     "ExecutorSpec",
     "FarmReport",
     "TimingRecord",
     "frequency_farm",
-    "parallel_map_columns",
     "scaling_harness",
     "static_assignment",
     "SolveBatch",

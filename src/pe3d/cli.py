@@ -100,6 +100,16 @@ def _parse_sweep(text: str, flag: str) -> list[int]:
     return values
 
 
+def _make_output_dir(outdir: Path) -> bool:
+    """Create ``outdir``; on failure report a config error and return False."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: output_dir not writable: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_run(args) -> int:
     try:
         config = load_config(args.config)
@@ -118,10 +128,7 @@ def cmd_run(args) -> int:
         return 2
     config = config._replace(options=options)
     outdir = options.output_dir
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"config error: output_dir not writable: {exc}", file=sys.stderr)
+    if not _make_output_dir(outdir):
         return 2
 
     report = frequency_farm(
@@ -223,7 +230,8 @@ def cmd_bench(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     outdir = Path(args.output) if args.output else config.options.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
+    if not _make_output_dir(outdir):
+        return 2
 
     records = scaling_harness(
         config, threads_sweep, workers_sweep,

@@ -20,7 +20,7 @@ angles are written in degrees and converted to radians internally.
 
 ``[run]`` (optional)
     output_dir, output_stride, tl_format (csv|binary-grid), threads,
-    workers, schedule (static|dynamic), max_range, mode
+    workers, schedule (static|dynamic), max_range
 
 Example::
 
@@ -65,7 +65,6 @@ from .pool import ExecutorSpec
 
 TL_FORMATS = ("csv", "binary-grid")
 SCHEDULES = ("static", "dynamic")
-MODES = ("run", "bench", "selftest")
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,6 @@ class RunOptions:
     """Output and execution options; ``output_dir`` is validated for
     writability when a command actually writes into it."""
 
-    mode: str = "run"
     output_dir: Path = Path("out")
     output_stride: Optional[int] = None
     tl_format: str = "csv"
@@ -82,8 +80,6 @@ class RunOptions:
     schedule: str = "static"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise InvariantError(f"mode in {MODES}", f"got {self.mode!r}")
         if self.output_stride is not None and self.output_stride < 1:
             raise InvariantError("output_stride >= 1", f"got {self.output_stride}")
         if self.tl_format not in TL_FORMATS:
@@ -254,7 +250,6 @@ def load_config(path) -> Config:
 
     r = _Section(parser, "run")
     options = RunOptions(
-        mode=r.get_str("mode", default="run"),
         output_dir=Path(r.get_str("output_dir", default="out")),
         output_stride=r.get_int("output_stride", default=None),
         tl_format=r.get_str("tl_format", default="csv"),

@@ -171,9 +171,9 @@ class Environment:
                 f"got start {self.absorber.start_depth} vs bottom {self.bottom_depth}",
             )
 
-    def sound_speed(self, r, theta, z):
-        """c(r, theta, z): linear in z, nearest station in r and theta
-        (a single profile, so constant in those directions)."""
+    def sound_speed(self, z):
+        """c(z): piecewise-linear in depth; one profile serves every range
+        and azimuth."""
         return self.profile.speed_at(z)
 
 
@@ -245,7 +245,7 @@ def refraction_index(env: Environment, r, theta, z):
         )
     if np.any(np.asarray(r, dtype=np.float64) < 0):
         raise DomainError("range must be >= 0")
-    re = env.c0 / np.asarray(env.sound_speed(r, theta, z_arr), dtype=np.float64)
+    re = env.c0 / np.asarray(env.sound_speed(z_arr), dtype=np.float64)
     ab = env.absorber
     if ab.max_attenuation > 0:
         span = env.bottom_depth - ab.start_depth

@@ -40,6 +40,7 @@ class SingularSystemError(Pe3dError):
     def __init__(self, pivot_index, member_index=0, detail=""):
         self.pivot_index = pivot_index
         self.member_index = member_index
+        self.detail = detail
         msg = f"singular system: pivot {pivot_index}, batch member {member_index}"
         if detail:
             msg += f" ({detail})"
@@ -57,21 +58,4 @@ class StepError(Pe3dError):
         super().__init__(
             f"range step {range_index} failed in {sweep} sweep at index "
             f"{member_index}: {cause}"
-        )
-
-
-class ColumnTaskError(Pe3dError):
-    """One or more per-column tasks failed; result was discarded."""
-
-    def __init__(self, failures):
-        # failures: {column_index: exception}
-        self.column_indices = sorted(failures)
-        self.failures = dict(failures)
-        summary = ", ".join(
-            f"{i}: {failures[i]}" for i in self.column_indices[:4]
-        )
-        if len(self.column_indices) > 4:
-            summary += ", ..."
-        super().__init__(
-            f"task failed on columns {self.column_indices} ({summary})"
         )

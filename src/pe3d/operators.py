@@ -22,7 +22,7 @@ import numpy as np
 
 from .environment import PERIODIC, TOPOLOGIES, FieldSlab, Grid3D
 from .errors import DomainError, InvariantError, ShapeError
-from .tridiag import OPEN, CYCLIC, SolveBatch, TriDiagSystem
+from .tridiag import OPEN, CYCLIC, SolveBatch
 
 DEPTH = "depth"
 AZIMUTH = "azimuth"
@@ -122,6 +122,18 @@ def _second_difference(u: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
     return d2
 
 
+def _depth_local_term(st: OperatorStencil, shape: tuple) -> np.ndarray:
+    """The depth stencil's (n^2 - 1) term, checked against a field of
+    ``shape`` with depth last."""
+    local = np.asarray(st.local_term)
+    if local.shape not in ((), shape, shape[-1:]):
+        raise ShapeError(
+            f"refraction values of shape {local.shape} do not broadcast "
+            f"over field of shape {shape}"
+        )
+    return local
+
+
 def apply_X(column: np.ndarray, n_column, k0: float, delta_z: float) -> np.ndarray:
     """Depth operator on a vector over l, or a slab with depth last.
 
@@ -130,12 +142,7 @@ def apply_X(column: np.ndarray, n_column, k0: float, delta_z: float) -> np.ndarr
     """
     u = np.asarray(column, dtype=np.complex128)
     st = depth_stencil(n_column, k0, delta_z)
-    local = np.asarray(st.local_term)
-    if local.shape not in ((), u.shape, u.shape[-1:]):
-        raise ShapeError(
-            f"refraction values of shape {local.shape} do not broadcast "
-            f"over field of shape {u.shape}"
-        )
+    local = _depth_local_term(st, u.shape)
     return local * u + st.second_difference_scale * _second_difference(u, -1, False)
 
 
@@ -151,47 +158,6 @@ def apply_Y(row: np.ndarray, k0: float, r: float, delta_theta: float,
     u = np.asarray(row, dtype=np.complex128)
     st = azimuth_stencil(k0, r, delta_theta)
     return st.second_difference_scale * _second_difference(u, 0, topology == PERIODIC)
-
-
-def assemble_depth_system(coeff: complex, n_column, k0: float, delta_z: float,
-                          rhs_column) -> TriDiagSystem:
-    """Open tri-diagonal system (I + coeff * X) with the given right side."""
-    rhs = np.asarray(rhs_column, dtype=np.complex128)
-    st = depth_stencil(n_column, k0, delta_z)
-    local = np.asarray(st.local_term)
-    if rhs.ndim != 1:
-        raise ShapeError("rhs_column must be a vector")
-    if local.shape not in ((), rhs.shape):
-        raise ShapeError(
-            f"refraction column shape {local.shape} != rhs shape {rhs.shape}"
-        )
-    n = rhs.shape[0]
-    s = st.second_difference_scale
-    main = 1.0 + coeff * (local - 2.0 * s) + np.zeros(n, dtype=np.complex128)
-    off = np.full(n - 1, coeff * s, dtype=np.complex128)
-    return TriDiagSystem(sub=off.copy(), main=main, sup=off, rhs=rhs, topology=OPEN)
-
-
-def assemble_azimuth_system(coeff: complex, k0: float, r: float,
-                            delta_theta: float, topology: str,
-                            rhs_row) -> TriDiagSystem:
-    """Tri-diagonal system (I + coeff * Y); cyclic corners are populated
-    when the azimuth direction is periodic."""
-    if topology not in TOPOLOGIES:
-        raise InvariantError(f"azimuth_topology in {TOPOLOGIES}")
-    rhs = np.asarray(rhs_row, dtype=np.complex128)
-    if rhs.ndim != 1:
-        raise ShapeError("rhs_row must be a vector")
-    st = azimuth_stencil(k0, r, delta_theta)
-    n = rhs.shape[0]
-    s = st.second_difference_scale
-    main = np.full(n, 1.0 - 2.0 * coeff * s, dtype=np.complex128)
-    n_off = n if topology == PERIODIC else n - 1
-    off = np.full(n_off, coeff * s, dtype=np.complex128)
-    return TriDiagSystem(
-        sub=off.copy(), main=main, sup=off, rhs=rhs,
-        topology=CYCLIC if topology == PERIODIC else OPEN,
-    )
 
 
 def compute_rhs(slab: FieldSlab, coeffs: StepCoefficients, n_field,
@@ -211,45 +177,46 @@ def compute_rhs(slab: FieldSlab, coeffs: StepCoefficients, n_field,
 
 
 def assemble_depth_batch(coeff: complex, n_grid: np.ndarray, k0: float,
-                         delta_z: float, rhs_values: np.ndarray,
-                         surface_dirichlet: bool = True) -> SolveBatch:
-    """All depth systems of a step (one per azimuth index) as one batch.
+                         delta_z: float, rhs_values: np.ndarray) -> SolveBatch:
+    """All depth systems (I + coeff * X) of a step, one per azimuth index,
+    as one batch.
 
     Layout: diagonals and right sides are (n_depth, n_azimuth), so each
     elimination row is contiguous across the batch.
 
-    With ``surface_dirichlet`` the surface row (depth index 0) is imposed
-    as the identity equation u = 0, so the solved field honors the
-    pressure-release surface exactly instead of leaking amplitude into a
-    row that would be zeroed afterwards.
+    The surface row (depth index 0) is imposed as the identity equation
+    u = 0, so the solved field honors the pressure-release surface exactly
+    instead of leaking amplitude into a row that would be zeroed afterwards.
     """
     n_az, n_dep = rhs_values.shape
     st = depth_stencil(n_grid, k0, delta_z)
     s = st.second_difference_scale
-    local = np.broadcast_to(np.asarray(st.local_term), rhs_values.shape)
+    local = np.broadcast_to(_depth_local_term(st, rhs_values.shape),
+                            rhs_values.shape)
     main = np.ascontiguousarray((1.0 + coeff * (local - 2.0 * s)).T)
     off_value = np.complex128(coeff * s)
     sub = np.broadcast_to(off_value, (n_dep - 1, n_az))
     rhs = np.ascontiguousarray(rhs_values.T)
-    if surface_dirichlet:
-        sup = np.full((n_dep - 1, n_az), off_value)
-        main[0] = 1.0
-        sup[0] = 0.0
-        rhs[0] = 0.0
-    else:
-        sup = sub
+    sup = np.full((n_dep - 1, n_az), off_value)
+    main[0] = 1.0
+    sup[0] = 0.0
+    rhs[0] = 0.0
     return SolveBatch(sub=sub, main=main, sup=sup, rhs=rhs, topology=OPEN)
 
 
 def assemble_azimuth_batch(coeff: complex, k0: float, r: float,
                            delta_theta: float, topology: str,
                            rhs_values: np.ndarray) -> SolveBatch:
-    """All azimuth systems of a step (one per depth index) as one batch.
+    """All azimuth systems (I + coeff * Y) of a step, one per depth index,
+    as one batch.
 
     Layout: (n_azimuth, n_depth); the systems share one constant-coefficient
-    matrix.  On a sector grid the azimuth edge rows are imposed as identity
-    equations u = 0 (Dirichlet edges); a periodic grid has no edges.
+    matrix, with cyclic corners when the grid is periodic.  On a sector
+    grid the azimuth edge rows are imposed as identity equations u = 0
+    (Dirichlet edges); a periodic grid has no edges.
     """
+    if topology not in TOPOLOGIES:
+        raise InvariantError(f"azimuth_topology in {TOPOLOGIES}")
     n_az, n_dep = rhs_values.shape
     st = azimuth_stencil(k0, r, delta_theta)
     s = st.second_difference_scale

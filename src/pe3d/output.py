@@ -118,8 +118,14 @@ def read_tl_binary(path):
         shape = (
             header["n_range_samples"], header["n_azimuth"], header["n_depth"]
         )
-        tl = np.frombuffer(fh.read(), dtype=np.float64).reshape(shape)
-    return header, tl
+        data = fh.read()
+    expected = math.prod(shape)
+    if len(data) != 8 * expected:
+        raise ConfigError(
+            f"{path}: TL grid holds {len(data) / 8:g} samples, "
+            f"header expects {expected}"
+        )
+    return header, np.frombuffer(data, dtype=np.float64).reshape(shape)
 
 
 def write_tl_grid(path, result: FrequencyResult, grid: Grid3D,

@@ -1,10 +1,10 @@
 """Two-level parallel execution and the scaling-measurement harness.
 
-Fine grain: :func:`parallel_map_columns` fans a pure per-column task over
-contiguous column blocks inside one range step.  Coarse grain:
-:func:`frequency_farm` runs independent single-frequency jobs on worker
-processes with static block assignment by default.  Correctness contract
-for both levels is bit-identical output against the serial path.
+Fine grain: :func:`pe3d.tridiag.solve_batch` splits each batch of a range
+step into contiguous member blocks on the shared thread pool.  Coarse
+grain: :func:`frequency_farm` runs independent single-frequency jobs on
+worker processes with static block assignment by default.  Correctness
+contract for both levels is bit-identical output against the serial path.
 
 Speedup and parallel efficiency are always derived from stored wall
 times: speedup = T_baseline / T, efficiency = speedup / resource ratio,
@@ -16,13 +16,13 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import ColumnTaskError, InvariantError
+from .errors import InvariantError
 from .marching import run_frequency
-from .pool import ExecutorSpec, block_ranges, fork_join
+from .pool import ExecutorSpec, block_ranges
 from .tridiag import OPEN, SolveBatch, solve_batch
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "TimingRecord",
     "FarmReport",
     "static_assignment",
-    "parallel_map_columns",
     "frequency_farm",
     "scaling_harness",
     "derive_scaling",
@@ -95,32 +94,6 @@ def static_assignment(n_jobs: int, n_workers: int) -> list[list[int]]:
     while len(blocks) < n_workers:
         blocks.append([])
     return blocks
-
-
-def parallel_map_columns(values: np.ndarray, task: Callable, threads: int = 1) -> np.ndarray:
-    """Apply ``task(index, column)`` to every slice along the leading axis.
-
-    Work is partitioned into contiguous column blocks across ``threads``;
-    the result is identical to the sequential loop bit for bit.  If any
-    column task raises, the whole result is discarded and a
-    :class:`ColumnTaskError` names the failing column indices.
-    """
-    values = np.asarray(values)
-    n = values.shape[0]
-    results = [None] * n
-    errors: dict[int, BaseException] = {}
-
-    def worker(lo, hi):
-        for i in range(lo, hi):
-            try:
-                results[i] = task(i, values[i])
-            except Exception as exc:
-                errors[i] = exc
-
-    fork_join(worker, n, threads)
-    if errors:
-        raise ColumnTaskError(errors)
-    return np.array(results)
 
 
 def _farm_block(payload):

@@ -1,8 +1,9 @@
-"""Fork-join primitives shared by the solver kernels and the executors.
+"""Block partitioning and the thread fork-join behind the batched solver.
 
-Work is always partitioned into contiguous index blocks whose boundaries
-depend only on the item count, never on the thread count of a particular
-run, so results stay bit-identical across executor configurations.
+Work is partitioned into contiguous index blocks, one per thread.  The
+boundaries depend on the thread count, so callers keep results
+bit-identical across executor configurations by making each item's work
+independent of the block it lands in.
 """
 
 from __future__ import annotations
@@ -13,27 +14,20 @@ from dataclasses import dataclass
 
 from .errors import InvariantError
 
-PINNING_MODES = ("none", "compact")
-
 
 @dataclass(frozen=True)
 class ExecutorSpec:
     """Parallelism settings: threads inside a range step, workers across
-    frequencies.  ``pinning`` is advisory metadata only."""
+    frequencies."""
 
     intra_threads: int = 1
     freq_workers: int = 1
-    pinning: str = "none"
 
     def __post_init__(self):
         if self.intra_threads < 1:
             raise InvariantError("intra_threads >= 1", f"got {self.intra_threads}")
         if self.freq_workers < 1:
             raise InvariantError("freq_workers >= 1", f"got {self.freq_workers}")
-        if self.pinning not in PINNING_MODES:
-            raise InvariantError(
-                f"pinning in {PINNING_MODES}", f"got {self.pinning!r}"
-            )
 
 
 def block_ranges(n_items: int, n_blocks: int) -> list[tuple[int, int]]:

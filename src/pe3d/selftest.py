@@ -2,6 +2,8 @@
 
 Each property prints one PASS/FAIL line.  All random instances come from
 one seeded generator and the seed is printed, so failures reproduce.
+Checks raise explicitly rather than through ``assert``, so the suite still
+gates under ``python -O``.
 """
 
 from __future__ import annotations
@@ -72,6 +74,15 @@ def random_system(rng, n, topology) -> TriDiagSystem:
     return TriDiagSystem(sub=sub, main=main, sup=sup, rhs=rhs, topology=topology)
 
 
+class SelftestFailure(Exception):
+    """A bundled property does not hold."""
+
+
+def _require(condition, message: str):
+    if not condition:
+        raise SelftestFailure(message)
+
+
 def _relative_error(x, reference):
     scale = max(np.max(np.abs(reference)), 1e-30)
     return np.max(np.abs(x - reference)) / scale
@@ -86,9 +97,11 @@ def _corrupted_thomas(system):
 
 def _check_coefficients():
     coeffs = StepCoefficients.for_step(wavenumber(50.0, 1500.0), 25.0)
-    assert coeffs.delta.real == 0.0, "delta not purely imaginary"
-    assert coeffs.cx_lhs + coeffs.cx_rhs == 0.5 + 0.0j
-    assert coeffs.cy_lhs + coeffs.cy_rhs == 0.0 + 0.0j
+    _require(coeffs.delta.real == 0.0, "delta not purely imaginary")
+    _require(coeffs.cx_lhs + coeffs.cx_rhs == 0.5 + 0.0j,
+             "cx_lhs + cx_rhs != 1/2")
+    _require(coeffs.cy_lhs + coeffs.cy_rhs == 0.0 + 0.0j,
+             "cy_lhs + cy_rhs != 0")
 
 
 def _check_open_oracle(solver):
@@ -97,7 +110,7 @@ def _check_open_oracle(solver):
         n = int(rng.integers(3, 65))
         system = random_system(rng, n, OPEN)
         err = _relative_error(solver(system), dense_oracle_solve(system))
-        assert err <= 1e-10, f"open solve vs oracle error {err:.2e}"
+        _require(err <= 1e-10, f"open solve vs oracle error {err:.2e}")
 
 
 def _check_cyclic_oracle():
@@ -106,7 +119,7 @@ def _check_cyclic_oracle():
         n = int(rng.integers(3, 65))
         system = random_system(rng, n, CYCLIC)
         err = _relative_error(solve_cyclic(system), dense_oracle_solve(system))
-        assert err <= 1e-10, f"cyclic solve vs oracle error {err:.2e}"
+        _require(err <= 1e-10, f"cyclic solve vs oracle error {err:.2e}")
 
 
 def _check_batch_determinism():
@@ -115,9 +128,10 @@ def _check_batch_determinism():
     batch = SolveBatch.from_systems(systems)
     serial = solve_batch(batch, parallel_hint=1)
     threaded = solve_batch(batch, parallel_hint=4)
-    assert serial.tobytes() == threaded.tobytes(), "hint changed batch output"
+    _require(serial.tobytes() == threaded.tobytes(), "hint changed batch output")
     scalar = np.stack([solve_thomas(s) for s in systems])
-    assert serial.tobytes() == scalar.tobytes(), "batch differs from scalar loop"
+    _require(serial.tobytes() == scalar.tobytes(),
+             "batch differs from scalar loop")
 
 
 def _check_delta_zero_identity():
@@ -133,7 +147,8 @@ def _check_delta_zero_identity():
     state = MarchState(slab, 0, StepCoefficients.for_step(k0, 0.0),
                        env, grid, k0)
     after = range_step(state)
-    assert after.slab.values.tobytes() == before.tobytes(), "delta=0 step not identity"
+    _require(after.slab.values.tobytes() == before.tobytes(),
+             "delta=0 step not identity")
 
 
 def _check_azimuth_symmetry():
@@ -141,23 +156,29 @@ def _check_azimuth_symmetry():
     result = run_frequency(config, 50.0)
     mags = np.abs(result.final_slab.values)
     spread = (mags.max(axis=0) - mags.min(axis=0)).max()
-    assert spread <= 1e-9 * mags.max(), f"azimuthal spread {spread:.2e}"
+    _require(spread <= 1e-9 * mags.max(), f"azimuthal spread {spread:.2e}")
 
 
 def _check_rerun_determinism():
     config = demo_config(n_range=10)
     first = run_frequency(config, 50.0)
     second = run_frequency(config, 50.0)
-    assert first.tl_field.tobytes() == second.tl_field.tobytes()
-    assert first.final_slab.values.tobytes() == second.final_slab.values.tobytes()
+    _require(first.tl_field.tobytes() == second.tl_field.tobytes(),
+             "rerun changed the TL field")
+    _require(first.final_slab.values.tobytes()
+             == second.final_slab.values.tobytes(),
+             "rerun changed the final slab")
 
 
 def _check_static_assignment():
     for workers in (3, 5, 8):
         blocks = static_assignment(8, workers)
-        assert len(blocks) == workers
-        assert sorted(i for b in blocks for i in b) == list(range(8))
-        assert max(len(b) for b in blocks) == math.ceil(8 / workers)
+        _require(len(blocks) == workers,
+                 f"{len(blocks)} blocks for {workers} workers")
+        _require(sorted(i for b in blocks for i in b) == list(range(8)),
+                 "jobs not covered exactly once")
+        _require(max(len(b) for b in blocks) == math.ceil(8 / workers),
+                 "largest block is not ceil(jobs / workers)")
 
 
 def run_selftest(corrupt_thomas: bool = False, out=print) -> bool:

@@ -5,10 +5,12 @@ solves per step).  The batch layout is structure-of-arrays: one row per
 elimination index, contiguous across the batch, so every inner-loop
 operation is a unit-stride vector op over batch members.
 
-Determinism: the batch kernel processes members in fixed tiles of
-``TILE`` columns regardless of ``parallel_hint``, and numpy elementwise
-complex arithmetic is value-deterministic, so batched results are
-bit-identical to scalar solves and invariant under the thread count.
+Determinism: every kernel operation is elementwise per batch member and
+numpy elementwise complex arithmetic is value-deterministic, so a member's
+solution does not depend on which other members share its kernel call.
+Batched results are therefore bit-identical to scalar solves, and
+invariant under the thread count, which only changes the column
+partition.
 
 Cyclic systems are solved by a rank-1 (Sherman-Morrison) correction of an
 open solve.  Corner storage convention for cyclic systems of size n:
@@ -29,7 +31,6 @@ OPEN = "open"
 CYCLIC = "cyclic"
 
 PIVOT_FLOOR = 1e-300
-TILE = 64  # fixed batch tile width; never a function of the thread count
 ORACLE_MAX_N = 4096
 
 
@@ -142,34 +143,49 @@ class SolveBatch:
         )
 
 
-def _check_pivot(denom: np.ndarray, row: int):
-    mags = np.abs(denom)
-    if mags.min() < PIVOT_FLOOR:
-        raise SingularSystemError(row, int(np.argmin(mags)))
-
-
 def _factor_open(sub, main, sup):
-    """Forward elimination: per-row reciprocal pivots and modified supers."""
+    """Forward elimination: per-row reciprocal pivots and modified supers.
+
+    Pivots are not checked row by row: a pivot below ``PIVOT_FLOOR`` shows
+    up afterwards as a reciprocal above ``1 / PIVOT_FLOOR``
+    (:func:`_bad_pivots`).  Until it is reported, a singular member carries
+    inf/nan through the remaining rows, so those warnings are silenced.
+    """
     n, w = main.shape
     inv = np.empty((n, w), dtype=np.complex128)
     cp = np.empty((max(n - 1, 0), w), dtype=np.complex128)
-    denom = main[0]
-    _check_pivot(denom, 0)
-    inv[0] = 1.0 / denom
-    if n > 1:
-        cp[0] = sup[0] * inv[0]
-    for k in range(1, n):
-        denom = main[k] - sub[k - 1] * cp[k - 1]
-        _check_pivot(denom, k)
-        inv[k] = 1.0 / denom
-        if k < n - 1:
-            cp[k] = sup[k] * inv[k]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv[0] = 1.0 / main[0]
+        if n > 1:
+            cp[0] = sup[0] * inv[0]
+        for k in range(1, n):
+            inv[k] = 1.0 / (main[k] - sub[k - 1] * cp[k - 1])
+            if k < n - 1:
+                cp[k] = sup[k] * inv[k]
     return cp, inv
 
 
-def _substitute_open(cp, inv, sub, rhs):
+def _bad_pivots(inv) -> np.ndarray:
+    """(row, member) mask of the pivots below ``PIVOT_FLOOR``."""
+    return np.abs(inv) > 1.0 / PIVOT_FLOOR
+
+
+def _raise_lowest_singular(bad, rank1_row=None):
+    """Raise for the lowest member with a singular row in ``bad`` (rows x
+    members), naming its first one; return when there is none."""
+    failed = bad.any(axis=0)
+    if not failed.any():
+        return
+    member = int(np.argmax(failed))
+    row = int(np.argmax(bad[:, member]))
+    detail = "singular rank-1 correction" if row == rank1_row else ""
+    raise SingularSystemError(row, member, detail=detail)
+
+
+def _substitute_open(cp, inv, sub, rhs, out=None):
+    """Forward and back substitution; ``out`` may be ``rhs`` itself."""
     n = rhs.shape[0]
-    x = np.empty_like(rhs)
+    x = np.empty_like(rhs) if out is None else out
     x[0] = rhs[0] * inv[0]
     for k in range(1, n):
         x[k] = (rhs[k] - sub[k - 1] * x[k - 1]) * inv[k]
@@ -178,15 +194,22 @@ def _substitute_open(cp, inv, sub, rhs):
     return x
 
 
-def _solve_open_tile(sub, main, sup, rhs):
+def _solve_open(sub, main, sup, rhs):
+    """Solve the open systems held in the columns of the arrays."""
     cp, inv = _factor_open(sub, main, sup)
+    _raise_lowest_singular(_bad_pivots(inv))
     return _substitute_open(cp, inv, sub, rhs)
 
 
-def _solve_cyclic_tile(sub, main, sup, rhs):
+def _solve_cyclic(sub, main, sup, rhs):
     """Sherman-Morrison correction of an open solve; two substitutions on
     one factorization.  Zero corners go through the same path so batched
-    and scalar solves stay bit-identical."""
+    and scalar solves stay bit-identical.
+
+    A member fails at its first singular pivot, else at a singular rank-1
+    correction (reported as row n), and the lowest failing member is
+    reported whichever way it failed.
+    """
     n = main.shape[0]
     alpha = sub[0]       # A[0, n-1]
     beta = sup[n - 1]    # A[n-1, 0]
@@ -197,27 +220,22 @@ def _solve_cyclic_tile(sub, main, sup, rhs):
     main_mod[0] = main[0] - gamma
     main_mod[n - 1] = main[n - 1] - alpha * beta / gamma
     cp, inv = _factor_open(sub_open, main_mod, sup_open)
-    y = _substitute_open(cp, inv, sub_open, rhs)
-    spike = np.zeros_like(rhs)
-    spike[0] = gamma
-    spike[n - 1] = beta
-    q = _substitute_open(cp, inv, sub_open, spike)
-    weight = alpha / gamma
-    denom = 1.0 + q[0] + weight * q[n - 1]
-    mags = np.abs(denom)
-    if mags.min() < PIVOT_FLOOR:
-        raise SingularSystemError(n, int(np.argmin(mags)),
-                                  detail="singular rank-1 correction")
+    del main_mod  # freed before the substitutions allocate
+    with np.errstate(invalid="ignore", over="ignore"):
+        y = _substitute_open(cp, inv, sub_open, rhs)
+        spike = np.zeros_like(rhs)
+        spike[0] = gamma
+        spike[n - 1] = beta
+        q = _substitute_open(cp, inv, sub_open, spike, out=spike)
+        weight = alpha / gamma
+        denom = 1.0 + q[0] + weight * q[n - 1]
+        bad = np.vstack([_bad_pivots(inv), np.abs(denom) < PIVOT_FLOOR])
+    _raise_lowest_singular(bad, rank1_row=n)
     factor = (y[0] + weight * y[n - 1]) / denom
-    return y - q * factor
-
-
-def _solve_tile(batch: SolveBatch, lo: int, hi: int) -> np.ndarray:
-    args = (batch.sub[:, lo:hi], batch.main[:, lo:hi],
-            batch.sup[:, lo:hi], batch.rhs[:, lo:hi])
-    if batch.topology == CYCLIC:
-        return _solve_cyclic_tile(*args)
-    return _solve_open_tile(*args)
+    # In place: y - q * factor without two more full-size temporaries.
+    q *= factor
+    y -= q
+    return y
 
 
 def solve_thomas(system: TriDiagSystem) -> np.ndarray:
@@ -227,7 +245,7 @@ def solve_thomas(system: TriDiagSystem) -> np.ndarray:
     """
     if system.topology != OPEN:
         raise DomainError("solve_thomas requires open topology")
-    x = _solve_open_tile(
+    x = _solve_open(
         system.sub[:, None], system.main[:, None],
         system.sup[:, None], system.rhs[:, None],
     )
@@ -238,7 +256,7 @@ def solve_cyclic(system: TriDiagSystem) -> np.ndarray:
     """Solve one cyclic system (rank-1 correction of two open solves)."""
     if system.topology != CYCLIC:
         raise DomainError("solve_cyclic requires cyclic topology")
-    x = _solve_cyclic_tile(
+    x = _solve_cyclic(
         system.sub[:, None], system.main[:, None],
         system.sup[:, None], system.rhs[:, None],
     )
@@ -248,30 +266,30 @@ def solve_cyclic(system: TriDiagSystem) -> np.ndarray:
 def solve_batch(batch: SolveBatch, parallel_hint: int = 1) -> np.ndarray:
     """Solve every member; returns solutions as (n_systems, n).
 
-    Output is a pure function of the batch content: members are processed
-    in fixed tiles assigned contiguously across threads, results land at
-    their member index, and any singular member aborts the whole batch
-    (the lowest offending member index is reported; nothing is returned).
+    The members are split into ``parallel_hint`` contiguous blocks and each
+    block is solved full-width in one kernel call.  Results land at their
+    member index and do not depend on the partition.  Any singular member
+    aborts the whole batch and nothing is returned: the error names the
+    lowest singular member and its first singular row.
     """
     if parallel_hint < 1:
         raise InvariantError("parallel_hint >= 1")
     w = batch.n_systems
     if w == 0:
         raise InvariantError("batch nonempty")
+    solve = _solve_cyclic if batch.topology == CYCLIC else _solve_open
     out = np.empty((w, batch.n), dtype=np.complex128)
-    n_tiles = (w + TILE - 1) // TILE
 
-    def worker(t_lo, t_hi):
-        for t in range(t_lo, t_hi):
-            lo, hi = t * TILE, min((t + 1) * TILE, w)
-            try:
-                out[lo:hi] = _solve_tile(batch, lo, hi).T
-            except SingularSystemError as exc:
-                raise SingularSystemError(
-                    exc.pivot_index, lo + exc.member_index
-                ) from None
+    def worker(lo, hi):
+        try:
+            out[lo:hi] = solve(batch.sub[:, lo:hi], batch.main[:, lo:hi],
+                               batch.sup[:, lo:hi], batch.rhs[:, lo:hi]).T
+        except SingularSystemError as exc:
+            raise SingularSystemError(
+                exc.pivot_index, lo + exc.member_index, exc.detail
+            ) from None
 
-    failures = fork_join(worker, n_tiles, parallel_hint)
+    failures = fork_join(worker, w, parallel_hint)
     if failures:
         singular = [exc for _, _, exc in failures
                     if isinstance(exc, SingularSystemError)]

@@ -128,9 +128,9 @@ class TestRefractionIndex:
         profile = SoundSpeedProfile(np.array([0.0, 100.0]),
                                     np.array([1500.0, 1520.0]))
         env = make_env(grid, profile=profile, attenuation=0.0)
-        assert env.sound_speed(0.0, 0.0, 50.0) == pytest.approx(1510.0)
+        assert env.sound_speed(50.0) == pytest.approx(1510.0)
         # clamped beyond the last sample
-        assert env.sound_speed(0.0, 0.0, 150.0) == pytest.approx(1520.0)
+        assert env.sound_speed(150.0) == pytest.approx(1520.0)
 
 
 class TestEnvironmentInvariants:

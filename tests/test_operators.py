@@ -14,9 +14,7 @@ from pe3d.operators import (
     apply_X,
     apply_Y,
     assemble_azimuth_batch,
-    assemble_azimuth_system,
     assemble_depth_batch,
-    assemble_depth_system,
     azimuth_stencil,
     compute_rhs,
     depth_stencil,
@@ -136,60 +134,98 @@ class TestApplyY:
             apply_Y(np.zeros(4, dtype=complex), 0.2, 0.0, 0.1, PERIODIC)
 
 
+def azimuth_column(values):
+    """A single depth row over azimuth as an (n_azimuth, 1) field."""
+    return np.asarray(values, dtype=complex)[:, None]
+
+
 class TestAssembleDepthSystem:
     def test_zero_coeff_gives_identity(self):
-        rhs = np.array([3.0, 4.0, 5.0], dtype=complex)
-        sys = assemble_depth_system(0.0, np.ones(3), 1.0, 1.0, rhs)
-        assert np.all(sys.main == 1.0) and np.all(sys.sub == 0.0)
-        assert np.array_equal(solve_thomas(sys), rhs)
+        rhs = np.array([[3.0, 4.0, 5.0]], dtype=complex)
+        batch = assemble_depth_batch(0.0, np.ones(3), 1.0, 1.0, rhs)
+        assert np.all(batch.main == 1.0) and np.all(batch.sub == 0.0)
+        # the surface row is the Dirichlet equation u = 0
+        assert np.array_equal(solve_batch(batch)[0], [0.0, 4.0, 5.0])
 
     def test_homogeneous_assembly_formula(self):
         coeff = 0.1 + 0.2j
         k0, dz = 0.25, 3.0
         s = 1.0 / (k0 * dz) ** 2
-        sys = assemble_depth_system(coeff, np.ones(6), k0, dz, np.zeros(6))
-        assert np.allclose(sys.main, 1.0 - 2.0 * coeff * s, rtol=1e-15)
-        assert np.allclose(sys.sub, coeff * s, rtol=1e-15)
+        batch = assemble_depth_batch(coeff, np.ones(6), k0, dz,
+                                     np.zeros((2, 6), dtype=complex))
+        assert np.allclose(batch.main[1:], 1.0 - 2.0 * coeff * s, rtol=1e-15)
+        assert np.allclose(batch.sub, coeff * s, rtol=1e-15)
+        assert np.allclose(batch.sup[1:], coeff * s, rtol=1e-15)
 
     def test_matrix_matches_matrix_free(self):
         rng = np.random.default_rng(5)
-        n = 24
-        n_col = 1.0 + 0.05 * rng.standard_normal(n) + 0.01j * rng.random(n)
+        n_az, n = 3, 24
+        n_grid = 1.0 + 0.05 * rng.standard_normal((n_az, n)) \
+            + 0.01j * rng.random((n_az, n))
         coeff = 0.25 - 0.3j
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        sys = assemble_depth_system(coeff, n_col, 0.2, 4.0, u)
-        lhs = dense_matrix(sys) @ u
-        rhs = u + coeff * apply_X(u, n_col, 0.2, 4.0)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
+        u = rng.standard_normal((n_az, n)) + 1j * rng.standard_normal((n_az, n))
+        batch = assemble_depth_batch(coeff, n_grid, 0.2, 4.0, u)
+        for m in range(n_az):
+            a = dense_matrix(batch.system(m))
+            lhs = a @ u[m]
+            rhs = u[m] + coeff * apply_X(u[m], n_grid[m], 0.2, 4.0)
+            assert np.array_equal(a[0], np.eye(n)[0])  # surface row
+            assert np.max(np.abs(lhs[1:] - rhs[1:])) \
+                <= 1e-13 * np.max(np.abs(rhs))
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
-            assemble_depth_system(0.1, np.ones(4), 1.0, 1.0, np.zeros(5))
+            assemble_depth_batch(0.1, np.ones(4), 1.0, 1.0,
+                                 np.zeros((2, 5), dtype=complex))
 
 
 class TestAssembleAzimuthSystem:
     def test_zero_coeff_identity(self):
-        sys = assemble_azimuth_system(0.0, 1.0, 10.0, 0.2, SECTOR, np.ones(5))
-        assert np.all(sys.main == 1.0) and np.all(sys.sub == 0.0)
+        batch = assemble_azimuth_batch(0.0, 1.0, 10.0, 0.2, SECTOR,
+                                       azimuth_column(np.ones(5)))
+        assert np.all(batch.main == 1.0) and np.all(batch.sub == 0.0)
 
     def test_periodic_corners_equal_off_diagonal(self):
         coeff = -0.25j
-        sys = assemble_azimuth_system(coeff, 0.2, 100.0, 2 * math.pi / 4,
-                                      PERIODIC, np.zeros(4))
+        batch = assemble_azimuth_batch(coeff, 0.2, 100.0, 2 * math.pi / 4,
+                                       PERIODIC, azimuth_column(np.zeros(4)))
+        sys = batch.system(0)
         assert sys.topology == CYCLIC
         off = coeff / (0.2 * 100.0 * 2 * math.pi / 4) ** 2
         assert sys.sub[0] == off and sys.sup[-1] == off
 
     def test_constant_vector_preserved_on_ring(self):
         rhs = np.full(8, 2.0 - 1.0j)
-        sys = assemble_azimuth_system(-0.1j, 0.3, 60.0, 2 * math.pi / 8,
-                                      PERIODIC, rhs)
-        x = solve_cyclic(sys)
+        batch = assemble_azimuth_batch(-0.1j, 0.3, 60.0, 2 * math.pi / 8,
+                                       PERIODIC, azimuth_column(rhs))
+        x = solve_batch(batch)[0]
         assert np.allclose(x, rhs, rtol=1e-12)
+
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_matrix_matches_matrix_free(self, topology):
+        rng = np.random.default_rng(6)
+        n_az, n_dep = 12, 3
+        delta_theta = 2 * math.pi / n_az if topology == PERIODIC else 0.05
+        coeff = -0.4j
+        u = rng.standard_normal((n_az, n_dep)) \
+            + 1j * rng.standard_normal((n_az, n_dep))
+        batch = assemble_azimuth_batch(coeff, 0.2, 90.0, delta_theta,
+                                       topology, u.copy())
+        edges = slice(None) if topology == PERIODIC else slice(1, -1)
+        for l in range(n_dep):
+            a = dense_matrix(batch.system(l))
+            lhs = a @ u[:, l]
+            rhs = u[:, l] + coeff * apply_Y(u[:, l], 0.2, 90.0, delta_theta,
+                                            topology)
+            assert np.max(np.abs(lhs[edges] - rhs[edges])) \
+                <= 1e-13 * np.max(np.abs(rhs))
+            if topology == SECTOR:  # Dirichlet edge rows
+                assert np.array_equal(a[[0, -1]], np.eye(n_az)[[0, -1]])
 
     def test_r_domain_error(self):
         with pytest.raises(DomainError):
-            assemble_azimuth_system(0.1, 0.2, -1.0, 0.1, PERIODIC, np.zeros(4))
+            assemble_azimuth_batch(0.1, 0.2, -1.0, 0.1, PERIODIC,
+                                   azimuth_column(np.zeros(4)))
 
 
 class TestComputeRhs:
@@ -262,12 +298,13 @@ class TestComputeRhs:
                           np.ones((4, 10)), k0, grid)
         expected = u + 0.25 * apply_X(u, np.ones(10), k0, grid.delta_z)
         assert np.array_equal(out.values, expected)
-        sys = assemble_depth_system(coeffs.cx_lhs, np.ones(10), k0,
-                                    grid.delta_z, u[0])
-        mirror = assemble_depth_system(0.25 + 0.0j, np.ones(10), k0,
-                                       grid.delta_z, u[0])
-        assert np.array_equal(sys.main, mirror.main)
-        assert np.array_equal(sys.sub, mirror.sub)
+        batch = assemble_depth_batch(coeffs.cx_lhs, np.ones(10), k0,
+                                     grid.delta_z, u)
+        mirror = assemble_depth_batch(0.25 + 0.0j, np.ones(10), k0,
+                                      grid.delta_z, u)
+        for diagonal in ("sub", "main", "sup"):
+            assert np.array_equal(getattr(batch, diagonal),
+                                  getattr(mirror, diagonal))
 
 
 class TestBatchAssembly:
@@ -281,13 +318,7 @@ class TestBatchAssembly:
         batch = assemble_depth_batch(coeff, n_grid, 0.2, grid.delta_z, rhs)
         solutions = solve_batch(batch)
         for m in range(grid.n_azimuth):
-            sys = assemble_depth_system(coeff, n_grid[m], 0.2, grid.delta_z,
-                                        rhs[m].copy())
-            # impose the surface Dirichlet row the engine uses
-            sys.main[0] = 1.0
-            sys.sup[0] = 0.0
-            sys.rhs[0] = 0.0
-            assert np.array_equal(solutions[m], solve_thomas(sys))
+            assert np.array_equal(solutions[m], solve_thomas(batch.system(m)))
 
     def test_depth_batch_surface_row_constrained(self):
         grid = make_grid(n_azimuth=4, n_depth=8)
@@ -306,9 +337,7 @@ class TestBatchAssembly:
                                        PERIODIC, rhs.copy())
         solutions = solve_batch(batch)
         for l in range(grid.n_depth):
-            sys = assemble_azimuth_system(coeff, 0.2, 120.0, grid.delta_theta,
-                                          PERIODIC, rhs[:, l].copy())
-            assert np.array_equal(solutions[l], solve_cyclic(sys))
+            assert np.array_equal(solutions[l], solve_cyclic(batch.system(l)))
 
     def test_sector_batch_edges_constrained(self):
         grid = make_grid(n_azimuth=6, n_depth=5, topology=SECTOR)

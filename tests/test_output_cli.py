@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pe3d
 from conftest import make_config
 from pe3d.cli import main
 from pe3d.config import RunOptions
+from pe3d.errors import ConfigError
 from pe3d.marching import run_frequency
 from pe3d.output import (
     TIMING_CSV_COLUMNS,
@@ -84,6 +91,20 @@ class TestTLFiles:
         assert np.array_equal(tl, result.tl_field)
         assert header["frequency_hz"] == 50.0
         assert header["ranges_m"] == [float(r) for r in result.ranges]
+
+    @pytest.mark.parametrize("change", [-8, -1, 8])
+    def test_binary_wrong_sample_count_rejected(self, tmp_path, small_result,
+                                                change):
+        # one sample short, one byte short, one sample extra
+        config, result = small_result
+        n = result.tl_field.size
+        path = write_tl_binary(tmp_path / "tl.bin", result, config.grid)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:change] if change < 0 else blob + bytes(change))
+        found = f"{n + change / 8:g}"
+        with pytest.raises(ConfigError,
+                           match=f"holds {found} samples, header expects {n}"):
+            read_tl_binary(path)
 
     def test_filename_embeds_frequency(self):
         assert "50" in tl_filename(50.0, "csv")
@@ -195,6 +216,15 @@ class TestCmdBench:
         assert len(kernel_lines) > 1
         assert (outdir / "bench_summary.txt").exists()
 
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        blocker = tmp_path / "plain_file"
+        blocker.write_text("")
+        code = main(["bench", "--config", str(cfg), "--repeats", "1",
+                     "--output", str(blocker / "bench")])
+        assert code == 2
+        assert "config error: output_dir not writable" in capsys.readouterr().err
+
     def test_bad_sweep_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         assert main(["bench", "--config", str(cfg),
@@ -213,6 +243,19 @@ class TestCmdSelftest:
         assert main(["selftest", "--corrupt-thomas"]) == 1
         out = capsys.readouterr().out
         assert "FAIL thomas-vs-dense-oracle" in out
+
+    def test_negative_control_fails_under_optimize(self):
+        # python -O strips assert statements; the gate must not pass vacuously
+        src = str(Path(pe3d.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "pe3d", "selftest", "--corrupt-thomas"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "FAIL thomas-vs-dense-oracle" in proc.stdout
 
     def test_report_is_deterministic(self, capsys):
         main(["selftest"])

@@ -5,23 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_config, make_grid, random_slab_values
-from pe3d.environment import refraction_index_grid
-from pe3d.errors import ColumnTaskError, InvariantError
+from conftest import make_config
+from pe3d.errors import InvariantError
 from pe3d.marching import run_frequency
-from pe3d.operators import assemble_depth_system
 from pe3d.parallel import (
     TimingRecord,
     derive_scaling,
     frequency_farm,
     kernel_throughput,
-    parallel_map_columns,
     scaling_harness,
     static_assignment,
 )
 import pe3d.parallel as parallel_module
 from pe3d.pool import block_ranges
-from pe3d.tridiag import solve_thomas
 
 
 def tiny_config(frequencies=(50.0,), **kwargs):
@@ -58,52 +54,6 @@ class TestStaticAssignment:
 
     def test_block_ranges_consistency(self):
         assert block_ranges(8, 3) == [(0, 3), (3, 6), (6, 8)]
-
-
-class TestParallelMapColumns:
-    def test_single_thread_is_sequential_loop(self):
-        rng = np.random.default_rng(1)
-        values = rng.standard_normal((10, 6))
-        out = parallel_map_columns(values, lambda i, col: col * (i + 1), threads=1)
-        expected = np.stack([values[i] * (i + 1) for i in range(10)])
-        assert np.array_equal(out, expected)
-
-    def test_threaded_depth_solve_sweep_bitwise(self):
-        rng = np.random.default_rng(2)
-        grid = make_grid(n_azimuth=24, n_depth=40)
-        config = make_config(grid=grid)
-        n_grid = refraction_index_grid(config.environment, grid, 50.0)
-        rhs = random_slab_values(rng, grid)
-        coeff = 0.25 - 0.33j
-
-        def depth_solve(m, row):
-            sys = assemble_depth_system(coeff, n_grid[m], 0.21, grid.delta_z,
-                                        row.copy())
-            return solve_thomas(sys)
-
-        serial = parallel_map_columns(rhs, depth_solve, threads=1)
-        threaded = parallel_map_columns(rhs, depth_solve, threads=8)
-        assert serial.tobytes() == threaded.tobytes()
-
-    def test_failing_column_reported_and_result_discarded(self):
-        def task(i, col):
-            if i == 5:
-                raise ValueError("boom")
-            return col
-
-        with pytest.raises(ColumnTaskError) as info:
-            parallel_map_columns(np.zeros((8, 3)), task, threads=2)
-        assert info.value.column_indices == [5]
-
-    def test_multiple_failures_all_named(self):
-        def task(i, col):
-            if i in (2, 6):
-                raise ValueError("nope")
-            return col
-
-        with pytest.raises(ColumnTaskError) as info:
-            parallel_map_columns(np.zeros((8, 3)), task, threads=4)
-        assert info.value.column_indices == [2, 6]
 
 
 class TestFrequencyFarm:

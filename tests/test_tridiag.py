@@ -191,15 +191,39 @@ class TestSolveBatch:
         assert info.value.member_index == 7
 
     def test_lowest_member_reported_across_tiles(self):
+        # member 150 fails at pivot 0, member 70 only at pivot 1: the lower
+        # member is named, at its first singular row, for every partition
         rng = np.random.default_rng(6)
         systems = [random_system(rng, 6, OPEN) for _ in range(200)]
-        bad = TriDiagSystem(sub=np.ones(5), main=np.zeros(6), sup=np.ones(5),
-                            rhs=np.ones(6), topology=OPEN)
-        systems[70] = bad
-        systems[150] = bad
-        with pytest.raises(SingularSystemError) as info:
-            solve_batch(SolveBatch.from_systems(systems), parallel_hint=4)
-        assert info.value.member_index == 70
+        systems[150] = TriDiagSystem(sub=np.ones(5), main=np.zeros(6),
+                                     sup=np.ones(5), rhs=np.ones(6))
+        systems[70] = TriDiagSystem(sub=np.ones(5), main=np.ones(6),
+                                    sup=np.ones(5), rhs=np.ones(6))
+        batch = SolveBatch.from_systems(systems)
+        for hint in (1, 2, 3, 4):
+            with pytest.raises(SingularSystemError) as info:
+                solve_batch(batch, parallel_hint=hint)
+            assert (info.value.pivot_index, info.value.member_index) == (1, 70)
+
+    def test_cyclic_lowest_member_reported_for_any_partition(self):
+        # member 150 fails in the factorization (pivot 1), member 70 only in
+        # the rank-1 correction, reported as row n = 3
+        rng = np.random.default_rng(10)
+        systems = [random_system(rng, 3, CYCLIC) for _ in range(200)]
+        systems[150] = TriDiagSystem(sub=np.zeros(3), main=[1.0, 0.0, 1.0],
+                                     sup=np.zeros(3), rhs=np.ones(3),
+                                     topology=CYCLIC)
+        # [[1, 0, 1], [0, 1, 0], [1, 0, 1]]: the open part is regular and
+        # the correction's denominator is exactly zero
+        systems[70] = TriDiagSystem(sub=[1.0, 0.0, 0.0], main=np.ones(3),
+                                    sup=[0.0, 0.0, 1.0], rhs=np.ones(3),
+                                    topology=CYCLIC)
+        batch = SolveBatch.from_systems(systems)
+        for hint in (1, 2, 3, 4):
+            with pytest.raises(SingularSystemError) as info:
+                solve_batch(batch, parallel_hint=hint)
+            assert (info.value.pivot_index, info.value.member_index) == (3, 70)
+            assert info.value.detail == "singular rank-1 correction"
 
     def test_empty_batch_rejected(self):
         with pytest.raises(InvariantError):
