@@ -18,7 +18,14 @@ from .environment import (
     transmission_loss,
     wavenumber,
 )
-from .marching import FrequencyResult, MarchState, apply_boundary, range_step, run_frequency
+from .marching import (
+    FrequencyResult,
+    Marcher,
+    MarchState,
+    apply_boundary,
+    range_step,
+    run_frequency,
+)
 from .operators import (
     StepCoefficients,
     apply_X,
@@ -59,6 +66,7 @@ __all__ = [
     "transmission_loss",
     "wavenumber",
     "FrequencyResult",
+    "Marcher",
     "MarchState",
     "apply_boundary",
     "range_step",

@@ -231,8 +231,8 @@ def wavenumber(frequency: float, c0: float) -> float:
     return _TWO_PI * frequency / c0
 
 
-def refraction_index(env: Environment, r, theta, z):
-    """Complex refraction index n(r, theta, z).
+def refraction_index(env: Environment, r, z):
+    """Complex refraction index n(r, z); the medium is azimuth-independent.
 
     Re(n) = c0 / c; Im(n) ramps quadratically from 0 at the absorber start
     depth to ``max_attenuation`` at the grid bottom.  Accepts scalar or
@@ -263,7 +263,7 @@ def refraction_index_grid(env: Environment, grid: Grid3D, r: float) -> np.ndarra
     The profile is azimuth-independent, so the depth profile is computed
     once and broadcast — this also keeps azimuth symmetry exact to the bit.
     """
-    n_z = refraction_index(env, r, 0.0, grid.depths())
+    n_z = refraction_index(env, r, grid.depths())
     return np.broadcast_to(n_z, (grid.n_azimuth, grid.n_depth))
 
 

@@ -9,15 +9,19 @@ One range step advances the slab from r to r + delta_r by
 4. solving one azimuth system per depth index (new slab u),
 5. reapplying the boundary conditions,
 
-with the implicit-side matrices sampled at the new range.  Steps 3 and 4
-are independent across their sweep index and run through the batched
-solver with the configured intra-step thread count.
+with the implicit-side matrices sampled at the new range.  All systems of
+one sweep share one matrix, so each sweep is one factorization and a wide
+substitution through the batched solver, on the configured intra-step
+thread count.  The medium does not depend on range, so a :class:`Marcher`
+computes the refraction grid and factors the depth matrix once per
+frequency; the azimuth matrix depends on range and is factored once per
+step.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,26 +44,47 @@ from .operators import (
     compute_rhs,
 )
 from .pool import ExecutorSpec
-from .tridiag import solve_batch
+from .tridiag import Factors, SolveBatch, factor, solve_batch
 
 MAX_OUTPUT_SAMPLES = 512
 
 
 @dataclass(eq=False)
-class MarchState:
-    """Marching engine state: the current slab u at range index j.
+class Marcher:
+    """What stays fixed while one frequency is marched, and what is
+    derived from it once: the refraction grid and the factored depth
+    matrix.  Shared read-only by every step.
 
-    The slab is exclusively owned by the engine during a step; grid and
-    environment are shared read-only.
+    A singular depth matrix is not reported here but by the first step
+    that solves with it, as a :class:`StepError`.
     """
+
+    grid: Grid3D
+    environment: Environment
+    k0: float
+    coeffs: StepCoefficients
+    intra_threads: int = 1
+    n_grid: np.ndarray = field(init=False)
+    depth: Factors = field(init=False)
+
+    def __post_init__(self):
+        grid = self.grid
+        self.n_grid = refraction_index_grid(self.environment, grid, grid.r_start)
+        # The medium is the same in every azimuth, so every column of the
+        # assembled batch is the same matrix; see assemble_depth_batch for
+        # why it is assembled at full width all the same.
+        depth = assemble_depth_batch(self.coeffs.cx_lhs, self.n_grid,
+                                     self.k0, grid.delta_z)
+        self.depth = factor(depth.columns(0, 1))
+
+
+@dataclass(eq=False)
+class MarchState:
+    """The current slab u at range index j.  The slab is exclusively owned
+    by the marcher during a step."""
 
     slab: FieldSlab
     range_index: int
-    coeffs: StepCoefficients
-    environment: Environment
-    grid: Grid3D
-    k0: float
-    intra_threads: int = 1
 
 
 @dataclass(eq=False)
@@ -90,50 +115,49 @@ def apply_boundary(slab: FieldSlab, grid: Grid3D, env: Environment) -> FieldSlab
     return slab
 
 
-def range_step(state: MarchState) -> MarchState:
+def range_step(marcher: Marcher, state: MarchState) -> MarchState:
     """Advance one range step; returns the new state with j incremented."""
-    grid = state.grid
+    grid = marcher.grid
+    env = marcher.environment
     j = state.range_index
     if j + 1 > grid.n_range:
         raise DomainError(f"step {j + 1} exceeds n_range {grid.n_range}")
     slab = state.slab
-    apply_boundary(slab, grid, state.environment)
+    apply_boundary(slab, grid, env)
 
-    if state.coeffs.delta == 0:
+    if marcher.coeffs.delta == 0:
         # Zero range increment: the implicit and explicit factors coincide,
         # so the step is the identity and is short-circuited to keep it so
         # to the bit.
-        return MarchState(slab, j + 1, state.coeffs, state.environment,
-                          grid, state.k0, state.intra_threads)
+        return MarchState(slab, j + 1)
 
     r_new = grid.range_at(j + 1)
-    n_now = refraction_index_grid(state.environment, grid, slab.range_m)
-    rhs = compute_rhs(slab, state.coeffs, n_now, state.k0, grid)
-    # Dirichlet data on the explicit side too: the constrained boundary rows
-    # of the implicit systems require zero right-hand sides there.
-    apply_boundary(rhs, grid, state.environment)
-
-    n_new = refraction_index_grid(state.environment, grid, r_new)
+    rhs = compute_rhs(slab, marcher.coeffs, marcher.n_grid, marcher.k0, grid)
+    # Dirichlet data on the explicit side: the constrained boundary rows of
+    # the implicit systems require zero right-hand sides there.  The depth
+    # solve keeps them: on a sector grid the edge azimuths of v solve zero
+    # right-hand sides, so they are zero for the azimuth solve too.
+    apply_boundary(rhs, grid, env)
     try:
-        depth_batch = assemble_depth_batch(
-            state.coeffs.cx_lhs, n_new, state.k0, grid.delta_z, rhs.values
+        v = solve_batch(
+            SolveBatch(marcher.depth, np.ascontiguousarray(rhs.values.T)),
+            marcher.intra_threads,
         )
-        v = solve_batch(depth_batch, state.intra_threads)
     except SingularSystemError as exc:
         raise StepError(j + 1, "depth", exc.member_index, exc) from exc
     try:
-        azimuth_batch = assemble_azimuth_batch(
-            state.coeffs.cy_lhs, state.k0, r_new, grid.delta_theta,
-            grid.azimuth_topology, v,
-        )
-        u = solve_batch(azimuth_batch, state.intra_threads)
+        azimuth = factor(assemble_azimuth_batch(
+            marcher.coeffs.cy_lhs, marcher.k0, r_new, grid.delta_theta,
+            grid.azimuth_topology, grid.n_azimuth,
+        ))
+        u = solve_batch(SolveBatch(azimuth, np.ascontiguousarray(v.T)),
+                        marcher.intra_threads)
     except SingularSystemError as exc:
         raise StepError(j + 1, "azimuth", exc.member_index, exc) from exc
 
-    new_slab = FieldSlab(np.ascontiguousarray(u.T), r_new)
-    apply_boundary(new_slab, grid, state.environment)
-    return MarchState(new_slab, j + 1, state.coeffs, state.environment,
-                      grid, state.k0, state.intra_threads)
+    new_slab = FieldSlab(u, r_new)
+    apply_boundary(new_slab, grid, env)
+    return MarchState(new_slab, j + 1)
 
 
 def default_output_stride(n_steps: int) -> int:
@@ -155,7 +179,8 @@ def run_frequency(config, frequency: float, executor: ExecutorSpec | None = None
         )
     spec = executor if executor is not None else options.executor
     k0 = wavenumber(frequency, env.c0)
-    coeffs = StepCoefficients.for_step(k0, grid.delta_r)
+    marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, grid.delta_r),
+                      spec.intra_threads)
     slab = gaussian_starter(grid, source, k0)
     apply_boundary(slab, grid, env)
 
@@ -172,12 +197,12 @@ def run_frequency(config, frequency: float, executor: ExecutorSpec | None = None
         clamped += n_clamped
 
     record(slab)
-    state = MarchState(slab, 0, coeffs, env, grid, k0, spec.intra_threads)
+    state = MarchState(slab, 0)
     for j in range(1, grid.n_range + 1):
         if options.max_range is not None:
             if grid.range_at(j) > options.max_range * (1.0 + 1e-12):
                 break
-        state = range_step(state)
+        state = range_step(marcher, state)
         if j % stride == 0:
             ranges.append(state.slab.range_m)
             record(state.slab)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .environment import PERIODIC, TOPOLOGIES, FieldSlab, Grid3D
 from .errors import DomainError, InvariantError, ShapeError
-from .tridiag import OPEN, CYCLIC, SolveBatch
+from .tridiag import OPEN, CYCLIC, Diagonals
 
 DEPTH = "depth"
 AZIMUTH = "azimuth"
@@ -177,63 +177,71 @@ def compute_rhs(slab: FieldSlab, coeffs: StepCoefficients, n_field,
 
 
 def assemble_depth_batch(coeff: complex, n_grid: np.ndarray, k0: float,
-                         delta_z: float, rhs_values: np.ndarray) -> SolveBatch:
-    """All depth systems (I + coeff * X) of a step, one per azimuth index,
-    as one batch.
+                         delta_z: float) -> Diagonals:
+    """The depth matrices (I + coeff * X), one per row of ``n_grid``
+    (azimuth x depth; a single depth profile gives one matrix).
 
-    Layout: diagonals and right sides are (n_depth, n_azimuth), so each
-    elimination row is contiguous across the batch.
+    Layout: diagonals are (n_depth, n_azimuth), so each elimination row is
+    contiguous across the azimuths.
 
     The surface row (depth index 0) is imposed as the identity equation
     u = 0, so the solved field honors the pressure-release surface exactly
-    instead of leaking amplitude into a row that would be zeroed afterwards.
+    instead of leaking amplitude into a row that would be zeroed afterwards;
+    the right-hand side must be zero there.
+
+    Rounding: numpy evaluates a temporary of 256 KiB or more in place, and
+    the in-place product ``coeff * (...)`` can round differently from the
+    out-of-place product that one row of the same values gets (seen with
+    numpy 2.4 on AVX-512).  A matrix assembled from one depth profile can
+    thus differ in its last bits from a column of the same matrix assembled
+    over the full grid.  The marcher assembles over its full (broadcast)
+    grid and factors column 0: every column holds the same bits, so the
+    shared factors equal those of each azimuth's own matrix.
     """
-    n_az, n_dep = rhs_values.shape
+    n_grid = np.asarray(n_grid)
+    if n_grid.ndim not in (1, 2):
+        raise ShapeError("refraction values must be a depth profile or an "
+                         "(azimuth x depth) grid")
+    shape = np.atleast_2d(n_grid).shape
+    n_dep = shape[1]
     st = depth_stencil(n_grid, k0, delta_z)
     s = st.second_difference_scale
-    local = np.broadcast_to(_depth_local_term(st, rhs_values.shape),
-                            rhs_values.shape)
+    local = np.broadcast_to(_depth_local_term(st, shape), shape)
     main = np.ascontiguousarray((1.0 + coeff * (local - 2.0 * s)).T)
     off_value = np.complex128(coeff * s)
-    sub = np.broadcast_to(off_value, (n_dep - 1, n_az))
-    rhs = np.ascontiguousarray(rhs_values.T)
-    sup = np.full((n_dep - 1, n_az), off_value)
+    sub = np.broadcast_to(off_value, (n_dep - 1, shape[0]))
+    sup = np.full((n_dep - 1, shape[0]), off_value)
     main[0] = 1.0
     sup[0] = 0.0
-    rhs[0] = 0.0
-    return SolveBatch(sub=sub, main=main, sup=sup, rhs=rhs, topology=OPEN)
+    return Diagonals(sub=sub, main=main, sup=sup, topology=OPEN)
 
 
 def assemble_azimuth_batch(coeff: complex, k0: float, r: float,
                            delta_theta: float, topology: str,
-                           rhs_values: np.ndarray) -> SolveBatch:
-    """All azimuth systems (I + coeff * Y) of a step, one per depth index,
-    as one batch.
+                           n_azimuth: int) -> Diagonals:
+    """The azimuth matrix (I + coeff * Y) at range ``r``, shared by every
+    depth index: one matrix of size ``n_azimuth``.
 
-    Layout: (n_azimuth, n_depth); the systems share one constant-coefficient
-    matrix, with cyclic corners when the grid is periodic.  On a sector
-    grid the azimuth edge rows are imposed as identity equations u = 0
-    (Dirichlet edges); a periodic grid has no edges.
+    The matrix has constant coefficients, with cyclic corners when the grid
+    is periodic.  On a sector grid the azimuth edge rows are imposed as
+    identity equations u = 0 (Dirichlet edges), so the right-hand side must
+    be zero there; a periodic grid has no edges.
     """
     if topology not in TOPOLOGIES:
         raise InvariantError(f"azimuth_topology in {TOPOLOGIES}")
-    n_az, n_dep = rhs_values.shape
     st = azimuth_stencil(k0, r, delta_theta)
     s = st.second_difference_scale
     diag_value = np.complex128(1.0 - 2.0 * coeff * s)
     off_value = np.complex128(coeff * s)
-    rhs = np.ascontiguousarray(rhs_values)
     if topology == PERIODIC:
-        main = np.broadcast_to(diag_value, (n_az, n_dep))
-        off = np.broadcast_to(off_value, (n_az, n_dep))
-        return SolveBatch(sub=off, main=main, sup=off, rhs=rhs, topology=CYCLIC)
-    main = np.full((n_az, n_dep), diag_value)
-    sub = np.full((n_az - 1, n_dep), off_value)
-    sup = np.full((n_az - 1, n_dep), off_value)
+        main = np.broadcast_to(diag_value, (n_azimuth, 1))
+        off = np.broadcast_to(off_value, (n_azimuth, 1))
+        return Diagonals(sub=off, main=main, sup=off, topology=CYCLIC)
+    main = np.full((n_azimuth, 1), diag_value)
+    sub = np.full((n_azimuth - 1, 1), off_value)
+    sup = np.full((n_azimuth - 1, 1), off_value)
     main[0] = 1.0
     main[-1] = 1.0
     sup[0] = 0.0
     sub[-1] = 0.0
-    rhs[0] = 0.0
-    rhs[-1] = 0.0
-    return SolveBatch(sub=sub, main=main, sup=sup, rhs=rhs, topology=OPEN)
+    return Diagonals(sub=sub, main=main, sup=sup, topology=OPEN)

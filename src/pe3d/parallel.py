@@ -1,10 +1,11 @@
 """Two-level parallel execution and the scaling-measurement harness.
 
-Fine grain: :func:`pe3d.tridiag.solve_batch` splits each batch of a range
-step into contiguous member blocks on the shared thread pool.  Coarse
-grain: :func:`frequency_farm` runs independent single-frequency jobs on
-worker processes with static block assignment by default.  Correctness
-contract for both levels is bit-identical output against the serial path.
+Fine grain: :func:`pe3d.tridiag.solve_batch` splits the substitutions of
+each batch of a range step into contiguous member blocks on the shared
+thread pool.  Coarse grain: :func:`frequency_farm` runs independent
+single-frequency jobs on worker processes with static block assignment by
+default.  Correctness contract for both levels is bit-identical output
+against the serial path.
 
 Speedup and parallel efficiency are always derived from stored wall
 times: speedup = T_baseline / T, efficiency = speedup / resource ratio,
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import InvariantError
 from .marching import run_frequency
 from .pool import ExecutorSpec, block_ranges
-from .tridiag import OPEN, SolveBatch, solve_batch
+from .tridiag import OPEN, Diagonals, SolveBatch, factor, solve_batch
 
 __all__ = [
     "ExecutorSpec",
@@ -243,7 +244,9 @@ def scaling_harness(config, thread_counts, worker_counts, repeats: int = 3,
 
 def kernel_throughput(batch_sizes, n: int = 128, repeats: int = 3,
                       seed: int = 0) -> list[dict]:
-    """Micro-benchmark of the batched tri-diagonal kernel.
+    """Micro-benchmark of the batched tri-diagonal kernel: one sweep of a
+    range step, that is one shared matrix factored and substituted against
+    ``batch_size`` right-hand sides.
 
     Returns one entry per batch size with the measured systems/second.
     No fixed performance target: the numbers are machine-bound.
@@ -251,18 +254,25 @@ def kernel_throughput(batch_sizes, n: int = 128, repeats: int = 3,
     rng = np.random.default_rng(seed)
     entries = []
     for batch_size in batch_sizes:
-        real = rng.standard_normal((4, n, batch_size))
-        imag = rng.standard_normal((4, n, batch_size))
-        main = 4.0 + real[0] + 1j * imag[0]
-        sub = 0.5 * (real[1, : n - 1] + 1j * imag[1, : n - 1])
-        sup = 0.5 * (real[2, : n - 1] + 1j * imag[2, : n - 1])
-        rhs = real[3] + 1j * imag[3]
-        batch = SolveBatch(sub=sub, main=main, sup=sup, rhs=rhs, topology=OPEN)
-        solve_batch(batch)  # warm-up
+        real = rng.standard_normal((3, n))
+        imag = rng.standard_normal((3, n))
+        diagonals = Diagonals(
+            sub=0.5 * (real[1, : n - 1] + 1j * imag[1, : n - 1])[:, None],
+            main=(4.0 + real[0] + 1j * imag[0])[:, None],
+            sup=0.5 * (real[2, : n - 1] + 1j * imag[2, : n - 1])[:, None],
+            topology=OPEN,
+        )
+        rhs = rng.standard_normal((n, batch_size)) \
+            + 1j * rng.standard_normal((n, batch_size))
+
+        def sweep():
+            solve_batch(SolveBatch(factor(diagonals), rhs))
+
+        sweep()  # warm-up
         walls = []
         for _ in range(repeats):
             begin = time.perf_counter()
-            solve_batch(batch)
+            sweep()
             walls.append(time.perf_counter() - begin)
         best = min(walls)
         entries.append({

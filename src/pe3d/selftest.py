@@ -23,7 +23,7 @@ from .environment import (
     wavenumber,
 )
 from .config import Config, RunOptions
-from .marching import MarchState, range_step, run_frequency
+from .marching import Marcher, MarchState, range_step, run_frequency
 from .operators import StepCoefficients
 from .parallel import static_assignment
 from .tridiag import (
@@ -129,7 +129,7 @@ def _check_batch_determinism():
     serial = solve_batch(batch, parallel_hint=1)
     threaded = solve_batch(batch, parallel_hint=4)
     _require(serial.tobytes() == threaded.tobytes(), "hint changed batch output")
-    scalar = np.stack([solve_thomas(s) for s in systems])
+    scalar = np.stack([solve_thomas(s) for s in systems], axis=1)
     _require(serial.tobytes() == scalar.tobytes(),
              "batch differs from scalar loop")
 
@@ -144,9 +144,8 @@ def _check_delta_zero_identity():
     values[:, 0] = 0.0
     slab = FieldSlab(values, grid.r_start)
     before = slab.values.copy()
-    state = MarchState(slab, 0, StepCoefficients.for_step(k0, 0.0),
-                       env, grid, k0)
-    after = range_step(state)
+    marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, 0.0))
+    after = range_step(marcher, MarchState(slab, 0))
     _require(after.slab.values.tobytes() == before.tobytes(),
              "delta=0 step not identity")
 

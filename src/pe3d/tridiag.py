@@ -1,16 +1,23 @@
-"""Complex tri-diagonal direct solvers: scalar, cyclic, and batched.
+"""Complex tri-diagonal direct solvers: one factorization, many
+substitutions.
 
 This is the hot kernel of the range-marching scheme (two tri-diagonal
-solves per step).  The batch layout is structure-of-arrays: one row per
-elimination index, contiguous across the batch, so every inner-loop
-operation is a unit-stride vector op over batch members.
+solves per step).  :func:`factor` turns the diagonals of one or more
+matrices into :class:`Factors`; :func:`solve_batch` substitutes the
+right-hand sides of a :class:`SolveBatch` against them.  The layout is
+structure-of-arrays: one row per elimination index, contiguous across the
+batch, so every inner-loop operation is a unit-stride vector op over batch
+members.  Factors of width 1 are one matrix shared by the whole batch and
+broadcast across it; factors of width w hold one matrix per member.  Both
+go through the same code.  The marcher factors its depth matrix once per
+frequency and its azimuth matrix once per range step, each at width 1.
 
 Determinism: every kernel operation is elementwise per batch member and
 numpy elementwise complex arithmetic is value-deterministic, so a member's
-solution does not depend on which other members share its kernel call.
-Batched results are therefore bit-identical to scalar solves, and
-invariant under the thread count, which only changes the column
-partition.
+solution does not depend on which other members share its kernel call or
+on whether its factors are shared.  Batched results are therefore
+bit-identical to scalar solves, and invariant under the thread count,
+which only changes the column partition.
 
 Cyclic systems are solved by a rank-1 (Sherman-Morrison) correction of an
 open solve.  Corner storage convention for cyclic systems of size n:
@@ -81,31 +88,30 @@ class TriDiagSystem:
 
 
 @dataclass(eq=False)
-class SolveBatch:
-    """Systems sharing one size and topology, stored per-diagonal.
+class Diagonals:
+    """Tri-diagonal matrices of one size and topology, one per column.
 
-    Arrays are 2-D with shape (row, member); rows are contiguous across
-    the batch.  Diagonal arrays may be read-only broadcast views.
+    Arrays are 2-D with shape (row, matrix), so each elimination row is
+    contiguous across the matrices.  Width 1 is one matrix shared by every
+    member of a batch; width w is one matrix per member.  Arrays may be
+    read-only broadcast views.
     """
 
     sub: np.ndarray
     main: np.ndarray
     sup: np.ndarray
-    rhs: np.ndarray
     topology: str = OPEN
 
     def __post_init__(self):
         if self.topology not in (OPEN, CYCLIC):
             raise InvariantError(f"topology in ({OPEN}, {CYCLIC})")
-        for arr in (self.sub, self.main, self.sup, self.rhs):
+        for arr in (self.sub, self.main, self.sup):
             if arr.ndim != 2:
-                raise ShapeError("batch arrays must be 2-D (row x member)")
-        n, w = self.main.shape
-        if self.rhs.shape != (n, w):
-            raise ShapeError(f"rhs shape {self.rhs.shape} != {(n, w)}")
+                raise ShapeError("diagonal arrays must be 2-D (row x matrix)")
+        n, k = self.main.shape
         want = n if self.topology == CYCLIC else n - 1
-        if self.sub.shape != (want, w) or self.sup.shape != (want, w):
-            raise ShapeError("off-diagonal batch shapes inconsistent with topology")
+        if self.sub.shape != (want, k) or self.sup.shape != (want, k):
+            raise ShapeError("off-diagonal shapes inconsistent with topology")
         if self.topology == CYCLIC and n < 3:
             raise InvariantError("n >= 3 for cyclic systems")
 
@@ -114,11 +120,101 @@ class SolveBatch:
         return self.main.shape[0]
 
     @property
-    def n_systems(self) -> int:
+    def width(self) -> int:
         return self.main.shape[1]
+
+    def columns(self, lo: int, hi: int) -> "Diagonals":
+        return Diagonals(self.sub[:, lo:hi], self.main[:, lo:hi],
+                         self.sup[:, lo:hi], self.topology)
+
+
+@dataclass(eq=False)
+class Factors:
+    """LU factors of the matrices in the columns of a :class:`Diagonals`,
+    ready for any number of substitutions.
+
+    ``cp`` and ``inv`` are the modified super-diagonal and the reciprocal
+    pivots of the open elimination, ``sub`` the sub-diagonal its forward
+    sweep reads.  A cyclic matrix also keeps its Sherman-Morrison spike:
+    ``q`` is the open solve against (gamma, 0, ..., 0, beta), and
+    ``weight`` and ``denom`` complete the rank-1 correction.
+
+    ``singular`` is the error for the lowest singular matrix, or None.  It
+    is raised when the factors are used, so a factorization made ahead of
+    time fails where its first solve would have.
+    """
+
+    topology: str
+    sub: np.ndarray
+    cp: np.ndarray
+    inv: np.ndarray
+    singular: SingularSystemError | None
+    q: np.ndarray | None = None
+    weight: np.ndarray | None = None
+    denom: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return self.inv.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.inv.shape[1]
+
+    def columns(self, lo: int, hi: int) -> "Factors":
+        """The factors for batch members lo..hi: all of them when shared."""
+        if self.width == 1:
+            return self
+        cyclic = self.topology == CYCLIC
+        return Factors(
+            self.topology, self.sub[:, lo:hi], self.cp[:, lo:hi],
+            self.inv[:, lo:hi], self.singular,
+            self.q[:, lo:hi] if cyclic else None,
+            self.weight[lo:hi] if cyclic else None,
+            self.denom[lo:hi] if cyclic else None,
+        )
+
+
+@dataclass(eq=False)
+class SolveBatch:
+    """Right-hand sides to solve against one factorization.
+
+    ``rhs`` has shape (n, n_systems), rows contiguous across the batch.
+    The factors have width 1 (one matrix shared by every member) or
+    n_systems (one matrix per member).
+    """
+
+    factors: Factors
+    rhs: np.ndarray
+
+    def __post_init__(self):
+        if self.rhs.ndim != 2:
+            raise ShapeError("batch rhs must be 2-D (row x member)")
+        n, w = self.rhs.shape
+        if n != self.factors.n:
+            raise ShapeError(f"rhs has {n} rows, the matrices {self.factors.n}")
+        if w == 0:
+            raise InvariantError("batch nonempty")
+        if self.factors.width not in (1, w):
+            raise ShapeError(
+                f"{self.factors.width} matrices for {w} right-hand sides"
+            )
+
+    @property
+    def n(self) -> int:
+        return self.factors.n
+
+    @property
+    def n_systems(self) -> int:
+        return self.rhs.shape[1]
+
+    @property
+    def topology(self) -> str:
+        return self.factors.topology
 
     @classmethod
     def from_systems(cls, systems) -> "SolveBatch":
+        """One member per system, each with its own matrix."""
         systems = list(systems)
         if not systems:
             raise InvariantError("batch nonempty")
@@ -127,20 +223,13 @@ class SolveBatch:
         for s in systems[1:]:
             if s.n != n or s.topology != topology:
                 raise InvariantError("all batch members share one n and topology")
-        return cls(
+        diagonals = Diagonals(
             sub=np.stack([s.sub for s in systems], axis=1),
             main=np.stack([s.main for s in systems], axis=1),
             sup=np.stack([s.sup for s in systems], axis=1),
-            rhs=np.stack([s.rhs for s in systems], axis=1),
             topology=topology,
         )
-
-    def system(self, i: int) -> TriDiagSystem:
-        return TriDiagSystem(
-            sub=self.sub[:, i].copy(), main=self.main[:, i].copy(),
-            sup=self.sup[:, i].copy(), rhs=self.rhs[:, i].copy(),
-            topology=self.topology,
-        )
+        return cls(factor(diagonals), np.stack([s.rhs for s in systems], axis=1))
 
 
 def _factor_open(sub, main, sup):
@@ -148,94 +237,114 @@ def _factor_open(sub, main, sup):
 
     Pivots are not checked row by row: a pivot below ``PIVOT_FLOOR`` shows
     up afterwards as a reciprocal above ``1 / PIVOT_FLOOR``
-    (:func:`_bad_pivots`).  Until it is reported, a singular member carries
-    inf/nan through the remaining rows, so those warnings are silenced.
+    (:func:`_bad_pivots`).  A singular matrix carries inf/nan through the
+    remaining rows, so those warnings are silenced.
     """
     n, w = main.shape
     inv = np.empty((n, w), dtype=np.complex128)
     cp = np.empty((max(n - 1, 0), w), dtype=np.complex128)
+    t = np.empty(w, dtype=np.complex128)
+    multiply, subtract, divide = np.multiply, np.subtract, np.divide
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv[0] = 1.0 / main[0]
+        divide(1.0, main[0], out=inv[0])
         if n > 1:
-            cp[0] = sup[0] * inv[0]
+            multiply(sup[0], inv[0], out=cp[0])
         for k in range(1, n):
-            inv[k] = 1.0 / (main[k] - sub[k - 1] * cp[k - 1])
+            multiply(sub[k - 1], cp[k - 1], out=t)
+            subtract(main[k], t, out=t)
+            divide(1.0, t, out=inv[k])
             if k < n - 1:
-                cp[k] = sup[k] * inv[k]
+                multiply(sup[k], inv[k], out=cp[k])
     return cp, inv
 
 
 def _bad_pivots(inv) -> np.ndarray:
-    """(row, member) mask of the pivots below ``PIVOT_FLOOR``."""
+    """(row, matrix) mask of the pivots below ``PIVOT_FLOOR``."""
     return np.abs(inv) > 1.0 / PIVOT_FLOOR
 
 
-def _raise_lowest_singular(bad, rank1_row=None):
-    """Raise for the lowest member with a singular row in ``bad`` (rows x
-    members), naming its first one; return when there is none."""
+def _lowest_singular(bad, rank1_row=None) -> SingularSystemError | None:
+    """The error for the lowest matrix with a singular row in ``bad``
+    (rows x matrices), naming its first one; None when there is none."""
     failed = bad.any(axis=0)
     if not failed.any():
-        return
+        return None
     member = int(np.argmax(failed))
     row = int(np.argmax(bad[:, member]))
     detail = "singular rank-1 correction" if row == rank1_row else ""
-    raise SingularSystemError(row, member, detail=detail)
+    return SingularSystemError(row, member, detail=detail)
 
 
-def _substitute_open(cp, inv, sub, rhs, out=None):
-    """Forward and back substitution; ``out`` may be ``rhs`` itself."""
-    n = rhs.shape[0]
-    x = np.empty_like(rhs) if out is None else out
+def _substitute_open(cp, inv, sub, rhs, x):
+    """Forward and back substitution into ``x``, which may be ``rhs``.
+
+    The factors may have one column, shared by every column of ``rhs``:
+    the row operations broadcast, and elementwise complex arithmetic gives
+    the same bits whether an operand is broadcast or stored per column.
+    Each row costs three ufunc calls forward and two back, on row views
+    and one scratch row.  No product writes into one of its own operands:
+    numpy's in-place complex product can round differently from the
+    out-of-place one.
+    """
+    x_rows, rhs_rows = list(x), list(rhs)
+    t = np.empty_like(x_rows[0])
+    multiply, subtract = np.multiply, np.subtract
     x[0] = rhs[0] * inv[0]
-    for k in range(1, n):
-        x[k] = (rhs[k] - sub[k - 1] * x[k - 1]) * inv[k]
-    for k in range(n - 2, -1, -1):
-        x[k] -= cp[k] * x[k + 1]
+    for k in range(1, len(x_rows)):
+        multiply(sub[k - 1], x_rows[k - 1], out=t)
+        subtract(rhs_rows[k], t, out=t)
+        multiply(t, inv[k], out=x_rows[k])
+    for k in range(len(x_rows) - 2, -1, -1):
+        multiply(cp[k], x_rows[k + 1], out=t)
+        subtract(x_rows[k], t, out=x_rows[k])
     return x
 
 
-def _solve_open(sub, main, sup, rhs):
-    """Solve the open systems held in the columns of the arrays."""
-    cp, inv = _factor_open(sub, main, sup)
-    _raise_lowest_singular(_bad_pivots(inv))
-    return _substitute_open(cp, inv, sub, rhs)
+def factor(diagonals: Diagonals) -> Factors:
+    """Factor every matrix of ``diagonals``; never raises for a singular
+    one (see :attr:`Factors.singular`).
 
-
-def _solve_cyclic(sub, main, sup, rhs):
-    """Sherman-Morrison correction of an open solve; two substitutions on
-    one factorization.  Zero corners go through the same path so batched
-    and scalar solves stay bit-identical.
-
-    A member fails at its first singular pivot, else at a singular rank-1
-    correction (reported as row n), and the lowest failing member is
-    reported whichever way it failed.
+    A cyclic matrix is factored as its open part with a modified diagonal,
+    and the spike of the Sherman-Morrison correction is solved here, once,
+    for every later substitution.  Zero corners go through the same path,
+    so factors of stacked and of single systems give the same bits.  A
+    matrix fails at its first singular pivot, else at a singular rank-1
+    correction (reported as row n).
     """
-    n = main.shape[0]
+    sub, main, sup = diagonals.sub, diagonals.main, diagonals.sup
+    if diagonals.topology == OPEN:
+        cp, inv = _factor_open(sub, main, sup)
+        return Factors(OPEN, sub, cp, inv, _lowest_singular(_bad_pivots(inv)))
+    n = diagonals.n
     alpha = sub[0]       # A[0, n-1]
     beta = sup[n - 1]    # A[n-1, 0]
     sub_open = sub[1:]
-    sup_open = sup[: n - 1]
     gamma = np.where(np.abs(main[0]) > 0, -main[0], np.complex128(1.0))
     main_mod = np.array(main, dtype=np.complex128)
     main_mod[0] = main[0] - gamma
     main_mod[n - 1] = main[n - 1] - alpha * beta / gamma
-    cp, inv = _factor_open(sub_open, main_mod, sup_open)
-    del main_mod  # freed before the substitutions allocate
+    cp, inv = _factor_open(sub_open, main_mod, sup[: n - 1])
+    del main_mod
     with np.errstate(invalid="ignore", over="ignore"):
-        y = _substitute_open(cp, inv, sub_open, rhs)
-        spike = np.zeros_like(rhs)
+        spike = np.zeros_like(inv)
         spike[0] = gamma
         spike[n - 1] = beta
-        q = _substitute_open(cp, inv, sub_open, spike, out=spike)
+        q = _substitute_open(cp, inv, sub_open, spike, spike)
         weight = alpha / gamma
         denom = 1.0 + q[0] + weight * q[n - 1]
         bad = np.vstack([_bad_pivots(inv), np.abs(denom) < PIVOT_FLOOR])
-    _raise_lowest_singular(bad, rank1_row=n)
-    factor = (y[0] + weight * y[n - 1]) / denom
-    # In place: y - q * factor without two more full-size temporaries.
-    q *= factor
-    y -= q
-    return y
+    return Factors(CYCLIC, sub_open, cp, inv, _lowest_singular(bad, rank1_row=n),
+                   q, weight, denom)
+
+
+def _substitute(factors: Factors, rhs: np.ndarray, x: np.ndarray):
+    """Solve the columns of ``rhs`` against nonsingular ``factors`` into
+    ``x``."""
+    _substitute_open(factors.cp, factors.inv, factors.sub, rhs, x)
+    if factors.topology == CYCLIC:
+        n = factors.n
+        correction = (x[0] + factors.weight * x[n - 1]) / factors.denom
+        x -= factors.q * correction
 
 
 def solve_thomas(system: TriDiagSystem) -> np.ndarray:
@@ -245,56 +354,38 @@ def solve_thomas(system: TriDiagSystem) -> np.ndarray:
     """
     if system.topology != OPEN:
         raise DomainError("solve_thomas requires open topology")
-    x = _solve_open(
-        system.sub[:, None], system.main[:, None],
-        system.sup[:, None], system.rhs[:, None],
-    )
-    return x[:, 0]
+    return solve_batch(SolveBatch.from_systems([system]))[:, 0]
 
 
 def solve_cyclic(system: TriDiagSystem) -> np.ndarray:
     """Solve one cyclic system (rank-1 correction of two open solves)."""
     if system.topology != CYCLIC:
         raise DomainError("solve_cyclic requires cyclic topology")
-    x = _solve_cyclic(
-        system.sub[:, None], system.main[:, None],
-        system.sup[:, None], system.rhs[:, None],
-    )
-    return x[:, 0]
+    return solve_batch(SolveBatch.from_systems([system]))[:, 0]
 
 
 def solve_batch(batch: SolveBatch, parallel_hint: int = 1) -> np.ndarray:
-    """Solve every member; returns solutions as (n_systems, n).
+    """Solve every member; returns the solutions in the layout of the
+    right-hand sides, (n, n_systems).
 
     The members are split into ``parallel_hint`` contiguous blocks and each
-    block is solved full-width in one kernel call.  Results land at their
-    member index and do not depend on the partition.  Any singular member
-    aborts the whole batch and nothing is returned: the error names the
-    lowest singular member and its first singular row.
+    block is substituted full-width in one kernel call, straight into its
+    columns of the result, which do not depend on the partition.  Singular
+    factors abort the whole batch before any substitution: the error names
+    the lowest singular matrix and its first singular row.
     """
     if parallel_hint < 1:
         raise InvariantError("parallel_hint >= 1")
-    w = batch.n_systems
-    if w == 0:
-        raise InvariantError("batch nonempty")
-    solve = _solve_cyclic if batch.topology == CYCLIC else _solve_open
-    out = np.empty((w, batch.n), dtype=np.complex128)
+    factors = batch.factors
+    if factors.singular is not None:
+        raise factors.singular.with_traceback(None)
+    out = np.empty((batch.n, batch.n_systems), dtype=np.complex128)
 
     def worker(lo, hi):
-        try:
-            out[lo:hi] = solve(batch.sub[:, lo:hi], batch.main[:, lo:hi],
-                               batch.sup[:, lo:hi], batch.rhs[:, lo:hi]).T
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                exc.pivot_index, lo + exc.member_index, exc.detail
-            ) from None
+        _substitute(factors.columns(lo, hi), batch.rhs[:, lo:hi], out[:, lo:hi])
 
-    failures = fork_join(worker, w, parallel_hint)
+    failures = fork_join(worker, batch.n_systems, parallel_hint)
     if failures:
-        singular = [exc for _, _, exc in failures
-                    if isinstance(exc, SingularSystemError)]
-        if singular:
-            raise min(singular, key=lambda e: e.member_index)
         raise failures[0][2]
     return out
 

@@ -23,7 +23,7 @@ from pe3d.environment import (
     gaussian_starter,
     wavenumber,
 )
-from pe3d.marching import MarchState, range_step, run_frequency
+from pe3d.marching import Marcher, MarchState, range_step, run_frequency
 from pe3d.operators import StepCoefficients
 from pe3d.output import load_manifest
 from pe3d.parallel import scaling_harness, static_assignment
@@ -79,9 +79,9 @@ def test_criterion_02_dense_step_oracle():
     k0 = wavenumber(50.0, env.c0)
     coeffs = StepCoefficients.for_step(k0, grid.delta_r)
     u0 = random_slab_values(rng, grid)
-    state = MarchState(FieldSlab(u0.copy(), grid.r_start), 0, coeffs, env,
-                       grid, k0)
-    out = range_step(state).slab.values
+    out = range_step(Marcher(grid, env, k0, coeffs),
+                     MarchState(FieldSlab(u0.copy(), grid.r_start), 0)
+                     ).slab.values
 
     def second_diff(n, periodic):
         t = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) \
@@ -123,10 +123,10 @@ def test_criterion_03_delta_zero_identity():
     grid, env, _, _ = config
     values = random_slab_values(rng, grid)
     k0 = wavenumber(50.0, env.c0)
-    state = MarchState(FieldSlab(values.copy(), grid.r_start), 0,
-                       StepCoefficients.for_step(k0, 0.0), env, grid, k0)
+    marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, 0.0))
+    state = MarchState(FieldSlab(values.copy(), grid.r_start), 0)
     before = state.slab.values.copy()
-    after = range_step(state)
+    after = range_step(marcher, state)
     assert after.slab.values.tobytes() == before.tobytes()
     finish(3, 1.0, t0, "step returned its input bitwise")
 
@@ -139,11 +139,11 @@ def test_criterion_04_azimuth_symmetry_preservation():
     source = SourceSpec(frequencies=(50.0,), depth=200.0)
     k0 = wavenumber(50.0, env.c0)
     slab = gaussian_starter(grid, source, k0)
-    state = MarchState(slab, 0, StepCoefficients.for_step(k0, grid.delta_r),
-                       env, grid, k0)
+    marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, grid.delta_r))
+    state = MarchState(slab, 0)
     worst = 0.0
     for _ in range(100):
-        state = range_step(state)
+        state = range_step(marcher, state)
         mags = np.abs(state.slab.values)
         spread = (mags.max(axis=0) - mags.min(axis=0)).max()
         ratio = spread / mags.max()
@@ -197,10 +197,10 @@ def test_criterion_06_convergence_order():
         values = np.outer(azimuth, modes).astype(np.complex128)
         values[:, 0] = 0.0
         k0 = wavenumber(50.0, env.c0)
-        state = MarchState(FieldSlab(values, grid.r_start), 0,
-                           StepCoefficients.for_step(k0, delta_r), env, grid, k0)
+        marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, delta_r))
+        state = MarchState(FieldSlab(values, grid.r_start), 0)
         for _ in range(n_steps):
-            state = range_step(state)
+            state = range_step(marcher, state)
         return state.slab.values
 
     coarse = run(5.0, 160)

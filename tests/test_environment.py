@@ -98,13 +98,13 @@ class TestRefractionIndex:
     def test_real_part_is_speed_ratio(self):
         grid = make_grid()
         env = make_env(grid, speed=1450.0, c0=1500.0)
-        n = refraction_index(env, 10.0, 0.0, 8.0)
+        n = refraction_index(env, 10.0, 8.0)
         assert n.real == pytest.approx(1.0344827586206897, rel=1e-14)
 
     def test_imaginary_part_hits_max_at_bottom(self):
         grid = make_grid(n_depth=64)
         env = make_env(grid, attenuation=0.03, start_frac=0.5)
-        n = refraction_index(env, 0.0, 0.0, grid.depth_extent)
+        n = refraction_index(env, 0.0, grid.depth_extent)
         assert n.imag == 0.03
 
     def test_quadratic_ramp_midpoint(self):
@@ -112,16 +112,16 @@ class TestRefractionIndex:
         env = make_env(grid, attenuation=0.04, start_frac=0.5)
         start = env.absorber.start_depth
         mid = start + 0.5 * (grid.depth_extent - start)
-        n = refraction_index(env, 0.0, 0.0, mid)
+        n = refraction_index(env, 0.0, mid)
         assert n.imag == pytest.approx(0.04 * 0.25, rel=1e-12)
 
     def test_point_outside_domain(self):
         grid = make_grid()
         env = make_env(grid)
         with pytest.raises(DomainError):
-            refraction_index(env, 0.0, 0.0, grid.depth_extent + 10.0)
+            refraction_index(env, 0.0, grid.depth_extent + 10.0)
         with pytest.raises(DomainError):
-            refraction_index(env, 0.0, 0.0, -1.0)
+            refraction_index(env, 0.0, -1.0)
 
     def test_depth_profile_interpolation(self):
         grid = make_grid(n_depth=16, delta_z=10.0)

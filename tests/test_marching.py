@@ -6,23 +6,34 @@ import pytest
 from conftest import make_config, make_env, make_grid, random_slab_values
 from pe3d.config import RunOptions
 from pe3d.environment import (
+    PERIODIC,
     SECTOR,
     FieldSlab,
+    SoundSpeedProfile,
     gaussian_starter,
+    refraction_index_grid,
     wavenumber,
 )
 from pe3d.errors import DomainError, StepError
 from pe3d.marching import (
+    Marcher,
     MarchState,
     apply_boundary,
     default_output_stride,
     range_step,
     run_frequency,
 )
-from pe3d.operators import StepCoefficients
+from pe3d.operators import (
+    StepCoefficients,
+    assemble_azimuth_batch,
+    assemble_depth_batch,
+    compute_rhs,
+)
+from pe3d.pool import ExecutorSpec
 
 
 def make_state(config, frequency=50.0, slab_values=None, delta_r=None):
+    """A marcher for ``frequency`` and the state at range index 0."""
     grid, env, source, _ = config
     k0 = wavenumber(frequency, env.c0)
     coeffs = StepCoefficients.for_step(
@@ -31,7 +42,7 @@ def make_state(config, frequency=50.0, slab_values=None, delta_r=None):
         slab = gaussian_starter(grid, source, k0)
     else:
         slab = FieldSlab(slab_values, grid.r_start)
-    return MarchState(slab, 0, coeffs, env, grid, k0)
+    return Marcher(grid, env, k0, coeffs), MarchState(slab, 0)
 
 
 class TestApplyBoundary:
@@ -80,37 +91,38 @@ class TestRangeStep:
         rng = np.random.default_rng(5)
         config = make_config(n_azimuth=8, n_depth=24)
         values = random_slab_values(rng, config.grid)
-        state = make_state(config, slab_values=values.copy(), delta_r=0.0)
+        marcher, state = make_state(config, slab_values=values.copy(),
+                                    delta_r=0.0)
         before = state.slab.values.copy()
-        after = range_step(state)
+        after = range_step(marcher, state)
         assert after.range_index == 1
         assert after.slab.values.tobytes() == before.tobytes()
 
     def test_advances_range_and_index(self):
         config = make_config(n_azimuth=6, n_depth=24)
-        state = make_state(config)
-        new = range_step(state)
+        marcher, state = make_state(config)
+        new = range_step(marcher, state)
         assert new.range_index == 1
         assert new.slab.range_m == config.grid.range_at(1)
 
     def test_step_beyond_grid_rejected(self):
         config = make_config(n_range=3)
-        state = make_state(config)
-        state = range_step(range_step(range_step(state)))
+        marcher, state = make_state(config)
+        for _ in range(3):
+            state = range_step(marcher, state)
         with pytest.raises(DomainError, match="n_range"):
-            range_step(state)
+            range_step(marcher, state)
 
     def test_azimuth_symmetry_preserved_one_step(self):
         config = make_config(n_azimuth=16, n_depth=48)
-        state = make_state(config)
-        out = range_step(state).slab.values
+        out = range_step(*make_state(config)).slab.values
         mags = np.abs(out)
         spread = (mags.max(axis=0) - mags.min(axis=0)).max()
         assert spread <= 1e-12 * mags.max()
 
     def test_surface_zero_after_step(self):
         config = make_config()
-        out = range_step(make_state(config))
+        out = range_step(*make_state(config))
         assert np.all(out.slab.values[:, 0] == 0.0)
 
     def test_dense_step_oracle_three_by_three(self):
@@ -121,11 +133,11 @@ class TestRangeStep:
         env = make_env(grid, attenuation=0.0, start_frac=0.5)
         config = make_config(grid=grid, env=env, source_depth=7.0)
         u0 = random_slab_values(rng, grid)
-        state = make_state(config, slab_values=u0.copy())
-        out = range_step(state).slab.values
+        marcher, state = make_state(config, slab_values=u0.copy())
+        out = range_step(marcher, state).slab.values
 
-        k0 = state.k0
-        coeffs = state.coeffs
+        k0 = marcher.k0
+        coeffs = marcher.coeffs
 
         def second_diff(n, periodic):
             t = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) \
@@ -167,11 +179,150 @@ class TestRangeStep:
                                   cy_lhs=0.0j, cy_rhs=0.0j)
         k0 = 1.0  # s_z = 1, diag = 1 + 0.5 * (0 - 2) = 0
         slab = FieldSlab(np.ones((4, 8), dtype=complex), grid.r_start)
-        state = MarchState(slab, 0, coeffs, env, grid, k0)
+        marcher = Marcher(grid, env, k0, coeffs)
         with pytest.raises(StepError) as info:
-            range_step(state)
+            range_step(marcher, MarchState(slab, 0))
         assert info.value.sweep == "depth"
         assert info.value.range_index == 1
+
+    def test_singular_azimuth_solve_becomes_step_error(self):
+        # sector grid with k0 * r * delta_theta == 1 at step 2 (r = 10), so
+        # s = 1 and cy_lhs = 1/2 make the interior azimuth diagonal
+        # 1 - 2 * cy_lhs * s exactly zero: a zero pivot at row 1
+        grid = make_grid(n_azimuth=5, n_depth=8, delta_r=2.5, r_start=5.0,
+                         delta_z=1.0, delta_theta=0.1, topology=SECTOR)
+        config = make_config(grid=grid)
+        coeffs = StepCoefficients(delta=1j, cx_lhs=0.25 + 0.0j,
+                                  cx_rhs=0.25 + 0.0j, cy_lhs=0.5 + 0.0j,
+                                  cy_rhs=-0.5 + 0.0j)
+        marcher = Marcher(grid, config.environment, 1.0, coeffs)
+        slab = FieldSlab(np.ones((5, 8), dtype=complex), grid.r_start)
+        state = range_step(marcher, MarchState(slab, 0))
+        with pytest.raises(StepError) as info:
+            range_step(marcher, state)
+        assert info.value.sweep == "azimuth"
+        assert info.value.range_index == 2
+        assert info.value.member_index == 0
+        assert info.value.cause.pivot_index == 1
+
+
+def _reference_open(sub, main, sup, rhs):
+    """Thomas elimination of every column, each with its own diagonals."""
+    n = main.shape[0]
+    inv = np.empty(main.shape, dtype=complex)
+    cp = np.empty((n - 1,) + main.shape[1:], dtype=complex)
+    inv[0] = 1.0 / main[0]
+    cp[0] = sup[0] * inv[0]
+    for k in range(1, n):
+        inv[k] = 1.0 / (main[k] - sub[k - 1] * cp[k - 1])
+        if k < n - 1:
+            cp[k] = sup[k] * inv[k]
+    x = np.empty_like(rhs)
+    x[0] = rhs[0] * inv[0]
+    for k in range(1, n):
+        x[k] = (rhs[k] - sub[k - 1] * x[k - 1]) * inv[k]
+    for k in range(n - 2, -1, -1):
+        x[k] -= cp[k] * x[k + 1]
+    return x
+
+
+def _reference_cyclic(sub, main, sup, rhs):
+    """Sherman-Morrison correction of an open solve, column by column."""
+    n = main.shape[0]
+    alpha, beta = sub[0], sup[n - 1]
+    gamma = np.where(np.abs(main[0]) > 0, -main[0], np.complex128(1.0))
+    main_mod = np.array(main, dtype=complex)
+    main_mod[0] = main[0] - gamma
+    main_mod[n - 1] = main[n - 1] - alpha * beta / gamma
+    y = _reference_open(sub[1:], main_mod, sup[: n - 1], rhs)
+    spike = np.zeros_like(rhs)
+    spike[0] = gamma
+    spike[n - 1] = beta
+    q = _reference_open(sub[1:], main_mod, sup[: n - 1], spike)
+    weight = alpha / gamma
+    denom = 1.0 + q[0] + weight * q[n - 1]
+    q *= (y[0] + weight * y[n - 1]) / denom
+    y -= q
+    return y
+
+
+def reference_step(slab, j, grid, env, k0, coeffs):
+    """One range step with a matrix per member, assembled and factored
+    in every step: the plain form of the scheme the marcher shortcuts."""
+    apply_boundary(slab, grid, env)
+    r_new = grid.range_at(j + 1)
+    n_now = refraction_index_grid(env, grid, slab.range_m)
+    rhs = compute_rhs(slab, coeffs, n_now, k0, grid)
+    apply_boundary(rhs, grid, env)
+    depth = assemble_depth_batch(coeffs.cx_lhs, refraction_index_grid(
+        env, grid, r_new), k0, grid.delta_z)
+    b = np.ascontiguousarray(rhs.values.T)
+    b[0] = 0.0
+    v = np.ascontiguousarray(
+        _reference_open(depth.sub, depth.main, depth.sup, b).T)
+    azimuth = assemble_azimuth_batch(coeffs.cy_lhs, k0, r_new,
+                                     grid.delta_theta, grid.azimuth_topology,
+                                     grid.n_azimuth)
+    full = [np.broadcast_to(a, (a.shape[0], grid.n_depth))
+            for a in (azimuth.sub, azimuth.main, azimuth.sup)]
+    if grid.azimuth_topology == SECTOR:
+        v[0] = 0.0
+        v[-1] = 0.0
+        u = _reference_open(*full, v)
+    else:
+        u = _reference_cyclic(*full, v)
+    new_slab = FieldSlab(np.ascontiguousarray(u), r_new)
+    apply_boundary(new_slab, grid, env)
+    return new_slab
+
+
+class TestReferenceStepper:
+    """The shared factors must give the bits of a matrix per member.
+
+    The grids are larger than numpy's 256 KiB threshold for evaluating
+    temporaries in place, where a depth matrix assembled at width 1
+    rounds differently from one assembled over the full grid.
+    """
+
+    @staticmethod
+    def config(topology):
+        grid = make_grid(n_range=5, n_azimuth=72, n_depth=256,
+                         topology=topology)
+        profile = SoundSpeedProfile(
+            np.array([0.0, 300.0, grid.depth_extent]),
+            np.array([1500.0, 1480.0, 1530.0]))
+        env = make_env(grid, profile=profile, attenuation=0.02)
+        return make_config(grid=grid, env=env)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_range_step_bitwise(self, topology, threads):
+        config = self.config(topology)
+        grid, env, _, _ = config
+        assert grid.n_azimuth * grid.n_depth * 16 > 256 * 1024
+        k0 = wavenumber(50.0, env.c0)
+        coeffs = StepCoefficients.for_step(k0, grid.delta_r)
+        values = random_slab_values(np.random.default_rng(77), grid)
+        marcher = Marcher(grid, env, k0, coeffs, threads)
+        state = MarchState(FieldSlab(values.copy(), grid.r_start), 0)
+        reference = FieldSlab(values.copy(), grid.r_start)
+        for j in range(5):
+            state = range_step(marcher, state)
+            reference = reference_step(reference, j, grid, env, k0, coeffs)
+            assert state.slab.values.tobytes() == reference.values.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_run_frequency_bitwise(self, topology, threads):
+        config = self.config(topology)
+        grid, env, source, _ = config
+        result = run_frequency(config, 50.0, ExecutorSpec(intra_threads=threads))
+        k0 = wavenumber(50.0, env.c0)
+        coeffs = StepCoefficients.for_step(k0, grid.delta_r)
+        reference = apply_boundary(gaussian_starter(grid, source, k0), grid, env)
+        for j in range(grid.n_range):
+            reference = reference_step(reference, j, grid, env, k0, coeffs)
+        assert result.final_slab.values.tobytes() == reference.values.tobytes()
 
 
 class TestRunFrequency:
@@ -233,8 +384,8 @@ class TestRunFrequency:
 
     def test_state_range_invariant(self):
         config = make_config(n_range=4)
-        state = make_state(config)
+        marcher, state = make_state(config)
         for j in range(1, 5):
-            state = range_step(state)
+            state = range_step(marcher, state)
             assert state.slab.range_m == config.grid.range_at(j)
             assert state.range_index == j

@@ -19,7 +19,16 @@ from pe3d.operators import (
     compute_rhs,
     depth_stencil,
 )
-from pe3d.tridiag import CYCLIC, dense_matrix, solve_batch, solve_cyclic, solve_thomas
+from pe3d.tridiag import (
+    CYCLIC,
+    SolveBatch,
+    TriDiagSystem,
+    dense_matrix,
+    factor,
+    solve_batch,
+    solve_cyclic,
+    solve_thomas,
+)
 
 
 def second_diff_dirichlet(n):
@@ -139,20 +148,35 @@ def azimuth_column(values):
     return np.asarray(values, dtype=complex)[:, None]
 
 
+def member_system(diagonals, m, rhs=None):
+    """Column ``m`` of assembled diagonals as one system."""
+    return TriDiagSystem(
+        sub=diagonals.sub[:, m], main=diagonals.main[:, m],
+        sup=diagonals.sup[:, m],
+        rhs=np.zeros(diagonals.n) if rhs is None else rhs,
+        topology=diagonals.topology,
+    )
+
+
+def solve_against(diagonals, rhs):
+    return solve_batch(SolveBatch(factor(diagonals), rhs))
+
+
 class TestAssembleDepthSystem:
     def test_zero_coeff_gives_identity(self):
-        rhs = np.array([[3.0, 4.0, 5.0]], dtype=complex)
-        batch = assemble_depth_batch(0.0, np.ones(3), 1.0, 1.0, rhs)
-        assert np.all(batch.main == 1.0) and np.all(batch.sub == 0.0)
-        # the surface row is the Dirichlet equation u = 0
-        assert np.array_equal(solve_batch(batch)[0], [0.0, 4.0, 5.0])
+        d = assemble_depth_batch(0.0, np.ones(3), 1.0, 1.0)
+        assert np.all(d.main == 1.0) and np.all(d.sub == 0.0)
+        # the surface row is the identity equation, decoupled from row 1
+        assert d.sup[0, 0] == 0.0
+        rhs = np.array([[3.0], [4.0], [5.0]], dtype=complex)
+        assert np.array_equal(solve_against(d, rhs)[:, 0], [3.0, 4.0, 5.0])
 
     def test_homogeneous_assembly_formula(self):
         coeff = 0.1 + 0.2j
         k0, dz = 0.25, 3.0
         s = 1.0 / (k0 * dz) ** 2
-        batch = assemble_depth_batch(coeff, np.ones(6), k0, dz,
-                                     np.zeros((2, 6), dtype=complex))
+        batch = assemble_depth_batch(coeff, np.ones(6), k0, dz)
+        assert batch.width == 1
         assert np.allclose(batch.main[1:], 1.0 - 2.0 * coeff * s, rtol=1e-15)
         assert np.allclose(batch.sub, coeff * s, rtol=1e-15)
         assert np.allclose(batch.sup[1:], coeff * s, rtol=1e-15)
@@ -164,9 +188,10 @@ class TestAssembleDepthSystem:
             + 0.01j * rng.random((n_az, n))
         coeff = 0.25 - 0.3j
         u = rng.standard_normal((n_az, n)) + 1j * rng.standard_normal((n_az, n))
-        batch = assemble_depth_batch(coeff, n_grid, 0.2, 4.0, u)
+        batch = assemble_depth_batch(coeff, n_grid, 0.2, 4.0)
+        assert batch.width == n_az
         for m in range(n_az):
-            a = dense_matrix(batch.system(m))
+            a = dense_matrix(member_system(batch, m))
             lhs = a @ u[m]
             rhs = u[m] + coeff * apply_X(u[m], n_grid[m], 0.2, 4.0)
             assert np.array_equal(a[0], np.eye(n)[0])  # surface row
@@ -174,22 +199,23 @@ class TestAssembleDepthSystem:
                 <= 1e-13 * np.max(np.abs(rhs))
 
     def test_shape_error(self):
+        depth = factor(assemble_depth_batch(0.1, np.ones(4), 1.0, 1.0))
         with pytest.raises(ShapeError):
-            assemble_depth_batch(0.1, np.ones(4), 1.0, 1.0,
-                                 np.zeros((2, 5), dtype=complex))
+            SolveBatch(depth, np.zeros((5, 2), dtype=complex))
+        with pytest.raises(ShapeError):
+            assemble_depth_batch(0.1, np.ones((2, 2, 4)), 1.0, 1.0)
 
 
 class TestAssembleAzimuthSystem:
     def test_zero_coeff_identity(self):
-        batch = assemble_azimuth_batch(0.0, 1.0, 10.0, 0.2, SECTOR,
-                                       azimuth_column(np.ones(5)))
+        batch = assemble_azimuth_batch(0.0, 1.0, 10.0, 0.2, SECTOR, 5)
         assert np.all(batch.main == 1.0) and np.all(batch.sub == 0.0)
 
     def test_periodic_corners_equal_off_diagonal(self):
         coeff = -0.25j
         batch = assemble_azimuth_batch(coeff, 0.2, 100.0, 2 * math.pi / 4,
-                                       PERIODIC, azimuth_column(np.zeros(4)))
-        sys = batch.system(0)
+                                       PERIODIC, 4)
+        sys = member_system(batch, 0)
         assert sys.topology == CYCLIC
         off = coeff / (0.2 * 100.0 * 2 * math.pi / 4) ** 2
         assert sys.sub[0] == off and sys.sup[-1] == off
@@ -197,8 +223,8 @@ class TestAssembleAzimuthSystem:
     def test_constant_vector_preserved_on_ring(self):
         rhs = np.full(8, 2.0 - 1.0j)
         batch = assemble_azimuth_batch(-0.1j, 0.3, 60.0, 2 * math.pi / 8,
-                                       PERIODIC, azimuth_column(rhs))
-        x = solve_batch(batch)[0]
+                                       PERIODIC, 8)
+        x = solve_against(batch, azimuth_column(rhs))[:, 0]
         assert np.allclose(x, rhs, rtol=1e-12)
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
@@ -210,22 +236,30 @@ class TestAssembleAzimuthSystem:
         u = rng.standard_normal((n_az, n_dep)) \
             + 1j * rng.standard_normal((n_az, n_dep))
         batch = assemble_azimuth_batch(coeff, 0.2, 90.0, delta_theta,
-                                       topology, u.copy())
+                                       topology, n_az)
+        assert batch.width == 1  # one matrix for every depth index
+        a = dense_matrix(member_system(batch, 0))
         edges = slice(None) if topology == PERIODIC else slice(1, -1)
         for l in range(n_dep):
-            a = dense_matrix(batch.system(l))
             lhs = a @ u[:, l]
             rhs = u[:, l] + coeff * apply_Y(u[:, l], 0.2, 90.0, delta_theta,
                                             topology)
             assert np.max(np.abs(lhs[edges] - rhs[edges])) \
                 <= 1e-13 * np.max(np.abs(rhs))
-            if topology == SECTOR:  # Dirichlet edge rows
-                assert np.array_equal(a[[0, -1]], np.eye(n_az)[[0, -1]])
+        if topology == SECTOR:  # Dirichlet edge rows
+            assert np.array_equal(a[[0, -1]], np.eye(n_az)[[0, -1]])
 
     def test_r_domain_error(self):
         with pytest.raises(DomainError):
-            assemble_azimuth_batch(0.1, 0.2, -1.0, 0.1, PERIODIC,
-                                   azimuth_column(np.zeros(4)))
+            assemble_azimuth_batch(0.1, 0.2, -1.0, 0.1, PERIODIC, 4)
+
+    def test_sector_solve_leaves_rhs_unchanged(self):
+        grid = make_grid(n_azimuth=6, n_depth=4, topology=SECTOR)
+        rhs = np.ones((6, 4), dtype=complex)
+        batch = assemble_azimuth_batch(0.1 + 0.1j, 0.2, 80.0,
+                                       grid.delta_theta, SECTOR, 6)
+        solve_against(batch, rhs)
+        assert np.array_equal(rhs, np.ones((6, 4)))
 
 
 class TestComputeRhs:
@@ -299,9 +333,9 @@ class TestComputeRhs:
         expected = u + 0.25 * apply_X(u, np.ones(10), k0, grid.delta_z)
         assert np.array_equal(out.values, expected)
         batch = assemble_depth_batch(coeffs.cx_lhs, np.ones(10), k0,
-                                     grid.delta_z, u)
+                                     grid.delta_z)
         mirror = assemble_depth_batch(0.25 + 0.0j, np.ones(10), k0,
-                                      grid.delta_z, u)
+                                      grid.delta_z)
         for diagonal in ("sub", "main", "sup"):
             assert np.array_equal(getattr(batch, diagonal),
                                   getattr(mirror, diagonal))
@@ -315,18 +349,23 @@ class TestBatchAssembly:
         n_grid = refraction_index_grid(env, grid, 75.0)
         rhs = random_slab_values(rng, grid)
         coeff = 0.25 - 0.4j
-        batch = assemble_depth_batch(coeff, n_grid, 0.2, grid.delta_z, rhs)
-        solutions = solve_batch(batch)
+        batch = assemble_depth_batch(coeff, n_grid, 0.2, grid.delta_z)
+        solutions = solve_against(batch, rhs.T.copy())
         for m in range(grid.n_azimuth):
-            assert np.array_equal(solutions[m], solve_thomas(batch.system(m)))
+            scalar = solve_thomas(member_system(batch, m, rhs[m]))
+            assert np.array_equal(solutions[:, m], scalar)
+        # the marcher's way: one shared matrix, factored from column 0
+        shared = solve_against(batch.columns(0, 1), rhs.T.copy())
+        assert shared.tobytes() == solutions.tobytes()
 
     def test_depth_batch_surface_row_constrained(self):
         grid = make_grid(n_azimuth=4, n_depth=8)
-        rhs = np.ones((4, 8), dtype=complex)
+        rhs = np.ones((8, 4), dtype=complex)
+        rhs[0] = 0.0  # the Dirichlet data the step imposes
         batch = assemble_depth_batch(0.3 + 0.1j, np.ones((4, 8)), 0.2,
-                                     grid.delta_z, rhs)
-        solutions = solve_batch(batch)
-        assert np.all(solutions[:, 0] == 0.0)
+                                     grid.delta_z)
+        solutions = solve_against(batch, rhs)
+        assert np.all(solutions[0] == 0.0)
 
     def test_azimuth_batch_matches_scalar_systems(self):
         rng = np.random.default_rng(19)
@@ -334,15 +373,17 @@ class TestBatchAssembly:
         rhs = random_slab_values(rng, grid, zero_surface=False)
         coeff = -0.2j
         batch = assemble_azimuth_batch(coeff, 0.2, 120.0, grid.delta_theta,
-                                       PERIODIC, rhs.copy())
-        solutions = solve_batch(batch)
+                                       PERIODIC, grid.n_azimuth)
+        solutions = solve_against(batch, rhs)
         for l in range(grid.n_depth):
-            assert np.array_equal(solutions[l], solve_cyclic(batch.system(l)))
+            scalar = solve_cyclic(member_system(batch, 0, rhs[:, l]))
+            assert np.array_equal(solutions[:, l], scalar)
 
     def test_sector_batch_edges_constrained(self):
         grid = make_grid(n_azimuth=6, n_depth=5, topology=SECTOR)
         rhs = np.ones((6, 5), dtype=complex)
+        rhs[[0, -1]] = 0.0  # the Dirichlet data the step imposes
         batch = assemble_azimuth_batch(0.1 + 0.1j, 0.2, 80.0,
-                                       grid.delta_theta, SECTOR, rhs)
-        solutions = solve_batch(batch)
-        assert np.all(solutions[:, 0] == 0.0) and np.all(solutions[:, -1] == 0.0)
+                                       grid.delta_theta, SECTOR, 6)
+        solutions = solve_against(batch, rhs)
+        assert np.all(solutions[0] == 0.0) and np.all(solutions[-1] == 0.0)

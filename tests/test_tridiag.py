@@ -6,10 +6,12 @@ from pe3d.selftest import random_system
 from pe3d.tridiag import (
     CYCLIC,
     OPEN,
+    Diagonals,
     SolveBatch,
     TriDiagSystem,
     dense_matrix,
     dense_oracle_solve,
+    factor,
     solve_batch,
     solve_cyclic,
     solve_thomas,
@@ -152,14 +154,14 @@ class TestSolveBatch:
     def test_batch_of_one_equals_scalar(self):
         sys = random_system(np.random.default_rng(1), 32, OPEN)
         batch = SolveBatch.from_systems([sys])
-        assert solve_batch(batch)[0].tobytes() == solve_thomas(sys).tobytes()
+        assert solve_batch(batch)[:, 0].tobytes() == solve_thomas(sys).tobytes()
 
     def test_identical_members_identical_solutions(self):
         sys = random_system(np.random.default_rng(2), 24, OPEN)
         batch = SolveBatch.from_systems([sys] * 100)
         solutions = solve_batch(batch)
         assert np.array_equal(solutions,
-                              np.broadcast_to(solutions[0], solutions.shape))
+                              np.broadcast_to(solutions[:, :1], solutions.shape))
 
     def test_hint_invariance_and_scalar_agreement(self):
         rng = np.random.default_rng(3)
@@ -168,7 +170,7 @@ class TestSolveBatch:
         base = solve_batch(batch, parallel_hint=1)
         for hint in (2, 8):
             assert base.tobytes() == solve_batch(batch, parallel_hint=hint).tobytes()
-        scalar = np.stack([solve_thomas(s) for s in systems])
+        scalar = np.stack([solve_thomas(s) for s in systems], axis=1)
         assert base.tobytes() == scalar.tobytes()
 
     def test_cyclic_batch_matches_scalar(self):
@@ -176,7 +178,7 @@ class TestSolveBatch:
         systems = [random_system(rng, 17, CYCLIC) for _ in range(130)]
         batch = SolveBatch.from_systems(systems)
         solutions = solve_batch(batch, parallel_hint=3)
-        scalar = np.stack([solve_cyclic(s) for s in systems])
+        scalar = np.stack([solve_cyclic(s) for s in systems], axis=1)
         assert solutions.tobytes() == scalar.tobytes()
 
     def test_singular_member_named_no_partial_result(self):
@@ -225,6 +227,41 @@ class TestSolveBatch:
             assert (info.value.pivot_index, info.value.member_index) == (3, 70)
             assert info.value.detail == "singular rank-1 correction"
 
+    @pytest.mark.parametrize("topology", [OPEN, CYCLIC])
+    def test_shared_factors_match_per_member(self, topology):
+        # one width-1 factorization broadcast over the batch gives the bits
+        # of a factorization per member
+        rng = np.random.default_rng(11)
+        base = random_system(rng, 33, topology)
+        rhs = rng.standard_normal((33, 50)) + 1j * rng.standard_normal((33, 50))
+        shared = factor(Diagonals(base.sub[:, None], base.main[:, None],
+                                  base.sup[:, None], topology))
+        per_member = SolveBatch.from_systems(
+            TriDiagSystem(base.sub, base.main, base.sup, rhs[:, m], topology)
+            for m in range(50))
+        expected = solve_batch(per_member).tobytes()
+        for hint in (1, 3):
+            got = solve_batch(SolveBatch(shared, rhs), parallel_hint=hint)
+            assert got.tobytes() == expected
+
+    def test_singular_shared_matrix_names_member_zero(self):
+        # a shared factorization fails for every member: member 0 is named,
+        # at the first singular row, when the factors are used
+        main = np.array([1.0, 1.0, 0.0, 2.0, 1.0])[:, None]
+        diagonals = Diagonals(np.ones((4, 1)), main, np.zeros((4, 1)))
+        shared = factor(diagonals)
+        assert shared.singular is not None
+        with pytest.raises(SingularSystemError) as info:
+            solve_batch(SolveBatch(shared, np.ones((5, 30))), parallel_hint=2)
+        assert (info.value.pivot_index, info.value.member_index) == (2, 0)
+
+    def test_width_must_fit_rhs(self):
+        rng = np.random.default_rng(12)
+        batch = SolveBatch.from_systems(
+            [random_system(rng, 6, OPEN) for _ in range(3)])
+        with pytest.raises(ShapeError):
+            SolveBatch(batch.factors, np.ones((6, 4)))
+
     def test_empty_batch_rejected(self):
         with pytest.raises(InvariantError):
             SolveBatch.from_systems([])
@@ -239,9 +276,10 @@ class TestSolveBatch:
         rng = np.random.default_rng(8)
         systems = [random_system(rng, 9, CYCLIC) for _ in range(4)]
         batch = SolveBatch.from_systems(systems)
-        again = batch.system(2)
-        assert np.array_equal(again.main, systems[2].main)
-        assert again.topology == CYCLIC
+        assert batch.topology == CYCLIC and batch.factors.width == 4
+        assert np.array_equal(batch.rhs[:, 2], systems[2].rhs)
+        assert solve_batch(batch)[:, 2].tobytes() \
+            == solve_cyclic(systems[2]).tobytes()
 
 
 class TestSolverProperties:
