@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output", help="output directory (overrides config)")
     run.add_argument("--stride", type=int, help="range output stride")
     run.add_argument("--format", choices=("csv", "binary-grid"), dest="tl_format")
-    run.add_argument("--schedule", choices=("static", "dynamic"))
 
     bench = sub.add_parser("bench", help="scaling sweep plus kernel micro-benchmark")
     bench.add_argument("--config", required=True)
@@ -120,7 +119,6 @@ def cmd_run(args) -> int:
             output_stride=args.stride if args.stride is not None
             else config.options.output_stride,
             tl_format=args.tl_format or config.options.tl_format,
-            schedule=args.schedule or config.options.schedule,
             executor=executor,
         )
     except (ConfigError, InvariantError) as exc:
@@ -133,8 +131,7 @@ def cmd_run(args) -> int:
 
     report = frequency_farm(
         config, config.source.frequencies,
-        workers=executor.freq_workers, schedule=options.schedule,
-        intra_threads=executor.intra_threads,
+        workers=executor.freq_workers, intra_threads=executor.intra_threads,
     )
 
     entries = []
@@ -184,7 +181,6 @@ def cmd_run(args) -> int:
         "executor": {
             "intra_threads": executor.intra_threads,
             "freq_workers": executor.freq_workers,
-            "schedule": options.schedule,
         },
         "tl_format": options.tl_format,
         "frequencies": entries,

@@ -20,7 +20,9 @@ angles are written in degrees and converted to radians internally.
 
 ``[run]`` (optional)
     output_dir, output_stride, tl_format (csv|binary-grid), threads,
-    workers, schedule (static|dynamic), max_range
+    workers, max_range
+
+Unknown keys are ignored.
 
 Example::
 
@@ -64,7 +66,6 @@ from .errors import ConfigError, InvariantError
 from .pool import ExecutorSpec
 
 TL_FORMATS = ("csv", "binary-grid")
-SCHEDULES = ("static", "dynamic")
 
 
 @dataclass(frozen=True)
@@ -77,15 +78,12 @@ class RunOptions:
     tl_format: str = "csv"
     executor: ExecutorSpec = field(default_factory=ExecutorSpec)
     max_range: Optional[float] = None
-    schedule: str = "static"
 
     def __post_init__(self):
         if self.output_stride is not None and self.output_stride < 1:
             raise InvariantError("output_stride >= 1", f"got {self.output_stride}")
         if self.tl_format not in TL_FORMATS:
             raise InvariantError(f"tl_format in {TL_FORMATS}", f"got {self.tl_format!r}")
-        if self.schedule not in SCHEDULES:
-            raise InvariantError(f"schedule in {SCHEDULES}", f"got {self.schedule!r}")
         if self.max_range is not None and not self.max_range > 0:
             raise InvariantError("max_range > 0", f"got {self.max_range}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
@@ -258,6 +256,5 @@ def load_config(path) -> Config:
             freq_workers=r.get_int("workers", default=1),
         ),
         max_range=r.get_float("max_range", default=None),
-        schedule=r.get_str("schedule", default="static"),
     )
     return Config(grid, environment, source, options)

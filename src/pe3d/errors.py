@@ -33,29 +33,24 @@ class ShapeError(Pe3dError):
 class SingularSystemError(Pe3dError):
     """A direct solve hit a zero or near-zero pivot.
 
-    ``pivot_index`` is the elimination row, ``member_index`` the position
-    of the offending system inside a batch (0 for scalar solves).
+    ``pivot_index`` is the elimination row; a cyclic system whose rank-1
+    correction is singular reports row n.
     """
 
-    def __init__(self, pivot_index, member_index=0, detail=""):
+    def __init__(self, pivot_index, detail=""):
         self.pivot_index = pivot_index
-        self.member_index = member_index
         self.detail = detail
-        msg = f"singular system: pivot {pivot_index}, batch member {member_index}"
+        msg = f"singular system: pivot {pivot_index}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
 
 
 class StepError(Pe3dError):
-    """A range step failed; carries the step index and sweep location."""
+    """A range step failed; carries the step index and the sweep."""
 
-    def __init__(self, range_index, sweep, member_index, cause=None):
+    def __init__(self, range_index, sweep, cause=None):
         self.range_index = range_index
         self.sweep = sweep
-        self.member_index = member_index
         self.cause = cause
-        super().__init__(
-            f"range step {range_index} failed in {sweep} sweep at index "
-            f"{member_index}: {cause}"
-        )
+        super().__init__(f"range step {range_index} failed in {sweep} sweep: {cause}")

@@ -75,7 +75,7 @@ class Marcher:
         # why it is assembled at full width all the same.
         depth = assemble_depth_batch(self.coeffs.cx_lhs, self.n_grid,
                                      self.k0, grid.delta_z)
-        self.depth = factor(depth.columns(0, 1))
+        self.depth = factor(depth.column(0))
 
 
 @dataclass(eq=False)
@@ -102,7 +102,7 @@ class FrequencyResult:
     wall_seconds: float
 
 
-def apply_boundary(slab: FieldSlab, grid: Grid3D, env: Environment) -> FieldSlab:
+def apply_boundary(slab: FieldSlab, grid: Grid3D) -> FieldSlab:
     """Dirichlet data: zero the pressure-release surface row, and the
     azimuth edge rows on a sector grid.  The bottom needs no overwrite;
     the absorber plus the zero-exterior stencil closure handle it.
@@ -118,12 +118,11 @@ def apply_boundary(slab: FieldSlab, grid: Grid3D, env: Environment) -> FieldSlab
 def range_step(marcher: Marcher, state: MarchState) -> MarchState:
     """Advance one range step; returns the new state with j incremented."""
     grid = marcher.grid
-    env = marcher.environment
     j = state.range_index
     if j + 1 > grid.n_range:
         raise DomainError(f"step {j + 1} exceeds n_range {grid.n_range}")
     slab = state.slab
-    apply_boundary(slab, grid, env)
+    apply_boundary(slab, grid)
 
     if marcher.coeffs.delta == 0:
         # Zero range increment: the implicit and explicit factors coincide,
@@ -137,14 +136,14 @@ def range_step(marcher: Marcher, state: MarchState) -> MarchState:
     # the implicit systems require zero right-hand sides there.  The depth
     # solve keeps them: on a sector grid the edge azimuths of v solve zero
     # right-hand sides, so they are zero for the azimuth solve too.
-    apply_boundary(rhs, grid, env)
+    apply_boundary(rhs, grid)
     try:
         v = solve_batch(
             SolveBatch(marcher.depth, np.ascontiguousarray(rhs.values.T)),
             marcher.intra_threads,
         )
     except SingularSystemError as exc:
-        raise StepError(j + 1, "depth", exc.member_index, exc) from exc
+        raise StepError(j + 1, "depth", exc) from exc
     try:
         azimuth = factor(assemble_azimuth_batch(
             marcher.coeffs.cy_lhs, marcher.k0, r_new, grid.delta_theta,
@@ -153,10 +152,10 @@ def range_step(marcher: Marcher, state: MarchState) -> MarchState:
         u = solve_batch(SolveBatch(azimuth, np.ascontiguousarray(v.T)),
                         marcher.intra_threads)
     except SingularSystemError as exc:
-        raise StepError(j + 1, "azimuth", exc.member_index, exc) from exc
+        raise StepError(j + 1, "azimuth", exc) from exc
 
     new_slab = FieldSlab(u, r_new)
-    apply_boundary(new_slab, grid, env)
+    apply_boundary(new_slab, grid)
     return MarchState(new_slab, j + 1)
 
 
@@ -182,7 +181,7 @@ def run_frequency(config, frequency: float, executor: ExecutorSpec | None = None
     marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, grid.delta_r),
                       spec.intra_threads)
     slab = gaussian_starter(grid, source, k0)
-    apply_boundary(slab, grid, env)
+    apply_boundary(slab, grid)
 
     stride = options.output_stride or default_output_stride(grid.n_range)
     ranges = [slab.range_m]

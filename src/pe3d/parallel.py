@@ -3,9 +3,9 @@
 Fine grain: :func:`pe3d.tridiag.solve_batch` splits the substitutions of
 each batch of a range step into contiguous member blocks on the shared
 thread pool.  Coarse grain: :func:`frequency_farm` runs independent
-single-frequency jobs on worker processes with static block assignment by
-default.  Correctness contract for both levels is bit-identical output
-against the serial path.
+single-frequency jobs on worker processes, each worker a contiguous block
+of frequencies.  Correctness contract for both levels is bit-identical
+output against the serial path.
 
 Speedup and parallel efficiency are always derived from stored wall
 times: speedup = T_baseline / T, efficiency = speedup / resource ratio,
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -115,37 +116,40 @@ def _farm_block(payload):
 
 
 def frequency_farm(config, frequencies, workers: int = 1,
-                   schedule: str = "static", intra_threads: int = 1) -> FarmReport:
+                   intra_threads: int = 1) -> FarmReport:
     """Solve each frequency as an independent job and merge in input order.
 
-    ``schedule="static"`` reproduces fixed block assignment (a worker owns
-    a contiguous run of frequencies); ``"dynamic"`` submits one job per
-    frequency and lets the pool balance — both produce identical results.
-    Failures never abort the farm; they are reported per frequency.
+    Each worker process owns one contiguous block of frequencies
+    (:func:`static_assignment`): every frequency marches the same grid
+    for the same number of steps, so blocks of equal size balance the
+    load.  Failures never abort the farm; they are reported per frequency,
+    in input order.  A
+    worker process that dies fails every frequency whose result did not
+    come back, and the results that did are kept.
     """
     frequencies = list(frequencies)
     if not frequencies:
         raise InvariantError("frequencies nonempty")
     if workers < 1:
         raise InvariantError("workers >= 1")
-    if schedule not in ("static", "dynamic"):
-        raise InvariantError("schedule in (static, dynamic)", f"got {schedule!r}")
 
     jobs = list(enumerate(frequencies))
     if workers == 1:
-        blocks = [jobs]
-    elif schedule == "static":
-        assignment = static_assignment(len(jobs), workers)
-        blocks = [[jobs[i] for i in block] for block in assignment if block]
+        outcome_lists = [_farm_block((config, jobs, intra_threads))]
     else:
-        blocks = [[job] for job in jobs]
-
-    payloads = [(config, block, intra_threads) for block in blocks]
-    if workers == 1:
-        outcome_lists = [_farm_block(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-            outcome_lists = list(pool.map(_farm_block, payloads))
+        blocks = [[jobs[i] for i in block]
+                  for block in static_assignment(len(jobs), workers) if block]
+        outcome_lists = []
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            futures = [pool.submit(_farm_block, (config, block, intra_threads))
+                       for block in blocks]
+            for block, future in zip(blocks, futures):
+                try:
+                    outcome_lists.append(future.result())
+                except BrokenProcessPool as exc:
+                    message = f"worker process died: {exc}"
+                    outcome_lists.append(
+                        [(index, "error", message) for index, _ in block])
 
     results = [None] * len(frequencies)
     failures = []
@@ -155,7 +159,6 @@ def frequency_farm(config, frequencies, workers: int = 1,
                 results[index] = payload
             else:
                 failures.append(FarmFailure(index, frequencies[index], payload))
-    failures.sort(key=lambda f: f.index)
     return FarmReport(results=results, failures=failures)
 
 
@@ -210,10 +213,8 @@ def scaling_harness(config, thread_counts, worker_counts, repeats: int = 3,
         label = f"t{threads}w{workers}"
 
         def one_run():
-            report = frequency_farm(
-                config, frequencies, workers=workers,
-                schedule=config.options.schedule, intra_threads=threads,
-            )
+            report = frequency_farm(config, frequencies, workers=workers,
+                                    intra_threads=threads)
             if not report.ok:
                 first = report.failures[0]
                 raise RuntimeError(

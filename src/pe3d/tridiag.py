@@ -2,22 +2,21 @@
 substitutions.
 
 This is the hot kernel of the range-marching scheme (two tri-diagonal
-solves per step).  :func:`factor` turns the diagonals of one or more
-matrices into :class:`Factors`; :func:`solve_batch` substitutes the
-right-hand sides of a :class:`SolveBatch` against them.  The layout is
+solves per step).  Every system of one sweep shares one matrix, so
+:func:`factor` turns the diagonals of that one matrix into
+:class:`Factors`, and :func:`solve_batch` substitutes the right-hand sides
+of a :class:`SolveBatch` against them.  The right-hand sides are laid out
 structure-of-arrays: one row per elimination index, contiguous across the
 batch, so every inner-loop operation is a unit-stride vector op over batch
-members.  Factors of width 1 are one matrix shared by the whole batch and
-broadcast across it; factors of width w hold one matrix per member.  Both
-go through the same code.  The marcher factors its depth matrix once per
-frequency and its azimuth matrix once per range step, each at width 1.
+members, with the factors broadcast across them.  The marcher factors its
+depth matrix once per frequency and its azimuth matrix once per range
+step.
 
 Determinism: every kernel operation is elementwise per batch member and
 numpy elementwise complex arithmetic is value-deterministic, so a member's
-solution does not depend on which other members share its kernel call or
-on whether its factors are shared.  Batched results are therefore
-bit-identical to scalar solves, and invariant under the thread count,
-which only changes the column partition.
+solution does not depend on which other members share its kernel call.
+Batched results are therefore bit-identical to scalar solves, and
+invariant under the thread count, which only changes the column partition.
 
 Cyclic systems are solved by a rank-1 (Sherman-Morrison) correction of an
 open solve.  Corner storage convention for cyclic systems of size n:
@@ -43,11 +42,9 @@ ORACLE_MAX_N = 4096
 
 @dataclass(eq=False)
 class TriDiagSystem:
-    """One tri-diagonal system A x = rhs.
-
-    Open topology: ``sub``/``sup`` have length n - 1.  Cyclic topology:
-    length n, with the wrap-around corners stored as documented above.
-    """
+    """One tri-diagonal system A x = rhs, with vector diagonals laid out as
+    in :class:`Diagonals`.  The input of the scalar solvers and of the
+    dense oracle."""
 
     sub: np.ndarray
     main: np.ndarray
@@ -60,31 +57,21 @@ class TriDiagSystem:
         self.main = np.asarray(self.main, dtype=np.complex128)
         self.sup = np.asarray(self.sup, dtype=np.complex128)
         self.rhs = np.asarray(self.rhs, dtype=np.complex128)
-        if self.topology not in (OPEN, CYCLIC):
-            raise InvariantError(f"topology in ({OPEN}, {CYCLIC})")
-        n = self.main.shape[0]
         for arr in (self.sub, self.main, self.sup, self.rhs):
             if arr.ndim != 1:
                 raise ShapeError("diagonals and rhs must be vectors")
-        if self.rhs.shape[0] != n:
-            raise ShapeError(f"rhs length {self.rhs.shape[0]} != n {n}")
-        if self.topology == OPEN:
-            if n < 1:
-                raise InvariantError("n >= 1 for open systems")
-            want = n - 1
-        else:
-            if n < 3:
-                raise InvariantError("n >= 3 for cyclic systems")
-            want = n
-        if self.sub.shape[0] != want or self.sup.shape[0] != want:
-            raise ShapeError(
-                f"{self.topology} system of size {n} needs off-diagonals of "
-                f"length {want}, got {self.sub.shape[0]}/{self.sup.shape[0]}"
-            )
+        self.diagonals()
+        if self.rhs.shape[0] != self.n:
+            raise ShapeError(f"rhs length {self.rhs.shape[0]} != n {self.n}")
 
     @property
     def n(self) -> int:
         return self.main.shape[0]
+
+    def diagonals(self) -> Diagonals:
+        """The matrix as width-1 :class:`Diagonals` (validates it)."""
+        return Diagonals(self.sub[:, None], self.main[:, None],
+                         self.sup[:, None], self.topology)
 
 
 @dataclass(eq=False)
@@ -92,9 +79,10 @@ class Diagonals:
     """Tri-diagonal matrices of one size and topology, one per column.
 
     Arrays are 2-D with shape (row, matrix), so each elimination row is
-    contiguous across the matrices.  Width 1 is one matrix shared by every
-    member of a batch; width w is one matrix per member.  Arrays may be
-    read-only broadcast views.
+    contiguous across the matrices.  Arrays may be read-only broadcast
+    views.  Open topology: ``sub``/``sup`` have n - 1 rows.  Cyclic
+    topology: n rows, with the wrap-around corners stored as documented
+    above.
     """
 
     sub: np.ndarray
@@ -109,11 +97,19 @@ class Diagonals:
             if arr.ndim != 2:
                 raise ShapeError("diagonal arrays must be 2-D (row x matrix)")
         n, k = self.main.shape
-        want = n if self.topology == CYCLIC else n - 1
+        if self.topology == OPEN:
+            if n < 1:
+                raise InvariantError("n >= 1 for open systems")
+            want = n - 1
+        else:
+            if n < 3:
+                raise InvariantError("n >= 3 for cyclic systems")
+            want = n
         if self.sub.shape != (want, k) or self.sup.shape != (want, k):
-            raise ShapeError("off-diagonal shapes inconsistent with topology")
-        if self.topology == CYCLIC and n < 3:
-            raise InvariantError("n >= 3 for cyclic systems")
+            raise ShapeError(
+                f"{self.topology} system of size {n} needs off-diagonals of "
+                f"length {want}, got {self.sub.shape[0]}/{self.sup.shape[0]}"
+            )
 
     @property
     def n(self) -> int:
@@ -123,25 +119,27 @@ class Diagonals:
     def width(self) -> int:
         return self.main.shape[1]
 
-    def columns(self, lo: int, hi: int) -> "Diagonals":
-        return Diagonals(self.sub[:, lo:hi], self.main[:, lo:hi],
-                         self.sup[:, lo:hi], self.topology)
+    def column(self, m: int) -> "Diagonals":
+        """Matrix ``m`` on its own, as width-1 diagonals."""
+        return Diagonals(self.sub[:, m:m + 1], self.main[:, m:m + 1],
+                         self.sup[:, m:m + 1], self.topology)
 
 
 @dataclass(eq=False)
 class Factors:
-    """LU factors of the matrices in the columns of a :class:`Diagonals`,
-    ready for any number of substitutions.
+    """LU factors of one matrix, ready for any number of substitutions.
 
-    ``cp`` and ``inv`` are the modified super-diagonal and the reciprocal
-    pivots of the open elimination, ``sub`` the sub-diagonal its forward
-    sweep reads.  A cyclic matrix also keeps its Sherman-Morrison spike:
-    ``q`` is the open solve against (gamma, 0, ..., 0, beta), and
-    ``weight`` and ``denom`` complete the rank-1 correction.
+    Arrays keep the (row, 1) layout of width-1 :class:`Diagonals`, so they
+    broadcast across the columns of a batch.  ``cp`` and ``inv`` are the
+    modified super-diagonal and the reciprocal pivots of the open
+    elimination, ``sub`` the sub-diagonal its forward sweep reads.  A
+    cyclic matrix also keeps its Sherman-Morrison spike: ``q`` is the open
+    solve against (gamma, 0, ..., 0, beta), and ``weight`` and ``denom``
+    complete the rank-1 correction.
 
-    ``singular`` is the error for the lowest singular matrix, or None.  It
-    is raised when the factors are used, so a factorization made ahead of
-    time fails where its first solve would have.
+    ``singular`` is the error for a singular matrix, or None.  It is raised
+    when the factors are used, so a factorization made ahead of time fails
+    where its first solve would have.
     """
 
     topology: str
@@ -157,31 +155,12 @@ class Factors:
     def n(self) -> int:
         return self.inv.shape[0]
 
-    @property
-    def width(self) -> int:
-        return self.inv.shape[1]
-
-    def columns(self, lo: int, hi: int) -> "Factors":
-        """The factors for batch members lo..hi: all of them when shared."""
-        if self.width == 1:
-            return self
-        cyclic = self.topology == CYCLIC
-        return Factors(
-            self.topology, self.sub[:, lo:hi], self.cp[:, lo:hi],
-            self.inv[:, lo:hi], self.singular,
-            self.q[:, lo:hi] if cyclic else None,
-            self.weight[lo:hi] if cyclic else None,
-            self.denom[lo:hi] if cyclic else None,
-        )
-
 
 @dataclass(eq=False)
 class SolveBatch:
-    """Right-hand sides to solve against one factorization.
+    """Right-hand sides to solve against one factored matrix.
 
     ``rhs`` has shape (n, n_systems), rows contiguous across the batch.
-    The factors have width 1 (one matrix shared by every member) or
-    n_systems (one matrix per member).
     """
 
     factors: Factors
@@ -192,13 +171,9 @@ class SolveBatch:
             raise ShapeError("batch rhs must be 2-D (row x member)")
         n, w = self.rhs.shape
         if n != self.factors.n:
-            raise ShapeError(f"rhs has {n} rows, the matrices {self.factors.n}")
+            raise ShapeError(f"rhs has {n} rows, the matrix {self.factors.n}")
         if w == 0:
             raise InvariantError("batch nonempty")
-        if self.factors.width not in (1, w):
-            raise ShapeError(
-                f"{self.factors.width} matrices for {w} right-hand sides"
-            )
 
     @property
     def n(self) -> int:
@@ -211,25 +186,6 @@ class SolveBatch:
     @property
     def topology(self) -> str:
         return self.factors.topology
-
-    @classmethod
-    def from_systems(cls, systems) -> "SolveBatch":
-        """One member per system, each with its own matrix."""
-        systems = list(systems)
-        if not systems:
-            raise InvariantError("batch nonempty")
-        n = systems[0].n
-        topology = systems[0].topology
-        for s in systems[1:]:
-            if s.n != n or s.topology != topology:
-                raise InvariantError("all batch members share one n and topology")
-        diagonals = Diagonals(
-            sub=np.stack([s.sub for s in systems], axis=1),
-            main=np.stack([s.main for s in systems], axis=1),
-            sup=np.stack([s.sup for s in systems], axis=1),
-            topology=topology,
-        )
-        return cls(factor(diagonals), np.stack([s.rhs for s in systems], axis=1))
 
 
 def _factor_open(sub, main, sup):
@@ -259,28 +215,26 @@ def _factor_open(sub, main, sup):
 
 
 def _bad_pivots(inv) -> np.ndarray:
-    """(row, matrix) mask of the pivots below ``PIVOT_FLOOR``."""
-    return np.abs(inv) > 1.0 / PIVOT_FLOOR
+    """Row mask of the pivots below ``PIVOT_FLOOR``."""
+    return np.abs(inv[:, 0]) > 1.0 / PIVOT_FLOOR
 
 
-def _lowest_singular(bad, rank1_row=None) -> SingularSystemError | None:
-    """The error for the lowest matrix with a singular row in ``bad``
-    (rows x matrices), naming its first one; None when there is none."""
-    failed = bad.any(axis=0)
-    if not failed.any():
+def _first_singular(bad, rank1_row=None) -> SingularSystemError | None:
+    """The error for the first singular row in the mask ``bad``; None when
+    there is none."""
+    if not bad.any():
         return None
-    member = int(np.argmax(failed))
-    row = int(np.argmax(bad[:, member]))
+    row = int(np.argmax(bad))
     detail = "singular rank-1 correction" if row == rank1_row else ""
-    return SingularSystemError(row, member, detail=detail)
+    return SingularSystemError(row, detail=detail)
 
 
 def _substitute_open(cp, inv, sub, rhs, x):
     """Forward and back substitution into ``x``, which may be ``rhs``.
 
-    The factors may have one column, shared by every column of ``rhs``:
-    the row operations broadcast, and elementwise complex arithmetic gives
-    the same bits whether an operand is broadcast or stored per column.
+    The factors have one column, shared by every column of ``rhs``: the
+    row operations broadcast, and elementwise complex arithmetic gives the
+    same bits whether an operand is broadcast or stored per column.
     Each row costs three ufunc calls forward and two back, on row views
     and one scratch row.  No product writes into one of its own operands:
     numpy's in-place complex product can round differently from the
@@ -301,20 +255,20 @@ def _substitute_open(cp, inv, sub, rhs, x):
 
 
 def factor(diagonals: Diagonals) -> Factors:
-    """Factor every matrix of ``diagonals``; never raises for a singular
-    one (see :attr:`Factors.singular`).
+    """Factor the one matrix of width-1 ``diagonals``; never raises for a
+    singular matrix (see :attr:`Factors.singular`).
 
     A cyclic matrix is factored as its open part with a modified diagonal,
     and the spike of the Sherman-Morrison correction is solved here, once,
-    for every later substitution.  Zero corners go through the same path,
-    so factors of stacked and of single systems give the same bits.  A
-    matrix fails at its first singular pivot, else at a singular rank-1
+    for every later substitution.  A matrix fails at its first singular pivot, else at a singular rank-1
     correction (reported as row n).
     """
+    if diagonals.width != 1:
+        raise ShapeError(f"factor takes one matrix, got {diagonals.width}")
     sub, main, sup = diagonals.sub, diagonals.main, diagonals.sup
     if diagonals.topology == OPEN:
         cp, inv = _factor_open(sub, main, sup)
-        return Factors(OPEN, sub, cp, inv, _lowest_singular(_bad_pivots(inv)))
+        return Factors(OPEN, sub, cp, inv, _first_singular(_bad_pivots(inv)))
     n = diagonals.n
     alpha = sub[0]       # A[0, n-1]
     beta = sup[n - 1]    # A[n-1, 0]
@@ -332,8 +286,8 @@ def factor(diagonals: Diagonals) -> Factors:
         q = _substitute_open(cp, inv, sub_open, spike, spike)
         weight = alpha / gamma
         denom = 1.0 + q[0] + weight * q[n - 1]
-        bad = np.vstack([_bad_pivots(inv), np.abs(denom) < PIVOT_FLOOR])
-    return Factors(CYCLIC, sub_open, cp, inv, _lowest_singular(bad, rank1_row=n),
+        bad = np.append(_bad_pivots(inv), np.abs(denom) < PIVOT_FLOOR)
+    return Factors(CYCLIC, sub_open, cp, inv, _first_singular(bad, rank1_row=n),
                    q, weight, denom)
 
 
@@ -354,14 +308,19 @@ def solve_thomas(system: TriDiagSystem) -> np.ndarray:
     """
     if system.topology != OPEN:
         raise DomainError("solve_thomas requires open topology")
-    return solve_batch(SolveBatch.from_systems([system]))[:, 0]
+    return _solve_one(system)
 
 
 def solve_cyclic(system: TriDiagSystem) -> np.ndarray:
     """Solve one cyclic system (rank-1 correction of two open solves)."""
     if system.topology != CYCLIC:
         raise DomainError("solve_cyclic requires cyclic topology")
-    return solve_batch(SolveBatch.from_systems([system]))[:, 0]
+    return _solve_one(system)
+
+
+def _solve_one(system: TriDiagSystem) -> np.ndarray:
+    rhs = system.rhs[:, None]
+    return solve_batch(SolveBatch(factor(system.diagonals()), rhs))[:, 0]
 
 
 def solve_batch(batch: SolveBatch, parallel_hint: int = 1) -> np.ndarray:
@@ -370,9 +329,9 @@ def solve_batch(batch: SolveBatch, parallel_hint: int = 1) -> np.ndarray:
 
     The members are split into ``parallel_hint`` contiguous blocks and each
     block is substituted full-width in one kernel call, straight into its
-    columns of the result, which do not depend on the partition.  Singular
-    factors abort the whole batch before any substitution: the error names
-    the lowest singular matrix and its first singular row.
+    columns of the result, which do not depend on the partition.  A
+    singular matrix aborts the whole batch before any substitution: the
+    error names its first singular row.
     """
     if parallel_hint < 1:
         raise InvariantError("parallel_hint >= 1")
@@ -382,7 +341,7 @@ def solve_batch(batch: SolveBatch, parallel_hint: int = 1) -> np.ndarray:
     out = np.empty((batch.n, batch.n_systems), dtype=np.complex128)
 
     def worker(lo, hi):
-        _substitute(factors.columns(lo, hi), batch.rhs[:, lo:hi], out[:, lo:hi])
+        _substitute(factors, batch.rhs[:, lo:hi], out[:, lo:hi])
 
     failures = fork_join(worker, batch.n_systems, parallel_hint)
     if failures:
@@ -420,7 +379,7 @@ def dense_oracle_solve(system: TriDiagSystem) -> np.ndarray:
         col = np.abs(a[k:, k])
         p = k + int(np.argmax(col))
         if abs(a[p, k]) < PIVOT_FLOOR:
-            raise SingularSystemError(k, 0, detail="dense oracle")
+            raise SingularSystemError(k, detail="dense oracle")
         if p != k:
             a[[k, p]] = a[[p, k]]
             b[[k, p]] = b[[p, k]]

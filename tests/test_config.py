@@ -122,15 +122,15 @@ class TestLoadConfig:
             tl_format = binary-grid
             threads = 2
             workers = 3
-            schedule = dynamic
             max_range = 400.0
+            schedule = dynamic
         """)
         options = load_config(write_config(tmp_path, text)).options
         assert options.output_stride == 4
         assert options.tl_format == "binary-grid"
         assert options.executor == ExecutorSpec(2, 3)
-        assert options.schedule == "dynamic"
         assert options.max_range == 400.0
+        assert not hasattr(options, "schedule")  # an unknown key is ignored
 
     def test_inline_comments_allowed(self, tmp_path):
         text = MINIMAL.replace("delta_r = 50.0", "delta_r = 50.0  ; meters")
@@ -151,10 +151,6 @@ class TestRunOptions:
     def test_format_validated(self):
         with pytest.raises(InvariantError, match="tl_format"):
             RunOptions(tl_format="hdf5")
-
-    def test_schedule_validated(self):
-        with pytest.raises(InvariantError, match="schedule"):
-            RunOptions(schedule="greedy")
 
     def test_executor_counts_validated(self):
         with pytest.raises(InvariantError, match="intra_threads >= 1"):

@@ -350,13 +350,12 @@ class TestBatchAssembly:
         rhs = random_slab_values(rng, grid)
         coeff = 0.25 - 0.4j
         batch = assemble_depth_batch(coeff, n_grid, 0.2, grid.delta_z)
-        solutions = solve_against(batch, rhs.T.copy())
+        # the marcher's way: the medium is the same in every azimuth, so
+        # column 0 is factored once and shared by every right-hand side
+        solutions = solve_against(batch.column(0), rhs.T.copy())
         for m in range(grid.n_azimuth):
             scalar = solve_thomas(member_system(batch, m, rhs[m]))
-            assert np.array_equal(solutions[:, m], scalar)
-        # the marcher's way: one shared matrix, factored from column 0
-        shared = solve_against(batch.columns(0, 1), rhs.T.copy())
-        assert shared.tobytes() == solutions.tobytes()
+            assert solutions[:, m].tobytes() == scalar.tobytes()
 
     def test_depth_batch_surface_row_constrained(self):
         grid = make_grid(n_azimuth=4, n_depth=8)
@@ -364,7 +363,7 @@ class TestBatchAssembly:
         rhs[0] = 0.0  # the Dirichlet data the step imposes
         batch = assemble_depth_batch(0.3 + 0.1j, np.ones((4, 8)), 0.2,
                                      grid.delta_z)
-        solutions = solve_against(batch, rhs)
+        solutions = solve_against(batch.column(0), rhs)
         assert np.all(solutions[0] == 0.0)
 
     def test_azimuth_batch_matches_scalar_systems(self):

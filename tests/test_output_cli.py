@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pe3d
+import pe3d.parallel as parallel
 from conftest import make_config
 from pe3d.cli import main
 from pe3d.config import RunOptions
@@ -186,6 +187,32 @@ class TestCmdRun:
         executor = load_manifest(outdir)["executor"]
         assert executor["intra_threads"] == 2   # from environment
         assert executor["freq_workers"] == 1    # flag wins
+
+    def test_schedule_flag_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--config", str(cfg), "--schedule", "dynamic"])
+        assert info.value.code == 2
+        assert "--schedule" in capsys.readouterr().err
+
+    def test_dead_worker_reported_in_manifest(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, frequencies="40.0, 50.0, 60.0")
+        outdir = tmp_path / "dead"
+        real_run = parallel.run_frequency
+
+        def dying_run(config, frequency, executor=None):
+            if frequency == 50.0:
+                os._exit(3)
+            return real_run(config, frequency, executor)
+
+        monkeypatch.setattr(parallel, "run_frequency", dying_run)
+        assert main(["run", "--config", str(cfg), "--output", str(outdir),
+                     "--workers", "2"]) == 1
+        entries = load_manifest(outdir)["frequencies"]
+        assert sorted(e["frequency_hz"] for e in entries) == [40.0, 50.0, 60.0]
+        dead = next(e for e in entries if e["frequency_hz"] == 50.0)
+        assert dead["status"] == "error"
+        assert "worker process died" in dead["message"]
 
     def test_stride_flag_applies(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -83,14 +84,6 @@ class TestFrequencyFarm:
             for a, b in zip(serial.results, report.results):
                 assert a.tl_field.tobytes() == b.tl_field.tobytes()
 
-    def test_dynamic_schedule_matches_static(self):
-        freqs = (30.0, 50.0, 70.0)
-        config = tiny_config(frequencies=freqs)
-        static = frequency_farm(config, freqs, workers=2, schedule="static")
-        dynamic = frequency_farm(config, freqs, workers=2, schedule="dynamic")
-        for a, b in zip(static.results, dynamic.results):
-            assert np.array_equal(a.tl_field, b.tl_field)
-
     def test_failures_collected_successes_returned(self):
         config = tiny_config(frequencies=(50.0, 60.0))
         # 75 Hz is not declared in the source, so that job fails
@@ -108,9 +101,31 @@ class TestFrequencyFarm:
         with pytest.raises(InvariantError):
             frequency_farm(tiny_config(), [], workers=1)
 
-    def test_bad_schedule_rejected(self):
-        with pytest.raises(InvariantError):
-            frequency_farm(tiny_config(), [50.0], schedule="roundrobin")
+    def test_dead_worker_fails_its_frequencies(self, monkeypatch):
+        freqs = (30.0, 50.0, 70.0)
+        config = tiny_config(frequencies=freqs)
+        real_run = parallel_module.run_frequency
+
+        def dying_run(cfg, frequency, executor=None):
+            if frequency == 50.0:
+                os._exit(3)
+            return real_run(cfg, frequency, executor)
+
+        # farm workers fork after the patch, so they inherit it
+        monkeypatch.setattr(parallel_module, "run_frequency", dying_run)
+        report = frequency_farm(config, freqs, workers=2)
+        assert not report.ok
+        failed = [f.index for f in report.failures]
+        assert 1 in failed
+        assert failed == sorted(failed)
+        for index, result in enumerate(report.results):
+            assert (result is None) == (index in failed)
+        assert all("worker process died" in f.message for f in report.failures)
+        monkeypatch.undo()
+        for result in report.results:
+            if result is not None:
+                direct = run_frequency(config, result.frequency)
+                assert result.tl_field.tobytes() == direct.tl_field.tobytes()
 
 
 class TestDeriveScaling:
@@ -180,10 +195,10 @@ class TestScalingHarness:
         config = tiny_config()
         real_farm = parallel_module.frequency_farm
 
-        def flaky_farm(cfg, freqs, workers=1, schedule="static", intra_threads=1):
+        def flaky_farm(cfg, freqs, workers=1, intra_threads=1):
             if intra_threads == 2:
                 raise RuntimeError("injected failure")
-            return real_farm(cfg, freqs, workers=workers, schedule=schedule,
+            return real_farm(cfg, freqs, workers=workers,
                              intra_threads=intra_threads)
 
         monkeypatch.setattr(parallel_module, "frequency_farm", flaky_farm)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -150,136 +152,157 @@ class TestDenseOracle:
         assert residual_inf(sys, x) <= 1e-12
 
 
+def shared_batch(system, n_rhs, rng):
+    """``n_rhs`` random right-hand sides against the matrix of ``system``,
+    and each column as a system of its own."""
+    rhs = rng.standard_normal((system.n, n_rhs)) \
+        + 1j * rng.standard_normal((system.n, n_rhs))
+    columns = [dataclasses.replace(system, rhs=rhs[:, m]) for m in range(n_rhs)]
+    return SolveBatch(factor(system.diagonals()), rhs), columns
+
+
+def scalar_solutions(columns):
+    solve = solve_thomas if columns[0].topology == OPEN else solve_cyclic
+    return np.stack([solve(c) for c in columns], axis=1)
+
+
 class TestSolveBatch:
     def test_batch_of_one_equals_scalar(self):
-        sys = random_system(np.random.default_rng(1), 32, OPEN)
-        batch = SolveBatch.from_systems([sys])
-        assert solve_batch(batch)[:, 0].tobytes() == solve_thomas(sys).tobytes()
+        rng = np.random.default_rng(1)
+        batch, columns = shared_batch(random_system(rng, 32, OPEN), 1, rng)
+        for hint in (1, 2, 8):
+            assert solve_batch(batch, parallel_hint=hint).tobytes() \
+                == scalar_solutions(columns).tobytes()
 
     def test_identical_members_identical_solutions(self):
-        sys = random_system(np.random.default_rng(2), 24, OPEN)
-        batch = SolveBatch.from_systems([sys] * 100)
-        solutions = solve_batch(batch)
-        assert np.array_equal(solutions,
-                              np.broadcast_to(solutions[:, :1], solutions.shape))
+        rng = np.random.default_rng(2)
+        sys = random_system(rng, 24, OPEN)
+        batch = SolveBatch(factor(sys.diagonals()),
+                           np.repeat(sys.rhs[:, None], 100, axis=1))
+        expected = np.repeat(solve_thomas(sys)[:, None], 100, axis=1)
+        for hint in (1, 2, 8):
+            assert solve_batch(batch, parallel_hint=hint).tobytes() \
+                == expected.tobytes()
 
     def test_hint_invariance_and_scalar_agreement(self):
         rng = np.random.default_rng(3)
-        systems = [random_system(rng, 40, OPEN) for _ in range(900)]
-        batch = SolveBatch.from_systems(systems)
-        base = solve_batch(batch, parallel_hint=1)
-        for hint in (2, 8):
-            assert base.tobytes() == solve_batch(batch, parallel_hint=hint).tobytes()
-        scalar = np.stack([solve_thomas(s) for s in systems], axis=1)
-        assert base.tobytes() == scalar.tobytes()
+        batch, columns = shared_batch(random_system(rng, 40, OPEN), 900, rng)
+        scalar = scalar_solutions(columns).tobytes()
+        for hint in (1, 2, 8):
+            assert solve_batch(batch, parallel_hint=hint).tobytes() == scalar
 
     def test_cyclic_batch_matches_scalar(self):
         rng = np.random.default_rng(4)
-        systems = [random_system(rng, 17, CYCLIC) for _ in range(130)]
-        batch = SolveBatch.from_systems(systems)
-        solutions = solve_batch(batch, parallel_hint=3)
-        scalar = np.stack([solve_cyclic(s) for s in systems], axis=1)
-        assert solutions.tobytes() == scalar.tobytes()
+        batch, columns = shared_batch(random_system(rng, 17, CYCLIC), 130, rng)
+        scalar = scalar_solutions(columns).tobytes()
+        for hint in (1, 2, 8):
+            assert solve_batch(batch, parallel_hint=hint).tobytes() == scalar
 
     def test_singular_member_named_no_partial_result(self):
-        rng = np.random.default_rng(5)
-        systems = [random_system(rng, 8, OPEN) for _ in range(10)]
-        bad = TriDiagSystem(sub=np.ones(7), main=np.zeros(8), sup=np.ones(7),
+        # a singular shared matrix fails the whole batch at its first
+        # singular row, before any substitution: the rhs is untouched
+        sys = TriDiagSystem(sub=np.ones(7), main=np.zeros(8), sup=np.ones(7),
                             rhs=np.ones(8), topology=OPEN)
-        systems[7] = bad
-        batch = SolveBatch.from_systems(systems)
+        rhs = np.ones((8, 10), dtype=complex)
+        batch = SolveBatch(factor(sys.diagonals()), rhs)
         with pytest.raises(SingularSystemError) as info:
-            solve_batch(batch)
-        assert info.value.member_index == 7
+            solve_batch(batch, parallel_hint=2)
+        assert info.value.pivot_index == 0
+        assert np.all(rhs == 1.0)
 
-    def test_lowest_member_reported_across_tiles(self):
-        # member 150 fails at pivot 0, member 70 only at pivot 1: the lower
-        # member is named, at its first singular row, for every partition
-        rng = np.random.default_rng(6)
-        systems = [random_system(rng, 6, OPEN) for _ in range(200)]
-        systems[150] = TriDiagSystem(sub=np.ones(5), main=np.zeros(6),
-                                     sup=np.ones(5), rhs=np.ones(6))
-        systems[70] = TriDiagSystem(sub=np.ones(5), main=np.ones(6),
-                                    sup=np.ones(5), rhs=np.ones(6))
-        batch = SolveBatch.from_systems(systems)
+    def test_first_singular_row_reported_for_any_partition(self):
+        # pivot 1 is exactly zero and the rows after it carry inf/nan: the
+        # first singular row is reported, whatever the partition
+        sys = TriDiagSystem(sub=np.ones(5), main=np.ones(6), sup=np.ones(5),
+                            rhs=np.ones(6))
+        batch = SolveBatch(factor(sys.diagonals()), np.ones((6, 200)))
         for hint in (1, 2, 3, 4):
             with pytest.raises(SingularSystemError) as info:
                 solve_batch(batch, parallel_hint=hint)
-            assert (info.value.pivot_index, info.value.member_index) == (1, 70)
+            assert info.value.pivot_index == 1
+            assert info.value.detail == ""
 
-    def test_cyclic_lowest_member_reported_for_any_partition(self):
-        # member 150 fails in the factorization (pivot 1), member 70 only in
-        # the rank-1 correction, reported as row n = 3
-        rng = np.random.default_rng(10)
-        systems = [random_system(rng, 3, CYCLIC) for _ in range(200)]
-        systems[150] = TriDiagSystem(sub=np.zeros(3), main=[1.0, 0.0, 1.0],
-                                     sup=np.zeros(3), rhs=np.ones(3),
-                                     topology=CYCLIC)
+    def test_cyclic_rank1_singular_reported_for_any_partition(self):
         # [[1, 0, 1], [0, 1, 0], [1, 0, 1]]: the open part is regular and
-        # the correction's denominator is exactly zero
-        systems[70] = TriDiagSystem(sub=[1.0, 0.0, 0.0], main=np.ones(3),
-                                    sup=[0.0, 0.0, 1.0], rhs=np.ones(3),
-                                    topology=CYCLIC)
-        batch = SolveBatch.from_systems(systems)
+        # the correction's denominator is exactly zero, reported as row n = 3
+        sys = TriDiagSystem(sub=[1.0, 0.0, 0.0], main=np.ones(3),
+                            sup=[0.0, 0.0, 1.0], rhs=np.ones(3),
+                            topology=CYCLIC)
+        batch = SolveBatch(factor(sys.diagonals()), np.ones((3, 200)))
         for hint in (1, 2, 3, 4):
             with pytest.raises(SingularSystemError) as info:
                 solve_batch(batch, parallel_hint=hint)
-            assert (info.value.pivot_index, info.value.member_index) == (3, 70)
+            assert info.value.pivot_index == 3
             assert info.value.detail == "singular rank-1 correction"
+        # a zero pivot in the factorization is reported before the correction
+        sys = TriDiagSystem(sub=np.zeros(3), main=[1.0, 0.0, 1.0],
+                            sup=np.zeros(3), rhs=np.ones(3), topology=CYCLIC)
+        with pytest.raises(SingularSystemError) as info:
+            solve_cyclic(sys)
+        assert (info.value.pivot_index, info.value.detail) == (1, "")
 
     @pytest.mark.parametrize("topology", [OPEN, CYCLIC])
     def test_shared_factors_match_per_member(self, topology):
-        # one width-1 factorization broadcast over the batch gives the bits
-        # of a factorization per member
+        # one factorization, reused by several batches, gives every member
+        # the bits of a solve against its own copy of the matrix
         rng = np.random.default_rng(11)
         base = random_system(rng, 33, topology)
-        rhs = rng.standard_normal((33, 50)) + 1j * rng.standard_normal((33, 50))
-        shared = factor(Diagonals(base.sub[:, None], base.main[:, None],
-                                  base.sup[:, None], topology))
-        per_member = SolveBatch.from_systems(
-            TriDiagSystem(base.sub, base.main, base.sup, rhs[:, m], topology)
-            for m in range(50))
-        expected = solve_batch(per_member).tobytes()
-        for hint in (1, 3):
-            got = solve_batch(SolveBatch(shared, rhs), parallel_hint=hint)
-            assert got.tobytes() == expected
+        shared = factor(base.diagonals())
+        for n_rhs in (50, 7):
+            batch, columns = shared_batch(base, n_rhs, rng)
+            for hint in (1, 3):
+                got = solve_batch(SolveBatch(shared, batch.rhs),
+                                  parallel_hint=hint)
+                assert got.tobytes() == scalar_solutions(columns).tobytes()
 
-    def test_singular_shared_matrix_names_member_zero(self):
-        # a shared factorization fails for every member: member 0 is named,
-        # at the first singular row, when the factors are used
+    def test_singular_shared_matrix_raises_when_used(self):
+        # factor never raises: the error is kept and raised by each solve
         main = np.array([1.0, 1.0, 0.0, 2.0, 1.0])[:, None]
         diagonals = Diagonals(np.ones((4, 1)), main, np.zeros((4, 1)))
         shared = factor(diagonals)
         assert shared.singular is not None
-        with pytest.raises(SingularSystemError) as info:
-            solve_batch(SolveBatch(shared, np.ones((5, 30))), parallel_hint=2)
-        assert (info.value.pivot_index, info.value.member_index) == (2, 0)
+        for _ in range(2):
+            with pytest.raises(SingularSystemError) as info:
+                solve_batch(SolveBatch(shared, np.ones((5, 30))),
+                            parallel_hint=2)
+            assert info.value.pivot_index == 2
 
     def test_width_must_fit_rhs(self):
+        # factor takes one matrix, shared by every right-hand side, and
+        # the right-hand sides must have its rows
         rng = np.random.default_rng(12)
-        batch = SolveBatch.from_systems(
-            [random_system(rng, 6, OPEN) for _ in range(3)])
+        wide = Diagonals(np.ones((5, 3)), 4.0 * np.ones((6, 3)),
+                         np.ones((5, 3)))
+        with pytest.raises(ShapeError, match="one matrix"):
+            factor(wide)
+        assert factor(wide.column(2)).n == 6
+        shared = factor(random_system(rng, 6, OPEN).diagonals())
         with pytest.raises(ShapeError):
-            SolveBatch(batch.factors, np.ones((6, 4)))
+            SolveBatch(shared, np.ones((5, 4)))
+        with pytest.raises(ShapeError):
+            SolveBatch(shared, np.ones(6))
 
     def test_empty_batch_rejected(self):
+        shared = factor(random_system(np.random.default_rng(0), 5, OPEN)
+                        .diagonals())
         with pytest.raises(InvariantError):
-            SolveBatch.from_systems([])
+            SolveBatch(shared, np.ones((5, 0)))
 
     def test_mixed_sizes_rejected(self):
-        rng = np.random.default_rng(7)
-        with pytest.raises(InvariantError, match="share one n"):
-            SolveBatch.from_systems([random_system(rng, 5, OPEN),
-                                     random_system(rng, 6, OPEN)])
+        with pytest.raises(ShapeError, match="needs off-diagonals"):
+            Diagonals(np.ones((4, 1)), np.ones((6, 1)), np.ones((5, 1)))
+        with pytest.raises(ShapeError, match="needs off-diagonals"):
+            Diagonals(np.ones((5, 2)), np.ones((6, 3)), np.ones((5, 3)))
 
     def test_system_round_trip(self):
         rng = np.random.default_rng(8)
-        systems = [random_system(rng, 9, CYCLIC) for _ in range(4)]
-        batch = SolveBatch.from_systems(systems)
-        assert batch.topology == CYCLIC and batch.factors.width == 4
-        assert np.array_equal(batch.rhs[:, 2], systems[2].rhs)
+        sys = random_system(rng, 9, CYCLIC)
+        batch, columns = shared_batch(sys, 4, rng)
+        assert batch.topology == CYCLIC
+        assert (batch.n, batch.n_systems) == (9, 4)
+        assert np.array_equal(batch.rhs[:, 2], columns[2].rhs)
         assert solve_batch(batch)[:, 2].tobytes() \
-            == solve_cyclic(systems[2]).tobytes()
+            == solve_cyclic(columns[2]).tobytes()
 
 
 class TestSolverProperties:
