@@ -24,7 +24,12 @@ from .output import (
     write_timing_csv,
     write_tl_grid,
 )
-from .parallel import frequency_farm, kernel_throughput, scaling_harness
+from .parallel import (
+    FARM_START_METHOD,
+    frequency_farm,
+    kernel_throughput,
+    scaling_harness,
+)
 from .pool import ExecutorSpec
 from .selftest import run_selftest
 
@@ -181,6 +186,9 @@ def cmd_run(args) -> int:
         "executor": {
             "intra_threads": executor.intra_threads,
             "freq_workers": executor.freq_workers,
+            # None: the frequencies ran in this process.
+            "start_method": FARM_START_METHOD if executor.freq_workers > 1
+            else None,
         },
         "tl_format": options.tl_format,
         "frequencies": entries,

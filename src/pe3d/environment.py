@@ -306,10 +306,12 @@ def transmission_loss(u: complex, w: complex) -> float:
 
 
 def transmission_loss_field(values: np.ndarray, w: complex):
-    """Vectorized TL over a slab; returns (tl array, clamped sample count)."""
+    """Vectorized TL over a slab; returns (tl array, clamped sample count,
+    non-finite sample count)."""
     mag = np.abs(values) * abs(w)
+    nonfinite = mag.size - int(np.count_nonzero(np.isfinite(mag)))
     zero = mag == 0.0
     clamped = int(np.count_nonzero(zero))
     with np.errstate(divide="ignore"):
         tl = np.where(zero, TL_FLOOR_DB, -20.0 * np.log10(np.where(zero, 1.0, mag)))
-    return tl, clamped
+    return tl, clamped, nonfinite

@@ -47,10 +47,12 @@ class SingularSystemError(Pe3dError):
 
 
 class StepError(Pe3dError):
-    """A range step failed; carries the step index and the sweep."""
+    """A range step failed; carries the range index and the sweep, which
+    is None for a field found not finite after the step."""
 
     def __init__(self, range_index, sweep, cause=None):
         self.range_index = range_index
         self.sweep = sweep
         self.cause = cause
-        super().__init__(f"range step {range_index} failed in {sweep} sweep: {cause}")
+        where = f" in {sweep} sweep" if sweep is not None else ""
+        super().__init__(f"range step {range_index} failed{where}: {cause}")

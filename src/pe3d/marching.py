@@ -4,18 +4,25 @@ transmission-loss assembly.
 One range step advances the slab from r to r + delta_r by
 
 1. applying the boundary conditions to the current slab,
-2. assembling the explicit right-hand side at the current range,
+2. computing the explicit right-hand side at the current range,
 3. solving one depth system per azimuth index (intermediate slab v),
 4. solving one azimuth system per depth index (new slab u),
 5. reapplying the boundary conditions,
 
 with the implicit-side matrices sampled at the new range.  All systems of
-one sweep share one matrix, so each sweep is one factorization and a wide
-substitution through the batched solver, on the configured intra-step
-thread count.  The medium does not depend on range, so a :class:`Marcher`
-computes the refraction grid and factors the depth matrix once per
-frequency; the azimuth matrix depends on range and is factored once per
-step.
+one sweep share one matrix, so each sweep is a wide substitution through
+the batched solver, on the configured intra-step thread count.
+
+A step only streams: it builds no stencil and factors nothing.  The
+medium does not depend on range, so a :class:`Marcher` computes the
+refraction grid, the depth stencil and the factored depth matrix once per
+frequency.  The azimuth matrices depend on range; the marcher assembles
+and factors those of ``AZIMUTH_BLOCK`` consecutive steps together (the
+first block when it is built, each later one at the step that first needs
+it, on a march longer than a block), and each step substitutes against
+its own column.  The explicit side is
+written into arrays the marcher owns, the depth sweep substitutes in
+place, and the only slab-sized allocation of a step is the new slab.
 """
 
 from __future__ import annotations
@@ -38,25 +45,39 @@ from .environment import (
 )
 from .errors import DomainError, SingularSystemError, StepError
 from .operators import (
+    OperatorStencil,
     StepCoefficients,
     assemble_azimuth_batch,
     assemble_depth_batch,
     compute_rhs,
+    depth_stencil,
 )
 from .pool import ExecutorSpec
 from .tridiag import Factors, SolveBatch, factor, solve_batch
 
 MAX_OUTPUT_SAMPLES = 512
 
+# Range steps whose azimuth matrices are factored together: enough to
+# spread the per-row cost of the elimination, few enough to keep the
+# factors of a long march small.
+AZIMUTH_BLOCK = 64
+
 
 @dataclass(eq=False)
 class Marcher:
-    """What stays fixed while one frequency is marched, and what is
-    derived from it once: the refraction grid and the factored depth
-    matrix.  Shared read-only by every step.
+    """What stays fixed while one frequency is marched, what is derived
+    from it once, and the arrays every step reuses.
 
-    A singular depth matrix is not reported here but by the first step
-    that solves with it, as a :class:`StepError`.
+    Derived once: the refraction grid, the depth stencil of the explicit
+    side, the factored depth matrix and the factored azimuth matrices of
+    the first ``AZIMUTH_BLOCK`` ranges; later blocks are factored as the
+    march reaches them (:meth:`azimuth_factors`).  ``work`` holds three azimuth-major
+    (n_azimuth, n_depth) arrays and ``rhs`` one depth-major
+    (n_depth, n_azimuth) array; every step overwrites them, so a marcher
+    serves one march at a time.
+
+    A singular depth or azimuth matrix is not reported here but by the
+    first step that solves with it, as a :class:`StepError`.
     """
 
     grid: Grid3D
@@ -66,6 +87,11 @@ class Marcher:
     intra_threads: int = 1
     n_grid: np.ndarray = field(init=False)
     depth: Factors = field(init=False)
+    stencil: OperatorStencil = field(init=False)
+    work: tuple = field(init=False)
+    rhs: np.ndarray = field(init=False)
+    _azimuth: Factors | None = field(init=False, default=None)
+    _azimuth_start: int = field(init=False, default=0)
 
     def __post_init__(self):
         grid = self.grid
@@ -76,6 +102,33 @@ class Marcher:
         depth = assemble_depth_batch(self.coeffs.cx_lhs, self.n_grid,
                                      self.k0, grid.delta_z)
         self.depth = factor(depth.column(0))
+        del depth
+        # Built over the broadcast (azimuth x depth) grid, as apply_X
+        # builds it from that grid, so (n^2 - 1) has apply_X's bits.
+        self.stencil = depth_stencil(self.n_grid, self.k0, grid.delta_z)
+        shape = (grid.n_azimuth, grid.n_depth)
+        self.work = tuple(np.empty(shape, dtype=np.complex128) for _ in range(3))
+        self.rhs = np.empty(shape[::-1], dtype=np.complex128)
+        self.azimuth_factors(1)  # the first block, with the rest of the set-up
+
+    def azimuth_factors(self, j: int) -> Factors:
+        """Width-1 factors of the azimuth matrix at range index ``j``.
+
+        When ``j`` is outside the block factored last, the matrices of
+        ranges ``j`` to ``j + AZIMUTH_BLOCK - 1`` (at most ``n_range``) are
+        assembled and factored together.
+        """
+        offset = j - self._azimuth_start
+        if self._azimuth is None or not 0 <= offset < self._azimuth.width:
+            grid = self.grid
+            stop = min(j + AZIMUTH_BLOCK, grid.n_range + 1)
+            self._azimuth = factor(assemble_azimuth_batch(
+                self.coeffs.cy_lhs, self.k0,
+                [grid.range_at(i) for i in range(j, stop)],
+                grid.delta_theta, grid.azimuth_topology, grid.n_azimuth,
+            ))
+            self._azimuth_start, offset = j, 0
+        return self._azimuth.column(offset)
 
 
 @dataclass(eq=False)
@@ -116,7 +169,10 @@ def apply_boundary(slab: FieldSlab, grid: Grid3D) -> FieldSlab:
 
 
 def range_step(marcher: Marcher, state: MarchState) -> MarchState:
-    """Advance one range step; returns the new state with j incremented."""
+    """Advance one range step; returns the new state with j incremented.
+
+    The new slab is a new array; the marcher's arrays are overwritten.
+    """
     grid = marcher.grid
     j = state.range_index
     if j + 1 > grid.n_range:
@@ -131,26 +187,24 @@ def range_step(marcher: Marcher, state: MarchState) -> MarchState:
         return MarchState(slab, j + 1)
 
     r_new = grid.range_at(j + 1)
-    rhs = compute_rhs(slab, marcher.coeffs, marcher.n_grid, marcher.k0, grid)
+    rhs = compute_rhs(slab, marcher.coeffs, marcher.stencil, marcher.k0, grid,
+                      marcher.work, marcher.rhs)
     # Dirichlet data on the explicit side: the constrained boundary rows of
     # the implicit systems require zero right-hand sides there.  The depth
     # solve keeps them: on a sector grid the edge azimuths of v solve zero
     # right-hand sides, so they are zero for the azimuth solve too.
-    apply_boundary(rhs, grid)
+    apply_boundary(FieldSlab(rhs.T, slab.range_m), grid)
     try:
-        v = solve_batch(
-            SolveBatch(marcher.depth, np.ascontiguousarray(rhs.values.T)),
-            marcher.intra_threads,
-        )
+        solve_batch(SolveBatch(marcher.depth, rhs), marcher.intra_threads,
+                    out=rhs)
     except SingularSystemError as exc:
         raise StepError(j + 1, "depth", exc) from exc
+    v = marcher.work[0]
+    np.copyto(v, rhs.T)
+    u = np.empty_like(v)
     try:
-        azimuth = factor(assemble_azimuth_batch(
-            marcher.coeffs.cy_lhs, marcher.k0, r_new, grid.delta_theta,
-            grid.azimuth_topology, grid.n_azimuth,
-        ))
-        u = solve_batch(SolveBatch(azimuth, np.ascontiguousarray(v.T)),
-                        marcher.intra_threads)
+        solve_batch(SolveBatch(marcher.azimuth_factors(j + 1), v),
+                    marcher.intra_threads, out=u)
     except SingularSystemError as exc:
         raise StepError(j + 1, "azimuth", exc) from exc
 
@@ -164,11 +218,23 @@ def default_output_stride(n_steps: int) -> int:
     return max(1, (n_steps + 1 + MAX_OUTPUT_SAMPLES - 1) // MAX_OUTPUT_SAMPLES)
 
 
+def _steps_to_march(grid: Grid3D, max_range: float | None) -> int:
+    """Steps up to ``max_range`` (all of the grid's when None)."""
+    if max_range is None:
+        return grid.n_range
+    for j in range(1, grid.n_range + 1):
+        if grid.range_at(j) > max_range * (1.0 + 1e-12):
+            return j - 1
+    return grid.n_range
+
+
 def run_frequency(config, frequency: float, executor: ExecutorSpec | None = None) -> FrequencyResult:
     """March one frequency from the starter range to max range.
 
     Deterministic: the TL field and final slab are a pure function of the
-    config and the frequency, for every executor configuration.
+    config and the frequency, for every executor configuration.  A field
+    that is not finite at a recorded range stops the march there with a
+    :class:`StepError` naming that range index.
     """
     t_begin = time.perf_counter()
     grid, env, source, options = config
@@ -184,32 +250,34 @@ def run_frequency(config, frequency: float, executor: ExecutorSpec | None = None
     apply_boundary(slab, grid)
 
     stride = options.output_stride or default_output_stride(grid.n_range)
-    ranges = [slab.range_m]
-    tl_slices = []
+    n_steps = _steps_to_march(grid, options.max_range)
+    ranges = np.empty(1 + n_steps // stride, dtype=np.float64)
+    tl_field = np.empty(ranges.shape + slab.values.shape, dtype=np.float64)
     clamped = 0
 
-    def record(s: FieldSlab):
+    def record(state: MarchState, i: int):
         nonlocal clamped
+        s = state.slab
         w = hankel_factor(k0, s.range_m)
-        tl, n_clamped = transmission_loss_field(s.values, w)
-        tl_slices.append(tl)
+        tl, n_clamped, n_nonfinite = transmission_loss_field(s.values, w)
+        if n_nonfinite:
+            raise StepError(state.range_index, None,
+                            f"{n_nonfinite} non-finite field values")
+        ranges[i] = s.range_m
+        tl_field[i] = tl
         clamped += n_clamped
 
-    record(slab)
     state = MarchState(slab, 0)
-    for j in range(1, grid.n_range + 1):
-        if options.max_range is not None:
-            if grid.range_at(j) > options.max_range * (1.0 + 1e-12):
-                break
+    record(state, 0)
+    for j in range(1, n_steps + 1):
         state = range_step(marcher, state)
         if j % stride == 0:
-            ranges.append(state.slab.range_m)
-            record(state.slab)
+            record(state, j // stride)
 
     return FrequencyResult(
         frequency=frequency,
-        ranges=np.asarray(ranges, dtype=np.float64),
-        tl_field=np.stack(tl_slices, axis=0),
+        ranges=ranges,
+        tl_field=tl_field,
         clamped_samples=clamped,
         final_slab=state.slab,
         output_stride=stride,

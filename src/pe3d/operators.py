@@ -12,6 +12,18 @@ with d = i * k0 * delta_r.  X carries the medium term:
 and Y is the bare azimuthal second difference scaled by 1 / (k0 r dtheta)^2.
 Exterior stencil values are zero (pressure-release surface, absorber-backed
 bottom, sector edges); the azimuth index wraps on a periodic grid.
+
+:func:`apply_X` and :func:`apply_Y` return new arrays; :func:`compute_rhs`
+makes the same passes into arrays its caller owns, so a range step
+allocates nothing for its explicit side.
+
+Rounding: numpy's vectorised complex product uses fused multiply-adds, so
+``a * b`` and ``b * a`` can differ in their last bits, and numpy evaluates
+a temporary of 256 KiB or more in place, which swaps the operands of a
+product whose right operand is that temporary.  Every product written
+with ``out=`` here keeps the operand order of the expression it stands
+for and writes into an array distinct from its operands; adds and
+subtracts are exact in any order and may run in place.
 """
 
 from __future__ import annotations
@@ -102,24 +114,52 @@ def azimuth_stencil(k0: float, r: float, delta_theta: float) -> OperatorStencil:
     return OperatorStencil(AZIMUTH, 1.0 / (k0 * r * delta_theta) ** 2, 0.0)
 
 
-def _second_difference(u: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
-    if u.shape[axis] < 3:
-        raise ShapeError(f"need >= 3 points along axis {axis}, got {u.shape[axis]}")
+def _second_difference(u: np.ndarray, axis: int, periodic: bool,
+                       out: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+    """Second difference of ``u`` along ``axis`` into ``out`` (a
+    C-contiguous array of the shape of ``u``, not ``u``); returns ``out``.
+
+    The sums run in the order ``u[i+1] - 2 u[i] + u[i-1]`` left to right
+    on a closed axis and ``(u[i+1] + u[i-1]) - 2 u[i]`` on a periodic one.
+    A periodic axis needs ``2 u`` apart from ``out``: in ``spare`` when
+    given, else in a new array.
+
+    The interior passes run over the flattened arrays, where the
+    neighbours along ``axis`` sit ``step`` elements apart: each pass is one
+    contiguous loop, which numpy runs without buffers.  The points at
+    either end of the axis get values from across the axis there, and the
+    end-point formulas overwrite them.
+    """
+    n = u.shape[axis]
+    if n < 3:
+        raise ShapeError(f"need >= 3 points along axis {axis}, got {n}")
+    if not out.flags.c_contiguous:
+        raise ShapeError("second-difference output must be C-contiguous")
+    step = int(np.prod(u.shape[axis % u.ndim + 1:], dtype=np.int64))
+    flat, flat_out = u.reshape(-1), out.reshape(-1)
+    mid = slice(step, -step)
+    lo, hi = slice(None, -2 * step), slice(2 * step, None)
+
+    def at(index):
+        key = [slice(None)] * u.ndim
+        key[axis] = index
+        return tuple(key)
+
+    first, second = at(slice(0, 1)), at(slice(1, 2))
+    last, before_last = at(slice(-1, None)), at(slice(-2, -1))
     if periodic:
-        return np.roll(u, -1, axis=axis) + np.roll(u, 1, axis=axis) - 2.0 * u
-    d2 = np.empty_like(u)
-    mid = [slice(None)] * u.ndim
-    lo = [slice(None)] * u.ndim
-    hi = [slice(None)] * u.ndim
-    mid[axis], lo[axis], hi[axis] = slice(1, -1), slice(None, -2), slice(2, None)
-    d2[tuple(mid)] = u[tuple(hi)] - 2.0 * u[tuple(mid)] + u[tuple(lo)]
-    first = [slice(None)] * u.ndim
-    second = [slice(None)] * u.ndim
-    first[axis], second[axis] = 0, 1
-    d2[tuple(first)] = u[tuple(second)] - 2.0 * u[tuple(first)]
-    first[axis], second[axis] = -1, -2
-    d2[tuple(first)] = u[tuple(second)] - 2.0 * u[tuple(first)]
-    return d2
+        np.add(flat[hi], flat[lo], out=flat_out[mid])
+        np.add(u[second], u[last], out=out[first])
+        np.add(u[first], u[before_last], out=out[last])
+        out -= np.multiply(2.0, u, out=spare)
+        return out
+    np.multiply(2.0, flat[mid], out=flat_out[mid])
+    np.subtract(flat[hi], flat_out[mid], out=flat_out[mid])
+    flat_out[mid] += flat[lo]
+    for edge, inner in ((first, second), (last, before_last)):
+        np.multiply(2.0, u[edge], out=out[edge])
+        np.subtract(u[inner], out[edge], out=out[edge])
+    return out
 
 
 def _depth_local_term(st: OperatorStencil, shape: tuple) -> np.ndarray:
@@ -143,7 +183,8 @@ def apply_X(column: np.ndarray, n_column, k0: float, delta_z: float) -> np.ndarr
     u = np.asarray(column, dtype=np.complex128)
     st = depth_stencil(n_column, k0, delta_z)
     local = _depth_local_term(st, u.shape)
-    return local * u + st.second_difference_scale * _second_difference(u, -1, False)
+    d2 = _second_difference(u, -1, False, np.empty(u.shape, dtype=np.complex128))
+    return local * u + st.second_difference_scale * d2
 
 
 def apply_Y(row: np.ndarray, k0: float, r: float, delta_theta: float,
@@ -157,23 +198,49 @@ def apply_Y(row: np.ndarray, k0: float, r: float, delta_theta: float,
         raise InvariantError(f"azimuth_topology in {TOPOLOGIES}")
     u = np.asarray(row, dtype=np.complex128)
     st = azimuth_stencil(k0, r, delta_theta)
-    return st.second_difference_scale * _second_difference(u, 0, topology == PERIODIC)
+    d2 = _second_difference(u, 0, topology == PERIODIC,
+                            np.empty(u.shape, dtype=np.complex128))
+    return st.second_difference_scale * d2
 
 
-def compute_rhs(slab: FieldSlab, coeffs: StepCoefficients, n_field,
-                k0: float, grid: Grid3D) -> FieldSlab:
-    """Explicit side of the step:  [I + cx_rhs X] [I + cy_rhs Y] u.
+def compute_rhs(slab: FieldSlab, coeffs: StepCoefficients,
+                depth: OperatorStencil, k0: float, grid: Grid3D,
+                work: tuple, out: np.ndarray) -> np.ndarray:
+    """Explicit side of the step,  [I + cx_rhs X] [I + cy_rhs Y] u,
+    written into ``out`` depth-major, (n_depth, n_azimuth); returns ``out``.
 
     The Y factor acts first (row-wise over azimuth, at the slab's current
     range), then the X factor (column-wise over depth); the X factor sits
-    outermost in the step factorization.
+    outermost in the step factorization.  ``depth`` is the depth stencil
+    over the (azimuth x depth) grid, and ``work`` three azimuth-major
+    arrays of the slab's shape, overwritten.  The passes are those of
+
+        temp = u + cy_rhs * apply_Y(u);   temp + cx_rhs * apply_X(temp)
+
+    in the same order and with the same operand order, so the bits are
+    theirs.
     """
     slab.check_grid(grid)
     u = slab.values
-    yu = apply_Y(u, k0, slab.range_m, grid.delta_theta, grid.azimuth_topology)
-    temp = u + coeffs.cy_rhs * yu
-    xt = apply_X(temp, n_field, k0, grid.delta_z)
-    return FieldSlab(temp + coeffs.cx_rhs * xt, slab.range_m)
+    if out.shape != u.shape[::-1] or any(w.shape != u.shape for w in work):
+        raise ShapeError("work arrays must have the slab's shape, and out "
+                         "its transpose")
+    local = _depth_local_term(depth, u.shape)
+    a, b, c = work
+    y_scale = azimuth_stencil(k0, slab.range_m, grid.delta_theta) \
+        .second_difference_scale
+    _second_difference(u, 0, grid.azimuth_topology == PERIODIC, a, b)
+    np.multiply(y_scale, a, out=b)                         # Y u
+    np.multiply(coeffs.cy_rhs, b, out=a)
+    a += u                                                 # temp
+    _second_difference(a, 1, False, b)
+    np.multiply(depth.second_difference_scale, b, out=c)
+    np.multiply(local, a, out=b)
+    b += c                                                 # X temp
+    np.multiply(coeffs.cx_rhs, b, out=c)
+    a += c
+    np.copyto(out.T, a)
+    return out
 
 
 def assemble_depth_batch(coeff: complex, n_grid: np.ndarray, k0: float,
@@ -189,14 +256,15 @@ def assemble_depth_batch(coeff: complex, n_grid: np.ndarray, k0: float,
     instead of leaking amplitude into a row that would be zeroed afterwards;
     the right-hand side must be zero there.
 
-    Rounding: numpy evaluates a temporary of 256 KiB or more in place, and
-    the in-place product ``coeff * (...)`` can round differently from the
-    out-of-place product that one row of the same values gets (seen with
-    numpy 2.4 on AVX-512).  A matrix assembled from one depth profile can
-    thus differ in its last bits from a column of the same matrix assembled
-    over the full grid.  The marcher assembles over its full (broadcast)
-    grid and factors column 0: every column holds the same bits, so the
-    shared factors equal those of each azimuth's own matrix.
+    Rounding: numpy evaluates the temporary ``(local - 2 s)`` in place when
+    it has 256 KiB or more, as ``(...) * coeff``, which rounds differently
+    from the ``coeff * (...)`` that one row of the same values gets (seen
+    with numpy 2.4 on AVX-512; see the module docstring).  A matrix
+    assembled from one depth profile can thus differ in its last bits from
+    a column of the same matrix assembled over the full grid.  The marcher
+    assembles over its full (broadcast) grid and factors column 0: every
+    column holds the same bits, so the shared factors equal those of each
+    azimuth's own matrix.
     """
     n_grid = np.asarray(n_grid)
     if n_grid.ndim not in (1, 2):
@@ -216,30 +284,39 @@ def assemble_depth_batch(coeff: complex, n_grid: np.ndarray, k0: float,
     return Diagonals(sub=sub, main=main, sup=sup, topology=OPEN)
 
 
-def assemble_azimuth_batch(coeff: complex, k0: float, r: float,
+def assemble_azimuth_batch(coeff: complex, k0: float, ranges,
                            delta_theta: float, topology: str,
                            n_azimuth: int) -> Diagonals:
-    """The azimuth matrix (I + coeff * Y) at range ``r``, shared by every
-    depth index: one matrix of size ``n_azimuth``.
+    """The azimuth matrices (I + coeff * Y), one per range in ``ranges``
+    (a column each); each is shared by every depth index of its step.
 
-    The matrix has constant coefficients, with cyclic corners when the grid
+    A matrix has constant coefficients, with cyclic corners when the grid
     is periodic.  On a sector grid the azimuth edge rows are imposed as
     identity equations u = 0 (Dirichlet edges), so the right-hand side must
     be zero there; a periodic grid has no edges.
+
+    Each range's coefficients come from Python floats, by the scalar
+    arithmetic of :func:`apply_Y`'s scale: numpy squares an array by
+    multiplication, and Python's ``x ** 2`` differs from ``x * x`` in the
+    last bit for about one value in a thousand.
     """
     if topology not in TOPOLOGIES:
         raise InvariantError(f"azimuth_topology in {TOPOLOGIES}")
-    st = azimuth_stencil(k0, r, delta_theta)
-    s = st.second_difference_scale
-    diag_value = np.complex128(1.0 - 2.0 * coeff * s)
-    off_value = np.complex128(coeff * s)
+    ranges = np.atleast_1d(np.asarray(ranges, dtype=np.float64))
+    if ranges.ndim != 1:
+        raise ShapeError("ranges must be a vector")
+    scales = [azimuth_stencil(k0, r, delta_theta).second_difference_scale
+              for r in ranges.tolist()]
+    diag = np.array([1.0 - 2.0 * coeff * s for s in scales], dtype=np.complex128)
+    off = np.array([coeff * s for s in scales], dtype=np.complex128)
+    shape = (n_azimuth, len(scales))
     if topology == PERIODIC:
-        main = np.broadcast_to(diag_value, (n_azimuth, 1))
-        off = np.broadcast_to(off_value, (n_azimuth, 1))
-        return Diagonals(sub=off, main=main, sup=off, topology=CYCLIC)
-    main = np.full((n_azimuth, 1), diag_value)
-    sub = np.full((n_azimuth - 1, 1), off_value)
-    sup = np.full((n_azimuth - 1, 1), off_value)
+        off = np.broadcast_to(off, shape)
+        return Diagonals(sub=off, main=np.broadcast_to(diag, shape), sup=off,
+                         topology=CYCLIC)
+    main = np.tile(diag, (n_azimuth, 1))
+    sub = np.tile(off, (n_azimuth - 1, 1))
+    sup = sub.copy()
     main[0] = 1.0
     main[-1] = 1.0
     sup[0] = 0.0

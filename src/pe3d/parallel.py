@@ -4,7 +4,7 @@ Fine grain: :func:`pe3d.tridiag.solve_batch` splits the substitutions of
 each batch of a range step into contiguous member blocks on the shared
 thread pool.  Coarse grain: :func:`frequency_farm` runs independent
 single-frequency jobs on worker processes, each worker a contiguous block
-of frequencies.  Correctness contract for both levels is bit-identical
+of frequencies submitted one by one.  Correctness contract for both levels is bit-identical
 output against the serial path.
 
 Speedup and parallel efficiency are always derived from stored wall
@@ -14,9 +14,11 @@ against a named baseline record.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -26,6 +28,10 @@ from .errors import InvariantError
 from .marching import run_frequency
 from .pool import ExecutorSpec, block_ranges
 from .tridiag import OPEN, Diagonals, SolveBatch, factor, solve_batch
+
+# Farm workers are forked: they start with the parent's modules as they
+# are, wrappers installed around pe3d functions included.
+FARM_START_METHOD = "fork"
 
 __all__ = [
     "ExecutorSpec",
@@ -98,21 +104,18 @@ def static_assignment(n_jobs: int, n_workers: int) -> list[list[int]]:
     return blocks
 
 
-def _farm_block(payload):
-    """Worker-side job: run a block of frequencies sequentially.
+def _farm_job(payload):
+    """Worker-side job: run one frequency.
 
     Module-level so process pools can pickle it.  Returns
-    (index, "ok", FrequencyResult) or (index, "error", message) per job.
+    (index, "ok", FrequencyResult) or (index, "error", message).
     """
-    config, jobs, intra_threads = payload
-    spec = ExecutorSpec(intra_threads=intra_threads)
-    outcomes = []
-    for index, frequency in jobs:
-        try:
-            outcomes.append((index, "ok", run_frequency(config, frequency, spec)))
-        except Exception as exc:
-            outcomes.append((index, "error", f"{type(exc).__name__}: {exc}"))
-    return outcomes
+    config, index, frequency, intra_threads = payload
+    try:
+        spec = ExecutorSpec(intra_threads=intra_threads)
+        return index, "ok", run_frequency(config, frequency, spec)
+    except Exception as exc:
+        return index, "error", f"{type(exc).__name__}: {exc}"
 
 
 def frequency_farm(config, frequencies, workers: int = 1,
@@ -122,10 +125,13 @@ def frequency_farm(config, frequencies, workers: int = 1,
     Each worker process owns one contiguous block of frequencies
     (:func:`static_assignment`): every frequency marches the same grid
     for the same number of steps, so blocks of equal size balance the
-    load.  Failures never abort the farm; they are reported per frequency,
-    in input order.  A
-    worker process that dies fails every frequency whose result did not
-    come back, and the results that did are kept.
+    load.  A block runs on its own one-process pool, which gets each of
+    its frequencies as a separate job, so every result comes back as soon
+    as it is done.  Workers start by ``FARM_START_METHOD``.
+
+    Failures never abort the farm; they are reported per frequency, in
+    input order.  A worker process that dies fails the frequencies of its
+    block that had not come back; those that had are kept.
     """
     frequencies = list(frequencies)
     if not frequencies:
@@ -135,30 +141,35 @@ def frequency_farm(config, frequencies, workers: int = 1,
 
     jobs = list(enumerate(frequencies))
     if workers == 1:
-        outcome_lists = [_farm_block((config, jobs, intra_threads))]
+        outcomes = [_farm_job((config, index, frequency, intra_threads))
+                    for index, frequency in jobs]
     else:
-        blocks = [[jobs[i] for i in block]
-                  for block in static_assignment(len(jobs), workers) if block]
-        outcome_lists = []
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            futures = [pool.submit(_farm_block, (config, block, intra_threads))
-                       for block in blocks]
-            for block, future in zip(blocks, futures):
+        context = multiprocessing.get_context(FARM_START_METHOD)
+        outcomes = []
+        with ExitStack() as pools:
+            submitted = []
+            for block in static_assignment(len(jobs), workers):
+                if not block:
+                    continue
+                pool = pools.enter_context(
+                    ProcessPoolExecutor(max_workers=1, mp_context=context))
+                for index in block:
+                    payload = (config, index, frequencies[index], intra_threads)
+                    submitted.append((index, pool.submit(_farm_job, payload)))
+            for index, future in submitted:
                 try:
-                    outcome_lists.append(future.result())
+                    outcomes.append(future.result())
                 except BrokenProcessPool as exc:
-                    message = f"worker process died: {exc}"
-                    outcome_lists.append(
-                        [(index, "error", message) for index, _ in block])
+                    outcomes.append(
+                        (index, "error", f"worker process died: {exc}"))
 
     results = [None] * len(frequencies)
     failures = []
-    for outcomes in outcome_lists:
-        for index, status, payload in outcomes:
-            if status == "ok":
-                results[index] = payload
-            else:
-                failures.append(FarmFailure(index, frequencies[index], payload))
+    for index, status, payload in outcomes:
+        if status == "ok":
+            results[index] = payload
+        else:
+            failures.append(FarmFailure(index, frequencies[index], payload))
     return FarmReport(results=results, failures=failures)
 
 

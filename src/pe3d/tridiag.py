@@ -3,20 +3,28 @@ substitutions.
 
 This is the hot kernel of the range-marching scheme (two tri-diagonal
 solves per step).  Every system of one sweep shares one matrix, so
-:func:`factor` turns the diagonals of that one matrix into
-:class:`Factors`, and :func:`solve_batch` substitutes the right-hand sides
-of a :class:`SolveBatch` against them.  The right-hand sides are laid out
-structure-of-arrays: one row per elimination index, contiguous across the
-batch, so every inner-loop operation is a unit-stride vector op over batch
-members, with the factors broadcast across them.  The marcher factors its
-depth matrix once per frequency and its azimuth matrix once per range
-step.
+:func:`factor` turns the diagonals of that matrix into :class:`Factors`,
+and :func:`solve_batch` substitutes the right-hand sides of a
+:class:`SolveBatch` against them.  :func:`factor` also factors several
+matrices side by side, one per column, and :meth:`Factors.column` hands
+out one of them.  The right-hand sides are laid out structure-of-arrays:
+one row per elimination index, contiguous across the batch, so every
+inner-loop operation is a unit-stride vector op over batch members, with
+the factors broadcast across them.  The marcher factors its depth matrix
+once per frequency and the azimuth matrices of a block of range steps
+together.
 
-Determinism: every kernel operation is elementwise per batch member and
-numpy elementwise complex arithmetic is value-deterministic, so a member's
-solution does not depend on which other members share its kernel call.
-Batched results are therefore bit-identical to scalar solves, and
-invariant under the thread count, which only changes the column partition.
+Determinism: every kernel operation is elementwise per batch member (and
+per factored column), and numpy elementwise complex arithmetic is
+value-deterministic, so a member's solution does not depend on which
+other members share its kernel call.  Batched results are therefore
+bit-identical to scalar solves, and invariant under the thread count,
+which only changes the column partition.
+
+Rounding: numpy's vectorised complex product uses fused multiply-adds, so
+``a * b`` and ``b * a`` can differ in their last bits.  Every product
+here keeps a fixed operand order and writes into an array distinct from
+its operands.
 
 Cyclic systems are solved by a rank-1 (Sherman-Morrison) correction of an
 open solve.  Corner storage convention for cyclic systems of size n:
@@ -127,26 +135,28 @@ class Diagonals:
 
 @dataclass(eq=False)
 class Factors:
-    """LU factors of one matrix, ready for any number of substitutions.
+    """LU factors of tri-diagonal matrices of one size and topology, one
+    per column, ready for any number of substitutions.
 
-    Arrays keep the (row, 1) layout of width-1 :class:`Diagonals`, so they
-    broadcast across the columns of a batch.  ``cp`` and ``inv`` are the
-    modified super-diagonal and the reciprocal pivots of the open
-    elimination, ``sub`` the sub-diagonal its forward sweep reads.  A
-    cyclic matrix also keeps its Sherman-Morrison spike: ``q`` is the open
-    solve against (gamma, 0, ..., 0, beta), and ``weight`` and ``denom``
-    complete the rank-1 correction.
+    Arrays keep the (row, matrix) layout of :class:`Diagonals`; width-1
+    factors broadcast across the columns of a batch, and
+    :meth:`column` takes one matrix out of wider ones.  ``cp`` and
+    ``inv`` are the modified super-diagonal and the reciprocal pivots of
+    the open elimination, ``sub`` the sub-diagonal its forward sweep
+    reads.  A cyclic matrix also keeps its Sherman-Morrison spike: ``q``
+    is the open solve against (gamma, 0, ..., 0, beta), and ``weight`` and
+    ``denom`` (one value per matrix) complete the rank-1 correction.
 
-    ``singular`` is the error for a singular matrix, or None.  It is raised
-    when the factors are used, so a factorization made ahead of time fails
-    where its first solve would have.
+    ``errors`` holds, per matrix, the error for a singular matrix or None.
+    It is raised when the factors are used, so a factorization made ahead
+    of time fails where its first solve would have.
     """
 
     topology: str
     sub: np.ndarray
     cp: np.ndarray
     inv: np.ndarray
-    singular: SingularSystemError | None
+    errors: tuple
     q: np.ndarray | None = None
     weight: np.ndarray | None = None
     denom: np.ndarray | None = None
@@ -155,18 +165,45 @@ class Factors:
     def n(self) -> int:
         return self.inv.shape[0]
 
+    @property
+    def width(self) -> int:
+        return self.inv.shape[1]
+
+    @property
+    def singular(self) -> SingularSystemError | None:
+        """The error of the first singular matrix, or None."""
+        return next((e for e in self.errors if e is not None), None)
+
+    def column(self, j: int) -> "Factors":
+        """The factors of matrix ``j`` on their own, at width 1, with its
+        own error."""
+        cut = slice(j, j + 1)
+        cyclic = self.topology == CYCLIC
+        return Factors(
+            self.topology, self.sub[:, cut], self.cp[:, cut],
+            self.inv[:, cut], (self.errors[j],),
+            self.q[:, cut] if cyclic else None,
+            self.weight[cut] if cyclic else None,
+            self.denom[cut] if cyclic else None,
+        )
+
 
 @dataclass(eq=False)
 class SolveBatch:
     """Right-hand sides to solve against one factored matrix.
 
     ``rhs`` has shape (n, n_systems), rows contiguous across the batch.
+    The factors have width 1: every member shares the one matrix.
     """
 
     factors: Factors
     rhs: np.ndarray
 
     def __post_init__(self):
+        if self.factors.width != 1:
+            raise ShapeError(
+                f"a batch shares one matrix, got factors of width "
+                f"{self.factors.width}")
         if self.rhs.ndim != 2:
             raise ShapeError("batch rhs must be 2-D (row x member)")
         n, w = self.rhs.shape
@@ -215,30 +252,33 @@ def _factor_open(sub, main, sup):
 
 
 def _bad_pivots(inv) -> np.ndarray:
-    """Row mask of the pivots below ``PIVOT_FLOOR``."""
-    return np.abs(inv[:, 0]) > 1.0 / PIVOT_FLOOR
+    """(row, matrix) mask of the pivots below ``PIVOT_FLOOR``."""
+    return np.abs(inv) > 1.0 / PIVOT_FLOOR
 
 
-def _first_singular(bad, rank1_row=None) -> SingularSystemError | None:
-    """The error for the first singular row in the mask ``bad``; None when
-    there is none."""
+def _first_singular(bad, rank1_row=None) -> tuple:
+    """Per column of the (row, matrix) mask ``bad``, the error for its
+    first singular row, or None when there is none."""
     if not bad.any():
-        return None
-    row = int(np.argmax(bad))
-    detail = "singular rank-1 correction" if row == rank1_row else ""
-    return SingularSystemError(row, detail=detail)
+        return (None,) * bad.shape[1]
+    errors = []
+    for j, row in enumerate(np.argmax(bad, axis=0).tolist()):
+        if not bad[row, j]:
+            errors.append(None)
+            continue
+        detail = "singular rank-1 correction" if row == rank1_row else ""
+        errors.append(SingularSystemError(row, detail=detail))
+    return tuple(errors)
 
 
 def _substitute_open(cp, inv, sub, rhs, x):
     """Forward and back substitution into ``x``, which may be ``rhs``.
 
-    The factors have one column, shared by every column of ``rhs``: the
+    The factors have one column, shared by every column of ``rhs`` (the
     row operations broadcast, and elementwise complex arithmetic gives the
-    same bits whether an operand is broadcast or stored per column.
-    Each row costs three ufunc calls forward and two back, on row views
-    and one scratch row.  No product writes into one of its own operands:
-    numpy's in-place complex product can round differently from the
-    out-of-place one.
+    same bits whether an operand is broadcast or stored per column), or
+    one column per column of ``rhs``.  Each row costs three ufunc calls
+    forward and two back, on row views and one scratch row.
     """
     x_rows, rhs_rows = list(x), list(rhs)
     t = np.empty_like(x_rows[0])
@@ -255,16 +295,16 @@ def _substitute_open(cp, inv, sub, rhs, x):
 
 
 def factor(diagonals: Diagonals) -> Factors:
-    """Factor the one matrix of width-1 ``diagonals``; never raises for a
-    singular matrix (see :attr:`Factors.singular`).
+    """Factor every matrix (column) of ``diagonals``; never raises for a
+    singular matrix (see :attr:`Factors.errors`).
 
     A cyclic matrix is factored as its open part with a modified diagonal,
     and the spike of the Sherman-Morrison correction is solved here, once,
-    for every later substitution.  A matrix fails at its first singular pivot, else at a singular rank-1
-    correction (reported as row n).
+    for every later substitution.  A matrix fails at its first singular
+    pivot, else at a singular rank-1 correction (reported as row n).
+    Every operation is elementwise per column, so a column's factors have
+    the bits of that column factored on its own.
     """
-    if diagonals.width != 1:
-        raise ShapeError(f"factor takes one matrix, got {diagonals.width}")
     sub, main, sup = diagonals.sub, diagonals.main, diagonals.sup
     if diagonals.topology == OPEN:
         cp, inv = _factor_open(sub, main, sup)
@@ -286,19 +326,28 @@ def factor(diagonals: Diagonals) -> Factors:
         q = _substitute_open(cp, inv, sub_open, spike, spike)
         weight = alpha / gamma
         denom = 1.0 + q[0] + weight * q[n - 1]
-        bad = np.append(_bad_pivots(inv), np.abs(denom) < PIVOT_FLOOR)
+        bad = np.vstack([_bad_pivots(inv), np.abs(denom) < PIVOT_FLOOR])
     return Factors(CYCLIC, sub_open, cp, inv, _first_singular(bad, rank1_row=n),
                    q, weight, denom)
 
 
 def _substitute(factors: Factors, rhs: np.ndarray, x: np.ndarray):
     """Solve the columns of ``rhs`` against nonsingular ``factors`` into
-    ``x``."""
+    ``x``, which may be ``rhs``.
+
+    The rank-1 correction of a cyclic matrix runs row by row through one
+    scratch row: a whole-array outer product with the spike would make
+    numpy allocate iteration buffers for the broadcast.
+    """
     _substitute_open(factors.cp, factors.inv, factors.sub, rhs, x)
     if factors.topology == CYCLIC:
         n = factors.n
         correction = (x[0] + factors.weight * x[n - 1]) / factors.denom
-        x -= factors.q * correction
+        t = np.empty_like(correction)
+        multiply, subtract = np.multiply, np.subtract
+        for q_row, x_row in zip(factors.q, x):
+            multiply(q_row, correction, out=t)
+            subtract(x_row, t, out=x_row)
 
 
 def solve_thomas(system: TriDiagSystem) -> np.ndarray:
@@ -323,9 +372,11 @@ def _solve_one(system: TriDiagSystem) -> np.ndarray:
     return solve_batch(SolveBatch(factor(system.diagonals()), rhs))[:, 0]
 
 
-def solve_batch(batch: SolveBatch, parallel_hint: int = 1) -> np.ndarray:
+def solve_batch(batch: SolveBatch, parallel_hint: int = 1,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Solve every member; returns the solutions in the layout of the
-    right-hand sides, (n, n_systems).
+    right-hand sides, (n, n_systems): in ``out`` when given, which may be
+    ``batch.rhs`` itself, else in a new array.
 
     The members are split into ``parallel_hint`` contiguous blocks and each
     block is substituted full-width in one kernel call, straight into its
@@ -338,10 +389,14 @@ def solve_batch(batch: SolveBatch, parallel_hint: int = 1) -> np.ndarray:
     factors = batch.factors
     if factors.singular is not None:
         raise factors.singular.with_traceback(None)
-    out = np.empty((batch.n, batch.n_systems), dtype=np.complex128)
+    rhs = batch.rhs
+    if out is None:
+        out = np.empty(rhs.shape, dtype=np.complex128)
+    elif out.shape != rhs.shape or out.dtype != np.complex128:
+        raise ShapeError(f"out must be complex of shape {rhs.shape}")
 
     def worker(lo, hi):
-        _substitute(factors, batch.rhs[:, lo:hi], out[:, lo:hi])
+        _substitute(factors, rhs[:, lo:hi], out[:, lo:hi])
 
     failures = fork_join(worker, batch.n_systems, parallel_hint)
     if failures:

@@ -252,8 +252,8 @@ class TestTransmissionLoss:
 
     def test_field_clamp_count(self):
         values = np.array([[0.0 + 0.0j, 1.0 + 0.0j, 0.0 + 0.0j]])
-        tl, clamped = transmission_loss_field(values, 1.0 + 0.0j)
-        assert clamped == 2
+        tl, clamped, nonfinite = transmission_loss_field(values, 1.0 + 0.0j)
+        assert clamped == 2 and nonfinite == 0
         assert tl[0, 0] == TL_FLOOR_DB and tl[0, 1] == 0.0
         assert np.all(np.isfinite(tl))
 

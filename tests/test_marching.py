@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import pe3d.marching as marching_module
+import pe3d.operators as operators_module
 
 from conftest import make_config, make_env, make_grid, random_slab_values
 from pe3d.config import RunOptions
@@ -16,6 +20,7 @@ from pe3d.environment import (
 )
 from pe3d.errors import DomainError, StepError
 from pe3d.marching import (
+    AZIMUTH_BLOCK,
     Marcher,
     MarchState,
     apply_boundary,
@@ -27,7 +32,6 @@ from pe3d.operators import (
     StepCoefficients,
     assemble_azimuth_batch,
     assemble_depth_batch,
-    compute_rhs,
 )
 from pe3d.pool import ExecutorSpec
 
@@ -241,13 +245,47 @@ def _reference_cyclic(sub, main, sup, rhs):
     return y
 
 
+def _second_difference(u, axis, periodic):
+    """Second difference with zero exterior or wrap-around, as a new
+    array."""
+    if periodic:
+        return np.roll(u, -1, axis=axis) + np.roll(u, 1, axis=axis) - 2.0 * u
+    d2 = np.empty_like(u)
+    mid = [slice(None)] * u.ndim
+    lo = [slice(None)] * u.ndim
+    hi = [slice(None)] * u.ndim
+    mid[axis], lo[axis], hi[axis] = slice(1, -1), slice(None, -2), slice(2, None)
+    d2[tuple(mid)] = u[tuple(hi)] - 2.0 * u[tuple(mid)] + u[tuple(lo)]
+    first = [slice(None)] * u.ndim
+    second = [slice(None)] * u.ndim
+    first[axis], second[axis] = 0, 1
+    d2[tuple(first)] = u[tuple(second)] - 2.0 * u[tuple(first)]
+    first[axis], second[axis] = -1, -2
+    d2[tuple(first)] = u[tuple(second)] - 2.0 * u[tuple(first)]
+    return d2
+
+
+def reference_rhs(u, r, grid, n_field, k0, coeffs):
+    """The explicit side [I + cx_rhs X] [I + cy_rhs Y] u as whole-array
+    numpy expressions that allocate every intermediate:
+    temp = u + cy_rhs * Y u, then temp + cx_rhs * X temp."""
+    s_y = 1.0 / (k0 * r * grid.delta_theta) ** 2
+    yu = s_y * _second_difference(u, 0, grid.azimuth_topology == PERIODIC)
+    temp = u + coeffs.cy_rhs * yu
+    local = np.asarray(n_field, dtype=np.complex128) ** 2 - 1.0
+    s_z = 1.0 / (k0 * grid.delta_z) ** 2
+    xt = local * temp + s_z * _second_difference(temp, -1, False)
+    return temp + coeffs.cx_rhs * xt
+
+
 def reference_step(slab, j, grid, env, k0, coeffs):
     """One range step with a matrix per member, assembled and factored
     in every step: the plain form of the scheme the marcher shortcuts."""
     apply_boundary(slab, grid)
     r_new = grid.range_at(j + 1)
     n_now = refraction_index_grid(env, grid, slab.range_m)
-    rhs = compute_rhs(slab, coeffs, n_now, k0, grid)
+    rhs = FieldSlab(reference_rhs(slab.values, slab.range_m, grid, n_now, k0,
+                                  coeffs), slab.range_m)
     apply_boundary(rhs, grid)
     depth = assemble_depth_batch(coeffs.cx_lhs, refraction_index_grid(
         env, grid, r_new), k0, grid.delta_z)
@@ -255,7 +293,7 @@ def reference_step(slab, j, grid, env, k0, coeffs):
     b[0] = 0.0
     v = np.ascontiguousarray(
         _reference_open(depth.sub, depth.main, depth.sup, b).T)
-    azimuth = assemble_azimuth_batch(coeffs.cy_lhs, k0, r_new,
+    azimuth = assemble_azimuth_batch(coeffs.cy_lhs, k0, [r_new],
                                      grid.delta_theta, grid.azimuth_topology,
                                      grid.n_azimuth)
     full = [np.broadcast_to(a, (a.shape[0], grid.n_depth))
@@ -272,11 +310,13 @@ def reference_step(slab, j, grid, env, k0, coeffs):
 
 
 class TestReferenceStepper:
-    """The shared factors must give the bits of a matrix per member.
+    """The shared factors and the marcher's explicit side must give the
+    bits of a matrix per member and of whole-array expressions.
 
     The grids are larger than numpy's 256 KiB threshold for evaluating
     temporaries in place, where a depth matrix assembled at width 1
-    rounds differently from one assembled over the full grid.
+    rounds differently from one assembled over the full grid, and where
+    the reference's products by a temporary run with swapped operands.
     """
 
     @staticmethod
@@ -318,6 +358,74 @@ class TestReferenceStepper:
         for j in range(grid.n_range):
             reference = reference_step(reference, j, grid, env, k0, coeffs)
         assert result.final_slab.values.tobytes() == reference.values.tobytes()
+
+
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_across_azimuth_blocks(self, topology):
+        # more steps than one block of azimuth factors
+        grid = make_grid(n_range=AZIMUTH_BLOCK + 6, n_azimuth=12, n_depth=24,
+                         topology=topology)
+        config = make_config(grid=grid)
+        env = config.environment
+        k0 = wavenumber(50.0, env.c0)
+        coeffs = StepCoefficients.for_step(k0, grid.delta_r)
+        values = random_slab_values(np.random.default_rng(78), grid)
+        marcher = Marcher(grid, env, k0, coeffs)
+        state = MarchState(FieldSlab(values.copy(), grid.r_start), 0)
+        reference = FieldSlab(values.copy(), grid.r_start)
+        for j in range(grid.n_range):
+            state = range_step(marcher, state)
+            reference = reference_step(reference, j, grid, env, k0, coeffs)
+        assert state.slab.values.tobytes() == reference.values.tobytes()
+
+
+class TestStepArrays:
+    """A step streams through the marcher's arrays: it builds no stencil,
+    factors nothing on a march within one block of azimuth factors, and
+    allocates only the new slab."""
+
+    @staticmethod
+    def stepped(topology):
+        grid = make_grid(n_range=8, n_azimuth=72, n_depth=256,
+                         topology=topology)
+        marcher, state = make_state(make_config(grid=grid))
+        return marcher, range_step(marcher, state)
+
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_step_allocates_one_slab(self, topology):
+        marcher, state = self.stepped(topology)
+        slab_bytes = state.slab.values.nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            state = range_step(marcher, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.25 * slab_bytes
+
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_step_factors_nothing(self, topology, monkeypatch):
+        grid = make_grid(n_range=8, n_azimuth=12, n_depth=24,
+                         topology=topology)
+        marcher, state = make_state(make_config(grid=grid))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called by a range step")
+
+        for name in ("factor", "depth_stencil", "assemble_azimuth_batch",
+                     "assemble_depth_batch", "refraction_index_grid"):
+            monkeypatch.setattr(marching_module, name, forbidden)
+        for name in ("depth_stencil", "apply_X", "apply_Y"):
+            monkeypatch.setattr(operators_module, name, forbidden)
+        for _ in range(grid.n_range):
+            state = range_step(marcher, state)
+
+    def test_new_slab_owns_its_memory(self):
+        marcher, state = self.stepped(PERIODIC)
+        new = range_step(marcher, state).slab.values
+        for array in marcher.work + (marcher.rhs, state.slab.values):
+            assert not np.shares_memory(new, array)
 
 
 class TestNormInvariants:
@@ -415,6 +523,25 @@ class TestRunFrequency:
         config = make_config(n_range=5)
         result = run_frequency(config, 50.0)
         assert np.all(np.isfinite(result.tl_field))
+
+    def test_nonfinite_field_fails_at_recorded_range(self, monkeypatch):
+        # a NaN after step 3 spreads through the march; the first recorded
+        # range after it (stride 2: step 4) stops the frequency
+        options = RunOptions(output_stride=2)
+        config = make_config(n_range=8, options=options)
+        real_step = marching_module.range_step
+
+        def poisoned_step(marcher, state):
+            new = real_step(marcher, state)
+            if new.range_index == 3:
+                new.slab.values[2, 5] = np.nan
+            return new
+
+        monkeypatch.setattr(marching_module, "range_step", poisoned_step)
+        with pytest.raises(StepError) as info:
+            run_frequency(config, 50.0)
+        assert info.value.range_index == 4 and info.value.sweep is None
+        assert "non-finite" in str(info.value)
 
     def test_state_range_invariant(self):
         config = make_config(n_range=4)

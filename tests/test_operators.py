@@ -253,6 +253,26 @@ class TestAssembleAzimuthSystem:
         with pytest.raises(DomainError):
             assemble_azimuth_batch(0.1, 0.2, -1.0, 0.1, PERIODIC, 4)
 
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_block_of_ranges(self, topology):
+        # one matrix per range, each with the bits of its own assembly and
+        # of the scalar coefficient arithmetic
+        coeff = -0.26179938779914946j
+        k0, delta_theta = 0.2094, 2 * math.pi / 9
+        ranges = [15.0 + 5.0 * i for i in range(7)]
+        block = assemble_azimuth_batch(coeff, k0, ranges, delta_theta,
+                                       topology, 9)
+        assert block.width == 7
+        for j, r in enumerate(ranges):
+            alone = assemble_azimuth_batch(coeff, k0, [r], delta_theta,
+                                           topology, 9)
+            for name in ("sub", "main", "sup"):
+                assert np.ascontiguousarray(getattr(block, name)[:, j]).tobytes() \
+                    == np.ascontiguousarray(getattr(alone, name)[:, 0]).tobytes()
+            s = 1.0 / (k0 * r * delta_theta) ** 2
+            assert block.main[4, j] == 1.0 - 2.0 * coeff * s
+            assert block.sub[4, j] == coeff * s
+
     def test_sector_solve_leaves_rhs_unchanged(self):
         grid = make_grid(n_azimuth=6, n_depth=4, topology=SECTOR)
         rhs = np.ones((6, 4), dtype=complex)
@@ -262,13 +282,21 @@ class TestAssembleAzimuthSystem:
         assert np.array_equal(rhs, np.ones((6, 4)))
 
 
+def explicit_side(slab, coeffs, n_field, k0, grid):
+    """:func:`compute_rhs` into new arrays, returned azimuth-major."""
+    work = tuple(np.empty_like(slab.values) for _ in range(3))
+    out = np.empty(slab.values.shape[::-1], dtype=complex)
+    stencil = depth_stencil(n_field, k0, grid.delta_z)
+    return compute_rhs(slab, coeffs, stencil, k0, grid, work, out).T
+
+
 class TestComputeRhs:
     def test_zero_field(self):
         grid = make_grid(n_azimuth=4, n_depth=8)
         coeffs = StepCoefficients.for_step(0.2, 5.0)
         slab = FieldSlab(np.zeros((4, 8), dtype=complex), grid.r_start)
-        out = compute_rhs(slab, coeffs, np.ones((4, 8)), 0.2, grid)
-        assert np.all(out.values == 0.0)
+        out = explicit_side(slab, coeffs, np.ones((4, 8)), 0.2, grid)
+        assert np.all(out == 0.0)
 
     def test_azimuth_constant_reduces_to_x_factor(self):
         rng = np.random.default_rng(9)
@@ -278,10 +306,10 @@ class TestComputeRhs:
         column = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         values = np.broadcast_to(column, (6, 16)).copy()
         slab = FieldSlab(values, grid.r_start)
-        out = compute_rhs(slab, coeffs, np.ones((6, 16)), k0, grid)
+        out = explicit_side(slab, coeffs, np.ones((6, 16)), k0, grid)
         expected = values + coeffs.cx_rhs * apply_X(values, np.ones(16), k0,
                                                     grid.delta_z)
-        assert np.array_equal(out.values, expected)
+        assert np.array_equal(out, expected)
 
     def test_dense_kronecker_oracle(self):
         # 3x3 slab against explicitly formed 9x9 factors
@@ -291,7 +319,7 @@ class TestComputeRhs:
         coeffs = StepCoefficients.for_step(k0, grid.delta_r)
         u = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         slab = FieldSlab(u.copy(), grid.r_start)
-        out = compute_rhs(slab, coeffs, np.ones((3, 3)), k0, grid)
+        out = explicit_side(slab, coeffs, np.ones((3, 3)), k0, grid)
 
         s_z = 1.0 / (k0 * grid.delta_z) ** 2
         s_y = 1.0 / (k0 * grid.r_start * grid.delta_theta) ** 2
@@ -299,7 +327,7 @@ class TestComputeRhs:
         y_hat = np.kron(s_y * second_diff_periodic(3), np.eye(3))
         dense = (np.eye(9) + coeffs.cx_rhs * x_hat) @ (
             np.eye(9) + coeffs.cy_rhs * y_hat) @ u.ravel()
-        assert np.max(np.abs(out.values.ravel() - dense)) \
+        assert np.max(np.abs(out.ravel() - dense)) \
             <= 1e-13 * np.max(np.abs(dense))
 
     def test_linearity(self):
@@ -311,12 +339,12 @@ class TestComputeRhs:
         u = random_slab_values(rng, grid, zero_surface=False)
         v = random_slab_values(rng, grid, zero_surface=False)
         a, b = 1.3 - 0.2j, -0.7 + 0.9j
-        combined = compute_rhs(FieldSlab(a * u + b * v, grid.r_start),
-                               coeffs, n_field, k0, grid).values
-        separate = a * compute_rhs(FieldSlab(u.copy(), grid.r_start),
-                                   coeffs, n_field, k0, grid).values \
-            + b * compute_rhs(FieldSlab(v.copy(), grid.r_start),
-                              coeffs, n_field, k0, grid).values
+        combined = explicit_side(FieldSlab(a * u + b * v, grid.r_start),
+                                 coeffs, n_field, k0, grid)
+        separate = a * explicit_side(FieldSlab(u.copy(), grid.r_start),
+                                     coeffs, n_field, k0, grid) \
+            + b * explicit_side(FieldSlab(v.copy(), grid.r_start),
+                                coeffs, n_field, k0, grid)
         assert np.max(np.abs(combined - separate)) \
             <= 1e-12 * np.max(np.abs(separate))
 
@@ -328,10 +356,10 @@ class TestComputeRhs:
         k0 = 0.3
         coeffs = StepCoefficients.for_step(k0, 0.0)
         u = random_slab_values(rng, grid, zero_surface=False)
-        out = compute_rhs(FieldSlab(u.copy(), grid.r_start), coeffs,
-                          np.ones((4, 10)), k0, grid)
+        out = explicit_side(FieldSlab(u.copy(), grid.r_start), coeffs,
+                            np.ones((4, 10)), k0, grid)
         expected = u + 0.25 * apply_X(u, np.ones(10), k0, grid.delta_z)
-        assert np.array_equal(out.values, expected)
+        assert np.array_equal(out, expected)
         batch = assemble_depth_batch(coeffs.cx_lhs, np.ones(10), k0,
                                      grid.delta_z)
         mirror = assemble_depth_batch(0.25 + 0.0j, np.ones(10), k0,
@@ -339,6 +367,24 @@ class TestComputeRhs:
         for diagonal in ("sub", "main", "sup"):
             assert np.array_equal(getattr(batch, diagonal),
                                   getattr(mirror, diagonal))
+
+
+class TestComputeRhsArrays:
+    def test_writes_out_and_checks_shapes(self):
+        rng = np.random.default_rng(43)
+        grid = make_grid(n_azimuth=5, n_depth=12)
+        coeffs = StepCoefficients.for_step(0.2, 5.0)
+        slab = FieldSlab(random_slab_values(rng, grid), grid.r_start)
+        stencil = depth_stencil(np.ones((5, 12)), 0.2, grid.delta_z)
+        work = tuple(np.empty((5, 12), dtype=complex) for _ in range(3))
+        out = np.empty((12, 5), dtype=complex)
+        assert compute_rhs(slab, coeffs, stencil, 0.2, grid, work, out) is out
+        with pytest.raises(ShapeError):
+            compute_rhs(slab, coeffs, stencil, 0.2, grid, work,
+                        np.empty((5, 12), dtype=complex))
+        with pytest.raises(ShapeError):
+            compute_rhs(slab, coeffs, stencil, 0.2, grid,
+                        work[:2] + (np.empty((12, 5), dtype=complex),), out)
 
 
 class TestBatchAssembly:

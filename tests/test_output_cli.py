@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import pe3d
+import pe3d.marching as marching
 import pe3d.parallel as parallel
 from conftest import make_config
 from pe3d.cli import main
 from pe3d.config import RunOptions
+from pe3d.environment import wavenumber
 from pe3d.errors import ConfigError
 from pe3d.marching import run_frequency
 from pe3d.output import (
@@ -213,6 +215,40 @@ class TestCmdRun:
         dead = next(e for e in entries if e["frequency_hz"] == 50.0)
         assert dead["status"] == "error"
         assert "worker process died" in dead["message"]
+
+    def test_diverging_field_fails_its_frequency(self, tmp_path, monkeypatch):
+        # a NaN in the 50 Hz slab at step 3: 50 Hz stops there with a
+        # StepError, and 30 and 70 Hz and the manifest are written
+        cfg = write_cfg(tmp_path, frequencies="30.0, 50.0, 70.0",
+                        fmt="binary-grid")
+        outdir = tmp_path / "nan"
+        real_step = marching.range_step
+        k0 = wavenumber(50.0, 1500.0)
+
+        def poisoned_step(marcher, state):
+            new = real_step(marcher, state)
+            if marcher.k0 == k0 and new.range_index == 3:
+                new.slab.values[3, 5] = np.nan
+            return new
+
+        monkeypatch.setattr(marching, "range_step", poisoned_step)
+        assert main(["run", "--config", str(cfg), "--output", str(outdir),
+                     "--stride", "1"]) == 1
+        entries = {e["frequency_hz"]: e
+                   for e in load_manifest(outdir)["frequencies"]}
+        assert entries[50.0]["status"] == "error"
+        assert entries[50.0]["message"].startswith("StepError: range step 3 ")
+        for frequency in (30.0, 70.0):
+            assert entries[frequency]["status"] == "ok"
+            assert (outdir / entries[frequency]["file"]).exists()
+
+    def test_start_method_in_manifest(self, tmp_path):
+        cfg = write_cfg(tmp_path, frequencies="40.0, 50.0")
+        for workers, method in (("1", None), ("2", "fork")):
+            outdir = tmp_path / f"w{workers}"
+            assert main(["run", "--config", str(cfg), "--output", str(outdir),
+                         "--workers", workers]) == 0
+            assert load_manifest(outdir)["executor"]["start_method"] == method
 
     def test_stride_flag_applies(self, tmp_path):
         cfg = write_cfg(tmp_path)

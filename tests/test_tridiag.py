@@ -268,19 +268,38 @@ class TestSolveBatch:
             assert info.value.pivot_index == 2
 
     def test_width_must_fit_rhs(self):
-        # factor takes one matrix, shared by every right-hand side, and
-        # the right-hand sides must have its rows
+        # a batch shares one matrix: factors of several matrices are
+        # rejected until one column is taken out, and the right-hand sides
+        # must have its rows
         rng = np.random.default_rng(12)
-        wide = Diagonals(np.ones((5, 3)), 4.0 * np.ones((6, 3)),
-                         np.ones((5, 3)))
+        wide = factor(Diagonals(np.ones((5, 3)), 4.0 * np.ones((6, 3)),
+                                np.ones((5, 3))))
+        assert wide.width == 3
         with pytest.raises(ShapeError, match="one matrix"):
-            factor(wide)
-        assert factor(wide.column(2)).n == 6
+            SolveBatch(wide, np.ones((6, 4)))
+        assert SolveBatch(wide.column(2), np.ones((6, 4))).n == 6
         shared = factor(random_system(rng, 6, OPEN).diagonals())
         with pytest.raises(ShapeError):
             SolveBatch(shared, np.ones((5, 4)))
         with pytest.raises(ShapeError):
             SolveBatch(shared, np.ones(6))
+
+    @pytest.mark.parametrize("topology", [OPEN, CYCLIC])
+    def test_out_in_place_or_given(self, topology):
+        # the solutions go into a given array, which may be the right-hand
+        # sides themselves; the bits are those of a solve into a new array
+        rng = np.random.default_rng(13)
+        batch, _ = shared_batch(random_system(rng, 21, topology), 40, rng)
+        expected = solve_batch(batch).tobytes()
+        for hint in (1, 3):
+            rhs = batch.rhs.copy()
+            got = solve_batch(SolveBatch(batch.factors, rhs), hint, out=rhs)
+            assert got is rhs and rhs.tobytes() == expected
+            out = np.empty_like(batch.rhs)
+            assert solve_batch(batch, hint, out=out) is out
+            assert out.tobytes() == expected
+        with pytest.raises(ShapeError):
+            solve_batch(batch, out=np.empty((21, 39), dtype=complex))
 
     def test_empty_batch_rejected(self):
         shared = factor(random_system(np.random.default_rng(0), 5, OPEN)
@@ -303,6 +322,66 @@ class TestSolveBatch:
         assert np.array_equal(batch.rhs[:, 2], columns[2].rhs)
         assert solve_batch(batch)[:, 2].tobytes() \
             == solve_cyclic(columns[2]).tobytes()
+
+
+def wide_diagonals(systems):
+    """The matrices of ``systems`` side by side, one per column."""
+    def stack(name):
+        return np.stack([getattr(s, name) for s in systems], axis=1)
+    return Diagonals(stack("sub"), stack("main"), stack("sup"),
+                     systems[0].topology)
+
+
+class TestWideFactor:
+    @pytest.mark.parametrize("topology", [OPEN, CYCLIC])
+    def test_columns_equal_width_one_factors(self, topology):
+        rng = np.random.default_rng(21)
+        wide = wide_diagonals([random_system(rng, 40, topology)
+                               for _ in range(64)])
+        factors = factor(wide)
+        assert factors.width == 64 and factors.singular is None
+        names = ("cp", "inv", "q", "weight", "denom") if topology == CYCLIC \
+            else ("cp", "inv")
+        for j in range(64):
+            column, alone = factors.column(j), factor(wide.column(j))
+            assert column.width == 1 and column.singular is None
+            for name in names:
+                assert getattr(column, name).tobytes() \
+                    == getattr(alone, name).tobytes(), (j, name)
+
+    def test_open_column_carries_its_error(self):
+        regular = random_system(np.random.default_rng(22), 5, OPEN)
+        pivot_2 = TriDiagSystem(sub=np.ones(4), main=[1.0, 1.0, 0.0, 2.0, 1.0],
+                                sup=np.zeros(4), rhs=np.ones(5))
+        pivot_0 = TriDiagSystem(sub=np.ones(4), main=[0.0, 1.0, 1.0, 1.0, 1.0],
+                                sup=np.ones(4), rhs=np.ones(5))
+        factors = factor(wide_diagonals([regular, pivot_2, pivot_0]))
+        assert factors.column(0).singular is None
+        assert factors.column(1).singular.pivot_index == 2
+        assert factors.column(2).singular.pivot_index == 0
+        assert factors.singular is factors.column(1).singular
+        solve_batch(SolveBatch(factors.column(0), np.ones((5, 3))))
+        with pytest.raises(SingularSystemError) as info:
+            solve_batch(SolveBatch(factors.column(1), np.ones((5, 3))))
+        assert info.value.pivot_index == 2
+
+    def test_cyclic_column_carries_its_error(self):
+        # column 1 is singular only in the rank-1 correction (row n = 3),
+        # column 2 at pivot 1 of the factorization
+        regular = random_system(np.random.default_rng(23), 3, CYCLIC)
+        rank1 = TriDiagSystem(sub=[1.0, 0.0, 0.0], main=np.ones(3),
+                              sup=[0.0, 0.0, 1.0], rhs=np.ones(3),
+                              topology=CYCLIC)
+        pivot_1 = TriDiagSystem(sub=np.zeros(3), main=[1.0, 0.0, 1.0],
+                                sup=np.zeros(3), rhs=np.ones(3),
+                                topology=CYCLIC)
+        factors = factor(wide_diagonals([regular, rank1, pivot_1]))
+        assert factors.column(0).singular is None
+        error = factors.column(1).singular
+        assert (error.pivot_index, error.detail) \
+            == (3, "singular rank-1 correction")
+        error = factors.column(2).singular
+        assert (error.pivot_index, error.detail) == (1, "")
 
 
 class TestSolverProperties:
