@@ -1,6 +1,6 @@
 """pe3d: three-dimensional wide-angle parabolic-equation solver for
-underwater acoustic propagation, with a two-level parallel execution model
-and a scaling benchmark harness."""
+underwater acoustic propagation, with a two-level parallel execution
+model: threads inside a range step, worker processes across frequencies."""
 
 __version__ = "0.1.0"
 
@@ -35,10 +35,7 @@ from .operators import (
 from .parallel import (
     ExecutorSpec,
     FarmReport,
-    TimingRecord,
     frequency_farm,
-    scaling_harness,
-    static_assignment,
 )
 from .tridiag import (
     SolveBatch,
@@ -77,10 +74,7 @@ __all__ = [
     "compute_rhs",
     "ExecutorSpec",
     "FarmReport",
-    "TimingRecord",
     "frequency_farm",
-    "scaling_harness",
-    "static_assignment",
     "SolveBatch",
     "TriDiagSystem",
     "dense_oracle_solve",

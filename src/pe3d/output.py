@@ -1,4 +1,4 @@
-"""Transmission-loss grid files, run manifests, and timing CSV.
+"""Transmission-loss grid files and run manifests.
 
 TL CSV layout: header lines prefixed ``#`` holding ``key=value`` pairs
 (the last one lists the column names), then one
@@ -27,10 +27,6 @@ from .marching import FrequencyResult
 BINARY_MAGIC = b"PE3DTLG1"
 MANIFEST_NAME = "run_manifest.json"
 TL_CSV_COLUMNS = ("range_m", "azimuth_deg", "depth_m", "tl_db")
-TIMING_CSV_COLUMNS = (
-    "label", "threads", "workers", "nfreq", "nr", "ntheta", "nz",
-    "wall_s", "speedup", "efficiency",
-)
 
 
 def tl_filename(frequency: float, tl_format: str) -> str:
@@ -156,34 +152,3 @@ def write_manifest(directory, manifest: dict) -> Path:
 def load_manifest(directory) -> dict:
     with open(Path(directory) / MANIFEST_NAME) as fh:
         return json.load(fh)
-
-
-def write_timing_csv(path, records) -> Path:
-    """Fixed-schema CSV of successful timing records."""
-    path = Path(path)
-    with open(path, "w") as fh:
-        fh.write(",".join(TIMING_CSV_COLUMNS) + "\n")
-        for rec in records:
-            if rec.error is not None:
-                continue
-            nr, ntheta, nz = rec.grid_dims
-            fh.write(
-                f"{rec.label},{rec.intra_threads},{rec.freq_workers},"
-                f"{rec.frequency_count},{nr},{ntheta},{nz},"
-                f"{rec.wall_seconds:.6f},{rec.speedup:.4f},{rec.efficiency:.4f}\n"
-            )
-    return path
-
-
-def read_timing_csv(path) -> list[dict]:
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != TIMING_CSV_COLUMNS:
-            raise ConfigError(f"{path}: unexpected timing CSV columns {header}")
-        for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts == [""]:
-                continue
-            rows.append(dict(zip(header, parts)))
-    return rows

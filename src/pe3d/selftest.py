@@ -26,7 +26,7 @@ from .environment import (
 from .config import Config, RunOptions
 from .marching import Marcher, MarchState, range_step, run_frequency
 from .operators import StepCoefficients
-from .parallel import static_assignment
+from .pool import block_ranges
 from .tridiag import (
     CYCLIC,
     OPEN,
@@ -173,14 +173,15 @@ def _check_rerun_determinism():
              "rerun changed the final slab")
 
 
-def _check_static_assignment():
+def _check_block_assignment():
     for workers in (3, 5, 8):
-        blocks = static_assignment(8, workers)
-        _require(len(blocks) == workers,
-                 f"{len(blocks)} blocks for {workers} workers")
-        _require(sorted(i for b in blocks for i in b) == list(range(8)),
-                 "jobs not covered exactly once")
-        _require(max(len(b) for b in blocks) == math.ceil(8 / workers),
+        blocks = block_ranges(8, workers)
+        # in-order cover by nonempty ranges: each block contiguous, and
+        # each one starting where the previous one ends
+        _require([i for lo, hi in blocks for i in range(lo, hi)]
+                 == list(range(8)) and all(lo < hi for lo, hi in blocks),
+                 "jobs not covered once, in order, by nonempty blocks")
+        _require(max(hi - lo for lo, hi in blocks) == math.ceil(8 / workers),
                  "largest block is not ceil(jobs / workers)")
 
 
@@ -198,7 +199,7 @@ def run_selftest(corrupt_thomas: bool = False, out=print) -> bool:
         ("delta-zero-identity", _check_delta_zero_identity),
         ("azimuth-symmetry", _check_azimuth_symmetry),
         ("rerun-determinism", _check_rerun_determinism),
-        ("static-assignment-law", _check_static_assignment),
+        ("static-assignment-law", _check_block_assignment),
     ]
     out(f"selftest seed: {SELFTEST_SEED}")
     all_ok = True

@@ -26,8 +26,7 @@ from pe3d.environment import (
 from pe3d.marching import Marcher, MarchState, range_step, run_frequency
 from pe3d.operators import StepCoefficients
 from pe3d.output import load_manifest
-from pe3d.parallel import scaling_harness, static_assignment
-from pe3d.pool import physical_core_count
+from pe3d.pool import ExecutorSpec, block_ranges, physical_core_count
 from pe3d.selftest import random_system, run_selftest
 from pe3d.tridiag import (
     CYCLIC,
@@ -271,10 +270,13 @@ def test_criterion_08_scaling_sanity():
     config = make_config(n_range=10, n_azimuth=360, n_depth=512, delta_r=10.0,
                          delta_z=4.0, source_depth=100.0,
                          options=RunOptions(output_stride=10))
-    records = scaling_harness(config, [1, 2, 4], [1], repeats=1, warmup=False)
-    by_threads = {r.intra_threads: r for r in records if r.error is None}
-    assert by_threads[1].speedup == 1.0
-    speedup4 = by_threads[4].speedup
+    frequency = config.source.frequencies[0]
+    walls = {}
+    for threads in (1, 2, 4):
+        begin = time.perf_counter()
+        run_frequency(config, frequency, ExecutorSpec(intra_threads=threads))
+        walls[threads] = time.perf_counter() - begin
+    speedup4 = walls[1] / walls[4]
     if cores >= 4:
         status = "met" if speedup4 >= 2.0 else "NOT met (machine contended?)"
         detail = (f"{cores} physical cores, speedup(4 threads) = "
@@ -285,13 +287,13 @@ def test_criterion_08_scaling_sanity():
     finish(8, 300.0, t0, detail)
 
 
-def test_criterion_09_static_assignment_law():
+def test_criterion_09_block_assignment_law():
     t0 = time.perf_counter()
     for workers in (3, 5, 8):
-        blocks = static_assignment(8, workers)
-        flat = [i for block in blocks for i in block]
+        blocks = block_ranges(8, workers)
+        flat = [i for lo, hi in blocks for i in range(lo, hi)]
         assert flat == list(range(8))
-        assert max(len(b) for b in blocks) == math.ceil(8 / workers)
+        assert max(hi - lo for lo, hi in blocks) == math.ceil(8 / workers)
     finish(9, 1.0, t0, "max jobs per worker = ceil(F/W) for W in {3, 5, 8}")
 
 

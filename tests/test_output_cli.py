@@ -16,18 +16,14 @@ from pe3d.environment import wavenumber
 from pe3d.errors import ConfigError
 from pe3d.marching import run_frequency
 from pe3d.output import (
-    TIMING_CSV_COLUMNS,
     file_sha256,
     load_manifest,
-    read_timing_csv,
     read_tl_binary,
     read_tl_csv,
     tl_filename,
-    write_timing_csv,
     write_tl_binary,
     write_tl_csv,
 )
-from pe3d.parallel import TimingRecord, derive_scaling
 
 CONFIG_TEXT = """\
 [grid]
@@ -116,24 +112,6 @@ class TestTLFiles:
         assert tl_filename(50.0, "csv") != tl_filename(62.5, "csv")
 
 
-class TestTimingCsv:
-    def test_schema_round_trip(self, tmp_path):
-        records = derive_scaling([
-            TimingRecord(label="t1w1", intra_threads=1, freq_workers=1,
-                         frequency_count=2, grid_dims=(6, 8, 24),
-                         wall_seconds=2.0),
-            TimingRecord(label="t2w1", intra_threads=2, freq_workers=1,
-                         frequency_count=2, grid_dims=(6, 8, 24),
-                         wall_seconds=1.0),
-        ], "t1w1")
-        path = write_timing_csv(tmp_path / "timing.csv", records)
-        rows = read_timing_csv(path)
-        assert [r["label"] for r in rows] == ["t1w1", "t2w1"]
-        assert float(rows[1]["speedup"]) == 2.0
-        header = path.read_text().splitlines()[0]
-        assert header == ",".join(TIMING_CSV_COLUMNS)
-
-
 class TestCmdRun:
     def test_single_frequency_smoke(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -196,6 +174,13 @@ class TestCmdRun:
             main(["run", "--config", str(cfg), "--schedule", "dynamic"])
         assert info.value.code == 2
         assert "--schedule" in capsys.readouterr().err
+
+    def test_bench_command_rejected(self, capsys):
+        # benchmarking lives in bench/run.py, not in the package CLI
+        with pytest.raises(SystemExit) as info:
+            main(["bench"])
+        assert info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_dead_worker_reported_in_manifest(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, frequencies="40.0, 50.0, 60.0")
@@ -260,39 +245,14 @@ class TestCmdRun:
         assert int(header["output_stride"]) == 3
         assert tl.shape[0] == 3  # starter + steps 3 and 6
 
-
-class TestCmdBench:
-    def test_bench_reports(self, tmp_path):
-        cfg = write_cfg(tmp_path)
-        outdir = tmp_path / "bench"
-        code = main(["bench", "--config", str(cfg),
-                     "--threads-sweep", "1,2,4", "--workers-sweep", "1",
-                     "--repeats", "1", "--no-warmup",
-                     "--output", str(outdir)])
-        assert code == 0
-        rows = read_timing_csv(outdir / "timing.csv")
-        assert len(rows) == 3
-        assert rows[0]["label"] == "t1w1"
-        assert float(rows[0]["speedup"]) == 1.0
-        kernel_lines = (outdir / "kernel_bench.csv").read_text().splitlines()
-        assert kernel_lines[0] == "batch_size,n,seconds,systems_per_second"
-        assert len(kernel_lines) > 1
-        assert (outdir / "bench_summary.txt").exists()
-
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         blocker = tmp_path / "plain_file"
         blocker.write_text("")
-        code = main(["bench", "--config", str(cfg), "--repeats", "1",
-                     "--output", str(blocker / "bench")])
+        code = main(["run", "--config", str(cfg),
+                     "--output", str(blocker / "out")])
         assert code == 2
         assert "config error: output_dir not writable" in capsys.readouterr().err
-
-    def test_bad_sweep_rejected(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path)
-        assert main(["bench", "--config", str(cfg),
-                     "--threads-sweep", "1,zero"]) == 2
-        assert "threads-sweep" in capsys.readouterr().err
 
 
 class TestCmdSelftest:
