@@ -107,17 +107,29 @@ def cmd_run(args) -> int:
     )
 
     entries = []
+    ok = report.ok
     for index, frequency in enumerate(config.source.frequencies):
         result = report.results[index]
         if result is None:
             continue
         name = tl_filename(frequency, options.tl_format)
-        path = write_tl_grid(outdir / name, result, config.grid, options.tl_format)
+        try:
+            path = write_tl_grid(outdir / name, result, config.grid,
+                                 options.tl_format)
+            digest = file_sha256(path)
+        except OSError as exc:
+            ok = False
+            message = f"cannot write {name}: {exc.strerror or exc}"
+            entries.append({"frequency_hz": frequency, "status": "error",
+                            "file": name, "message": message})
+            print(f"frequency {frequency:g} Hz FAILED: {message}",
+                  file=sys.stderr)
+            continue
         entries.append({
             "frequency_hz": frequency,
             "status": "ok",
             "file": name,
-            "sha256": file_sha256(path),
+            "sha256": digest,
             "wall_seconds": result.wall_seconds,
             "clamped_samples": result.clamped_samples,
             "output_stride": result.output_stride,
@@ -160,8 +172,13 @@ def cmd_run(args) -> int:
         "tl_format": options.tl_format,
         "frequencies": entries,
     }
-    write_manifest(outdir, manifest)
-    return 0 if report.ok else 1
+    try:
+        write_manifest(outdir, manifest)
+    except OSError as exc:
+        print(f"error: cannot write the run manifest in {outdir}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 1
+    return 0 if ok else 1
 
 
 def cmd_selftest(args) -> int:

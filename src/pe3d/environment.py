@@ -258,13 +258,10 @@ def refraction_index(env: Environment, r, z):
 
 
 def refraction_index_grid(env: Environment, grid: Grid3D, r: float) -> np.ndarray:
-    """n over the (azimuth x depth) grid at range ``r``.
-
-    The profile is azimuth-independent, so the depth profile is computed
-    once and broadcast — this also keeps azimuth symmetry exact to the bit.
-    """
-    n_z = refraction_index(env, r, grid.depths())
-    return np.broadcast_to(n_z, (grid.n_azimuth, grid.n_depth))
+    """n over the grid's depths at range ``r``: one depth profile, which
+    serves every azimuth, since the medium is azimuth-independent (this
+    also keeps azimuth symmetry exact to the bit)."""
+    return refraction_index(env, r, grid.depths())
 
 
 def gaussian_starter(grid: Grid3D, source: SourceSpec, k0: float) -> FieldSlab:

@@ -14,15 +14,16 @@ one sweep share one matrix, so each sweep is a wide substitution through
 the batched solver, on the configured intra-step thread count.
 
 A step only streams: it builds no stencil and factors nothing.  The
-medium does not depend on range, so a :class:`Marcher` computes the
-refraction grid, the depth stencil and the factored depth matrix once per
-frequency.  The azimuth matrices depend on range; the marcher assembles
-and factors those of ``AZIMUTH_BLOCK`` consecutive steps together (the
-first block when it is built, each later one at the step that first needs
-it, on a march longer than a block), and each step substitutes against
-its own column.  The explicit side is
-written into arrays the marcher owns, the depth sweep substitutes in
-place, and the only slab-sized allocation of a step is the new slab.
+medium is one depth profile, the same at every range and azimuth, so a
+:class:`Marcher` computes that profile, the depth stencil on it and the
+one factored depth matrix once per frequency.  The azimuth matrices
+depend on range; the marcher assembles and factors those of
+``AZIMUTH_BLOCK`` consecutive steps together (the first block when it is
+built, each later one at the step that first needs it, on a march longer
+than a block), and each step substitutes against its own column.  The
+explicit side is written into arrays the marcher owns, the depth sweep
+substitutes in place, and the only slab-sized allocation of a step is
+the new slab.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .environment import (
 )
 from .errors import DomainError, SingularSystemError, StepError
 from .operators import (
-    OperatorStencil,
     StepCoefficients,
     assemble_azimuth_batch,
     assemble_depth_batch,
@@ -68,10 +68,12 @@ class Marcher:
     """What stays fixed while one frequency is marched, what is derived
     from it once, and the arrays every step reuses.
 
-    Derived once: the refraction grid, the depth stencil of the explicit
-    side, the factored depth matrix and the factored azimuth matrices of
-    the first ``AZIMUTH_BLOCK`` ranges; later blocks are factored as the
-    march reaches them (:meth:`azimuth_factors`).  ``work`` holds three azimuth-major
+    Derived once from the depth profile of n: the depth stencil of the
+    explicit side (its scale and (n^2 - 1) profile), the factored depth
+    matrix, and the factored azimuth matrices of the first
+    ``AZIMUTH_BLOCK`` ranges; later blocks are factored as the march
+    reaches them (:meth:`azimuth_factors`).  No field holds an
+    (azimuth x depth) medium array.  ``work`` holds three azimuth-major
     (n_azimuth, n_depth) arrays and ``rhs`` one depth-major
     (n_depth, n_azimuth) array; every step overwrites them, so a marcher
     serves one march at a time.
@@ -85,9 +87,8 @@ class Marcher:
     k0: float
     coeffs: StepCoefficients
     intra_threads: int = 1
-    n_grid: np.ndarray = field(init=False)
     depth: Factors = field(init=False)
-    stencil: OperatorStencil = field(init=False)
+    stencil: tuple = field(init=False)
     work: tuple = field(init=False)
     rhs: np.ndarray = field(init=False)
     _azimuth: Factors | None = field(init=False, default=None)
@@ -95,17 +96,10 @@ class Marcher:
 
     def __post_init__(self):
         grid = self.grid
-        self.n_grid = refraction_index_grid(self.environment, grid, grid.r_start)
-        # The medium is the same in every azimuth, so every column of the
-        # assembled batch is the same matrix; see assemble_depth_batch for
-        # why it is assembled at full width all the same.
-        depth = assemble_depth_batch(self.coeffs.cx_lhs, self.n_grid,
-                                     self.k0, grid.delta_z)
-        self.depth = factor(depth.column(0))
-        del depth
-        # Built over the broadcast (azimuth x depth) grid, as apply_X
-        # builds it from that grid, so (n^2 - 1) has apply_X's bits.
-        self.stencil = depth_stencil(self.n_grid, self.k0, grid.delta_z)
+        profile = refraction_index_grid(self.environment, grid, grid.r_start)
+        self.depth = factor(assemble_depth_batch(self.coeffs.cx_lhs, profile,
+                                                 self.k0, grid.delta_z))
+        self.stencil = depth_stencil(profile, self.k0, grid.delta_z)
         shape = (grid.n_azimuth, grid.n_depth)
         self.work = tuple(np.empty(shape, dtype=np.complex128) for _ in range(3))
         self.rhs = np.empty(shape[::-1], dtype=np.complex128)
@@ -142,15 +136,14 @@ class MarchState:
 
 @dataclass(eq=False)
 class FrequencyResult:
-    """Output of one single-frequency run: decimated TL field plus the
-    final slab.  ``wall_seconds`` is measurement metadata, not part of the
+    """Output of one single-frequency run: the decimated TL field and its
+    ranges.  ``wall_seconds`` is measurement metadata, not part of the
     deterministic field data."""
 
     frequency: float
     ranges: np.ndarray
     tl_field: np.ndarray
     clamped_samples: int
-    final_slab: FieldSlab
     output_stride: int
     wall_seconds: float
 
@@ -231,8 +224,8 @@ def _steps_to_march(grid: Grid3D, max_range: float | None) -> int:
 def run_frequency(config, frequency: float, executor: ExecutorSpec | None = None) -> FrequencyResult:
     """March one frequency from the starter range to max range.
 
-    Deterministic: the TL field and final slab are a pure function of the
-    config and the frequency, for every executor configuration.  A field
+    Deterministic: the TL field is a pure function of the config and the
+    frequency, for every executor configuration.  A field
     that is not finite at a recorded range stops the march there with a
     :class:`StepError` naming that range index.
     """
@@ -279,7 +272,6 @@ def run_frequency(config, frequency: float, executor: ExecutorSpec | None = None
         ranges=ranges,
         tl_field=tl_field,
         clamped_samples=clamped,
-        final_slab=state.slab,
         output_stride=stride,
         wall_seconds=time.perf_counter() - t_begin,
     )

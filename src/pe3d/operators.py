@@ -10,6 +10,8 @@ with d = i * k0 * delta_r.  X carries the medium term:
     (X u)_l = (n_l^2 - 1) u_l + (u_{l+1} - 2 u_l + u_{l-1}) / (k0 dz)^2
 
 and Y is the bare azimuthal second difference scaled by 1 / (k0 r dtheta)^2.
+The medium is one depth profile n_l, the same in every azimuth, so X is
+one operator and its matrix one tri-diagonal matrix for the whole slab.
 Exterior stencil values are zero (pressure-release surface, absorber-backed
 bottom, sector edges); the azimuth index wraps on a periodic grid.
 
@@ -35,9 +37,6 @@ import numpy as np
 from .environment import PERIODIC, TOPOLOGIES, FieldSlab, Grid3D
 from .errors import DomainError, InvariantError, ShapeError
 from .tridiag import OPEN, CYCLIC, Diagonals
-
-DEPTH = "depth"
-AZIMUTH = "azimuth"
 
 
 @dataclass(frozen=True)
@@ -74,44 +73,23 @@ class StepCoefficients:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorStencil:
-    """Shared description of one difference operator: the second-difference
-    scale and the per-point local term ((n^2 - 1) for depth, 0 for azimuth).
-
-    Both the matrix-free application and the tri-diagonal assembly are built
-    from the same stencil, so they agree by construction.
-    """
-
-    direction: str
-    second_difference_scale: float
-    local_term: np.ndarray | float
-
-    def __post_init__(self):
-        if self.direction not in (DEPTH, AZIMUTH):
-            raise InvariantError("direction in (depth, azimuth)")
-        if not self.second_difference_scale > 0:
-            raise InvariantError(
-                "second_difference_scale > 0",
-                f"got {self.second_difference_scale}",
-            )
-        if self.direction == AZIMUTH and np.any(np.asarray(self.local_term) != 0):
-            raise InvariantError("azimuth stencil local_term == 0")
-
-
-def depth_stencil(n_values, k0: float, delta_z: float) -> OperatorStencil:
+def depth_stencil(n_values, k0: float, delta_z: float):
+    """The depth operator's second-difference scale 1 / (k0 dz)^2 and its
+    local term (n^2 - 1) over ``n_values`` (a scalar or a depth profile)."""
     if k0 <= 0 or delta_z <= 0:
         raise DomainError("k0 and delta_z must be > 0")
     nsq_minus_1 = np.asarray(n_values, dtype=np.complex128) ** 2 - 1.0
-    return OperatorStencil(DEPTH, 1.0 / (k0 * delta_z) ** 2, nsq_minus_1)
+    return 1.0 / (k0 * delta_z) ** 2, nsq_minus_1
 
 
-def azimuth_stencil(k0: float, r: float, delta_theta: float) -> OperatorStencil:
+def azimuth_stencil(k0: float, r: float, delta_theta: float) -> float:
+    """The azimuth operator's second-difference scale 1 / (k0 r dtheta)^2;
+    it has no local term."""
     if r <= 0:
         raise DomainError(f"range must be > 0, got {r}")
     if k0 <= 0 or delta_theta <= 0:
         raise DomainError("k0 and delta_theta must be > 0")
-    return OperatorStencil(AZIMUTH, 1.0 / (k0 * r * delta_theta) ** 2, 0.0)
+    return 1.0 / (k0 * r * delta_theta) ** 2
 
 
 def _second_difference(u: np.ndarray, axis: int, periodic: bool,
@@ -162,14 +140,14 @@ def _second_difference(u: np.ndarray, axis: int, periodic: bool,
     return out
 
 
-def _depth_local_term(st: OperatorStencil, shape: tuple) -> np.ndarray:
-    """The depth stencil's (n^2 - 1) term, checked against a field of
-    ``shape`` with depth last."""
-    local = np.asarray(st.local_term)
-    if local.shape not in ((), shape, shape[-1:]):
+def _depth_local_term(local, shape: tuple) -> np.ndarray:
+    """The depth stencil's (n^2 - 1) term, a scalar or a depth profile,
+    checked against a field of ``shape`` with depth last."""
+    local = np.asarray(local)
+    if local.shape not in ((), shape[-1:]):
         raise ShapeError(
-            f"refraction values of shape {local.shape} do not broadcast "
-            f"over field of shape {shape}"
+            f"refraction values of shape {local.shape} are not a depth "
+            f"profile of a field of shape {shape}"
         )
     return local
 
@@ -181,10 +159,10 @@ def apply_X(column: np.ndarray, n_column, k0: float, delta_z: float) -> np.ndarr
     are zero.
     """
     u = np.asarray(column, dtype=np.complex128)
-    st = depth_stencil(n_column, k0, delta_z)
-    local = _depth_local_term(st, u.shape)
+    scale, local = depth_stencil(n_column, k0, delta_z)
+    local = _depth_local_term(local, u.shape)
     d2 = _second_difference(u, -1, False, np.empty(u.shape, dtype=np.complex128))
-    return local * u + st.second_difference_scale * d2
+    return local * u + scale * d2
 
 
 def apply_Y(row: np.ndarray, k0: float, r: float, delta_theta: float,
@@ -197,23 +175,24 @@ def apply_Y(row: np.ndarray, k0: float, r: float, delta_theta: float,
     if topology not in TOPOLOGIES:
         raise InvariantError(f"azimuth_topology in {TOPOLOGIES}")
     u = np.asarray(row, dtype=np.complex128)
-    st = azimuth_stencil(k0, r, delta_theta)
+    scale = azimuth_stencil(k0, r, delta_theta)
     d2 = _second_difference(u, 0, topology == PERIODIC,
                             np.empty(u.shape, dtype=np.complex128))
-    return st.second_difference_scale * d2
+    return scale * d2
 
 
 def compute_rhs(slab: FieldSlab, coeffs: StepCoefficients,
-                depth: OperatorStencil, k0: float, grid: Grid3D,
+                depth: tuple, k0: float, grid: Grid3D,
                 work: tuple, out: np.ndarray) -> np.ndarray:
     """Explicit side of the step,  [I + cx_rhs X] [I + cy_rhs Y] u,
     written into ``out`` depth-major, (n_depth, n_azimuth); returns ``out``.
 
     The Y factor acts first (row-wise over azimuth, at the slab's current
     range), then the X factor (column-wise over depth); the X factor sits
-    outermost in the step factorization.  ``depth`` is the depth stencil
-    over the (azimuth x depth) grid, and ``work`` three azimuth-major
-    arrays of the slab's shape, overwritten.  The passes are those of
+    outermost in the step factorization.  ``depth`` is the depth stencil,
+    the scale and (n^2 - 1) profile of :func:`depth_stencil`, and ``work``
+    three azimuth-major arrays of the slab's shape, overwritten.  The
+    passes are those of
 
         temp = u + cy_rhs * apply_Y(u);   temp + cx_rhs * apply_X(temp)
 
@@ -225,16 +204,16 @@ def compute_rhs(slab: FieldSlab, coeffs: StepCoefficients,
     if out.shape != u.shape[::-1] or any(w.shape != u.shape for w in work):
         raise ShapeError("work arrays must have the slab's shape, and out "
                          "its transpose")
-    local = _depth_local_term(depth, u.shape)
+    z_scale, local = depth
+    local = _depth_local_term(local, u.shape)
     a, b, c = work
-    y_scale = azimuth_stencil(k0, slab.range_m, grid.delta_theta) \
-        .second_difference_scale
+    y_scale = azimuth_stencil(k0, slab.range_m, grid.delta_theta)
     _second_difference(u, 0, grid.azimuth_topology == PERIODIC, a, b)
     np.multiply(y_scale, a, out=b)                         # Y u
     np.multiply(coeffs.cy_rhs, b, out=a)
     a += u                                                 # temp
     _second_difference(a, 1, False, b)
-    np.multiply(depth.second_difference_scale, b, out=c)
+    np.multiply(z_scale, b, out=c)
     np.multiply(local, a, out=b)
     b += c                                                 # X temp
     np.multiply(coeffs.cx_rhs, b, out=c)
@@ -243,42 +222,29 @@ def compute_rhs(slab: FieldSlab, coeffs: StepCoefficients,
     return out
 
 
-def assemble_depth_batch(coeff: complex, n_grid: np.ndarray, k0: float,
+def assemble_depth_batch(coeff: complex, profile: np.ndarray, k0: float,
                          delta_z: float) -> Diagonals:
-    """The depth matrices (I + coeff * X), one per row of ``n_grid``
-    (azimuth x depth; a single depth profile gives one matrix).
-
-    Layout: diagonals are (n_depth, n_azimuth), so each elimination row is
-    contiguous across the azimuths.
+    """The depth matrix (I + coeff * X) of one depth ``profile`` of n, as
+    width-1 diagonals (n_depth, 1), shared by every azimuth.
 
     The surface row (depth index 0) is imposed as the identity equation
     u = 0, so the solved field honors the pressure-release surface exactly
     instead of leaking amplitude into a row that would be zeroed afterwards;
     the right-hand side must be zero there.
 
-    Rounding: numpy evaluates the temporary ``(local - 2 s)`` in place when
-    it has 256 KiB or more, as ``(...) * coeff``, which rounds differently
-    from the ``coeff * (...)`` that one row of the same values gets (seen
-    with numpy 2.4 on AVX-512; see the module docstring).  A matrix
-    assembled from one depth profile can thus differ in its last bits from
-    a column of the same matrix assembled over the full grid.  The marcher
-    assembles over its full (broadcast) grid and factors column 0: every
-    column holds the same bits, so the shared factors equal those of each
-    azimuth's own matrix.
+    The diagonal is written ``(local - 2 s) * coeff``: the operand order
+    in which numpy evaluates the whole-grid ``coeff * (local - 2 s)`` of a
+    grid of 256 KiB or more (see the module docstring), kept fixed so that
+    the matrix has those bits on every grid.
     """
-    n_grid = np.asarray(n_grid)
-    if n_grid.ndim not in (1, 2):
-        raise ShapeError("refraction values must be a depth profile or an "
-                         "(azimuth x depth) grid")
-    shape = np.atleast_2d(n_grid).shape
-    n_dep = shape[1]
-    st = depth_stencil(n_grid, k0, delta_z)
-    s = st.second_difference_scale
-    local = np.broadcast_to(_depth_local_term(st, shape), shape)
-    main = np.ascontiguousarray((1.0 + coeff * (local - 2.0 * s)).T)
+    profile = np.asarray(profile)
+    if profile.ndim != 1:
+        raise ShapeError("refraction values must be one depth profile")
+    s, local = depth_stencil(profile, k0, delta_z)
+    main = (1.0 + np.multiply(local - 2.0 * s, coeff))[:, None]
     off_value = np.complex128(coeff * s)
-    sub = np.broadcast_to(off_value, (n_dep - 1, shape[0]))
-    sup = np.full((n_dep - 1, shape[0]), off_value)
+    sub = np.broadcast_to(off_value, (profile.size - 1, 1))
+    sup = np.full((profile.size - 1, 1), off_value)
     main[0] = 1.0
     sup[0] = 0.0
     return Diagonals(sub=sub, main=main, sup=sup, topology=OPEN)
@@ -305,8 +271,7 @@ def assemble_azimuth_batch(coeff: complex, k0: float, ranges,
     ranges = np.atleast_1d(np.asarray(ranges, dtype=np.float64))
     if ranges.ndim != 1:
         raise ShapeError("ranges must be a vector")
-    scales = [azimuth_stencil(k0, r, delta_theta).second_difference_scale
-              for r in ranges.tolist()]
+    scales = [azimuth_stencil(k0, r, delta_theta) for r in ranges.tolist()]
     diag = np.array([1.0 - 2.0 * coeff * s for s in scales], dtype=np.complex128)
     off = np.array([coeff * s for s in scales], dtype=np.complex128)
     shape = (n_azimuth, len(scales))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -124,13 +125,29 @@ def read_tl_binary(path):
     return header, np.frombuffer(data, dtype=np.float64).reshape(shape)
 
 
+def _replace_with(path, write) -> Path:
+    """Call ``write(temp)`` for a hidden file beside ``path``, then move it
+    to ``path``; on any error the temporary file is removed, so ``path``
+    is either left as it was or holds the whole file."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.partial")
+    try:
+        write(temp)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def write_tl_grid(path, result: FrequencyResult, grid: Grid3D,
                   tl_format: str) -> Path:
-    if tl_format == "csv":
-        return write_tl_csv(path, result, grid)
-    if tl_format == "binary-grid":
-        return write_tl_binary(path, result, grid)
-    raise InvariantError("tl_format in (csv, binary-grid)", f"got {tl_format!r}")
+    """Write one TL grid file whole, or raise ``OSError`` and leave none."""
+    writer = {"csv": write_tl_csv, "binary-grid": write_tl_binary}.get(tl_format)
+    if writer is None:
+        raise InvariantError("tl_format in (csv, binary-grid)",
+                             f"got {tl_format!r}")
+    return _replace_with(path, lambda temp: writer(temp, result, grid))
 
 
 def file_sha256(path) -> str:
@@ -142,11 +159,12 @@ def file_sha256(path) -> str:
 
 
 def write_manifest(directory, manifest: dict) -> Path:
-    path = Path(directory) / MANIFEST_NAME
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    def write(temp):
+        with open(temp, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    return _replace_with(Path(directory) / MANIFEST_NAME, write)
 
 
 def load_manifest(directory) -> dict:

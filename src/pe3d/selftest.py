@@ -156,10 +156,10 @@ def _check_delta_zero_identity():
 
 def _check_azimuth_symmetry():
     config = demo_config(n_range=20)
-    result = run_frequency(config, 50.0)
-    mags = np.abs(result.final_slab.values)
-    spread = (mags.max(axis=0) - mags.min(axis=0)).max()
-    _require(spread <= 1e-9 * mags.max(), f"azimuthal spread {spread:.2e}")
+    tl = run_frequency(config, 50.0).tl_field[-1]
+    spread = (tl.max(axis=0) - tl.min(axis=0)).max()
+    # 1e-8 dB: a relative spread of about 1e-9 in |u|
+    _require(spread <= 1e-8, f"azimuthal TL spread {spread:.2e} dB")
 
 
 def _check_rerun_determinism():
@@ -168,9 +168,8 @@ def _check_rerun_determinism():
     second = run_frequency(config, 50.0)
     _require(first.tl_field.tobytes() == second.tl_field.tobytes(),
              "rerun changed the TL field")
-    _require(first.final_slab.values.tobytes()
-             == second.final_slab.values.tobytes(),
-             "rerun changed the final slab")
+    _require(np.array_equal(first.ranges, second.ranges),
+             "rerun changed the recorded ranges")
 
 
 def _check_block_assignment():

@@ -92,8 +92,9 @@ class TestRefractionIndex:
         grid = make_grid(n_depth=64)
         env = make_env(grid, speed=1500.0, c0=1500.0, attenuation=0.02)
         n = refraction_index_grid(env, grid, r=100.0)
+        assert n.shape == (grid.n_depth,)  # one profile for every azimuth
         above = grid.depths() < env.absorber.start_depth
-        assert np.all(n[:, above] == 1.0 + 0.0j)
+        assert np.all(n[above] == 1.0 + 0.0j)
 
     def test_real_part_is_speed_ratio(self):
         grid = make_grid()

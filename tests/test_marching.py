@@ -15,7 +15,9 @@ from pe3d.environment import (
     FieldSlab,
     SoundSpeedProfile,
     gaussian_starter,
+    hankel_factor,
     refraction_index_grid,
+    transmission_loss_field,
     wavenumber,
 )
 from pe3d.errors import DomainError, StepError
@@ -265,6 +267,33 @@ def _second_difference(u, axis, periodic):
     return d2
 
 
+def medium_grid(env, grid, r):
+    """n over the (azimuth x depth) grid: the depth profile broadcast over
+    azimuth, as whole-grid expressions see it."""
+    return np.broadcast_to(refraction_index_grid(env, grid, r),
+                           (grid.n_azimuth, grid.n_depth))
+
+
+def reference_depth_matrix(coeff, n_field, k0, delta_z):
+    """The diagonals of (I + coeff X) over the whole (azimuth x depth)
+    grid, one column per azimuth, from one whole-grid expression; the
+    surface row is the identity equation.
+
+    The product is written ``(...) * coeff``, as numpy evaluates the
+    whole-grid ``coeff * (...)`` on a grid of 256 KiB or more;
+    :meth:`TestReferenceStepper.test_depth_matrix_has_whole_grid_bits`
+    pins that expression itself."""
+    s = 1.0 / (k0 * delta_z) ** 2
+    local = np.asarray(n_field, dtype=np.complex128) ** 2 - 1.0
+    main = np.ascontiguousarray(
+        (1.0 + np.multiply(local - 2.0 * s, coeff)).T)
+    sub = np.full((main.shape[0] - 1, main.shape[1]), np.complex128(coeff * s))
+    sup = sub.copy()
+    main[0] = 1.0
+    sup[0] = 0.0
+    return sub, main, sup
+
+
 def reference_rhs(u, r, grid, n_field, k0, coeffs):
     """The explicit side [I + cx_rhs X] [I + cy_rhs Y] u as whole-array
     numpy expressions that allocate every intermediate:
@@ -283,16 +312,15 @@ def reference_step(slab, j, grid, env, k0, coeffs):
     in every step: the plain form of the scheme the marcher shortcuts."""
     apply_boundary(slab, grid)
     r_new = grid.range_at(j + 1)
-    n_now = refraction_index_grid(env, grid, slab.range_m)
+    n_now = medium_grid(env, grid, slab.range_m)
     rhs = FieldSlab(reference_rhs(slab.values, slab.range_m, grid, n_now, k0,
                                   coeffs), slab.range_m)
     apply_boundary(rhs, grid)
-    depth = assemble_depth_batch(coeffs.cx_lhs, refraction_index_grid(
-        env, grid, r_new), k0, grid.delta_z)
+    depth = reference_depth_matrix(coeffs.cx_lhs, medium_grid(env, grid, r_new),
+                                   k0, grid.delta_z)
     b = np.ascontiguousarray(rhs.values.T)
     b[0] = 0.0
-    v = np.ascontiguousarray(
-        _reference_open(depth.sub, depth.main, depth.sup, b).T)
+    v = np.ascontiguousarray(_reference_open(*depth, b).T)
     azimuth = assemble_azimuth_batch(coeffs.cy_lhs, k0, [r_new],
                                      grid.delta_theta, grid.azimuth_topology,
                                      grid.n_azimuth)
@@ -314,9 +342,9 @@ class TestReferenceStepper:
     bits of a matrix per member and of whole-array expressions.
 
     The grids are larger than numpy's 256 KiB threshold for evaluating
-    temporaries in place, where a depth matrix assembled at width 1
-    rounds differently from one assembled over the full grid, and where
-    the reference's products by a temporary run with swapped operands.
+    temporaries in place, where the reference's products by a temporary
+    run with swapped operands: the solver's one depth profile must give
+    the bits of whole-grid expressions there.
     """
 
     @staticmethod
@@ -328,6 +356,21 @@ class TestReferenceStepper:
             np.array([1500.0, 1480.0, 1530.0]))
         env = make_env(grid, profile=profile, attenuation=0.02)
         return make_config(grid=grid, env=env)
+
+    def test_depth_matrix_has_whole_grid_bits(self):
+        # each column of the depth matrix that one whole-grid expression
+        # assembles over the broadcast medium has the bits of the solver's
+        # one matrix
+        grid, env, _, _ = self.config(PERIODIC)
+        k0 = wavenumber(50.0, env.c0)
+        coeff = StepCoefficients.for_step(k0, grid.delta_r).cx_lhs
+        s = 1.0 / (k0 * grid.delta_z) ** 2
+        local = medium_grid(env, grid, grid.r_start).astype(complex) ** 2 - 1.0
+        whole = 1.0 + coeff * (local - 2.0 * s)
+        main = assemble_depth_batch(coeff, refraction_index_grid(
+            env, grid, grid.r_start), k0, grid.delta_z).main[1:, 0]
+        for row in whole:
+            assert row[1:].tobytes() == main.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
@@ -355,9 +398,14 @@ class TestReferenceStepper:
         k0 = wavenumber(50.0, env.c0)
         coeffs = StepCoefficients.for_step(k0, grid.delta_r)
         reference = apply_boundary(gaussian_starter(grid, source, k0), grid)
+        chain = [reference]
         for j in range(grid.n_range):
-            reference = reference_step(reference, j, grid, env, k0, coeffs)
-        assert result.final_slab.values.tobytes() == reference.values.tobytes()
+            chain.append(reference_step(chain[-1], j, grid, env, k0, coeffs))
+        recorded = chain[::result.output_stride]
+        tl = [transmission_loss_field(s.values, hankel_factor(k0, s.range_m))[0]
+              for s in recorded]
+        assert result.ranges.tolist() == [s.range_m for s in recorded]
+        assert result.tl_field.tobytes() == np.stack(tl).tobytes()
 
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
@@ -421,6 +469,25 @@ class TestStepArrays:
         for _ in range(grid.n_range):
             state = range_step(marcher, state)
 
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_marcher_retains_no_medium_grid(self, topology):
+        # the work arrays and rhs are 4 slabs; the medium, its stencil and
+        # the factors are depth profiles or azimuth rows
+        grid = make_grid(n_range=8, n_azimuth=72, n_depth=256,
+                         topology=topology)
+        config = make_config(grid=grid)
+        k0 = wavenumber(50.0, config.environment.c0)
+        coeffs = StepCoefficients.for_step(k0, grid.delta_r)
+        slab_bytes = grid.n_azimuth * grid.n_depth * 16
+        tracemalloc.start()
+        try:
+            marcher = Marcher(grid, config.environment, k0, coeffs)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert marcher.depth.width == 1
+        assert retained <= 4.5 * slab_bytes
+
     def test_new_slab_owns_its_memory(self):
         marcher, state = self.stepped(PERIODIC)
         new = range_step(marcher, state).slab.values
@@ -474,14 +541,13 @@ class TestRunFrequency:
         result = run_frequency(config, 50.0)
         assert result.tl_field.shape[0] == 1
         assert result.ranges.tolist() == [config.grid.r_start]
-        assert result.final_slab.range_m == config.grid.r_start
+        assert result.ranges[-1] == config.grid.r_start
 
     def test_rerun_bitwise_identical(self):
         config = make_config(n_range=6, n_azimuth=8, n_depth=32)
         first = run_frequency(config, 50.0)
         second = run_frequency(config, 50.0)
         assert first.tl_field.tobytes() == second.tl_field.tobytes()
-        assert first.final_slab.values.tobytes() == second.final_slab.values.tobytes()
         assert np.array_equal(first.ranges, second.ranges)
 
     def test_unknown_frequency_rejected(self):
@@ -509,7 +575,7 @@ class TestRunFrequency:
                              options=options)
         result = run_frequency(config, 50.0)
         # steps to 10, 15, 20, 25 then stop (30 > 26)
-        assert result.final_slab.range_m == 25.0
+        assert result.ranges[-1] == 25.0
         assert result.tl_field.shape[0] == 5
 
     def test_no_blowup_with_absorber(self):
@@ -517,7 +583,9 @@ class TestRunFrequency:
                              delta_z=4.0, source_depth=100.0)
         starter_max = math.sqrt(wavenumber(50.0, config.environment.c0))
         result = run_frequency(config, 50.0)
-        assert np.max(np.abs(result.final_slab.values)) <= 10.0 * starter_max
+        # |u| <= 10 starter_max at every recorded range, as TL of u * w(r)
+        floor = -20.0 * np.log10(10.0 * starter_max / np.sqrt(result.ranges))
+        assert np.all(result.tl_field.min(axis=(1, 2)) >= floor)
 
     def test_tl_field_finite(self):
         config = make_config(n_range=5)

@@ -7,9 +7,6 @@ from conftest import make_env, make_grid, random_slab_values
 from pe3d.environment import FieldSlab, PERIODIC, SECTOR, refraction_index_grid, wavenumber
 from pe3d.errors import DomainError, InvariantError, ShapeError
 from pe3d.operators import (
-    AZIMUTH,
-    DEPTH,
-    OperatorStencil,
     StepCoefficients,
     apply_X,
     apply_Y,
@@ -72,16 +69,10 @@ class TestOperatorStencil:
         with pytest.raises(DomainError):
             azimuth_stencil(k0=0.2, r=-3.0, delta_theta=0.1)
 
-    def test_azimuth_local_term_zero(self):
-        st = azimuth_stencil(0.2, 100.0, 0.05)
-        assert st.direction == AZIMUTH and st.local_term == 0.0
-        with pytest.raises(InvariantError, match="local_term == 0"):
-            OperatorStencil(AZIMUTH, 1.0, 0.5)
-
     def test_depth_stencil_carries_medium_term(self):
-        st = depth_stencil(np.array([1.0, 1.1]), 0.2, 2.0)
-        assert st.direction == DEPTH
-        assert np.allclose(st.local_term, np.array([0.0, 1.1 ** 2 - 1.0]))
+        scale, local = depth_stencil(np.array([1.0, 1.1]), 0.2, 2.0)
+        assert scale == 1.0 / (0.2 * 2.0) ** 2
+        assert np.allclose(local, np.array([0.0, 1.1 ** 2 - 1.0]))
 
 
 class TestApplyX:
@@ -184,16 +175,15 @@ class TestAssembleDepthSystem:
     def test_matrix_matches_matrix_free(self):
         rng = np.random.default_rng(5)
         n_az, n = 3, 24
-        n_grid = 1.0 + 0.05 * rng.standard_normal((n_az, n)) \
-            + 0.01j * rng.random((n_az, n))
+        profile = 1.0 + 0.05 * rng.standard_normal(n) + 0.01j * rng.random(n)
         coeff = 0.25 - 0.3j
         u = rng.standard_normal((n_az, n)) + 1j * rng.standard_normal((n_az, n))
-        batch = assemble_depth_batch(coeff, n_grid, 0.2, 4.0)
-        assert batch.width == n_az
+        batch = assemble_depth_batch(coeff, profile, 0.2, 4.0)
+        assert batch.width == 1
+        a = dense_matrix(member_system(batch, 0))
         for m in range(n_az):
-            a = dense_matrix(member_system(batch, m))
             lhs = a @ u[m]
-            rhs = u[m] + coeff * apply_X(u[m], n_grid[m], 0.2, 4.0)
+            rhs = u[m] + coeff * apply_X(u[m], profile, 0.2, 4.0)
             assert np.array_equal(a[0], np.eye(n)[0])  # surface row
             assert np.max(np.abs(lhs[1:] - rhs[1:])) \
                 <= 1e-13 * np.max(np.abs(rhs))
@@ -202,8 +192,8 @@ class TestAssembleDepthSystem:
         depth = factor(assemble_depth_batch(0.1, np.ones(4), 1.0, 1.0))
         with pytest.raises(ShapeError):
             SolveBatch(depth, np.zeros((5, 2), dtype=complex))
-        with pytest.raises(ShapeError):
-            assemble_depth_batch(0.1, np.ones((2, 2, 4)), 1.0, 1.0)
+        with pytest.raises(ShapeError):  # a medium over (azimuth x depth)
+            assemble_depth_batch(0.1, np.ones((2, 4)), 1.0, 1.0)
 
 
 class TestAssembleAzimuthSystem:
@@ -295,7 +285,7 @@ class TestComputeRhs:
         grid = make_grid(n_azimuth=4, n_depth=8)
         coeffs = StepCoefficients.for_step(0.2, 5.0)
         slab = FieldSlab(np.zeros((4, 8), dtype=complex), grid.r_start)
-        out = explicit_side(slab, coeffs, np.ones((4, 8)), 0.2, grid)
+        out = explicit_side(slab, coeffs, np.ones(8), 0.2, grid)
         assert np.all(out == 0.0)
 
     def test_azimuth_constant_reduces_to_x_factor(self):
@@ -306,7 +296,7 @@ class TestComputeRhs:
         column = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         values = np.broadcast_to(column, (6, 16)).copy()
         slab = FieldSlab(values, grid.r_start)
-        out = explicit_side(slab, coeffs, np.ones((6, 16)), k0, grid)
+        out = explicit_side(slab, coeffs, np.ones(16), k0, grid)
         expected = values + coeffs.cx_rhs * apply_X(values, np.ones(16), k0,
                                                     grid.delta_z)
         assert np.array_equal(out, expected)
@@ -319,7 +309,7 @@ class TestComputeRhs:
         coeffs = StepCoefficients.for_step(k0, grid.delta_r)
         u = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         slab = FieldSlab(u.copy(), grid.r_start)
-        out = explicit_side(slab, coeffs, np.ones((3, 3)), k0, grid)
+        out = explicit_side(slab, coeffs, np.ones(3), k0, grid)
 
         s_z = 1.0 / (k0 * grid.delta_z) ** 2
         s_y = 1.0 / (k0 * grid.r_start * grid.delta_theta) ** 2
@@ -335,7 +325,7 @@ class TestComputeRhs:
         grid = make_grid(n_azimuth=5, n_depth=12)
         k0 = 0.21
         coeffs = StepCoefficients.for_step(k0, 3.0)
-        n_field = np.ones((5, 12)) + 0.02j * rng.random((5, 12))
+        n_field = np.ones(12) + 0.02j * rng.random(12)
         u = random_slab_values(rng, grid, zero_surface=False)
         v = random_slab_values(rng, grid, zero_surface=False)
         a, b = 1.3 - 0.2j, -0.7 + 0.9j
@@ -357,7 +347,7 @@ class TestComputeRhs:
         coeffs = StepCoefficients.for_step(k0, 0.0)
         u = random_slab_values(rng, grid, zero_surface=False)
         out = explicit_side(FieldSlab(u.copy(), grid.r_start), coeffs,
-                            np.ones((4, 10)), k0, grid)
+                            np.ones(10), k0, grid)
         expected = u + 0.25 * apply_X(u, np.ones(10), k0, grid.delta_z)
         assert np.array_equal(out, expected)
         batch = assemble_depth_batch(coeffs.cx_lhs, np.ones(10), k0,
@@ -375,7 +365,7 @@ class TestComputeRhsArrays:
         grid = make_grid(n_azimuth=5, n_depth=12)
         coeffs = StepCoefficients.for_step(0.2, 5.0)
         slab = FieldSlab(random_slab_values(rng, grid), grid.r_start)
-        stencil = depth_stencil(np.ones((5, 12)), 0.2, grid.delta_z)
+        stencil = depth_stencil(np.ones(12), 0.2, grid.delta_z)
         work = tuple(np.empty((5, 12), dtype=complex) for _ in range(3))
         out = np.empty((12, 5), dtype=complex)
         assert compute_rhs(slab, coeffs, stencil, 0.2, grid, work, out) is out
@@ -385,6 +375,10 @@ class TestComputeRhsArrays:
         with pytest.raises(ShapeError):
             compute_rhs(slab, coeffs, stencil, 0.2, grid,
                         work[:2] + (np.empty((12, 5), dtype=complex),), out)
+        with pytest.raises(ShapeError):  # a medium over (azimuth x depth)
+            compute_rhs(slab, coeffs, depth_stencil(np.ones((5, 12)), 0.2,
+                                                    grid.delta_z),
+                        0.2, grid, work, out)
 
 
 class TestBatchAssembly:
@@ -392,24 +386,24 @@ class TestBatchAssembly:
         rng = np.random.default_rng(17)
         grid = make_grid(n_azimuth=6, n_depth=20)
         env = make_env(grid, attenuation=0.02, start_frac=0.4)
-        n_grid = refraction_index_grid(env, grid, 75.0)
+        profile = refraction_index_grid(env, grid, 75.0)
         rhs = random_slab_values(rng, grid)
         coeff = 0.25 - 0.4j
-        batch = assemble_depth_batch(coeff, n_grid, 0.2, grid.delta_z)
+        batch = assemble_depth_batch(coeff, profile, 0.2, grid.delta_z)
         # the marcher's way: the medium is the same in every azimuth, so
-        # column 0 is factored once and shared by every right-hand side
-        solutions = solve_against(batch.column(0), rhs.T.copy())
+        # the one matrix is factored once and shared by every right-hand side
+        solutions = solve_against(batch, rhs.T.copy())
         for m in range(grid.n_azimuth):
-            scalar = solve_thomas(member_system(batch, m, rhs[m]))
+            scalar = solve_thomas(member_system(batch, 0, rhs[m]))
             assert solutions[:, m].tobytes() == scalar.tobytes()
 
     def test_depth_batch_surface_row_constrained(self):
         grid = make_grid(n_azimuth=4, n_depth=8)
         rhs = np.ones((8, 4), dtype=complex)
         rhs[0] = 0.0  # the Dirichlet data the step imposes
-        batch = assemble_depth_batch(0.3 + 0.1j, np.ones((4, 8)), 0.2,
+        batch = assemble_depth_batch(0.3 + 0.1j, np.ones(8), 0.2,
                                      grid.delta_z)
-        solutions = solve_against(batch.column(0), rhs)
+        solutions = solve_against(batch, rhs)
         assert np.all(solutions[0] == 0.0)
 
     def test_azimuth_batch_matches_scalar_systems(self):

@@ -227,6 +227,38 @@ class TestCmdRun:
             assert entries[frequency]["status"] == "ok"
             assert (outdir / entries[frequency]["file"]).exists()
 
+    def test_unwritable_tl_file_fails_its_frequency(self, tmp_path, capsys):
+        # a directory where the 50 Hz file goes: 30 Hz and the manifest
+        # are written, 50 Hz fails by name, and no partial file is left
+        cfg = write_cfg(tmp_path, frequencies="30.0, 50.0", fmt="binary-grid")
+        outdir = tmp_path / "blocked"
+        blocked = outdir / tl_filename(50.0, "binary-grid")
+        blocked.mkdir(parents=True)
+        assert main(["run", "--config", str(cfg), "--output", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"FAILED: cannot write {blocked.name}" in err
+        entries = {e["frequency_hz"]: e
+                   for e in load_manifest(outdir)["frequencies"]}
+        assert entries[30.0]["status"] == "ok"
+        assert file_sha256(outdir / entries[30.0]["file"]) \
+            == entries[30.0]["sha256"]
+        assert entries[50.0]["status"] == "error"
+        assert entries[50.0]["file"] == blocked.name
+        assert blocked.name in entries[50.0]["message"]
+        assert blocked.is_dir() and not any(blocked.iterdir())
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(
+            [entries[30.0]["file"], blocked.name, "run_manifest.json"])
+
+    def test_unwritable_manifest_is_named_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        outdir = tmp_path / "no_manifest"
+        (outdir / "run_manifest.json").mkdir(parents=True)
+        assert main(["run", "--config", str(cfg), "--output", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not [p for p in outdir.iterdir() if p.name.startswith(".")]
+
     def test_start_method_in_manifest(self, tmp_path):
         cfg = write_cfg(tmp_path, frequencies="40.0, 50.0")
         for workers, method in (("1", None), ("2", "fork")):
