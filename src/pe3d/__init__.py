@@ -38,12 +38,13 @@ from .parallel import (
     frequency_farm,
 )
 from .tridiag import (
+    Diagonals,
+    Factors,
     SolveBatch,
-    TriDiagSystem,
     dense_oracle_solve,
+    factor,
+    solve,
     solve_batch,
-    solve_cyclic,
-    solve_thomas,
 )
 
 __all__ = [
@@ -75,10 +76,11 @@ __all__ = [
     "ExecutorSpec",
     "FarmReport",
     "frequency_farm",
+    "Diagonals",
+    "Factors",
     "SolveBatch",
-    "TriDiagSystem",
     "dense_oracle_solve",
+    "factor",
+    "solve",
     "solve_batch",
-    "solve_cyclic",
-    "solve_thomas",
 ]

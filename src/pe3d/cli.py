@@ -90,6 +90,13 @@ def cmd_run(args) -> int:
             tl_format=args.tl_format or config.options.tl_format,
             executor=executor,
         )
+        written = {}
+        for frequency in config.source.frequencies:
+            name = tl_filename(frequency, options.tl_format)
+            if name in written:
+                raise ConfigError(f"frequencies {written[name]} and {frequency}"
+                                  f" Hz would both write {name}")
+            written[name] = frequency
     except (ConfigError, InvariantError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -164,6 +164,17 @@ def _parse_profile_pairs(text: str, origin: str) -> SoundSpeedProfile:
     return SoundSpeedProfile(np.asarray(depths), np.asarray(speeds))
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of ``path``; a file that cannot be read is a
+    config error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+
+
 def load_config(path) -> Config:
     """Parse and validate a config file into model objects.
 
@@ -171,12 +182,10 @@ def load_config(path) -> Config:
     marching loop performs no further input.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    text = _read_text(path, "config file")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path) as fh:
-            parser.read_file(fh, source=str(path))
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"config parse failure: {exc}") from None
 
@@ -202,9 +211,8 @@ def load_config(path) -> Config:
         profile_path = Path(e.get_str("sound_speed_file"))
         if not profile_path.is_absolute():
             profile_path = path.parent / profile_path
-        if not profile_path.exists():
-            raise ConfigError(f"sound_speed_file not found: {profile_path}")
-        profile = _parse_profile_pairs(profile_path.read_text(), str(profile_path))
+        profile = _parse_profile_pairs(
+            _read_text(profile_path, "sound_speed_file"), str(profile_path))
     elif e.has("sound_speed_profile"):
         profile = _parse_profile_pairs(
             e.get_str("sound_speed_profile"), "[environment] sound_speed_profile"
@@ -240,11 +248,11 @@ def load_config(path) -> Config:
         depth=s.get_float("depth", required=True),
         starter=s.get_str("starter", default="gaussian"),
     )
-    if not 0 < source.depth < environment.water_depth:
-        raise InvariantError(
-            "0 < source depth < water_depth",
-            f"got depth {source.depth} vs water_depth {environment.water_depth}",
-        )
+    for name, limit in (("water_depth", environment.water_depth),
+                        ("grid depth extent", grid.depth_extent)):
+        if not 0 < source.depth < limit:
+            raise InvariantError(f"0 < source depth < {name}",
+                                 f"got depth {source.depth} vs {name} {limit}")
 
     r = _Section(parser, "run")
     options = RunOptions(

@@ -53,11 +53,10 @@ class Grid3D:
         for name in ("n_range", "n_azimuth", "n_depth"):
             if getattr(self, name) < 3:
                 raise InvariantError(f"{name} >= 3", f"got {getattr(self, name)}")
-        for name in ("delta_r", "delta_theta", "delta_z"):
-            if not getattr(self, name) > 0:
-                raise InvariantError(f"{name} > 0", f"got {getattr(self, name)}")
-        if not self.r_start > 0:
-            raise InvariantError("r_start > 0", f"got {self.r_start}")
+        for name in ("delta_r", "delta_theta", "delta_z", "r_start"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvariantError(f"{name} > 0 and finite",
+                                     f"got {getattr(self, name)}")
         if self.azimuth_topology not in TOPOLOGIES:
             raise InvariantError(
                 f"azimuth_topology in {TOPOLOGIES}",
@@ -100,10 +99,10 @@ class Absorber:
     max_attenuation: float
 
     def __post_init__(self):
-        if self.start_depth < 0:
-            raise InvariantError("absorber.start_depth >= 0")
-        if self.max_attenuation < 0:
-            raise InvariantError("absorber.max_attenuation >= 0")
+        for name in ("start_depth", "max_attenuation"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvariantError(f"absorber.{name} >= 0 and finite",
+                                     f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,10 +160,10 @@ class Environment:
     bottom_depth: float
 
     def __post_init__(self):
-        if not self.c0 > 0:
-            raise InvariantError("c0 > 0", f"got {self.c0}")
-        if not self.water_depth > 0:
-            raise InvariantError("water_depth > 0", f"got {self.water_depth}")
+        for name in ("c0", "water_depth"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvariantError(f"{name} > 0 and finite",
+                                     f"got {getattr(self, name)}")
         if not self.absorber.start_depth < self.bottom_depth:
             raise InvariantError(
                 "absorber.start_depth < grid bottom depth",
@@ -189,8 +188,8 @@ class SourceSpec:
         freqs = tuple(float(f) for f in self.frequencies)
         if len(freqs) < 1:
             raise InvariantError("source has >= 1 frequency")
-        if any(f <= 0 for f in freqs):
-            raise InvariantError("every frequency > 0", f"got {freqs}")
+        if not all(0 < f < math.inf for f in freqs):
+            raise InvariantError("every frequency > 0 and finite", f"got {freqs}")
         if self.starter != "gaussian":
             raise InvariantError("starter == 'gaussian'", f"got {self.starter!r}")
         object.__setattr__(self, "frequencies", freqs)

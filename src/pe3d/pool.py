@@ -70,30 +70,27 @@ def _shared_pool(n_workers: int) -> ThreadPoolExecutor:
     return pool
 
 
-def fork_join(worker, n_items: int, threads: int) -> list[tuple[int, int, BaseException]]:
-    """Run ``worker(lo, hi)`` over contiguous blocks of ``range(n_items)``.
+def fork_join(worker, n_items: int, threads: int) -> list[tuple[int, int]]:
+    """Run ``worker(lo, hi)`` over contiguous blocks of ``range(n_items)``
+    and return the blocks.
 
-    With ``threads == 1`` the blocks run inline; otherwise a shared pool
-    of ``threads`` threads executes them and joins before returning (the
-    barrier: no caller observes partial writes).  Returns the failures as
-    ``(lo, hi, exception)`` tuples; an empty list means full success.
+    One block runs inline; several run on a shared pool of threads, and
+    every one of them runs to its end, even when another one fails (the
+    barrier: no caller observes partial writes).  Then the exception of
+    the lowest failed block is raised.
     """
     blocks = block_ranges(n_items, threads)
-    failures: list[tuple[int, int, BaseException]] = []
-    if threads == 1 or len(blocks) <= 1:
+    if len(blocks) <= 1:
         for lo, hi in blocks:
-            try:
-                worker(lo, hi)
-            except Exception as exc:  # collected, not raised: caller aggregates
-                failures.append((lo, hi, exc))
-        return failures
+            worker(lo, hi)
+        return blocks
     pool = _shared_pool(len(blocks))
-    futures = [(lo, hi, pool.submit(worker, lo, hi)) for lo, hi in blocks]
-    for lo, hi, fut in futures:
-        exc = fut.exception()
-        if exc is not None:
-            failures.append((lo, hi, exc))
-    return failures
+    futures = [pool.submit(worker, lo, hi) for lo, hi in blocks]
+    errors = [future.exception() for future in futures]
+    for error in errors:
+        if error is not None:
+            raise error
+    return blocks
 
 
 def physical_core_count() -> int:

@@ -8,7 +8,6 @@ gates under ``python -O``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -30,13 +29,12 @@ from .pool import block_ranges
 from .tridiag import (
     CYCLIC,
     OPEN,
+    Diagonals,
     SolveBatch,
-    TriDiagSystem,
     dense_oracle_solve,
     factor,
+    solve,
     solve_batch,
-    solve_cyclic,
-    solve_thomas,
 )
 
 SELFTEST_SEED = 20260808
@@ -59,8 +57,9 @@ def demo_config(n_range=30, n_azimuth=16, n_depth=64) -> Config:
     return Config(grid, environment, source, RunOptions())
 
 
-def random_system(rng, n, topology) -> TriDiagSystem:
-    """Random diagonally dominant complex system."""
+def random_system(rng, n, topology) -> tuple[Diagonals, np.ndarray]:
+    """Random diagonally dominant complex system: width-1 diagonals and a
+    right-hand side."""
     n_off = n if topology == CYCLIC else n - 1
     sub = rng.standard_normal(n_off) + 1j * rng.standard_normal(n_off)
     sup = rng.standard_normal(n_off) + 1j * rng.standard_normal(n_off)
@@ -73,7 +72,7 @@ def random_system(rng, n, topology) -> TriDiagSystem:
     phase = np.exp(1j * rng.uniform(0, 2 * math.pi, n))
     main = (row_sum + 1.0 + rng.uniform(0.1, 2.0, n)) * phase
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return TriDiagSystem(sub=sub, main=main, sup=sup, rhs=rhs, topology=topology)
+    return Diagonals(sub[:, None], main[:, None], sup[:, None], topology), rhs
 
 
 class SelftestFailure(Exception):
@@ -90,9 +89,8 @@ def _relative_error(x, reference):
     return np.max(np.abs(x - reference)) / scale
 
 
-def _corrupted_thomas(system):
-    x = solve_thomas(system)
-    x = x.copy()
+def _corrupted_thomas(diagonals, rhs):
+    x = solve(diagonals, rhs)
     x[0] += 1e-6
     return x
 
@@ -106,34 +104,25 @@ def _check_coefficients():
              "cy_lhs + cy_rhs != 0")
 
 
-def _check_open_oracle(solver):
-    rng = np.random.default_rng(SELFTEST_SEED)
-    for _ in range(200):
+def _check_oracle(solver, topology, seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         n = int(rng.integers(3, 65))
-        system = random_system(rng, n, OPEN)
-        err = _relative_error(solver(system), dense_oracle_solve(system))
-        _require(err <= 1e-10, f"open solve vs oracle error {err:.2e}")
-
-
-def _check_cyclic_oracle():
-    rng = np.random.default_rng(SELFTEST_SEED + 1)
-    for _ in range(100):
-        n = int(rng.integers(3, 65))
-        system = random_system(rng, n, CYCLIC)
-        err = _relative_error(solve_cyclic(system), dense_oracle_solve(system))
-        _require(err <= 1e-10, f"cyclic solve vs oracle error {err:.2e}")
+        diagonals, rhs = random_system(rng, n, topology)
+        err = _relative_error(solver(diagonals, rhs),
+                              dense_oracle_solve(diagonals, rhs))
+        _require(err <= 1e-10, f"{topology} solve vs oracle error {err:.2e}")
 
 
 def _check_batch_determinism():
     rng = np.random.default_rng(SELFTEST_SEED + 2)
-    system = random_system(rng, 48, OPEN)
+    diagonals, _ = random_system(rng, 48, OPEN)
     rhs = rng.standard_normal((48, 300)) + 1j * rng.standard_normal((48, 300))
-    batch = SolveBatch(factor(system.diagonals()), rhs)
+    batch = SolveBatch(factor(diagonals), rhs)
     serial = solve_batch(batch, parallel_hint=1)
     threaded = solve_batch(batch, parallel_hint=4)
     _require(serial.tobytes() == threaded.tobytes(), "hint changed batch output")
-    scalar = np.stack([solve_thomas(dataclasses.replace(system, rhs=rhs[:, m]))
-                       for m in range(300)], axis=1)
+    scalar = np.stack([solve(diagonals, rhs[:, m]) for m in range(300)], axis=1)
     _require(serial.tobytes() == scalar.tobytes(),
              "batch differs from scalar loop")
 
@@ -189,11 +178,13 @@ def run_selftest(corrupt_thomas: bool = False, out=print) -> bool:
 
     ``corrupt_thomas`` swaps in a deliberately wrong solver for the open
     oracle property (negative-control hook for tests)."""
-    solver = _corrupted_thomas if corrupt_thomas else solve_thomas
+    solver = _corrupted_thomas if corrupt_thomas else solve
     checks = [
         ("coefficient-identities", _check_coefficients),
-        ("thomas-vs-dense-oracle", lambda: _check_open_oracle(solver)),
-        ("cyclic-vs-dense-oracle", _check_cyclic_oracle),
+        ("thomas-vs-dense-oracle",
+         lambda: _check_oracle(solver, OPEN, SELFTEST_SEED, 200)),
+        ("cyclic-vs-dense-oracle",
+         lambda: _check_oracle(solve, CYCLIC, SELFTEST_SEED + 1, 100)),
         ("batch-determinism", _check_batch_determinism),
         ("delta-zero-identity", _check_delta_zero_identity),
         ("azimuth-symmetry", _check_azimuth_symmetry),

@@ -18,8 +18,9 @@ Determinism: every kernel operation is elementwise per batch member (and
 per factored column), and numpy elementwise complex arithmetic is
 value-deterministic, so a member's solution does not depend on which
 other members share its kernel call.  Batched results are therefore
-bit-identical to scalar solves, and invariant under the thread count,
-which only changes the column partition.
+bit-identical to solves of one member each (:func:`solve`), and
+invariant under the thread count, which only changes the column
+partition.
 
 Rounding: numpy's vectorised complex product uses fused multiply-adds, so
 ``a * b`` and ``b * a`` can differ in their last bits.  Every product
@@ -46,40 +47,6 @@ CYCLIC = "cyclic"
 
 PIVOT_FLOOR = 1e-300
 ORACLE_MAX_N = 4096
-
-
-@dataclass(eq=False)
-class TriDiagSystem:
-    """One tri-diagonal system A x = rhs, with vector diagonals laid out as
-    in :class:`Diagonals`.  The input of the scalar solvers and of the
-    dense oracle."""
-
-    sub: np.ndarray
-    main: np.ndarray
-    sup: np.ndarray
-    rhs: np.ndarray
-    topology: str = OPEN
-
-    def __post_init__(self):
-        self.sub = np.asarray(self.sub, dtype=np.complex128)
-        self.main = np.asarray(self.main, dtype=np.complex128)
-        self.sup = np.asarray(self.sup, dtype=np.complex128)
-        self.rhs = np.asarray(self.rhs, dtype=np.complex128)
-        for arr in (self.sub, self.main, self.sup, self.rhs):
-            if arr.ndim != 1:
-                raise ShapeError("diagonals and rhs must be vectors")
-        self.diagonals()
-        if self.rhs.shape[0] != self.n:
-            raise ShapeError(f"rhs length {self.rhs.shape[0]} != n {self.n}")
-
-    @property
-    def n(self) -> int:
-        return self.main.shape[0]
-
-    def diagonals(self) -> Diagonals:
-        """The matrix as width-1 :class:`Diagonals` (validates it)."""
-        return Diagonals(self.sub[:, None], self.main[:, None],
-                         self.sup[:, None], self.topology)
 
 
 @dataclass(eq=False)
@@ -123,15 +90,6 @@ class Diagonals:
     def n(self) -> int:
         return self.main.shape[0]
 
-    @property
-    def width(self) -> int:
-        return self.main.shape[1]
-
-    def column(self, m: int) -> "Diagonals":
-        """Matrix ``m`` on its own, as width-1 diagonals."""
-        return Diagonals(self.sub[:, m:m + 1], self.main[:, m:m + 1],
-                         self.sup[:, m:m + 1], self.topology)
-
 
 @dataclass(eq=False)
 class Factors:
@@ -147,16 +105,18 @@ class Factors:
     is the open solve against (gamma, 0, ..., 0, beta), and ``weight`` and
     ``denom`` (one value per matrix) complete the rank-1 correction.
 
-    ``errors`` holds, per matrix, the error for a singular matrix or None.
-    It is raised when the factors are used, so a factorization made ahead
-    of time fails where its first solve would have.
+    ``bad_row`` holds, per matrix, its first singular row: -1 for a
+    regular matrix, n for a cyclic one whose rank-1 correction is
+    singular.  Its error is raised when the factors are used, so a
+    factorization made ahead of time fails where its first solve would
+    have.
     """
 
     topology: str
     sub: np.ndarray
     cp: np.ndarray
     inv: np.ndarray
-    errors: tuple
+    bad_row: np.ndarray
     q: np.ndarray | None = None
     weight: np.ndarray | None = None
     denom: np.ndarray | None = None
@@ -172,16 +132,20 @@ class Factors:
     @property
     def singular(self) -> SingularSystemError | None:
         """The error of the first singular matrix, or None."""
-        return next((e for e in self.errors if e is not None), None)
+        bad = self.bad_row[self.bad_row >= 0]
+        if bad.size == 0:
+            return None
+        row = int(bad[0])
+        return SingularSystemError(
+            row, detail="singular rank-1 correction" if row == self.n else "")
 
     def column(self, j: int) -> "Factors":
-        """The factors of matrix ``j`` on their own, at width 1, with its
-        own error."""
+        """The factors of matrix ``j`` on their own, at width 1."""
         cut = slice(j, j + 1)
         cyclic = self.topology == CYCLIC
         return Factors(
             self.topology, self.sub[:, cut], self.cp[:, cut],
-            self.inv[:, cut], (self.errors[j],),
+            self.inv[:, cut], self.bad_row[cut],
             self.q[:, cut] if cyclic else None,
             self.weight[cut] if cyclic else None,
             self.denom[cut] if cyclic else None,
@@ -256,19 +220,10 @@ def _bad_pivots(inv) -> np.ndarray:
     return np.abs(inv) > 1.0 / PIVOT_FLOOR
 
 
-def _first_singular(bad, rank1_row=None) -> tuple:
-    """Per column of the (row, matrix) mask ``bad``, the error for its
-    first singular row, or None when there is none."""
-    if not bad.any():
-        return (None,) * bad.shape[1]
-    errors = []
-    for j, row in enumerate(np.argmax(bad, axis=0).tolist()):
-        if not bad[row, j]:
-            errors.append(None)
-            continue
-        detail = "singular rank-1 correction" if row == rank1_row else ""
-        errors.append(SingularSystemError(row, detail=detail))
-    return tuple(errors)
+def _first_bad_row(bad) -> np.ndarray:
+    """Per column of the (row, matrix) mask ``bad``, its first set row, or
+    -1 when there is none."""
+    return np.where(bad.any(axis=0), np.argmax(bad, axis=0), -1)
 
 
 def _substitute_open(cp, inv, sub, rhs, x):
@@ -296,7 +251,7 @@ def _substitute_open(cp, inv, sub, rhs, x):
 
 def factor(diagonals: Diagonals) -> Factors:
     """Factor every matrix (column) of ``diagonals``; never raises for a
-    singular matrix (see :attr:`Factors.errors`).
+    singular matrix (see :attr:`Factors.bad_row`).
 
     A cyclic matrix is factored as its open part with a modified diagonal,
     and the spike of the Sherman-Morrison correction is solved here, once,
@@ -308,7 +263,7 @@ def factor(diagonals: Diagonals) -> Factors:
     sub, main, sup = diagonals.sub, diagonals.main, diagonals.sup
     if diagonals.topology == OPEN:
         cp, inv = _factor_open(sub, main, sup)
-        return Factors(OPEN, sub, cp, inv, _first_singular(_bad_pivots(inv)))
+        return Factors(OPEN, sub, cp, inv, _first_bad_row(_bad_pivots(inv)))
     n = diagonals.n
     alpha = sub[0]       # A[0, n-1]
     beta = sup[n - 1]    # A[n-1, 0]
@@ -327,7 +282,7 @@ def factor(diagonals: Diagonals) -> Factors:
         weight = alpha / gamma
         denom = 1.0 + q[0] + weight * q[n - 1]
         bad = np.vstack([_bad_pivots(inv), np.abs(denom) < PIVOT_FLOOR])
-    return Factors(CYCLIC, sub_open, cp, inv, _first_singular(bad, rank1_row=n),
+    return Factors(CYCLIC, sub_open, cp, inv, _first_bad_row(bad),
                    q, weight, denom)
 
 
@@ -350,26 +305,11 @@ def _substitute(factors: Factors, rhs: np.ndarray, x: np.ndarray):
             subtract(x_row, t, out=x_row)
 
 
-def solve_thomas(system: TriDiagSystem) -> np.ndarray:
-    """Solve one open system by Thomas elimination (no pivoting).
-
-    Raises :class:`SingularSystemError` on a pivot below ``PIVOT_FLOOR``.
-    """
-    if system.topology != OPEN:
-        raise DomainError("solve_thomas requires open topology")
-    return _solve_one(system)
-
-
-def solve_cyclic(system: TriDiagSystem) -> np.ndarray:
-    """Solve one cyclic system (rank-1 correction of two open solves)."""
-    if system.topology != CYCLIC:
-        raise DomainError("solve_cyclic requires cyclic topology")
-    return _solve_one(system)
-
-
-def _solve_one(system: TriDiagSystem) -> np.ndarray:
-    rhs = system.rhs[:, None]
-    return solve_batch(SolveBatch(factor(system.diagonals()), rhs))[:, 0]
+def solve(diagonals: Diagonals, rhs) -> np.ndarray:
+    """Solve one system, width-1 ``diagonals`` against the vector ``rhs``,
+    as a batch of one."""
+    rhs = np.asarray(rhs, dtype=np.complex128)
+    return solve_batch(SolveBatch(factor(diagonals), rhs[:, None]))[:, 0]
 
 
 def solve_batch(batch: SolveBatch, parallel_hint: int = 1,
@@ -387,8 +327,9 @@ def solve_batch(batch: SolveBatch, parallel_hint: int = 1,
     if parallel_hint < 1:
         raise InvariantError("parallel_hint >= 1")
     factors = batch.factors
-    if factors.singular is not None:
-        raise factors.singular.with_traceback(None)
+    error = factors.singular
+    if error is not None:
+        raise error
     rhs = batch.rhs
     if out is None:
         out = np.empty(rhs.shape, dtype=np.complex128)
@@ -398,38 +339,44 @@ def solve_batch(batch: SolveBatch, parallel_hint: int = 1,
     def worker(lo, hi):
         _substitute(factors, rhs[:, lo:hi], out[:, lo:hi])
 
-    failures = fork_join(worker, batch.n_systems, parallel_hint)
-    if failures:
-        raise failures[0][2]
+    fork_join(worker, batch.n_systems, parallel_hint)
     return out
 
 
-def dense_matrix(system: TriDiagSystem) -> np.ndarray:
-    """Materialize the full n x n matrix (corners included when cyclic)."""
-    n = system.n
+def dense_matrix(diagonals: Diagonals) -> np.ndarray:
+    """Materialize the full n x n matrix of width-1 ``diagonals`` (corners
+    included when cyclic)."""
+    if diagonals.main.shape[1] != 1:
+        raise ShapeError("dense_matrix takes one matrix (width-1 diagonals)")
+    sub, main, sup = (d[:, 0] for d in (diagonals.sub, diagonals.main,
+                                        diagonals.sup))
+    n = diagonals.n
     a = np.zeros((n, n), dtype=np.complex128)
     idx = np.arange(n)
-    a[idx, idx] = system.main
-    if system.topology == OPEN:
+    a[idx, idx] = main
+    if diagonals.topology == OPEN:
         if n > 1:
-            a[idx[1:], idx[:-1]] = system.sub
-            a[idx[:-1], idx[1:]] = system.sup
+            a[idx[1:], idx[:-1]] = sub
+            a[idx[:-1], idx[1:]] = sup
     else:
-        a[idx[1:], idx[:-1]] = system.sub[1:]
-        a[idx[:-1], idx[1:]] = system.sup[:-1]
-        a[0, n - 1] = system.sub[0]
-        a[n - 1, 0] = system.sup[n - 1]
+        a[idx[1:], idx[:-1]] = sub[1:]
+        a[idx[:-1], idx[1:]] = sup[:-1]
+        a[0, n - 1] = sub[0]
+        a[n - 1, 0] = sup[n - 1]
     return a
 
 
-def dense_oracle_solve(system: TriDiagSystem) -> np.ndarray:
-    """Reference solve: full-matrix Gaussian elimination with partial
-    pivoting.  Test oracle only; guarded to n <= ORACLE_MAX_N."""
-    n = system.n
+def dense_oracle_solve(diagonals: Diagonals, rhs) -> np.ndarray:
+    """Reference solve of width-1 ``diagonals`` against the vector ``rhs``:
+    full-matrix Gaussian elimination with partial pivoting.  Test oracle
+    only; guarded to n <= ORACLE_MAX_N."""
+    n = diagonals.n
     if n > ORACLE_MAX_N:
         raise DomainError(f"oracle limited to n <= {ORACLE_MAX_N}, got {n}")
-    a = dense_matrix(system)
-    b = system.rhs.copy()
+    a = dense_matrix(diagonals)
+    b = np.array(rhs, dtype=np.complex128)
+    if b.shape != (n,):
+        raise ShapeError(f"rhs of shape {b.shape}, the matrix has {n} rows")
     for k in range(n):
         col = np.abs(a[k:, k])
         p = k + int(np.argmax(col))

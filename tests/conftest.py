@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 from pe3d.config import Config, RunOptions
 from pe3d.environment import (
     PERIODIC,
@@ -11,6 +13,7 @@ from pe3d.environment import (
     SoundSpeedProfile,
     SourceSpec,
 )
+from pe3d.tridiag import OPEN, Diagonals
 
 
 def make_grid(n_range=10, n_azimuth=8, n_depth=32, delta_r=5.0, delta_z=4.0,
@@ -53,3 +56,9 @@ def random_slab_values(rng, grid, zero_surface=True):
     if zero_surface:
         values[:, 0] = 0.0
     return values
+
+
+def one_matrix(sub, main, sup, topology=OPEN):
+    """Width-1 complex ``Diagonals`` from the vectors of one matrix."""
+    return Diagonals(*(np.asarray(d, dtype=complex)[:, None]
+                       for d in (sub, main, sup)), topology)

@@ -16,16 +16,7 @@ from pe3d.operators import (
     compute_rhs,
     depth_stencil,
 )
-from pe3d.tridiag import (
-    CYCLIC,
-    SolveBatch,
-    TriDiagSystem,
-    dense_matrix,
-    factor,
-    solve_batch,
-    solve_cyclic,
-    solve_thomas,
-)
+from pe3d.tridiag import CYCLIC, SolveBatch, dense_matrix, factor, solve, solve_batch
 
 
 def second_diff_dirichlet(n):
@@ -139,16 +130,6 @@ def azimuth_column(values):
     return np.asarray(values, dtype=complex)[:, None]
 
 
-def member_system(diagonals, m, rhs=None):
-    """Column ``m`` of assembled diagonals as one system."""
-    return TriDiagSystem(
-        sub=diagonals.sub[:, m], main=diagonals.main[:, m],
-        sup=diagonals.sup[:, m],
-        rhs=np.zeros(diagonals.n) if rhs is None else rhs,
-        topology=diagonals.topology,
-    )
-
-
 def solve_against(diagonals, rhs):
     return solve_batch(SolveBatch(factor(diagonals), rhs))
 
@@ -167,7 +148,7 @@ class TestAssembleDepthSystem:
         k0, dz = 0.25, 3.0
         s = 1.0 / (k0 * dz) ** 2
         batch = assemble_depth_batch(coeff, np.ones(6), k0, dz)
-        assert batch.width == 1
+        assert batch.main.shape[1] == 1
         assert np.allclose(batch.main[1:], 1.0 - 2.0 * coeff * s, rtol=1e-15)
         assert np.allclose(batch.sub, coeff * s, rtol=1e-15)
         assert np.allclose(batch.sup[1:], coeff * s, rtol=1e-15)
@@ -179,8 +160,8 @@ class TestAssembleDepthSystem:
         coeff = 0.25 - 0.3j
         u = rng.standard_normal((n_az, n)) + 1j * rng.standard_normal((n_az, n))
         batch = assemble_depth_batch(coeff, profile, 0.2, 4.0)
-        assert batch.width == 1
-        a = dense_matrix(member_system(batch, 0))
+        assert batch.main.shape[1] == 1
+        a = dense_matrix(batch)
         for m in range(n_az):
             lhs = a @ u[m]
             rhs = u[m] + coeff * apply_X(u[m], profile, 0.2, 4.0)
@@ -205,10 +186,9 @@ class TestAssembleAzimuthSystem:
         coeff = -0.25j
         batch = assemble_azimuth_batch(coeff, 0.2, 100.0, 2 * math.pi / 4,
                                        PERIODIC, 4)
-        sys = member_system(batch, 0)
-        assert sys.topology == CYCLIC
+        assert batch.topology == CYCLIC
         off = coeff / (0.2 * 100.0 * 2 * math.pi / 4) ** 2
-        assert sys.sub[0] == off and sys.sup[-1] == off
+        assert batch.sub[0, 0] == off and batch.sup[-1, 0] == off
 
     def test_constant_vector_preserved_on_ring(self):
         rhs = np.full(8, 2.0 - 1.0j)
@@ -227,8 +207,8 @@ class TestAssembleAzimuthSystem:
             + 1j * rng.standard_normal((n_az, n_dep))
         batch = assemble_azimuth_batch(coeff, 0.2, 90.0, delta_theta,
                                        topology, n_az)
-        assert batch.width == 1  # one matrix for every depth index
-        a = dense_matrix(member_system(batch, 0))
+        assert batch.main.shape[1] == 1  # one matrix for every depth index
+        a = dense_matrix(batch)
         edges = slice(None) if topology == PERIODIC else slice(1, -1)
         for l in range(n_dep):
             lhs = a @ u[:, l]
@@ -252,7 +232,7 @@ class TestAssembleAzimuthSystem:
         ranges = [15.0 + 5.0 * i for i in range(7)]
         block = assemble_azimuth_batch(coeff, k0, ranges, delta_theta,
                                        topology, 9)
-        assert block.width == 7
+        assert block.main.shape[1] == 7
         for j, r in enumerate(ranges):
             alone = assemble_azimuth_batch(coeff, k0, [r], delta_theta,
                                            topology, 9)
@@ -394,7 +374,7 @@ class TestBatchAssembly:
         # the one matrix is factored once and shared by every right-hand side
         solutions = solve_against(batch, rhs.T.copy())
         for m in range(grid.n_azimuth):
-            scalar = solve_thomas(member_system(batch, 0, rhs[m]))
+            scalar = solve(batch, rhs[m])
             assert solutions[:, m].tobytes() == scalar.tobytes()
 
     def test_depth_batch_surface_row_constrained(self):
@@ -415,7 +395,7 @@ class TestBatchAssembly:
                                        PERIODIC, grid.n_azimuth)
         solutions = solve_against(batch, rhs)
         for l in range(grid.n_depth):
-            scalar = solve_cyclic(member_system(batch, 0, rhs[:, l]))
+            scalar = solve(batch, rhs[:, l])
             assert np.array_equal(solutions[:, l], scalar)
 
     def test_sector_batch_edges_constrained(self):

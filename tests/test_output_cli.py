@@ -287,6 +287,60 @@ class TestCmdRun:
         assert "config error: output_dir not writable" in capsys.readouterr().err
 
 
+def assert_config_error(tmp_path, capsys, cfg, expected):
+    """The run prints ``config error: ...`` naming ``expected``, exits 2
+    and computes nothing."""
+    outdir = tmp_path / "never"
+    assert main(["run", "--config", str(cfg), "--output", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and expected in err
+    assert not outdir.exists()
+
+
+class TestConfigErrorsBeforeCompute:
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "conf.d").mkdir()
+        assert_config_error(tmp_path, capsys, tmp_path / "conf.d",
+                            "cannot read config file")
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.ini"
+        cfg.write_bytes(b"# caf\xe9\n" + CONFIG_TEXT.format(
+            frequencies="50.0", fmt="csv").encode())
+        assert_config_error(tmp_path, capsys, cfg, "cannot read config file")
+
+    def test_sound_speed_file_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "ssp").mkdir()
+        cfg = write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text().replace("sound_speed = 1500.0",
+                                               "sound_speed_file = ssp"))
+        assert_config_error(tmp_path, capsys, cfg, "cannot read sound_speed_file")
+
+    @pytest.mark.parametrize("old,new,expected", [
+        ("frequencies = 50.0", "frequencies = nan", "every frequency > 0 and finite"),
+        ("frequencies = 50.0", "frequencies = inf", "every frequency > 0 and finite"),
+        ("delta_r = 5.0", "delta_r = inf", "delta_r > 0 and finite"),
+        ("c0 = 1500.0", "c0 = inf", "c0 > 0 and finite"),
+        ("water_depth = 6000.0",
+         "water_depth = 6000.0\nabsorber_max_attenuation = nan",
+         "absorber.max_attenuation >= 0 and finite"),
+        ("depth = 60.0", "depth = 200.0", "0 < source depth < grid depth extent"),
+    ], ids=["frequency-nan", "frequency-inf", "delta_r-inf", "c0-inf",
+            "attenuation-nan", "source-below-grid"])
+    def test_number_out_of_range(self, tmp_path, capsys, old, new, expected):
+        cfg = write_cfg(tmp_path)
+        text = cfg.read_text()
+        assert old in text
+        cfg.write_text(text.replace(old, new))
+        assert_config_error(tmp_path, capsys, cfg, expected)
+
+    @pytest.mark.parametrize("frequencies", ["50.00001, 50.00004", "50, 50"])
+    def test_frequencies_sharing_a_tl_file(self, tmp_path, capsys, frequencies):
+        cfg = write_cfg(tmp_path, frequencies=frequencies)
+        assert_config_error(tmp_path, capsys, cfg,
+                            "would both write tl_0000050.0000Hz.csv")
+
+
 class TestCmdSelftest:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0

@@ -1,5 +1,6 @@
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from pe3d.errors import InvariantError
 from pe3d.marching import run_frequency
 from pe3d.parallel import frequency_farm
 import pe3d.parallel as parallel_module
-from pe3d.pool import block_ranges
+from pe3d.pool import block_ranges, fork_join
 
 
 def tiny_config(frequencies=(50.0,), **kwargs):
@@ -50,6 +51,27 @@ class TestStaticAssignment:
 
     def test_block_ranges_consistency(self):
         assert block_ranges(8, 3) == [(0, 3), (3, 6), (6, 8)]
+
+
+class TestForkJoin:
+    def test_returns_the_blocks(self):
+        ran = []
+        blocks = fork_join(lambda lo, hi: ran.append((lo, hi)), 8, 3)
+        assert blocks == block_ranges(8, 3) == sorted(ran)
+        assert fork_join(lambda lo, hi: None, 5, 1) == [(0, 5)]
+
+    def test_raises_after_every_block_has_run(self):
+        finished = []
+
+        def worker(lo, hi):
+            if lo == 1:
+                raise ValueError("block 1")
+            time.sleep(0.05)  # the failure comes first; the join waits
+            finished.append(lo)
+
+        with pytest.raises(ValueError, match="block 1"):
+            fork_join(worker, 3, 3)
+        assert sorted(finished) == [0, 2]
 
 
 class TestFrequencyFarm:
