@@ -19,6 +19,7 @@ from .config import load_config
 from .errors import ConfigError, InvariantError, Pe3dError
 from .output import (
     file_sha256,
+    remove_manifest,
     tl_filename,
     write_manifest,
     write_tl_grid,
@@ -104,35 +105,30 @@ def cmd_run(args) -> int:
     outdir = options.output_dir
     try:
         outdir.mkdir(parents=True, exist_ok=True)
+        # A manifest describes the run that wrote it: an earlier run's
+        # goes before this run writes its first TL file.
+        remove_manifest(outdir)
     except OSError as exc:
         print(f"config error: output_dir not writable: {exc}", file=sys.stderr)
         return 2
 
-    report = frequency_farm(
-        config, config.source.frequencies,
-        workers=executor.freq_workers, intra_threads=executor.intra_threads,
-    )
+    delivered = {}  # input index -> manifest entry, written or failed
 
-    entries = []
-    ok = report.ok
-    for index, frequency in enumerate(config.source.frequencies):
-        result = report.results[index]
-        if result is None:
-            continue
+    def deliver(index, result):
+        frequency = result.frequency
         name = tl_filename(frequency, options.tl_format)
         try:
             path = write_tl_grid(outdir / name, result, config.grid,
                                  options.tl_format)
             digest = file_sha256(path)
         except OSError as exc:
-            ok = False
             message = f"cannot write {name}: {exc.strerror or exc}"
-            entries.append({"frequency_hz": frequency, "status": "error",
-                            "file": name, "message": message})
+            delivered[index] = {"frequency_hz": frequency, "status": "error",
+                                "file": name, "message": message}
             print(f"frequency {frequency:g} Hz FAILED: {message}",
                   file=sys.stderr)
-            continue
-        entries.append({
+            return
+        delivered[index] = {
             "frequency_hz": frequency,
             "status": "ok",
             "file": name,
@@ -140,9 +136,19 @@ def cmd_run(args) -> int:
             "wall_seconds": result.wall_seconds,
             "clamped_samples": result.clamped_samples,
             "output_stride": result.output_stride,
-        })
+        }
         print(f"frequency {frequency:g} Hz -> {name} "
-              f"({result.wall_seconds:.2f} s, {result.clamped_samples} clamped)")
+              f"({result.wall_seconds:.2f} s, {result.clamped_samples} clamped)",
+              flush=True)
+
+    report = frequency_farm(
+        config, config.source.frequencies,
+        workers=executor.freq_workers, intra_threads=executor.intra_threads,
+        deliver=deliver,
+    )
+
+    ok = report.ok and all(e["status"] == "ok" for e in delivered.values())
+    entries = [delivered[index] for index in sorted(delivered)]
     for failure in report.failures:
         entries.append({
             "frequency_hz": failure.frequency,

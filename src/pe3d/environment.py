@@ -301,13 +301,21 @@ def transmission_loss(u: complex, w: complex) -> float:
     return -20.0 * math.log10(mag)
 
 
-def transmission_loss_field(values: np.ndarray, w: complex):
+def transmission_loss_field(values: np.ndarray, w: complex, out=None):
     """Vectorized TL over a slab; returns (tl array, clamped sample count,
-    non-finite sample count)."""
-    mag = np.abs(values) * abs(w)
+    non-finite sample count).
+
+    The TL is written into ``out`` (a float64 array of the slab's shape)
+    when given, else into a new array; no other slab-sized float array is
+    made.  Zero magnitudes take log10(1) and are then set to the floor.
+    """
+    mag = np.abs(values, out=out)
+    np.multiply(mag, abs(w), out=mag)
     nonfinite = mag.size - int(np.count_nonzero(np.isfinite(mag)))
     zero = mag == 0.0
     clamped = int(np.count_nonzero(zero))
-    with np.errstate(divide="ignore"):
-        tl = np.where(zero, TL_FLOOR_DB, -20.0 * np.log10(np.where(zero, 1.0, mag)))
-    return tl, clamped, nonfinite
+    np.copyto(mag, 1.0, where=zero)
+    np.log10(mag, out=mag)
+    np.multiply(-20.0, mag, out=mag)
+    np.copyto(mag, TL_FLOOR_DB, where=zero)
+    return mag, clamped, nonfinite

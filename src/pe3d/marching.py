@@ -252,12 +252,12 @@ def run_frequency(config, frequency: float, executor: ExecutorSpec | None = None
         nonlocal clamped
         s = state.slab
         w = hankel_factor(k0, s.range_m)
-        tl, n_clamped, n_nonfinite = transmission_loss_field(s.values, w)
+        _, n_clamped, n_nonfinite = transmission_loss_field(
+            s.values, w, out=tl_field[i])
         if n_nonfinite:
             raise StepError(state.range_index, None,
                             f"{n_nonfinite} non-finite field values")
         ranges[i] = s.range_m
-        tl_field[i] = tl
         clamped += n_clamped
 
     state = MarchState(slab, 0)

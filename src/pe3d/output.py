@@ -7,7 +7,7 @@ depth) order.
 
 The binary grid is the same data without text overhead: an 8-byte magic,
 a little-endian uint64 header length, a JSON header, then the raw
-float64 samples in C order (range x azimuth x depth).
+little-endian float64 samples in C order (range x azimuth x depth).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import ConfigError, InvariantError
 from .marching import FrequencyResult
 
 BINARY_MAGIC = b"PE3DTLG1"
+TL_BINARY_DTYPE = np.dtype("<f8")
 MANIFEST_NAME = "run_manifest.json"
 TL_CSV_COLUMNS = ("range_m", "azimuth_deg", "depth_m", "tl_db")
 
@@ -96,12 +97,12 @@ def write_tl_binary(path, result: FrequencyResult, grid: Grid3D) -> Path:
     header = _tl_header(result, grid)
     header["ranges_m"] = [float(r) for r in result.ranges]
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    data = np.ascontiguousarray(result.tl_field, dtype=np.float64)
+    data = np.ascontiguousarray(result.tl_field, dtype=TL_BINARY_DTYPE)
     with open(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        fh.write(data.tobytes())
+        fh.write(data)  # through the buffer protocol, no copy
     return path
 
 
@@ -122,7 +123,7 @@ def read_tl_binary(path):
             f"{path}: TL grid holds {len(data) / 8:g} samples, "
             f"header expects {expected}"
         )
-    return header, np.frombuffer(data, dtype=np.float64).reshape(shape)
+    return header, np.frombuffer(data, dtype=TL_BINARY_DTYPE).reshape(shape)
 
 
 def _replace_with(path, write) -> Path:
@@ -151,10 +152,13 @@ def write_tl_grid(path, result: FrequencyResult, grid: Grid3D,
 
 
 def file_sha256(path) -> str:
+    """SHA-256 of a file, read through one reused 256 KiB buffer."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    buffer = bytearray(1 << 18)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buffer):
+            digest.update(view[:n])
     return digest.hexdigest()
 
 
@@ -165,6 +169,15 @@ def write_manifest(directory, manifest: dict) -> Path:
             fh.write("\n")
 
     return _replace_with(Path(directory) / MANIFEST_NAME, write)
+
+
+def remove_manifest(directory) -> None:
+    """Remove the manifest an earlier run left in ``directory``, so that
+    none lies beside TL files it does not describe.  Anything but a
+    directory in its place goes; ``write_manifest`` reports a directory."""
+    path = Path(directory) / MANIFEST_NAME
+    if not path.is_dir():
+        path.unlink(missing_ok=True)
 
 
 def load_manifest(directory) -> dict:

@@ -11,7 +11,7 @@ output against the serial path.
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -66,8 +66,8 @@ def _farm_job(payload):
 
 
 def frequency_farm(config, frequencies, workers: int = 1,
-                   intra_threads: int = 1) -> FarmReport:
-    """Solve each frequency as an independent job and merge in input order.
+                   intra_threads: int = 1, deliver=None) -> FarmReport:
+    """Solve each frequency as an independent job; report in input order.
 
     Each worker process owns one contiguous block of frequencies
     (:func:`pe3d.pool.block_ranges`): every frequency marches the same grid
@@ -75,6 +75,14 @@ def frequency_farm(config, frequencies, workers: int = 1,
     load.  A block runs on its own one-process pool, which gets each of
     its frequencies as a separate job, so every result comes back as soon
     as it is done.  Workers start by ``FARM_START_METHOD``.
+
+    ``deliver(index, result)``, when given, is called in this process for
+    each frequency that marched, as soon as its result is here: right
+    after the frequency on one worker, in completion order on several.
+    Once it returns, the result's TL grid is dropped (``tl_field`` set to
+    None), so the farm holds at most one grid per busy worker; the rest of
+    the result stays in ``results``.  An exception from ``deliver`` cancels
+    the jobs not yet started and propagates once the pools are shut down.
 
     Failures never abort the farm; they are reported per frequency, in
     input order.  A worker process that dies fails the frequencies of its
@@ -86,33 +94,44 @@ def frequency_farm(config, frequencies, workers: int = 1,
     if workers < 1:
         raise InvariantError("workers >= 1")
 
-    jobs = list(enumerate(frequencies))
+    results = [None] * len(frequencies)
+    errors = {}
+
+    def settle(index, status, payload):
+        if status != "ok":
+            errors[index] = payload
+            return
+        results[index] = payload
+        if deliver is not None:
+            deliver(index, payload)
+            payload.tl_field = None
+
     if workers == 1:
-        outcomes = [_farm_job((config, index, frequency, intra_threads))
-                    for index, frequency in jobs]
+        for index, frequency in enumerate(frequencies):
+            settle(*_farm_job((config, index, frequency, intra_threads)))
     else:
         context = multiprocessing.get_context(FARM_START_METHOD)
-        outcomes = []
         with ExitStack() as pools:
-            submitted = []
-            for lo, hi in block_ranges(len(jobs), workers):
+            submitted = {}
+            for lo, hi in block_ranges(len(frequencies), workers):
                 pool = pools.enter_context(
                     ProcessPoolExecutor(max_workers=1, mp_context=context))
                 for index in range(lo, hi):
                     payload = (config, index, frequencies[index], intra_threads)
-                    submitted.append((index, pool.submit(_farm_job, payload)))
-            for index, future in submitted:
-                try:
-                    outcomes.append(future.result())
-                except BrokenProcessPool as exc:
-                    outcomes.append(
-                        (index, "error", f"worker process died: {exc}"))
+                    submitted[pool.submit(_farm_job, payload)] = index
+            try:
+                for future in as_completed(submitted):
+                    try:
+                        outcome = future.result()
+                    except BrokenProcessPool as exc:
+                        outcome = (submitted[future], "error",
+                                   f"worker process died: {exc}")
+                    settle(*outcome)
+            except BaseException:
+                for future in submitted:
+                    future.cancel()
+                raise
 
-    results = [None] * len(frequencies)
-    failures = []
-    for index, status, payload in outcomes:
-        if status == "ok":
-            results[index] = payload
-        else:
-            failures.append(FarmFailure(index, frequencies[index], payload))
+    failures = [FarmFailure(index, frequencies[index], errors[index])
+                for index in sorted(errors)]
     return FarmReport(results=results, failures=failures)

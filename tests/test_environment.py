@@ -258,6 +258,28 @@ class TestTransmissionLoss:
         assert tl[0, 0] == TL_FLOOR_DB and tl[0, 1] == 0.0
         assert np.all(np.isfinite(tl))
 
+    def test_field_in_place_matches_allocating_form(self):
+        # clamped zeros and non-finite samples included; the reference is
+        # the expression the allocating form was first written as
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+        values[0, :] = 0.0
+        values[2, 3] = complex(np.nan, 0.0)
+        values[4, 5] = complex(np.inf, 1.0)
+        w = hankel_factor(0.2, 37.0)
+        tl, clamped, nonfinite = transmission_loss_field(values, w)
+        out = np.full((2,) + values.shape, 123.0)
+        returned, out_clamped, out_nonfinite = transmission_loss_field(
+            values, w, out=out[1])
+        mag = np.abs(values) * abs(w)
+        zero = mag == 0.0
+        reference = np.where(zero, TL_FLOOR_DB,
+                             -20.0 * np.log10(np.where(zero, 1.0, mag)))
+        assert np.shares_memory(returned, out[1])
+        assert out[1].tobytes() == tl.tobytes() == reference.tobytes()
+        assert np.all(out[0] == 123.0)
+        assert (out_clamped, out_nonfinite) == (clamped, nonfinite) == (9, 2)
+
 
 class TestFieldSlab:
     def test_grid_mismatch(self):

@@ -1,12 +1,17 @@
+import dataclasses
 import os
+import struct
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pe3d
+import pe3d.cli as cli
 import pe3d.marching as marching
 import pe3d.parallel as parallel
 from conftest import make_config
@@ -16,6 +21,8 @@ from pe3d.environment import wavenumber
 from pe3d.errors import ConfigError
 from pe3d.marching import run_frequency
 from pe3d.output import (
+    BINARY_MAGIC,
+    MANIFEST_NAME,
     file_sha256,
     load_manifest,
     read_tl_binary,
@@ -90,6 +97,24 @@ class TestTLFiles:
         assert np.array_equal(tl, result.tl_field)
         assert header["frequency_hz"] == 50.0
         assert header["ranges_m"] == [float(r) for r in result.ranges]
+
+    def test_binary_samples_little_endian(self, tmp_path, small_result):
+        # the same file from native and big-endian grids: magic, header
+        # length, header, then the samples as little-endian float64
+        config, result = small_result
+        path = write_tl_binary(tmp_path / "tl.bin", result, config.grid)
+        swapped = dataclasses.replace(
+            result, tl_field=result.tl_field.astype(">f8"))
+        other = write_tl_binary(tmp_path / "be.bin", swapped, config.grid)
+        blob = path.read_bytes()
+        samples = result.tl_field.astype("<f8").tobytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        assert blob.startswith(BINARY_MAGIC) and blob.endswith(samples)
+        assert len(blob) == 16 + header_len + len(samples)
+        assert other.read_bytes() == blob
+        _, tl = read_tl_binary(path)
+        assert tl.dtype.str == "<f8"
+        assert tl.tobytes() == samples
 
     @pytest.mark.parametrize("change", [-8, -1, 8])
     def test_binary_wrong_sample_count_rejected(self, tmp_path, small_result,
@@ -183,23 +208,35 @@ class TestCmdRun:
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_dead_worker_reported_in_manifest(self, tmp_path, monkeypatch):
+        # blocks (40, 50) and (60): the first worker dies at 50 Hz once the
+        # 40 Hz file it marched before is on disk, and notes that it was
         cfg = write_cfg(tmp_path, frequencies="40.0, 50.0, 60.0")
         outdir = tmp_path / "dead"
+        earlier = outdir / tl_filename(40.0, "csv")
+        note = tmp_path / "earlier_file_seen"
         real_run = parallel.run_frequency
 
         def dying_run(config, frequency, executor=None):
             if frequency == 50.0:
+                deadline = time.monotonic() + 10.0
+                while not earlier.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                note.write_text(str(earlier.exists()))
                 os._exit(3)
             return real_run(config, frequency, executor)
 
         monkeypatch.setattr(parallel, "run_frequency", dying_run)
         assert main(["run", "--config", str(cfg), "--output", str(outdir),
                      "--workers", "2"]) == 1
+        assert note.read_text() == "True"
         entries = load_manifest(outdir)["frequencies"]
-        assert sorted(e["frequency_hz"] for e in entries) == [40.0, 50.0, 60.0]
-        dead = next(e for e in entries if e["frequency_hz"] == 50.0)
+        assert [e["frequency_hz"] for e in entries] == [40.0, 60.0, 50.0]
+        dead = entries[2]
         assert dead["status"] == "error"
         assert "worker process died" in dead["message"]
+        for entry in entries[:2]:
+            assert entry["status"] == "ok"
+            assert file_sha256(outdir / entry["file"]) == entry["sha256"]
 
     def test_diverging_field_fails_its_frequency(self, tmp_path, monkeypatch):
         # a NaN in the 50 Hz slab at step 3: 50 Hz stops there with a
@@ -285,6 +322,104 @@ class TestCmdRun:
                      "--output", str(blocker / "out")])
         assert code == 2
         assert "config error: output_dir not writable" in capsys.readouterr().err
+
+
+class TestStreamedOutput:
+    """Each frequency's TL file is written as soon as the frequency is
+    marched, and its grid is released then."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_does_not_grow_with_frequency_count(
+            self, tmp_path, capsys, workers):
+        # one TL grid per busy worker at most: with two workers a grid
+        # being written and one being received can meet in this process
+        grid_bytes = 41 * 32 * 128 * 8
+        peaks = []
+        for n in (1, 6):
+            cfg = write_cfg(tmp_path, frequencies=", ".join(
+                str(40.0 + 5.0 * i) for i in range(n)), fmt="binary-grid",
+                name=f"f{n}.ini")
+            cfg.write_text(cfg.read_text()
+                           .replace("n_range = 6", "n_range = 40")
+                           .replace("n_azimuth = 8", "n_azimuth = 32")
+                           .replace("delta_theta = 45.0", "delta_theta = 11.25")
+                           .replace("n_depth = 24", "n_depth = 128")
+                           .replace("delta_z = 6.0", "delta_z = 2.0")
+                           .replace("output_stride = 2", "output_stride = 1"))
+            tracemalloc.start()
+            try:
+                assert main(["run", "--config", str(cfg), "--output",
+                             str(tmp_path / f"f{n}"),
+                             "--workers", str(workers)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < workers * grid_bytes
+
+    def test_file_written_before_next_frequency_marches(self, tmp_path,
+                                                        monkeypatch):
+        frequencies = (30.0, 40.0, 50.0)
+        cfg = write_cfg(tmp_path, frequencies="30.0, 40.0, 50.0",
+                        fmt="binary-grid")
+        outdir = tmp_path / "out"
+        real_run = parallel.run_frequency
+        on_disk = {}
+
+        def run(config, frequency, executor=None):
+            on_disk[frequency] = {p.name: file_sha256(p)
+                                  for p in outdir.iterdir()}
+            return real_run(config, frequency, executor)
+
+        monkeypatch.setattr(parallel, "run_frequency", run)
+        assert main(["run", "--config", str(cfg), "--output", str(outdir),
+                     "--workers", "1"]) == 0
+        entries = load_manifest(outdir)["frequencies"]
+        for i, frequency in enumerate(frequencies):
+            assert on_disk[frequency] == {e["file"]: e["sha256"]
+                                          for e in entries[:i]}
+
+    def test_manifest_order_with_failing_middle_frequency(self, tmp_path,
+                                                          monkeypatch):
+        # blocks (30, 40, 50) and (60, 70): 30 Hz is slowed, so 60 and
+        # 70 Hz finish first; 50 Hz fails.  The manifest lists the marched
+        # frequencies in input order, then the failure.
+        cfg = write_cfg(tmp_path, frequencies="30.0, 40.0, 50.0, 60.0, 70.0")
+        outdir = tmp_path / "order"
+        real_run = parallel.run_frequency
+
+        def run(config, frequency, executor=None):
+            if frequency == 30.0:
+                time.sleep(0.5)
+            if frequency == 50.0:
+                raise ValueError("no 50 Hz")
+            return real_run(config, frequency, executor)
+
+        monkeypatch.setattr(parallel, "run_frequency", run)
+        assert main(["run", "--config", str(cfg), "--output", str(outdir),
+                     "--workers", "2"]) == 1
+        entries = load_manifest(outdir)["frequencies"]
+        assert [e["frequency_hz"] for e in entries] \
+            == [30.0, 40.0, 60.0, 70.0, 50.0]
+        assert [e["status"] for e in entries] == ["ok"] * 4 + ["error"]
+        assert entries[4]["message"] == "ValueError: no 50 Hz"
+
+    def test_earlier_manifest_removed_before_first_tl_file(self, tmp_path,
+                                                           monkeypatch):
+        cfg = write_cfg(tmp_path, frequencies="40.0, 50.0", fmt="binary-grid")
+        outdir = tmp_path / "again"
+        argv = ["run", "--config", str(cfg), "--output", str(outdir)]
+        assert main(argv) == 0
+        real_write = cli.write_tl_grid
+        manifest_present = []
+
+        def write(path, *args):
+            manifest_present.append((outdir / MANIFEST_NAME).exists())
+            return real_write(path, *args)
+
+        monkeypatch.setattr(cli, "write_tl_grid", write)
+        assert main(argv) == 0
+        assert manifest_present == [False, False]
+        assert len(load_manifest(outdir)["frequencies"]) == 2
 
 
 def assert_config_error(tmp_path, capsys, cfg, expected):

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import time
 
@@ -143,3 +144,39 @@ class TestFrequencyFarm:
             assert result.frequency == freqs[index]
             assert result.tl_field.tobytes() == direct.tl_field.tobytes()
             assert np.array_equal(result.ranges, direct.ranges)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_deliver_gets_each_grid_then_the_farm_drops_it(self, workers):
+        freqs = (30.0, 40.0, 50.0)
+        config = tiny_config(frequencies=freqs)
+        kept = frequency_farm(config, freqs, workers=1)
+        delivered = {}
+
+        def deliver(index, result):
+            assert index not in delivered
+            delivered[index] = result.tl_field.copy()
+
+        report = frequency_farm(config, freqs, workers=workers, deliver=deliver)
+        assert report.ok and sorted(delivered) == [0, 1, 2]
+        for index, result in enumerate(report.results):
+            assert result.tl_field is None
+            assert result.frequency == freqs[index]
+            assert np.array_equal(result.ranges, kept.results[index].ranges)
+            assert delivered[index].tobytes() \
+                == kept.results[index].tl_field.tobytes()
+
+    def test_deliver_error_stops_the_farm(self):
+        # the jobs not yet started are cancelled and the pools shut down
+        # before the error reaches the caller
+        freqs = tuple(25.0 + 5.0 * i for i in range(8))
+        config = tiny_config(frequencies=freqs)
+        calls = []
+
+        def deliver(index, result):
+            calls.append(index)
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            frequency_farm(config, freqs, workers=2, deliver=deliver)
+        assert len(calls) == 1
+        assert multiprocessing.active_children() == []
