@@ -8,20 +8,17 @@ from .config import Config, RunOptions, load_config
 from .environment import (
     Absorber,
     Environment,
-    FieldSlab,
     Grid3D,
     SoundSpeedProfile,
     SourceSpec,
     gaussian_starter,
     hankel_factor,
     refraction_index,
-    transmission_loss,
     wavenumber,
 )
 from .marching import (
     FrequencyResult,
     Marcher,
-    MarchState,
     apply_boundary,
     range_step,
     run_frequency,
@@ -54,18 +51,15 @@ __all__ = [
     "load_config",
     "Absorber",
     "Environment",
-    "FieldSlab",
     "Grid3D",
     "SoundSpeedProfile",
     "SourceSpec",
     "gaussian_starter",
     "hankel_factor",
     "refraction_index",
-    "transmission_loss",
     "wavenumber",
     "FrequencyResult",
     "Marcher",
-    "MarchState",
     "apply_boundary",
     "range_step",
     "run_frequency",

@@ -1,7 +1,6 @@
 """Command-line front end: run simulations and the selftest.
 
-Thread and worker counts resolve as: CLI flag > environment variable
-(PE3D_THREADS / PE3D_WORKERS) > config [run] section > 1.
+A flag of ``pe3d run`` overrides its key in the config's [run] section.
 """
 
 from __future__ import annotations
@@ -9,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -27,9 +25,6 @@ from .output import (
 from .parallel import FARM_START_METHOD, frequency_farm
 from .pool import ExecutorSpec
 from .selftest import run_selftest
-
-ENV_THREADS = "PE3D_THREADS"
-ENV_WORKERS = "PE3D_WORKERS"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,35 +49,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_int(name):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"environment variable {name}={raw!r} is not an integer")
-
-
-def _resolve_executor(options, args) -> ExecutorSpec:
-    threads = options.executor.intra_threads
-    workers = options.executor.freq_workers
-    env_threads, env_workers = _env_int(ENV_THREADS), _env_int(ENV_WORKERS)
-    if env_threads is not None:
-        threads = env_threads
-    if env_workers is not None:
-        workers = env_workers
-    if args.threads is not None:
-        threads = args.threads
-    if args.workers is not None:
-        workers = args.workers
-    return ExecutorSpec(intra_threads=threads, freq_workers=workers)
-
-
 def cmd_run(args) -> int:
     try:
         config = load_config(args.config)
-        executor = _resolve_executor(config.options, args)
+        # Hashed now: the file may change or go while the run goes.
+        config_sha256 = file_sha256(args.config)
+        executor = ExecutorSpec(
+            intra_threads=args.threads if args.threads is not None
+            else config.options.executor.intra_threads,
+            freq_workers=args.workers if args.workers is not None
+            else config.options.executor.freq_workers,
+        )
         options = dataclasses.replace(
             config.options,
             output_dir=Path(args.output) if args.output else config.options.output_dir,
@@ -98,7 +75,7 @@ def cmd_run(args) -> int:
                 raise ConfigError(f"frequencies {written[name]} and {frequency}"
                                   f" Hz would both write {name}")
             written[name] = frequency
-    except (ConfigError, InvariantError) as exc:
+    except (ConfigError, InvariantError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     config = config._replace(options=options)
@@ -141,11 +118,7 @@ def cmd_run(args) -> int:
               f"({result.wall_seconds:.2f} s, {result.clamped_samples} clamped)",
               flush=True)
 
-    report = frequency_farm(
-        config, config.source.frequencies,
-        workers=executor.freq_workers, intra_threads=executor.intra_threads,
-        deliver=deliver,
-    )
+    report = frequency_farm(config, deliver=deliver)
 
     ok = report.ok and all(e["status"] == "ok" for e in delivered.values())
     entries = [delivered[index] for index in sorted(delivered)]
@@ -164,7 +137,7 @@ def cmd_run(args) -> int:
         "package_version": __version__,
         "created_unix": time.time(),
         "config_path": str(Path(args.config).resolve()),
-        "config_sha256": file_sha256(args.config),
+        "config_sha256": config_sha256,
         "grid": {
             "n_range": grid.n_range,
             "n_azimuth": grid.n_azimuth,

@@ -195,32 +195,6 @@ class SourceSpec:
         object.__setattr__(self, "frequencies", freqs)
 
 
-@dataclass(eq=False)
-class FieldSlab:
-    """Complex field on one (azimuth x depth) slice at range ``range_m``.
-
-    The only mutable model type: the marching engine owns it during a step.
-    """
-
-    values: np.ndarray
-    range_m: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.ndim != 2:
-            raise ShapeError("slab values must be a 2-D (azimuth x depth) matrix")
-
-    def check_grid(self, grid: Grid3D):
-        if self.values.shape != (grid.n_azimuth, grid.n_depth):
-            raise ShapeError(
-                f"slab shape {self.values.shape} != grid "
-                f"({grid.n_azimuth}, {grid.n_depth})"
-            )
-
-    def copy(self) -> "FieldSlab":
-        return FieldSlab(self.values.copy(), self.range_m)
-
-
 def wavenumber(frequency: float, c0: float) -> float:
     """Reference wavenumber k0 = 2*pi*f / c0 [1/m]."""
     if frequency <= 0:
@@ -230,20 +204,19 @@ def wavenumber(frequency: float, c0: float) -> float:
     return _TWO_PI * frequency / c0
 
 
-def refraction_index(env: Environment, r, z):
-    """Complex refraction index n(r, z); the medium is azimuth-independent.
+def refraction_index(env: Environment, z):
+    """Complex refraction index n(z); the medium is range- and
+    azimuth-independent.
 
     Re(n) = c0 / c; Im(n) ramps quadratically from 0 at the absorber start
     depth to ``max_attenuation`` at the grid bottom.  Accepts scalar or
-    array ``z``; points outside [0, bottom_depth] or r < 0 raise.
+    array ``z``; points outside [0, bottom_depth] raise.
     """
     z_arr = np.asarray(z, dtype=np.float64)
     if np.any(z_arr < 0) or np.any(z_arr > env.bottom_depth * (1 + 1e-12)):
         raise DomainError(
             f"depth outside [0, {env.bottom_depth}] m"
         )
-    if np.any(np.asarray(r, dtype=np.float64) < 0):
-        raise DomainError("range must be >= 0")
     re = env.c0 / np.asarray(env.sound_speed(z_arr), dtype=np.float64)
     ab = env.absorber
     if ab.max_attenuation > 0:
@@ -256,15 +229,15 @@ def refraction_index(env: Environment, r, z):
     return n if np.ndim(z) else complex(n)
 
 
-def refraction_index_grid(env: Environment, grid: Grid3D, r: float) -> np.ndarray:
-    """n over the grid's depths at range ``r``: one depth profile, which
-    serves every azimuth, since the medium is azimuth-independent (this
-    also keeps azimuth symmetry exact to the bit)."""
-    return refraction_index(env, r, grid.depths())
+def refraction_index_grid(env: Environment, grid: Grid3D) -> np.ndarray:
+    """n over the grid's depths: one depth profile, which serves every
+    range and azimuth, since the medium depends on depth alone (this also
+    keeps azimuth symmetry exact to the bit)."""
+    return refraction_index(env, grid.depths())
 
 
-def gaussian_starter(grid: Grid3D, source: SourceSpec, k0: float) -> FieldSlab:
-    """Gaussian starter slab at r_start:
+def gaussian_starter(grid: Grid3D, source: SourceSpec, k0: float) -> np.ndarray:
+    """Gaussian starter slab at r_start, an (n_azimuth, n_depth) array:
     u(z) = sqrt(k0) * exp(-(k0^2 / 2) * (z - z_s)^2), identical in azimuth,
     with the surface row forced to zero."""
     z_s = source.depth
@@ -277,7 +250,7 @@ def gaussian_starter(grid: Grid3D, source: SourceSpec, k0: float) -> FieldSlab:
     values = np.empty((grid.n_azimuth, grid.n_depth), dtype=np.complex128)
     values[:] = profile
     values[:, 0] = 0.0
-    return FieldSlab(values, grid.r_start)
+    return values
 
 
 def hankel_factor(k0: float, r: float) -> complex:
@@ -288,17 +261,6 @@ def hankel_factor(k0: float, r: float) -> complex:
     if r <= 0:
         raise DomainError(f"range must be > 0, got {r}")
     return complex(math.cos(k0 * r), math.sin(k0 * r)) / math.sqrt(r)
-
-
-def transmission_loss(u: complex, w: complex) -> float:
-    """TL = -20*log10 |u*w| in dB re unit pressure at 1 m.
-
-    Zero magnitude clamps to ``TL_FLOOR_DB`` instead of +inf.
-    """
-    mag = abs(u * w)
-    if mag == 0.0:
-        return TL_FLOOR_DB
-    return -20.0 * math.log10(mag)
 
 
 def transmission_loss_field(values: np.ndarray, w: complex, out=None):

@@ -36,7 +36,6 @@ import numpy as np
 from .environment import (
     SECTOR,
     Environment,
-    FieldSlab,
     Grid3D,
     gaussian_starter,
     hankel_factor,
@@ -44,7 +43,7 @@ from .environment import (
     transmission_loss_field,
     wavenumber,
 )
-from .errors import DomainError, SingularSystemError, StepError
+from .errors import DomainError, ShapeError, SingularSystemError, StepError
 from .operators import (
     StepCoefficients,
     assemble_azimuth_batch,
@@ -96,7 +95,7 @@ class Marcher:
 
     def __post_init__(self):
         grid = self.grid
-        profile = refraction_index_grid(self.environment, grid, grid.r_start)
+        profile = refraction_index_grid(self.environment, grid)
         self.depth = factor(assemble_depth_batch(self.coeffs.cx_lhs, profile,
                                                  self.k0, grid.delta_z))
         self.stencil = depth_stencil(profile, self.k0, grid.delta_z)
@@ -126,15 +125,6 @@ class Marcher:
 
 
 @dataclass(eq=False)
-class MarchState:
-    """The current slab u at range index j.  The slab is exclusively owned
-    by the marcher during a step."""
-
-    slab: FieldSlab
-    range_index: int
-
-
-@dataclass(eq=False)
 class FrequencyResult:
     """Output of one single-frequency run: the decimated TL field and its
     ranges.  ``wall_seconds`` is measurement metadata, not part of the
@@ -148,45 +138,46 @@ class FrequencyResult:
     wall_seconds: float
 
 
-def apply_boundary(slab: FieldSlab, grid: Grid3D) -> FieldSlab:
+def apply_boundary(values: np.ndarray, grid: Grid3D) -> np.ndarray:
     """Dirichlet data: zero the pressure-release surface row, and the
-    azimuth edge rows on a sector grid.  The bottom needs no overwrite;
-    the absorber plus the zero-exterior stencil closure handle it.
-    Mutates the slab in place and returns it (idempotent)."""
-    slab.check_grid(grid)
-    slab.values[:, 0] = 0.0
+    azimuth edge rows on a sector grid, of an (n_azimuth, n_depth) array.
+    The bottom needs no overwrite; the absorber plus the zero-exterior
+    stencil closure handle it.  Mutates the array in place and returns it
+    (idempotent)."""
+    if values.shape != (grid.n_azimuth, grid.n_depth):
+        raise ShapeError(f"slab shape {values.shape} != grid "
+                         f"({grid.n_azimuth}, {grid.n_depth})")
+    values[:, 0] = 0.0
     if grid.azimuth_topology == SECTOR:
-        slab.values[0, :] = 0.0
-        slab.values[-1, :] = 0.0
-    return slab
+        values[0, :] = 0.0
+        values[-1, :] = 0.0
+    return values
 
 
-def range_step(marcher: Marcher, state: MarchState) -> MarchState:
-    """Advance one range step; returns the new state with j incremented.
+def range_step(marcher: Marcher, u: np.ndarray, j: int) -> np.ndarray:
+    """Advance the slab ``u`` at range index ``j`` one range step; returns
+    the slab at ``j + 1``.
 
     The new slab is a new array; the marcher's arrays are overwritten.
     """
     grid = marcher.grid
-    j = state.range_index
     if j + 1 > grid.n_range:
         raise DomainError(f"step {j + 1} exceeds n_range {grid.n_range}")
-    slab = state.slab
-    apply_boundary(slab, grid)
+    apply_boundary(u, grid)
 
     if marcher.coeffs.delta == 0:
         # Zero range increment: the implicit and explicit factors coincide,
         # so the step is the identity and is short-circuited to keep it so
         # to the bit.
-        return MarchState(slab, j + 1)
+        return u
 
-    r_new = grid.range_at(j + 1)
-    rhs = compute_rhs(slab, marcher.coeffs, marcher.stencil, marcher.k0, grid,
-                      marcher.work, marcher.rhs)
+    rhs = compute_rhs(u, grid.range_at(j), marcher.coeffs, marcher.stencil,
+                      marcher.k0, grid, marcher.work, marcher.rhs)
     # Dirichlet data on the explicit side: the constrained boundary rows of
     # the implicit systems require zero right-hand sides there.  The depth
     # solve keeps them: on a sector grid the edge azimuths of v solve zero
     # right-hand sides, so they are zero for the azimuth solve too.
-    apply_boundary(FieldSlab(rhs.T, slab.range_m), grid)
+    apply_boundary(rhs.T, grid)
     try:
         solve_batch(SolveBatch(marcher.depth, rhs), marcher.intra_threads,
                     out=rhs)
@@ -194,16 +185,13 @@ def range_step(marcher: Marcher, state: MarchState) -> MarchState:
         raise StepError(j + 1, "depth", exc) from exc
     v = marcher.work[0]
     np.copyto(v, rhs.T)
-    u = np.empty_like(v)
+    new = np.empty_like(v)
     try:
         solve_batch(SolveBatch(marcher.azimuth_factors(j + 1), v),
-                    marcher.intra_threads, out=u)
+                    marcher.intra_threads, out=new)
     except SingularSystemError as exc:
         raise StepError(j + 1, "azimuth", exc) from exc
-
-    new_slab = FieldSlab(u, r_new)
-    apply_boundary(new_slab, grid)
-    return MarchState(new_slab, j + 1)
+    return apply_boundary(new, grid)
 
 
 def default_output_stride(n_steps: int) -> int:
@@ -239,33 +227,29 @@ def run_frequency(config, frequency: float, executor: ExecutorSpec | None = None
     k0 = wavenumber(frequency, env.c0)
     marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, grid.delta_r),
                       spec.intra_threads)
-    slab = gaussian_starter(grid, source, k0)
-    apply_boundary(slab, grid)
+    u = apply_boundary(gaussian_starter(grid, source, k0), grid)
 
     stride = options.output_stride or default_output_stride(grid.n_range)
     n_steps = _steps_to_march(grid, options.max_range)
     ranges = np.empty(1 + n_steps // stride, dtype=np.float64)
-    tl_field = np.empty(ranges.shape + slab.values.shape, dtype=np.float64)
+    tl_field = np.empty(ranges.shape + u.shape, dtype=np.float64)
     clamped = 0
 
-    def record(state: MarchState, i: int):
+    def record(j: int):
         nonlocal clamped
-        s = state.slab
-        w = hankel_factor(k0, s.range_m)
+        r = grid.range_at(j)
         _, n_clamped, n_nonfinite = transmission_loss_field(
-            s.values, w, out=tl_field[i])
+            u, hankel_factor(k0, r), out=tl_field[j // stride])
         if n_nonfinite:
-            raise StepError(state.range_index, None,
-                            f"{n_nonfinite} non-finite field values")
-        ranges[i] = s.range_m
+            raise StepError(j, None, f"{n_nonfinite} non-finite field values")
+        ranges[j // stride] = r
         clamped += n_clamped
 
-    state = MarchState(slab, 0)
-    record(state, 0)
+    record(0)
     for j in range(1, n_steps + 1):
-        state = range_step(marcher, state)
+        u = range_step(marcher, u, j - 1)
         if j % stride == 0:
-            record(state, j // stride)
+            record(j)
 
     return FrequencyResult(
         frequency=frequency,

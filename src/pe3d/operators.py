@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import PERIODIC, TOPOLOGIES, FieldSlab, Grid3D
+from .environment import PERIODIC, TOPOLOGIES, Grid3D
 from .errors import DomainError, InvariantError, ShapeError
 from .tridiag import OPEN, CYCLIC, Diagonals
 
@@ -181,11 +181,12 @@ def apply_Y(row: np.ndarray, k0: float, r: float, delta_theta: float,
     return scale * d2
 
 
-def compute_rhs(slab: FieldSlab, coeffs: StepCoefficients,
+def compute_rhs(u: np.ndarray, range_m: float, coeffs: StepCoefficients,
                 depth: tuple, k0: float, grid: Grid3D,
                 work: tuple, out: np.ndarray) -> np.ndarray:
-    """Explicit side of the step,  [I + cx_rhs X] [I + cy_rhs Y] u,
-    written into ``out`` depth-major, (n_depth, n_azimuth); returns ``out``.
+    """Explicit side of the step,  [I + cx_rhs X] [I + cy_rhs Y] u,  for
+    the (n_azimuth, n_depth) slab ``u`` at range ``range_m``, written into
+    ``out`` depth-major, (n_depth, n_azimuth); returns ``out``.
 
     The Y factor acts first (row-wise over azimuth, at the slab's current
     range), then the X factor (column-wise over depth); the X factor sits
@@ -199,15 +200,16 @@ def compute_rhs(slab: FieldSlab, coeffs: StepCoefficients,
     in the same order and with the same operand order, so the bits are
     theirs.
     """
-    slab.check_grid(grid)
-    u = slab.values
+    if u.shape != (grid.n_azimuth, grid.n_depth):
+        raise ShapeError(f"slab shape {u.shape} != grid "
+                         f"({grid.n_azimuth}, {grid.n_depth})")
     if out.shape != u.shape[::-1] or any(w.shape != u.shape for w in work):
         raise ShapeError("work arrays must have the slab's shape, and out "
                          "its transpose")
     z_scale, local = depth
     local = _depth_local_term(local, u.shape)
     a, b, c = work
-    y_scale = azimuth_stencil(k0, slab.range_m, grid.delta_theta)
+    y_scale = azimuth_stencil(k0, range_m, grid.delta_theta)
     _second_difference(u, 0, grid.azimuth_topology == PERIODIC, a, b)
     np.multiply(y_scale, a, out=b)                         # Y u
     np.multiply(coeffs.cy_rhs, b, out=a)

@@ -16,7 +16,6 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass
 
-from .errors import InvariantError
 from .marching import run_frequency
 from .pool import ExecutorSpec, block_ranges
 
@@ -57,17 +56,16 @@ def _farm_job(payload):
     Module-level so process pools can pickle it.  Returns
     (index, "ok", FrequencyResult) or (index, "error", message).
     """
-    config, index, frequency, intra_threads = payload
+    config, index, frequency = payload
     try:
-        spec = ExecutorSpec(intra_threads=intra_threads)
-        return index, "ok", run_frequency(config, frequency, spec)
+        return index, "ok", run_frequency(config, frequency)
     except Exception as exc:
         return index, "error", f"{type(exc).__name__}: {exc}"
 
 
-def frequency_farm(config, frequencies, workers: int = 1,
-                   intra_threads: int = 1, deliver=None) -> FarmReport:
-    """Solve each frequency as an independent job; report in input order.
+def frequency_farm(config, deliver=None) -> FarmReport:
+    """Solve each of ``config.source.frequencies`` as an independent job on
+    ``config.options.executor``; report in input order.
 
     Each worker process owns one contiguous block of frequencies
     (:func:`pe3d.pool.block_ranges`): every frequency marches the same grid
@@ -88,12 +86,8 @@ def frequency_farm(config, frequencies, workers: int = 1,
     input order.  A worker process that dies fails the frequencies of its
     block that had not come back; those that had are kept.
     """
-    frequencies = list(frequencies)
-    if not frequencies:
-        raise InvariantError("frequencies nonempty")
-    if workers < 1:
-        raise InvariantError("workers >= 1")
-
+    frequencies = config.source.frequencies
+    workers = config.options.executor.freq_workers
     results = [None] * len(frequencies)
     errors = {}
 
@@ -108,7 +102,7 @@ def frequency_farm(config, frequencies, workers: int = 1,
 
     if workers == 1:
         for index, frequency in enumerate(frequencies):
-            settle(*_farm_job((config, index, frequency, intra_threads)))
+            settle(*_farm_job((config, index, frequency)))
     else:
         context = multiprocessing.get_context(FARM_START_METHOD)
         with ExitStack() as pools:
@@ -117,7 +111,7 @@ def frequency_farm(config, frequencies, workers: int = 1,
                 pool = pools.enter_context(
                     ProcessPoolExecutor(max_workers=1, mp_context=context))
                 for index in range(lo, hi):
-                    payload = (config, index, frequencies[index], intra_threads)
+                    payload = (config, index, frequencies[index])
                     submitted[pool.submit(_farm_job, payload)] = index
             try:
                 for future in as_completed(submitted):

@@ -11,7 +11,6 @@ from pe3d.environment import (
     TL_FLOOR_DB,
     Absorber,
     Environment,
-    FieldSlab,
     Grid3D,
     SoundSpeedProfile,
     SourceSpec,
@@ -19,7 +18,6 @@ from pe3d.environment import (
     hankel_factor,
     refraction_index,
     refraction_index_grid,
-    transmission_loss,
     transmission_loss_field,
     wavenumber,
 )
@@ -91,7 +89,7 @@ class TestRefractionIndex:
     def test_homogeneous_unity_everywhere_above_absorber(self):
         grid = make_grid(n_depth=64)
         env = make_env(grid, speed=1500.0, c0=1500.0, attenuation=0.02)
-        n = refraction_index_grid(env, grid, r=100.0)
+        n = refraction_index_grid(env, grid)
         assert n.shape == (grid.n_depth,)  # one profile for every azimuth
         above = grid.depths() < env.absorber.start_depth
         assert np.all(n[above] == 1.0 + 0.0j)
@@ -99,13 +97,13 @@ class TestRefractionIndex:
     def test_real_part_is_speed_ratio(self):
         grid = make_grid()
         env = make_env(grid, speed=1450.0, c0=1500.0)
-        n = refraction_index(env, 10.0, 8.0)
+        n = refraction_index(env, 8.0)
         assert n.real == pytest.approx(1.0344827586206897, rel=1e-14)
 
     def test_imaginary_part_hits_max_at_bottom(self):
         grid = make_grid(n_depth=64)
         env = make_env(grid, attenuation=0.03, start_frac=0.5)
-        n = refraction_index(env, 0.0, grid.depth_extent)
+        n = refraction_index(env, grid.depth_extent)
         assert n.imag == 0.03
 
     def test_quadratic_ramp_midpoint(self):
@@ -113,16 +111,16 @@ class TestRefractionIndex:
         env = make_env(grid, attenuation=0.04, start_frac=0.5)
         start = env.absorber.start_depth
         mid = start + 0.5 * (grid.depth_extent - start)
-        n = refraction_index(env, 0.0, mid)
+        n = refraction_index(env, mid)
         assert n.imag == pytest.approx(0.04 * 0.25, rel=1e-12)
 
     def test_point_outside_domain(self):
         grid = make_grid()
         env = make_env(grid)
         with pytest.raises(DomainError):
-            refraction_index(env, 0.0, grid.depth_extent + 10.0)
+            refraction_index(env, grid.depth_extent + 10.0)
         with pytest.raises(DomainError):
-            refraction_index(env, 0.0, -1.0)
+            refraction_index(env, -1.0)
 
     def test_depth_profile_interpolation(self):
         grid = make_grid(n_depth=16, delta_z=10.0)
@@ -171,14 +169,14 @@ class TestGaussianStarter:
         src = SourceSpec(frequencies=(50.0,), depth=64.0)
         k0 = wavenumber(50.0, 1500.0)
         slab = gaussian_starter(grid, src, k0)
-        assert slab.values[0, 16] == math.sqrt(k0)
+        assert slab[0, 16] == math.sqrt(k0)
 
     def test_azimuth_independent(self):
         grid = make_grid(n_azimuth=16, n_depth=64)
         slab = gaussian_starter(grid, SourceSpec((50.0,), depth=60.0),
                                 wavenumber(50.0, 1500.0))
-        assert np.array_equal(slab.values, np.broadcast_to(
-            slab.values[0], slab.values.shape))
+        assert np.array_equal(slab, np.broadcast_to(
+            slab[0], slab.shape))
 
     def test_frozen_value_ten_meters_off_source(self):
         # sqrt(k0) * exp(-(k0^2 / 2) * 10^2) for k0 = 2*pi*50/1500
@@ -186,7 +184,7 @@ class TestGaussianStarter:
         src = SourceSpec(frequencies=(50.0,), depth=100.0)
         slab = gaussian_starter(grid, src, wavenumber(50.0, 1500.0))
         l_plus = round(110.0 / 2.5)
-        assert slab.values[0, l_plus].real == pytest.approx(
+        assert slab[0, l_plus].real == pytest.approx(
             0.051052254125796864, rel=1e-12)
 
     def test_symmetric_about_source_depth(self):
@@ -195,13 +193,13 @@ class TestGaussianStarter:
         slab = gaussian_starter(grid, src, wavenumber(50.0, 1500.0))
         l_s = 32
         for d in (1, 5, 10):
-            assert slab.values[0, l_s + d] == slab.values[0, l_s - d]
+            assert slab[0, l_s + d] == slab[0, l_s - d]
 
     def test_surface_row_zero(self):
         grid = make_grid(n_depth=32)
         slab = gaussian_starter(grid, SourceSpec((50.0,), depth=8.0),
                                 wavenumber(50.0, 1500.0))
-        assert np.all(slab.values[:, 0] == 0.0)
+        assert np.all(slab[:, 0] == 0.0)
 
     def test_source_depth_must_be_interior(self):
         grid = make_grid(n_depth=32, delta_z=4.0)
@@ -233,13 +231,20 @@ class TestHankelFactor:
             hankel_factor(0.2, 0.0)
 
 
+def transmission_loss(u: complex, w: complex) -> float:
+    """TL of one sample, through the field form on a 1 x 1 slab."""
+    return transmission_loss_field(np.array([[u]]), w)[0][0, 0]
+
+
 class TestTransmissionLoss:
     def test_unit_magnitude(self):
         assert transmission_loss(1.0 + 0.0j, 1.0 + 0.0j) == 0.0
 
     def test_sixty_db(self):
-        assert transmission_loss(1e-3 + 0.0j, 1.0 + 0.0j) == pytest.approx(
-            60.0, rel=1e-13)
+        values = np.full((2, 3), 1e-3 + 0.0j)
+        tl, clamped, nonfinite = transmission_loss_field(values, 1.0 + 0.0j)
+        assert tl == pytest.approx(np.full((2, 3), 60.0), rel=1e-13)
+        assert (clamped, nonfinite) == (0, 0)
 
     def test_zero_clamps_to_floor(self):
         assert transmission_loss(0.0j, 1.0 + 0.0j) == TL_FLOOR_DB
@@ -280,14 +285,3 @@ class TestTransmissionLoss:
         assert np.all(out[0] == 123.0)
         assert (out_clamped, out_nonfinite) == (clamped, nonfinite) == (9, 2)
 
-
-class TestFieldSlab:
-    def test_grid_mismatch(self):
-        grid = make_grid()
-        slab = FieldSlab(np.zeros((4, 4), dtype=complex), grid.r_start)
-        with pytest.raises(ShapeError):
-            slab.check_grid(grid)
-
-    def test_must_be_matrix(self):
-        with pytest.raises(ShapeError):
-            FieldSlab(np.zeros(8, dtype=complex), 1.0)

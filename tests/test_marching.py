@@ -12,7 +12,6 @@ from pe3d.config import RunOptions
 from pe3d.environment import (
     PERIODIC,
     SECTOR,
-    FieldSlab,
     SoundSpeedProfile,
     gaussian_starter,
     hankel_factor,
@@ -20,11 +19,10 @@ from pe3d.environment import (
     transmission_loss_field,
     wavenumber,
 )
-from pe3d.errors import DomainError, StepError
+from pe3d.errors import DomainError, ShapeError, StepError
 from pe3d.marching import (
     AZIMUTH_BLOCK,
     Marcher,
-    MarchState,
     apply_boundary,
     default_output_stride,
     range_step,
@@ -34,58 +32,74 @@ from pe3d.operators import (
     StepCoefficients,
     assemble_azimuth_batch,
     assemble_depth_batch,
+    compute_rhs,
 )
 from pe3d.pool import ExecutorSpec
 
 
-def make_state(config, frequency=50.0, slab_values=None, delta_r=None):
-    """A marcher for ``frequency`` and the state at range index 0."""
+def make_marcher(config, frequency=50.0, slab_values=None, delta_r=None):
+    """A marcher for ``frequency`` and the slab at range index 0: the
+    starter, or ``slab_values`` when given."""
     grid, env, source, _ = config
     k0 = wavenumber(frequency, env.c0)
     coeffs = StepCoefficients.for_step(
         k0, grid.delta_r if delta_r is None else delta_r)
     if slab_values is None:
-        slab = gaussian_starter(grid, source, k0)
-    else:
-        slab = FieldSlab(slab_values, grid.r_start)
-    return Marcher(grid, env, k0, coeffs), MarchState(slab, 0)
+        slab_values = gaussian_starter(grid, source, k0)
+    return Marcher(grid, env, k0, coeffs), slab_values
 
 
 class TestApplyBoundary:
     def test_surface_row_zeroed(self):
         rng = np.random.default_rng(1)
         grid = make_grid()
-        slab = FieldSlab(random_slab_values(rng, grid, zero_surface=False),
-                         grid.r_start)
-        apply_boundary(slab, grid)
-        assert np.all(slab.values[:, 0] == 0.0)
+        u = random_slab_values(rng, grid, zero_surface=False)
+        apply_boundary(u, grid)
+        assert np.all(u[:, 0] == 0.0)
 
     def test_periodic_leaves_azimuth_edges(self):
         rng = np.random.default_rng(2)
         grid = make_grid()
-        values = random_slab_values(rng, grid, zero_surface=False)
-        marker = values[0, 5]
-        slab = FieldSlab(values, grid.r_start)
-        apply_boundary(slab, grid)
-        assert slab.values[0, 5] == marker
+        u = random_slab_values(rng, grid, zero_surface=False)
+        marker = u[0, 5]
+        apply_boundary(u, grid)
+        assert u[0, 5] == marker
 
     def test_sector_edges_zeroed(self):
         rng = np.random.default_rng(3)
         grid = make_grid(topology=SECTOR)
-        slab = FieldSlab(random_slab_values(rng, grid, zero_surface=False),
-                         grid.r_start)
-        apply_boundary(slab, grid)
-        assert np.all(slab.values[0, :] == 0.0)
-        assert np.all(slab.values[-1, :] == 0.0)
+        u = random_slab_values(rng, grid, zero_surface=False)
+        apply_boundary(u, grid)
+        assert np.all(u[0, :] == 0.0)
+        assert np.all(u[-1, :] == 0.0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
         grid = make_grid(topology=SECTOR)
-        slab = FieldSlab(random_slab_values(rng, grid, zero_surface=False),
-                         grid.r_start)
-        once = apply_boundary(slab, grid).values.copy()
-        twice = apply_boundary(slab, grid).values
+        u = random_slab_values(rng, grid, zero_surface=False)
+        once = apply_boundary(u, grid).copy()
+        twice = apply_boundary(u, grid)
         assert np.array_equal(once, twice)
+
+
+class TestSlabShape:
+    """A slab is an (n_azimuth, n_depth) array of the grid, or the step's
+    functions raise."""
+
+    @staticmethod
+    def rejects(u, grid):
+        marcher, _ = make_marcher(make_config(grid=grid))
+        with pytest.raises(ShapeError):
+            apply_boundary(u, grid)
+        with pytest.raises(ShapeError):
+            compute_rhs(u, grid.r_start, marcher.coeffs, marcher.stencil,
+                        marcher.k0, grid, marcher.work, marcher.rhs)
+
+    def test_grid_mismatch(self):
+        self.rejects(np.zeros((4, 4), dtype=complex), make_grid())
+
+    def test_must_be_matrix(self):
+        self.rejects(np.zeros(8, dtype=complex), make_grid())
 
 
 class TestRangeStep:
@@ -93,39 +107,41 @@ class TestRangeStep:
         rng = np.random.default_rng(5)
         config = make_config(n_azimuth=8, n_depth=24)
         values = random_slab_values(rng, config.grid)
-        marcher, state = make_state(config, slab_values=values.copy(),
-                                    delta_r=0.0)
-        before = state.slab.values.copy()
-        after = range_step(marcher, state)
-        assert after.range_index == 1
-        assert after.slab.values.tobytes() == before.tobytes()
+        marcher, u = make_marcher(config, slab_values=values.copy(),
+                                  delta_r=0.0)
+        after = range_step(marcher, u, 0)
+        assert after.tobytes() == values.tobytes()
 
     def test_advances_range_and_index(self):
+        # a step from index j solves the systems of the ranges at j and
+        # j + 1 into a new slab
         config = make_config(n_azimuth=6, n_depth=24)
-        marcher, state = make_state(config)
-        new = range_step(marcher, state)
-        assert new.range_index == 1
-        assert new.slab.range_m == config.grid.range_at(1)
+        values = random_slab_values(np.random.default_rng(8), config.grid)
+        marcher, _ = make_marcher(config)
+        first = range_step(marcher, values.copy(), 0)
+        assert first.shape == values.shape
+        assert not np.shares_memory(first, values)
+        assert not np.array_equal(range_step(marcher, values.copy(), 1), first)
 
     def test_step_beyond_grid_rejected(self):
         config = make_config(n_range=3)
-        marcher, state = make_state(config)
-        for _ in range(3):
-            state = range_step(marcher, state)
+        marcher, u = make_marcher(config)
+        for j in range(3):
+            u = range_step(marcher, u, j)
         with pytest.raises(DomainError, match="n_range"):
-            range_step(marcher, state)
+            range_step(marcher, u, 3)
 
     def test_azimuth_symmetry_preserved_one_step(self):
         config = make_config(n_azimuth=16, n_depth=48)
-        out = range_step(*make_state(config)).slab.values
+        out = range_step(*make_marcher(config), 0)
         mags = np.abs(out)
         spread = (mags.max(axis=0) - mags.min(axis=0)).max()
         assert spread <= 1e-12 * mags.max()
 
     def test_surface_zero_after_step(self):
         config = make_config()
-        out = range_step(*make_state(config))
-        assert np.all(out.slab.values[:, 0] == 0.0)
+        out = range_step(*make_marcher(config), 0)
+        assert np.all(out[:, 0] == 0.0)
 
     def test_dense_step_oracle_three_by_three(self):
         # full step on a 3x3 slab vs the dense 9x9 factorization
@@ -135,8 +151,8 @@ class TestRangeStep:
         env = make_env(grid, attenuation=0.0, start_frac=0.5)
         config = make_config(grid=grid, env=env, source_depth=7.0)
         u0 = random_slab_values(rng, grid)
-        marcher, state = make_state(config, slab_values=u0.copy())
-        out = range_step(marcher, state).slab.values
+        marcher, u = make_marcher(config, slab_values=u0.copy())
+        out = range_step(marcher, u, 0)
 
         k0 = marcher.k0
         coeffs = marcher.coeffs
@@ -180,10 +196,9 @@ class TestRangeStep:
         coeffs = StepCoefficients(delta=1j, cx_lhs=0.5 + 0.0j, cx_rhs=0.0j,
                                   cy_lhs=0.0j, cy_rhs=0.0j)
         k0 = 1.0  # s_z = 1, diag = 1 + 0.5 * (0 - 2) = 0
-        slab = FieldSlab(np.ones((4, 8), dtype=complex), grid.r_start)
         marcher = Marcher(grid, env, k0, coeffs)
         with pytest.raises(StepError) as info:
-            range_step(marcher, MarchState(slab, 0))
+            range_step(marcher, np.ones((4, 8), dtype=complex), 0)
         assert info.value.sweep == "depth"
         assert info.value.range_index == 1
 
@@ -198,10 +213,9 @@ class TestRangeStep:
                                   cx_rhs=0.25 + 0.0j, cy_lhs=0.5 + 0.0j,
                                   cy_rhs=-0.5 + 0.0j)
         marcher = Marcher(grid, config.environment, 1.0, coeffs)
-        slab = FieldSlab(np.ones((5, 8), dtype=complex), grid.r_start)
-        state = range_step(marcher, MarchState(slab, 0))
+        u = range_step(marcher, np.ones((5, 8), dtype=complex), 0)
         with pytest.raises(StepError) as info:
-            range_step(marcher, state)
+            range_step(marcher, u, 1)
         assert info.value.sweep == "azimuth"
         assert info.value.range_index == 2
         assert info.value.cause.pivot_index == 1
@@ -267,10 +281,10 @@ def _second_difference(u, axis, periodic):
     return d2
 
 
-def medium_grid(env, grid, r):
+def medium_grid(env, grid):
     """n over the (azimuth x depth) grid: the depth profile broadcast over
     azimuth, as whole-grid expressions see it."""
-    return np.broadcast_to(refraction_index_grid(env, grid, r),
+    return np.broadcast_to(refraction_index_grid(env, grid),
                            (grid.n_azimuth, grid.n_depth))
 
 
@@ -307,18 +321,17 @@ def reference_rhs(u, r, grid, n_field, k0, coeffs):
     return temp + coeffs.cx_rhs * xt
 
 
-def reference_step(slab, j, grid, env, k0, coeffs):
-    """One range step with a matrix per member, assembled and factored
-    in every step: the plain form of the scheme the marcher shortcuts."""
-    apply_boundary(slab, grid)
+def reference_step(u, j, grid, env, k0, coeffs):
+    """One range step from the slab ``u`` at range index ``j``, with a
+    matrix per member, assembled and factored in every step: the plain
+    form of the scheme the marcher shortcuts."""
+    apply_boundary(u, grid)
     r_new = grid.range_at(j + 1)
-    n_now = medium_grid(env, grid, slab.range_m)
-    rhs = FieldSlab(reference_rhs(slab.values, slab.range_m, grid, n_now, k0,
-                                  coeffs), slab.range_m)
+    n_field = medium_grid(env, grid)
+    rhs = reference_rhs(u, grid.range_at(j), grid, n_field, k0, coeffs)
     apply_boundary(rhs, grid)
-    depth = reference_depth_matrix(coeffs.cx_lhs, medium_grid(env, grid, r_new),
-                                   k0, grid.delta_z)
-    b = np.ascontiguousarray(rhs.values.T)
+    depth = reference_depth_matrix(coeffs.cx_lhs, n_field, k0, grid.delta_z)
+    b = np.ascontiguousarray(rhs.T)
     b[0] = 0.0
     v = np.ascontiguousarray(_reference_open(*depth, b).T)
     azimuth = assemble_azimuth_batch(coeffs.cy_lhs, k0, [r_new],
@@ -332,9 +345,7 @@ def reference_step(slab, j, grid, env, k0, coeffs):
         u = _reference_open(*full, v)
     else:
         u = _reference_cyclic(*full, v)
-    new_slab = FieldSlab(np.ascontiguousarray(u), r_new)
-    apply_boundary(new_slab, grid)
-    return new_slab
+    return apply_boundary(np.ascontiguousarray(u), grid)
 
 
 class TestReferenceStepper:
@@ -365,10 +376,10 @@ class TestReferenceStepper:
         k0 = wavenumber(50.0, env.c0)
         coeff = StepCoefficients.for_step(k0, grid.delta_r).cx_lhs
         s = 1.0 / (k0 * grid.delta_z) ** 2
-        local = medium_grid(env, grid, grid.r_start).astype(complex) ** 2 - 1.0
+        local = medium_grid(env, grid).astype(complex) ** 2 - 1.0
         whole = 1.0 + coeff * (local - 2.0 * s)
-        main = assemble_depth_batch(coeff, refraction_index_grid(
-            env, grid, grid.r_start), k0, grid.delta_z).main[1:, 0]
+        main = assemble_depth_batch(coeff, refraction_index_grid(env, grid),
+                                    k0, grid.delta_z).main[1:, 0]
         for row in whole:
             assert row[1:].tobytes() == main.tobytes()
 
@@ -382,12 +393,11 @@ class TestReferenceStepper:
         coeffs = StepCoefficients.for_step(k0, grid.delta_r)
         values = random_slab_values(np.random.default_rng(77), grid)
         marcher = Marcher(grid, env, k0, coeffs, threads)
-        state = MarchState(FieldSlab(values.copy(), grid.r_start), 0)
-        reference = FieldSlab(values.copy(), grid.r_start)
+        u, reference = values.copy(), values.copy()
         for j in range(5):
-            state = range_step(marcher, state)
+            u = range_step(marcher, u, j)
             reference = reference_step(reference, j, grid, env, k0, coeffs)
-            assert state.slab.values.tobytes() == reference.values.tobytes()
+            assert u.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
@@ -401,10 +411,10 @@ class TestReferenceStepper:
         chain = [reference]
         for j in range(grid.n_range):
             chain.append(reference_step(chain[-1], j, grid, env, k0, coeffs))
-        recorded = chain[::result.output_stride]
-        tl = [transmission_loss_field(s.values, hankel_factor(k0, s.range_m))[0]
-              for s in recorded]
-        assert result.ranges.tolist() == [s.range_m for s in recorded]
+        indices = range(0, grid.n_range + 1, result.output_stride)
+        tl = [transmission_loss_field(chain[j], hankel_factor(
+            k0, grid.range_at(j)))[0] for j in indices]
+        assert result.ranges.tolist() == [grid.range_at(j) for j in indices]
         assert result.tl_field.tobytes() == np.stack(tl).tobytes()
 
 
@@ -419,12 +429,11 @@ class TestReferenceStepper:
         coeffs = StepCoefficients.for_step(k0, grid.delta_r)
         values = random_slab_values(np.random.default_rng(78), grid)
         marcher = Marcher(grid, env, k0, coeffs)
-        state = MarchState(FieldSlab(values.copy(), grid.r_start), 0)
-        reference = FieldSlab(values.copy(), grid.r_start)
+        u, reference = values.copy(), values.copy()
         for j in range(grid.n_range):
-            state = range_step(marcher, state)
+            u = range_step(marcher, u, j)
             reference = reference_step(reference, j, grid, env, k0, coeffs)
-        assert state.slab.values.tobytes() == reference.values.tobytes()
+        assert u.tobytes() == reference.tobytes()
 
 
 class TestStepArrays:
@@ -436,17 +445,17 @@ class TestStepArrays:
     def stepped(topology):
         grid = make_grid(n_range=8, n_azimuth=72, n_depth=256,
                          topology=topology)
-        marcher, state = make_state(make_config(grid=grid))
-        return marcher, range_step(marcher, state)
+        marcher, u = make_marcher(make_config(grid=grid))
+        return marcher, range_step(marcher, u, 0)
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_step_allocates_one_slab(self, topology):
-        marcher, state = self.stepped(topology)
-        slab_bytes = state.slab.values.nbytes
+        marcher, u = self.stepped(topology)
+        slab_bytes = u.nbytes
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            state = range_step(marcher, state)
+            u = range_step(marcher, u, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -456,7 +465,7 @@ class TestStepArrays:
     def test_step_factors_nothing(self, topology, monkeypatch):
         grid = make_grid(n_range=8, n_azimuth=12, n_depth=24,
                          topology=topology)
-        marcher, state = make_state(make_config(grid=grid))
+        marcher, u = make_marcher(make_config(grid=grid))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("called by a range step")
@@ -466,8 +475,8 @@ class TestStepArrays:
             monkeypatch.setattr(marching_module, name, forbidden)
         for name in ("depth_stencil", "apply_X", "apply_Y"):
             monkeypatch.setattr(operators_module, name, forbidden)
-        for _ in range(grid.n_range):
-            state = range_step(marcher, state)
+        for j in range(grid.n_range):
+            u = range_step(marcher, u, j)
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_marcher_retains_no_medium_grid(self, topology):
@@ -488,10 +497,28 @@ class TestStepArrays:
         assert marcher.depth.width == 1
         assert retained <= 4.5 * slab_bytes
 
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_march_frees_each_slab_it_has_stepped_from(self, topology):
+        # the marcher's 4 slabs, the slab of the step and the new slab, and
+        # a quarter slab of the factors and small arrays; the starter slab
+        # is freed after the first step like every later one
+        grid = make_grid(n_range=8, n_azimuth=72, n_depth=256,
+                         topology=topology)
+        config = make_config(grid=grid)
+        slab_bytes = grid.n_azimuth * grid.n_depth * 16
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_frequency(config, 50.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before - result.tl_field.nbytes <= 6.75 * slab_bytes
+
     def test_new_slab_owns_its_memory(self):
-        marcher, state = self.stepped(PERIODIC)
-        new = range_step(marcher, state).slab.values
-        for array in marcher.work + (marcher.rhs, state.slab.values):
+        marcher, u = self.stepped(PERIODIC)
+        new = range_step(marcher, u, 1)
+        for array in marcher.work + (marcher.rhs, u):
             assert not np.shares_memory(new, array)
 
 
@@ -516,12 +543,12 @@ class TestNormInvariants:
         values = np.tile(column, (grid.n_azimuth, 1))
         k0 = wavenumber(50.0, env.c0)
         marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, grid.delta_r))
-        state = MarchState(FieldSlab(values.copy(), grid.r_start), 0)
+        u = values.copy()
         norms = [np.linalg.norm(values)]
-        for _ in range(grid.n_range):
-            state = range_step(marcher, state)
-            norms.append(np.linalg.norm(state.slab.values))
-        moved = np.max(np.abs(state.slab.values - values)) / np.max(np.abs(values))
+        for j in range(grid.n_range):
+            u = range_step(marcher, u, j)
+            norms.append(np.linalg.norm(u))
+        moved = np.max(np.abs(u - values)) / np.max(np.abs(values))
         return np.array(norms), moved
 
     def test_lossless_norm_conserved(self):
@@ -599,10 +626,10 @@ class TestRunFrequency:
         config = make_config(n_range=8, options=options)
         real_step = marching_module.range_step
 
-        def poisoned_step(marcher, state):
-            new = real_step(marcher, state)
-            if new.range_index == 3:
-                new.slab.values[2, 5] = np.nan
+        def poisoned_step(marcher, u, j):
+            new = real_step(marcher, u, j)
+            if j + 1 == 3:
+                new[2, 5] = np.nan
             return new
 
         monkeypatch.setattr(marching_module, "range_step", poisoned_step)
@@ -611,10 +638,3 @@ class TestRunFrequency:
         assert info.value.range_index == 4 and info.value.sweep is None
         assert "non-finite" in str(info.value)
 
-    def test_state_range_invariant(self):
-        config = make_config(n_range=4)
-        marcher, state = make_state(config)
-        for j in range(1, 5):
-            state = range_step(marcher, state)
-            assert state.slab.range_m == config.grid.range_at(j)
-            assert state.range_index == j

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_env, make_grid, random_slab_values
-from pe3d.environment import FieldSlab, PERIODIC, SECTOR, refraction_index_grid, wavenumber
+from pe3d.environment import PERIODIC, SECTOR, refraction_index_grid, wavenumber
 from pe3d.errors import DomainError, InvariantError, ShapeError
 from pe3d.operators import (
     StepCoefficients,
@@ -252,20 +252,20 @@ class TestAssembleAzimuthSystem:
         assert np.array_equal(rhs, np.ones((6, 4)))
 
 
-def explicit_side(slab, coeffs, n_field, k0, grid):
-    """:func:`compute_rhs` into new arrays, returned azimuth-major."""
-    work = tuple(np.empty_like(slab.values) for _ in range(3))
-    out = np.empty(slab.values.shape[::-1], dtype=complex)
+def explicit_side(u, coeffs, n_field, k0, grid):
+    """:func:`compute_rhs` at the starter range into new arrays, returned
+    azimuth-major."""
+    work = tuple(np.empty_like(u) for _ in range(3))
+    out = np.empty(u.shape[::-1], dtype=complex)
     stencil = depth_stencil(n_field, k0, grid.delta_z)
-    return compute_rhs(slab, coeffs, stencil, k0, grid, work, out).T
+    return compute_rhs(u, grid.r_start, coeffs, stencil, k0, grid, work, out).T
 
 
 class TestComputeRhs:
     def test_zero_field(self):
         grid = make_grid(n_azimuth=4, n_depth=8)
         coeffs = StepCoefficients.for_step(0.2, 5.0)
-        slab = FieldSlab(np.zeros((4, 8), dtype=complex), grid.r_start)
-        out = explicit_side(slab, coeffs, np.ones(8), 0.2, grid)
+        out = explicit_side(np.zeros((4, 8), dtype=complex), coeffs, np.ones(8), 0.2, grid)
         assert np.all(out == 0.0)
 
     def test_azimuth_constant_reduces_to_x_factor(self):
@@ -275,8 +275,7 @@ class TestComputeRhs:
         coeffs = StepCoefficients.for_step(k0, 5.0)
         column = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         values = np.broadcast_to(column, (6, 16)).copy()
-        slab = FieldSlab(values, grid.r_start)
-        out = explicit_side(slab, coeffs, np.ones(16), k0, grid)
+        out = explicit_side(values, coeffs, np.ones(16), k0, grid)
         expected = values + coeffs.cx_rhs * apply_X(values, np.ones(16), k0,
                                                     grid.delta_z)
         assert np.array_equal(out, expected)
@@ -288,8 +287,7 @@ class TestComputeRhs:
         k0 = wavenumber(50.0, 1500.0)
         coeffs = StepCoefficients.for_step(k0, grid.delta_r)
         u = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        slab = FieldSlab(u.copy(), grid.r_start)
-        out = explicit_side(slab, coeffs, np.ones(3), k0, grid)
+        out = explicit_side(u.copy(), coeffs, np.ones(3), k0, grid)
 
         s_z = 1.0 / (k0 * grid.delta_z) ** 2
         s_y = 1.0 / (k0 * grid.r_start * grid.delta_theta) ** 2
@@ -309,11 +307,11 @@ class TestComputeRhs:
         u = random_slab_values(rng, grid, zero_surface=False)
         v = random_slab_values(rng, grid, zero_surface=False)
         a, b = 1.3 - 0.2j, -0.7 + 0.9j
-        combined = explicit_side(FieldSlab(a * u + b * v, grid.r_start),
+        combined = explicit_side(a * u + b * v,
                                  coeffs, n_field, k0, grid)
-        separate = a * explicit_side(FieldSlab(u.copy(), grid.r_start),
+        separate = a * explicit_side(u.copy(),
                                      coeffs, n_field, k0, grid) \
-            + b * explicit_side(FieldSlab(v.copy(), grid.r_start),
+            + b * explicit_side(v.copy(),
                                 coeffs, n_field, k0, grid)
         assert np.max(np.abs(combined - separate)) \
             <= 1e-12 * np.max(np.abs(separate))
@@ -326,7 +324,7 @@ class TestComputeRhs:
         k0 = 0.3
         coeffs = StepCoefficients.for_step(k0, 0.0)
         u = random_slab_values(rng, grid, zero_surface=False)
-        out = explicit_side(FieldSlab(u.copy(), grid.r_start), coeffs,
+        out = explicit_side(u.copy(), coeffs,
                             np.ones(10), k0, grid)
         expected = u + 0.25 * apply_X(u, np.ones(10), k0, grid.delta_z)
         assert np.array_equal(out, expected)
@@ -344,19 +342,20 @@ class TestComputeRhsArrays:
         rng = np.random.default_rng(43)
         grid = make_grid(n_azimuth=5, n_depth=12)
         coeffs = StepCoefficients.for_step(0.2, 5.0)
-        slab = FieldSlab(random_slab_values(rng, grid), grid.r_start)
+        u = random_slab_values(rng, grid)
         stencil = depth_stencil(np.ones(12), 0.2, grid.delta_z)
         work = tuple(np.empty((5, 12), dtype=complex) for _ in range(3))
         out = np.empty((12, 5), dtype=complex)
-        assert compute_rhs(slab, coeffs, stencil, 0.2, grid, work, out) is out
+        r = grid.r_start
+        assert compute_rhs(u, r, coeffs, stencil, 0.2, grid, work, out) is out
         with pytest.raises(ShapeError):
-            compute_rhs(slab, coeffs, stencil, 0.2, grid, work,
+            compute_rhs(u, r, coeffs, stencil, 0.2, grid, work,
                         np.empty((5, 12), dtype=complex))
         with pytest.raises(ShapeError):
-            compute_rhs(slab, coeffs, stencil, 0.2, grid,
+            compute_rhs(u, r, coeffs, stencil, 0.2, grid,
                         work[:2] + (np.empty((12, 5), dtype=complex),), out)
         with pytest.raises(ShapeError):  # a medium over (azimuth x depth)
-            compute_rhs(slab, coeffs, depth_stencil(np.ones((5, 12)), 0.2,
+            compute_rhs(u, r, coeffs, depth_stencil(np.ones((5, 12)), 0.2,
                                                     grid.delta_z),
                         0.2, grid, work, out)
 
@@ -366,7 +365,7 @@ class TestBatchAssembly:
         rng = np.random.default_rng(17)
         grid = make_grid(n_azimuth=6, n_depth=20)
         env = make_env(grid, attenuation=0.02, start_frac=0.4)
-        profile = refraction_index_grid(env, grid, 75.0)
+        profile = refraction_index_grid(env, grid)
         rhs = random_slab_values(rng, grid)
         coeff = 0.25 - 0.4j
         batch = assemble_depth_batch(coeff, profile, 0.2, grid.delta_z)

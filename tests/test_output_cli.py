@@ -182,16 +182,41 @@ class TestCmdRun:
         assert not outdir.exists()
         assert "delta_z > 0" in capsys.readouterr().err
 
-    def test_flag_overrides_env_overrides_config(self, tmp_path, monkeypatch):
+    def test_flag_overrides_config(self, tmp_path):
         cfg = write_cfg(tmp_path)
-        outdir = tmp_path / "envcase"
-        monkeypatch.setenv("PE3D_THREADS", "2")
-        monkeypatch.setenv("PE3D_WORKERS", "2")
+        with cfg.open("a") as f:
+            f.write("threads = 2\nworkers = 2\n")
+        outdir = tmp_path / "flags"
         assert main(["run", "--config", str(cfg), "--output", str(outdir),
                      "--workers", "1"]) == 0
         executor = load_manifest(outdir)["executor"]
-        assert executor["intra_threads"] == 2   # from environment
+        assert executor["intra_threads"] == 2   # from the config
         assert executor["freq_workers"] == 1    # flag wins
+
+    @pytest.mark.parametrize("change", ["edit", "remove"])
+    def test_manifest_digest_is_of_the_config_that_ran(
+            self, tmp_path, monkeypatch, change):
+        # the config is edited or removed once the farm starts: the run
+        # still writes its manifest, with the digest of the file it loaded
+        cfg = write_cfg(tmp_path, frequencies="40.0, 50.0")
+        loaded = file_sha256(cfg)
+        outdir = tmp_path / change
+        real_farm = cli.frequency_farm
+
+        def farm_after_change(config, deliver=None):
+            if change == "edit":
+                cfg.write_text(cfg.read_text().replace("depth = 60.0",
+                                                       "depth = 90.0"))
+                assert file_sha256(cfg) != loaded
+            else:
+                cfg.unlink()
+            return real_farm(config, deliver=deliver)
+
+        monkeypatch.setattr(cli, "frequency_farm", farm_after_change)
+        assert main(["run", "--config", str(cfg), "--output", str(outdir)]) == 0
+        manifest = load_manifest(outdir)
+        assert manifest["config_sha256"] == loaded
+        assert [e["status"] for e in manifest["frequencies"]] == ["ok", "ok"]
 
     def test_schedule_flag_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -247,10 +272,10 @@ class TestCmdRun:
         real_step = marching.range_step
         k0 = wavenumber(50.0, 1500.0)
 
-        def poisoned_step(marcher, state):
-            new = real_step(marcher, state)
-            if marcher.k0 == k0 and new.range_index == 3:
-                new.slab.values[3, 5] = np.nan
+        def poisoned_step(marcher, u, j):
+            new = real_step(marcher, u, j)
+            if marcher.k0 == k0 and j + 1 == 3:
+                new[3, 5] = np.nan
             return new
 
         monkeypatch.setattr(marching, "range_step", poisoned_step)
@@ -443,6 +468,19 @@ class TestConfigErrorsBeforeCompute:
         cfg.write_bytes(b"# caf\xe9\n" + CONFIG_TEXT.format(
             frequencies="50.0", fmt="csv").encode())
         assert_config_error(tmp_path, capsys, cfg, "cannot read config file")
+
+    def test_config_gone_before_it_is_hashed(self, tmp_path, capsys,
+                                             monkeypatch):
+        cfg = write_cfg(tmp_path)
+        real_load = cli.load_config
+
+        def load_then_remove(path):
+            config = real_load(path)
+            cfg.unlink()
+            return config
+
+        monkeypatch.setattr(cli, "load_config", load_then_remove)
+        assert_config_error(tmp_path, capsys, cfg, "No such file")
 
     def test_sound_speed_file_is_a_directory(self, tmp_path, capsys):
         (tmp_path / "ssp").mkdir()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -9,17 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_config
-from pe3d.errors import InvariantError
+from pe3d.errors import DomainError
 from pe3d.marching import run_frequency
 from pe3d.parallel import frequency_farm
 import pe3d.parallel as parallel_module
-from pe3d.pool import block_ranges, fork_join
+from pe3d.pool import ExecutorSpec, block_ranges, fork_join
 
 
 def tiny_config(frequencies=(50.0,), **kwargs):
     defaults = dict(n_range=5, n_azimuth=8, n_depth=24, delta_z=6.0)
     defaults.update(kwargs)
     return make_config(frequencies=frequencies, **defaults)
+
+
+def with_workers(config, workers):
+    """``config`` with its frequencies farmed to ``workers`` processes."""
+    return config._replace(options=dataclasses.replace(
+        config.options, executor=ExecutorSpec(freq_workers=workers)))
 
 
 class TestStaticAssignment:
@@ -78,7 +85,7 @@ class TestForkJoin:
 class TestFrequencyFarm:
     def test_single_job_equals_run_frequency(self):
         config = tiny_config()
-        report = frequency_farm(config, [50.0], workers=4)
+        report = frequency_farm(with_workers(config, 4))
         direct = run_frequency(config, 50.0)
         assert report.ok
         assert np.array_equal(report.results[0].tl_field, direct.tl_field)
@@ -86,7 +93,7 @@ class TestFrequencyFarm:
     def test_results_ordered_by_input_index(self):
         freqs = (40.0, 80.0, 25.0, 63.0)
         config = tiny_config(frequencies=freqs)
-        report = frequency_farm(config, freqs, workers=2)
+        report = frequency_farm(with_workers(config, 2))
         assert report.ok
         assert [r.frequency for r in report.results] == list(freqs)
 
@@ -94,18 +101,26 @@ class TestFrequencyFarm:
         freqs = tuple(25.0 + i for i in range(120))
         config = tiny_config(frequencies=freqs, n_range=3, n_azimuth=4,
                              n_depth=12, delta_z=10.0)
-        serial = frequency_farm(config, freqs, workers=1)
+        serial = frequency_farm(config)
         assert serial.ok
         for workers in (2, 4):
-            report = frequency_farm(config, freqs, workers=workers)
+            report = frequency_farm(with_workers(config, workers))
             assert report.ok
             for a, b in zip(serial.results, report.results):
                 assert a.tl_field.tobytes() == b.tl_field.tobytes()
 
-    def test_failures_collected_successes_returned(self):
-        config = tiny_config(frequencies=(50.0, 60.0))
-        # 75 Hz is not declared in the source, so that job fails
-        report = frequency_farm(config, [50.0, 75.0, 60.0], workers=2)
+    def test_failures_collected_successes_returned(self, monkeypatch):
+        config = with_workers(tiny_config(frequencies=(50.0, 75.0, 60.0)), 2)
+        real_run = parallel_module.run_frequency
+
+        def failing_run(cfg, frequency, executor=None):
+            if frequency == 75.0:
+                raise DomainError("no field at 75 Hz")
+            return real_run(cfg, frequency, executor)
+
+        # farm workers fork after the patch, so they inherit it
+        monkeypatch.setattr(parallel_module, "run_frequency", failing_run)
+        report = frequency_farm(config)
         assert not report.ok
         assert report.results[0] is not None
         assert report.results[1] is None
@@ -114,10 +129,6 @@ class TestFrequencyFarm:
         assert report.failures[0].index == 1
         assert report.failures[0].frequency == 75.0
         assert "DomainError" in report.failures[0].message
-
-    def test_empty_frequencies_rejected(self):
-        with pytest.raises(InvariantError):
-            frequency_farm(tiny_config(), [], workers=1)
 
     def test_dead_worker_fails_its_frequencies(self, monkeypatch):
         # blocks (30, 50) and (70): the first worker dies at 50 Hz after
@@ -133,7 +144,7 @@ class TestFrequencyFarm:
 
         # farm workers fork after the patch, so they inherit it
         monkeypatch.setattr(parallel_module, "run_frequency", dying_run)
-        report = frequency_farm(config, freqs, workers=2)
+        report = frequency_farm(with_workers(config, 2))
         assert [f.index for f in report.failures] == [1]
         assert "worker process died" in report.failures[0].message
         assert report.results[1] is None
@@ -149,14 +160,14 @@ class TestFrequencyFarm:
     def test_deliver_gets_each_grid_then_the_farm_drops_it(self, workers):
         freqs = (30.0, 40.0, 50.0)
         config = tiny_config(frequencies=freqs)
-        kept = frequency_farm(config, freqs, workers=1)
+        kept = frequency_farm(config)
         delivered = {}
 
         def deliver(index, result):
             assert index not in delivered
             delivered[index] = result.tl_field.copy()
 
-        report = frequency_farm(config, freqs, workers=workers, deliver=deliver)
+        report = frequency_farm(with_workers(config, workers), deliver=deliver)
         assert report.ok and sorted(delivered) == [0, 1, 2]
         for index, result in enumerate(report.results):
             assert result.tl_field is None
@@ -177,6 +188,6 @@ class TestFrequencyFarm:
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
-            frequency_farm(config, freqs, workers=2, deliver=deliver)
+            frequency_farm(with_workers(config, 2), deliver=deliver)
         assert len(calls) == 1
         assert multiprocessing.active_children() == []
