@@ -75,10 +75,6 @@ class Grid3D:
         """Depth of the last grid row (the grid bottom), meters."""
         return (self.n_depth - 1) * self.delta_z
 
-    @property
-    def max_range(self) -> float:
-        return self.r_start + self.n_range * self.delta_r
-
     def depths(self) -> np.ndarray:
         return np.arange(self.n_depth) * self.delta_z
 
@@ -138,10 +134,8 @@ class SoundSpeedProfile:
         return cls(np.array([0.0]), np.array([float(speed)]))
 
     def speed_at(self, z):
-        """Sound speed at depth(s) ``z`` (scalar or array), m/s."""
-        if self.depths.size == 1:
-            return np.full_like(np.asarray(z, dtype=np.float64), self.speeds[0]) \
-                if np.ndim(z) else float(self.speeds[0])
+        """Sound speed at depth(s) ``z`` (scalar or array), m/s; on a
+        one-sample profile, that sample's speed at every depth."""
         return np.interp(z, self.depths, self.speeds)
 
 
@@ -169,11 +163,6 @@ class Environment:
                 "absorber.start_depth < grid bottom depth",
                 f"got start {self.absorber.start_depth} vs bottom {self.bottom_depth}",
             )
-
-    def sound_speed(self, z):
-        """c(z): piecewise-linear in depth; one profile serves every range
-        and azimuth."""
-        return self.profile.speed_at(z)
 
 
 @dataclass(frozen=True)
@@ -204,36 +193,24 @@ def wavenumber(frequency: float, c0: float) -> float:
     return _TWO_PI * frequency / c0
 
 
-def refraction_index(env: Environment, z):
-    """Complex refraction index n(z); the medium is range- and
-    azimuth-independent.
+def refraction_index_grid(env: Environment, grid: Grid3D) -> np.ndarray:
+    """Complex refraction index n over the grid's depths: one depth
+    profile, which serves every range and azimuth, since the medium depends
+    on depth alone (this also keeps azimuth symmetry exact to the bit).
 
     Re(n) = c0 / c; Im(n) ramps quadratically from 0 at the absorber start
-    depth to ``max_attenuation`` at the grid bottom.  Accepts scalar or
-    array ``z``; points outside [0, bottom_depth] raise.
+    depth to ``max_attenuation`` at the grid bottom.  A grid deeper than
+    ``env.bottom_depth`` raises.
     """
-    z_arr = np.asarray(z, dtype=np.float64)
-    if np.any(z_arr < 0) or np.any(z_arr > env.bottom_depth * (1 + 1e-12)):
-        raise DomainError(
-            f"depth outside [0, {env.bottom_depth}] m"
-        )
-    re = env.c0 / np.asarray(env.sound_speed(z_arr), dtype=np.float64)
+    z = grid.depths()
+    if z[-1] > env.bottom_depth * (1 + 1e-12):
+        raise DomainError(f"grid depth {z[-1]} m below bottom "
+                          f"{env.bottom_depth} m")
+    re = env.c0 / env.profile.speed_at(z)
     ab = env.absorber
-    if ab.max_attenuation > 0:
-        span = env.bottom_depth - ab.start_depth
-        ramp = np.clip((z_arr - ab.start_depth) / span, 0.0, None)
-        im = ab.max_attenuation * ramp * ramp
-    else:
-        im = np.zeros_like(z_arr)
-    n = re + 1j * im
-    return n if np.ndim(z) else complex(n)
-
-
-def refraction_index_grid(env: Environment, grid: Grid3D) -> np.ndarray:
-    """n over the grid's depths: one depth profile, which serves every
-    range and azimuth, since the medium depends on depth alone (this also
-    keeps azimuth symmetry exact to the bit)."""
-    return refraction_index(env, grid.depths())
+    ramp = np.clip((z - ab.start_depth) / (env.bottom_depth - ab.start_depth),
+                   0.0, None)
+    return re + 1j * (ab.max_attenuation * ramp * ramp)
 
 
 def gaussian_starter(grid: Grid3D, source: SourceSpec, k0: float) -> np.ndarray:

@@ -15,9 +15,8 @@ one operator and its matrix one tri-diagonal matrix for the whole slab.
 Exterior stencil values are zero (pressure-release surface, absorber-backed
 bottom, sector edges); the azimuth index wraps on a periodic grid.
 
-:func:`apply_X` and :func:`apply_Y` return new arrays; :func:`compute_rhs`
-makes the same passes into arrays its caller owns, so a range step
-allocates nothing for its explicit side.
+:func:`compute_rhs` writes the explicit side into arrays its caller owns,
+so a range step allocates nothing for it.
 
 Rounding: numpy's vectorised complex product uses fused multiply-adds, so
 ``a * b`` and ``b * a`` can differ in their last bits, and numpy evaluates
@@ -152,35 +151,6 @@ def _depth_local_term(local, shape: tuple) -> np.ndarray:
     return local
 
 
-def apply_X(column: np.ndarray, n_column, k0: float, delta_z: float) -> np.ndarray:
-    """Depth operator on a vector over l, or a slab with depth last.
-
-    Dirichlet closure: the values just outside the surface and bottom rows
-    are zero.
-    """
-    u = np.asarray(column, dtype=np.complex128)
-    scale, local = depth_stencil(n_column, k0, delta_z)
-    local = _depth_local_term(local, u.shape)
-    d2 = _second_difference(u, -1, False, np.empty(u.shape, dtype=np.complex128))
-    return local * u + scale * d2
-
-
-def apply_Y(row: np.ndarray, k0: float, r: float, delta_theta: float,
-            topology: str) -> np.ndarray:
-    """Azimuth operator on a vector over m, or a slab with azimuth first.
-
-    Indices wrap modulo the azimuth count when periodic; a sector uses the
-    zero-exterior closure.
-    """
-    if topology not in TOPOLOGIES:
-        raise InvariantError(f"azimuth_topology in {TOPOLOGIES}")
-    u = np.asarray(row, dtype=np.complex128)
-    scale = azimuth_stencil(k0, r, delta_theta)
-    d2 = _second_difference(u, 0, topology == PERIODIC,
-                            np.empty(u.shape, dtype=np.complex128))
-    return scale * d2
-
-
 def compute_rhs(u: np.ndarray, range_m: float, coeffs: StepCoefficients,
                 depth: tuple, k0: float, grid: Grid3D,
                 work: tuple, out: np.ndarray) -> np.ndarray:
@@ -193,12 +163,14 @@ def compute_rhs(u: np.ndarray, range_m: float, coeffs: StepCoefficients,
     outermost in the step factorization.  ``depth`` is the depth stencil,
     the scale and (n^2 - 1) profile of :func:`depth_stencil`, and ``work``
     three azimuth-major arrays of the slab's shape, overwritten.  The
-    passes are those of
+    passes are those of the expression
 
-        temp = u + cy_rhs * apply_Y(u);   temp + cx_rhs * apply_X(temp)
+        temp = u + cy_rhs * (y_scale * D_m u)
+        temp + cx_rhs * ((n^2 - 1) * temp + z_scale * D_l temp)
 
-    in the same order and with the same operand order, so the bits are
-    theirs.
+    (D_m, D_l the second differences over azimuth and depth, y_scale =
+    1 / (k0 r dtheta)^2 at ``range_m``, z_scale the depth stencil's) in
+    that order and with those operand orders: the bits are the expression's.
     """
     if u.shape != (grid.n_azimuth, grid.n_depth):
         raise ShapeError(f"slab shape {u.shape} != grid "
@@ -264,9 +236,9 @@ def assemble_azimuth_batch(coeff: complex, k0: float, ranges,
     be zero there; a periodic grid has no edges.
 
     Each range's coefficients come from Python floats, by the scalar
-    arithmetic of :func:`apply_Y`'s scale: numpy squares an array by
-    multiplication, and Python's ``x ** 2`` differs from ``x * x`` in the
-    last bit for about one value in a thousand.
+    arithmetic of :func:`azimuth_stencil`, 1 / (k0 r dtheta)^2: numpy
+    squares an array by multiplication, and Python's ``x ** 2`` differs
+    from ``x * x`` in the last bit for about one value in a thousand.
     """
     if topology not in TOPOLOGIES:
         raise InvariantError(f"azimuth_topology in {TOPOLOGIES}")

@@ -70,7 +70,22 @@ def write_tl_csv(path, result: FrequencyResult, grid: Grid3D) -> Path:
     return path
 
 
+def _grid_shape(path, header) -> tuple:
+    """(range samples, azimuths, depths) from a TL file's header."""
+    shape = []
+    for key in ("n_range_samples", "n_azimuth", "n_depth"):
+        try:
+            count = int(header[key])
+        except (KeyError, TypeError, ValueError):
+            count = -1  # missing, or not a count
+        if count < 0:
+            raise ConfigError(f"{path}: TL grid header has no valid {key}")
+        shape.append(count)
+    return tuple(shape)
+
+
 def read_tl_csv(path):
+    """(header, TL grid) of a CSV TL file; ``ConfigError`` if damaged."""
     header = {}
     with open(path) as fh:
         data_start = 0
@@ -82,14 +97,13 @@ def read_tl_csv(path):
             if "=" in body:
                 key, value = body.split("=", 1)
                 header[key.strip()] = value.strip()
-    table = np.loadtxt(path, delimiter=",", skiprows=data_start)
-    shape = (
-        int(header["n_range_samples"]),
-        int(header["n_azimuth"]),
-        int(header["n_depth"]),
-    )
-    tl = table[:, 3].reshape(shape)
-    return header, tl
+    shape = _grid_shape(path, header)
+    try:
+        table = np.loadtxt(path, delimiter=",", skiprows=data_start)
+        return header, table[:, 3].reshape(shape)
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"{path}: TL table does not match its header: "
+                          f"{exc}") from None
 
 
 def write_tl_binary(path, result: FrequencyResult, grid: Grid3D) -> Path:
@@ -107,16 +121,19 @@ def write_tl_binary(path, result: FrequencyResult, grid: Grid3D) -> Path:
 
 
 def read_tl_binary(path):
+    """(header, TL grid) of a binary TL file; ``ConfigError`` if damaged."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(BINARY_MAGIC))
-        if magic != BINARY_MAGIC:
-            raise ConfigError(f"{path}: not a TL grid file")
-        (blob_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
-        shape = (
-            header["n_range_samples"], header["n_azimuth"], header["n_depth"]
-        )
-        data = fh.read()
+        blob = fh.read()
+    if not blob.startswith(BINARY_MAGIC):
+        raise ConfigError(f"{path}: not a TL grid file")
+    start = len(BINARY_MAGIC) + 8
+    try:
+        (header_len,) = struct.unpack_from("<Q", blob, len(BINARY_MAGIC))
+        header = json.loads(blob[start:start + header_len])
+    except (struct.error, ValueError) as exc:
+        raise ConfigError(f"{path}: unreadable TL grid header: {exc}") from None
+    shape = _grid_shape(path, header)
+    data = memoryview(blob)[start + header_len:]
     expected = math.prod(shape)
     if len(data) != 8 * expected:
         raise ConfigError(

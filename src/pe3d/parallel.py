@@ -17,17 +17,11 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 
 from .marching import run_frequency
-from .pool import ExecutorSpec, block_ranges
+from .pool import block_ranges
 
 # Farm workers are forked: they start with the parent's modules as they
 # are, wrappers installed around pe3d functions included.
 FARM_START_METHOD = "fork"
-
-__all__ = [
-    "ExecutorSpec",
-    "FarmReport",
-    "frequency_farm",
-]
 
 
 @dataclass

@@ -14,6 +14,7 @@ import numpy as np
 
 from .environment import (
     PERIODIC,
+    TOPOLOGIES,
     Absorber,
     Environment,
     Grid3D,
@@ -39,17 +40,21 @@ from .tridiag import (
 SELFTEST_SEED = 20260808
 
 
-def demo_config(n_range=30, n_azimuth=16, n_depth=64) -> Config:
+def demo_config(n_range=30, n_azimuth=16, n_depth=64, delta_r=5.0,
+                topology=PERIODIC, attenuation=0.01) -> Config:
+    """Isovelocity water on 4 m rows; a sector is 1 degree per azimuth."""
+    delta_theta = 2.0 * math.pi / n_azimuth if topology == PERIODIC \
+        else math.radians(1.0)
     grid = Grid3D(
         n_range=n_range, n_azimuth=n_azimuth, n_depth=n_depth,
-        delta_r=5.0, delta_theta=2.0 * math.pi / n_azimuth, delta_z=4.0,
-        r_start=5.0, azimuth_topology=PERIODIC,
+        delta_r=delta_r, delta_theta=delta_theta, delta_z=4.0,
+        r_start=delta_r, azimuth_topology=topology,
     )
     environment = Environment(
         c0=1500.0,
         profile=SoundSpeedProfile.uniform(1500.0),
         water_depth=6000.0,
-        absorber=Absorber(0.75 * grid.depth_extent, 0.01),
+        absorber=Absorber(0.75 * grid.depth_extent, attenuation),
         bottom_depth=grid.depth_extent,
     )
     source = SourceSpec(frequencies=(50.0,), depth=100.0)
@@ -158,6 +163,49 @@ def _check_rerun_determinism():
              "rerun changed the recorded ranges")
 
 
+def separable_mode_error(topology: str) -> float:
+    """Relative error of the separable mode sin(q pi l / n_depth) x
+    (azimuth mode m: a cosine on a periodic grid, a sine zero on a sector's
+    edge rows) after 200 lossless steps, across three ``AZIMUTH_BLOCK``
+    boundaries, against the product of its closed-form step factors
+
+        g_j = (1 + cx_rhs lx) (1 + cy_rhs ly(r_j))
+              / ((1 + cx_lhs lx) (1 + cy_lhs ly(r_{j+1})))
+
+    with lx and ly(r) the mode's eigenvalues of X and Y."""
+    grid, env, _, _ = demo_config(200, 36, 128, 10.0, topology, 0.0)
+    q, m, k = 3, 2, np.arange(grid.n_azimuth)
+    k0 = wavenumber(50.0, env.c0)
+    coeffs = StepCoefficients.for_step(k0, grid.delta_r)
+    # the depth sine is zero on the surface row and one row below the grid
+    depth = np.sin(q * math.pi * np.arange(grid.n_depth) / grid.n_depth)
+    lx = -4.0 * (math.sin(q * math.pi / (2 * grid.n_depth))
+                 / (k0 * grid.delta_z)) ** 2
+    if topology == PERIODIC:
+        azimuth = np.cos(2.0 * math.pi * m * k / grid.n_azimuth)
+        y = -4.0 * math.sin(math.pi * m / grid.n_azimuth) ** 2
+    else:
+        edge = grid.n_azimuth - 1
+        azimuth = np.where(k < edge, np.sin(math.pi * m * k / edge), 0.0)
+        y = -4.0 * math.sin(math.pi * m / (2 * edge)) ** 2
+    ly = [y / (k0 * grid.range_at(j) * grid.delta_theta) ** 2
+          for j in range(grid.n_range + 1)]
+    u = np.outer(azimuth, depth).astype(np.complex128)
+    start, gain = u.copy(), 1.0
+    marcher = Marcher(grid, env, k0, coeffs)
+    for j in range(grid.n_range):
+        u = range_step(marcher, u, j)
+        gain *= (1 + coeffs.cx_rhs * lx) * (1 + coeffs.cy_rhs * ly[j]) \
+            / ((1 + coeffs.cx_lhs * lx) * (1 + coeffs.cy_lhs * ly[j + 1]))
+    return _relative_error(u, gain * start)
+
+
+def _check_separable_mode():
+    for topology in TOPOLOGIES:
+        err = separable_mode_error(topology)
+        _require(err <= 1e-12, f"{topology} mode error {err:.2e}")
+
+
 def _check_block_assignment():
     for workers in (3, 5, 8):
         blocks = block_ranges(8, workers)
@@ -186,6 +234,7 @@ def run_selftest(corrupt_thomas: bool = False, out=print) -> bool:
         ("delta-zero-identity", _check_delta_zero_identity),
         ("azimuth-symmetry", _check_azimuth_symmetry),
         ("rerun-determinism", _check_rerun_determinism),
+        ("separable-mode", _check_separable_mode),
         ("static-assignment-law", _check_block_assignment),
     ]
     out(f"selftest seed: {SELFTEST_SEED}")

@@ -7,11 +7,19 @@ import numpy as np
 from pe3d.config import Config, RunOptions
 from pe3d.environment import (
     PERIODIC,
+    TOPOLOGIES,
     Absorber,
     Environment,
     Grid3D,
     SoundSpeedProfile,
     SourceSpec,
+)
+from pe3d.errors import InvariantError
+from pe3d.operators import (
+    _depth_local_term,
+    _second_difference,
+    azimuth_stencil,
+    depth_stencil,
 )
 from pe3d.tridiag import OPEN, Diagonals
 
@@ -62,3 +70,36 @@ def one_matrix(sub, main, sup, topology=OPEN):
     """Width-1 complex ``Diagonals`` from the vectors of one matrix."""
     return Diagonals(*(np.asarray(d, dtype=complex)[:, None]
                        for d in (sub, main, sup)), topology)
+
+
+# The depth and azimuth operators as plain functions that return new
+# arrays: the oracle that ``compute_rhs``, which makes the same passes into
+# arrays its caller owns, is pinned to bit for bit.
+
+def apply_X(column: np.ndarray, n_column, k0: float, delta_z: float) -> np.ndarray:
+    """Depth operator on a vector over l, or a slab with depth last.
+
+    Dirichlet closure: the values just outside the surface and bottom rows
+    are zero.
+    """
+    u = np.asarray(column, dtype=np.complex128)
+    scale, local = depth_stencil(n_column, k0, delta_z)
+    local = _depth_local_term(local, u.shape)
+    d2 = _second_difference(u, -1, False, np.empty(u.shape, dtype=np.complex128))
+    return local * u + scale * d2
+
+
+def apply_Y(row: np.ndarray, k0: float, r: float, delta_theta: float,
+            topology: str) -> np.ndarray:
+    """Azimuth operator on a vector over m, or a slab with azimuth first.
+
+    Indices wrap modulo the azimuth count when periodic; a sector uses the
+    zero-exterior closure.
+    """
+    if topology not in TOPOLOGIES:
+        raise InvariantError(f"azimuth_topology in {TOPOLOGIES}")
+    u = np.asarray(row, dtype=np.complex128)
+    scale = azimuth_stencil(k0, r, delta_theta)
+    d2 = _second_difference(u, 0, topology == PERIODIC,
+                            np.empty(u.shape, dtype=np.complex128))
+    return scale * d2

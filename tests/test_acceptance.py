@@ -156,7 +156,7 @@ def test_criterion_05_cylindrical_spreading():
     tl = result.tl_field[:, 0, depth_index]
     r = result.ranges
     wavelength = env.c0 / frequency
-    lo, hi = 20.0 * wavelength, grid.max_range / 2.0
+    lo, hi = 20.0 * wavelength, grid.range_at(grid.n_range) / 2.0
     diffs = []
     for i, ri in enumerate(r):
         if lo <= ri <= hi:

@@ -43,7 +43,7 @@ class TestLoadConfig:
         assert grid.delta_theta == pytest.approx(math.radians(45.0), rel=1e-15)
         assert grid.r_start == 50.0  # defaults to delta_r
         assert env.c0 == 1500.0
-        assert env.sound_speed(123.0) == 1500.0
+        assert env.profile.speed_at(123.0) == 1500.0
         assert env.water_depth == 6000.0
         assert env.bottom_depth == grid.depth_extent
         assert source.frequencies == (50.0,)
@@ -97,14 +97,14 @@ class TestLoadConfig:
             "sound_speed_profile =\n    0 1500\n    3000 1480\n    6000 1520",
         )
         config = load_config(write_config(tmp_path, text))
-        assert config.environment.sound_speed(1500.0) == pytest.approx(1490.0)
+        assert config.environment.profile.speed_at(1500.0) == pytest.approx(1490.0)
 
     def test_profile_file(self, tmp_path):
         (tmp_path / "ssp.txt").write_text("0 1500\n6000 1480\n")
         text = MINIMAL.replace("sound_speed = 1500.0",
                                "sound_speed_file = ssp.txt")
         config = load_config(write_config(tmp_path, text))
-        assert config.environment.sound_speed(3000.0) == pytest.approx(1490.0)
+        assert config.environment.profile.speed_at(3000.0) == pytest.approx(1490.0)
 
     def test_bad_profile_line_reported(self, tmp_path):
         text = MINIMAL.replace(

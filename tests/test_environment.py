@@ -16,7 +16,6 @@ from pe3d.environment import (
     SourceSpec,
     gaussian_starter,
     hankel_factor,
-    refraction_index,
     refraction_index_grid,
     transmission_loss_field,
     wavenumber,
@@ -28,8 +27,8 @@ class TestGrid3D:
     def test_valid_grid(self):
         grid = make_grid()
         assert grid.depth_extent == 31 * 4.0
-        assert grid.max_range == 5.0 + 10 * 5.0
         assert grid.range_at(3) == 5.0 + 15.0
+        assert grid.range_at(grid.n_range) == 5.0 + 10 * 5.0
 
     @pytest.mark.parametrize("field,value", [
         ("n_range", 2), ("n_azimuth", 1), ("n_depth", 0),
@@ -97,39 +96,43 @@ class TestRefractionIndex:
     def test_real_part_is_speed_ratio(self):
         grid = make_grid()
         env = make_env(grid, speed=1450.0, c0=1500.0)
-        n = refraction_index(env, 8.0)
-        assert n.real == pytest.approx(1.0344827586206897, rel=1e-14)
+        n = refraction_index_grid(env, grid)
+        assert grid.depths()[2] == 8.0
+        assert n[2].real == pytest.approx(1.0344827586206897, rel=1e-14)
 
     def test_imaginary_part_hits_max_at_bottom(self):
         grid = make_grid(n_depth=64)
         env = make_env(grid, attenuation=0.03, start_frac=0.5)
-        n = refraction_index(env, grid.depth_extent)
-        assert n.imag == 0.03
+        n = refraction_index_grid(env, grid)
+        assert n[-1].imag == 0.03
 
     def test_quadratic_ramp_midpoint(self):
         grid = make_grid(n_depth=65, delta_z=4.0)
         env = make_env(grid, attenuation=0.04, start_frac=0.5)
         start = env.absorber.start_depth
         mid = start + 0.5 * (grid.depth_extent - start)
-        n = refraction_index(env, mid)
-        assert n.imag == pytest.approx(0.04 * 0.25, rel=1e-12)
+        n = refraction_index_grid(env, grid)
+        assert grid.depths()[48] == mid
+        assert n[48].imag == pytest.approx(0.04 * 0.25, rel=1e-12)
 
     def test_point_outside_domain(self):
         grid = make_grid()
-        env = make_env(grid)
-        with pytest.raises(DomainError):
-            refraction_index(env, grid.depth_extent + 10.0)
-        with pytest.raises(DomainError):
-            refraction_index(env, -1.0)
+        env = make_env(make_grid(n_depth=grid.n_depth - 3))
+        with pytest.raises(DomainError, match="below bottom"):
+            refraction_index_grid(env, grid)
 
     def test_depth_profile_interpolation(self):
-        grid = make_grid(n_depth=16, delta_z=10.0)
         profile = SoundSpeedProfile(np.array([0.0, 100.0]),
                                     np.array([1500.0, 1520.0]))
-        env = make_env(grid, profile=profile, attenuation=0.0)
-        assert env.sound_speed(50.0) == pytest.approx(1510.0)
+        assert profile.speed_at(50.0) == pytest.approx(1510.0)
         # clamped beyond the last sample
-        assert env.sound_speed(150.0) == pytest.approx(1520.0)
+        assert profile.speed_at(150.0) == pytest.approx(1520.0)
+
+    def test_one_sample_profile_is_that_speed_everywhere(self):
+        profile = SoundSpeedProfile.uniform(1512.3)
+        z = np.linspace(-10.0, 1e5, 1001)
+        assert np.all(profile.speed_at(z) == 1512.3)
+        assert profile.speed_at(42.0) == 1512.3
 
 
 class TestEnvironmentInvariants:

@@ -473,8 +473,7 @@ class TestStepArrays:
         for name in ("factor", "depth_stencil", "assemble_azimuth_batch",
                      "assemble_depth_batch", "refraction_index_grid"):
             monkeypatch.setattr(marching_module, name, forbidden)
-        for name in ("depth_stencil", "apply_X", "apply_Y"):
-            monkeypatch.setattr(operators_module, name, forbidden)
+        monkeypatch.setattr(operators_module, "depth_stencil", forbidden)
         for j in range(grid.n_range):
             u = range_step(marcher, u, j)
 

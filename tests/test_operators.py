@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_env, make_grid, random_slab_values
+from conftest import apply_X, apply_Y, make_env, make_grid, random_slab_values
 from pe3d.environment import PERIODIC, SECTOR, refraction_index_grid, wavenumber
 from pe3d.errors import DomainError, InvariantError, ShapeError
 from pe3d.operators import (
     StepCoefficients,
-    apply_X,
-    apply_Y,
     assemble_azimuth_batch,
     assemble_depth_batch,
     azimuth_stencil,

@@ -130,6 +130,36 @@ class TestTLFiles:
                            match=f"holds {found} samples, header expects {n}"):
             read_tl_binary(path)
 
+    @pytest.mark.parametrize("body,message", [
+        (b"", "unreadable TL grid header"),  # cut off after the magic
+        (struct.pack("<Q", 5) + b"{oops", "unreadable TL grid header"),
+        (struct.pack("<Q", 2) + b"{}", "no valid n_range_samples"),
+        (struct.pack("<Q", 2) + b"[]", "no valid n_range_samples"),
+    ], ids=["truncated", "not-json", "empty-header", "not-an-object"])
+    def test_damaged_binary_header_named(self, tmp_path, body, message):
+        path = tmp_path / "tl.bin"
+        path.write_bytes(BINARY_MAGIC + body)
+        with pytest.raises(ConfigError, match=message) as caught:
+            read_tl_binary(path)
+        assert str(caught.value).startswith(str(path))
+
+    def test_csv_without_shape_keys_named(self, tmp_path, small_result):
+        config, result = small_result
+        path = write_tl_csv(tmp_path / "tl.csv", result, config.grid)
+        text = path.read_text().replace("# n_azimuth=", "# azimuths=")
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="no valid n_azimuth") as caught:
+            read_tl_csv(path)
+        assert str(caught.value).startswith(str(path))
+
+    def test_csv_cut_off_named(self, tmp_path, small_result):
+        config, result = small_result
+        path = write_tl_csv(tmp_path / "tl.csv", result, config.grid)
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2])
+        with pytest.raises(ConfigError, match="does not match its header"):
+            read_tl_csv(path)
+
     def test_filename_embeds_frequency(self):
         assert "50" in tl_filename(50.0, "csv")
         assert tl_filename(50.0, "csv").endswith(".csv")
@@ -545,3 +575,19 @@ class TestCmdSelftest:
         main(["selftest"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestPackageSurface:
+    RUN_PATH = {
+        "__version__", "Config", "RunOptions", "load_config",
+        "run_frequency", "FrequencyResult", "frequency_farm", "FarmReport",
+        "ExecutorSpec", "read_tl_csv", "read_tl_binary", "load_manifest",
+    }
+
+    def test_all_is_the_run_path(self):
+        assert len(pe3d.__all__) == len(self.RUN_PATH)
+        assert set(pe3d.__all__) == self.RUN_PATH
+        namespace = {}
+        exec("from pe3d import *", namespace)
+        for name in self.RUN_PATH:
+            assert namespace[name] is getattr(pe3d, name)
