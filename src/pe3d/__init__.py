@@ -11,7 +11,6 @@ from .config import Config, RunOptions, load_config
 from .marching import FrequencyResult, run_frequency
 from .output import load_manifest, read_tl_binary, read_tl_csv
 from .parallel import FarmReport, frequency_farm
-from .pool import ExecutorSpec
 
 __all__ = [
     "__version__",
@@ -22,7 +21,6 @@ __all__ = [
     "FrequencyResult",
     "frequency_farm",
     "FarmReport",
-    "ExecutorSpec",
     "read_tl_csv",
     "read_tl_binary",
     "load_manifest",

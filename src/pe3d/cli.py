@@ -1,6 +1,7 @@
 """Command-line front end: run simulations and the selftest.
 
-A flag of ``pe3d run`` overrides its key in the config's [run] section.
+A flag of ``pe3d run`` overrides its key in the config's [run] section:
+its argparse ``dest`` is that ``RunOptions`` field.
 """
 
 from __future__ import annotations
@@ -8,14 +9,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
+import platform
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .config import load_config
+from .config import RunOptions, load_config
 from .errors import ConfigError, InvariantError, Pe3dError
 from .output import (
+    TL_FORMATS,
     file_sha256,
     remove_manifest,
     tl_filename,
@@ -23,7 +29,7 @@ from .output import (
     write_tl_grid,
 )
 from .parallel import FARM_START_METHOD, frequency_farm
-from .pool import ExecutorSpec
+from .pool import physical_core_count
 from .selftest import run_selftest
 
 
@@ -39,9 +45,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="config file path")
     run.add_argument("--threads", type=int, help="intra-step threads")
     run.add_argument("--workers", type=int, help="frequency workers")
-    run.add_argument("--output", help="output directory (overrides config)")
-    run.add_argument("--stride", type=int, help="range output stride")
-    run.add_argument("--format", choices=("csv", "binary-grid"), dest="tl_format")
+    run.add_argument("--output", type=Path, dest="output_dir",
+                     help="output directory")
+    run.add_argument("--stride", type=int, dest="output_stride",
+                     help="range output stride")
+    run.add_argument("--format", choices=TL_FORMATS, dest="tl_format")
 
     selftest = sub.add_parser("selftest", help="run the bundled invariant suite")
     selftest.add_argument("--corrupt-thomas", action="store_true",
@@ -54,20 +62,10 @@ def cmd_run(args) -> int:
         config = load_config(args.config)
         # Hashed now: the file may change or go while the run goes.
         config_sha256 = file_sha256(args.config)
-        executor = ExecutorSpec(
-            intra_threads=args.threads if args.threads is not None
-            else config.options.executor.intra_threads,
-            freq_workers=args.workers if args.workers is not None
-            else config.options.executor.freq_workers,
-        )
-        options = dataclasses.replace(
-            config.options,
-            output_dir=Path(args.output) if args.output else config.options.output_dir,
-            output_stride=args.stride if args.stride is not None
-            else config.options.output_stride,
-            tl_format=args.tl_format or config.options.tl_format,
-            executor=executor,
-        )
+        options = dataclasses.replace(config.options, **{
+            field.name: getattr(args, field.name)
+            for field in dataclasses.fields(RunOptions)
+            if getattr(args, field.name, None) is not None})
         written = {}
         for frequency in config.source.frequencies:
             name = tl_filename(frequency, options.tl_format)
@@ -149,11 +147,16 @@ def cmd_run(args) -> int:
             "azimuth_topology": grid.azimuth_topology,
         },
         "executor": {
-            "intra_threads": executor.intra_threads,
-            "freq_workers": executor.freq_workers,
+            "intra_threads": options.threads,
+            "freq_workers": options.workers,
             # None: the frequencies ran in this process.
-            "start_method": FARM_START_METHOD if executor.freq_workers > 1
-            else None,
+            "start_method": FARM_START_METHOD if options.workers > 1 else None,
+        },
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "logical_cores": os.cpu_count(),
+            "physical_cores": physical_core_count(),
         },
         "tl_format": options.tl_format,
         "frequencies": entries,

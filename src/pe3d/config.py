@@ -12,7 +12,7 @@ angles are written in degrees and converted to radians internally.
     sound_speed (scalar)  |  sound_speed_profile (inline "depth speed"
     pairs, one per continuation line)  |  sound_speed_file (two-column
     text file),
-    absorber_start_depth (default 0.75 x grid bottom depth),
+    absorber_start_depth (above the grid bottom; default 0.75 x its depth),
     absorber_max_attenuation (default 0.01)
 
 ``[source]``
@@ -20,7 +20,9 @@ angles are written in degrees and converted to radians internally.
 
 ``[run]`` (optional)
     output_dir, output_stride, tl_format (csv|binary-grid), threads,
-    workers, max_range
+    workers, max_range: the fields of :class:`RunOptions`.  Each but
+    max_range has a ``pe3d run`` flag, which overrides the key and meets
+    the same checks.
 
 Unknown keys are ignored.
 
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -63,27 +65,30 @@ from .environment import (
     SourceSpec,
 )
 from .errors import ConfigError, InvariantError
-from .pool import ExecutorSpec
-
-TL_FORMATS = ("csv", "binary-grid")
+from .output import TL_FORMATS
 
 
 @dataclass(frozen=True)
 class RunOptions:
-    """Output and execution options; ``output_dir`` is validated for
+    """Output and execution options: ``threads`` inside a range step and
+    ``workers`` across frequencies.  ``output_dir`` is validated for
     writability when a command actually writes into it."""
 
     output_dir: Path = Path("out")
     output_stride: Optional[int] = None
     tl_format: str = "csv"
-    executor: ExecutorSpec = field(default_factory=ExecutorSpec)
+    threads: int = 1
+    workers: int = 1
     max_range: Optional[float] = None
 
     def __post_init__(self):
-        if self.output_stride is not None and self.output_stride < 1:
-            raise InvariantError("output_stride >= 1", f"got {self.output_stride}")
+        for name in ("output_stride", "threads", "workers"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise InvariantError(f"{name} >= 1", f"got {value}")
         if self.tl_format not in TL_FORMATS:
-            raise InvariantError(f"tl_format in {TL_FORMATS}", f"got {self.tl_format!r}")
+            raise InvariantError(f"tl_format in {tuple(TL_FORMATS)}",
+                                 f"got {self.tl_format!r}")
         if self.max_range is not None and not self.max_range > 0:
             raise InvariantError("max_range > 0", f"got {self.max_range}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
@@ -231,8 +236,11 @@ def load_config(path) -> Config:
             ),
             max_attenuation=e.get_float("absorber_max_attenuation", default=0.01),
         ),
-        bottom_depth=grid.depth_extent,
     )
+    start = environment.absorber.start_depth
+    if not start < grid.depth_extent:
+        raise InvariantError("absorber.start_depth < grid bottom depth",
+                             f"got start {start} vs bottom {grid.depth_extent}")
 
     s = _Section(parser, "source")
     freq_text = s.get_str("frequencies", required=True)
@@ -259,10 +267,8 @@ def load_config(path) -> Config:
         output_dir=Path(r.get_str("output_dir", default="out")),
         output_stride=r.get_int("output_stride", default=None),
         tl_format=r.get_str("tl_format", default="csv"),
-        executor=ExecutorSpec(
-            intra_threads=r.get_int("threads", default=1),
-            freq_workers=r.get_int("workers", default=1),
-        ),
+        threads=r.get_int("threads", default=1),
+        workers=r.get_int("workers", default=1),
         max_range=r.get_float("max_range", default=None),
     )
     return Config(grid, environment, source, options)

@@ -142,27 +142,18 @@ class SoundSpeedProfile:
 @dataclass(frozen=True, eq=False)
 class Environment:
     """Water column description shared read-only by all solver tasks.
-
-    ``bottom_depth`` is the grid bottom the absorber ramps to; it is filled
-    from the grid when loading a config.
-    """
+    The absorber ramps to the bottom of the grid it is sampled on."""
 
     c0: float
     profile: SoundSpeedProfile
     water_depth: float
     absorber: Absorber
-    bottom_depth: float
 
     def __post_init__(self):
         for name in ("c0", "water_depth"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvariantError(f"{name} > 0 and finite",
                                      f"got {getattr(self, name)}")
-        if not self.absorber.start_depth < self.bottom_depth:
-            raise InvariantError(
-                "absorber.start_depth < grid bottom depth",
-                f"got start {self.absorber.start_depth} vs bottom {self.bottom_depth}",
-            )
 
 
 @dataclass(frozen=True)
@@ -199,16 +190,12 @@ def refraction_index_grid(env: Environment, grid: Grid3D) -> np.ndarray:
     on depth alone (this also keeps azimuth symmetry exact to the bit).
 
     Re(n) = c0 / c; Im(n) ramps quadratically from 0 at the absorber start
-    depth to ``max_attenuation`` at the grid bottom.  A grid deeper than
-    ``env.bottom_depth`` raises.
+    depth to ``max_attenuation`` at the grid bottom.
     """
     z = grid.depths()
-    if z[-1] > env.bottom_depth * (1 + 1e-12):
-        raise DomainError(f"grid depth {z[-1]} m below bottom "
-                          f"{env.bottom_depth} m")
     re = env.c0 / env.profile.speed_at(z)
     ab = env.absorber
-    ramp = np.clip((z - ab.start_depth) / (env.bottom_depth - ab.start_depth),
+    ramp = np.clip((z - ab.start_depth) / (grid.depth_extent - ab.start_depth),
                    0.0, None)
     return re + 1j * (ab.max_attenuation * ramp * ramp)
 

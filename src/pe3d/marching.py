@@ -51,7 +51,6 @@ from .operators import (
     compute_rhs,
     depth_stencil,
 )
-from .pool import ExecutorSpec
 from .tridiag import Factors, SolveBatch, factor, solve_batch
 
 MAX_OUTPUT_SAMPLES = 512
@@ -85,7 +84,7 @@ class Marcher:
     environment: Environment
     k0: float
     coeffs: StepCoefficients
-    intra_threads: int = 1
+    threads: int = 1
     depth: Factors = field(init=False)
     stencil: tuple = field(init=False)
     work: tuple = field(init=False)
@@ -179,8 +178,7 @@ def range_step(marcher: Marcher, u: np.ndarray, j: int) -> np.ndarray:
     # right-hand sides, so they are zero for the azimuth solve too.
     apply_boundary(rhs.T, grid)
     try:
-        solve_batch(SolveBatch(marcher.depth, rhs), marcher.intra_threads,
-                    out=rhs)
+        solve_batch(SolveBatch(marcher.depth, rhs), marcher.threads, out=rhs)
     except SingularSystemError as exc:
         raise StepError(j + 1, "depth", exc) from exc
     v = marcher.work[0]
@@ -188,7 +186,7 @@ def range_step(marcher: Marcher, u: np.ndarray, j: int) -> np.ndarray:
     new = np.empty_like(v)
     try:
         solve_batch(SolveBatch(marcher.azimuth_factors(j + 1), v),
-                    marcher.intra_threads, out=new)
+                    marcher.threads, out=new)
     except SingularSystemError as exc:
         raise StepError(j + 1, "azimuth", exc) from exc
     return apply_boundary(new, grid)
@@ -209,11 +207,12 @@ def _steps_to_march(grid: Grid3D, max_range: float | None) -> int:
     return grid.n_range
 
 
-def run_frequency(config, frequency: float, executor: ExecutorSpec | None = None) -> FrequencyResult:
-    """March one frequency from the starter range to max range.
+def run_frequency(config, frequency: float, threads: int | None = None) -> FrequencyResult:
+    """March one frequency from the starter range to max range, on
+    ``threads`` intra-step threads (None: ``config.options.threads``).
 
     Deterministic: the TL field is a pure function of the config and the
-    frequency, for every executor configuration.  A field
+    frequency, for every thread count.  A field
     that is not finite at a recorded range stops the march there with a
     :class:`StepError` naming that range index.
     """
@@ -223,10 +222,9 @@ def run_frequency(config, frequency: float, executor: ExecutorSpec | None = None
         raise DomainError(
             f"frequency {frequency} is not one of the source frequencies"
         )
-    spec = executor if executor is not None else options.executor
     k0 = wavenumber(frequency, env.c0)
     marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, grid.delta_r),
-                      spec.intra_threads)
+                      options.threads if threads is None else threads)
     u = apply_boundary(gaussian_starter(grid, source, k0), grid)
 
     stride = options.output_stride or default_output_stride(grid.n_range)

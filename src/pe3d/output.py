@@ -32,8 +32,7 @@ TL_CSV_COLUMNS = ("range_m", "azimuth_deg", "depth_m", "tl_db")
 
 
 def tl_filename(frequency: float, tl_format: str) -> str:
-    ext = "csv" if tl_format == "csv" else "bin"
-    return f"tl_{frequency:012.4f}Hz.{ext}"
+    return f"tl_{frequency:012.4f}Hz.{TL_FORMATS[tl_format][0]}"
 
 
 def _tl_header(result: FrequencyResult, grid: Grid3D) -> dict:
@@ -84,8 +83,21 @@ def _grid_shape(path, header) -> tuple:
     return tuple(shape)
 
 
+def _csv_header_value(text: str):
+    """A CSV header value as the type ``_tl_header`` wrote: a number is
+    read back as JSON reads it, anything else stays text."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
 def read_tl_csv(path):
-    """(header, TL grid) of a CSV TL file; ``ConfigError`` if damaged."""
+    """(header, TL grid) of a CSV TL file; ``ConfigError`` if damaged.
+
+    The header holds the keys and value types of the binary file's, with
+    ``ranges_m`` read from the range column (to its 6 decimals), plus
+    ``columns``."""
     header = {}
     with open(path) as fh:
         data_start = 0
@@ -96,11 +108,13 @@ def read_tl_csv(path):
             body = line[1:].strip()
             if "=" in body:
                 key, value = body.split("=", 1)
-                header[key.strip()] = value.strip()
+                header[key.strip()] = _csv_header_value(value.strip())
     shape = _grid_shape(path, header)
     try:
         table = np.loadtxt(path, delimiter=",", skiprows=data_start)
-        return header, table[:, 3].reshape(shape)
+        tl = table[:, 3].reshape(shape)
+        header["ranges_m"] = table[::shape[1] * shape[2], 0].tolist()
+        return header, tl
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"{path}: TL table does not match its header: "
                           f"{exc}") from None
@@ -143,6 +157,10 @@ def read_tl_binary(path):
     return header, np.frombuffer(data, dtype=TL_BINARY_DTYPE).reshape(shape)
 
 
+# Each TL format's file extension and writer.
+TL_FORMATS = {"csv": ("csv", write_tl_csv), "binary-grid": ("bin", write_tl_binary)}
+
+
 def _replace_with(path, write) -> Path:
     """Call ``write(temp)`` for a hidden file beside ``path``, then move it
     to ``path``; on any error the temporary file is removed, so ``path``
@@ -161,10 +179,7 @@ def _replace_with(path, write) -> Path:
 def write_tl_grid(path, result: FrequencyResult, grid: Grid3D,
                   tl_format: str) -> Path:
     """Write one TL grid file whole, or raise ``OSError`` and leave none."""
-    writer = {"csv": write_tl_csv, "binary-grid": write_tl_binary}.get(tl_format)
-    if writer is None:
-        raise InvariantError("tl_format in (csv, binary-grid)",
-                             f"got {tl_format!r}")
+    writer = TL_FORMATS[tl_format][1]
     return _replace_with(path, lambda temp: writer(temp, result, grid))
 
 

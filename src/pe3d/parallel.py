@@ -59,7 +59,7 @@ def _farm_job(payload):
 
 def frequency_farm(config, deliver=None) -> FarmReport:
     """Solve each of ``config.source.frequencies`` as an independent job on
-    ``config.options.executor``; report in input order.
+    ``config.options.workers`` processes; report in input order.
 
     Each worker process owns one contiguous block of frequencies
     (:func:`pe3d.pool.block_ranges`): every frequency marches the same grid
@@ -81,7 +81,7 @@ def frequency_farm(config, deliver=None) -> FarmReport:
     block that had not come back; those that had are kept.
     """
     frequencies = config.source.frequencies
-    workers = config.options.executor.freq_workers
+    workers = config.options.workers
     results = [None] * len(frequencies)
     errors = {}
 

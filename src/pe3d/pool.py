@@ -2,7 +2,7 @@
 
 Work is partitioned into contiguous index blocks, one per thread.  The
 boundaries depend on the thread count, so callers keep results
-bit-identical across executor configurations by making each item's work
+bit-identical across thread counts by making each item's work
 independent of the block it lands in.
 """
 
@@ -10,24 +10,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from .errors import InvariantError
-
-
-@dataclass(frozen=True)
-class ExecutorSpec:
-    """Parallelism settings: threads inside a range step, workers across
-    frequencies."""
-
-    intra_threads: int = 1
-    freq_workers: int = 1
-
-    def __post_init__(self):
-        if self.intra_threads < 1:
-            raise InvariantError("intra_threads >= 1", f"got {self.intra_threads}")
-        if self.freq_workers < 1:
-            raise InvariantError("freq_workers >= 1", f"got {self.freq_workers}")
 
 
 def block_ranges(n_items: int, n_blocks: int) -> list[tuple[int, int]]:

@@ -55,7 +55,6 @@ def demo_config(n_range=30, n_azimuth=16, n_depth=64, delta_r=5.0,
         profile=SoundSpeedProfile.uniform(1500.0),
         water_depth=6000.0,
         absorber=Absorber(0.75 * grid.depth_extent, attenuation),
-        bottom_depth=grid.depth_extent,
     )
     source = SourceSpec(frequencies=(50.0,), depth=100.0)
     return Config(grid, environment, source, RunOptions())

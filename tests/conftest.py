@@ -44,7 +44,6 @@ def make_env(grid, speed=1500.0, c0=1500.0, attenuation=0.01, start_frac=0.75,
         profile=profile if profile is not None else SoundSpeedProfile.uniform(speed),
         water_depth=water_depth,
         absorber=Absorber(start_frac * grid.depth_extent, attenuation),
-        bottom_depth=grid.depth_extent,
     )
 
 

@@ -25,7 +25,7 @@ from pe3d.environment import (
 from pe3d.marching import Marcher, range_step, run_frequency
 from pe3d.operators import StepCoefficients
 from pe3d.output import load_manifest
-from pe3d.pool import ExecutorSpec, block_ranges, physical_core_count
+from pe3d.pool import block_ranges, physical_core_count
 from pe3d.selftest import random_system, run_selftest
 from pe3d.tridiag import CYCLIC, OPEN, dense_matrix, dense_oracle_solve, solve
 
@@ -146,8 +146,7 @@ def test_criterion_05_cylindrical_spreading():
                   azimuth_topology=PERIODIC)
     env = Environment(c0=1500.0, profile=SoundSpeedProfile.uniform(1500.0),
                       water_depth=6000.0,
-                      absorber=Absorber(0.9 * grid.depth_extent, 0.0),
-                      bottom_depth=grid.depth_extent)
+                      absorber=Absorber(0.9 * grid.depth_extent, 0.0))
     source = SourceSpec(frequencies=(frequency,), depth=75.0)
     config = Config(grid, env, source, RunOptions(output_stride=1))
     result = run_frequency(config, frequency)
@@ -260,7 +259,7 @@ def test_criterion_08_scaling_sanity():
     walls = {}
     for threads in (1, 2, 4):
         begin = time.perf_counter()
-        run_frequency(config, frequency, ExecutorSpec(intra_threads=threads))
+        run_frequency(config, frequency, threads)
         walls[threads] = time.perf_counter() - begin
     speedup4 = walls[1] / walls[4]
     if cores >= 4:

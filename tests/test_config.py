@@ -6,7 +6,6 @@ import pytest
 from pe3d.config import Config, RunOptions, load_config
 from pe3d.environment import PERIODIC
 from pe3d.errors import ConfigError, InvariantError
-from pe3d.pool import ExecutorSpec
 
 MINIMAL = """\
 [grid]
@@ -45,10 +44,9 @@ class TestLoadConfig:
         assert env.c0 == 1500.0
         assert env.profile.speed_at(123.0) == 1500.0
         assert env.water_depth == 6000.0
-        assert env.bottom_depth == grid.depth_extent
         assert source.frequencies == (50.0,)
         assert source.depth == 100.0
-        assert options.executor == ExecutorSpec(1, 1)
+        assert (options.threads, options.workers) == (1, 1)
         assert isinstance(config, Config)
 
     def test_missing_file(self, tmp_path):
@@ -128,7 +126,7 @@ class TestLoadConfig:
         options = load_config(write_config(tmp_path, text)).options
         assert options.output_stride == 4
         assert options.tl_format == "binary-grid"
-        assert options.executor == ExecutorSpec(2, 3)
+        assert (options.threads, options.workers) == (2, 3)
         assert options.max_range == 400.0
         assert not hasattr(options, "schedule")  # an unknown key is ignored
 
@@ -142,6 +140,16 @@ class TestLoadConfig:
         assert env.absorber.start_depth == pytest.approx(0.75 * grid.depth_extent)
         assert env.absorber.max_attenuation == 0.01
 
+    def test_absorber_above_grid_bottom(self, tmp_path):
+        # the grid bottom of MINIMAL is 100 rows x 60 m = 6000 m
+        for start in ("6000.0", "6060.0"):
+            text = MINIMAL.replace(
+                "water_depth = 6000.0",
+                f"water_depth = 6000.0\nabsorber_start_depth = {start}")
+            with pytest.raises(InvariantError,
+                               match="absorber.start_depth < grid bottom depth"):
+                load_config(write_config(tmp_path, text))
+
 
 class TestRunOptions:
     def test_stride_validated(self):
@@ -153,7 +161,7 @@ class TestRunOptions:
             RunOptions(tl_format="hdf5")
 
     def test_executor_counts_validated(self):
-        with pytest.raises(InvariantError, match="intra_threads >= 1"):
-            ExecutorSpec(intra_threads=0)
-        with pytest.raises(InvariantError, match="freq_workers >= 1"):
-            ExecutorSpec(freq_workers=0)
+        with pytest.raises(InvariantError, match="threads >= 1"):
+            RunOptions(threads=0)
+        with pytest.raises(InvariantError, match="workers >= 1"):
+            RunOptions(workers=0)

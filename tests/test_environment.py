@@ -115,12 +115,6 @@ class TestRefractionIndex:
         assert grid.depths()[48] == mid
         assert n[48].imag == pytest.approx(0.04 * 0.25, rel=1e-12)
 
-    def test_point_outside_domain(self):
-        grid = make_grid()
-        env = make_env(make_grid(n_depth=grid.n_depth - 3))
-        with pytest.raises(DomainError, match="below bottom"):
-            refraction_index_grid(env, grid)
-
     def test_depth_profile_interpolation(self):
         profile = SoundSpeedProfile(np.array([0.0, 100.0]),
                                     np.array([1500.0, 1520.0]))
@@ -144,20 +138,10 @@ class TestEnvironmentInvariants:
         with pytest.raises(InvariantError, match="strictly increasing"):
             SoundSpeedProfile(np.array([0.0, 0.0]), np.array([1500.0, 1500.0]))
 
-    def test_absorber_above_bottom(self):
-        grid = make_grid()
-        with pytest.raises(InvariantError, match="absorber.start_depth < grid bottom"):
-            Environment(c0=1500.0, profile=SoundSpeedProfile.uniform(1500.0),
-                        water_depth=6000.0,
-                        absorber=Absorber(grid.depth_extent + 1.0, 0.01),
-                        bottom_depth=grid.depth_extent)
-
     def test_c0_positive(self):
-        grid = make_grid()
         with pytest.raises(InvariantError, match="c0 > 0"):
             Environment(c0=0.0, profile=SoundSpeedProfile.uniform(1500.0),
-                        water_depth=6000.0, absorber=Absorber(10.0, 0.0),
-                        bottom_depth=grid.depth_extent)
+                        water_depth=6000.0, absorber=Absorber(10.0, 0.0))
 
     def test_source_spec_validation(self):
         with pytest.raises(InvariantError, match="every frequency > 0"):

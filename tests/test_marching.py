@@ -34,7 +34,6 @@ from pe3d.operators import (
     assemble_depth_batch,
     compute_rhs,
 )
-from pe3d.pool import ExecutorSpec
 
 
 def make_marcher(config, frequency=50.0, slab_values=None, delta_r=None):
@@ -404,7 +403,7 @@ class TestReferenceStepper:
     def test_run_frequency_bitwise(self, topology, threads):
         config = self.config(topology)
         grid, env, source, _ = config
-        result = run_frequency(config, 50.0, ExecutorSpec(intra_threads=threads))
+        result = run_frequency(config, 50.0, threads)
         k0 = wavenumber(50.0, env.c0)
         coeffs = StepCoefficients.for_step(k0, grid.delta_r)
         reference = apply_boundary(gaussian_starter(grid, source, k0), grid)

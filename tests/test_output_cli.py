@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pe3d.marching as marching
 import pe3d.parallel as parallel
 from conftest import make_config
 from pe3d.cli import main
-from pe3d.config import RunOptions
+from pe3d.config import RunOptions, load_config
 from pe3d.environment import wavenumber
 from pe3d.errors import ConfigError
 from pe3d.marching import run_frequency
@@ -160,6 +161,21 @@ class TestTLFiles:
         with pytest.raises(ConfigError, match="does not match its header"):
             read_tl_csv(path)
 
+    def test_csv_header_matches_binary(self, tmp_path, small_result):
+        # one run in both formats: the readers give the same header
+        config, result = small_result
+        csv_header, _ = read_tl_csv(
+            write_tl_csv(tmp_path / "tl.csv", result, config.grid))
+        binary_header, _ = read_tl_binary(
+            write_tl_binary(tmp_path / "tl.bin", result, config.grid))
+        assert csv_header.keys() - binary_header.keys() == {"columns"}
+        np.testing.assert_allclose(csv_header.pop("ranges_m"),
+                                   binary_header.pop("ranges_m"),
+                                   rtol=0, atol=5e-7)
+        for key, value in binary_header.items():
+            assert csv_header[key] == value, key
+            assert type(csv_header[key]) is type(value), key
+
     def test_filename_embeds_frequency(self):
         assert "50" in tl_filename(50.0, "csv")
         assert tl_filename(50.0, "csv").endswith(".csv")
@@ -271,14 +287,14 @@ class TestCmdRun:
         note = tmp_path / "earlier_file_seen"
         real_run = parallel.run_frequency
 
-        def dying_run(config, frequency, executor=None):
+        def dying_run(config, frequency, threads=None):
             if frequency == 50.0:
                 deadline = time.monotonic() + 10.0
                 while not earlier.exists() and time.monotonic() < deadline:
                     time.sleep(0.01)
                 note.write_text(str(earlier.exists()))
                 os._exit(3)
-            return real_run(config, frequency, executor)
+            return real_run(config, frequency, threads)
 
         monkeypatch.setattr(parallel, "run_frequency", dying_run)
         assert main(["run", "--config", str(cfg), "--output", str(outdir),
@@ -359,6 +375,75 @@ class TestCmdRun:
                          "--workers", workers]) == 0
             assert load_manifest(outdir)["executor"]["start_method"] == method
 
+    def test_manifest_records_environment(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        outdir = tmp_path / "env"
+        assert main(["run", "--config", str(cfg), "--output", str(outdir)]) == 0
+        environment = load_manifest(outdir)["environment"]
+        assert environment["python"] == platform.python_version()
+        assert environment["numpy"] == np.__version__
+        assert isinstance(environment["logical_cores"], int)
+        assert isinstance(environment["physical_cores"], int)
+        assert environment["physical_cores"] >= 1
+
+    @pytest.mark.parametrize("flag,field,value", [
+        ("--threads", "threads", 2),
+        ("--workers", "workers", 2),
+        ("--output", "output_dir", "from-flag"),
+        ("--stride", "output_stride", 3),
+        ("--format", "tl_format", "binary-grid"),
+    ], ids=["threads", "workers", "output", "stride", "format"])
+    def test_each_flag_overrides_its_run_key(self, tmp_path, flag, field,
+                                             value):
+        cfg = write_cfg(tmp_path)  # [run] output_stride = 2, tl_format = csv
+        with cfg.open("a") as f:
+            f.write(f"output_dir = {tmp_path / 'from-config'}\n"
+                    "threads = 1\nworkers = 1\n")
+        expected = {"threads": 1, "workers": 1,
+                    "output_dir": tmp_path / "from-config",
+                    "output_stride": 2, "tl_format": "csv"}
+        if field == "output_dir":
+            value = tmp_path / value
+        expected[field] = value
+        assert main(["run", "--config", str(cfg), flag, str(value)]) == 0
+        outdir = expected["output_dir"]
+        manifest = load_manifest(outdir)
+        entry = manifest["frequencies"][0]
+        assert (outdir / entry["file"]).exists()
+        assert {"threads": manifest["executor"]["intra_threads"],
+                "workers": manifest["executor"]["freq_workers"],
+                "output_dir": outdir,
+                "output_stride": entry["output_stride"],
+                "tl_format": manifest["tl_format"]} == expected
+
+    @pytest.mark.parametrize("flag,constraint", [
+        ("--threads", "threads >= 1"),
+        ("--workers", "workers >= 1"),
+        ("--stride", "output_stride >= 1"),
+    ], ids=["threads", "workers", "stride"])
+    def test_bad_flag_value_is_config_error(self, tmp_path, capsys, flag,
+                                            constraint):
+        # a flag meets the checks of its [run] key before any compute
+        assert_config_error(tmp_path, capsys, write_cfg(tmp_path), constraint,
+                            [flag, "0"])
+
+    def test_readme_config_example_runs(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        example = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = tmp_path / "readme.ini"
+        cfg.write_text(example)
+        config = load_config(cfg)
+        assert config.source.frequencies == (50.0, 62.5)
+        outdir = tmp_path / "readme"
+        assert main(["run", "--config", str(cfg), "--output", str(outdir),
+                     "--stride", "100", "--format", "binary-grid"]) == 0
+        entries = load_manifest(outdir)["frequencies"]
+        assert [e["status"] for e in entries] == ["ok", "ok"]
+        for entry in entries:
+            header, tl = read_tl_binary(outdir / entry["file"])
+            assert header["output_stride"] == 100
+            assert tl.shape == (9, 8, 129)  # starter + 8 of 800 steps
+
     def test_stride_flag_applies(self, tmp_path):
         cfg = write_cfg(tmp_path)
         outdir = tmp_path / "stride"
@@ -420,10 +505,10 @@ class TestStreamedOutput:
         real_run = parallel.run_frequency
         on_disk = {}
 
-        def run(config, frequency, executor=None):
+        def run(config, frequency, threads=None):
             on_disk[frequency] = {p.name: file_sha256(p)
                                   for p in outdir.iterdir()}
-            return real_run(config, frequency, executor)
+            return real_run(config, frequency, threads)
 
         monkeypatch.setattr(parallel, "run_frequency", run)
         assert main(["run", "--config", str(cfg), "--output", str(outdir),
@@ -442,12 +527,12 @@ class TestStreamedOutput:
         outdir = tmp_path / "order"
         real_run = parallel.run_frequency
 
-        def run(config, frequency, executor=None):
+        def run(config, frequency, threads=None):
             if frequency == 30.0:
                 time.sleep(0.5)
             if frequency == 50.0:
                 raise ValueError("no 50 Hz")
-            return real_run(config, frequency, executor)
+            return real_run(config, frequency, threads)
 
         monkeypatch.setattr(parallel, "run_frequency", run)
         assert main(["run", "--config", str(cfg), "--output", str(outdir),
@@ -477,11 +562,12 @@ class TestStreamedOutput:
         assert len(load_manifest(outdir)["frequencies"]) == 2
 
 
-def assert_config_error(tmp_path, capsys, cfg, expected):
+def assert_config_error(tmp_path, capsys, cfg, expected, flags=()):
     """The run prints ``config error: ...`` naming ``expected``, exits 2
     and computes nothing."""
     outdir = tmp_path / "never"
-    assert main(["run", "--config", str(cfg), "--output", str(outdir)]) == 2
+    assert main(["run", "--config", str(cfg), "--output", str(outdir),
+                 *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and expected in err
     assert not outdir.exists()
@@ -528,8 +614,11 @@ class TestConfigErrorsBeforeCompute:
          "water_depth = 6000.0\nabsorber_max_attenuation = nan",
          "absorber.max_attenuation >= 0 and finite"),
         ("depth = 60.0", "depth = 200.0", "0 < source depth < grid depth extent"),
+        ("water_depth = 6000.0",
+         "water_depth = 6000.0\nabsorber_start_depth = 138.0",
+         "absorber.start_depth < grid bottom depth"),
     ], ids=["frequency-nan", "frequency-inf", "delta_r-inf", "c0-inf",
-            "attenuation-nan", "source-below-grid"])
+            "attenuation-nan", "source-below-grid", "absorber-at-grid-bottom"])
     def test_number_out_of_range(self, tmp_path, capsys, old, new, expected):
         cfg = write_cfg(tmp_path)
         text = cfg.read_text()
@@ -581,11 +670,11 @@ class TestPackageSurface:
     RUN_PATH = {
         "__version__", "Config", "RunOptions", "load_config",
         "run_frequency", "FrequencyResult", "frequency_farm", "FarmReport",
-        "ExecutorSpec", "read_tl_csv", "read_tl_binary", "load_manifest",
+        "read_tl_csv", "read_tl_binary", "load_manifest",
     }
 
     def test_all_is_the_run_path(self):
-        assert len(pe3d.__all__) == len(self.RUN_PATH)
+        assert len(pe3d.__all__) == len(self.RUN_PATH) == 11
         assert set(pe3d.__all__) == self.RUN_PATH
         namespace = {}
         exec("from pe3d import *", namespace)

@@ -14,7 +14,7 @@ from pe3d.errors import DomainError
 from pe3d.marching import run_frequency
 from pe3d.parallel import frequency_farm
 import pe3d.parallel as parallel_module
-from pe3d.pool import ExecutorSpec, block_ranges, fork_join
+from pe3d.pool import block_ranges, fork_join
 
 
 def tiny_config(frequencies=(50.0,), **kwargs):
@@ -26,7 +26,7 @@ def tiny_config(frequencies=(50.0,), **kwargs):
 def with_workers(config, workers):
     """``config`` with its frequencies farmed to ``workers`` processes."""
     return config._replace(options=dataclasses.replace(
-        config.options, executor=ExecutorSpec(freq_workers=workers)))
+        config.options, workers=workers))
 
 
 class TestStaticAssignment:
@@ -113,10 +113,10 @@ class TestFrequencyFarm:
         config = with_workers(tiny_config(frequencies=(50.0, 75.0, 60.0)), 2)
         real_run = parallel_module.run_frequency
 
-        def failing_run(cfg, frequency, executor=None):
+        def failing_run(cfg, frequency, threads=None):
             if frequency == 75.0:
                 raise DomainError("no field at 75 Hz")
-            return real_run(cfg, frequency, executor)
+            return real_run(cfg, frequency, threads)
 
         # farm workers fork after the patch, so they inherit it
         monkeypatch.setattr(parallel_module, "run_frequency", failing_run)
@@ -137,10 +137,10 @@ class TestFrequencyFarm:
         config = tiny_config(frequencies=freqs)
         real_run = parallel_module.run_frequency
 
-        def dying_run(cfg, frequency, executor=None):
+        def dying_run(cfg, frequency, threads=None):
             if frequency == 50.0:
                 os._exit(3)
-            return real_run(cfg, frequency, executor)
+            return real_run(cfg, frequency, threads)
 
         # farm workers fork after the patch, so they inherit it
         monkeypatch.setattr(parallel_module, "run_frequency", dying_run)
