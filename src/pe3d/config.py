@@ -8,7 +8,7 @@ angles are written in degrees and converted to radians internally.
     r_start (optional, default delta_r), azimuth_topology (periodic|sector)
 
 ``[environment]``
-    c0, water_depth,
+    c0,
     sound_speed (scalar)  |  sound_speed_profile (inline "depth speed"
     pairs, one per continuation line)  |  sound_speed_file (two-column
     text file),
@@ -16,15 +16,17 @@ angles are written in degrees and converted to radians internally.
     absorber_max_attenuation (default 0.01)
 
 ``[source]``
-    frequencies (comma-separated Hz), depth, starter (gaussian)
+    frequencies (comma-separated Hz), depth (inside the grid),
+    starter (optional; gaussian, the only one)
 
 ``[run]`` (optional)
     output_dir, output_stride, tl_format (csv|binary-grid), threads,
-    workers, max_range: the fields of :class:`RunOptions`.  Each but
-    max_range has a ``pe3d run`` flag, which overrides the key and meets
-    the same checks.
+    workers: the fields of :class:`RunOptions`, which holds their
+    defaults.  Each has a ``pe3d run`` flag, which overrides the key and
+    meets the same checks.
 
-Unknown keys are ignored.
+Unknown keys are ignored, but ``[run] max_range`` is an error: a run
+marches ``[grid] n_range`` steps.
 
 Example::
 
@@ -40,7 +42,6 @@ Example::
     [environment]
     c0 = 1500.0
     sound_speed = 1500.0
-    water_depth = 6000.0
 
     [source]
     frequencies = 50.0
@@ -58,6 +59,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .environment import (
+    PERIODIC,
     Absorber,
     Environment,
     Grid3D,
@@ -79,7 +81,6 @@ class RunOptions:
     tl_format: str = "csv"
     threads: int = 1
     workers: int = 1
-    max_range: Optional[float] = None
 
     def __post_init__(self):
         for name in ("output_stride", "threads", "workers"):
@@ -89,9 +90,12 @@ class RunOptions:
         if self.tl_format not in TL_FORMATS:
             raise InvariantError(f"tl_format in {tuple(TL_FORMATS)}",
                                  f"got {self.tl_format!r}")
-        if self.max_range is not None and not self.max_range > 0:
-            raise InvariantError("max_range > 0", f"got {self.max_range}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
+
+
+# The [run] key of each RunOptions field, and the type it is read as.
+_RUN_KEYS = {"output_dir": Path, "output_stride": int, "tl_format": str,
+             "threads": int, "workers": int}
 
 
 class Config(NamedTuple):
@@ -101,49 +105,38 @@ class Config(NamedTuple):
     options: RunOptions
 
 
+def _numbers(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+REQUIRED = object()
+_EXPECTED = {float: "a number", int: "an integer",
+             _numbers: "comma-separated numbers"}
+
+
 class _Section:
-    """Typed accessors over one config section with field-level diagnostics."""
+    """One config section, read a typed field at a time with field-level
+    diagnostics."""
 
     def __init__(self, parser: configparser.ConfigParser, name: str):
         self.name = name
-        self.present = parser.has_section(name)
-        self._section = parser[name] if self.present else {}
+        self._section = parser[name] if parser.has_section(name) else {}
 
-    def _raw(self, key, default=None, required=False):
-        if key in self._section:
-            return self._section[key]
-        if required:
-            raise ConfigError(f"[{self.name}] missing required field '{key}'")
-        return default
-
-    def get_float(self, key, default=None, required=False):
-        raw = self._raw(key, required=required)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"[{self.name}] field '{key}': expected a number, got {raw!r}"
-            ) from None
-
-    def get_int(self, key, default=None, required=False):
-        raw = self._raw(key, required=required)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"[{self.name}] field '{key}': expected an integer, got {raw!r}"
-            ) from None
-
-    def get_str(self, key, default=None, required=False):
-        raw = self._raw(key, required=required)
-        return default if raw is None else raw.strip()
-
-    def has(self, key):
+    def __contains__(self, key):
         return key in self._section
+
+    def get(self, key, kind=float, default=REQUIRED):
+        """Field ``key`` as a ``kind``; ``default`` when it is absent."""
+        if key not in self._section:
+            if default is REQUIRED:
+                raise ConfigError(f"[{self.name}] missing required field '{key}'")
+            return default
+        raw = self._section[key].strip()
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"[{self.name}] field '{key}': expected "
+                              f"{_EXPECTED[kind]}, got {raw!r}") from None
 
 
 def _parse_profile_pairs(text: str, origin: str) -> SoundSpeedProfile:
@@ -199,42 +192,37 @@ def load_config(path) -> Config:
             raise ConfigError(f"missing required section [{section}]")
 
     g = _Section(parser, "grid")
-    delta_r = g.get_float("delta_r", required=True)
+    delta_r = g.get("delta_r")
     grid = Grid3D(
-        n_range=g.get_int("n_range", required=True),
-        n_azimuth=g.get_int("n_azimuth", required=True),
-        n_depth=g.get_int("n_depth", required=True),
+        n_range=g.get("n_range", int),
+        n_azimuth=g.get("n_azimuth", int),
+        n_depth=g.get("n_depth", int),
         delta_r=delta_r,
-        delta_theta=math.radians(g.get_float("delta_theta", required=True)),
-        delta_z=g.get_float("delta_z", required=True),
-        r_start=g.get_float("r_start", default=delta_r),
-        azimuth_topology=g.get_str("azimuth_topology", default="periodic"),
+        delta_theta=math.radians(g.get("delta_theta")),
+        delta_z=g.get("delta_z"),
+        r_start=g.get("r_start", default=delta_r),
+        azimuth_topology=g.get("azimuth_topology", str, PERIODIC),
     )
 
     e = _Section(parser, "environment")
-    if e.has("sound_speed_file"):
-        profile_path = Path(e.get_str("sound_speed_file"))
-        if not profile_path.is_absolute():
-            profile_path = path.parent / profile_path
+    if "sound_speed_file" in e:
+        # An absolute path replaces the config's directory.
+        profile_path = path.parent / e.get("sound_speed_file", Path)
         profile = _parse_profile_pairs(
             _read_text(profile_path, "sound_speed_file"), str(profile_path))
-    elif e.has("sound_speed_profile"):
+    elif "sound_speed_profile" in e:
         profile = _parse_profile_pairs(
-            e.get_str("sound_speed_profile"), "[environment] sound_speed_profile"
+            e.get("sound_speed_profile", str), "[environment] sound_speed_profile"
         )
     else:
-        profile = SoundSpeedProfile.uniform(
-            e.get_float("sound_speed", required=True)
-        )
+        profile = SoundSpeedProfile.uniform(e.get("sound_speed"))
     environment = Environment(
-        c0=e.get_float("c0", required=True),
+        c0=e.get("c0"),
         profile=profile,
-        water_depth=e.get_float("water_depth", required=True),
         absorber=Absorber(
-            start_depth=e.get_float(
-                "absorber_start_depth", default=0.75 * grid.depth_extent
-            ),
-            max_attenuation=e.get_float("absorber_max_attenuation", default=0.01),
+            start_depth=e.get("absorber_start_depth",
+                              default=0.75 * grid.depth_extent),
+            max_attenuation=e.get("absorber_max_attenuation", default=0.01),
         ),
     )
     start = environment.absorber.start_depth
@@ -243,32 +231,21 @@ def load_config(path) -> Config:
                              f"got start {start} vs bottom {grid.depth_extent}")
 
     s = _Section(parser, "source")
-    freq_text = s.get_str("frequencies", required=True)
-    try:
-        frequencies = tuple(float(tok) for tok in freq_text.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(
-            f"[source] field 'frequencies': expected comma-separated numbers, "
-            f"got {freq_text!r}"
-        ) from None
-    source = SourceSpec(
-        frequencies=frequencies,
-        depth=s.get_float("depth", required=True),
-        starter=s.get_str("starter", default="gaussian"),
-    )
-    for name, limit in (("water_depth", environment.water_depth),
-                        ("grid depth extent", grid.depth_extent)):
-        if not 0 < source.depth < limit:
-            raise InvariantError(f"0 < source depth < {name}",
-                                 f"got depth {source.depth} vs {name} {limit}")
+    starter = s.get("starter", str, "gaussian")
+    if starter != "gaussian":
+        raise ConfigError(f"[source] field 'starter': expected 'gaussian', "
+                          f"got {starter!r}")
+    source = SourceSpec(frequencies=s.get("frequencies", _numbers),
+                        depth=s.get("depth"))
+    if not 0 < source.depth < grid.depth_extent:
+        raise InvariantError("0 < source depth < grid depth extent",
+                             f"got depth {source.depth} vs grid depth extent "
+                             f"{grid.depth_extent}")
 
     r = _Section(parser, "run")
-    options = RunOptions(
-        output_dir=Path(r.get_str("output_dir", default="out")),
-        output_stride=r.get_int("output_stride", default=None),
-        tl_format=r.get_str("tl_format", default="csv"),
-        threads=r.get_int("threads", default=1),
-        workers=r.get_int("workers", default=1),
-        max_range=r.get_float("max_range", default=None),
-    )
+    if "max_range" in r:
+        raise ConfigError("[run] field 'max_range' is not read: a run marches "
+                          "[grid] n_range steps, so set the march length there")
+    options = RunOptions(**{key: r.get(key, kind)
+                            for key, kind in _RUN_KEYS.items() if key in r})
     return Config(grid, environment, source, options)

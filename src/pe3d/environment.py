@@ -146,23 +146,19 @@ class Environment:
 
     c0: float
     profile: SoundSpeedProfile
-    water_depth: float
     absorber: Absorber
 
     def __post_init__(self):
-        for name in ("c0", "water_depth"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise InvariantError(f"{name} > 0 and finite",
-                                     f"got {getattr(self, name)}")
+        if not 0 < self.c0 < math.inf:
+            raise InvariantError("c0 > 0 and finite", f"got {self.c0}")
 
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Source frequencies, depth and starter-field family."""
+    """Source frequencies and depth; the starter field is a Gaussian."""
 
     frequencies: tuple
     depth: float
-    starter: str = "gaussian"
 
     def __post_init__(self):
         freqs = tuple(float(f) for f in self.frequencies)
@@ -170,8 +166,6 @@ class SourceSpec:
             raise InvariantError("source has >= 1 frequency")
         if not all(0 < f < math.inf for f in freqs):
             raise InvariantError("every frequency > 0 and finite", f"got {freqs}")
-        if self.starter != "gaussian":
-            raise InvariantError("starter == 'gaussian'", f"got {self.starter!r}")
         object.__setattr__(self, "frequencies", freqs)
 
 

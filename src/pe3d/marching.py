@@ -197,19 +197,10 @@ def default_output_stride(n_steps: int) -> int:
     return max(1, (n_steps + 1 + MAX_OUTPUT_SAMPLES - 1) // MAX_OUTPUT_SAMPLES)
 
 
-def _steps_to_march(grid: Grid3D, max_range: float | None) -> int:
-    """Steps up to ``max_range`` (all of the grid's when None)."""
-    if max_range is None:
-        return grid.n_range
-    for j in range(1, grid.n_range + 1):
-        if grid.range_at(j) > max_range * (1.0 + 1e-12):
-            return j - 1
-    return grid.n_range
-
-
 def run_frequency(config, frequency: float, threads: int | None = None) -> FrequencyResult:
-    """March one frequency from the starter range to max range, on
-    ``threads`` intra-step threads (None: ``config.options.threads``).
+    """March one frequency the grid's ``n_range`` steps from the starter
+    range, on ``threads`` intra-step threads (None:
+    ``config.options.threads``).
 
     Deterministic: the TL field is a pure function of the config and the
     frequency, for every thread count.  A field
@@ -228,8 +219,7 @@ def run_frequency(config, frequency: float, threads: int | None = None) -> Frequ
     u = apply_boundary(gaussian_starter(grid, source, k0), grid)
 
     stride = options.output_stride or default_output_stride(grid.n_range)
-    n_steps = _steps_to_march(grid, options.max_range)
-    ranges = np.empty(1 + n_steps // stride, dtype=np.float64)
+    ranges = np.empty(1 + grid.n_range // stride, dtype=np.float64)
     tl_field = np.empty(ranges.shape + u.shape, dtype=np.float64)
     clamped = 0
 
@@ -244,7 +234,7 @@ def run_frequency(config, frequency: float, threads: int | None = None) -> Frequ
         clamped += n_clamped
 
     record(0)
-    for j in range(1, n_steps + 1):
+    for j in range(1, grid.n_range + 1):
         u = range_step(marcher, u, j - 1)
         if j % stride == 0:
             record(j)

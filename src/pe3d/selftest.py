@@ -53,7 +53,6 @@ def demo_config(n_range=30, n_azimuth=16, n_depth=64, delta_r=5.0,
     environment = Environment(
         c0=1500.0,
         profile=SoundSpeedProfile.uniform(1500.0),
-        water_depth=6000.0,
         absorber=Absorber(0.75 * grid.depth_extent, attenuation),
     )
     source = SourceSpec(frequencies=(50.0,), depth=100.0)

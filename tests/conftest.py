@@ -38,11 +38,10 @@ def make_grid(n_range=10, n_azimuth=8, n_depth=32, delta_r=5.0, delta_z=4.0,
 
 
 def make_env(grid, speed=1500.0, c0=1500.0, attenuation=0.01, start_frac=0.75,
-             water_depth=6000.0, profile=None):
+             profile=None):
     return Environment(
         c0=c0,
         profile=profile if profile is not None else SoundSpeedProfile.uniform(speed),
-        water_depth=water_depth,
         absorber=Absorber(start_frac * grid.depth_extent, attenuation),
     )
 

@@ -145,7 +145,6 @@ def test_criterion_05_cylindrical_spreading():
                   delta_theta=2 * math.pi / 8, delta_z=3.125, r_start=5.0,
                   azimuth_topology=PERIODIC)
     env = Environment(c0=1500.0, profile=SoundSpeedProfile.uniform(1500.0),
-                      water_depth=6000.0,
                       absorber=Absorber(0.9 * grid.depth_extent, 0.0))
     source = SourceSpec(frequencies=(frequency,), depth=75.0)
     config = Config(grid, env, source, RunOptions(output_stride=1))
@@ -210,7 +209,6 @@ r_start = 10.0
 [environment]
 c0 = 1500.0
 sound_speed = 1500.0
-water_depth = 6000.0
 absorber_start_depth = 1500.0
 absorber_max_attenuation = 0.01
 

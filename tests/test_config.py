@@ -1,6 +1,10 @@
+import configparser
+import dataclasses
 import math
 import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pe3d.config import Config, RunOptions, load_config
@@ -19,7 +23,6 @@ delta_z = 60.0
 [environment]
 c0 = 1500.0
 sound_speed = 1500.0
-water_depth = 6000.0
 
 [source]
 frequencies = 50.0
@@ -33,6 +36,19 @@ def write_config(tmp_path, text, name="case.ini"):
     return path
 
 
+def assert_same_config(a, b):
+    """``a`` and ``b`` hold equal values.  ``Environment`` and its profile
+    compare by identity, so their fields are compared one by one, and the
+    last check keeps that list whole."""
+    assert (a.grid, a.source, a.options) == (b.grid, b.source, b.options)
+    ea, eb = a.environment, b.environment
+    assert (ea.c0, ea.absorber) == (eb.c0, eb.absorber)
+    assert np.array_equal(ea.profile.depths, eb.profile.depths)
+    assert np.array_equal(ea.profile.speeds, eb.profile.speeds)
+    assert [f.name for f in dataclasses.fields(ea)] == ["c0", "profile",
+                                                       "absorber"]
+
+
 class TestLoadConfig:
     def test_minimal_homogeneous_case(self, tmp_path):
         config = load_config(write_config(tmp_path, MINIMAL))
@@ -43,10 +59,9 @@ class TestLoadConfig:
         assert grid.r_start == 50.0  # defaults to delta_r
         assert env.c0 == 1500.0
         assert env.profile.speed_at(123.0) == 1500.0
-        assert env.water_depth == 6000.0
         assert source.frequencies == (50.0,)
         assert source.depth == 100.0
-        assert (options.threads, options.workers) == (1, 1)
+        assert options == RunOptions()
         assert isinstance(config, Config)
 
     def test_missing_file(self, tmp_path):
@@ -70,7 +85,7 @@ class TestLoadConfig:
 
     def test_non_numeric_field_named(self, tmp_path):
         text = MINIMAL.replace("delta_r = 50.0", "delta_r = fast")
-        with pytest.raises(ConfigError, match="delta_r"):
+        with pytest.raises(ConfigError, match="'delta_r': expected a number"):
             load_config(write_config(tmp_path, text))
 
     def test_zero_delta_z_names_constraint(self, tmp_path):
@@ -84,10 +99,24 @@ class TestLoadConfig:
         with pytest.raises(InvariantError, match="periodic closure"):
             load_config(write_config(tmp_path, text))
 
-    def test_source_depth_inside_water_column(self, tmp_path):
-        text = MINIMAL.replace("depth = 100.0", "depth = 7000.0")
-        with pytest.raises(InvariantError, match="source depth < water_depth"):
-            load_config(write_config(tmp_path, text))
+    def test_source_depth_inside_grid(self, tmp_path):
+        # the grid bottom of MINIMAL is 100 rows x 60 m = 6000 m
+        for depth in ("0.0", "6000.0", "7000.0"):
+            text = MINIMAL.replace("depth = 100.0", f"depth = {depth}")
+            with pytest.raises(InvariantError,
+                               match="0 < source depth < grid depth extent"):
+                load_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("anchor,key", [
+        ("sound_speed = 1500.0", "water_depth = 50.0"),
+        ("depth = 100.0", "starter = gaussian"),
+    ], ids=["water_depth", "starter"])
+    def test_key_that_sets_nothing_loads_the_same_config(self, tmp_path,
+                                                         anchor, key):
+        text = MINIMAL.replace(anchor, f"{anchor}\n{key}")
+        with_key = load_config(write_config(tmp_path, text, "with.ini"))
+        without = load_config(write_config(tmp_path, MINIMAL, "without.ini"))
+        assert_same_config(with_key, without)
 
     def test_inline_profile(self, tmp_path):
         text = MINIMAL.replace(
@@ -120,15 +149,33 @@ class TestLoadConfig:
             tl_format = binary-grid
             threads = 2
             workers = 3
-            max_range = 400.0
             schedule = dynamic
         """)
         options = load_config(write_config(tmp_path, text)).options
-        assert options.output_stride == 4
-        assert options.tl_format == "binary-grid"
-        assert (options.threads, options.workers) == (2, 3)
-        assert options.max_range == 400.0
+        assert options == RunOptions(output_dir=Path("results"),
+                                     output_stride=4, tl_format="binary-grid",
+                                     threads=2, workers=3)
         assert not hasattr(options, "schedule")  # an unknown key is ignored
+
+    def test_non_integer_run_key_named(self, tmp_path):
+        text = MINIMAL + "\n[run]\nworkers = 2.5\n"
+        with pytest.raises(ConfigError, match="'workers': expected an integer"):
+            load_config(write_config(tmp_path, text))
+
+    def test_readme_example_run_section(self, tmp_path):
+        # the README's [run] block documents every RunOptions field, and
+        # each value it shows lands on its field
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        example = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        options = load_config(write_config(tmp_path, example)).options
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read_string(example)
+        documented = dict(parser["run"])
+        assert sorted(documented) == sorted(
+            field.name for field in dataclasses.fields(RunOptions))
+        assert {key: str(getattr(options, key)) for key in documented} \
+            == documented
+        assert options != RunOptions()
 
     def test_inline_comments_allowed(self, tmp_path):
         text = MINIMAL.replace("delta_r = 50.0", "delta_r = 50.0  ; meters")
@@ -144,8 +191,8 @@ class TestLoadConfig:
         # the grid bottom of MINIMAL is 100 rows x 60 m = 6000 m
         for start in ("6000.0", "6060.0"):
             text = MINIMAL.replace(
-                "water_depth = 6000.0",
-                f"water_depth = 6000.0\nabsorber_start_depth = {start}")
+                "sound_speed = 1500.0",
+                f"sound_speed = 1500.0\nabsorber_start_depth = {start}")
             with pytest.raises(InvariantError,
                                match="absorber.start_depth < grid bottom depth"):
                 load_config(write_config(tmp_path, text))

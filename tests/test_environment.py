@@ -141,7 +141,7 @@ class TestEnvironmentInvariants:
     def test_c0_positive(self):
         with pytest.raises(InvariantError, match="c0 > 0"):
             Environment(c0=0.0, profile=SoundSpeedProfile.uniform(1500.0),
-                        water_depth=6000.0, absorber=Absorber(10.0, 0.0))
+                        absorber=Absorber(10.0, 0.0))
 
     def test_source_spec_validation(self):
         with pytest.raises(InvariantError, match="every frequency > 0"):

@@ -560,14 +560,6 @@ class TestNormInvariants:
 
 
 class TestRunFrequency:
-    def test_zero_steps_only_starter_sample(self):
-        options = RunOptions(max_range=1.0, output_stride=1)
-        config = make_config(options=options, r_start=5.0)
-        result = run_frequency(config, 50.0)
-        assert result.tl_field.shape[0] == 1
-        assert result.ranges.tolist() == [config.grid.r_start]
-        assert result.ranges[-1] == config.grid.r_start
-
     def test_rerun_bitwise_identical(self):
         config = make_config(n_range=6, n_azimuth=8, n_depth=32)
         first = run_frequency(config, 50.0)
@@ -594,14 +586,12 @@ class TestRunFrequency:
         assert default_output_stride(512) == 2
         assert default_output_stride(5000) == 10
 
-    def test_max_range_truncates_marching(self):
-        options = RunOptions(max_range=26.0, output_stride=1)
-        config = make_config(n_range=10, delta_r=5.0, r_start=5.0,
-                             options=options)
+    def test_marches_n_range_steps(self):
+        config = make_config(n_range=5, delta_r=5.0, r_start=5.0,
+                             options=RunOptions(output_stride=1))
         result = run_frequency(config, 50.0)
-        # steps to 10, 15, 20, 25 then stop (30 > 26)
-        assert result.ranges[-1] == 25.0
-        assert result.tl_field.shape[0] == 5
+        assert result.ranges.tolist() == [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
+        assert result.tl_field.shape[0] == 6
 
     def test_no_blowup_with_absorber(self):
         config = make_config(n_range=100, n_azimuth=8, n_depth=64,

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import os
 import platform
@@ -45,7 +46,6 @@ delta_z = 6.0
 [environment]
 c0 = 1500.0
 sound_speed = 1500.0
-water_depth = 6000.0
 
 [source]
 frequencies = {frequencies}
@@ -444,6 +444,41 @@ class TestCmdRun:
             assert header["output_stride"] == 100
             assert tl.shape == (9, 8, 129)  # starter + 8 of 800 steps
 
+    def test_each_run_option_has_one_key_and_one_flag(self, tmp_path,
+                                                       monkeypatch):
+        # one home per run setting: each RunOptions field has one [run]
+        # key and one flag (its argparse dest), and both set it alike
+        values = {"output_dir": "elsewhere", "output_stride": 3,
+                  "tl_format": "binary-grid", "threads": 2, "workers": 2}
+        assert [f.name for f in dataclasses.fields(RunOptions)] \
+            == list(values)
+        subparsers = next(action for action in cli._build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        flags = [(action.dest, action.option_strings[0])
+                 for action in subparsers.choices["run"]._actions
+                 if action.dest not in ("help", "config")]
+        assert sorted(dest for dest, _ in flags) == sorted(values)
+        ran = []
+
+        def farm(config, deliver):  # records the options and marches nothing
+            ran.append(config.options)
+            return parallel.FarmReport([], [])
+
+        monkeypatch.setattr(cli, "frequency_farm", farm)
+        monkeypatch.chdir(tmp_path)
+        no_run_keys = CONFIG_TEXT.format(frequencies="50.0",
+                                         fmt="csv").split("[run]")[0]
+        for field, flag in flags:
+            value = values[field]
+            expected = RunOptions(**{field: value})
+            assert expected != RunOptions()
+            cfg = tmp_path / f"{field}.ini"
+            cfg.write_text(no_run_keys + f"[run]\n{field} = {value}\n")
+            assert load_config(cfg).options == expected
+            cfg.write_text(no_run_keys)
+            assert main(["run", "--config", str(cfg), flag, str(value)]) == 0
+            assert ran.pop() == expected
+
     def test_stride_flag_applies(self, tmp_path):
         cfg = write_cfg(tmp_path)
         outdir = tmp_path / "stride"
@@ -610,12 +645,10 @@ class TestConfigErrorsBeforeCompute:
         ("frequencies = 50.0", "frequencies = inf", "every frequency > 0 and finite"),
         ("delta_r = 5.0", "delta_r = inf", "delta_r > 0 and finite"),
         ("c0 = 1500.0", "c0 = inf", "c0 > 0 and finite"),
-        ("water_depth = 6000.0",
-         "water_depth = 6000.0\nabsorber_max_attenuation = nan",
+        ("c0 = 1500.0", "c0 = 1500.0\nabsorber_max_attenuation = nan",
          "absorber.max_attenuation >= 0 and finite"),
         ("depth = 60.0", "depth = 200.0", "0 < source depth < grid depth extent"),
-        ("water_depth = 6000.0",
-         "water_depth = 6000.0\nabsorber_start_depth = 138.0",
+        ("c0 = 1500.0", "c0 = 1500.0\nabsorber_start_depth = 138.0",
          "absorber.start_depth < grid bottom depth"),
     ], ids=["frequency-nan", "frequency-inf", "delta_r-inf", "c0-inf",
             "attenuation-nan", "source-below-grid", "absorber-at-grid-bottom"])
@@ -624,6 +657,18 @@ class TestConfigErrorsBeforeCompute:
         text = cfg.read_text()
         assert old in text
         cfg.write_text(text.replace(old, new))
+        assert_config_error(tmp_path, capsys, cfg, expected)
+
+    @pytest.mark.parametrize("old,new,expected", [
+        ("depth = 60.0", "depth = 60.0\nstarter = pade",
+         "[source] field 'starter': expected 'gaussian', got 'pade'"),
+        ("tl_format = csv", "tl_format = csv\nmax_range = 400",
+         "[run] field 'max_range' is not read: a run marches [grid] n_range"),
+    ], ids=["starter-pade", "max-range"])
+    def test_key_the_run_cannot_honour(self, tmp_path, capsys, old, new,
+                                       expected):
+        cfg = write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text().replace(old, new))
         assert_config_error(tmp_path, capsys, cfg, expected)
 
     @pytest.mark.parametrize("frequencies", ["50.00001, 50.00004", "50, 50"])
