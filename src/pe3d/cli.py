@@ -76,7 +76,7 @@ def cmd_run(args) -> int:
     except (ConfigError, InvariantError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    config = config._replace(options=options)
+    config = dataclasses.replace(config, options=options)
     outdir = options.output_dir
     try:
         outdir.mkdir(parents=True, exist_ok=True)

@@ -26,7 +26,8 @@ angles are written in degrees and converted to radians internally.
     meets the same checks.
 
 Unknown keys are ignored, but ``[run] max_range`` is an error: a run
-marches ``[grid] n_range`` steps.
+marches ``[grid] n_range`` steps.  Each value is checked by the type that
+holds it, and the absorber and source depths by :class:`Config`.
 
 Example::
 
@@ -54,7 +55,7 @@ import configparser
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -98,11 +99,31 @@ _RUN_KEYS = {"output_dir": Path, "output_stride": int, "tl_format": str,
              "threads": int, "workers": int}
 
 
-class Config(NamedTuple):
+@dataclass(frozen=True)
+class Config:
+    """A model and its run options, which unpacks as ``grid, environment,
+    source, options``.  Each part checks its own fields; a Config checks
+    the absorber and source depths against the grid bottom, however it is
+    built (:func:`load_config`, by hand or ``dataclasses.replace``)."""
+
     grid: Grid3D
     environment: Environment
     source: SourceSpec
     options: RunOptions
+
+    def __post_init__(self):
+        bottom = self.grid.depth_extent
+        start = self.environment.absorber.start_depth
+        if not start < bottom:
+            raise InvariantError("absorber.start_depth < grid bottom depth",
+                                 f"got start {start} vs bottom {bottom}")
+        if not 0 < self.source.depth < bottom:
+            raise InvariantError("0 < source depth < grid depth extent",
+                                 f"got depth {self.source.depth} vs grid "
+                                 f"depth extent {bottom}")
+
+    def __iter__(self):
+        return iter((self.grid, self.environment, self.source, self.options))
 
 
 def _numbers(text: str) -> tuple:
@@ -225,10 +246,6 @@ def load_config(path) -> Config:
             max_attenuation=e.get("absorber_max_attenuation", default=0.01),
         ),
     )
-    start = environment.absorber.start_depth
-    if not start < grid.depth_extent:
-        raise InvariantError("absorber.start_depth < grid bottom depth",
-                             f"got start {start} vs bottom {grid.depth_extent}")
 
     s = _Section(parser, "source")
     starter = s.get("starter", str, "gaussian")
@@ -237,10 +254,6 @@ def load_config(path) -> Config:
                           f"got {starter!r}")
     source = SourceSpec(frequencies=s.get("frequencies", _numbers),
                         depth=s.get("depth"))
-    if not 0 < source.depth < grid.depth_extent:
-        raise InvariantError("0 < source depth < grid depth extent",
-                             f"got depth {source.depth} vs grid depth extent "
-                             f"{grid.depth_extent}")
 
     r = _Section(parser, "run")
     if "max_range" in r:

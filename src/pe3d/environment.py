@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvariantError, ShapeError
+from .errors import InvariantError, ShapeError
 
 PERIODIC = "periodic"
 SECTOR = "sector"
@@ -117,6 +117,8 @@ class SoundSpeedProfile:
             raise ShapeError("profile depths and speeds must be equal-length vectors")
         if depths.size < 1:
             raise InvariantError("profile has >= 1 sample")
+        if not np.all(np.isfinite(depths)):
+            raise InvariantError("profile depths finite")
         if depths.size > 1 and not np.all(np.diff(depths) > 0):
             raise InvariantError("profile depths strictly increasing")
         if not np.all((speeds > 100.0) & (speeds < 100000.0)):
@@ -171,10 +173,6 @@ class SourceSpec:
 
 def wavenumber(frequency: float, c0: float) -> float:
     """Reference wavenumber k0 = 2*pi*f / c0 [1/m]."""
-    if frequency <= 0:
-        raise DomainError(f"frequency must be > 0, got {frequency}")
-    if c0 <= 0:
-        raise DomainError(f"c0 must be > 0, got {c0}")
     return _TWO_PI * frequency / c0
 
 
@@ -198,13 +196,8 @@ def gaussian_starter(grid: Grid3D, source: SourceSpec, k0: float) -> np.ndarray:
     """Gaussian starter slab at r_start, an (n_azimuth, n_depth) array:
     u(z) = sqrt(k0) * exp(-(k0^2 / 2) * (z - z_s)^2), identical in azimuth,
     with the surface row forced to zero."""
-    z_s = source.depth
-    if not 0 < z_s < grid.depth_extent:
-        raise DomainError(
-            f"source depth {z_s} not strictly inside (0, {grid.depth_extent})"
-        )
     z = grid.depths()
-    profile = math.sqrt(k0) * np.exp(-0.5 * k0 * k0 * (z - z_s) ** 2)
+    profile = math.sqrt(k0) * np.exp(-0.5 * k0 * k0 * (z - source.depth) ** 2)
     values = np.empty((grid.n_azimuth, grid.n_depth), dtype=np.complex128)
     values[:] = profile
     values[:, 0] = 0.0
@@ -216,8 +209,6 @@ def hankel_factor(k0: float, r: float) -> complex:
 
     Far-field asymptotic form; |w(r)| = 1/sqrt(r) exactly.
     """
-    if r <= 0:
-        raise DomainError(f"range must be > 0, got {r}")
     return complex(math.cos(k0 * r), math.sin(k0 * r)) / math.sqrt(r)
 
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import PERIODIC, TOPOLOGIES, Grid3D
-from .errors import DomainError, InvariantError, ShapeError
+from .environment import PERIODIC, Grid3D
+from .errors import InvariantError, ShapeError
 from .tridiag import OPEN, CYCLIC, Diagonals
 
 
@@ -75,8 +75,6 @@ class StepCoefficients:
 def depth_stencil(n_values, k0: float, delta_z: float):
     """The depth operator's second-difference scale 1 / (k0 dz)^2 and its
     local term (n^2 - 1) over ``n_values`` (a scalar or a depth profile)."""
-    if k0 <= 0 or delta_z <= 0:
-        raise DomainError("k0 and delta_z must be > 0")
     nsq_minus_1 = np.asarray(n_values, dtype=np.complex128) ** 2 - 1.0
     return 1.0 / (k0 * delta_z) ** 2, nsq_minus_1
 
@@ -84,10 +82,6 @@ def depth_stencil(n_values, k0: float, delta_z: float):
 def azimuth_stencil(k0: float, r: float, delta_theta: float) -> float:
     """The azimuth operator's second-difference scale 1 / (k0 r dtheta)^2;
     it has no local term."""
-    if r <= 0:
-        raise DomainError(f"range must be > 0, got {r}")
-    if k0 <= 0 or delta_theta <= 0:
-        raise DomainError("k0 and delta_theta must be > 0")
     return 1.0 / (k0 * r * delta_theta) ** 2
 
 
@@ -240,8 +234,6 @@ def assemble_azimuth_batch(coeff: complex, k0: float, ranges,
     squares an array by multiplication, and Python's ``x ** 2`` differs
     from ``x * x`` in the last bit for about one value in a thousand.
     """
-    if topology not in TOPOLOGIES:
-        raise InvariantError(f"azimuth_topology in {TOPOLOGIES}")
     ranges = np.atleast_1d(np.asarray(ranges, dtype=np.float64))
     if ranges.ndim != 1:
         raise ShapeError("ranges must be a vector")

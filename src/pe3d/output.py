@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .environment import Grid3D
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError
 from .marching import FrequencyResult
 
 BINARY_MAGIC = b"PE3DTLG1"
@@ -36,8 +36,6 @@ def tl_filename(frequency: float, tl_format: str) -> str:
 
 
 def _tl_header(result: FrequencyResult, grid: Grid3D) -> dict:
-    if not np.all(np.isfinite(result.tl_field)):
-        raise InvariantError("tl values finite (floor-clamped)")
     return {
         "frequency_hz": result.frequency,
         "n_range_samples": int(result.tl_field.shape[0]),

@@ -324,8 +324,6 @@ def solve_batch(batch: SolveBatch, parallel_hint: int = 1,
     singular matrix aborts the whole batch before any substitution: the
     error names its first singular row.
     """
-    if parallel_hint < 1:
-        raise InvariantError("parallel_hint >= 1")
     factors = batch.factors
     error = factors.singular
     if error is not None:

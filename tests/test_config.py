@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import make_config, make_env, make_grid
 from pe3d.config import Config, RunOptions, load_config
 from pe3d.environment import PERIODIC
 from pe3d.errors import ConfigError, InvariantError
@@ -196,6 +197,35 @@ class TestLoadConfig:
             with pytest.raises(InvariantError,
                                match="absorber.start_depth < grid bottom depth"):
                 load_config(write_config(tmp_path, text))
+
+
+class TestConfigRules:
+    """A ``Config`` built by hand or by ``dataclasses.replace`` obeys the
+    rules of a loaded one, with the texts ``pe3d run`` prints."""
+
+    @staticmethod
+    def assert_rejected(valid, expected, **parts):
+        with pytest.raises(InvariantError, match=expected):
+            Config(**{**vars(valid), **parts})
+        with pytest.raises(InvariantError, match=expected):
+            dataclasses.replace(valid, **parts)
+
+    @pytest.mark.parametrize("start_frac", [1.0, 1.5],
+                             ids=["at-bottom", "below-bottom"])
+    def test_absorber_above_grid_bottom(self, start_frac):
+        valid = make_config()
+        env = make_env(valid.grid, start_frac=start_frac)
+        self.assert_rejected(valid, "absorber.start_depth < grid bottom depth",
+                             environment=env)
+
+    @pytest.mark.parametrize("depth_frac", [0.0, 1.0],
+                             ids=["at-surface", "at-bottom"])
+    def test_source_depth_must_be_interior(self, depth_frac):
+        valid = make_config(grid=make_grid(n_depth=32, delta_z=4.0))
+        source = dataclasses.replace(
+            valid.source, depth=depth_frac * valid.grid.depth_extent)
+        self.assert_rejected(valid, "0 < source depth < grid depth extent",
+                             source=source)
 
 
 class TestRunOptions:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_env, make_grid
+from conftest import make_config, make_env, make_grid
 from pe3d.environment import (
     SECTOR,
     TL_FLOOR_DB,
@@ -20,7 +20,7 @@ from pe3d.environment import (
     transmission_loss_field,
     wavenumber,
 )
-from pe3d.errors import DomainError, InvariantError, ShapeError
+from pe3d.errors import InvariantError, ShapeError
 
 
 class TestGrid3D:
@@ -80,8 +80,9 @@ class TestWavenumber:
     @pytest.mark.parametrize("f,c0", [(0.0, 1500.0), (-5.0, 1500.0),
                                       (50.0, 0.0), (50.0, -1.0)])
     def test_domain_errors(self, f, c0):
-        with pytest.raises(DomainError):
-            wavenumber(f, c0)
+        # k0 = 2 pi f / c0 needs f > 0 and c0 > 0: no config holds others
+        with pytest.raises(InvariantError, match="> 0 and finite"):
+            make_config(env=make_env(make_grid(), c0=c0), frequencies=(f,))
 
 
 class TestRefractionIndex:
@@ -188,12 +189,6 @@ class TestGaussianStarter:
                                 wavenumber(50.0, 1500.0))
         assert np.all(slab[:, 0] == 0.0)
 
-    def test_source_depth_must_be_interior(self):
-        grid = make_grid(n_depth=32, delta_z=4.0)
-        with pytest.raises(DomainError):
-            gaussian_starter(grid, SourceSpec((50.0,), depth=grid.depth_extent),
-                             wavenumber(50.0, 1500.0))
-
 
 class TestHankelFactor:
     def test_magnitude_is_inverse_sqrt_r(self):
@@ -212,10 +207,6 @@ class TestHankelFactor:
         k0 = 2.0 * math.pi / r
         w = hankel_factor(k0, r)
         assert math.atan2(w.imag, w.real) == pytest.approx(0.0, abs=1e-12)
-
-    def test_singularity_guard(self):
-        with pytest.raises(DomainError):
-            hankel_factor(0.2, 0.0)
 
 
 def transmission_loss(u: complex, w: complex) -> float:

@@ -597,6 +597,35 @@ class TestStreamedOutput:
         assert len(load_manifest(outdir)["frequencies"]) == 2
 
 
+# Each numeric key: the line of CONFIG_TEXT to replace, the key's line
+# with its value left open, and the rule that rejects nan and inf there.
+NUMERIC_KEYS = [
+    ("frequency", "frequencies = 50.0", "frequencies = {}",
+     "every frequency > 0 and finite"),
+    ("delta_r", "delta_r = 5.0", "delta_r = {}", "delta_r > 0 and finite"),
+    ("delta_theta", "delta_theta = 45.0", "delta_theta = {}",
+     "delta_theta > 0 and finite"),
+    ("delta_z", "delta_z = 6.0", "delta_z = {}", "delta_z > 0 and finite"),
+    ("r_start", "delta_r = 5.0", "delta_r = 5.0\nr_start = {}",
+     "r_start > 0 and finite"),
+    ("c0", "c0 = 1500.0", "c0 = {}", "c0 > 0 and finite"),
+    ("sound_speed", "sound_speed = 1500.0", "sound_speed = {}",
+     "sound speeds in (100, 100000) m/s"),
+    ("profile_depth", "sound_speed = 1500.0", "sound_speed_profile = {} 1500",
+     "profile depths finite"),
+    ("profile_speed", "sound_speed = 1500.0",
+     "sound_speed_profile =\n    0 1500\n    100 {}",
+     "sound speeds in (100, 100000) m/s"),
+    ("absorber_start", "c0 = 1500.0", "c0 = 1500.0\nabsorber_start_depth = {}",
+     "absorber.start_depth >= 0 and finite"),
+    ("attenuation", "c0 = 1500.0",
+     "c0 = 1500.0\nabsorber_max_attenuation = {}",
+     "absorber.max_attenuation >= 0 and finite"),
+    ("depth", "depth = 60.0", "depth = {}",
+     "0 < source depth < grid depth extent"),
+]
+
+
 def assert_config_error(tmp_path, capsys, cfg, expected, flags=()):
     """The run prints ``config error: ...`` naming ``expected``, exits 2
     and computes nothing."""
@@ -641,17 +670,22 @@ class TestConfigErrorsBeforeCompute:
         assert_config_error(tmp_path, capsys, cfg, "cannot read sound_speed_file")
 
     @pytest.mark.parametrize("old,new,expected", [
-        ("frequencies = 50.0", "frequencies = nan", "every frequency > 0 and finite"),
-        ("frequencies = 50.0", "frequencies = inf", "every frequency > 0 and finite"),
-        ("delta_r = 5.0", "delta_r = inf", "delta_r > 0 and finite"),
-        ("c0 = 1500.0", "c0 = inf", "c0 > 0 and finite"),
-        ("c0 = 1500.0", "c0 = 1500.0\nabsorber_max_attenuation = nan",
-         "absorber.max_attenuation >= 0 and finite"),
-        ("depth = 60.0", "depth = 200.0", "0 < source depth < grid depth extent"),
-        ("c0 = 1500.0", "c0 = 1500.0\nabsorber_start_depth = 138.0",
-         "absorber.start_depth < grid bottom depth"),
-    ], ids=["frequency-nan", "frequency-inf", "delta_r-inf", "c0-inf",
-            "attenuation-nan", "source-below-grid", "absorber-at-grid-bottom"])
+        pytest.param(old, new.format(value), rule, id=f"{key}-{value}")
+        for key, old, new, rule in NUMERIC_KEYS for value in ("nan", "inf")
+    ] + [
+        pytest.param("sound_speed = 1500.0",
+                     "sound_speed_profile =\n    0 1500\n    inf 1490",
+                     "profile depths finite", id="profile_depth-inf-last"),
+        pytest.param("sound_speed = 1500.0",
+                     "sound_speed_profile =\n    -inf 1500\n    100 1490",
+                     "profile depths finite", id="profile_depth-minus-inf-first"),
+        pytest.param("depth = 60.0", "depth = 200.0",
+                     "0 < source depth < grid depth extent",
+                     id="source-below-grid"),
+        pytest.param("c0 = 1500.0", "c0 = 1500.0\nabsorber_start_depth = 138.0",
+                     "absorber.start_depth < grid bottom depth",
+                     id="absorber-at-grid-bottom"),
+    ])
     def test_number_out_of_range(self, tmp_path, capsys, old, new, expected):
         cfg = write_cfg(tmp_path)
         text = cfg.read_text()

@@ -25,7 +25,7 @@ def tiny_config(frequencies=(50.0,), **kwargs):
 
 def with_workers(config, workers):
     """``config`` with its frequencies farmed to ``workers`` processes."""
-    return config._replace(options=dataclasses.replace(
+    return dataclasses.replace(config, options=dataclasses.replace(
         config.options, workers=workers))
 
 
