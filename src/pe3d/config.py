@@ -9,9 +9,9 @@ angles are written in degrees and converted to radians internally.
 
 ``[environment]``
     c0,
-    sound_speed (scalar)  |  sound_speed_profile (inline "depth speed"
-    pairs, one per continuation line)  |  sound_speed_file (two-column
-    text file),
+    exactly one of: sound_speed (scalar)  |  sound_speed_profile (inline
+    "depth speed" pairs, one per continuation line)  |  sound_speed_file
+    (two-column text file),
     absorber_start_depth (above the grid bottom; default 0.75 x its depth),
     absorber_max_attenuation (default 0.01)
 
@@ -57,8 +57,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .environment import (
     PERIODIC,
     Absorber,
@@ -102,9 +100,10 @@ _RUN_KEYS = {"output_dir": Path, "output_stride": int, "tl_format": str,
 @dataclass(frozen=True)
 class Config:
     """A model and its run options, which unpacks as ``grid, environment,
-    source, options``.  Each part checks its own fields; a Config checks
-    the absorber and source depths against the grid bottom, however it is
-    built (:func:`load_config`, by hand or ``dataclasses.replace``)."""
+    source, options``, and compares and hashes by value.  Each part checks
+    its own fields; a Config checks the absorber and source depths against
+    the grid bottom, however it is built (:func:`load_config`, by hand or
+    ``dataclasses.replace``)."""
 
     grid: Grid3D
     environment: Environment
@@ -161,26 +160,23 @@ class _Section:
 
 
 def _parse_profile_pairs(text: str, origin: str) -> SoundSpeedProfile:
-    depths, speeds = [], []
+    pairs = []
     for line_no, line in enumerate(text.strip().splitlines(), start=1):
         line = line.replace(",", " ").strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ConfigError(
-                f"{origin}: line {line_no}: expected 'depth speed', got {line!r}"
-            )
+            raise ConfigError(f"{origin}: line {line_no}: expected "
+                              f"'depth speed', got {line!r}")
         try:
-            depths.append(float(parts[0]))
-            speeds.append(float(parts[1]))
+            pairs.append((float(parts[0]), float(parts[1])))
         except ValueError:
-            raise ConfigError(
-                f"{origin}: line {line_no}: non-numeric entry in {line!r}"
-            ) from None
-    if not depths:
+            raise ConfigError(f"{origin}: line {line_no}: non-numeric entry "
+                              f"in {line!r}") from None
+    if not pairs:
         raise ConfigError(f"{origin}: empty sound-speed profile")
-    return SoundSpeedProfile(np.asarray(depths), np.asarray(speeds))
+    return SoundSpeedProfile(*zip(*pairs))
 
 
 def _read_text(path: Path, what: str) -> str:
@@ -226,15 +222,19 @@ def load_config(path) -> Config:
     )
 
     e = _Section(parser, "environment")
+    given = [key for key in ("sound_speed", "sound_speed_profile",
+                             "sound_speed_file") if key in e]
+    if len(given) > 1:
+        raise ConfigError(f"[environment] sets more than one sound-speed key "
+                          f"({', '.join(given)}): give exactly one")
     if "sound_speed_file" in e:
         # An absolute path replaces the config's directory.
         profile_path = path.parent / e.get("sound_speed_file", Path)
         profile = _parse_profile_pairs(
             _read_text(profile_path, "sound_speed_file"), str(profile_path))
     elif "sound_speed_profile" in e:
-        profile = _parse_profile_pairs(
-            e.get("sound_speed_profile", str), "[environment] sound_speed_profile"
-        )
+        profile = _parse_profile_pairs(e.get("sound_speed_profile", str),
+                                       "[environment] sound_speed_profile")
     else:
         profile = SoundSpeedProfile.uniform(e.get("sound_speed"))
     environment = Environment(

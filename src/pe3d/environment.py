@@ -101,18 +101,18 @@ class Absorber:
                                      f"got {getattr(self, name)}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SoundSpeedProfile:
     """Depth-sampled sound speed, piecewise-linear in z and clamped at the
-    ends.  A single profile applies at every (r, theta) — the nearest-sample
-    rule with one station."""
+    ends, held as tuples of floats: equal samples, equal profiles.  A single
+    profile applies at every (r, theta): nearest-sample with one station."""
 
-    depths: np.ndarray
-    speeds: np.ndarray
+    depths: tuple
+    speeds: tuple
 
     def __post_init__(self):
-        depths = np.asarray(self.depths, dtype=np.float64).copy()
-        speeds = np.asarray(self.speeds, dtype=np.float64).copy()
+        depths = np.asarray(self.depths, dtype=np.float64)
+        speeds = np.asarray(self.speeds, dtype=np.float64)
         if depths.ndim != 1 or depths.shape != speeds.shape:
             raise ShapeError("profile depths and speeds must be equal-length vectors")
         if depths.size < 1:
@@ -126,14 +126,12 @@ class SoundSpeedProfile:
                 "sound speeds in (100, 100000) m/s", f"got range "
                 f"[{speeds.min()}, {speeds.max()}]"
             )
-        depths.setflags(write=False)
-        speeds.setflags(write=False)
-        object.__setattr__(self, "depths", depths)
-        object.__setattr__(self, "speeds", speeds)
+        object.__setattr__(self, "depths", tuple(depths.tolist()))
+        object.__setattr__(self, "speeds", tuple(speeds.tolist()))
 
     @classmethod
     def uniform(cls, speed: float) -> "SoundSpeedProfile":
-        return cls(np.array([0.0]), np.array([float(speed)]))
+        return cls((0.0,), (speed,))
 
     def speed_at(self, z):
         """Sound speed at depth(s) ``z`` (scalar or array), m/s; on a
@@ -141,9 +139,9 @@ class SoundSpeedProfile:
         return np.interp(z, self.depths, self.speeds)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Environment:
-    """Water column description shared read-only by all solver tasks.
+    """Water column shared read-only by all solver tasks, equal by value.
     The absorber ramps to the bottom of the grid it is sampled on."""
 
     c0: float

@@ -29,7 +29,7 @@ the new slab.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -200,7 +200,7 @@ def default_output_stride(n_steps: int) -> int:
 def run_frequency(config, frequency: float, threads: int | None = None) -> FrequencyResult:
     """March one frequency the grid's ``n_range`` steps from the starter
     range, on ``threads`` intra-step threads (None:
-    ``config.options.threads``).
+    ``config.options.threads``), which ``RunOptions`` checks.
 
     Deterministic: the TL field is a pure function of the config and the
     frequency, for every thread count.  A field
@@ -209,13 +209,15 @@ def run_frequency(config, frequency: float, threads: int | None = None) -> Frequ
     """
     t_begin = time.perf_counter()
     grid, env, source, options = config
+    if threads is not None:
+        options = replace(options, threads=threads)
     if frequency not in source.frequencies:
         raise DomainError(
             f"frequency {frequency} is not one of the source frequencies"
         )
     k0 = wavenumber(frequency, env.c0)
     marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, grid.delta_r),
-                      options.threads if threads is None else threads)
+                      options.threads)
     u = apply_boundary(gaussian_starter(grid, source, k0), grid)
 
     stride = options.output_stride or default_output_stride(grid.n_range)

@@ -97,16 +97,19 @@ def read_tl_csv(path):
     ``ranges_m`` read from the range column (to its 6 decimals), plus
     ``columns``."""
     header = {}
-    with open(path) as fh:
-        data_start = 0
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            data_start += 1
-            body = line[1:].strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                header[key.strip()] = _csv_header_value(value.strip())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data_start = 0
+            for line in fh:
+                if not line.startswith("#"):
+                    break
+                data_start += 1
+                body = line[1:].strip()
+                if "=" in body:
+                    key, value = body.split("=", 1)
+                    header[key.strip()] = _csv_header_value(value.strip())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a TL CSV file: {exc}") from None
     shape = _grid_shape(path, header)
     try:
         table = np.loadtxt(path, delimiter=",", skiprows=data_start)
@@ -211,5 +214,10 @@ def remove_manifest(directory) -> None:
 
 
 def load_manifest(directory) -> dict:
-    with open(Path(directory) / MANIFEST_NAME) as fh:
-        return json.load(fh)
+    """The run manifest in ``directory``; ``ConfigError`` if damaged."""
+    path = Path(directory) / MANIFEST_NAME
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"{path}: unreadable run manifest: {exc}") from None

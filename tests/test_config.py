@@ -4,7 +4,6 @@ import math
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import make_config, make_env, make_grid
@@ -35,19 +34,6 @@ def write_config(tmp_path, text, name="case.ini"):
     path = tmp_path / name
     path.write_text(text)
     return path
-
-
-def assert_same_config(a, b):
-    """``a`` and ``b`` hold equal values.  ``Environment`` and its profile
-    compare by identity, so their fields are compared one by one, and the
-    last check keeps that list whole."""
-    assert (a.grid, a.source, a.options) == (b.grid, b.source, b.options)
-    ea, eb = a.environment, b.environment
-    assert (ea.c0, ea.absorber) == (eb.c0, eb.absorber)
-    assert np.array_equal(ea.profile.depths, eb.profile.depths)
-    assert np.array_equal(ea.profile.speeds, eb.profile.speeds)
-    assert [f.name for f in dataclasses.fields(ea)] == ["c0", "profile",
-                                                       "absorber"]
 
 
 class TestLoadConfig:
@@ -117,7 +103,7 @@ class TestLoadConfig:
         text = MINIMAL.replace(anchor, f"{anchor}\n{key}")
         with_key = load_config(write_config(tmp_path, text, "with.ini"))
         without = load_config(write_config(tmp_path, MINIMAL, "without.ini"))
-        assert_same_config(with_key, without)
+        assert with_key == without
 
     def test_inline_profile(self, tmp_path):
         text = MINIMAL.replace(
@@ -197,6 +183,57 @@ class TestLoadConfig:
             with pytest.raises(InvariantError,
                                match="absorber.start_depth < grid bottom depth"):
                 load_config(write_config(tmp_path, text))
+
+
+# Each sound-speed key of [environment], as the one line that replaces
+# MINIMAL's ``sound_speed`` line; "ssp.txt" is written beside the config.
+SOUND_SPEED_FORMS = {
+    "sound_speed": "sound_speed = 1500.0",
+    "sound_speed_profile": "sound_speed_profile =\n    0 1500\n    6000 1480",
+    "sound_speed_file": "sound_speed_file = ssp.txt",
+}
+
+
+class TestConfigIsOneValue:
+    """A ``Config`` compares and hashes by value, its medium included."""
+
+    @staticmethod
+    def load(tmp_path, form="sound_speed_profile", name="case.ini"):
+        (tmp_path / "ssp.txt").write_text("0 1500\n6000 1480\n")
+        text = MINIMAL.replace("sound_speed = 1500.0", SOUND_SPEED_FORMS[form])
+        return load_config(write_config(tmp_path, text, name))
+
+    @pytest.mark.parametrize("form", SOUND_SPEED_FORMS)
+    def test_one_file_loads_equal_configs(self, tmp_path, form):
+        first = self.load(tmp_path, form)
+        second = self.load(tmp_path, form)
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+
+    def test_profile_holds_floats(self, tmp_path):
+        profile = self.load(tmp_path).environment.profile
+        assert profile.depths == (0.0, 6000.0)
+        assert profile.speeds == (1500.0, 1480.0)
+        assert all(type(v) is float for v in profile.depths + profile.speeds)
+
+    @pytest.mark.parametrize("field,change", [
+        ("profile", {"speeds": (1500.0, 1481.0)}),
+        ("absorber", {"max_attenuation": 0.02}),
+    ], ids=["one-profile-sample", "absorber"])
+    def test_one_changed_value_changes_the_config(self, tmp_path, field,
+                                                  change):
+        config = self.load(tmp_path)
+        env = config.environment
+        part = dataclasses.replace(getattr(env, field), **change)
+        changed = dataclasses.replace(
+            config, environment=dataclasses.replace(env, **{field: part}))
+        assert changed != config
+
+    def test_config_is_a_dict_key(self, tmp_path):
+        runs = {self.load(tmp_path, name="a.ini"): "first"}
+        runs[self.load(tmp_path, name="b.ini")] = "second"
+        runs[self.load(tmp_path, "sound_speed")] = "uniform"
+        assert list(runs.values()) == ["second", "uniform"]
 
 
 class TestConfigRules:

@@ -19,7 +19,7 @@ from pe3d.environment import (
     transmission_loss_field,
     wavenumber,
 )
-from pe3d.errors import DomainError, ShapeError, StepError
+from pe3d.errors import DomainError, InvariantError, ShapeError, StepError
 from pe3d.marching import (
     AZIMUTH_BLOCK,
     Marcher,
@@ -571,6 +571,17 @@ class TestRunFrequency:
         config = make_config(frequencies=(50.0,))
         with pytest.raises(DomainError, match="not one of the source"):
             run_frequency(config, 60.0)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_thread_count_checked_before_set_up(self, monkeypatch, threads):
+        # the count given as an argument meets RunOptions' rule, before
+        # the marcher is built
+        def no_set_up(*args):
+            raise AssertionError("set-up ran")
+
+        monkeypatch.setattr(marching_module, "Marcher", no_set_up)
+        with pytest.raises(InvariantError, match="threads >= 1"):
+            run_frequency(make_config(n_range=4), 50.0, threads)
 
     def test_output_stride_shapes(self):
         options = RunOptions(output_stride=4)

@@ -144,6 +144,28 @@ class TestTLFiles:
             read_tl_binary(path)
         assert str(caught.value).startswith(str(path))
 
+    def test_csv_reader_given_a_binary_grid_named(self, tmp_path,
+                                                  small_result):
+        config, result = small_result
+        path = write_tl_binary(tmp_path / "tl.csv", result, config.grid)
+        with pytest.raises(ConfigError, match="not a TL CSV file") as caught:
+            read_tl_csv(path)
+        assert str(caught.value).startswith(str(path))
+
+    @pytest.mark.parametrize("body", [b'{"frequencies": [', b"\xff\xfe{"],
+                             ids=["truncated", "not-utf8"])
+    def test_damaged_manifest_named(self, tmp_path, body):
+        path = tmp_path / MANIFEST_NAME
+        path.write_bytes(body)
+        with pytest.raises(ConfigError,
+                           match="unreadable run manifest") as caught:
+            load_manifest(tmp_path)
+        assert str(caught.value).startswith(str(path))
+
+    def test_missing_manifest_is_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_manifest(tmp_path)
+
     def test_csv_without_shape_keys_named(self, tmp_path, small_result):
         config, result = small_result
         path = write_tl_csv(tmp_path / "tl.csv", result, config.grid)
@@ -704,6 +726,26 @@ class TestConfigErrorsBeforeCompute:
         cfg = write_cfg(tmp_path)
         cfg.write_text(cfg.read_text().replace(old, new))
         assert_config_error(tmp_path, capsys, cfg, expected)
+
+    @pytest.mark.parametrize("keys", [
+        ("sound_speed", "sound_speed_profile"),
+        ("sound_speed", "sound_speed_file"),
+        ("sound_speed_profile", "sound_speed_file"),
+        ("sound_speed", "sound_speed_profile", "sound_speed_file"),
+    ], ids="+".join)
+    def test_more_than_one_sound_speed_key(self, tmp_path, capsys, keys):
+        # the profile and the file agree with the scalar; still, each of
+        # them alone sets the whole medium, so a second one is refused
+        (tmp_path / "ssp.txt").write_text("0 1500\n100 1500\n")
+        lines = {"sound_speed": "sound_speed = 1500.0",
+                 "sound_speed_profile":
+                     "sound_speed_profile =\n    0 1500\n    100 1500",
+                 "sound_speed_file": "sound_speed_file = ssp.txt"}
+        cfg = write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text().replace(
+            "sound_speed = 1500.0", "\n".join(lines[key] for key in keys)))
+        assert_config_error(tmp_path, capsys, cfg, "more than one sound-speed"
+                            f" key ({', '.join(keys)}): give exactly one")
 
     @pytest.mark.parametrize("frequencies", ["50.00001, 50.00004", "50, 50"])
     def test_frequencies_sharing_a_tl_file(self, tmp_path, capsys, frequencies):
