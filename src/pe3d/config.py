@@ -84,7 +84,11 @@ class RunOptions:
     def __post_init__(self):
         for name in ("output_stride", "threads", "workers"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is None and name == "output_stride":
+                continue
+            if type(value) is not int:
+                raise InvariantError(f"{name} is an integer", f"got {value!r}")
+            if value < 1:
                 raise InvariantError(f"{name} >= 1", f"got {value}")
         if self.tl_format not in TL_FORMATS:
             raise InvariantError(f"tl_format in {tuple(TL_FORMATS)}",

@@ -214,10 +214,16 @@ def remove_manifest(directory) -> None:
 
 
 def load_manifest(directory) -> dict:
-    """The run manifest in ``directory``; ``ConfigError`` if damaged."""
+    """The run manifest in ``directory``; ``ConfigError`` if damaged or
+    not an object with a ``frequencies`` list."""
     path = Path(directory) / MANIFEST_NAME
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            manifest = json.load(fh)
         except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError(f"{path}: unreadable run manifest: {exc}") from None
+    if not (isinstance(manifest, dict)
+            and isinstance(manifest.get("frequencies"), list)):
+        raise ConfigError(f"{path}: not a run manifest: want an object "
+                          "with a frequencies list")
+    return manifest

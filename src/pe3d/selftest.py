@@ -118,15 +118,22 @@ def _check_oracle(solver, topology, seed, count):
 
 def _check_batch_determinism():
     rng = np.random.default_rng(SELFTEST_SEED + 2)
-    diagonals, _ = random_system(rng, 48, OPEN)
-    rhs = rng.standard_normal((48, 300)) + 1j * rng.standard_normal((48, 300))
-    batch = SolveBatch(factor(diagonals), rhs)
-    serial = solve_batch(batch, parallel_hint=1)
-    threaded = solve_batch(batch, parallel_hint=4)
-    _require(serial.tobytes() == threaded.tobytes(), "hint changed batch output")
-    scalar = np.stack([solve(diagonals, rhs[:, m]) for m in range(300)], axis=1)
-    _require(serial.tobytes() == scalar.tobytes(),
-             "batch differs from scalar loop")
+    for topology in (OPEN, CYCLIC):
+        diagonals, _ = random_system(rng, 48, topology)
+        rhs = rng.standard_normal((48, 300)) \
+            + 1j * rng.standard_normal((48, 300))
+        factors = factor(diagonals)
+        scalar = np.stack([solve(diagonals, rhs[:, m]) for m in range(300)],
+                          axis=1)
+        # one block, four blocks, in place, and in place in 1-wide blocks
+        for width, hint, in_place in ((300, 1, False), (300, 4, False),
+                                      (300, 1, True), (3, 3, True)):
+            x = rhs[:, :width].copy()
+            got = solve_batch(SolveBatch(factors, x), hint,
+                              out=x if in_place else None)
+            _require(got.tobytes() == scalar[:, :width].tobytes(),
+                     f"{topology}: {width} members in {hint} blocks "
+                     f"(in place: {in_place}) differ from the scalar loop")
 
 
 def _check_delta_zero_identity():

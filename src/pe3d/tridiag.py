@@ -25,7 +25,9 @@ partition.
 Rounding: numpy's vectorised complex product uses fused multiply-adds, so
 ``a * b`` and ``b * a`` can differ in their last bits.  Every product
 here keeps a fixed operand order and writes into an array distinct from
-its operands.
+its operands, the first row of a substitution included: on a length-1
+array, ``np.multiply(x, s, x)`` can round differently from ``x * s``,
+whether ``s`` is 0-d, of shape (1,) or full.
 
 Cyclic systems are solved by a rank-1 (Sherman-Morrison) correction of an
 open solve.  Corner storage convention for cyclic systems of size n:
@@ -35,7 +37,7 @@ entries are the ordinary sub/super diagonals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,6 +112,11 @@ class Factors:
     singular.  Its error is raised when the factors are used, so a
     factorization made ahead of time fails where its first solve would
     have.
+
+    Width-1 factors, the only ones a batch substitutes against, also hold
+    ``rows``: the rows of ``cp``, ``inv``, ``sub`` and ``q`` (None when
+    open) as the operands of the substitution (:func:`_rows`), prepared
+    once when the factors are made.
     """
 
     topology: str
@@ -120,6 +127,12 @@ class Factors:
     q: np.ndarray | None = None
     weight: np.ndarray | None = None
     denom: np.ndarray | None = None
+    rows: tuple | None = field(init=False, default=None, repr=False)
+
+    def __post_init__(self):
+        if self.width == 1:
+            self.rows = (_rows(self.cp), _rows(self.inv), _rows(self.sub),
+                         None if self.q is None else _rows(self.q))
 
     @property
     def n(self) -> int:
@@ -226,26 +239,46 @@ def _first_bad_row(bad) -> np.ndarray:
     return np.where(bad.any(axis=0), np.argmax(bad, axis=0), -1)
 
 
+def _rows(arr) -> list:
+    """The rows of the (row, matrix) array ``arr`` as substitution
+    operands: 0-d views at width 1, else row views.
+
+    A substitution sweep of a few hundred members is bound by the cost of
+    its ufunc calls, not by their arithmetic, and a call with a 0-d
+    operand costs about half of one with a (1,) row (0.6 against
+    1.1-1.3 us for a 360-wide product, numpy 2.4 on a 2-core Xeon VM);
+    the bits are the same.
+    """
+    if arr.shape[1] == 1:
+        return [arr[k, 0, ...] for k in range(arr.shape[0])]
+    return list(arr)
+
+
 def _substitute_open(cp, inv, sub, rhs, x):
     """Forward and back substitution into ``x``, which may be ``rhs``.
 
-    The factors have one column, shared by every column of ``rhs`` (the
-    row operations broadcast, and elementwise complex arithmetic gives the
-    same bits whether an operand is broadcast or stored per column), or
-    one column per column of ``rhs``.  Each row costs three ufunc calls
-    forward and two back, on row views and one scratch row.
+    ``cp``, ``inv`` and ``sub`` are the factor rows of :func:`_rows`: one
+    matrix shared by every column of ``rhs`` (the row operations
+    broadcast, and elementwise complex arithmetic gives the same bits
+    whether an operand is broadcast or stored per column), or one matrix
+    per column of ``rhs``.  Each row costs three ufunc calls forward and
+    two back, on prepared operands, row views and one scratch row; the
+    first row is computed into the scratch row and copied, so that no
+    product writes into its own operand.
     """
     x_rows, rhs_rows = list(x), list(rhs)
     t = np.empty_like(x_rows[0])
     multiply, subtract = np.multiply, np.subtract
-    x[0] = rhs[0] * inv[0]
-    for k in range(1, len(x_rows)):
-        multiply(sub[k - 1], x_rows[k - 1], out=t)
-        subtract(rhs_rows[k], t, out=t)
-        multiply(t, inv[k], out=x_rows[k])
-    for k in range(len(x_rows) - 2, -1, -1):
-        multiply(cp[k], x_rows[k + 1], out=t)
-        subtract(x_rows[k], t, out=x_rows[k])
+    multiply(rhs_rows[0], inv[0], t)
+    x_rows[0][...] = t
+    for s, x_prev, r, d, x_k in zip(sub, x_rows, rhs_rows[1:], inv[1:],
+                                    x_rows[1:]):
+        multiply(s, x_prev, t)
+        subtract(r, t, t)
+        multiply(t, d, x_k)
+    for c, x_next, x_k in zip(cp[::-1], x_rows[:0:-1], x_rows[-2::-1]):
+        multiply(c, x_next, t)
+        subtract(x_k, t, x_k)
     return x
 
 
@@ -278,7 +311,8 @@ def factor(diagonals: Diagonals) -> Factors:
         spike = np.zeros_like(inv)
         spike[0] = gamma
         spike[n - 1] = beta
-        q = _substitute_open(cp, inv, sub_open, spike, spike)
+        q = _substitute_open(_rows(cp), _rows(inv), _rows(sub_open),
+                             spike, spike)
         weight = alpha / gamma
         denom = 1.0 + q[0] + weight * q[n - 1]
         bad = np.vstack([_bad_pivots(inv), np.abs(denom) < PIVOT_FLOOR])
@@ -287,22 +321,23 @@ def factor(diagonals: Diagonals) -> Factors:
 
 
 def _substitute(factors: Factors, rhs: np.ndarray, x: np.ndarray):
-    """Solve the columns of ``rhs`` against nonsingular ``factors`` into
-    ``x``, which may be ``rhs``.
+    """Solve the columns of ``rhs`` against nonsingular width-1
+    ``factors`` into ``x``, which may be ``rhs``.
 
     The rank-1 correction of a cyclic matrix runs row by row through one
     scratch row: a whole-array outer product with the spike would make
     numpy allocate iteration buffers for the broadcast.
     """
-    _substitute_open(factors.cp, factors.inv, factors.sub, rhs, x)
-    if factors.topology == CYCLIC:
+    cp, inv, sub, q = factors.rows
+    _substitute_open(cp, inv, sub, rhs, x)
+    if q is not None:
         n = factors.n
         correction = (x[0] + factors.weight * x[n - 1]) / factors.denom
         t = np.empty_like(correction)
         multiply, subtract = np.multiply, np.subtract
-        for q_row, x_row in zip(factors.q, x):
-            multiply(q_row, correction, out=t)
-            subtract(x_row, t, out=x_row)
+        for q_row, x_row in zip(q, x):
+            multiply(q_row, correction, t)
+            subtract(x_row, t, x_row)
 
 
 def solve(diagonals: Diagonals, rhs) -> np.ndarray:

@@ -279,3 +279,11 @@ class TestRunOptions:
             RunOptions(threads=0)
         with pytest.raises(InvariantError, match="workers >= 1"):
             RunOptions(workers=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("threads", 1.5), ("threads", "2"), ("workers", True),
+        ("workers", 2.0), ("output_stride", 2.0), ("output_stride", False),
+    ])
+    def test_counts_are_integers(self, field, value):
+        with pytest.raises(InvariantError, match=f"{field} is an integer"):
+            RunOptions(**{field: value})

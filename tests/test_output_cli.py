@@ -152,13 +152,18 @@ class TestTLFiles:
             read_tl_csv(path)
         assert str(caught.value).startswith(str(path))
 
-    @pytest.mark.parametrize("body", [b'{"frequencies": [', b"\xff\xfe{"],
-                             ids=["truncated", "not-utf8"])
-    def test_damaged_manifest_named(self, tmp_path, body):
+    @pytest.mark.parametrize("body, message", [
+        (b'{"frequencies": [', "unreadable run manifest"),
+        (b"\xff\xfe{", "unreadable run manifest"),
+        (b"[]", "not a run manifest"),
+        (b"{}", "not a run manifest"),
+        (b'{"frequencies": {}}', "not a run manifest"),
+    ], ids=["truncated", "not-utf8", "list", "no-frequencies",
+            "frequencies-not-list"])
+    def test_damaged_manifest_named(self, tmp_path, body, message):
         path = tmp_path / MANIFEST_NAME
         path.write_bytes(body)
-        with pytest.raises(ConfigError,
-                           match="unreadable run manifest") as caught:
+        with pytest.raises(ConfigError, match=message) as caught:
             load_manifest(tmp_path)
         assert str(caught.value).startswith(str(path))
 

@@ -271,6 +271,24 @@ class TestSolveBatch:
         with pytest.raises(ShapeError):
             solve_batch(batch, out=np.empty((21, 39), dtype=complex))
 
+    @pytest.mark.parametrize("n_rhs, hint", [(1, 1), (3, 3), (97, 1), (97, 2)],
+                             ids=["width-1", "1-wide-blocks", "97", "97-split"])
+    @pytest.mark.parametrize("topology", [OPEN, CYCLIC])
+    def test_in_place_matches_one_at_a_time(self, topology, n_rhs, hint):
+        # solved in place, every member has the bits of its own solve: at
+        # width 1, in 1-wide blocks, and at a width that is not a multiple
+        # of the SIMD width.  A length-1 product written into its own
+        # operand rounds differently about half the time, and the
+        # difference does not always reach the solution, hence 8 batches.
+        rng = np.random.default_rng(14)
+        d, _ = random_system(rng, 29, topology)
+        for _ in range(8):
+            batch = shared_batch(d, n_rhs, rng)
+            expected = one_at_a_time(d, batch.rhs).tobytes()
+            rhs = batch.rhs.copy()
+            solve_batch(SolveBatch(batch.factors, rhs), hint, out=rhs)
+            assert rhs.tobytes() == expected
+
     def test_empty_batch_rejected(self):
         shared = factor(random_system(np.random.default_rng(0), 5, OPEN)[0])
         with pytest.raises(InvariantError):
