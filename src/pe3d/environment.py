@@ -51,8 +51,11 @@ class Grid3D:
 
     def __post_init__(self):
         for name in ("n_range", "n_azimuth", "n_depth"):
-            if getattr(self, name) < 3:
-                raise InvariantError(f"{name} >= 3", f"got {getattr(self, name)}")
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InvariantError(f"{name} is an integer", f"got {value!r}")
+            if value < 3:
+                raise InvariantError(f"{name} >= 3", f"got {value}")
         for name in ("delta_r", "delta_theta", "delta_z", "r_start"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvariantError(f"{name} > 0 and finite",

@@ -21,9 +21,9 @@ depend on range; the marcher assembles and factors those of
 ``AZIMUTH_BLOCK`` consecutive steps together (the first block when it is
 built, each later one at the step that first needs it, on a march longer
 than a block), and each step substitutes against its own column.  The
-explicit side is written into arrays the marcher owns, the depth sweep
-substitutes in place, and the only slab-sized allocation of a step is
-the new slab.
+explicit side is computed in the marcher's two work arrays into its
+depth-major right-hand side, the depth sweep substitutes in place, and
+the only slab-sized allocation of a step is the new slab.
 """
 
 from __future__ import annotations
@@ -71,10 +71,10 @@ class Marcher:
     matrix, and the factored azimuth matrices of the first
     ``AZIMUTH_BLOCK`` ranges; later blocks are factored as the march
     reaches them (:meth:`azimuth_factors`).  No field holds an
-    (azimuth x depth) medium array.  ``work`` holds three azimuth-major
-    (n_azimuth, n_depth) arrays and ``rhs`` one depth-major
-    (n_depth, n_azimuth) array; every step overwrites them, so a marcher
-    serves one march at a time.
+    (azimuth x depth) medium array.  ``work`` holds two C-contiguous
+    (n_azimuth, n_depth) arrays, which the explicit side also views
+    depth-major, and ``rhs`` one depth-major (n_depth, n_azimuth) array;
+    every step overwrites them, so a marcher serves one march at a time.
 
     A singular depth or azimuth matrix is not reported here but by the
     first step that solves with it, as a :class:`StepError`.
@@ -99,7 +99,7 @@ class Marcher:
                                                  self.k0, grid.delta_z))
         self.stencil = depth_stencil(profile, self.k0, grid.delta_z)
         shape = (grid.n_azimuth, grid.n_depth)
-        self.work = tuple(np.empty(shape, dtype=np.complex128) for _ in range(3))
+        self.work = tuple(np.empty(shape, dtype=np.complex128) for _ in range(2))
         self.rhs = np.empty(shape[::-1], dtype=np.complex128)
         self.azimuth_factors(1)  # the first block, with the rest of the set-up
 

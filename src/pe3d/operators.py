@@ -16,7 +16,10 @@ Exterior stencil values are zero (pressure-release surface, absorber-backed
 bottom, sector edges); the azimuth index wraps on a periodic grid.
 
 :func:`compute_rhs` writes the explicit side into arrays its caller owns,
-so a range step allocates nothing for it.
+so a range step allocates nothing for it.  It makes the Y passes on the
+slab's azimuth-major layout, (n_azimuth, n_depth), and the X passes on
+the depth-major layout of the depth solve, (n_depth, n_azimuth): each
+second difference runs along the leading axis of its layout.
 
 Rounding: numpy's vectorised complex product uses fused multiply-adds, so
 ``a * b`` and ``b * a`` can differ in their last bits, and numpy evaluates
@@ -85,49 +88,30 @@ def azimuth_stencil(k0: float, r: float, delta_theta: float) -> float:
     return 1.0 / (k0 * r * delta_theta) ** 2
 
 
-def _second_difference(u: np.ndarray, axis: int, periodic: bool,
-                       out: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
-    """Second difference of ``u`` along ``axis`` into ``out`` (a
-    C-contiguous array of the shape of ``u``, not ``u``); returns ``out``.
+def _second_difference(u: np.ndarray, periodic: bool, out: np.ndarray,
+                       spare: np.ndarray) -> np.ndarray:
+    """Second difference of ``u`` along its first axis into ``out`` (an
+    array of the shape of ``u``, not ``u``); returns ``out``.
 
     The sums run in the order ``u[i+1] - 2 u[i] + u[i-1]`` left to right
-    on a closed axis and ``(u[i+1] + u[i-1]) - 2 u[i]`` on a periodic one.
-    A periodic axis needs ``2 u`` apart from ``out``: in ``spare`` when
-    given, else in a new array.
-
-    The interior passes run over the flattened arrays, where the
-    neighbours along ``axis`` sit ``step`` elements apart: each pass is one
-    contiguous loop, which numpy runs without buffers.  The points at
-    either end of the axis get values from across the axis there, and the
-    end-point formulas overwrite them.
+    on a closed axis and ``(u[i+1] + u[i-1]) - 2 u[i]`` on a periodic one,
+    which needs ``2 u`` apart from ``out``, in ``spare``.  Each pass is
+    over whole rows, so a pass over a C-contiguous array is one contiguous
+    loop, which numpy runs without buffers.
     """
-    n = u.shape[axis]
-    if n < 3:
-        raise ShapeError(f"need >= 3 points along axis {axis}, got {n}")
-    if not out.flags.c_contiguous:
-        raise ShapeError("second-difference output must be C-contiguous")
-    step = int(np.prod(u.shape[axis % u.ndim + 1:], dtype=np.int64))
-    flat, flat_out = u.reshape(-1), out.reshape(-1)
-    mid = slice(step, -step)
-    lo, hi = slice(None, -2 * step), slice(2 * step, None)
-
-    def at(index):
-        key = [slice(None)] * u.ndim
-        key[axis] = index
-        return tuple(key)
-
-    first, second = at(slice(0, 1)), at(slice(1, 2))
-    last, before_last = at(slice(-1, None)), at(slice(-2, -1))
+    if len(u) < 3:
+        raise ShapeError(f"need >= 3 points along axis 0, got {len(u)}")
     if periodic:
-        np.add(flat[hi], flat[lo], out=flat_out[mid])
-        np.add(u[second], u[last], out=out[first])
-        np.add(u[first], u[before_last], out=out[last])
+        np.add(u[2:], u[:-2], out=out[1:-1])
+        np.add(u[1:2], u[-1:], out=out[:1])
+        np.add(u[:1], u[-2:-1], out=out[-1:])
         out -= np.multiply(2.0, u, out=spare)
         return out
-    np.multiply(2.0, flat[mid], out=flat_out[mid])
-    np.subtract(flat[hi], flat_out[mid], out=flat_out[mid])
-    flat_out[mid] += flat[lo]
-    for edge, inner in ((first, second), (last, before_last)):
+    np.multiply(2.0, u[1:-1], out=out[1:-1])
+    np.subtract(u[2:], out[1:-1], out=out[1:-1])
+    out[1:-1] += u[:-2]
+    for edge, inner in ((slice(None, 1), slice(1, 2)),
+                        (slice(-1, None), slice(-2, -1))):
         np.multiply(2.0, u[edge], out=out[edge])
         np.subtract(u[inner], out[edge], out=out[edge])
     return out
@@ -152,12 +136,15 @@ def compute_rhs(u: np.ndarray, range_m: float, coeffs: StepCoefficients,
     the (n_azimuth, n_depth) slab ``u`` at range ``range_m``, written into
     ``out`` depth-major, (n_depth, n_azimuth); returns ``out``.
 
-    The Y factor acts first (row-wise over azimuth, at the slab's current
-    range), then the X factor (column-wise over depth); the X factor sits
-    outermost in the step factorization.  ``depth`` is the depth stencil,
-    the scale and (n^2 - 1) profile of :func:`depth_stencil`, and ``work``
-    three azimuth-major arrays of the slab's shape, overwritten.  The
-    passes are those of the expression
+    The Y factor acts first, at the slab's current range, then the X
+    factor, which sits outermost in the step factorization.  Each pass
+    runs along the leading axis of its layout: the Y passes azimuth-major
+    on ``u``, then one transposed copy of their result into ``out``, then
+    the X passes depth-major in ``out``.  ``depth`` is the depth stencil,
+    the scale and (n^2 - 1) profile of :func:`depth_stencil`, and
+    ``work`` two C-contiguous arrays of the slab's shape, overwritten and
+    viewed depth-major for the X passes.  The passes are those of the
+    expression
 
         temp = u + cy_rhs * (y_scale * D_m u)
         temp + cx_rhs * ((n^2 - 1) * temp + z_scale * D_l temp)
@@ -169,24 +156,26 @@ def compute_rhs(u: np.ndarray, range_m: float, coeffs: StepCoefficients,
     if u.shape != (grid.n_azimuth, grid.n_depth):
         raise ShapeError(f"slab shape {u.shape} != grid "
                          f"({grid.n_azimuth}, {grid.n_depth})")
-    if out.shape != u.shape[::-1] or any(w.shape != u.shape for w in work):
-        raise ShapeError("work arrays must have the slab's shape, and out "
-                         "its transpose")
+    if out.shape != u.shape[::-1] or any(
+            w.shape != u.shape or not w.flags.c_contiguous for w in work):
+        raise ShapeError("work arrays must be C-contiguous arrays of the "
+                         "slab's shape, and out its transpose")
     z_scale, local = depth
     local = _depth_local_term(local, u.shape)
-    a, b, c = work
+    a, b = work
     y_scale = azimuth_stencil(k0, range_m, grid.delta_theta)
-    _second_difference(u, 0, grid.azimuth_topology == PERIODIC, a, b)
+    _second_difference(u, grid.azimuth_topology == PERIODIC, a, b)
     np.multiply(y_scale, a, out=b)                         # Y u
     np.multiply(coeffs.cy_rhs, b, out=a)
     a += u                                                 # temp
-    _second_difference(a, 1, False, b)
-    np.multiply(z_scale, b, out=c)
-    np.multiply(local, a, out=b)
-    b += c                                                 # X temp
-    np.multiply(coeffs.cx_rhs, b, out=c)
-    a += c
-    np.copyto(out.T, a)
+    np.copyto(out, a.T)                                    # temp, depth-major
+    a, b = a.reshape(out.shape), b.reshape(out.shape)
+    _second_difference(out, False, a, b)
+    np.multiply(z_scale, a, out=b)
+    np.multiply(local[..., None], out, out=a)
+    a += b                                                 # X temp
+    np.multiply(coeffs.cx_rhs, a, out=b)
+    out += b
     return out
 
 

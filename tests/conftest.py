@@ -83,8 +83,9 @@ def apply_X(column: np.ndarray, n_column, k0: float, delta_z: float) -> np.ndarr
     u = np.asarray(column, dtype=np.complex128)
     scale, local = depth_stencil(n_column, k0, delta_z)
     local = _depth_local_term(local, u.shape)
-    d2 = _second_difference(u, -1, False, np.empty(u.shape, dtype=np.complex128))
-    return local * u + scale * d2
+    d2 = np.empty(u.T.shape, dtype=np.complex128)
+    _second_difference(u.T, False, d2, np.empty_like(d2))
+    return local * u + scale * d2.T
 
 
 def apply_Y(row: np.ndarray, k0: float, r: float, delta_theta: float,
@@ -98,6 +99,6 @@ def apply_Y(row: np.ndarray, k0: float, r: float, delta_theta: float,
         raise InvariantError(f"azimuth_topology in {TOPOLOGIES}")
     u = np.asarray(row, dtype=np.complex128)
     scale = azimuth_stencil(k0, r, delta_theta)
-    d2 = _second_difference(u, 0, topology == PERIODIC,
-                            np.empty(u.shape, dtype=np.complex128))
+    d2 = np.empty(u.shape, dtype=np.complex128)
+    _second_difference(u, topology == PERIODIC, d2, np.empty_like(d2))
     return scale * d2

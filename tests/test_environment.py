@@ -32,11 +32,15 @@ class TestGrid3D:
 
     @pytest.mark.parametrize("field,value", [
         ("n_range", 2), ("n_azimuth", 1), ("n_depth", 0),
+        ("n_range", 10.5), ("n_azimuth", 16.0), ("n_range", 5.0),
+        ("n_depth", True),
     ])
     def test_counts_at_least_three(self, field, value):
+        # a count must be an int before its value is compared
         kwargs = dict(n_range=10, n_azimuth=8, n_depth=32)
         kwargs[field] = value
-        with pytest.raises(InvariantError, match=f"{field} >= 3"):
+        rule = ">= 3" if type(value) is int else "is an integer"
+        with pytest.raises(InvariantError, match=f"{field} {rule}"):
             make_grid(**kwargs)
 
     def test_spacings_positive(self):

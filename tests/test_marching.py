@@ -417,11 +417,16 @@ class TestReferenceStepper:
         assert result.tl_field.tobytes() == np.stack(tl).tobytes()
 
 
-    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
-    def test_across_azimuth_blocks(self, topology):
-        # more steps than one block of azimuth factors
-        grid = make_grid(n_range=AZIMUTH_BLOCK + 6, n_azimuth=12, n_depth=24,
-                         topology=topology)
+    @pytest.mark.parametrize("topology,shape", [
+        pytest.param(topology, shape, id=topology if shape == (12, 24)
+                     else f"{topology}-{shape[0]}x{shape[1]}")
+        for shape in [(12, 24), (3, 3), (3, 129), (5, 7), (8, 129), (97, 5)]
+        for topology in (PERIODIC, SECTOR)])
+    def test_across_azimuth_blocks(self, topology, shape):
+        # more steps than one block of azimuth factors, on narrow and odd
+        # (n_azimuth, n_depth) shapes too
+        grid = make_grid(n_range=AZIMUTH_BLOCK + 6, n_azimuth=shape[0],
+                         n_depth=shape[1], topology=topology)
         config = make_config(grid=grid)
         env = config.environment
         k0 = wavenumber(50.0, env.c0)
@@ -478,7 +483,7 @@ class TestStepArrays:
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_marcher_retains_no_medium_grid(self, topology):
-        # the work arrays and rhs are 4 slabs; the medium, its stencil and
+        # the work arrays and rhs are 3 slabs; the medium, its stencil and
         # the factors are depth profiles or azimuth rows
         grid = make_grid(n_range=8, n_azimuth=72, n_depth=256,
                          topology=topology)
@@ -493,11 +498,11 @@ class TestStepArrays:
         finally:
             tracemalloc.stop()
         assert marcher.depth.width == 1
-        assert retained <= 4.5 * slab_bytes
+        assert retained <= 3.5 * slab_bytes
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_march_frees_each_slab_it_has_stepped_from(self, topology):
-        # the marcher's 4 slabs, the slab of the step and the new slab, and
+        # the marcher's 3 slabs, the slab of the step and the new slab, and
         # a quarter slab of the factors and small arrays; the starter slab
         # is freed after the first step like every later one
         grid = make_grid(n_range=8, n_azimuth=72, n_depth=256,
@@ -511,7 +516,7 @@ class TestStepArrays:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - before - result.tl_field.nbytes <= 6.75 * slab_bytes
+        assert peak - before - result.tl_field.nbytes <= 5.75 * slab_bytes
 
     def test_new_slab_owns_its_memory(self):
         marcher, u = self.stepped(PERIODIC)

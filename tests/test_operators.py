@@ -238,7 +238,7 @@ class TestAssembleAzimuthSystem:
 def explicit_side(u, coeffs, n_field, k0, grid):
     """:func:`compute_rhs` at the starter range into new arrays, returned
     azimuth-major."""
-    work = tuple(np.empty_like(u) for _ in range(3))
+    work = tuple(np.empty_like(u) for _ in range(2))
     out = np.empty(u.shape[::-1], dtype=complex)
     stencil = depth_stencil(n_field, k0, grid.delta_z)
     return compute_rhs(u, grid.r_start, coeffs, stencil, k0, grid, work, out).T
@@ -327,7 +327,7 @@ class TestComputeRhsArrays:
         coeffs = StepCoefficients.for_step(0.2, 5.0)
         u = random_slab_values(rng, grid)
         stencil = depth_stencil(np.ones(12), 0.2, grid.delta_z)
-        work = tuple(np.empty((5, 12), dtype=complex) for _ in range(3))
+        work = tuple(np.empty((5, 12), dtype=complex) for _ in range(2))
         out = np.empty((12, 5), dtype=complex)
         r = grid.r_start
         assert compute_rhs(u, r, coeffs, stencil, 0.2, grid, work, out) is out
@@ -336,7 +336,10 @@ class TestComputeRhsArrays:
                         np.empty((5, 12), dtype=complex))
         with pytest.raises(ShapeError):
             compute_rhs(u, r, coeffs, stencil, 0.2, grid,
-                        work[:2] + (np.empty((12, 5), dtype=complex),), out)
+                        work[:1] + (np.empty((12, 5), dtype=complex),), out)
+        with pytest.raises(ShapeError):  # its depth-major reshape would copy
+            compute_rhs(u, r, coeffs, stencil, 0.2, grid,
+                        work[:1] + (np.empty((12, 5), dtype=complex).T,), out)
         with pytest.raises(ShapeError):  # a medium over (azimuth x depth)
             compute_rhs(u, r, coeffs, depth_stencil(np.ones((5, 12)), 0.2,
                                                     grid.delta_z),
