@@ -15,6 +15,7 @@ the slab value.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,6 +165,13 @@ class SourceSpec:
     depth: float
 
     def __post_init__(self):
+        for name, values in (("frequencies", self.frequencies),
+                             ("depth", [self.depth])):
+            if isinstance(values, (str, bytes)) or not all(
+                    isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    for v in values):
+                raise InvariantError(f"source {name} numeric",
+                                     f"got {getattr(self, name)!r}")
         freqs = tuple(float(f) for f in self.frequencies)
         if len(freqs) < 1:
             raise InvariantError("source has >= 1 frequency")

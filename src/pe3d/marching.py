@@ -13,17 +13,18 @@ with the implicit-side matrices sampled at the new range.  All systems of
 one sweep share one matrix, so each sweep is a wide substitution through
 the batched solver, on the configured intra-step thread count.
 
-A step only streams: it builds no stencil and factors nothing.  The
-medium is one depth profile, the same at every range and azimuth, so a
-:class:`Marcher` computes that profile, the depth stencil on it and the
-one factored depth matrix once per frequency.  The azimuth matrices
-depend on range; the marcher assembles and factors those of
-``AZIMUTH_BLOCK`` consecutive steps together (the first block when it is
-built, each later one at the step that first needs it, on a march longer
-than a block), and each step substitutes against its own column.  The
-explicit side is computed in the marcher's two work arrays into its
-depth-major right-hand side, the depth sweep substitutes in place, and
-the only slab-sized allocation of a step is the new slab.
+A step only streams: it assembles and factors nothing.  The medium is
+one depth profile, the same at every range and azimuth, so a
+:class:`Marcher` computes that profile and the two depth matrices on it
+(explicit, and factored implicit) once per frequency.  The azimuth
+matrices depend on range; the marcher assembles both sides' matrices of
+``AZIMUTH_BLOCK`` consecutive ranges together and factors the implicit
+ones (the first block when it is built, each later one at the step that
+first needs it), and each step uses its own columns.  The explicit side
+is the product of the explicit matrices and the slab, computed in the
+marcher's two work arrays into its depth-major right-hand side, the
+depth sweep substitutes in place, and the only slab-sized allocation of
+a step is the new slab.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ from .operators import (
     assemble_azimuth_batch,
     assemble_depth_batch,
     compute_rhs,
-    depth_stencil,
 )
-from .tridiag import Factors, SolveBatch, factor, solve_batch
+from .tridiag import SolveBatch, factor, solve_batch
 
 MAX_OUTPUT_SAMPLES = 512
 
@@ -66,15 +66,15 @@ class Marcher:
     """What stays fixed while one frequency is marched, what is derived
     from it once, and the arrays every step reuses.
 
-    Derived once from the depth profile of n: the depth stencil of the
-    explicit side (its scale and (n^2 - 1) profile), the factored depth
-    matrix, and the factored azimuth matrices of the first
-    ``AZIMUTH_BLOCK`` ranges; later blocks are factored as the march
-    reaches them (:meth:`azimuth_factors`).  No field holds an
-    (azimuth x depth) medium array.  ``work`` holds two C-contiguous
-    (n_azimuth, n_depth) arrays, which the explicit side also views
-    depth-major, and ``rhs`` one depth-major (n_depth, n_azimuth) array;
-    every step overwrites them, so a marcher serves one march at a time.
+    Derived once from the depth profile of n: ``depth``, the explicit
+    side's matrix (I + cx_rhs X) and the implicit side's factored
+    (I + cx_lhs X); and both sides' azimuth matrices of the first
+    ``AZIMUTH_BLOCK`` ranges, later blocks as the march reaches them
+    (:meth:`azimuth`).  No field holds an (azimuth x depth) medium array.
+    ``work`` holds two C-contiguous (n_azimuth, n_depth) arrays, which the
+    explicit side also views depth-major, and ``rhs`` one depth-major
+    (n_depth, n_azimuth) array; every step overwrites them, so a marcher
+    serves one march at a time.
 
     A singular depth or azimuth matrix is not reported here but by the
     first step that solves with it, as a :class:`StepError`.
@@ -85,42 +85,45 @@ class Marcher:
     k0: float
     coeffs: StepCoefficients
     threads: int = 1
-    depth: Factors = field(init=False)
-    stencil: tuple = field(init=False)
+    depth: tuple = field(init=False)
     work: tuple = field(init=False)
     rhs: np.ndarray = field(init=False)
-    _azimuth: Factors | None = field(init=False, default=None)
+    _azimuth: tuple | None = field(init=False, default=None)
     _azimuth_start: int = field(init=False, default=0)
 
     def __post_init__(self):
         grid = self.grid
         profile = refraction_index_grid(self.environment, grid)
-        self.depth = factor(assemble_depth_batch(self.coeffs.cx_lhs, profile,
-                                                 self.k0, grid.delta_z))
-        self.stencil = depth_stencil(profile, self.k0, grid.delta_z)
+        explicit, implicit = (
+            assemble_depth_batch(coeff, profile, self.k0, grid.delta_z)
+            for coeff in (self.coeffs.cx_rhs, self.coeffs.cx_lhs))
+        self.depth = explicit, factor(implicit)
         shape = (grid.n_azimuth, grid.n_depth)
         self.work = tuple(np.empty(shape, dtype=np.complex128) for _ in range(2))
         self.rhs = np.empty(shape[::-1], dtype=np.complex128)
-        self.azimuth_factors(1)  # the first block, with the rest of the set-up
+        self.azimuth(0)  # the first block, with the rest of the set-up
 
-    def azimuth_factors(self, j: int) -> Factors:
-        """Width-1 factors of the azimuth matrix at range index ``j``.
+    def azimuth(self, j: int) -> tuple:
+        """The width-1 azimuth matrix of the explicit side (I + cy_rhs Y)
+        and the factors of that of the implicit side (I + cy_lhs Y), both
+        at range index ``j``.
 
-        When ``j`` is outside the block factored last, the matrices of
-        ranges ``j`` to ``j + AZIMUTH_BLOCK - 1`` (at most ``n_range``) are
-        assembled and factored together.
+        When ``j`` is outside the block made last, the matrices of ranges
+        ``j`` to ``j + AZIMUTH_BLOCK - 1`` (at most ``n_range``) are
+        assembled, and the implicit ones factored, together.
         """
         offset = j - self._azimuth_start
-        if self._azimuth is None or not 0 <= offset < self._azimuth.width:
+        if self._azimuth is None or not 0 <= offset < self._azimuth[1].width:
             grid = self.grid
             stop = min(j + AZIMUTH_BLOCK, grid.n_range + 1)
-            self._azimuth = factor(assemble_azimuth_batch(
-                self.coeffs.cy_lhs, self.k0,
-                [grid.range_at(i) for i in range(j, stop)],
-                grid.delta_theta, grid.azimuth_topology, grid.n_azimuth,
-            ))
+            explicit, implicit = (assemble_azimuth_batch(
+                coeff, self.k0, [grid.range_at(i) for i in range(j, stop)],
+                grid.delta_theta, grid.azimuth_topology, grid.n_azimuth)
+                for coeff in (self.coeffs.cy_rhs, self.coeffs.cy_lhs))
+            self._azimuth = explicit, factor(implicit)
             self._azimuth_start, offset = j, 0
-        return self._azimuth.column(offset)
+        explicit, implicit = self._azimuth
+        return explicit.column(offset), implicit.column(offset)
 
 
 @dataclass(eq=False)
@@ -170,22 +173,23 @@ def range_step(marcher: Marcher, u: np.ndarray, j: int) -> np.ndarray:
         # to the bit.
         return u
 
-    rhs = compute_rhs(u, grid.range_at(j), marcher.coeffs, marcher.stencil,
-                      marcher.k0, grid, marcher.work, marcher.rhs)
+    explicit_depth, depth = marcher.depth
+    rhs = compute_rhs(u, marcher.azimuth(j)[0], explicit_depth, marcher.work,
+                      marcher.rhs)
     # Dirichlet data on the explicit side: the constrained boundary rows of
     # the implicit systems require zero right-hand sides there.  The depth
     # solve keeps them: on a sector grid the edge azimuths of v solve zero
     # right-hand sides, so they are zero for the azimuth solve too.
     apply_boundary(rhs.T, grid)
     try:
-        solve_batch(SolveBatch(marcher.depth, rhs), marcher.threads, out=rhs)
+        solve_batch(SolveBatch(depth, rhs), marcher.threads, out=rhs)
     except SingularSystemError as exc:
         raise StepError(j + 1, "depth", exc) from exc
     v = marcher.work[0]
     np.copyto(v, rhs.T)
     new = np.empty_like(v)
     try:
-        solve_batch(SolveBatch(marcher.azimuth_factors(j + 1), v),
+        solve_batch(SolveBatch(marcher.azimuth(j + 1)[1], v),
                     marcher.threads, out=new)
     except SingularSystemError as exc:
         raise StepError(j + 1, "azimuth", exc) from exc

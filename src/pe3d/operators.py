@@ -15,19 +15,15 @@ one operator and its matrix one tri-diagonal matrix for the whole slab.
 Exterior stencil values are zero (pressure-release surface, absorber-backed
 bottom, sector edges); the azimuth index wraps on a periodic grid.
 
-:func:`compute_rhs` writes the explicit side into arrays its caller owns,
-so a range step allocates nothing for it.  It makes the Y passes on the
-slab's azimuth-major layout, (n_azimuth, n_depth), and the X passes on
-the depth-major layout of the depth solve, (n_depth, n_azimuth): each
-second difference runs along the leading axis of its layout.
+:func:`assemble_depth_batch` and :func:`assemble_azimuth_batch` build
+the matrices (I + c X) and (I + c Y) of both sides of the step: the
+implicit side factors them, and :func:`compute_rhs` multiplies the slab
+by them in arrays its caller owns.
 
 Rounding: numpy's vectorised complex product uses fused multiply-adds, so
 ``a * b`` and ``b * a`` can differ in their last bits, and numpy evaluates
 a temporary of 256 KiB or more in place, which swaps the operands of a
-product whose right operand is that temporary.  Every product written
-with ``out=`` here keeps the operand order of the expression it stands
-for and writes into an array distinct from its operands; adds and
-subtracts are exact in any order and may run in place.
+product whose right operand is that temporary.
 """
 
 from __future__ import annotations
@@ -36,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import PERIODIC, Grid3D
+from .environment import PERIODIC
 from .errors import InvariantError, ShapeError
-from .tridiag import OPEN, CYCLIC, Diagonals
+from .tridiag import OPEN, CYCLIC, Diagonals, product
 
 
 @dataclass(frozen=True)
@@ -88,95 +84,32 @@ def azimuth_stencil(k0: float, r: float, delta_theta: float) -> float:
     return 1.0 / (k0 * r * delta_theta) ** 2
 
 
-def _second_difference(u: np.ndarray, periodic: bool, out: np.ndarray,
-                       spare: np.ndarray) -> np.ndarray:
-    """Second difference of ``u`` along its first axis into ``out`` (an
-    array of the shape of ``u``, not ``u``); returns ``out``.
-
-    The sums run in the order ``u[i+1] - 2 u[i] + u[i-1]`` left to right
-    on a closed axis and ``(u[i+1] + u[i-1]) - 2 u[i]`` on a periodic one,
-    which needs ``2 u`` apart from ``out``, in ``spare``.  Each pass is
-    over whole rows, so a pass over a C-contiguous array is one contiguous
-    loop, which numpy runs without buffers.
-    """
-    if len(u) < 3:
-        raise ShapeError(f"need >= 3 points along axis 0, got {len(u)}")
-    if periodic:
-        np.add(u[2:], u[:-2], out=out[1:-1])
-        np.add(u[1:2], u[-1:], out=out[:1])
-        np.add(u[:1], u[-2:-1], out=out[-1:])
-        out -= np.multiply(2.0, u, out=spare)
-        return out
-    np.multiply(2.0, u[1:-1], out=out[1:-1])
-    np.subtract(u[2:], out[1:-1], out=out[1:-1])
-    out[1:-1] += u[:-2]
-    for edge, inner in ((slice(None, 1), slice(1, 2)),
-                        (slice(-1, None), slice(-2, -1))):
-        np.multiply(2.0, u[edge], out=out[edge])
-        np.subtract(u[inner], out[edge], out=out[edge])
-    return out
-
-
-def _depth_local_term(local, shape: tuple) -> np.ndarray:
-    """The depth stencil's (n^2 - 1) term, a scalar or a depth profile,
-    checked against a field of ``shape`` with depth last."""
-    local = np.asarray(local)
-    if local.shape not in ((), shape[-1:]):
-        raise ShapeError(
-            f"refraction values of shape {local.shape} are not a depth "
-            f"profile of a field of shape {shape}"
-        )
-    return local
-
-
-def compute_rhs(u: np.ndarray, range_m: float, coeffs: StepCoefficients,
-                depth: tuple, k0: float, grid: Grid3D,
+def compute_rhs(u: np.ndarray, azimuth: Diagonals, depth: Diagonals,
                 work: tuple, out: np.ndarray) -> np.ndarray:
     """Explicit side of the step,  [I + cx_rhs X] [I + cy_rhs Y] u,  for
-    the (n_azimuth, n_depth) slab ``u`` at range ``range_m``, written into
-    ``out`` depth-major, (n_depth, n_azimuth); returns ``out``.
+    the (n_azimuth, n_depth) slab ``u``, written into ``out`` depth-major,
+    (n_depth, n_azimuth); returns ``out``.
 
-    The Y factor acts first, at the slab's current range, then the X
-    factor, which sits outermost in the step factorization.  Each pass
-    runs along the leading axis of its layout: the Y passes azimuth-major
-    on ``u``, then one transposed copy of their result into ``out``, then
-    the X passes depth-major in ``out``.  ``depth`` is the depth stencil,
-    the scale and (n^2 - 1) profile of :func:`depth_stencil`, and
-    ``work`` two C-contiguous arrays of the slab's shape, overwritten and
-    viewed depth-major for the X passes.  The passes are those of the
-    expression
-
-        temp = u + cy_rhs * (y_scale * D_m u)
-        temp + cx_rhs * ((n^2 - 1) * temp + z_scale * D_l temp)
-
-    (D_m, D_l the second differences over azimuth and depth, y_scale =
-    1 / (k0 r dtheta)^2 at ``range_m``, z_scale the depth stencil's) in
-    that order and with those operand orders: the bits are the expression's.
+    ``azimuth`` and ``depth`` are the width-1 matrices (I + cy_rhs Y) at
+    the slab's range and (I + cx_rhs X), as :func:`assemble_azimuth_batch`
+    and :func:`assemble_depth_batch` build them; ``work`` is two
+    C-contiguous arrays of the slab's shape, overwritten.  The Y product
+    runs azimuth-major on ``u`` into ``work[0]``, one transposed copy puts
+    it depth-major into ``work[1]``, and the X product, which sits
+    outermost in the step factorization, runs from there into ``out``.
     """
-    if u.shape != (grid.n_azimuth, grid.n_depth):
+    if u.shape != (azimuth.n, depth.n):
         raise ShapeError(f"slab shape {u.shape} != grid "
-                         f"({grid.n_azimuth}, {grid.n_depth})")
+                         f"({azimuth.n}, {depth.n})")
     if out.shape != u.shape[::-1] or any(
             w.shape != u.shape or not w.flags.c_contiguous for w in work):
         raise ShapeError("work arrays must be C-contiguous arrays of the "
                          "slab's shape, and out its transpose")
-    z_scale, local = depth
-    local = _depth_local_term(local, u.shape)
     a, b = work
-    y_scale = azimuth_stencil(k0, range_m, grid.delta_theta)
-    _second_difference(u, grid.azimuth_topology == PERIODIC, a, b)
-    np.multiply(y_scale, a, out=b)                         # Y u
-    np.multiply(coeffs.cy_rhs, b, out=a)
-    a += u                                                 # temp
-    np.copyto(out, a.T)                                    # temp, depth-major
-    a, b = a.reshape(out.shape), b.reshape(out.shape)
-    _second_difference(out, False, a, b)
-    np.multiply(z_scale, a, out=b)
-    np.multiply(local[..., None], out, out=a)
-    a += b                                                 # X temp
-    np.multiply(coeffs.cx_rhs, a, out=b)
-    out += b
-    return out
+    product(azimuth, u, a, b)
+    temp = b.reshape(out.shape)
+    np.copyto(temp, a.T)
+    return product(depth, temp, out, a.reshape(out.shape))
 
 
 def assemble_depth_batch(coeff: complex, profile: np.ndarray, k0: float,

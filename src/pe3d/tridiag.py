@@ -10,9 +10,8 @@ matrices side by side, one per column, and :meth:`Factors.column` hands
 out one of them.  The right-hand sides are laid out structure-of-arrays:
 one row per elimination index, contiguous across the batch, so every
 inner-loop operation is a unit-stride vector op over batch members, with
-the factors broadcast across them.  The marcher factors its depth matrix
-once per frequency and the azimuth matrices of a block of range steps
-together.
+the factors broadcast across them.  :func:`product` multiplies the
+columns of such an array by one matrix, for the explicit side.
 
 Determinism: every kernel operation is elementwise per batch member (and
 per factored column), and numpy elementwise complex arithmetic is
@@ -37,7 +36,8 @@ entries are the ordinary sub/super diagonals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +92,12 @@ class Diagonals:
     def n(self) -> int:
         return self.main.shape[0]
 
+    def column(self, j: int) -> "Diagonals":
+        """Matrix ``j`` on its own, as width-1 diagonals."""
+        cut = slice(j, j + 1)
+        return Diagonals(self.sub[:, cut], self.main[:, cut],
+                         self.sup[:, cut], self.topology)
+
 
 @dataclass(eq=False)
 class Factors:
@@ -113,10 +119,9 @@ class Factors:
     factorization made ahead of time fails where its first solve would
     have.
 
-    Width-1 factors, the only ones a batch substitutes against, also hold
-    ``rows``: the rows of ``cp``, ``inv``, ``sub`` and ``q`` (None when
-    open) as the operands of the substitution (:func:`_rows`), prepared
-    once when the factors are made.
+    ``rows`` holds the rows of ``cp``, ``inv``, ``sub`` and ``q`` (None
+    when open) as the operands of the substitution (:func:`_rows`),
+    prepared once, when the factors are first substituted against.
     """
 
     topology: str
@@ -127,12 +132,11 @@ class Factors:
     q: np.ndarray | None = None
     weight: np.ndarray | None = None
     denom: np.ndarray | None = None
-    rows: tuple | None = field(init=False, default=None, repr=False)
 
-    def __post_init__(self):
-        if self.width == 1:
-            self.rows = (_rows(self.cp), _rows(self.inv), _rows(self.sub),
-                         None if self.q is None else _rows(self.q))
+    @cached_property
+    def rows(self) -> tuple:
+        return (_rows(self.cp), _rows(self.inv), _rows(self.sub),
+                None if self.q is None else _rows(self.q))
 
     @property
     def n(self) -> int:
@@ -338,6 +342,31 @@ def _substitute(factors: Factors, rhs: np.ndarray, x: np.ndarray):
         for q_row, x_row in zip(q, x):
             multiply(q_row, correction, t)
             subtract(x_row, t, x_row)
+
+
+def product(diagonals: Diagonals, x: np.ndarray, out: np.ndarray,
+            spare: np.ndarray) -> np.ndarray:
+    """The matrix of width-1 ``diagonals`` times every column of the
+    (n, members) array ``x``, into ``out``, with ``spare`` as scratch of
+    that shape; returns ``out``.
+
+    Each product has the diagonal as its first operand and is written
+    into ``spare`` or ``out``, distinct from its operands; a row adds its
+    sub, then its super term to its main one, then its cyclic corner.
+    """
+    if diagonals.main.shape[1] != 1 or x.ndim != 2 or len(x) != diagonals.n:
+        raise ShapeError(f"x of shape {x.shape} times width-1 diagonals of "
+                         f"{diagonals.n} rows")
+    sub, main, sup = diagonals.sub, diagonals.main, diagonals.sup
+    cyclic = diagonals.topology == CYCLIC
+    multiply = np.multiply
+    multiply(main, x, out=out)
+    out[1:] += multiply(sub[1:] if cyclic else sub, x[:-1], out=spare[1:])
+    out[:-1] += multiply(sup[:-1] if cyclic else sup, x[1:], out=spare[:-1])
+    if cyclic:
+        out[:1] += multiply(sub[:1], x[-1:], out=spare[:1])
+        out[-1:] += multiply(sup[-1:], x[:1], out=spare[-1:])
+    return out
 
 
 def solve(diagonals: Diagonals, rhs) -> np.ndarray:

@@ -14,13 +14,8 @@ from pe3d.environment import (
     SoundSpeedProfile,
     SourceSpec,
 )
-from pe3d.errors import InvariantError
-from pe3d.operators import (
-    _depth_local_term,
-    _second_difference,
-    azimuth_stencil,
-    depth_stencil,
-)
+from pe3d.errors import InvariantError, ShapeError
+from pe3d.operators import azimuth_stencil, depth_stencil
 from pe3d.tridiag import OPEN, Diagonals
 
 
@@ -71,8 +66,20 @@ def one_matrix(sub, main, sup, topology=OPEN):
 
 
 # The depth and azimuth operators as plain functions that return new
-# arrays: the oracle that ``compute_rhs``, which makes the same passes into
-# arrays its caller owns, is pinned to bit for bit.
+# arrays, from a second difference of their own: the oracles that the
+# matrices ``assemble_depth_batch`` and ``assemble_azimuth_batch`` build,
+# and ``compute_rhs`` multiplies by, are checked against.
+
+def second_difference(u: np.ndarray, periodic: bool) -> np.ndarray:
+    """u[i+1] - 2 u[i] + u[i-1] along the first axis of ``u``, with the
+    values outside it zero, or wrapped around when ``periodic``."""
+    if len(u) < 3:
+        raise ShapeError(f"need >= 3 points along axis 0, got {len(u)}")
+    zero = np.zeros_like(u[:1])
+    below, above = (u[-1:], u[:1]) if periodic else (zero, zero)
+    padded = np.concatenate([below, u, above])
+    return padded[2:] - 2.0 * u + padded[:-2]
+
 
 def apply_X(column: np.ndarray, n_column, k0: float, delta_z: float) -> np.ndarray:
     """Depth operator on a vector over l, or a slab with depth last.
@@ -82,10 +89,10 @@ def apply_X(column: np.ndarray, n_column, k0: float, delta_z: float) -> np.ndarr
     """
     u = np.asarray(column, dtype=np.complex128)
     scale, local = depth_stencil(n_column, k0, delta_z)
-    local = _depth_local_term(local, u.shape)
-    d2 = np.empty(u.T.shape, dtype=np.complex128)
-    _second_difference(u.T, False, d2, np.empty_like(d2))
-    return local * u + scale * d2.T
+    if local.shape not in ((), u.shape[-1:]):
+        raise ShapeError(f"refraction values of shape {local.shape} are not "
+                         f"a depth profile of a field of shape {u.shape}")
+    return local * u + scale * second_difference(u.T, False).T
 
 
 def apply_Y(row: np.ndarray, k0: float, r: float, delta_theta: float,
@@ -99,6 +106,4 @@ def apply_Y(row: np.ndarray, k0: float, r: float, delta_theta: float,
         raise InvariantError(f"azimuth_topology in {TOPOLOGIES}")
     u = np.asarray(row, dtype=np.complex128)
     scale = azimuth_stencil(k0, r, delta_theta)
-    d2 = np.empty(u.shape, dtype=np.complex128)
-    _second_difference(u, topology == PERIODIC, d2, np.empty_like(d2))
-    return scale * d2
+    return scale * second_difference(u, topology == PERIODIC)

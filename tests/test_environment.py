@@ -154,6 +154,20 @@ class TestEnvironmentInvariants:
         with pytest.raises(InvariantError, match=">= 1 frequency"):
             SourceSpec(frequencies=(), depth=100.0)
 
+    @pytest.mark.parametrize("frequencies,depth,field", [
+        ("55", 100.0, "frequencies"),
+        (b"55", 100.0, "frequencies"),
+        (("50", 60.0), 100.0, "frequencies"),
+        ((50.0, True), 100.0, "frequencies"),
+        ((50.0,), "50", "depth"),
+        ((50.0,), None, "depth"),
+    ])
+    def test_source_spec_values_are_numbers(self, frequencies, depth, field):
+        # a string is a sequence of characters and bytes one of ints: both
+        # would otherwise build frequencies silently
+        with pytest.raises(InvariantError, match=f"^source {field} numeric"):
+            SourceSpec(frequencies=frequencies, depth=depth)
+
 
 class TestGaussianStarter:
     def test_value_at_source_depth_is_sqrt_k0(self):

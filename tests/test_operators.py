@@ -240,8 +240,15 @@ def explicit_side(u, coeffs, n_field, k0, grid):
     azimuth-major."""
     work = tuple(np.empty_like(u) for _ in range(2))
     out = np.empty(u.shape[::-1], dtype=complex)
-    stencil = depth_stencil(n_field, k0, grid.delta_z)
-    return compute_rhs(u, grid.r_start, coeffs, stencil, k0, grid, work, out).T
+    azimuth = assemble_azimuth_batch(coeffs.cy_rhs, k0, grid.r_start,
+                                     grid.delta_theta, grid.azimuth_topology,
+                                     grid.n_azimuth)
+    depth = assemble_depth_batch(coeffs.cx_rhs, n_field, k0, grid.delta_z)
+    return compute_rhs(u, azimuth, depth, work, out).T
+
+
+def relative_error(x, reference):
+    return np.max(np.abs(x - reference)) / np.max(np.abs(reference))
 
 
 class TestComputeRhs:
@@ -252,6 +259,9 @@ class TestComputeRhs:
         assert np.all(out == 0.0)
 
     def test_azimuth_constant_reduces_to_x_factor(self):
+        # to rounding: the Y product sums (1 - 2 c s) u + c s u + c s u;
+        # the surface row, the identity equation of the depth matrix, is
+        # Dirichlet data that the step sets to zero
         rng = np.random.default_rng(9)
         grid = make_grid(n_azimuth=6, n_depth=16)
         k0 = wavenumber(50.0, 1500.0)
@@ -261,7 +271,7 @@ class TestComputeRhs:
         out = explicit_side(values, coeffs, np.ones(16), k0, grid)
         expected = values + coeffs.cx_rhs * apply_X(values, np.ones(16), k0,
                                                     grid.delta_z)
-        assert np.array_equal(out, expected)
+        assert relative_error(out[:, 1:], expected[:, 1:]) <= 1e-14
 
     def test_dense_kronecker_oracle(self):
         # 3x3 slab against explicitly formed 9x9 factors
@@ -275,6 +285,7 @@ class TestComputeRhs:
         s_z = 1.0 / (k0 * grid.delta_z) ** 2
         s_y = 1.0 / (k0 * grid.r_start * grid.delta_theta) ** 2
         x_hat = np.kron(np.eye(3), s_z * second_diff_dirichlet(3))
+        x_hat[::3] = 0.0  # the surface rows: identity equations
         y_hat = np.kron(s_y * second_diff_periodic(3), np.eye(3))
         dense = (np.eye(9) + coeffs.cx_rhs * x_hat) @ (
             np.eye(9) + coeffs.cy_rhs * y_hat) @ u.ravel()
@@ -310,7 +321,7 @@ class TestComputeRhs:
         out = explicit_side(u.copy(), coeffs,
                             np.ones(10), k0, grid)
         expected = u + 0.25 * apply_X(u, np.ones(10), k0, grid.delta_z)
-        assert np.array_equal(out, expected)
+        assert relative_error(out[:, 1:], expected[:, 1:]) <= 1e-14
         batch = assemble_depth_batch(coeffs.cx_lhs, np.ones(10), k0,
                                      grid.delta_z)
         mirror = assemble_depth_batch(0.25 + 0.0j, np.ones(10), k0,
@@ -326,24 +337,25 @@ class TestComputeRhsArrays:
         grid = make_grid(n_azimuth=5, n_depth=12)
         coeffs = StepCoefficients.for_step(0.2, 5.0)
         u = random_slab_values(rng, grid)
-        stencil = depth_stencil(np.ones(12), 0.2, grid.delta_z)
+        azimuth = assemble_azimuth_batch(coeffs.cy_rhs, 0.2, grid.r_start,
+                                         grid.delta_theta, PERIODIC, 5)
+        depth = assemble_depth_batch(coeffs.cx_rhs, np.ones(12), 0.2,
+                                     grid.delta_z)
         work = tuple(np.empty((5, 12), dtype=complex) for _ in range(2))
         out = np.empty((12, 5), dtype=complex)
-        r = grid.r_start
-        assert compute_rhs(u, r, coeffs, stencil, 0.2, grid, work, out) is out
+        assert compute_rhs(u, azimuth, depth, work, out) is out
         with pytest.raises(ShapeError):
-            compute_rhs(u, r, coeffs, stencil, 0.2, grid, work,
+            compute_rhs(u, azimuth, depth, work,
                         np.empty((5, 12), dtype=complex))
         with pytest.raises(ShapeError):
-            compute_rhs(u, r, coeffs, stencil, 0.2, grid,
+            compute_rhs(u, azimuth, depth,
                         work[:1] + (np.empty((12, 5), dtype=complex),), out)
         with pytest.raises(ShapeError):  # its depth-major reshape would copy
-            compute_rhs(u, r, coeffs, stencil, 0.2, grid,
+            compute_rhs(u, azimuth, depth,
                         work[:1] + (np.empty((12, 5), dtype=complex).T,), out)
-        with pytest.raises(ShapeError):  # a medium over (azimuth x depth)
-            compute_rhs(u, r, coeffs, depth_stencil(np.ones((5, 12)), 0.2,
-                                                    grid.delta_z),
-                        0.2, grid, work, out)
+        with pytest.raises(ShapeError):  # a depth matrix of another grid
+            compute_rhs(u, azimuth, assemble_depth_batch(
+                coeffs.cx_rhs, np.ones(10), 0.2, grid.delta_z), work, out)
 
 
 class TestBatchAssembly:

@@ -12,6 +12,7 @@ from pe3d.tridiag import (
     dense_matrix,
     dense_oracle_solve,
     factor,
+    product,
     solve,
     solve_batch,
 )
@@ -318,12 +319,6 @@ def wide_diagonals(matrices):
                      matrices[0].topology)
 
 
-def column(diagonals, j):
-    """Matrix ``j`` of wide ``diagonals`` on its own, at width 1."""
-    return Diagonals(diagonals.sub[:, j:j + 1], diagonals.main[:, j:j + 1],
-                     diagonals.sup[:, j:j + 1], diagonals.topology)
-
-
 class TestWideFactor:
     @pytest.mark.parametrize("topology", [OPEN, CYCLIC])
     def test_columns_equal_width_one_factors(self, topology):
@@ -335,7 +330,7 @@ class TestWideFactor:
         names = ("cp", "inv", "q", "weight", "denom") if topology == CYCLIC \
             else ("cp", "inv")
         for j in range(64):
-            alone = factor(column(wide, j))
+            alone = factor(wide.column(j))
             col = factors.column(j)
             assert col.width == 1 and col.singular is None
             for name in names:
@@ -373,6 +368,46 @@ class TestWideFactor:
             == (3, "singular rank-1 correction")
         error = factors.column(2).singular
         assert (error.pivot_index, error.detail) == (1, "")
+
+
+def random_members(rng, n, width):
+    return rng.standard_normal((n, width)) \
+        + 1j * rng.standard_normal((n, width))
+
+
+def multiply(diagonals, x):
+    return product(diagonals, x, np.empty_like(x), np.empty_like(x))
+
+
+class TestProduct:
+    @pytest.mark.parametrize("width", [1, 97])
+    @pytest.mark.parametrize("n", [3, 40])
+    @pytest.mark.parametrize("topology", [OPEN, CYCLIC])
+    def test_matches_dense(self, topology, n, width):
+        rng = np.random.default_rng(n + width)
+        d, _ = random_system(rng, n, topology)
+        x = random_members(rng, n, width)
+        want = dense_matrix(d) @ x
+        assert np.max(np.abs(multiply(d, x) - want)) \
+            <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("topology", [OPEN, CYCLIC])
+    def test_member_alone_has_its_bits_in_a_wide_call(self, topology):
+        rng = np.random.default_rng(31)
+        d, _ = random_system(rng, 40, topology)
+        x = random_members(rng, 40, 97)
+        wide = multiply(d, x)
+        for j in range(97):
+            alone = multiply(d, x[:, j:j + 1].copy())
+            assert alone.tobytes() == wide[:, j:j + 1].copy().tobytes(), j
+
+    def test_shapes_checked(self):
+        rng = np.random.default_rng(32)
+        d, _ = random_system(rng, 5, OPEN)
+        with pytest.raises(ShapeError):
+            multiply(d, random_members(rng, 6, 2))
+        with pytest.raises(ShapeError):
+            multiply(wide_diagonals([d, d]), random_members(rng, 5, 2))
 
 
 class TestSolverProperties:
