@@ -7,11 +7,14 @@ One range step advances the slab from r to r + delta_r by
 2. computing the explicit right-hand side at the current range,
 3. solving one depth system per azimuth index (intermediate slab v),
 4. solving one azimuth system per depth index (new slab u),
-5. reapplying the boundary conditions,
 
-with the implicit-side matrices sampled at the new range.  All systems of
-one sweep share one matrix, so each sweep is a wide substitution through
-the batched solver, on the configured intra-step thread count.
+with the implicit-side matrices sampled at the new range.  The identity
+rows of the assembled matrices keep the Dirichlet rows (the surface, and
+a sector's edge azimuths) of the right-hand side, of v and of u zero, so
+the boundary conditions are applied only to the slab a step is given.
+All systems of one sweep share one matrix, so each sweep is a wide
+substitution through the batched solver, on the configured intra-step
+thread count.
 
 A step only streams: it assembles and factors nothing.  The medium is
 one depth profile, the same at every range and azimuth, so a
@@ -176,11 +179,6 @@ def range_step(marcher: Marcher, u: np.ndarray, j: int) -> np.ndarray:
     explicit_depth, depth = marcher.depth
     rhs = compute_rhs(u, marcher.azimuth(j)[0], explicit_depth, marcher.work,
                       marcher.rhs)
-    # Dirichlet data on the explicit side: the constrained boundary rows of
-    # the implicit systems require zero right-hand sides there.  The depth
-    # solve keeps them: on a sector grid the edge azimuths of v solve zero
-    # right-hand sides, so they are zero for the azimuth solve too.
-    apply_boundary(rhs.T, grid)
     try:
         solve_batch(SolveBatch(depth, rhs), marcher.threads, out=rhs)
     except SingularSystemError as exc:
@@ -193,7 +191,7 @@ def range_step(marcher: Marcher, u: np.ndarray, j: int) -> np.ndarray:
                     marcher.threads, out=new)
     except SingularSystemError as exc:
         raise StepError(j + 1, "azimuth", exc) from exc
-    return apply_boundary(new, grid)
+    return new
 
 
 def default_output_stride(n_steps: int) -> int:
