@@ -32,6 +32,11 @@ TL_FLOOR_DB = 300.0
 _TWO_PI = 2.0 * math.pi
 
 
+def _real(value) -> bool:
+    """A hand-built value's rule for a number: a real, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Grid3D:
     """Cylindrical discretization: counts and spacings per direction.
@@ -58,9 +63,9 @@ class Grid3D:
             if value < 3:
                 raise InvariantError(f"{name} >= 3", f"got {value}")
         for name in ("delta_r", "delta_theta", "delta_z", "r_start"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise InvariantError(f"{name} > 0 and finite",
-                                     f"got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (_real(value) and 0 < value < math.inf):
+                raise InvariantError(f"{name} > 0 and finite", f"got {value!r}")
         if self.azimuth_topology not in TOPOLOGIES:
             raise InvariantError(
                 f"azimuth_topology in {TOPOLOGIES}",
@@ -100,9 +105,10 @@ class Absorber:
 
     def __post_init__(self):
         for name in ("start_depth", "max_attenuation"):
-            if not 0 <= getattr(self, name) < math.inf:
+            value = getattr(self, name)
+            if not (_real(value) and 0 <= value < math.inf):
                 raise InvariantError(f"absorber.{name} >= 0 and finite",
-                                     f"got {getattr(self, name)}")
+                                     f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -153,8 +159,8 @@ class Environment:
     absorber: Absorber
 
     def __post_init__(self):
-        if not 0 < self.c0 < math.inf:
-            raise InvariantError("c0 > 0 and finite", f"got {self.c0}")
+        if not (_real(self.c0) and 0 < self.c0 < math.inf):
+            raise InvariantError("c0 > 0 and finite", f"got {self.c0!r}")
 
 
 @dataclass(frozen=True)
@@ -167,9 +173,7 @@ class SourceSpec:
     def __post_init__(self):
         for name, values in (("frequencies", self.frequencies),
                              ("depth", [self.depth])):
-            if isinstance(values, (str, bytes)) or not all(
-                    isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    for v in values):
+            if isinstance(values, (str, bytes)) or not all(map(_real, values)):
                 raise InvariantError(f"source {name} numeric",
                                      f"got {getattr(self, name)!r}")
         freqs = tuple(float(f) for f in self.frequencies)

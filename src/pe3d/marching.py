@@ -4,15 +4,16 @@ transmission-loss assembly.
 One range step advances the slab from r to r + delta_r by
 
 1. applying the boundary conditions to the current slab,
-2. computing the explicit right-hand side at the current range,
+2. computing the explicit right-hand side,
 3. solving one depth system per azimuth index (intermediate slab v),
-4. solving one azimuth system per depth index (new slab u),
+4. solving one azimuth system per depth index (new slab u).
 
-with the implicit-side matrices sampled at the new range.  The identity
-rows of the assembled matrices keep the Dirichlet rows (the surface, and
-a sector's edge azimuths) of the right-hand side, of v and of u zero, so
-the boundary conditions are applied only to the slab a step is given.
-All systems of one sweep share one matrix, so each sweep is a wide
+Both sides take Y at the step's midpoint range r + delta_r / 2, which
+only :meth:`Marcher.azimuth` computes, so a lossless step keeps the norm
+(the paper puts the implicit side at the new range).  The identity rows
+of the assembled matrices keep the Dirichlet rows (the surface, a
+sector's edge azimuths) of the right-hand side, v and u zero.  All
+systems of one sweep share one matrix, so each sweep is a wide
 substitution through the batched solver, on the configured intra-step
 thread count.
 
@@ -21,7 +22,7 @@ one depth profile, the same at every range and azimuth, so a
 :class:`Marcher` computes that profile and the two depth matrices on it
 (explicit, and factored implicit) once per frequency.  The azimuth
 matrices depend on range; the marcher assembles both sides' matrices of
-``AZIMUTH_BLOCK`` consecutive ranges together and factors the implicit
+``AZIMUTH_BLOCK`` consecutive steps together and factors the implicit
 ones (the first block when it is built, each later one at the step that
 first needs it), and each step uses its own columns.  The explicit side
 is the product of the explicit matrices and the slab, computed in the
@@ -72,7 +73,7 @@ class Marcher:
     Derived once from the depth profile of n: ``depth``, the explicit
     side's matrix (I + cx_rhs X) and the implicit side's factored
     (I + cx_lhs X); and both sides' azimuth matrices of the first
-    ``AZIMUTH_BLOCK`` ranges, later blocks as the march reaches them
+    ``AZIMUTH_BLOCK`` steps, later blocks as the march reaches them
     (:meth:`azimuth`).  No field holds an (azimuth x depth) medium array.
     ``work`` holds two C-contiguous (n_azimuth, n_depth) arrays, which the
     explicit side also views depth-major, and ``rhs`` one depth-major
@@ -108,20 +109,20 @@ class Marcher:
 
     def azimuth(self, j: int) -> tuple:
         """The width-1 azimuth matrix of the explicit side (I + cy_rhs Y)
-        and the factors of that of the implicit side (I + cy_lhs Y), both
-        at range index ``j``.
+        and the factors of that of the implicit side (I + cy_lhs Y) of
+        step ``j``, both with Y at its midpoint range r_j + delta_r / 2.
 
-        When ``j`` is outside the block made last, the matrices of ranges
-        ``j`` to ``j + AZIMUTH_BLOCK - 1`` (at most ``n_range``) are
-        assembled, and the implicit ones factored, together.
+        When step ``j`` is outside the block made last, the matrices of
+        steps ``j`` to ``j + AZIMUTH_BLOCK - 1`` (at most ``n_range - 1``)
+        are assembled, and the implicit ones factored, together.
         """
         offset = j - self._azimuth_start
         if self._azimuth is None or not 0 <= offset < self._azimuth[1].width:
             grid = self.grid
-            stop = min(j + AZIMUTH_BLOCK, grid.n_range + 1)
+            steps = np.arange(j, min(j + AZIMUTH_BLOCK, grid.n_range))
             explicit, implicit = (assemble_azimuth_batch(
-                coeff, self.k0, [grid.range_at(i) for i in range(j, stop)],
-                grid.delta_theta, grid.azimuth_topology, grid.n_azimuth)
+                coeff, self.k0, grid.range_at(steps + 0.5), grid.delta_theta,
+                grid.azimuth_topology, grid.n_azimuth)
                 for coeff in (self.coeffs.cy_rhs, self.coeffs.cy_lhs))
             self._azimuth = explicit, factor(implicit)
             self._azimuth_start, offset = j, 0
@@ -176,19 +177,17 @@ def range_step(marcher: Marcher, u: np.ndarray, j: int) -> np.ndarray:
         # to the bit.
         return u
 
-    explicit_depth, depth = marcher.depth
-    rhs = compute_rhs(u, marcher.azimuth(j)[0], explicit_depth, marcher.work,
-                      marcher.rhs)
+    (rhs_y, lhs_y), (rhs_x, lhs_x) = marcher.azimuth(j), marcher.depth
+    rhs = compute_rhs(u, rhs_y, rhs_x, marcher.work, marcher.rhs)
     try:
-        solve_batch(SolveBatch(depth, rhs), marcher.threads, out=rhs)
+        solve_batch(SolveBatch(lhs_x, rhs), marcher.threads, out=rhs)
     except SingularSystemError as exc:
         raise StepError(j + 1, "depth", exc) from exc
     v = marcher.work[0]
     np.copyto(v, rhs.T)
     new = np.empty_like(v)
     try:
-        solve_batch(SolveBatch(marcher.azimuth(j + 1)[1], v),
-                    marcher.threads, out=new)
+        solve_batch(SolveBatch(lhs_y, v), marcher.threads, out=new)
     except SingularSystemError as exc:
         raise StepError(j + 1, "azimuth", exc) from exc
     return new

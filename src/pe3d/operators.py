@@ -9,9 +9,11 @@ with d = i * k0 * delta_r.  X carries the medium term:
 
     (X u)_l = (n_l^2 - 1) u_l + (u_{l+1} - 2 u_l + u_{l-1}) / (k0 dz)^2
 
-and Y is the bare azimuthal second difference scaled by 1 / (k0 r dtheta)^2.
-The medium is one depth profile n_l, the same in every azimuth, so X is
-one operator and its matrix one tri-diagonal matrix for the whole slab.
+and Y is the bare azimuthal second difference scaled by 1 / (k0 r dtheta)^2,
+one matrix on both sides of a step: the marcher takes r at the step's
+midpoint.  The medium is one depth profile n_l, the same in every
+azimuth, so X is one operator and its matrix one tri-diagonal matrix for
+the whole slab.
 Exterior stencil values are zero (pressure-release surface, absorber-backed
 bottom, sector edges); the azimuth index wraps on a periodic grid.
 
@@ -78,9 +80,9 @@ def depth_stencil(n_values, k0: float, delta_z: float):
     return 1.0 / (k0 * delta_z) ** 2, nsq_minus_1
 
 
-def azimuth_stencil(k0: float, r: float, delta_theta: float) -> float:
-    """The azimuth operator's second-difference scale 1 / (k0 r dtheta)^2;
-    it has no local term."""
+def azimuth_stencil(k0: float, r, delta_theta: float):
+    """The azimuth operator's second-difference scale 1 / (k0 r dtheta)^2
+    at ``r`` (a range or a vector of ranges); it has no local term."""
     return 1.0 / (k0 * r * delta_theta) ** 2
 
 
@@ -150,19 +152,13 @@ def assemble_azimuth_batch(coeff: complex, k0: float, ranges,
     is periodic.  On a sector grid the azimuth edge rows are imposed as
     identity equations u = 0 (Dirichlet edges), so the right-hand side must
     be zero there; a periodic grid has no edges.
-
-    Each range's coefficients come from Python floats, by the scalar
-    arithmetic of :func:`azimuth_stencil`, 1 / (k0 r dtheta)^2: numpy
-    squares an array by multiplication, and Python's ``x ** 2`` differs
-    from ``x * x`` in the last bit for about one value in a thousand.
     """
     ranges = np.atleast_1d(np.asarray(ranges, dtype=np.float64))
     if ranges.ndim != 1:
         raise ShapeError("ranges must be a vector")
-    scales = [azimuth_stencil(k0, r, delta_theta) for r in ranges.tolist()]
-    diag = np.array([1.0 - 2.0 * coeff * s for s in scales], dtype=np.complex128)
-    off = np.array([coeff * s for s in scales], dtype=np.complex128)
-    shape = (n_azimuth, len(scales))
+    off = coeff * azimuth_stencil(k0, ranges, delta_theta)
+    diag = 1.0 - 2.0 * off
+    shape = (n_azimuth, ranges.size)
     if topology == PERIODIC:
         off = np.broadcast_to(off, shape)
         return Diagonals(sub=off, main=np.broadcast_to(diag, shape), sup=off,

@@ -168,16 +168,18 @@ def _check_rerun_determinism():
              "rerun changed the recorded ranges")
 
 
-def separable_mode_error(topology: str) -> float:
+def separable_mode_error(topology: str) -> tuple:
     """Relative error of the separable mode sin(q pi l / n_depth) x
     (azimuth mode m: a cosine on a periodic grid, a sine zero on a sector's
     edge rows) after 200 lossless steps, across three ``AZIMUTH_BLOCK``
     boundaries, against the product of its closed-form step factors
 
-        g_j = (1 + cx_rhs lx) (1 + cy_rhs ly(r_j))
-              / ((1 + cx_lhs lx) (1 + cy_lhs ly(r_{j+1})))
+        g_j = (1 + cx_rhs lx) (1 + cy_rhs ly_j)
+              / ((1 + cx_lhs lx) (1 + cy_lhs ly_j))
 
-    with lx and ly(r) the mode's eigenvalues of X and Y."""
+    with lx the mode's eigenvalue of X and ly_j that of Y at step j's
+    midpoint range r_j + delta_r / 2; and |prod g_j|, which is 1 when
+    both sides of every step take the same Y."""
     grid, env, _, _ = demo_config(200, 36, 128, 10.0, topology, 0.0)
     q, m, k = 3, 2, np.arange(grid.n_azimuth)
     k0 = wavenumber(50.0, env.c0)
@@ -193,22 +195,22 @@ def separable_mode_error(topology: str) -> float:
         edge = grid.n_azimuth - 1
         azimuth = np.where(k < edge, np.sin(math.pi * m * k / edge), 0.0)
         y = -4.0 * math.sin(math.pi * m / (2 * edge)) ** 2
-    ly = [y / (k0 * grid.range_at(j) * grid.delta_theta) ** 2
-          for j in range(grid.n_range + 1)]
     u = np.outer(azimuth, depth).astype(np.complex128)
     start, gain = u.copy(), 1.0
     marcher = Marcher(grid, env, k0, coeffs)
     for j in range(grid.n_range):
         u = range_step(marcher, u, j)
-        gain *= (1 + coeffs.cx_rhs * lx) * (1 + coeffs.cy_rhs * ly[j]) \
-            / ((1 + coeffs.cx_lhs * lx) * (1 + coeffs.cy_lhs * ly[j + 1]))
-    return _relative_error(u, gain * start)
+        ly = y / (k0 * grid.range_at(j + 0.5) * grid.delta_theta) ** 2
+        gain *= (1 + coeffs.cx_rhs * lx) * (1 + coeffs.cy_rhs * ly) \
+            / ((1 + coeffs.cx_lhs * lx) * (1 + coeffs.cy_lhs * ly))
+    return _relative_error(u, gain * start), abs(gain)
 
 
 def _check_separable_mode():
     for topology in TOPOLOGIES:
-        err = separable_mode_error(topology)
+        err, gain = separable_mode_error(topology)
         _require(err <= 1e-12, f"{topology} mode error {err:.2e}")
+        _require(abs(gain - 1.0) <= 1e-13, f"{topology} |prod g_j| = {gain!r}")
 
 
 def _check_block_assignment():

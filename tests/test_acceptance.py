@@ -87,17 +87,18 @@ def test_criterion_02_dense_step_oracle():
         s_y = 1.0 / (k0 * r * grid.delta_theta) ** 2
         return np.kron(s_y * second_diff(3, True), np.eye(3))
 
+    r_mid = grid.r_start + 0.5 * grid.delta_r  # both sides' Y
     z_proj = np.eye(9)
     for m in range(3):
         z_proj[m * 3, m * 3] = 0.0
     explicit = (np.eye(9) + coeffs.cx_rhs * x_hat) @ (
-        np.eye(9) + coeffs.cy_rhs * y_hat(grid.r_start))
+        np.eye(9) + coeffs.cy_rhs * y_hat(r_mid))
     rhs = z_proj @ explicit @ (z_proj @ u0.ravel())
     a_mat = np.eye(9) + coeffs.cx_lhs * x_hat
     for m in range(3):
         a_mat[m * 3, :] = 0.0
         a_mat[m * 3, m * 3] = 1.0
-    b_mat = np.eye(9) + coeffs.cy_lhs * y_hat(grid.range_at(1))
+    b_mat = np.eye(9) + coeffs.cy_lhs * y_hat(r_mid)
     ref = (z_proj @ np.linalg.solve(b_mat, np.linalg.solve(a_mat, rhs))
            ).reshape(3, 3)
     err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))

@@ -26,9 +26,12 @@ from pe3d.selftest import separable_mode_error
 
 @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
 def test_separable_mode_matches_closed_form(topology):
-    # 200 steps on 36 x 128 cross three AZIMUTH_BLOCK boundaries; the
-    # step's norm growth, |prod g_j| != 1, is part of the closed form
-    assert separable_mode_error(topology) <= 1e-12
+    # 200 steps on 36 x 128 cross three AZIMUTH_BLOCK boundaries; both
+    # sides of a step take Y at its midpoint, so the lossless mode keeps
+    # its amplitude, |prod g_j| = 1
+    error, gain = separable_mode_error(topology)
+    assert error <= 1e-12
+    assert abs(gain - 1.0) <= 1e-13
 
 
 def test_lloyds_mirror():

@@ -44,14 +44,18 @@ class TestGrid3D:
             make_grid(**kwargs)
 
     def test_spacings_positive(self):
-        with pytest.raises(InvariantError, match="delta_z > 0"):
-            make_grid(delta_z=0.0)
-        with pytest.raises(InvariantError, match="delta_r > 0"):
-            make_grid(delta_r=-1.0)
+        # a spacing must be a real number, and not a bool, before its value
+        # is compared
+        for field, value in (("delta_z", 0.0), ("delta_r", -1.0),
+                             ("delta_r", "5.0"), ("delta_z", True),
+                             ("delta_theta", "0.785")):
+            with pytest.raises(InvariantError, match=f"^{field} > 0"):
+                make_grid(**{field: value})
 
     def test_r_start_positive(self):
-        with pytest.raises(InvariantError, match="r_start > 0"):
-            make_grid(r_start=0.0)
+        for value in (0.0, "5.0", False):
+            with pytest.raises(InvariantError, match="^r_start > 0"):
+                make_grid(r_start=value)
 
     def test_periodic_closure_enforced(self):
         with pytest.raises(InvariantError, match="periodic closure"):
@@ -144,9 +148,18 @@ class TestEnvironmentInvariants:
             SoundSpeedProfile(np.array([0.0, 0.0]), np.array([1500.0, 1500.0]))
 
     def test_c0_positive(self):
-        with pytest.raises(InvariantError, match="c0 > 0"):
-            Environment(c0=0.0, profile=SoundSpeedProfile.uniform(1500.0),
-                        absorber=Absorber(10.0, 0.0))
+        for c0 in (0.0, "1500", True):
+            with pytest.raises(InvariantError, match="^c0 > 0"):
+                Environment(c0=c0, profile=SoundSpeedProfile.uniform(1500.0),
+                            absorber=Absorber(10.0, 0.0))
+
+    @pytest.mark.parametrize("start_depth,max_attenuation,field", [
+        (-1.0, 0.01, "start_depth"), ("10", 0.01, "start_depth"),
+        (10.0, None, "max_attenuation"), (10.0, True, "max_attenuation"),
+    ])
+    def test_absorber_values(self, start_depth, max_attenuation, field):
+        with pytest.raises(InvariantError, match=f"^absorber.{field} >= 0"):
+            Absorber(start_depth, max_attenuation)
 
     def test_source_spec_validation(self):
         with pytest.raises(InvariantError, match="every frequency > 0"):

@@ -112,8 +112,8 @@ class TestRangeStep:
         assert after.tobytes() == values.tobytes()
 
     def test_advances_range_and_index(self):
-        # a step from index j solves the systems of the ranges at j and
-        # j + 1 into a new slab
+        # a step from index j solves the systems of its own midpoint range
+        # into a new slab
         config = make_config(n_azimuth=6, n_depth=24)
         values = random_slab_values(np.random.default_rng(8), config.grid)
         marcher, _ = make_marcher(config)
@@ -166,7 +166,7 @@ class TestRangeStep:
 
         s_z = 1.0 / (k0 * grid.delta_z) ** 2
         x_hat = np.kron(np.eye(3), s_z * second_diff(3, False))
-        r_old, r_new = grid.r_start, grid.range_at(1)
+        r_mid = grid.r_start + 0.5 * grid.delta_r  # both sides' Y
 
         def y_hat(r):
             s_y = 1.0 / (k0 * r * grid.delta_theta) ** 2
@@ -177,13 +177,13 @@ class TestRangeStep:
         for q in surface:
             z_proj[q, q] = 0.0
         explicit = (np.eye(9) + coeffs.cx_rhs * x_hat) @ (
-            np.eye(9) + coeffs.cy_rhs * y_hat(r_old))
+            np.eye(9) + coeffs.cy_rhs * y_hat(r_mid))
         rhs = z_proj @ explicit @ (z_proj @ u0.ravel())
         a_mat = np.eye(9) + coeffs.cx_lhs * x_hat
         for q in surface:
             a_mat[q, :] = 0.0
             a_mat[q, q] = 1.0
-        b_mat = np.eye(9) + coeffs.cy_lhs * y_hat(r_new)
+        b_mat = np.eye(9) + coeffs.cy_lhs * y_hat(r_mid)
         ref = (z_proj @ np.linalg.solve(
             b_mat, np.linalg.solve(a_mat, rhs))).reshape(3, 3)
         assert np.max(np.abs(out - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -202,10 +202,11 @@ class TestRangeStep:
         assert info.value.range_index == 1
 
     def test_singular_azimuth_solve_becomes_step_error(self):
-        # sector grid with k0 * r * delta_theta == 1 at step 2 (r = 10), so
-        # s = 1 and cy_lhs = 1/2 make the interior azimuth diagonal
-        # 1 - 2 * cy_lhs * s exactly zero: a zero pivot at row 1
-        grid = make_grid(n_azimuth=5, n_depth=8, delta_r=2.5, r_start=5.0,
+        # sector grid with k0 * r * delta_theta == 1 at the midpoint of the
+        # step to index 2 (r = 6.25 + 1.5 * 2.5 = 10), so s = 1 and
+        # cy_lhs = 1/2 make the interior azimuth diagonal 1 - 2 * cy_lhs * s
+        # exactly zero: a zero pivot at row 1
+        grid = make_grid(n_azimuth=5, n_depth=8, delta_r=2.5, r_start=6.25,
                          delta_z=1.0, delta_theta=0.1, topology=SECTOR)
         config = make_config(grid=grid)
         coeffs = StepCoefficients(delta=1j, cx_lhs=0.25 + 0.0j,
@@ -325,18 +326,19 @@ def reference_rhs(u, r, grid, n_field, k0, coeffs):
 def reference_step(u, j, grid, env, k0, coeffs):
     """One range step from the slab ``u`` at range index ``j``, with a
     matrix per member, assembled and factored in every step: the plain
-    form of the scheme the marcher shortcuts."""
+    form of the scheme the marcher shortcuts, with both sides' Y at the
+    step's midpoint range."""
     apply_boundary(u, grid)
-    r_new = grid.range_at(j + 1)
+    r_mid = grid.range_at(j + 0.5)
     n_field = medium_grid(env, grid)
-    rhs = reference_rhs(u, grid.range_at(j), grid, n_field, k0, coeffs)
+    rhs = reference_rhs(u, r_mid, grid, n_field, k0, coeffs)
     apply_boundary(rhs, grid)
     depth = reference_depth_matrix(coeffs.cx_lhs, n_field, k0, grid.delta_z)
     b = np.ascontiguousarray(rhs.T)
     b[0] = 0.0
     v = np.ascontiguousarray(_reference_open(*depth, b).T)
     full = per_member(assemble_azimuth_batch(
-        coeffs.cy_lhs, k0, [r_new], grid.delta_theta, grid.azimuth_topology,
+        coeffs.cy_lhs, k0, [r_mid], grid.delta_theta, grid.azimuth_topology,
         grid.n_azimuth), grid.n_depth)
     if grid.azimuth_topology == SECTOR:
         v[0] = 0.0
@@ -528,24 +530,28 @@ class TestStepArrays:
 
 
 class TestNormInvariants:
-    """An azimuth-uniform field sees only the depth sweep, a Crank-Nicolson
-    step with a real symmetric operator when the medium is lossless: it is
-    unitary, so the discrete L2 norm is conserved to rounding.  The
-    absorber makes every step a strict contraction."""
+    """Each sweep of a lossless step is a Crank-Nicolson step with a real
+    symmetric operator: X, and Y at the step's midpoint range on both
+    sides.  The step is unitary, so the discrete L2 norm of any field is
+    conserved to rounding, on periodic and sector grids.  The absorber
+    makes every step a strict contraction."""
 
     @staticmethod
-    def norms(attenuation):
-        """L2 norms of 400 steps from a random azimuth-uniform field in a
-        random sound-speed profile on an 8 x 129 periodic grid."""
+    def norms(attenuation, topology=PERIODIC, uniform=True):
+        """L2 norms of 400 steps from a random field in a random
+        sound-speed profile on an 8 x 129 grid: the same column at every
+        azimuth when ``uniform``, else random at every point."""
         rng = np.random.default_rng(41)
-        grid = make_grid(n_range=400, n_azimuth=8, n_depth=129)
+        grid = make_grid(n_range=400, n_azimuth=8, n_depth=129,
+                         topology=topology)
         knots = np.linspace(0.0, grid.depth_extent, 6)
         profile = SoundSpeedProfile(knots, 1500.0 + 20.0 * rng.standard_normal(6))
         env = make_env(grid, profile=profile, attenuation=attenuation)
         column = rng.standard_normal(grid.n_depth) \
             + 1j * rng.standard_normal(grid.n_depth)
-        column[0] = 0.0
-        values = np.tile(column, (grid.n_azimuth, 1))
+        values = np.tile(column, (grid.n_azimuth, 1)) if uniform \
+            else random_slab_values(rng, grid)
+        apply_boundary(values, grid)
         k0 = wavenumber(50.0, env.c0)
         marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, grid.delta_r))
         u = values.copy()
@@ -563,6 +569,17 @@ class TestNormInvariants:
 
     def test_absorber_norm_decreases_every_step(self):
         norms, _ = self.norms(attenuation=0.01)
+        assert np.all(np.diff(norms) < 0.0)
+
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_lossless_norm_conserved_varying_in_azimuth(self, topology):
+        norms, moved = self.norms(0.0, topology, uniform=False)
+        assert moved > 0.5
+        assert np.max(np.abs(norms / norms[0] - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_absorber_norm_decreases_varying_in_azimuth(self, topology):
+        norms, _ = self.norms(0.01, topology, uniform=False)
         assert np.all(np.diff(norms) < 0.0)
 
 
