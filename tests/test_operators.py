@@ -209,7 +209,8 @@ class TestAssembleAzimuthSystem:
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_block_of_ranges(self, topology):
         # one matrix per range, each with the bits of its own assembly and
-        # of the scalar coefficient arithmetic
+        # of the coefficient formula, squared by multiplication as numpy
+        # squares an array
         coeff = -0.26179938779914946j
         k0, delta_theta = 0.2094, 2 * math.pi / 9
         ranges = [15.0 + 5.0 * i for i in range(7)]
@@ -222,7 +223,8 @@ class TestAssembleAzimuthSystem:
             for name in ("sub", "main", "sup"):
                 assert np.ascontiguousarray(getattr(block, name)[:, j]).tobytes() \
                     == np.ascontiguousarray(getattr(alone, name)[:, 0]).tobytes()
-            s = 1.0 / (k0 * r * delta_theta) ** 2
+            x = k0 * r * delta_theta
+            s = 1.0 / (x * x)
             assert block.main[4, j] == 1.0 - 2.0 * coeff * s
             assert block.sub[4, j] == coeff * s
 
