@@ -4,28 +4,31 @@ transmission-loss assembly.
 One range step advances the slab from r to r + delta_r by
 
 1. applying the boundary conditions to the current slab,
-2. computing the explicit right-hand side,
+2. computing the explicit depth side (I + cx_rhs X) u,
 3. solving one depth system per azimuth index (intermediate slab v),
-4. solving one azimuth system per depth index (new slab u).
+4. solving one azimuth system per depth index, (I + cy_lhs Y) w = v,
+   and taking the new slab 2 w - v.
 
-Both sides take Y at the step's midpoint range r + delta_r / 2, which
-only :meth:`Marcher.azimuth` computes, so a lossless step keeps the norm
-(the paper puts the implicit side at the new range).  The identity rows
-of the assembled matrices keep the Dirichlet rows (the surface, a
-sector's edge azimuths) of the right-hand side, v and u zero.  All
-systems of one sweep share one matrix, so each sweep is a wide
-substitution through the batched solver, on the configured intra-step
-thread count.
+cy_rhs == -cy_lhs makes (I + cy_rhs Y) = 2I - (I + cy_lhs Y), so step 4
+is the azimuth half-step (I + cy_lhs Y)^-1 (I + cy_rhs Y) v in its "sum"
+form (Collins 1993, JASA 93(4)); X and Y act on different axes, so the
+half-steps commute.  Both sides take Y at the step's midpoint range
+r + delta_r / 2, which only :meth:`Marcher.azimuth` computes, so a
+lossless step keeps the norm (the paper puts the implicit side at the
+new range).  The identity rows of the assembled matrices keep the
+Dirichlet rows (the surface, a sector's edge azimuths) of the
+right-hand side, v and u zero.  All systems of one sweep share one
+matrix, so each sweep is a wide substitution through the batched
+solver, on the configured intra-step thread count.
 
 A step only streams: it assembles and factors nothing.  The medium is
 one depth profile, the same at every range and azimuth, so a
 :class:`Marcher` computes that profile and the two depth matrices on it
 (explicit, and factored implicit) once per frequency.  The azimuth
-matrices depend on range; the marcher assembles both sides' matrices of
-``AZIMUTH_BLOCK`` consecutive steps together and factors the implicit
-ones (the first block when it is built, each later one at the step that
-first needs it), and each step uses its own columns.  The explicit side
-is the product of the explicit matrices and the slab, computed in the
+matrices depend on range; the marcher assembles and factors those of
+``AZIMUTH_BLOCK`` consecutive steps together (the first block when it is
+built, each later one at the step that first needs it), and each step
+uses its own column.  The explicit depth side is computed in the
 marcher's two work arrays into its depth-major right-hand side, the
 depth sweep substitutes in place, and the only slab-sized allocation of
 a step is the new slab.
@@ -55,7 +58,7 @@ from .operators import (
     assemble_depth_batch,
     compute_rhs,
 )
-from .tridiag import SolveBatch, factor, solve_batch
+from .tridiag import Factors, SolveBatch, factor, solve_batch
 
 MAX_OUTPUT_SAMPLES = 512
 
@@ -72,8 +75,8 @@ class Marcher:
 
     Derived once from the depth profile of n: ``depth``, the explicit
     side's matrix (I + cx_rhs X) and the implicit side's factored
-    (I + cx_lhs X); and both sides' azimuth matrices of the first
-    ``AZIMUTH_BLOCK`` steps, later blocks as the march reaches them
+    (I + cx_lhs X); and the factored implicit azimuth matrices of the
+    first ``AZIMUTH_BLOCK`` steps, later blocks as the march reaches them
     (:meth:`azimuth`).  No field holds an (azimuth x depth) medium array.
     ``work`` holds two C-contiguous (n_azimuth, n_depth) arrays, which the
     explicit side also views depth-major, and ``rhs`` one depth-major
@@ -92,7 +95,7 @@ class Marcher:
     depth: tuple = field(init=False)
     work: tuple = field(init=False)
     rhs: np.ndarray = field(init=False)
-    _azimuth: tuple | None = field(init=False, default=None)
+    _azimuth: Factors | None = field(init=False, default=None)
     _azimuth_start: int = field(init=False, default=0)
 
     def __post_init__(self):
@@ -107,27 +110,28 @@ class Marcher:
         self.rhs = np.empty(shape[::-1], dtype=np.complex128)
         self.azimuth(0)  # the first block, with the rest of the set-up
 
-    def azimuth(self, j: int) -> tuple:
-        """The width-1 azimuth matrix of the explicit side (I + cy_rhs Y)
-        and the factors of that of the implicit side (I + cy_lhs Y) of
-        step ``j``, both with Y at its midpoint range r_j + delta_r / 2.
+    def azimuth(self, j: int) -> Factors:
+        """The width-1 factors of the implicit azimuth matrix
+        (I + cy_lhs Y) of step ``j``, with Y at its midpoint range
+        r_j + delta_r / 2; a :class:`DomainError` unless
+        0 <= j < n_range.
 
         When step ``j`` is outside the block made last, the matrices of
         steps ``j`` to ``j + AZIMUTH_BLOCK - 1`` (at most ``n_range - 1``)
-        are assembled, and the implicit ones factored, together.
+        are assembled and factored together.
         """
+        grid = self.grid
+        if not 0 <= j < grid.n_range:
+            raise DomainError(f"step {j} is not in [0, n_range) = "
+                              f"[0, {grid.n_range})")
         offset = j - self._azimuth_start
-        if self._azimuth is None or not 0 <= offset < self._azimuth[1].width:
-            grid = self.grid
+        if self._azimuth is None or not 0 <= offset < self._azimuth.width:
             steps = np.arange(j, min(j + AZIMUTH_BLOCK, grid.n_range))
-            explicit, implicit = (assemble_azimuth_batch(
-                coeff, self.k0, grid.range_at(steps + 0.5), grid.delta_theta,
-                grid.azimuth_topology, grid.n_azimuth)
-                for coeff in (self.coeffs.cy_rhs, self.coeffs.cy_lhs))
-            self._azimuth = explicit, factor(implicit)
+            self._azimuth = factor(assemble_azimuth_batch(
+                self.coeffs.cy_lhs, self.k0, grid.range_at(steps + 0.5),
+                grid.delta_theta, grid.azimuth_topology, grid.n_azimuth))
             self._azimuth_start, offset = j, 0
-        explicit, implicit = self._azimuth
-        return explicit.column(offset), implicit.column(offset)
+        return self._azimuth.column(offset)
 
 
 @dataclass(eq=False)
@@ -162,13 +166,13 @@ def apply_boundary(values: np.ndarray, grid: Grid3D) -> np.ndarray:
 
 def range_step(marcher: Marcher, u: np.ndarray, j: int) -> np.ndarray:
     """Advance the slab ``u`` at range index ``j`` one range step; returns
-    the slab at ``j + 1``.
+    the slab at ``j + 1``.  A :class:`DomainError` unless
+    0 <= j < n_range.
 
     The new slab is a new array; the marcher's arrays are overwritten.
     """
     grid = marcher.grid
-    if j + 1 > grid.n_range:
-        raise DomainError(f"step {j + 1} exceeds n_range {grid.n_range}")
+    lhs_y = marcher.azimuth(j)  # checks j first
     apply_boundary(u, grid)
 
     if marcher.coeffs.delta == 0:
@@ -177,8 +181,8 @@ def range_step(marcher: Marcher, u: np.ndarray, j: int) -> np.ndarray:
         # to the bit.
         return u
 
-    (rhs_y, lhs_y), (rhs_x, lhs_x) = marcher.azimuth(j), marcher.depth
-    rhs = compute_rhs(u, rhs_y, rhs_x, marcher.work, marcher.rhs)
+    rhs_x, lhs_x = marcher.depth
+    rhs = compute_rhs(u, rhs_x, marcher.work, marcher.rhs)
     try:
         solve_batch(SolveBatch(lhs_x, rhs), marcher.threads, out=rhs)
     except SingularSystemError as exc:
@@ -190,6 +194,8 @@ def range_step(marcher: Marcher, u: np.ndarray, j: int) -> np.ndarray:
         solve_batch(SolveBatch(lhs_y, v), marcher.threads, out=new)
     except SingularSystemError as exc:
         raise StepError(j + 1, "azimuth", exc) from exc
+    np.add(new, new, out=new)
+    np.subtract(new, v, out=new)
     return new
 
 

@@ -17,10 +17,12 @@ the whole slab.
 Exterior stencil values are zero (pressure-release surface, absorber-backed
 bottom, sector edges); the azimuth index wraps on a periodic grid.
 
-:func:`assemble_depth_batch` and :func:`assemble_azimuth_batch` build
-the matrices (I + c X) and (I + c Y) of both sides of the step: the
-implicit side factors them, and :func:`compute_rhs` multiplies the slab
-by them in arrays its caller owns.
+:func:`assemble_depth_batch` builds the depth matrices (I + c X) of both
+sides of the step: the implicit side factors its own, and
+:func:`compute_rhs` multiplies the slab by the explicit one in arrays
+its caller owns.  :func:`assemble_azimuth_batch` builds the implicit
+azimuth matrices (I + cy_lhs Y); the explicit one is 2I minus it
+(:class:`StepCoefficients`), so no step assembles it.
 
 Rounding: numpy's vectorised complex product uses fused multiply-adds, so
 ``a * b`` and ``b * a`` can differ in their last bits, and numpy evaluates
@@ -45,7 +47,9 @@ class StepCoefficients:
 
     For real k0 and delta_r, d is purely imaginary, which makes the exact
     identities cx_lhs + cx_rhs == 1/2 and cy_lhs + cy_rhs == 0 hold
-    bitwise (real and imaginary parts add independently).
+    bitwise (real and imaginary parts add independently).  The step
+    relies on the second: it makes (I + cy_rhs Y) = 2I - (I + cy_lhs Y),
+    so the azimuth half-step needs the implicit matrix only.
     """
 
     delta: complex
@@ -86,32 +90,27 @@ def azimuth_stencil(k0: float, r, delta_theta: float):
     return 1.0 / (k0 * r * delta_theta) ** 2
 
 
-def compute_rhs(u: np.ndarray, azimuth: Diagonals, depth: Diagonals,
-                work: tuple, out: np.ndarray) -> np.ndarray:
-    """Explicit side of the step,  [I + cx_rhs X] [I + cy_rhs Y] u,  for
-    the (n_azimuth, n_depth) slab ``u``, written into ``out`` depth-major,
+def compute_rhs(u: np.ndarray, depth: Diagonals, work: tuple,
+                out: np.ndarray) -> np.ndarray:
+    """Explicit depth side of the step,  [I + cx_rhs X] u,  for the
+    (n_azimuth, n_depth) slab ``u``, written into ``out`` depth-major,
     (n_depth, n_azimuth); returns ``out``.
 
-    ``azimuth`` and ``depth`` are the width-1 matrices (I + cy_rhs Y) at
-    the slab's range and (I + cx_rhs X), as :func:`assemble_azimuth_batch`
-    and :func:`assemble_depth_batch` build them; ``work`` is two
-    C-contiguous arrays of the slab's shape, overwritten.  The Y product
-    runs azimuth-major on ``u`` into ``work[0]``, one transposed copy puts
-    it depth-major into ``work[1]``, and the X product, which sits
-    outermost in the step factorization, runs from there into ``out``.
+    ``depth`` is the width-1 matrix (I + cx_rhs X), as
+    :func:`assemble_depth_batch` builds it; ``work`` is two C-contiguous
+    arrays of the slab's shape, overwritten.  One transposed copy puts
+    ``u`` depth-major into ``work[1]``, and the X product runs from there
+    into ``out``, with ``work[0]`` as its scratch.
     """
-    if u.shape != (azimuth.n, depth.n):
-        raise ShapeError(f"slab shape {u.shape} != grid "
-                         f"({azimuth.n}, {depth.n})")
+    if u.shape[1:] != (depth.n,):
+        raise ShapeError(f"slab shape {u.shape} != (n_azimuth, {depth.n})")
     if out.shape != u.shape[::-1] or any(
             w.shape != u.shape or not w.flags.c_contiguous for w in work):
         raise ShapeError("work arrays must be C-contiguous arrays of the "
                          "slab's shape, and out its transpose")
-    a, b = work
-    product(azimuth, u, a, b)
-    temp = b.reshape(out.shape)
-    np.copyto(temp, a.T)
-    return product(depth, temp, out, a.reshape(out.shape))
+    spare, temp = (w.reshape(out.shape) for w in work)
+    np.copyto(temp, u.T)
+    return product(depth, temp, out, spare)
 
 
 def assemble_depth_batch(coeff: complex, profile: np.ndarray, k0: float,

@@ -11,7 +11,7 @@ out one of them.  The right-hand sides are laid out structure-of-arrays:
 one row per elimination index, contiguous across the batch, so every
 inner-loop operation is a unit-stride vector op over batch members, with
 the factors broadcast across them.  :func:`product` multiplies the
-columns of such an array by one matrix, for the explicit side.
+columns of such an array by one open matrix, for the explicit depth side.
 
 Determinism: every kernel operation is elementwise per batch member (and
 per factored column), and numpy elementwise complex arithmetic is
@@ -91,12 +91,6 @@ class Diagonals:
     @property
     def n(self) -> int:
         return self.main.shape[0]
-
-    def column(self, j: int) -> "Diagonals":
-        """Matrix ``j`` on its own, as width-1 diagonals."""
-        cut = slice(j, j + 1)
-        return Diagonals(self.sub[:, cut], self.main[:, cut],
-                         self.sup[:, cut], self.topology)
 
 
 @dataclass(eq=False)
@@ -346,26 +340,23 @@ def _substitute(factors: Factors, rhs: np.ndarray, x: np.ndarray):
 
 def product(diagonals: Diagonals, x: np.ndarray, out: np.ndarray,
             spare: np.ndarray) -> np.ndarray:
-    """The matrix of width-1 ``diagonals`` times every column of the
+    """The open matrix of width-1 ``diagonals`` times every column of the
     (n, members) array ``x``, into ``out``, with ``spare`` as scratch of
     that shape; returns ``out``.
 
     Each product has the diagonal as its first operand and is written
     into ``spare`` or ``out``, distinct from its operands; a row adds its
-    sub, then its super term to its main one, then its cyclic corner.
+    sub, then its super term to its main one.
     """
-    if diagonals.main.shape[1] != 1 or x.ndim != 2 or len(x) != diagonals.n:
-        raise ShapeError(f"x of shape {x.shape} times width-1 diagonals of "
-                         f"{diagonals.n} rows")
-    sub, main, sup = diagonals.sub, diagonals.main, diagonals.sup
-    cyclic = diagonals.topology == CYCLIC
+    if diagonals.topology != OPEN or diagonals.main.shape[1] != 1 \
+            or x.ndim != 2 or len(x) != diagonals.n:
+        raise ShapeError(f"x of shape {x.shape} times one open matrix of "
+                         f"{diagonals.n} rows, got {diagonals.topology} "
+                         f"diagonals of width {diagonals.main.shape[1]}")
     multiply = np.multiply
-    multiply(main, x, out=out)
-    out[1:] += multiply(sub[1:] if cyclic else sub, x[:-1], out=spare[1:])
-    out[:-1] += multiply(sup[:-1] if cyclic else sup, x[1:], out=spare[:-1])
-    if cyclic:
-        out[:1] += multiply(sub[:1], x[-1:], out=spare[:1])
-        out[-1:] += multiply(sup[-1:], x[:1], out=spare[-1:])
+    multiply(diagonals.main, x, out=out)
+    out[1:] += multiply(diagonals.sub, x[:-1], out=spare[1:])
+    out[:-1] += multiply(diagonals.sup, x[1:], out=spare[:-1])
     return out
 
 

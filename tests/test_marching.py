@@ -91,8 +91,7 @@ class TestSlabShape:
         with pytest.raises(ShapeError):
             apply_boundary(u, grid)
         with pytest.raises(ShapeError):
-            compute_rhs(u, marcher.azimuth(0)[0], marcher.depth[0],
-                        marcher.work, marcher.rhs)
+            compute_rhs(u, marcher.depth[0], marcher.work, marcher.rhs)
 
     def test_grid_mismatch(self):
         self.rejects(np.zeros((4, 4), dtype=complex), make_grid())
@@ -123,12 +122,17 @@ class TestRangeStep:
         assert not np.array_equal(range_step(marcher, values.copy(), 1), first)
 
     def test_step_beyond_grid_rejected(self):
+        # a step index is one of 0 .. n_range - 1, for the step and for
+        # the azimuth factors it takes, which would otherwise have width 0
         config = make_config(n_range=3)
         marcher, u = make_marcher(config)
         for j in range(3):
             u = range_step(marcher, u, j)
-        with pytest.raises(DomainError, match="n_range"):
-            range_step(marcher, u, 3)
+        for j in (-1, 3, 4):
+            with pytest.raises(DomainError, match="n_range"):
+                range_step(marcher, u, j)
+            with pytest.raises(DomainError, match="n_range"):
+                marcher.azimuth(j)
 
     def test_azimuth_symmetry_preserved_one_step(self):
         config = make_config(n_azimuth=16, n_depth=48)
@@ -295,58 +299,40 @@ def per_member(diagonals, width):
             for d in (diagonals.sub, diagonals.main, diagonals.sup)]
 
 
-def reference_product(sub, main, sup, x, cyclic):
-    """Each member (column) of ``x`` times its own matrix, the columns of
-    ``sub``, ``main`` and ``sup``, as whole-array numpy expressions with
-    the operand order and sums of ``tridiag.product``."""
+def reference_product(sub, main, sup, x):
+    """Each member (column) of ``x`` times its own open matrix, the
+    columns of ``sub``, ``main`` and ``sup``, as whole-array numpy
+    expressions with the operand order and sums of ``tridiag.product``."""
     y = main * x
-    if cyclic:
-        y[1:] += sub[1:] * x[:-1]
-        y[:-1] += sup[:-1] * x[1:]
-        y[0] += sub[0] * x[-1]
-        y[-1] += sup[-1] * x[0]
-    else:
-        y[1:] += sub * x[:-1]
-        y[:-1] += sup * x[1:]
+    y[1:] += sub * x[:-1]
+    y[:-1] += sup * x[1:]
     return y
-
-
-def reference_rhs(u, r, grid, n_field, k0, coeffs):
-    """The explicit side [I + cx_rhs X] [I + cy_rhs Y] u as plain
-    products with a matrix per member: temp = (I + cy_rhs Y) u per depth
-    index, then (I + cx_rhs X) temp per azimuth."""
-    azimuth = assemble_azimuth_batch(coeffs.cy_rhs, k0, [r], grid.delta_theta,
-                                     grid.azimuth_topology, grid.n_azimuth)
-    temp = reference_product(*per_member(azimuth, grid.n_depth), u,
-                             grid.azimuth_topology == PERIODIC)
-    depth = reference_depth_matrix(coeffs.cx_rhs, n_field, k0, grid.delta_z)
-    return reference_product(*depth, np.ascontiguousarray(temp.T), False).T
 
 
 def reference_step(u, j, grid, env, k0, coeffs):
     """One range step from the slab ``u`` at range index ``j``, with a
     matrix per member, assembled and factored in every step: the plain
-    form of the scheme the marcher shortcuts, with both sides' Y at the
-    step's midpoint range."""
+    form of the scheme the marcher shortcuts, with Y at the step's
+    midpoint range.  The explicit depth side is a product; the azimuth
+    half-step is 2 w - v with (I + cy_lhs Y) w = v, since
+    (I + cy_rhs Y) = 2I - (I + cy_lhs Y)."""
     apply_boundary(u, grid)
-    r_mid = grid.range_at(j + 0.5)
     n_field = medium_grid(env, grid)
-    rhs = reference_rhs(u, r_mid, grid, n_field, k0, coeffs)
-    apply_boundary(rhs, grid)
-    depth = reference_depth_matrix(coeffs.cx_lhs, n_field, k0, grid.delta_z)
-    b = np.ascontiguousarray(rhs.T)
+    explicit = reference_depth_matrix(coeffs.cx_rhs, n_field, k0, grid.delta_z)
+    b = reference_product(*explicit, np.ascontiguousarray(u.T))
     b[0] = 0.0
+    depth = reference_depth_matrix(coeffs.cx_lhs, n_field, k0, grid.delta_z)
     v = np.ascontiguousarray(_reference_open(*depth, b).T)
     full = per_member(assemble_azimuth_batch(
-        coeffs.cy_lhs, k0, [r_mid], grid.delta_theta, grid.azimuth_topology,
-        grid.n_azimuth), grid.n_depth)
+        coeffs.cy_lhs, k0, [grid.range_at(j + 0.5)], grid.delta_theta,
+        grid.azimuth_topology, grid.n_azimuth), grid.n_depth)
     if grid.azimuth_topology == SECTOR:
         v[0] = 0.0
         v[-1] = 0.0
-        u = _reference_open(*full, v)
+        w = _reference_open(*full, v)
     else:
-        u = _reference_cyclic(*full, v)
-    return apply_boundary(np.ascontiguousarray(u), grid)
+        w = _reference_cyclic(*full, v)
+    return apply_boundary(2.0 * w - v, grid)
 
 
 class TestReferenceStepper:
@@ -469,26 +455,38 @@ class TestStepArrays:
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_step_factors_nothing(self, topology, monkeypatch):
-        grid = make_grid(n_range=8, n_azimuth=12, n_depth=24,
+        # within a block a step assembles and factors nothing; a march one
+        # step longer than a block assembles the azimuth matrices of each
+        # block once, the implicit side's: the explicit side is 2I minus them
+        grid = make_grid(n_range=AZIMUTH_BLOCK + 1, n_azimuth=12, n_depth=24,
                          topology=topology)
-        marcher, u = make_marcher(make_config(grid=grid))
+        calls = []
+        assemble = marching_module.assemble_azimuth_batch
+
+        def counted(coeff, *args):
+            calls.append(coeff)
+            return assemble(coeff, *args)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("called by a range step")
 
-        for name in ("factor", "assemble_azimuth_batch",
-                     "assemble_depth_batch", "refraction_index_grid"):
-            monkeypatch.setattr(marching_module, name, forbidden)
-        monkeypatch.setattr(operators_module, "depth_stencil", forbidden)
-        for j in range(grid.n_range):
-            u = range_step(marcher, u, j)
+        monkeypatch.setattr(marching_module, "assemble_azimuth_batch", counted)
+        marcher, u = make_marcher(make_config(grid=grid))
+        with monkeypatch.context() as patch:
+            for name in ("factor", "assemble_azimuth_batch",
+                         "assemble_depth_batch", "refraction_index_grid"):
+                patch.setattr(marching_module, name, forbidden)
+            patch.setattr(operators_module, "depth_stencil", forbidden)
+            for j in range(AZIMUTH_BLOCK):
+                u = range_step(marcher, u, j)
+        range_step(marcher, u, AZIMUTH_BLOCK)
+        assert calls == [marcher.coeffs.cy_lhs] * 2
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_marcher_retains_no_medium_grid(self, topology):
         # the work arrays and rhs are 3 slabs; the medium, the depth
-        # matrices and the azimuth matrices of a block are depth profiles or
-        # azimuth rows: 3.46 slabs periodic, 3.55 on the sector, whose block
-        # of explicit azimuth diagonals is stored, 3 x n_azimuth x width
+        # matrices and the azimuth factors of a block are depth profiles or
+        # azimuth rows: 3.18 slabs periodic, 3.16 on the sector
         grid = make_grid(n_range=8, n_azimuth=72, n_depth=256,
                          topology=topology)
         config = make_config(grid=grid)

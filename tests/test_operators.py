@@ -21,13 +21,6 @@ def second_diff_dirichlet(n):
     return t
 
 
-def second_diff_periodic(n):
-    t = second_diff_dirichlet(n)
-    t[0, n - 1] += 1.0
-    t[n - 1, 0] += 1.0
-    return t
-
-
 class TestStepCoefficients:
     def test_for_step_values(self):
         k0 = wavenumber(50.0, 1500.0)
@@ -227,6 +220,21 @@ class TestAssembleAzimuthSystem:
             s = 1.0 / (x * x)
             assert block.main[4, j] == 1.0 - 2.0 * coeff * s
             assert block.sub[4, j] == coeff * s
+        # the step's identity: the explicit matrices (I + cy_rhs Y) are
+        # 2I - (I + cy_lhs Y), bitwise off the main diagonal and on a
+        # sector's identity rows, to rounding on the main diagonal
+        coeffs = StepCoefficients.for_step(k0, 5.0)
+        implicit, explicit = (
+            assemble_azimuth_batch(c, k0, ranges, delta_theta, topology, 9)
+            for c in (coeffs.cy_lhs, coeffs.cy_rhs))
+        for name in ("sub", "sup"):
+            assert getattr(explicit, name).tobytes() \
+                == (0.0 - getattr(implicit, name)).tobytes()
+        mirror = 2.0 - implicit.main
+        rows = [0, -1] if topology == SECTOR else []
+        assert explicit.main[rows].tobytes() == mirror[rows].tobytes()
+        assert np.max(np.abs(explicit.main - mirror)) \
+            <= 1e-15 * np.max(np.abs(mirror))
 
     def test_sector_solve_leaves_rhs_unchanged(self):
         grid = make_grid(n_azimuth=6, n_depth=4, topology=SECTOR)
@@ -238,15 +246,11 @@ class TestAssembleAzimuthSystem:
 
 
 def explicit_side(u, coeffs, n_field, k0, grid):
-    """:func:`compute_rhs` at the starter range into new arrays, returned
-    azimuth-major."""
+    """:func:`compute_rhs` into new arrays, returned azimuth-major."""
     work = tuple(np.empty_like(u) for _ in range(2))
     out = np.empty(u.shape[::-1], dtype=complex)
-    azimuth = assemble_azimuth_batch(coeffs.cy_rhs, k0, grid.r_start,
-                                     grid.delta_theta, grid.azimuth_topology,
-                                     grid.n_azimuth)
     depth = assemble_depth_batch(coeffs.cx_rhs, n_field, k0, grid.delta_z)
-    return compute_rhs(u, azimuth, depth, work, out).T
+    return compute_rhs(u, depth, work, out).T
 
 
 def relative_error(x, reference):
@@ -261,9 +265,10 @@ class TestComputeRhs:
         assert np.all(out == 0.0)
 
     def test_azimuth_constant_reduces_to_x_factor(self):
-        # to rounding: the Y product sums (1 - 2 c s) u + c s u + c s u;
-        # the surface row, the identity equation of the depth matrix, is
-        # Dirichlet data that the step sets to zero
+        # compute_rhs is the X factor alone, which for a field constant in
+        # azimuth is the whole explicit side, Y annihilating it on the
+        # ring; the surface row, the identity equation of the depth
+        # matrix, is Dirichlet data that the step sets to zero
         rng = np.random.default_rng(9)
         grid = make_grid(n_azimuth=6, n_depth=16)
         k0 = wavenumber(50.0, 1500.0)
@@ -276,7 +281,7 @@ class TestComputeRhs:
         assert relative_error(out[:, 1:], expected[:, 1:]) <= 1e-14
 
     def test_dense_kronecker_oracle(self):
-        # 3x3 slab against explicitly formed 9x9 factors
+        # 3x3 slab against an explicitly formed 9x9 factor
         rng = np.random.default_rng(21)
         grid = make_grid(n_azimuth=3, n_depth=3, delta_z=7.0, r_start=40.0)
         k0 = wavenumber(50.0, 1500.0)
@@ -285,12 +290,9 @@ class TestComputeRhs:
         out = explicit_side(u.copy(), coeffs, np.ones(3), k0, grid)
 
         s_z = 1.0 / (k0 * grid.delta_z) ** 2
-        s_y = 1.0 / (k0 * grid.r_start * grid.delta_theta) ** 2
         x_hat = np.kron(np.eye(3), s_z * second_diff_dirichlet(3))
         x_hat[::3] = 0.0  # the surface rows: identity equations
-        y_hat = np.kron(s_y * second_diff_periodic(3), np.eye(3))
-        dense = (np.eye(9) + coeffs.cx_rhs * x_hat) @ (
-            np.eye(9) + coeffs.cy_rhs * y_hat) @ u.ravel()
+        dense = (np.eye(9) + coeffs.cx_rhs * x_hat) @ u.ravel()
         assert np.max(np.abs(out.ravel() - dense)) \
             <= 1e-13 * np.max(np.abs(dense))
 
@@ -339,25 +341,24 @@ class TestComputeRhsArrays:
         grid = make_grid(n_azimuth=5, n_depth=12)
         coeffs = StepCoefficients.for_step(0.2, 5.0)
         u = random_slab_values(rng, grid)
-        azimuth = assemble_azimuth_batch(coeffs.cy_rhs, 0.2, grid.r_start,
-                                         grid.delta_theta, PERIODIC, 5)
         depth = assemble_depth_batch(coeffs.cx_rhs, np.ones(12), 0.2,
                                      grid.delta_z)
         work = tuple(np.empty((5, 12), dtype=complex) for _ in range(2))
         out = np.empty((12, 5), dtype=complex)
-        assert compute_rhs(u, azimuth, depth, work, out) is out
+        assert compute_rhs(u, depth, work, out) is out
         with pytest.raises(ShapeError):
-            compute_rhs(u, azimuth, depth, work,
-                        np.empty((5, 12), dtype=complex))
+            compute_rhs(u, depth, work, np.empty((5, 12), dtype=complex))
         with pytest.raises(ShapeError):
-            compute_rhs(u, azimuth, depth,
+            compute_rhs(u, depth,
                         work[:1] + (np.empty((12, 5), dtype=complex),), out)
         with pytest.raises(ShapeError):  # its depth-major reshape would copy
-            compute_rhs(u, azimuth, depth,
+            compute_rhs(u, depth,
                         work[:1] + (np.empty((12, 5), dtype=complex).T,), out)
         with pytest.raises(ShapeError):  # a depth matrix of another grid
-            compute_rhs(u, azimuth, assemble_depth_batch(
+            compute_rhs(u, assemble_depth_batch(
                 coeffs.cx_rhs, np.ones(10), 0.2, grid.delta_z), work, out)
+        with pytest.raises(ShapeError):  # a slab of another grid
+            compute_rhs(u[:4], depth, work, out[:, :4])
 
 
 class TestBatchAssembly:

@@ -323,14 +323,13 @@ class TestWideFactor:
     @pytest.mark.parametrize("topology", [OPEN, CYCLIC])
     def test_columns_equal_width_one_factors(self, topology):
         rng = np.random.default_rng(21)
-        wide = wide_diagonals([random_system(rng, 40, topology)[0]
-                               for _ in range(64)])
-        factors = factor(wide)
+        matrices = [random_system(rng, 40, topology)[0] for _ in range(64)]
+        factors = factor(wide_diagonals(matrices))
         assert factors.width == 64 and factors.singular is None
         names = ("cp", "inv", "q", "weight", "denom") if topology == CYCLIC \
             else ("cp", "inv")
         for j in range(64):
-            alone = factor(wide.column(j))
+            alone = factor(matrices[j])
             col = factors.column(j)
             assert col.width == 1 and col.singular is None
             for name in names:
@@ -380,9 +379,12 @@ def multiply(diagonals, x):
 
 
 class TestProduct:
+    """Open matrices only: the explicit side multiplies by the depth
+    matrix alone."""
+
     @pytest.mark.parametrize("width", [1, 97])
     @pytest.mark.parametrize("n", [3, 40])
-    @pytest.mark.parametrize("topology", [OPEN, CYCLIC])
+    @pytest.mark.parametrize("topology", [OPEN])
     def test_matches_dense(self, topology, n, width):
         rng = np.random.default_rng(n + width)
         d, _ = random_system(rng, n, topology)
@@ -391,7 +393,7 @@ class TestProduct:
         assert np.max(np.abs(multiply(d, x) - want)) \
             <= 1e-14 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("topology", [OPEN, CYCLIC])
+    @pytest.mark.parametrize("topology", [OPEN])
     def test_member_alone_has_its_bits_in_a_wide_call(self, topology):
         rng = np.random.default_rng(31)
         d, _ = random_system(rng, 40, topology)
@@ -406,8 +408,11 @@ class TestProduct:
         d, _ = random_system(rng, 5, OPEN)
         with pytest.raises(ShapeError):
             multiply(d, random_members(rng, 6, 2))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="one open matrix"):
             multiply(wide_diagonals([d, d]), random_members(rng, 5, 2))
+        cyclic, _ = random_system(rng, 5, CYCLIC)
+        with pytest.raises(ShapeError, match="one open matrix"):
+            multiply(cyclic, random_members(rng, 5, 2))
 
 
 class TestSolverProperties:
