@@ -3,35 +3,38 @@ transmission-loss assembly.
 
 One range step advances the slab from r to r + delta_r by
 
-1. applying the boundary conditions to the current slab,
-2. computing the explicit depth side (I + cx_rhs X) u,
-3. solving one depth system per azimuth index (intermediate slab v),
-4. solving one azimuth system per depth index, (I + cy_lhs Y) w = v,
+1. applying the boundary conditions to the current slab u,
+2. copying u depth-major into t and solving one depth system per
+   azimuth index, (I + cx_lhs X) s = t, and taking
+   t + (1 - rho)(s - t) as the intermediate slab v,
+3. solving one azimuth system per depth index, (I + cy_lhs Y) w = v,
    and taking the new slab 2 w - v.
 
-cy_rhs == -cy_lhs makes (I + cy_rhs Y) = 2I - (I + cy_lhs Y), so step 4
-is the azimuth half-step (I + cy_lhs Y)^-1 (I + cy_rhs Y) v in its "sum"
-form (Collins 1993, JASA 93(4)); X and Y act on different axes, so the
-half-steps commute.  Both sides take Y at the step's midpoint range
+With rho = cx_rhs / cx_lhs, (I + cx_rhs X) = rho (I + cx_lhs X) +
+(1 - rho) I, and cy_rhs == -cy_lhs makes (I + cy_rhs Y) =
+2I - (I + cy_lhs Y).  So steps 2 and 3 are the half-steps
+(I + c_lhs A)^-1 (I + c_rhs A) in their "sum" form (Collins 1993, JASA
+93(4)), each from one solve and its right-hand side, and no explicit
+matrix is assembled or multiplied.  X and Y act on different axes, so
+the half-steps commute.  Both sides take Y at the step's midpoint range
 r + delta_r / 2, which only :meth:`Marcher.azimuth` computes, so a
 lossless step keeps the norm (the paper puts the implicit side at the
 new range).  The identity rows of the assembled matrices keep the
-Dirichlet rows (the surface, a sector's edge azimuths) of the
-right-hand side, v and u zero.  All systems of one sweep share one
-matrix, so each sweep is a wide substitution through the batched
-solver, on the configured intra-step thread count.
+Dirichlet rows (the surface, a sector's edge azimuths) of t, s, v and
+w zero.  All systems of one sweep share one matrix, so each sweep is a
+wide substitution through the batched solver, on the configured
+intra-step thread count.
 
 A step only streams: it assembles and factors nothing.  The medium is
 one depth profile, the same at every range and azimuth, so a
-:class:`Marcher` computes that profile and the two depth matrices on it
-(explicit, and factored implicit) once per frequency.  The azimuth
-matrices depend on range; the marcher assembles and factors those of
-``AZIMUTH_BLOCK`` consecutive steps together (the first block when it is
-built, each later one at the step that first needs it), and each step
-uses its own column.  The explicit depth side is computed in the
-marcher's two work arrays into its depth-major right-hand side, the
-depth sweep substitutes in place, and the only slab-sized allocation of
-a step is the new slab.
+:class:`Marcher` computes that profile and factors the depth matrix on
+it once per frequency.  The azimuth matrices depend on range; the
+marcher assembles and factors those of ``AZIMUTH_BLOCK`` consecutive
+steps together (the first block when it is built, each later one at the
+step that first needs it), and each step uses its own column.  t and s
+live in the marcher's two work arrays, v takes t's array once s is
+formed, and the only slab-sized allocation of a step is the new slab,
+which also holds (1 - rho)(s - t) until the azimuth solve overwrites it.
 """
 
 from __future__ import annotations
@@ -73,15 +76,14 @@ class Marcher:
     """What stays fixed while one frequency is marched, what is derived
     from it once, and the arrays every step reuses.
 
-    Derived once from the depth profile of n: ``depth``, the explicit
-    side's matrix (I + cx_rhs X) and the implicit side's factored
-    (I + cx_lhs X); and the factored implicit azimuth matrices of the
-    first ``AZIMUTH_BLOCK`` steps, later blocks as the march reaches them
-    (:meth:`azimuth`).  No field holds an (azimuth x depth) medium array.
-    ``work`` holds two C-contiguous (n_azimuth, n_depth) arrays, which the
-    explicit side also views depth-major, and ``rhs`` one depth-major
-    (n_depth, n_azimuth) array; every step overwrites them, so a marcher
-    serves one march at a time.
+    Derived once from the depth profile of n: ``depth``, the factored
+    implicit depth matrix (I + cx_lhs X); and the factored implicit
+    azimuth matrices of the first ``AZIMUTH_BLOCK`` steps, later blocks
+    as the march reaches them (:meth:`azimuth`).  Neither half-step has
+    an explicit matrix, and no field holds an (azimuth x depth) medium
+    array.  ``work`` holds two C-contiguous (n_azimuth, n_depth) arrays,
+    which the depth half-step views depth-major; every step overwrites
+    them, so a marcher serves one march at a time.
 
     A singular depth or azimuth matrix is not reported here but by the
     first step that solves with it, as a :class:`StepError`.
@@ -92,22 +94,18 @@ class Marcher:
     k0: float
     coeffs: StepCoefficients
     threads: int = 1
-    depth: tuple = field(init=False)
+    depth: Factors = field(init=False)
     work: tuple = field(init=False)
-    rhs: np.ndarray = field(init=False)
     _azimuth: Factors | None = field(init=False, default=None)
     _azimuth_start: int = field(init=False, default=0)
 
     def __post_init__(self):
         grid = self.grid
-        profile = refraction_index_grid(self.environment, grid)
-        explicit, implicit = (
-            assemble_depth_batch(coeff, profile, self.k0, grid.delta_z)
-            for coeff in (self.coeffs.cx_rhs, self.coeffs.cx_lhs))
-        self.depth = explicit, factor(implicit)
+        self.depth = factor(assemble_depth_batch(
+            self.coeffs.cx_lhs, refraction_index_grid(self.environment, grid),
+            self.k0, grid.delta_z))
         shape = (grid.n_azimuth, grid.n_depth)
         self.work = tuple(np.empty(shape, dtype=np.complex128) for _ in range(2))
-        self.rhs = np.empty(shape[::-1], dtype=np.complex128)
         self.azimuth(0)  # the first block, with the rest of the set-up
 
     def azimuth(self, j: int) -> Factors:
@@ -171,25 +169,32 @@ def range_step(marcher: Marcher, u: np.ndarray, j: int) -> np.ndarray:
 
     The new slab is a new array; the marcher's arrays are overwritten.
     """
-    grid = marcher.grid
+    grid, coeffs = marcher.grid, marcher.coeffs
     lhs_y = marcher.azimuth(j)  # checks j first
     apply_boundary(u, grid)
 
-    if marcher.coeffs.delta == 0:
+    if coeffs.delta == 0:
         # Zero range increment: the implicit and explicit factors coincide,
         # so the step is the identity and is short-circuited to keep it so
         # to the bit.
         return u
 
-    rhs_x, lhs_x = marcher.depth
-    rhs = compute_rhs(u, rhs_x, marcher.work, marcher.rhs)
+    # 1 - rho, without the cancellation of subtracting rho from 1
+    weight = (coeffs.cx_lhs - coeffs.cx_rhs) / coeffs.cx_lhs
+    first, second = marcher.work
+    t = compute_rhs(u, first.reshape(grid.n_depth, grid.n_azimuth))
+    s = second.reshape(t.shape)
     try:
-        solve_batch(SolveBatch(lhs_x, rhs), marcher.threads, out=rhs)
+        solve_batch(SolveBatch(marcher.depth, t), marcher.threads, out=s)
     except SingularSystemError as exc:
         raise StepError(j + 1, "depth", exc) from exc
-    v = marcher.work[0]
-    np.copyto(v, rhs.T)
-    new = np.empty_like(v)
+    new = np.empty_like(first)
+    scaled = new.reshape(t.shape)  # a product's own array until w fills it
+    np.subtract(s, t, out=s)
+    np.multiply(s, weight, out=scaled)
+    np.add(t, scaled, out=s)
+    v = first  # t is dead once s is formed
+    np.copyto(v, s.T)
     try:
         solve_batch(SolveBatch(lhs_y, v), marcher.threads, out=new)
     except SingularSystemError as exc:

@@ -17,12 +17,13 @@ the whole slab.
 Exterior stencil values are zero (pressure-release surface, absorber-backed
 bottom, sector edges); the azimuth index wraps on a periodic grid.
 
-:func:`assemble_depth_batch` builds the depth matrices (I + c X) of both
-sides of the step: the implicit side factors its own, and
-:func:`compute_rhs` multiplies the slab by the explicit one in arrays
-its caller owns.  :func:`assemble_azimuth_batch` builds the implicit
-azimuth matrices (I + cy_lhs Y); the explicit one is 2I minus it
-(:class:`StepCoefficients`), so no step assembles it.
+:func:`assemble_depth_batch` and :func:`assemble_azimuth_batch` build
+the implicit matrices (I + cx_lhs X) and (I + cy_lhs Y) alone.  Each
+explicit matrix is a combination of its implicit one and I
+(:class:`StepCoefficients`), so the step takes both half-steps in sum
+form, from a solve and its right-hand side, and no explicit matrix is
+assembled or multiplied.  :func:`compute_rhs` copies the slab
+depth-major for the depth solve.
 
 Rounding: numpy's vectorised complex product uses fused multiply-adds, so
 ``a * b`` and ``b * a`` can differ in their last bits, and numpy evaluates
@@ -38,7 +39,7 @@ import numpy as np
 
 from .environment import PERIODIC
 from .errors import InvariantError, ShapeError
-from .tridiag import OPEN, CYCLIC, Diagonals, product
+from .tridiag import OPEN, CYCLIC, Diagonals
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,11 @@ class StepCoefficients:
 
     For real k0 and delta_r, d is purely imaginary, which makes the exact
     identities cx_lhs + cx_rhs == 1/2 and cy_lhs + cy_rhs == 0 hold
-    bitwise (real and imaginary parts add independently).  The step
-    relies on the second: it makes (I + cy_rhs Y) = 2I - (I + cy_lhs Y),
-    so the azimuth half-step needs the implicit matrix only.
+    bitwise (real and imaginary parts add independently).  The second
+    makes (I + cy_rhs Y) = 2I - (I + cy_lhs Y).  With rho = cx_rhs /
+    cx_lhs (cx_lhs has real part 1/4 from :meth:`for_step`, and is checked
+    to be nonzero), (I + cx_rhs X) = rho (I + cx_lhs X) + (1 - rho) I.
+    So each half-step needs its implicit matrix only.
     """
 
     delta: complex
@@ -63,6 +66,8 @@ class StepCoefficients:
             raise InvariantError("cx_lhs + cx_rhs == 1/2 exactly")
         if self.cy_lhs + self.cy_rhs != 0.0 + 0.0j:
             raise InvariantError("cy_lhs + cy_rhs == 0 exactly")
+        if self.cx_lhs == 0:
+            raise InvariantError("cx_lhs != 0")
 
     @classmethod
     def for_step(cls, k0: float, delta_r: float) -> "StepCoefficients":
@@ -90,27 +95,21 @@ def azimuth_stencil(k0: float, r, delta_theta: float):
     return 1.0 / (k0 * r * delta_theta) ** 2
 
 
-def compute_rhs(u: np.ndarray, depth: Diagonals, work: tuple,
-                out: np.ndarray) -> np.ndarray:
-    """Explicit depth side of the step,  [I + cx_rhs X] u,  for the
-    (n_azimuth, n_depth) slab ``u``, written into ``out`` depth-major,
+def compute_rhs(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The right-hand side of the step's depth solve: the (n_azimuth,
+    n_depth) slab ``u`` copied depth-major into ``out``, of shape
     (n_depth, n_azimuth); returns ``out``.
 
-    ``depth`` is the width-1 matrix (I + cx_rhs X), as
-    :func:`assemble_depth_batch` builds it; ``work`` is two C-contiguous
-    arrays of the slab's shape, overwritten.  One transposed copy puts
-    ``u`` depth-major into ``work[1]``, and the X product runs from there
-    into ``out``, with ``work[0]`` as its scratch.
+    The depth half-step needs no explicit matrix (see :mod:`pe3d.marching`),
+    so this is the transposed copy alone.  It stays a function because
+    the benchmark's tracer (``bench/tracing.py``) wraps
+    ``marching.compute_rhs`` by name, until the run times its own phases.
     """
-    if u.shape[1:] != (depth.n,):
-        raise ShapeError(f"slab shape {u.shape} != (n_azimuth, {depth.n})")
-    if out.shape != u.shape[::-1] or any(
-            w.shape != u.shape or not w.flags.c_contiguous for w in work):
-        raise ShapeError("work arrays must be C-contiguous arrays of the "
-                         "slab's shape, and out its transpose")
-    spare, temp = (w.reshape(out.shape) for w in work)
-    np.copyto(temp, u.T)
-    return product(depth, temp, out, spare)
+    if u.ndim != 2 or out.shape != u.shape[::-1]:
+        raise ShapeError(f"slab of shape {u.shape} into an array of shape "
+                         f"{out.shape}, not its transpose")
+    np.copyto(out, u.T)
+    return out
 
 
 def assemble_depth_batch(coeff: complex, profile: np.ndarray, k0: float,

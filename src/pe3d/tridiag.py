@@ -10,8 +10,10 @@ matrices side by side, one per column, and :meth:`Factors.column` hands
 out one of them.  The right-hand sides are laid out structure-of-arrays:
 one row per elimination index, contiguous across the batch, so every
 inner-loop operation is a unit-stride vector op over batch members, with
-the factors broadcast across them.  :func:`product` multiplies the
-columns of such an array by one open matrix, for the explicit depth side.
+the factors broadcast across them.  Nothing here multiplies by a
+matrix: the step takes both half-steps in sum form, t + (1 - rho)(s - t)
+in depth and 2 w - v in azimuth, from a solve and its right-hand side
+(see :mod:`pe3d.marching`).
 
 Determinism: every kernel operation is elementwise per batch member (and
 per factored column), and numpy elementwise complex arithmetic is
@@ -336,28 +338,6 @@ def _substitute(factors: Factors, rhs: np.ndarray, x: np.ndarray):
         for q_row, x_row in zip(q, x):
             multiply(q_row, correction, t)
             subtract(x_row, t, x_row)
-
-
-def product(diagonals: Diagonals, x: np.ndarray, out: np.ndarray,
-            spare: np.ndarray) -> np.ndarray:
-    """The open matrix of width-1 ``diagonals`` times every column of the
-    (n, members) array ``x``, into ``out``, with ``spare`` as scratch of
-    that shape; returns ``out``.
-
-    Each product has the diagonal as its first operand and is written
-    into ``spare`` or ``out``, distinct from its operands; a row adds its
-    sub, then its super term to its main one.
-    """
-    if diagonals.topology != OPEN or diagonals.main.shape[1] != 1 \
-            or x.ndim != 2 or len(x) != diagonals.n:
-        raise ShapeError(f"x of shape {x.shape} times one open matrix of "
-                         f"{diagonals.n} rows, got {diagonals.topology} "
-                         f"diagonals of width {diagonals.main.shape[1]}")
-    multiply = np.multiply
-    multiply(diagonals.main, x, out=out)
-    out[1:] += multiply(diagonals.sub, x[:-1], out=spare[1:])
-    out[:-1] += multiply(diagonals.sup, x[1:], out=spare[:-1])
-    return out
 
 
 def solve(diagonals: Diagonals, rhs) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,11 +88,11 @@ class TestSlabShape:
 
     @staticmethod
     def rejects(u, grid):
-        marcher, _ = make_marcher(make_config(grid=grid))
         with pytest.raises(ShapeError):
             apply_boundary(u, grid)
         with pytest.raises(ShapeError):
-            compute_rhs(u, marcher.depth[0], marcher.work, marcher.rhs)
+            compute_rhs(u, np.empty((grid.n_depth, grid.n_azimuth),
+                                    dtype=complex))
 
     def test_grid_mismatch(self):
         self.rejects(np.zeros((4, 4), dtype=complex), make_grid())
@@ -191,6 +192,36 @@ class TestRangeStep:
         ref = (z_proj @ np.linalg.solve(
             b_mat, np.linalg.solve(a_mat, rhs))).reshape(3, 3)
         assert np.max(np.abs(out - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_dense_depth_half_oracle(self, topology):
+        # with cy_lhs = cy_rhs = 0 the azimuth half-step is the identity,
+        # so a step is its depth half, (I + cx_lhs X^)^-1 (I + cx_rhs X^) u,
+        # X^ the depth operator on every azimuth, its surface rows zero
+        rng = np.random.default_rng(21)
+        grid = make_grid(n_azimuth=4, n_depth=9, delta_z=7.0,
+                         topology=topology)
+        profile = SoundSpeedProfile(np.array([0.0, 20.0, grid.depth_extent]),
+                                    np.array([1500.0, 1470.0, 1530.0]))
+        env = make_env(grid, profile=profile, attenuation=0.05, start_frac=0.5)
+        k0 = wavenumber(50.0, env.c0)
+        coeffs = replace(StepCoefficients.for_step(k0, grid.delta_r),
+                         cy_lhs=0j, cy_rhs=0j)
+        u0 = apply_boundary(random_slab_values(rng, grid), grid)
+        out = range_step(Marcher(grid, env, k0, coeffs), u0.copy(), 0)
+
+        n = grid.n_depth
+        s_z = 1.0 / (k0 * grid.delta_z) ** 2
+        local = refraction_index_grid(env, grid).astype(complex) ** 2 - 1.0
+        x_depth = np.diag(local - 2.0 * s_z) \
+            + s_z * (np.eye(n, k=1) + np.eye(n, k=-1))
+        x_depth[0] = 0.0
+        x_hat = np.kron(np.eye(grid.n_azimuth), x_depth)
+        eye = np.eye(x_hat.shape[0])
+        ref = np.linalg.solve(eye + coeffs.cx_lhs * x_hat,
+                              (eye + coeffs.cx_rhs * x_hat) @ u0.ravel())
+        assert np.max(np.abs(out.ravel() - ref)) \
+            <= 1e-12 * np.max(np.abs(ref))
 
     def test_singular_solve_becomes_step_error(self):
         config = make_config(n_azimuth=4, n_depth=8, delta_z=1.0)
@@ -299,30 +330,20 @@ def per_member(diagonals, width):
             for d in (diagonals.sub, diagonals.main, diagonals.sup)]
 
 
-def reference_product(sub, main, sup, x):
-    """Each member (column) of ``x`` times its own open matrix, the
-    columns of ``sub``, ``main`` and ``sup``, as whole-array numpy
-    expressions with the operand order and sums of ``tridiag.product``."""
-    y = main * x
-    y[1:] += sub * x[:-1]
-    y[:-1] += sup * x[1:]
-    return y
-
-
 def reference_step(u, j, grid, env, k0, coeffs):
     """One range step from the slab ``u`` at range index ``j``, with a
     matrix per member, assembled and factored in every step: the plain
     form of the scheme the marcher shortcuts, with Y at the step's
-    midpoint range.  The explicit depth side is a product; the azimuth
-    half-step is 2 w - v with (I + cy_lhs Y) w = v, since
-    (I + cy_rhs Y) = 2I - (I + cy_lhs Y)."""
+    midpoint range.  Both half-steps take the sum form: the depth one is
+    t + (1 - rho)(s - t) with (I + cx_lhs X) s = t and rho = cx_rhs /
+    cx_lhs, the azimuth one 2 w - v with (I + cy_lhs Y) w = v."""
     apply_boundary(u, grid)
-    n_field = medium_grid(env, grid)
-    explicit = reference_depth_matrix(coeffs.cx_rhs, n_field, k0, grid.delta_z)
-    b = reference_product(*explicit, np.ascontiguousarray(u.T))
-    b[0] = 0.0
-    depth = reference_depth_matrix(coeffs.cx_lhs, n_field, k0, grid.delta_z)
-    v = np.ascontiguousarray(_reference_open(*depth, b).T)
+    depth = reference_depth_matrix(coeffs.cx_lhs, medium_grid(env, grid), k0,
+                                   grid.delta_z)
+    t = np.ascontiguousarray(u.T)
+    s = _reference_open(*depth, t)
+    weight = (coeffs.cx_lhs - coeffs.cx_rhs) / coeffs.cx_lhs
+    v = np.ascontiguousarray((t + (s - t) * weight).T)
     full = per_member(assemble_azimuth_batch(
         coeffs.cy_lhs, k0, [grid.range_at(j + 0.5)], grid.delta_theta,
         grid.azimuth_topology, grid.n_azimuth), grid.n_depth)
@@ -336,8 +357,8 @@ def reference_step(u, j, grid, env, k0, coeffs):
 
 
 class TestReferenceStepper:
-    """The shared factors and the marcher's explicit side must give the
-    bits of a matrix per member and of whole-array expressions.
+    """The shared factors and the marcher's sum-form half-steps must give
+    the bits of a matrix per member and of whole-array expressions.
 
     The grids are larger than numpy's 256 KiB threshold for evaluating
     temporaries in place, where the reference's products by a temporary
@@ -484,9 +505,9 @@ class TestStepArrays:
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_marcher_retains_no_medium_grid(self, topology):
-        # the work arrays and rhs are 3 slabs; the medium, the depth
-        # matrices and the azimuth factors of a block are depth profiles or
-        # azimuth rows: 3.18 slabs periodic, 3.16 on the sector
+        # the work arrays are 2 slabs; the medium, the depth factors and
+        # the azimuth factors of a block are depth profiles or azimuth
+        # rows: 2.15 slabs periodic, 2.13 on the sector
         grid = make_grid(n_range=8, n_azimuth=72, n_depth=256,
                          topology=topology)
         config = make_config(grid=grid)
@@ -499,14 +520,15 @@ class TestStepArrays:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert marcher.depth[1].width == 1
-        assert retained <= 3.6 * slab_bytes
+        assert marcher.depth.width == 1
+        assert retained <= 2.25 * slab_bytes
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_march_frees_each_slab_it_has_stepped_from(self, topology):
-        # the marcher's 3 slabs, the slab of the step and the new slab, and
-        # a quarter slab of the factors and small arrays; the starter slab
-        # is freed after the first step like every later one
+        # the marcher's 2 slabs, the slab of the step and the new slab, and
+        # 0.6 slab of the factors and small arrays (4.61 slabs periodic,
+        # 4.57 on the sector); the starter slab is freed after the first
+        # step like every later one
         grid = make_grid(n_range=8, n_azimuth=72, n_depth=256,
                          topology=topology)
         config = make_config(grid=grid)
@@ -518,12 +540,12 @@ class TestStepArrays:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - before - result.tl_field.nbytes <= 5.75 * slab_bytes
+        assert peak - before - result.tl_field.nbytes <= 4.75 * slab_bytes
 
     def test_new_slab_owns_its_memory(self):
         marcher, u = self.stepped(PERIODIC)
         new = range_step(marcher, u, 1)
-        for array in marcher.work + (marcher.rhs, u):
+        for array in marcher.work + (u,):
             assert not np.shares_memory(new, array)
 
 

@@ -16,11 +16,6 @@ from pe3d.operators import (
 from pe3d.tridiag import CYCLIC, SolveBatch, dense_matrix, factor, solve, solve_batch
 
 
-def second_diff_dirichlet(n):
-    t = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
-    return t
-
-
 class TestStepCoefficients:
     def test_for_step_values(self):
         k0 = wavenumber(50.0, 1500.0)
@@ -41,6 +36,9 @@ class TestStepCoefficients:
     def test_identities_enforced_on_construction(self):
         with pytest.raises(InvariantError, match="cx_lhs"):
             StepCoefficients(0.0j, 0.3 + 0.0j, 0.3 + 0.0j, 0.0j, 0.0j)
+        # the depth half-step divides by cx_lhs
+        with pytest.raises(InvariantError, match="cx_lhs != 0"):
+            StepCoefficients(0.0j, 0.0j, 0.5 + 0.0j, 0.0j, 0.0j)
 
 
 class TestOperatorStencil:
@@ -245,120 +243,29 @@ class TestAssembleAzimuthSystem:
         assert np.array_equal(rhs, np.ones((6, 4)))
 
 
-def explicit_side(u, coeffs, n_field, k0, grid):
-    """:func:`compute_rhs` into new arrays, returned azimuth-major."""
-    work = tuple(np.empty_like(u) for _ in range(2))
-    out = np.empty(u.shape[::-1], dtype=complex)
-    depth = assemble_depth_batch(coeffs.cx_rhs, n_field, k0, grid.delta_z)
-    return compute_rhs(u, depth, work, out).T
-
-
-def relative_error(x, reference):
-    return np.max(np.abs(x - reference)) / np.max(np.abs(reference))
-
-
 class TestComputeRhs:
     def test_zero_field(self):
-        grid = make_grid(n_azimuth=4, n_depth=8)
-        coeffs = StepCoefficients.for_step(0.2, 5.0)
-        out = explicit_side(np.zeros((4, 8), dtype=complex), coeffs, np.ones(8), 0.2, grid)
+        out = np.full((8, 4), np.nan, dtype=complex)
+        assert compute_rhs(np.zeros((4, 8), dtype=complex), out) is out
         assert np.all(out == 0.0)
-
-    def test_azimuth_constant_reduces_to_x_factor(self):
-        # compute_rhs is the X factor alone, which for a field constant in
-        # azimuth is the whole explicit side, Y annihilating it on the
-        # ring; the surface row, the identity equation of the depth
-        # matrix, is Dirichlet data that the step sets to zero
-        rng = np.random.default_rng(9)
-        grid = make_grid(n_azimuth=6, n_depth=16)
-        k0 = wavenumber(50.0, 1500.0)
-        coeffs = StepCoefficients.for_step(k0, 5.0)
-        column = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        values = np.broadcast_to(column, (6, 16)).copy()
-        out = explicit_side(values, coeffs, np.ones(16), k0, grid)
-        expected = values + coeffs.cx_rhs * apply_X(values, np.ones(16), k0,
-                                                    grid.delta_z)
-        assert relative_error(out[:, 1:], expected[:, 1:]) <= 1e-14
-
-    def test_dense_kronecker_oracle(self):
-        # 3x3 slab against an explicitly formed 9x9 factor
-        rng = np.random.default_rng(21)
-        grid = make_grid(n_azimuth=3, n_depth=3, delta_z=7.0, r_start=40.0)
-        k0 = wavenumber(50.0, 1500.0)
-        coeffs = StepCoefficients.for_step(k0, grid.delta_r)
-        u = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        out = explicit_side(u.copy(), coeffs, np.ones(3), k0, grid)
-
-        s_z = 1.0 / (k0 * grid.delta_z) ** 2
-        x_hat = np.kron(np.eye(3), s_z * second_diff_dirichlet(3))
-        x_hat[::3] = 0.0  # the surface rows: identity equations
-        dense = (np.eye(9) + coeffs.cx_rhs * x_hat) @ u.ravel()
-        assert np.max(np.abs(out.ravel() - dense)) \
-            <= 1e-13 * np.max(np.abs(dense))
-
-    def test_linearity(self):
-        rng = np.random.default_rng(33)
-        grid = make_grid(n_azimuth=5, n_depth=12)
-        k0 = 0.21
-        coeffs = StepCoefficients.for_step(k0, 3.0)
-        n_field = np.ones(12) + 0.02j * rng.random(12)
-        u = random_slab_values(rng, grid, zero_surface=False)
-        v = random_slab_values(rng, grid, zero_surface=False)
-        a, b = 1.3 - 0.2j, -0.7 + 0.9j
-        combined = explicit_side(a * u + b * v,
-                                 coeffs, n_field, k0, grid)
-        separate = a * explicit_side(u.copy(),
-                                     coeffs, n_field, k0, grid) \
-            + b * explicit_side(v.copy(),
-                                coeffs, n_field, k0, grid)
-        assert np.max(np.abs(combined - separate)) \
-            <= 1e-12 * np.max(np.abs(separate))
-
-    def test_delta_zero_factor_consistency(self):
-        # with delta_r = 0 the explicit side is (I + X/4) and the implicit
-        # matrix is its mirror, so a full step leaves the field unchanged
-        rng = np.random.default_rng(41)
-        grid = make_grid(n_azimuth=4, n_depth=10)
-        k0 = 0.3
-        coeffs = StepCoefficients.for_step(k0, 0.0)
-        u = random_slab_values(rng, grid, zero_surface=False)
-        out = explicit_side(u.copy(), coeffs,
-                            np.ones(10), k0, grid)
-        expected = u + 0.25 * apply_X(u, np.ones(10), k0, grid.delta_z)
-        assert relative_error(out[:, 1:], expected[:, 1:]) <= 1e-14
-        batch = assemble_depth_batch(coeffs.cx_lhs, np.ones(10), k0,
-                                     grid.delta_z)
-        mirror = assemble_depth_batch(0.25 + 0.0j, np.ones(10), k0,
-                                      grid.delta_z)
-        for diagonal in ("sub", "main", "sup"):
-            assert np.array_equal(getattr(batch, diagonal),
-                                  getattr(mirror, diagonal))
 
 
 class TestComputeRhsArrays:
     def test_writes_out_and_checks_shapes(self):
+        # the slab's bits, depth-major, into ``out`` whatever its layout
         rng = np.random.default_rng(43)
         grid = make_grid(n_azimuth=5, n_depth=12)
-        coeffs = StepCoefficients.for_step(0.2, 5.0)
         u = random_slab_values(rng, grid)
-        depth = assemble_depth_batch(coeffs.cx_rhs, np.ones(12), 0.2,
-                                     grid.delta_z)
-        work = tuple(np.empty((5, 12), dtype=complex) for _ in range(2))
-        out = np.empty((12, 5), dtype=complex)
-        assert compute_rhs(u, depth, work, out) is out
-        with pytest.raises(ShapeError):
-            compute_rhs(u, depth, work, np.empty((5, 12), dtype=complex))
-        with pytest.raises(ShapeError):
-            compute_rhs(u, depth,
-                        work[:1] + (np.empty((12, 5), dtype=complex),), out)
-        with pytest.raises(ShapeError):  # its depth-major reshape would copy
-            compute_rhs(u, depth,
-                        work[:1] + (np.empty((12, 5), dtype=complex).T,), out)
-        with pytest.raises(ShapeError):  # a depth matrix of another grid
-            compute_rhs(u, assemble_depth_batch(
-                coeffs.cx_rhs, np.ones(10), 0.2, grid.delta_z), work, out)
+        for out in (np.empty((12, 5), dtype=complex),
+                    np.empty((5, 12), dtype=complex).T):
+            assert compute_rhs(u, out) is out
+            assert out.T.tobytes() == u.tobytes()
+        with pytest.raises(ShapeError):  # out is not the transpose
+            compute_rhs(u, np.empty((5, 12), dtype=complex))
         with pytest.raises(ShapeError):  # a slab of another grid
-            compute_rhs(u[:4], depth, work, out[:, :4])
+            compute_rhs(u[:4], out)
+        with pytest.raises(ShapeError):  # not a slab
+            compute_rhs(u[0], out[:, 0])
 
 
 class TestBatchAssembly:

@@ -12,7 +12,6 @@ from pe3d.tridiag import (
     dense_matrix,
     dense_oracle_solve,
     factor,
-    product,
     solve,
     solve_batch,
 )
@@ -367,52 +366,6 @@ class TestWideFactor:
             == (3, "singular rank-1 correction")
         error = factors.column(2).singular
         assert (error.pivot_index, error.detail) == (1, "")
-
-
-def random_members(rng, n, width):
-    return rng.standard_normal((n, width)) \
-        + 1j * rng.standard_normal((n, width))
-
-
-def multiply(diagonals, x):
-    return product(diagonals, x, np.empty_like(x), np.empty_like(x))
-
-
-class TestProduct:
-    """Open matrices only: the explicit side multiplies by the depth
-    matrix alone."""
-
-    @pytest.mark.parametrize("width", [1, 97])
-    @pytest.mark.parametrize("n", [3, 40])
-    @pytest.mark.parametrize("topology", [OPEN])
-    def test_matches_dense(self, topology, n, width):
-        rng = np.random.default_rng(n + width)
-        d, _ = random_system(rng, n, topology)
-        x = random_members(rng, n, width)
-        want = dense_matrix(d) @ x
-        assert np.max(np.abs(multiply(d, x) - want)) \
-            <= 1e-14 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("topology", [OPEN])
-    def test_member_alone_has_its_bits_in_a_wide_call(self, topology):
-        rng = np.random.default_rng(31)
-        d, _ = random_system(rng, 40, topology)
-        x = random_members(rng, 40, 97)
-        wide = multiply(d, x)
-        for j in range(97):
-            alone = multiply(d, x[:, j:j + 1].copy())
-            assert alone.tobytes() == wide[:, j:j + 1].copy().tobytes(), j
-
-    def test_shapes_checked(self):
-        rng = np.random.default_rng(32)
-        d, _ = random_system(rng, 5, OPEN)
-        with pytest.raises(ShapeError):
-            multiply(d, random_members(rng, 6, 2))
-        with pytest.raises(ShapeError, match="one open matrix"):
-            multiply(wide_diagonals([d, d]), random_members(rng, 5, 2))
-        cyclic, _ = random_system(rng, 5, CYCLIC)
-        with pytest.raises(ShapeError, match="one open matrix"):
-            multiply(cyclic, random_members(rng, 5, 2))
 
 
 class TestSolverProperties:
