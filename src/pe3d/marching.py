@@ -21,9 +21,9 @@ r + delta_r / 2, which only :meth:`Marcher.azimuth` computes, so a
 lossless step keeps the norm (the paper puts the implicit side at the
 new range).  The identity rows of the assembled matrices keep the
 Dirichlet rows (the surface, a sector's edge azimuths) of t, s, v and
-w zero.  All systems of one sweep share one matrix, so each sweep is a
-wide substitution through the batched solver, on the configured
-intra-step thread count.
+w zero.  All systems of one sweep share one matrix, so each sweep is one
+wide substitution, on the calling thread; the threads split the step's
+elementwise passes into row blocks, with the same bits for any split.
 
 A step only streams: it assembles and factors nothing.  The medium is
 one depth profile, the same at every range and azimuth, so a
@@ -61,6 +61,7 @@ from .operators import (
     assemble_depth_batch,
     compute_rhs,
 )
+from .pool import fork_join
 from .tridiag import Factors, SolveBatch, factor, solve_batch
 
 MAX_OUTPUT_SAMPLES = 512
@@ -185,22 +186,30 @@ def range_step(marcher: Marcher, u: np.ndarray, j: int) -> np.ndarray:
     t = compute_rhs(u, first.reshape(grid.n_depth, grid.n_azimuth))
     s = second.reshape(t.shape)
     try:
-        solve_batch(SolveBatch(marcher.depth, t), marcher.threads, out=s)
+        solve_batch(SolveBatch(marcher.depth, t), out=s)
     except SingularSystemError as exc:
         raise StepError(j + 1, "depth", exc) from exc
     new = np.empty_like(first)
     scaled = new.reshape(t.shape)  # a product's own array until w fills it
-    np.subtract(s, t, out=s)
-    np.multiply(s, weight, out=scaled)
-    np.add(t, scaled, out=s)
     v = first  # t is dead once s is formed
-    np.copyto(v, s.T)
+
+    def depth_sum(lo, hi):
+        np.subtract(s[lo:hi], t[lo:hi], out=s[lo:hi])
+        np.multiply(s[lo:hi], weight, out=scaled[lo:hi])
+        np.add(t[lo:hi], scaled[lo:hi], out=s[lo:hi])
+
+    def azimuth_sum(lo, hi):
+        np.add(new[lo:hi], new[lo:hi], out=new[lo:hi])
+        np.subtract(new[lo:hi], v[lo:hi], out=new[lo:hi])
+
+    fork_join(depth_sum, grid.n_depth, marcher.threads)
+    fork_join(lambda lo, hi: np.copyto(v[lo:hi], s[:, lo:hi].T),
+              grid.n_azimuth, marcher.threads)
     try:
-        solve_batch(SolveBatch(lhs_y, v), marcher.threads, out=new)
+        solve_batch(SolveBatch(lhs_y, v), out=new)
     except SingularSystemError as exc:
         raise StepError(j + 1, "azimuth", exc) from exc
-    np.add(new, new, out=new)
-    np.subtract(new, v, out=new)
+    fork_join(azimuth_sum, grid.n_azimuth, marcher.threads)
     return new
 
 

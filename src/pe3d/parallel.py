@@ -1,11 +1,11 @@
 """Two-level parallel execution: threads inside a step, a frequency farm.
 
-Fine grain: :func:`pe3d.tridiag.solve_batch` splits the substitutions of
-each batch of a range step into contiguous member blocks on the shared
-thread pool.  Coarse grain: :func:`frequency_farm` runs independent
+Fine grain: :func:`pe3d.marching.range_step` splits its elementwise
+passes into contiguous row blocks on the shared thread pool; substitutions
+run whole.  Coarse grain: :func:`frequency_farm` runs independent
 single-frequency jobs on worker processes, each worker a contiguous block
-of frequencies submitted one by one.  Correctness contract for both levels is bit-identical
-output against the serial path.
+of frequencies submitted one by one.  Both levels keep the bits of the
+serial path.
 """
 
 from __future__ import annotations

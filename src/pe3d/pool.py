@@ -1,4 +1,4 @@
-"""Block partitioning and the thread fork-join behind the batched solver.
+"""Block partitioning and the thread fork-join of a step's elementwise passes.
 
 Work is partitioned into contiguous index blocks, one per thread.  The
 boundaries depend on the thread count, so callers keep results
@@ -36,7 +36,7 @@ def block_ranges(n_items: int, n_blocks: int) -> list[tuple[int, int]]:
 
 
 # One pool per thread count, reused across range steps: pool startup would
-# otherwise dominate small solves.  Forked farm workers must not inherit
+# otherwise dominate small steps.  Forked farm workers must not inherit
 # live pools (their threads do not survive the fork), so children start
 # with an empty cache.
 _POOL_CACHE: dict[int, ThreadPoolExecutor] = {}

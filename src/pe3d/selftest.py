@@ -125,15 +125,14 @@ def _check_batch_determinism():
         factors = factor(diagonals)
         scalar = np.stack([solve(diagonals, rhs[:, m]) for m in range(300)],
                           axis=1)
-        # one block, four blocks, in place, and in place in 1-wide blocks
-        for width, hint, in_place in ((300, 1, False), (300, 4, False),
-                                      (300, 1, True), (3, 3, True)):
+        # into a new array, in place, and in place at width 1
+        for width, in_place in ((300, False), (300, True), (1, True)):
             x = rhs[:, :width].copy()
-            got = solve_batch(SolveBatch(factors, x), hint,
+            got = solve_batch(SolveBatch(factors, x),
                               out=x if in_place else None)
             _require(got.tobytes() == scalar[:, :width].tobytes(),
-                     f"{topology}: {width} members in {hint} blocks "
-                     f"(in place: {in_place}) differ from the scalar loop")
+                     f"{topology}: {width} members (in place: {in_place}) "
+                     f"differ from the scalar loop")
 
 
 def _check_delta_zero_identity():

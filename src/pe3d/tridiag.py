@@ -19,9 +19,8 @@ Determinism: every kernel operation is elementwise per batch member (and
 per factored column), and numpy elementwise complex arithmetic is
 value-deterministic, so a member's solution does not depend on which
 other members share its kernel call.  Batched results are therefore
-bit-identical to solves of one member each (:func:`solve`), and
-invariant under the thread count, which only changes the column
-partition.
+bit-identical to solves of one member each (:func:`solve`); a batch is
+substituted whole, on the calling thread.
 
 Rounding: numpy's vectorised complex product uses fused multiply-adds, so
 ``a * b`` and ``b * a`` can differ in their last bits.  Every product
@@ -44,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InvariantError, ShapeError, SingularSystemError
-from .pool import fork_join
+from .pool import fork_join  # unused: bench/tracing.py patches it by name
 
 OPEN = "open"
 CYCLIC = "cyclic"
@@ -347,17 +346,14 @@ def solve(diagonals: Diagonals, rhs) -> np.ndarray:
     return solve_batch(SolveBatch(factor(diagonals), rhs[:, None]))[:, 0]
 
 
-def solve_batch(batch: SolveBatch, parallel_hint: int = 1,
-                out: np.ndarray | None = None) -> np.ndarray:
+def solve_batch(batch: SolveBatch, out: np.ndarray | None = None) -> np.ndarray:
     """Solve every member; returns the solutions in the layout of the
     right-hand sides, (n, n_systems): in ``out`` when given, which may be
     ``batch.rhs`` itself, else in a new array.
 
-    The members are split into ``parallel_hint`` contiguous blocks and each
-    block is substituted full-width in one kernel call, straight into its
-    columns of the result, which do not depend on the partition.  A
-    singular matrix aborts the whole batch before any substitution: the
-    error names its first singular row.
+    The whole batch is substituted full-width in one kernel call, on the
+    calling thread.  A singular matrix aborts the batch before any
+    substitution: the error names its first singular row.
     """
     factors = batch.factors
     error = factors.singular
@@ -368,11 +364,7 @@ def solve_batch(batch: SolveBatch, parallel_hint: int = 1,
         out = np.empty(rhs.shape, dtype=np.complex128)
     elif out.shape != rhs.shape or out.dtype != np.complex128:
         raise ShapeError(f"out must be complex of shape {rhs.shape}")
-
-    def worker(lo, hi):
-        _substitute(factors, rhs[:, lo:hi], out[:, lo:hi])
-
-    fork_join(worker, batch.n_systems, parallel_hint)
+    _substitute(factors, rhs, out)
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 
 import pe3d.marching as marching_module
 import pe3d.operators as operators_module
+import pe3d.tridiag as tridiag_module
 
 from conftest import make_config, make_env, make_grid, random_slab_values
 from pe3d.config import RunOptions
@@ -40,13 +42,13 @@ from pe3d.operators import (
 def make_marcher(config, frequency=50.0, slab_values=None, delta_r=None):
     """A marcher for ``frequency`` and the slab at range index 0: the
     starter, or ``slab_values`` when given."""
-    grid, env, source, _ = config
+    grid, env, source, options = config
     k0 = wavenumber(frequency, env.c0)
     coeffs = StepCoefficients.for_step(
         k0, grid.delta_r if delta_r is None else delta_r)
     if slab_values is None:
         slab_values = gaussian_starter(grid, source, k0)
-    return Marcher(grid, env, k0, coeffs), slab_values
+    return Marcher(grid, env, k0, coeffs, options.threads), slab_values
 
 
 class TestApplyBoundary:
@@ -363,12 +365,15 @@ class TestReferenceStepper:
     The grids are larger than numpy's 256 KiB threshold for evaluating
     temporaries in place, where the reference's products by a temporary
     run with swapped operands: the solver's one depth profile must give
-    the bits of whole-grid expressions there.
+    the bits of whole-grid expressions there.  Their 73 azimuth and 256
+    depth rows split unevenly into 3 and 7 thread blocks: some depth-pass
+    blocks start at an odd element offset, the periodic wrap rows land in
+    different blocks, and a sector's edge rows in the first and last.
     """
 
     @staticmethod
     def config(topology):
-        grid = make_grid(n_range=5, n_azimuth=72, n_depth=256,
+        grid = make_grid(n_range=5, n_azimuth=73, n_depth=256,
                          topology=topology)
         profile = SoundSpeedProfile(
             np.array([0.0, 300.0, grid.depth_extent]),
@@ -391,7 +396,7 @@ class TestReferenceStepper:
         for row in whole:
             assert row[1:].tobytes() == main.tobytes()
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 7])
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_range_step_bitwise(self, topology, threads):
         config = self.config(topology)
@@ -407,7 +412,7 @@ class TestReferenceStepper:
             reference = reference_step(reference, j, grid, env, k0, coeffs)
             assert u.tobytes() == reference.tobytes()
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 7])
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_run_frequency_bitwise(self, topology, threads):
         config = self.config(topology)
@@ -451,19 +456,24 @@ class TestReferenceStepper:
 
 class TestStepArrays:
     """A step streams through the marcher's arrays: it builds no stencil,
-    factors nothing on a march within one block of azimuth factors, and
-    allocates only the new slab."""
+    factors nothing on a march within one block of azimuth factors,
+    allocates only the new slab, and substitutes each sweep whole on the
+    calling thread."""
 
     @staticmethod
-    def stepped(topology):
+    def stepped(topology, threads=1):
         grid = make_grid(n_range=8, n_azimuth=72, n_depth=256,
                          topology=topology)
-        marcher, u = make_marcher(make_config(grid=grid))
+        marcher, u = make_marcher(make_config(
+            grid=grid, options=RunOptions(threads=threads)))
         return marcher, range_step(marcher, u, 0)
 
-    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
-    def test_step_allocates_one_slab(self, topology):
-        marcher, u = self.stepped(topology)
+    @pytest.mark.parametrize("topology,threads", [
+        pytest.param(topology, threads, id=topology if threads == 1
+                     else f"{topology}-{threads}-threads")
+        for threads in (1, 2) for topology in (PERIODIC, SECTOR)])
+    def test_step_allocates_one_slab(self, topology, threads):
+        marcher, u = self.stepped(topology, threads)
         slab_bytes = u.nbytes
         tracemalloc.start()
         try:
@@ -541,6 +551,25 @@ class TestStepArrays:
         finally:
             tracemalloc.stop()
         assert peak - before - result.tl_field.nbytes <= 4.75 * slab_bytes
+
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_step_substitutes_each_sweep_whole(self, topology, monkeypatch):
+        # at 2 threads the threads split the elementwise passes only: the
+        # depth and the azimuth sweep are one full-width substitution each,
+        # on the calling thread
+        marcher, u = self.stepped(topology, threads=2)
+        calls = []
+        substitute = tridiag_module._substitute
+
+        def recorded(factors, rhs, x):
+            calls.append((x.shape, threading.get_ident()))
+            return substitute(factors, rhs, x)
+
+        monkeypatch.setattr(tridiag_module, "_substitute", recorded)
+        range_step(marcher, u, 1)
+        grid, caller = marcher.grid, threading.get_ident()
+        assert calls == [((grid.n_depth, grid.n_azimuth), caller),
+                         ((grid.n_azimuth, grid.n_depth), caller)]
 
     def test_new_slab_owns_its_memory(self):
         marcher, u = self.stepped(PERIODIC)

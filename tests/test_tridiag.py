@@ -144,34 +144,29 @@ class TestSolveBatch:
         rng = np.random.default_rng(1)
         d, _ = random_system(rng, 32, OPEN)
         batch = shared_batch(d, 1, rng)
-        for hint in (1, 2, 8):
-            assert solve_batch(batch, parallel_hint=hint).tobytes() \
-                == one_at_a_time(d, batch.rhs).tobytes()
+        assert solve_batch(batch).tobytes() \
+            == one_at_a_time(d, batch.rhs).tobytes()
 
     def test_identical_members_identical_solutions(self):
         rng = np.random.default_rng(2)
         d, rhs = random_system(rng, 24, OPEN)
         batch = SolveBatch(factor(d), np.repeat(rhs[:, None], 100, axis=1))
         expected = np.repeat(solve(d, rhs)[:, None], 100, axis=1)
-        for hint in (1, 2, 8):
-            assert solve_batch(batch, parallel_hint=hint).tobytes() \
-                == expected.tobytes()
+        assert solve_batch(batch).tobytes() == expected.tobytes()
 
-    def test_hint_invariance_and_scalar_agreement(self):
+    def test_open_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
         d, _ = random_system(rng, 40, OPEN)
         batch = shared_batch(d, 900, rng)
-        scalar = one_at_a_time(d, batch.rhs).tobytes()
-        for hint in (1, 2, 8):
-            assert solve_batch(batch, parallel_hint=hint).tobytes() == scalar
+        assert solve_batch(batch).tobytes() \
+            == one_at_a_time(d, batch.rhs).tobytes()
 
     def test_cyclic_batch_matches_scalar(self):
         rng = np.random.default_rng(4)
         d, _ = random_system(rng, 17, CYCLIC)
         batch = shared_batch(d, 130, rng)
-        scalar = one_at_a_time(d, batch.rhs).tobytes()
-        for hint in (1, 2, 8):
-            assert solve_batch(batch, parallel_hint=hint).tobytes() == scalar
+        assert solve_batch(batch).tobytes() \
+            == one_at_a_time(d, batch.rhs).tobytes()
 
     def test_singular_member_named_no_partial_result(self):
         # a singular shared matrix fails the whole batch at its first
@@ -180,31 +175,29 @@ class TestSolveBatch:
         rhs = np.ones((8, 10), dtype=complex)
         batch = SolveBatch(factor(d), rhs)
         with pytest.raises(SingularSystemError) as info:
-            solve_batch(batch, parallel_hint=2)
+            solve_batch(batch)
         assert info.value.pivot_index == 0
         assert np.all(rhs == 1.0)
 
-    def test_first_singular_row_reported_for_any_partition(self):
+    def test_first_singular_row_reported(self):
         # pivot 1 is exactly zero and the rows after it carry inf/nan: the
-        # first singular row is reported, whatever the partition
+        # first singular row is reported
         d = one_matrix(np.ones(5), np.ones(6), np.ones(5))
         batch = SolveBatch(factor(d), np.ones((6, 200)))
-        for hint in (1, 2, 3, 4):
-            with pytest.raises(SingularSystemError) as info:
-                solve_batch(batch, parallel_hint=hint)
-            assert info.value.pivot_index == 1
-            assert info.value.detail == ""
+        with pytest.raises(SingularSystemError) as info:
+            solve_batch(batch)
+        assert info.value.pivot_index == 1
+        assert info.value.detail == ""
 
-    def test_cyclic_rank1_singular_reported_for_any_partition(self):
+    def test_cyclic_rank1_singular_reported(self):
         # [[1, 0, 1], [0, 1, 0], [1, 0, 1]]: the open part is regular and
         # the correction's denominator is exactly zero, reported as row n = 3
         d = one_matrix([1.0, 0.0, 0.0], np.ones(3), [0.0, 0.0, 1.0], CYCLIC)
         batch = SolveBatch(factor(d), np.ones((3, 200)))
-        for hint in (1, 2, 3, 4):
-            with pytest.raises(SingularSystemError) as info:
-                solve_batch(batch, parallel_hint=hint)
-            assert info.value.pivot_index == 3
-            assert info.value.detail == "singular rank-1 correction"
+        with pytest.raises(SingularSystemError) as info:
+            solve_batch(batch)
+        assert info.value.pivot_index == 3
+        assert info.value.detail == "singular rank-1 correction"
         # a zero pivot in the factorization is reported before the correction
         d = one_matrix(np.zeros(3), [1.0, 0.0, 1.0], np.zeros(3), CYCLIC)
         with pytest.raises(SingularSystemError) as info:
@@ -220,10 +213,8 @@ class TestSolveBatch:
         shared = factor(d)
         for n_rhs in (50, 7):
             batch = shared_batch(d, n_rhs, rng)
-            for hint in (1, 3):
-                got = solve_batch(SolveBatch(shared, batch.rhs),
-                                  parallel_hint=hint)
-                assert got.tobytes() == one_at_a_time(d, batch.rhs).tobytes()
+            got = solve_batch(SolveBatch(shared, batch.rhs))
+            assert got.tobytes() == one_at_a_time(d, batch.rhs).tobytes()
 
     def test_singular_shared_matrix_raises_when_used(self):
         # factor never raises: the error is kept and raised by each solve
@@ -233,8 +224,7 @@ class TestSolveBatch:
         assert shared.singular is not None
         for _ in range(2):
             with pytest.raises(SingularSystemError) as info:
-                solve_batch(SolveBatch(shared, np.ones((5, 30))),
-                            parallel_hint=2)
+                solve_batch(SolveBatch(shared, np.ones((5, 30))))
             assert info.value.pivot_index == 2
 
     def test_width_must_fit_rhs(self):
@@ -261,32 +251,30 @@ class TestSolveBatch:
         rng = np.random.default_rng(13)
         batch = shared_batch(random_system(rng, 21, topology)[0], 40, rng)
         expected = solve_batch(batch).tobytes()
-        for hint in (1, 3):
-            rhs = batch.rhs.copy()
-            got = solve_batch(SolveBatch(batch.factors, rhs), hint, out=rhs)
-            assert got is rhs and rhs.tobytes() == expected
-            out = np.empty_like(batch.rhs)
-            assert solve_batch(batch, hint, out=out) is out
-            assert out.tobytes() == expected
+        rhs = batch.rhs.copy()
+        got = solve_batch(SolveBatch(batch.factors, rhs), out=rhs)
+        assert got is rhs and rhs.tobytes() == expected
+        out = np.empty_like(batch.rhs)
+        assert solve_batch(batch, out=out) is out
+        assert out.tobytes() == expected
         with pytest.raises(ShapeError):
             solve_batch(batch, out=np.empty((21, 39), dtype=complex))
 
-    @pytest.mark.parametrize("n_rhs, hint", [(1, 1), (3, 3), (97, 1), (97, 2)],
-                             ids=["width-1", "1-wide-blocks", "97", "97-split"])
+    @pytest.mark.parametrize("n_rhs", [1, 97], ids=["width-1", "97"])
     @pytest.mark.parametrize("topology", [OPEN, CYCLIC])
-    def test_in_place_matches_one_at_a_time(self, topology, n_rhs, hint):
+    def test_in_place_matches_one_at_a_time(self, topology, n_rhs):
         # solved in place, every member has the bits of its own solve: at
-        # width 1, in 1-wide blocks, and at a width that is not a multiple
-        # of the SIMD width.  A length-1 product written into its own
-        # operand rounds differently about half the time, and the
-        # difference does not always reach the solution, hence 8 batches.
+        # width 1, and at a width that is not a multiple of the SIMD width.
+        # A length-1 product written into its own operand rounds
+        # differently about half the time, and the difference does not
+        # always reach the solution, hence 8 batches.
         rng = np.random.default_rng(14)
         d, _ = random_system(rng, 29, topology)
         for _ in range(8):
             batch = shared_batch(d, n_rhs, rng)
             expected = one_at_a_time(d, batch.rhs).tobytes()
             rhs = batch.rhs.copy()
-            solve_batch(SolveBatch(batch.factors, rhs), hint, out=rhs)
+            solve_batch(SolveBatch(batch.factors, rhs), out=rhs)
             assert rhs.tobytes() == expected
 
     def test_empty_batch_rejected(self):
