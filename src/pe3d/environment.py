@@ -208,12 +208,15 @@ def refraction_index_grid(env: Environment, grid: Grid3D) -> np.ndarray:
 def gaussian_starter(grid: Grid3D, source: SourceSpec, k0: float) -> np.ndarray:
     """Gaussian starter slab at r_start, an (n_azimuth, n_depth) array:
     u(z) = sqrt(k0) * exp(-(k0^2 / 2) * (z - z_s)^2), identical in azimuth,
-    with the surface row forced to zero."""
+    and zero on the Dirichlet rows (the surface, a sector's edge azimuths),
+    which the march then keeps zero."""
     z = grid.depths()
     profile = math.sqrt(k0) * np.exp(-0.5 * k0 * k0 * (z - source.depth) ** 2)
     values = np.empty((grid.n_azimuth, grid.n_depth), dtype=np.complex128)
     values[:] = profile
     values[:, 0] = 0.0
+    if grid.azimuth_topology == SECTOR:
+        values[[0, -1]] = 0.0
     return values
 
 

@@ -1,28 +1,28 @@
-"""Per-frequency range marching: boundary handling, step solves, and
-transmission-loss assembly.
+"""Per-frequency range marching: step solves and transmission-loss
+assembly.
 
 One range step advances the slab from r to r + delta_r by
 
-1. applying the boundary conditions to the current slab u,
-2. copying u depth-major into t and solving one depth system per
+1. copying u depth-major into t and solving one depth system per
    azimuth index, (I + cx_lhs X) s = t, and taking
    t + (1 - rho)(s - t) as the intermediate slab v,
-3. solving one azimuth system per depth index, (I + cy_lhs Y) w = v,
+2. solving one azimuth system per depth index, (I + cy_lhs Y) w = v,
    and taking the new slab 2 w - v.
 
 With rho = cx_rhs / cx_lhs, (I + cx_rhs X) = rho (I + cx_lhs X) +
 (1 - rho) I, and cy_rhs == -cy_lhs makes (I + cy_rhs Y) =
-2I - (I + cy_lhs Y).  So steps 2 and 3 are the half-steps
+2I - (I + cy_lhs Y).  So steps 1 and 2 are the half-steps
 (I + c_lhs A)^-1 (I + c_rhs A) in their "sum" form (Collins 1993, JASA
 93(4)), each from one solve and its right-hand side, and no explicit
 matrix is assembled or multiplied.  X and Y act on different axes, so
 the half-steps commute.  Both sides take Y at the step's midpoint range
 r + delta_r / 2, which only :meth:`Marcher.azimuth` computes, so a
 lossless step keeps the norm (the paper puts the implicit side at the
-new range).  The identity rows of the assembled matrices keep the
-Dirichlet rows (the surface, a sector's edge azimuths) of t, s, v and
-w zero.  All systems of one sweep share one matrix, so each sweep is one
-wide substitution, on the calling thread; the threads split the step's
+new range).  A slab is zero on its Dirichlet rows (the surface, a
+sector's edge azimuths): the starter is made so, and the identity rows
+of the assembled matrices keep those rows of t, s, v and w zero.  All
+systems of one sweep share one matrix, so each sweep is one wide
+substitution, on the calling thread; the threads split the step's
 elementwise passes into row blocks, with the same bits for any split.
 
 A step only streams: it assembles and factors nothing.  The medium is
@@ -45,7 +45,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .environment import (
-    SECTOR,
     Environment,
     Grid3D,
     gaussian_starter,
@@ -54,7 +53,7 @@ from .environment import (
     transmission_loss_field,
     wavenumber,
 )
-from .errors import DomainError, ShapeError, SingularSystemError, StepError
+from .errors import DomainError, SingularSystemError, StepError
 from .operators import (
     StepCoefficients,
     assemble_azimuth_batch,
@@ -147,38 +146,15 @@ class FrequencyResult:
     wall_seconds: float
 
 
-def apply_boundary(values: np.ndarray, grid: Grid3D) -> np.ndarray:
-    """Dirichlet data: zero the pressure-release surface row, and the
-    azimuth edge rows on a sector grid, of an (n_azimuth, n_depth) array.
-    The bottom needs no overwrite; the absorber plus the zero-exterior
-    stencil closure handle it.  Mutates the array in place and returns it
-    (idempotent)."""
-    if values.shape != (grid.n_azimuth, grid.n_depth):
-        raise ShapeError(f"slab shape {values.shape} != grid "
-                         f"({grid.n_azimuth}, {grid.n_depth})")
-    values[:, 0] = 0.0
-    if grid.azimuth_topology == SECTOR:
-        values[0, :] = 0.0
-        values[-1, :] = 0.0
-    return values
-
-
 def range_step(marcher: Marcher, u: np.ndarray, j: int) -> np.ndarray:
     """Advance the slab ``u`` at range index ``j`` one range step; returns
-    the slab at ``j + 1``.  A :class:`DomainError` unless
-    0 <= j < n_range.
-
-    The new slab is a new array; the marcher's arrays are overwritten.
+    the slab at ``j + 1``, a new array.  ``u`` must be zero on its
+    Dirichlet rows (see above); the step reads it, never writes it, and
+    overwrites the marcher's arrays.  A :class:`DomainError` unless
+    0 <= j < n_range, a :class:`ShapeError` unless ``u`` is a grid slab.
     """
     grid, coeffs = marcher.grid, marcher.coeffs
     lhs_y = marcher.azimuth(j)  # checks j first
-    apply_boundary(u, grid)
-
-    if coeffs.delta == 0:
-        # Zero range increment: the implicit and explicit factors coincide,
-        # so the step is the identity and is short-circuited to keep it so
-        # to the bit.
-        return u
 
     # 1 - rho, without the cancellation of subtracting rho from 1
     weight = (coeffs.cx_lhs - coeffs.cx_rhs) / coeffs.cx_lhs
@@ -223,8 +199,9 @@ def run_frequency(config, frequency: float, threads: int | None = None) -> Frequ
     range, on ``threads`` intra-step threads (None:
     ``config.options.threads``), which ``RunOptions`` checks.
 
-    Deterministic: the TL field is a pure function of the config and the
-    frequency, for every thread count.  A field
+    The march starts from :func:`gaussian_starter`, zero on the Dirichlet
+    rows as a step needs.  Deterministic: the TL field is a pure function
+    of the config and the frequency, for every thread count.  A field
     that is not finite at a recorded range stops the march there with a
     :class:`StepError` naming that range index.
     """
@@ -239,7 +216,7 @@ def run_frequency(config, frequency: float, threads: int | None = None) -> Frequ
     k0 = wavenumber(frequency, env.c0)
     marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, grid.delta_r),
                       options.threads)
-    u = apply_boundary(gaussian_starter(grid, source, k0), grid)
+    u = gaussian_starter(grid, source, k0)
 
     stride = options.output_stride or default_output_stride(grid.n_range)
     ranges = np.empty(1 + grid.n_range // stride, dtype=np.float64)

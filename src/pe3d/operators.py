@@ -118,9 +118,8 @@ def assemble_depth_batch(coeff: complex, profile: np.ndarray, k0: float,
     width-1 diagonals (n_depth, 1), shared by every azimuth.
 
     The surface row (depth index 0) is imposed as the identity equation
-    u = 0, so the solved field honors the pressure-release surface exactly
-    instead of leaking amplitude into a row that would be zeroed afterwards;
-    the right-hand side must be zero there.
+    u = 0, so the solved field honors the pressure-release surface
+    exactly; the right-hand side must be zero there.
 
     The diagonal is written ``(local - 2 s) * coeff``: the operand order
     in which numpy evaluates the whole-grid ``coeff * (local - 2 s)`` of a

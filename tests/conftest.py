@@ -7,6 +7,7 @@ import numpy as np
 from pe3d.config import Config, RunOptions
 from pe3d.environment import (
     PERIODIC,
+    SECTOR,
     TOPOLOGIES,
     Absorber,
     Environment,
@@ -51,11 +52,20 @@ def make_config(grid=None, env=None, frequencies=(50.0,), source_depth=None,
     return Config(grid, env, source, options if options is not None else RunOptions())
 
 
-def random_slab_values(rng, grid, zero_surface=True):
+def random_slab_values(rng, grid, dirichlet=True):
+    """A random complex (n_azimuth, n_depth) slab of ``grid``; with
+    ``dirichlet``, zero on its Dirichlet rows, as a range step needs."""
     values = rng.standard_normal((grid.n_azimuth, grid.n_depth)) \
         + 1j * rng.standard_normal((grid.n_azimuth, grid.n_depth))
-    if zero_surface:
-        values[:, 0] = 0.0
+    return zero_dirichlet_rows(values, grid) if dirichlet else values
+
+
+def zero_dirichlet_rows(values, grid):
+    """Zero the surface row and, on a sector grid, the two edge azimuths of
+    an (n_azimuth, n_depth) array in place; returns it."""
+    values[:, 0] = 0.0
+    if grid.azimuth_topology == SECTOR:
+        values[[0, -1]] = 0.0
     return values
 
 

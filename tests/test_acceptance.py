@@ -5,6 +5,7 @@ Run with output visible:  pytest -v -s tests/test_acceptance.py
 """
 
 import math
+import statistics
 import time
 
 import numpy as np
@@ -255,19 +256,28 @@ def test_criterion_08_scaling_sanity():
                          delta_z=4.0, source_depth=100.0,
                          options=RunOptions(output_stride=10))
     frequency = config.source.frequencies[0]
-    walls = {}
-    for threads in (1, 2, 4):
-        begin = time.perf_counter()
-        run_frequency(config, frequency, threads)
-        walls[threads] = time.perf_counter() - begin
-    speedup4 = walls[1] / walls[4]
+    # one speedup per round, each round running the three thread counts in
+    # an order rotated by one, so that no count always runs first or last
+    order, speedups = [1, 2, 4], []
+    for _ in range(5):
+        walls = {}
+        for threads in order:
+            begin = time.perf_counter()
+            run_frequency(config, frequency, threads)
+            walls[threads] = time.perf_counter() - begin
+        speedups.append(walls[1] / walls[4])
+        order = order[1:] + order[:1]
+    speedup4 = statistics.median(speedups)
     if cores >= 4:
         status = "met" if speedup4 >= 2.0 else "NOT met (machine contended?)"
         detail = (f"{cores} physical cores, speedup(4 threads) = "
-                  f"{speedup4:.2f}, qualitative target >= 2.0 {status}")
+                  f"{speedup4:.2f} (median of 5 rounds), qualitative "
+                  f"target >= 2.0 {status}")
     else:
         detail = (f"soft criterion reported only: {cores} physical cores "
-                  f"(< 4 required); measured speedup(4 threads) = {speedup4:.2f}")
+                  f"(< 4 required); measured speedup(4 threads) = "
+                  f"{speedup4:.2f}, median of 5 rounds "
+                  f"({min(speedups):.2f}-{max(speedups):.2f})")
     finish(8, 300.0, t0, detail)
 
 

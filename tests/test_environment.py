@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_config, make_env, make_grid
 from pe3d.environment import (
+    PERIODIC,
     SECTOR,
     TL_FLOOR_DB,
     Absorber,
@@ -219,6 +220,27 @@ class TestGaussianStarter:
         slab = gaussian_starter(grid, SourceSpec((50.0,), depth=8.0),
                                 wavenumber(50.0, 1500.0))
         assert np.all(slab[:, 0] == 0.0)
+
+    @staticmethod
+    def starter(topology):
+        grid = make_grid(n_azimuth=6, n_depth=32, topology=topology)
+        return gaussian_starter(grid, SourceSpec((50.0,), depth=60.0),
+                                wavenumber(50.0, 1500.0))
+
+    def test_sector_edge_azimuths_zero(self):
+        # a sector's edge azimuths are Dirichlet rows, which the march
+        # keeps zero from the starter on; the azimuths between them are the
+        # starter column
+        slab = self.starter(SECTOR)
+        assert np.all(slab[[0, -1]] == 0.0)
+        assert np.array_equal(slab[1:-1], np.broadcast_to(slab[1], (4, 32)))
+        assert np.any(slab[1] != 0.0)
+
+    def test_periodic_edge_azimuths_kept(self):
+        # a periodic grid has no edges: every azimuth is the starter column
+        slab = self.starter(PERIODIC)
+        assert np.array_equal(slab, np.broadcast_to(slab[1], slab.shape))
+        assert np.any(slab[0] != 0.0)
 
 
 class TestHankelFactor:

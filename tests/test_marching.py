@@ -10,7 +10,13 @@ import pe3d.marching as marching_module
 import pe3d.operators as operators_module
 import pe3d.tridiag as tridiag_module
 
-from conftest import make_config, make_env, make_grid, random_slab_values
+from conftest import (
+    make_config,
+    make_env,
+    make_grid,
+    random_slab_values,
+    zero_dirichlet_rows,
+)
 from pe3d.config import RunOptions
 from pe3d.environment import (
     PERIODIC,
@@ -26,7 +32,6 @@ from pe3d.errors import DomainError, InvariantError, ShapeError, StepError
 from pe3d.marching import (
     AZIMUTH_BLOCK,
     Marcher,
-    apply_boundary,
     default_output_stride,
     range_step,
     run_frequency,
@@ -51,39 +56,6 @@ def make_marcher(config, frequency=50.0, slab_values=None, delta_r=None):
     return Marcher(grid, env, k0, coeffs, options.threads), slab_values
 
 
-class TestApplyBoundary:
-    def test_surface_row_zeroed(self):
-        rng = np.random.default_rng(1)
-        grid = make_grid()
-        u = random_slab_values(rng, grid, zero_surface=False)
-        apply_boundary(u, grid)
-        assert np.all(u[:, 0] == 0.0)
-
-    def test_periodic_leaves_azimuth_edges(self):
-        rng = np.random.default_rng(2)
-        grid = make_grid()
-        u = random_slab_values(rng, grid, zero_surface=False)
-        marker = u[0, 5]
-        apply_boundary(u, grid)
-        assert u[0, 5] == marker
-
-    def test_sector_edges_zeroed(self):
-        rng = np.random.default_rng(3)
-        grid = make_grid(topology=SECTOR)
-        u = random_slab_values(rng, grid, zero_surface=False)
-        apply_boundary(u, grid)
-        assert np.all(u[0, :] == 0.0)
-        assert np.all(u[-1, :] == 0.0)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(4)
-        grid = make_grid(topology=SECTOR)
-        u = random_slab_values(rng, grid, zero_surface=False)
-        once = apply_boundary(u, grid).copy()
-        twice = apply_boundary(u, grid)
-        assert np.array_equal(once, twice)
-
-
 class TestSlabShape:
     """A slab is an (n_azimuth, n_depth) array of the grid, or the step's
     functions raise."""
@@ -91,10 +63,11 @@ class TestSlabShape:
     @staticmethod
     def rejects(u, grid):
         with pytest.raises(ShapeError):
-            apply_boundary(u, grid)
-        with pytest.raises(ShapeError):
             compute_rhs(u, np.empty((grid.n_depth, grid.n_azimuth),
                                     dtype=complex))
+        marcher, _ = make_marcher(make_config(grid=grid))
+        with pytest.raises(ShapeError):
+            range_step(marcher, u, 0)
 
     def test_grid_mismatch(self):
         self.rejects(np.zeros((4, 4), dtype=complex), make_grid())
@@ -112,6 +85,18 @@ class TestRangeStep:
                                   delta_r=0.0)
         after = range_step(marcher, u, 0)
         assert after.tobytes() == values.tobytes()
+        assert not np.shares_memory(after, u)
+
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_input_left_unchanged(self, topology):
+        # the step reads its slab and never writes it, not even the
+        # Dirichlet rows that a slab must have zero
+        config = make_config(grid=make_grid(topology=topology))
+        values = random_slab_values(np.random.default_rng(9), config.grid,
+                                    dirichlet=False)
+        marcher, u = make_marcher(config, slab_values=values.copy())
+        range_step(marcher, u, 0)
+        assert u.tobytes() == values.tobytes()
 
     def test_advances_range_and_index(self):
         # a step from index j solves the systems of its own midpoint range
@@ -209,7 +194,7 @@ class TestRangeStep:
         k0 = wavenumber(50.0, env.c0)
         coeffs = replace(StepCoefficients.for_step(k0, grid.delta_r),
                          cy_lhs=0j, cy_rhs=0j)
-        u0 = apply_boundary(random_slab_values(rng, grid), grid)
+        u0 = random_slab_values(rng, grid)
         out = range_step(Marcher(grid, env, k0, coeffs), u0.copy(), 0)
 
         n = grid.n_depth
@@ -338,8 +323,9 @@ def reference_step(u, j, grid, env, k0, coeffs):
     form of the scheme the marcher shortcuts, with Y at the step's
     midpoint range.  Both half-steps take the sum form: the depth one is
     t + (1 - rho)(s - t) with (I + cx_lhs X) s = t and rho = cx_rhs /
-    cx_lhs, the azimuth one 2 w - v with (I + cy_lhs Y) w = v."""
-    apply_boundary(u, grid)
+    cx_lhs, the azimuth one 2 w - v with (I + cy_lhs Y) w = v.  It zeroes
+    the Dirichlet rows of the slab it returns, which the marcher's
+    matrices keep zero instead."""
     depth = reference_depth_matrix(coeffs.cx_lhs, medium_grid(env, grid), k0,
                                    grid.delta_z)
     t = np.ascontiguousarray(u.T)
@@ -355,7 +341,7 @@ def reference_step(u, j, grid, env, k0, coeffs):
         w = _reference_open(*full, v)
     else:
         w = _reference_cyclic(*full, v)
-    return apply_boundary(2.0 * w - v, grid)
+    return zero_dirichlet_rows(2.0 * w - v, grid)
 
 
 class TestReferenceStepper:
@@ -420,7 +406,7 @@ class TestReferenceStepper:
         result = run_frequency(config, 50.0, threads)
         k0 = wavenumber(50.0, env.c0)
         coeffs = StepCoefficients.for_step(k0, grid.delta_r)
-        reference = apply_boundary(gaussian_starter(grid, source, k0), grid)
+        reference = gaussian_starter(grid, source, k0)
         chain = [reference]
         for j in range(grid.n_range):
             chain.append(reference_step(chain[-1], j, grid, env, k0, coeffs))
@@ -600,7 +586,7 @@ class TestNormInvariants:
             + 1j * rng.standard_normal(grid.n_depth)
         values = np.tile(column, (grid.n_azimuth, 1)) if uniform \
             else random_slab_values(rng, grid)
-        apply_boundary(values, grid)
+        zero_dirichlet_rows(values, grid)
         k0 = wavenumber(50.0, env.c0)
         marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, grid.delta_r))
         u = values.copy()

@@ -72,7 +72,7 @@ class TestApplyX:
     def test_slab_form_matches_per_column(self):
         rng = np.random.default_rng(11)
         grid = make_grid(n_azimuth=4, n_depth=12)
-        u = random_slab_values(rng, grid, zero_surface=False)
+        u = random_slab_values(rng, grid, dirichlet=False)
         n_col = 1.0 + 0.01 * rng.standard_normal(grid.n_depth)
         whole = apply_X(u, n_col, 0.25, 3.0)
         rows = np.stack([apply_X(u[m], n_col, 0.25, 3.0)
@@ -287,7 +287,7 @@ class TestBatchAssembly:
     def test_depth_batch_surface_row_constrained(self):
         grid = make_grid(n_azimuth=4, n_depth=8)
         rhs = np.ones((8, 4), dtype=complex)
-        rhs[0] = 0.0  # the Dirichlet data the step imposes
+        rhs[0] = 0.0  # the Dirichlet data every slab carries
         batch = assemble_depth_batch(0.3 + 0.1j, np.ones(8), 0.2,
                                      grid.delta_z)
         solutions = solve_against(batch, rhs)
@@ -296,7 +296,7 @@ class TestBatchAssembly:
     def test_azimuth_batch_matches_scalar_systems(self):
         rng = np.random.default_rng(19)
         grid = make_grid(n_azimuth=10, n_depth=6)
-        rhs = random_slab_values(rng, grid, zero_surface=False)
+        rhs = random_slab_values(rng, grid, dirichlet=False)
         coeff = -0.2j
         batch = assemble_azimuth_batch(coeff, 0.2, 120.0, grid.delta_theta,
                                        PERIODIC, grid.n_azimuth)
@@ -308,7 +308,7 @@ class TestBatchAssembly:
     def test_sector_batch_edges_constrained(self):
         grid = make_grid(n_azimuth=6, n_depth=5, topology=SECTOR)
         rhs = np.ones((6, 5), dtype=complex)
-        rhs[[0, -1]] = 0.0  # the Dirichlet data the step imposes
+        rhs[[0, -1]] = 0.0  # the Dirichlet data every slab carries
         batch = assemble_azimuth_batch(0.1 + 0.1j, 0.2, 80.0,
                                        grid.delta_theta, SECTOR, 6)
         solutions = solve_against(batch, rhs)
