@@ -1,40 +1,45 @@
-"""Per-frequency range marching: step solves and transmission-loss
-assembly.
+"""Per-frequency range marching: the march in azimuth modes and
+transmission-loss assembly.
 
-One range step advances the slab from r to r + delta_r by
+The medium is one depth profile, the same at every range and azimuth, so
+every step's Y is one constant-coefficient second difference in azimuth,
+scaled by sigma_j = 1 / (k0 r dtheta)^2 at the step's midpoint range
+r_j + delta_r / 2: cyclic on a periodic grid, Dirichlet-edged on a
+sector.  The discrete Fourier modes (periodic) and the sine modes of the
+interior azimuths (sector) are its eigenvectors, with eigenvalues
+sigma_j lambda_k (:attr:`Marcher.eigenvalues`), and X acts on every
+azimuth alike.  So the march keeps the depth-major *mode slab*
+(n_depth, n_modes): :meth:`Marcher.to_modes` transforms the starter
+once, and :meth:`Marcher.from_modes` transforms back only at recorded
+ranges.
 
-1. copying u depth-major into t and solving one depth system per
-   azimuth index, (I + cx_lhs X) s = t, and taking
-   t + (1 - rho)(s - t) as the intermediate slab v,
-2. solving one azimuth system per depth index, (I + cy_lhs Y) w = v,
-   and taking the new slab 2 w - v.
+One range step advances the mode slab m from r_j to r_j + delta_r by
+
+1. solving one depth system per mode, (I + cx_lhs X) s = m, and taking
+   v = m + (1 - rho)(s - m),
+2. multiplying mode k of v by g_j(k) = 2 / (1 + cy_lhs sigma_j lambda_k)
+   - 1.
 
 With rho = cx_rhs / cx_lhs, (I + cx_rhs X) = rho (I + cx_lhs X) +
 (1 - rho) I, and cy_rhs == -cy_lhs makes (I + cy_rhs Y) =
 2I - (I + cy_lhs Y).  So steps 1 and 2 are the half-steps
 (I + c_lhs A)^-1 (I + c_rhs A) in their "sum" form (Collins 1993, JASA
-93(4)), each from one solve and its right-hand side, and no explicit
-matrix is assembled or multiplied.  X and Y act on different axes, so
-the half-steps commute.  Both sides take Y at the step's midpoint range
-r + delta_r / 2, which only :meth:`Marcher.azimuth` computes, so a
-lossless step keeps the norm (the paper puts the implicit side at the
-new range).  A slab is zero on its Dirichlet rows (the surface, a
-sector's edge azimuths): the starter is made so, and the identity rows
-of the assembled matrices keep those rows of t, s, v and w zero.  All
-systems of one sweep share one matrix, so each sweep is one wide
-substitution, on the calling thread; the threads split the step's
-elementwise passes into row blocks, with the same bits for any split.
+93(4)); in modes the azimuth one, 2 (I + cy_lhs Y)^-1 v - v, is a
+multiply, and cy_lhs is purely imaginary, so no g_j(k) divides by zero.
+FOR3D solves tri-diagonal systems in azimuth instead: the same discrete
+scheme up to rounding, for a medium that varies in neither azimuth nor
+range.  Both sides take Y at the midpoint, so a lossless step keeps the
+norm (the paper puts the implicit side at the new range).
 
-A step only streams: it assembles and factors nothing.  The medium is
-one depth profile, the same at every range and azimuth, so a
-:class:`Marcher` computes that profile and factors the depth matrix on
-it once per frequency.  The azimuth matrices depend on range; the
-marcher assembles and factors those of ``AZIMUTH_BLOCK`` consecutive
-steps together (the first block when it is built, each later one at the
-step that first needs it), and each step uses its own column.  t and s
-live in the marcher's two work arrays, v takes t's array once s is
-formed, and the only slab-sized allocation of a step is the new slab,
-which also holds (1 - rho)(s - t) until the azimuth solve overwrites it.
+The surface row of every mode slab is zero: the starter is made so, and
+the identity row of the depth matrix keeps it zero.  A sector's edge
+azimuths are no mode, so :meth:`Marcher.from_modes` writes them as
+zeros.  A step assembles, factors and transforms nothing: a
+:class:`Marcher` factors the depth matrix once per frequency, and g_j is
+one short vector per step.  The depth systems share one matrix, so the
+depth sweep is one wide substitution, on the calling thread, as are the
+transforms; the threads split the step's elementwise passes into
+depth-row blocks, with the same bits for any split.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .environment import (
+    PERIODIC,
     Environment,
     Grid3D,
     gaussian_starter,
@@ -53,40 +59,36 @@ from .environment import (
     transmission_loss_field,
     wavenumber,
 )
-from .errors import DomainError, SingularSystemError, StepError
+from .errors import DomainError, ShapeError, SingularSystemError, StepError
 from .operators import (
     StepCoefficients,
-    assemble_azimuth_batch,
+    assemble_azimuth_batch,  # unused: bench/tracing.py patches it by name
     assemble_depth_batch,
-    compute_rhs,
+    azimuth_stencil,
+    compute_rhs,  # a function only so that bench/tracing.py can patch it
 )
 from .pool import fork_join
 from .tridiag import Factors, SolveBatch, factor, solve_batch
 
 MAX_OUTPUT_SAMPLES = 512
 
-# Range steps whose azimuth matrices are factored together: enough to
-# spread the per-row cost of the elimination, few enough to keep the
-# factors of a long march small.
-AZIMUTH_BLOCK = 64
-
 
 @dataclass(eq=False)
 class Marcher:
     """What stays fixed while one frequency is marched, what is derived
-    from it once, and the arrays every step reuses.
+    from it once, and the array every step reuses.
 
-    Derived once from the depth profile of n: ``depth``, the factored
-    implicit depth matrix (I + cx_lhs X); and the factored implicit
-    azimuth matrices of the first ``AZIMUTH_BLOCK`` steps, later blocks
-    as the march reaches them (:meth:`azimuth`).  Neither half-step has
-    an explicit matrix, and no field holds an (azimuth x depth) medium
-    array.  ``work`` holds two C-contiguous (n_azimuth, n_depth) arrays,
-    which the depth half-step views depth-major; every step overwrites
-    them, so a marcher serves one march at a time.
+    Derived once: ``depth``, the factored implicit depth matrix
+    (I + cx_lhs X) on the depth profile of n; and ``eigenvalues``, the
+    lambda_k of the azimuth modes for a second difference of scale 1:
+    -4 sin^2(pi k / N) for k = 0 .. N - 1 on a periodic grid of N
+    azimuths, -4 sin^2(pi p / (2 (N - 1))) for p = 1 .. N - 2 on a
+    sector.  No field holds an (azimuth x depth) medium array.  ``work``
+    is one (n_depth, n_modes) array that every step overwrites, so a
+    marcher serves one march at a time.
 
-    A singular depth or azimuth matrix is not reported here but by the
-    first step that solves with it, as a :class:`StepError`.
+    A singular depth matrix is not reported here but by the first step
+    that solves with it, as a :class:`StepError`.
     """
 
     grid: Grid3D
@@ -95,41 +97,82 @@ class Marcher:
     coeffs: StepCoefficients
     threads: int = 1
     depth: Factors = field(init=False)
-    work: tuple = field(init=False)
-    _azimuth: Factors | None = field(init=False, default=None)
-    _azimuth_start: int = field(init=False, default=0)
+    eigenvalues: np.ndarray = field(init=False)
+    work: np.ndarray = field(init=False)
 
     def __post_init__(self):
         grid = self.grid
         self.depth = factor(assemble_depth_batch(
             self.coeffs.cx_lhs, refraction_index_grid(self.environment, grid),
             self.k0, grid.delta_z))
-        shape = (grid.n_azimuth, grid.n_depth)
-        self.work = tuple(np.empty(shape, dtype=np.complex128) for _ in range(2))
-        self.azimuth(0)  # the first block, with the rest of the set-up
+        n = grid.n_azimuth
+        if grid.azimuth_topology == PERIODIC:
+            angles = np.pi * np.arange(n) / n
+        else:
+            angles = np.pi * np.arange(1, n - 1) / (2 * (n - 1))
+        self.eigenvalues = -4.0 * np.sin(angles) ** 2
+        self.work = np.empty((grid.n_depth, angles.size), dtype=np.complex128)
 
-    def azimuth(self, j: int) -> Factors:
-        """The width-1 factors of the implicit azimuth matrix
-        (I + cy_lhs Y) of step ``j``, with Y at its midpoint range
-        r_j + delta_r / 2; a :class:`DomainError` unless
-        0 <= j < n_range.
-
-        When step ``j`` is outside the block made last, the matrices of
-        steps ``j`` to ``j + AZIMUTH_BLOCK - 1`` (at most ``n_range - 1``)
-        are assembled and factored together.
-        """
+    def gain(self, j: int) -> np.ndarray:
+        """g_j(k) = 2 / (1 + cy_lhs sigma_j lambda_k) - 1 per mode k, the
+        azimuth half-step of step ``j``, with sigma_j at its midpoint
+        range r_j + delta_r / 2; a :class:`DomainError` unless
+        0 <= j < n_range."""
         grid = self.grid
         if not 0 <= j < grid.n_range:
             raise DomainError(f"step {j} is not in [0, n_range) = "
                               f"[0, {grid.n_range})")
-        offset = j - self._azimuth_start
-        if self._azimuth is None or not 0 <= offset < self._azimuth.width:
-            steps = np.arange(j, min(j + AZIMUTH_BLOCK, grid.n_range))
-            self._azimuth = factor(assemble_azimuth_batch(
-                self.coeffs.cy_lhs, self.k0, grid.range_at(steps + 0.5),
-                grid.delta_theta, grid.azimuth_topology, grid.n_azimuth))
-            self._azimuth_start, offset = j, 0
-        return self._azimuth.column(offset)
+        sigma = azimuth_stencil(self.k0, grid.range_at(j + 0.5),
+                                grid.delta_theta)
+        return 2.0 / (1.0 + self.coeffs.cy_lhs * (sigma * self.eigenvalues)) \
+            - 1.0
+
+    def check_modes(self, m: np.ndarray):
+        """A :class:`ShapeError` unless ``m`` has the mode slab's shape."""
+        if m.shape != self.work.shape:
+            raise ShapeError(f"mode slab of shape {m.shape}, not "
+                             f"(n_depth, n_modes) = {self.work.shape}")
+
+    def to_modes(self, u: np.ndarray) -> np.ndarray:
+        """The mode slab (n_depth, n_modes) of the (n_azimuth, n_depth)
+        slab ``u``, a new array; a :class:`ShapeError` unless ``u`` is a
+        grid slab.
+
+        Periodic: the FFT along azimuth.  Sector: the DST-I of the
+        interior azimuths, as the FFT of their odd extension of length
+        2 (N - 1), whose modes 1 .. N - 2 are -2i times the sine sums;
+        the edge azimuths are ignored.
+        """
+        grid = self.grid
+        if u.shape != (grid.n_azimuth, grid.n_depth):
+            raise ShapeError(f"slab of shape {u.shape}, not (n_azimuth, "
+                             f"n_depth) = {(grid.n_azimuth, grid.n_depth)}")
+        n = grid.n_azimuth
+        if grid.azimuth_topology == PERIODIC:
+            return np.fft.fft(compute_rhs(u, np.empty(
+                (grid.n_depth, n), dtype=np.complex128)), axis=1)
+        odd = np.empty((grid.n_depth, 2 * (n - 1)), dtype=np.complex128)
+        compute_rhs(u, odd[:, :n])
+        odd[:, [0, n - 1]] = 0.0
+        np.negative(odd[:, n - 2:0:-1], out=odd[:, n:])
+        spectrum = np.fft.fft(odd, axis=1)
+        del odd
+        return spectrum[:, 1:n - 1].copy()
+
+    def from_modes(self, m: np.ndarray) -> np.ndarray:
+        """The (n_azimuth, n_depth) slab of the mode slab ``m``: the
+        transposed view of a new depth-major array, the inverse of
+        :meth:`to_modes`.  A sector's edge azimuths are exact zeros."""
+        self.check_modes(m)
+        n = self.grid.n_azimuth
+        if self.grid.azimuth_topology == PERIODIC:
+            return np.fft.ifft(m, axis=1).T
+        odd = np.zeros((m.shape[0], 2 * (n - 1)), dtype=np.complex128)
+        odd[:, 1:n - 1] = m
+        np.negative(m[:, ::-1], out=odd[:, n:])
+        u = np.fft.ifft(odd, axis=1)[:, :n]
+        u[:, [0, n - 1]] = 0.0
+        return u.T
 
 
 @dataclass(eq=False)
@@ -146,46 +189,34 @@ class FrequencyResult:
     wall_seconds: float
 
 
-def range_step(marcher: Marcher, u: np.ndarray, j: int) -> np.ndarray:
-    """Advance the slab ``u`` at range index ``j`` one range step; returns
-    the slab at ``j + 1``, a new array.  ``u`` must be zero on its
-    Dirichlet rows (see above); the step reads it, never writes it, and
-    overwrites the marcher's arrays.  A :class:`DomainError` unless
-    0 <= j < n_range, a :class:`ShapeError` unless ``u`` is a grid slab.
+def range_step(marcher: Marcher, m: np.ndarray, j: int) -> np.ndarray:
+    """Advance the mode slab ``m`` at range index ``j`` one range step;
+    returns the mode slab at ``j + 1``, a new array.  ``m`` must be zero
+    on its surface row (see above); the step reads it, never writes it,
+    and overwrites the marcher's work array.  A :class:`DomainError`
+    unless 0 <= j < n_range, a :class:`ShapeError` unless ``m`` has the
+    mode slab's shape.
     """
-    grid, coeffs = marcher.grid, marcher.coeffs
-    lhs_y = marcher.azimuth(j)  # checks j first
-
+    g = marcher.gain(j)  # checks j first
+    marcher.check_modes(m)
+    coeffs = marcher.coeffs
     # 1 - rho, without the cancellation of subtracting rho from 1
     weight = (coeffs.cx_lhs - coeffs.cx_rhs) / coeffs.cx_lhs
-    first, second = marcher.work
-    t = compute_rhs(u, first.reshape(grid.n_depth, grid.n_azimuth))
-    s = second.reshape(t.shape)
+    s = marcher.work
     try:
-        solve_batch(SolveBatch(marcher.depth, t), out=s)
+        solve_batch(SolveBatch(marcher.depth, m), out=s)
     except SingularSystemError as exc:
         raise StepError(j + 1, "depth", exc) from exc
-    new = np.empty_like(first)
-    scaled = new.reshape(t.shape)  # a product's own array until w fills it
-    v = first  # t is dead once s is formed
+    new = np.empty_like(s)
 
-    def depth_sum(lo, hi):
-        np.subtract(s[lo:hi], t[lo:hi], out=s[lo:hi])
-        np.multiply(s[lo:hi], weight, out=scaled[lo:hi])
-        np.add(t[lo:hi], scaled[lo:hi], out=s[lo:hi])
+    # every product writes into an array distinct from its operands
+    def passes(lo, hi):
+        np.subtract(s[lo:hi], m[lo:hi], out=s[lo:hi])
+        np.multiply(s[lo:hi], weight, out=new[lo:hi])
+        np.add(m[lo:hi], new[lo:hi], out=s[lo:hi])
+        np.multiply(s[lo:hi], g, out=new[lo:hi])
 
-    def azimuth_sum(lo, hi):
-        np.add(new[lo:hi], new[lo:hi], out=new[lo:hi])
-        np.subtract(new[lo:hi], v[lo:hi], out=new[lo:hi])
-
-    fork_join(depth_sum, grid.n_depth, marcher.threads)
-    fork_join(lambda lo, hi: np.copyto(v[lo:hi], s[:, lo:hi].T),
-              grid.n_azimuth, marcher.threads)
-    try:
-        solve_batch(SolveBatch(lhs_y, v), out=new)
-    except SingularSystemError as exc:
-        raise StepError(j + 1, "azimuth", exc) from exc
-    fork_join(azimuth_sum, grid.n_azimuth, marcher.threads)
+    fork_join(passes, marcher.grid.n_depth, marcher.threads)
     return new
 
 
@@ -200,10 +231,11 @@ def run_frequency(config, frequency: float, threads: int | None = None) -> Frequ
     ``config.options.threads``), which ``RunOptions`` checks.
 
     The march starts from :func:`gaussian_starter`, zero on the Dirichlet
-    rows as a step needs.  Deterministic: the TL field is a pure function
-    of the config and the frequency, for every thread count.  A field
-    that is not finite at a recorded range stops the march there with a
-    :class:`StepError` naming that range index.
+    rows, and records its TL as it is; it then marches in modes and
+    transforms back at each later recorded range.  Deterministic: the TL
+    field is a pure function of the config and the frequency, for every
+    thread count.  A field that is not finite at a recorded range stops
+    the march there with a :class:`StepError` naming that range index.
     """
     t_begin = time.perf_counter()
     grid, env, source, options = config
@@ -223,7 +255,7 @@ def run_frequency(config, frequency: float, threads: int | None = None) -> Frequ
     tl_field = np.empty(ranges.shape + u.shape, dtype=np.float64)
     clamped = 0
 
-    def record(j: int):
+    def record(j: int, u: np.ndarray):
         nonlocal clamped
         r = grid.range_at(j)
         _, n_clamped, n_nonfinite = transmission_loss_field(
@@ -233,11 +265,13 @@ def run_frequency(config, frequency: float, threads: int | None = None) -> Frequ
         ranges[j // stride] = r
         clamped += n_clamped
 
-    record(0)
+    record(0, u)
+    m = marcher.to_modes(u)
+    del u
     for j in range(1, grid.n_range + 1):
-        u = range_step(marcher, u, j - 1)
+        m = range_step(marcher, m, j - 1)
         if j % stride == 0:
-            record(j)
+            record(j, marcher.from_modes(m))
 
     return FrequencyResult(
         frequency=frequency,

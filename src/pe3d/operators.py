@@ -17,13 +17,16 @@ the whole slab.
 Exterior stencil values are zero (pressure-release surface, absorber-backed
 bottom, sector edges); the azimuth index wraps on a periodic grid.
 
-:func:`assemble_depth_batch` and :func:`assemble_azimuth_batch` build
-the implicit matrices (I + cx_lhs X) and (I + cy_lhs Y) alone.  Each
-explicit matrix is a combination of its implicit one and I
-(:class:`StepCoefficients`), so the step takes both half-steps in sum
-form, from a solve and its right-hand side, and no explicit matrix is
-assembled or multiplied.  :func:`compute_rhs` copies the slab
-depth-major for the depth solve.
+:func:`assemble_depth_batch` builds the implicit depth matrix
+(I + cx_lhs X) alone.  Each explicit matrix is a combination of its
+implicit one and I (:class:`StepCoefficients`), so the step takes both
+half-steps in sum form and no explicit matrix is assembled or
+multiplied.  Y has constant coefficients in azimuth, so the march takes
+its half-step per azimuth mode, from :func:`azimuth_stencil` alone
+(:mod:`pe3d.marching`).  :func:`assemble_azimuth_batch` builds the
+implicit azimuth matrices (I + cy_lhs Y) as tri-diagonal systems, which
+the tests' physical-space reference step solves.  :func:`compute_rhs`
+copies a slab depth-major for the forward azimuth transform.
 
 Rounding: numpy's vectorised complex product uses fused multiply-adds, so
 ``a * b`` and ``b * a`` can differ in their last bits, and numpy evaluates
@@ -52,7 +55,9 @@ class StepCoefficients:
     makes (I + cy_rhs Y) = 2I - (I + cy_lhs Y).  With rho = cx_rhs /
     cx_lhs (cx_lhs has real part 1/4 from :meth:`for_step`, and is checked
     to be nonzero), (I + cx_rhs X) = rho (I + cx_lhs X) + (1 - rho) I.
-    So each half-step needs its implicit matrix only.
+    So each half-step needs its implicit matrix only.  cy_lhs is checked
+    to be purely imaginary, so (I + cy_lhs Y) is regular for the real
+    symmetric Y: the azimuth half-step cannot fail.
     """
 
     delta: complex
@@ -68,6 +73,8 @@ class StepCoefficients:
             raise InvariantError("cy_lhs + cy_rhs == 0 exactly")
         if self.cx_lhs == 0:
             raise InvariantError("cx_lhs != 0")
+        if self.cy_lhs.real != 0:
+            raise InvariantError("cy_lhs is purely imaginary")
 
     @classmethod
     def for_step(cls, k0: float, delta_r: float) -> "StepCoefficients":
@@ -96,12 +103,11 @@ def azimuth_stencil(k0: float, r, delta_theta: float):
 
 
 def compute_rhs(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The right-hand side of the step's depth solve: the (n_azimuth,
-    n_depth) slab ``u`` copied depth-major into ``out``, of shape
-    (n_depth, n_azimuth); returns ``out``.
+    """The (n_azimuth, n_depth) slab ``u`` copied depth-major into
+    ``out``, of shape (n_depth, n_azimuth); returns ``out``.
 
-    The depth half-step needs no explicit matrix (see :mod:`pe3d.marching`),
-    so this is the transposed copy alone.  It stays a function because
+    This is the copy that feeds the forward azimuth transform
+    (:meth:`pe3d.marching.Marcher.to_modes`).  It stays a function because
     the benchmark's tracer (``bench/tracing.py``) wraps
     ``marching.compute_rhs`` by name, until the run times its own phases.
     """

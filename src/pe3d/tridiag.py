@@ -1,19 +1,20 @@
 """Complex tri-diagonal direct solvers: one factorization, many
 substitutions.
 
-This is the hot kernel of the range-marching scheme (two tri-diagonal
-solves per step).  Every system of one sweep shares one matrix, so
-:func:`factor` turns the diagonals of that matrix into :class:`Factors`,
-and :func:`solve_batch` substitutes the right-hand sides of a
-:class:`SolveBatch` against them.  :func:`factor` also factors several
-matrices side by side, one per column, and :meth:`Factors.column` hands
-out one of them.  The right-hand sides are laid out structure-of-arrays:
-one row per elimination index, contiguous across the batch, so every
-inner-loop operation is a unit-stride vector op over batch members, with
-the factors broadcast across them.  Nothing here multiplies by a
-matrix: the step takes both half-steps in sum form, t + (1 - rho)(s - t)
-in depth and 2 w - v in azimuth, from a solve and its right-hand side
-(see :mod:`pe3d.marching`).
+This is the hot kernel of the range-marching scheme: one batch of
+depth solves per step, one system per azimuth mode (the azimuth
+half-step is a multiply per mode, see :mod:`pe3d.marching`).  Every
+system of one sweep shares one matrix, so :func:`factor` turns the
+diagonals of that matrix into :class:`Factors`, and :func:`solve_batch`
+substitutes the right-hand sides of a :class:`SolveBatch` against them.
+:func:`factor` also factors several matrices side by side, one per
+column.  The right-hand sides are laid out structure-of-arrays: one row
+per elimination index, contiguous across the batch, so every inner-loop
+operation is a unit-stride vector op over batch members, with the
+factors broadcast across them.  Nothing here multiplies by a matrix:
+the step takes its depth half-step in sum form, m + (1 - rho)(s - m),
+from a solve and its right-hand side.  The cyclic solver serves the
+tests' physical-space reference step and the selftest.
 
 Determinism: every kernel operation is elementwise per batch member (and
 per factored column), and numpy elementwise complex arithmetic is
@@ -100,8 +101,7 @@ class Factors:
     per column, ready for any number of substitutions.
 
     Arrays keep the (row, matrix) layout of :class:`Diagonals`; width-1
-    factors broadcast across the columns of a batch, and
-    :meth:`column` takes one matrix out of wider ones.  ``cp`` and
+    factors broadcast across the columns of a batch.  ``cp`` and
     ``inv`` are the modified super-diagonal and the reciprocal pivots of
     the open elimination, ``sub`` the sub-diagonal its forward sweep
     reads.  A cyclic matrix also keeps its Sherman-Morrison spike: ``q``
@@ -150,18 +150,6 @@ class Factors:
         row = int(bad[0])
         return SingularSystemError(
             row, detail="singular rank-1 correction" if row == self.n else "")
-
-    def column(self, j: int) -> "Factors":
-        """The factors of matrix ``j`` on their own, at width 1."""
-        cut = slice(j, j + 1)
-        cyclic = self.topology == CYCLIC
-        return Factors(
-            self.topology, self.sub[:, cut], self.cp[:, cut],
-            self.inv[:, cut], self.bad_row[cut],
-            self.q[:, cut] if cyclic else None,
-            self.weight[cut] if cyclic else None,
-            self.denom[cut] if cyclic else None,
-        )
 
 
 @dataclass(eq=False)

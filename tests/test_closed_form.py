@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-import pe3d.operators as operators_module
+import pe3d.marching as marching_module
 
 from conftest import make_config, make_env, make_grid
 from pe3d.config import RunOptions
@@ -26,7 +26,7 @@ from pe3d.selftest import separable_mode_error
 
 @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
 def test_separable_mode_matches_closed_form(topology):
-    # 200 steps on 36 x 128 cross three AZIMUTH_BLOCK boundaries; both
+    # 200 steps on 36 x 128 in modes, compared in physical space; both
     # sides of a step take Y at its midpoint, so the lossless mode keeps
     # its amplitude, |prod g_j| = 1
     error, gain = separable_mode_error(topology)
@@ -84,10 +84,11 @@ def displaced_source_error(offset, r0):
         r2 = np.sqrt(horizontal + (z + source_depth) ** 2)
         return np.exp(1j * k * r1) / r1 - np.exp(1j * k * r2) / r2
 
-    u = exact(r0) / hankel_factor(k, r0)
     marcher = Marcher(grid, env, k, StepCoefficients.for_step(k, grid.delta_r))
+    modes = marcher.to_modes(exact(r0) / hankel_factor(k, r0))
     for j in range(grid.n_range):
-        u = range_step(marcher, u, j)
+        modes = range_step(marcher, modes, j)
+    u = marcher.from_modes(modes)
     assert math.isclose(grid.range_at(grid.n_range), r_end)
     rows = z < 250.0
     field = u[:, rows] * hankel_factor(k, r_end)
@@ -101,7 +102,7 @@ def test_displaced_point_source(monkeypatch):
     # so the gate can see the azimuth term
     error = displaced_source_error(100.0, 1000.0)
     assert error <= 0.03, f"3-D field error {error:.3f}"
-    monkeypatch.setattr(operators_module, "azimuth_stencil",
+    monkeypatch.setattr(marching_module, "azimuth_stencil",
                         lambda *args: 0.0)
     control = displaced_source_error(100.0, 1000.0)
     assert control >= 0.3, f"N x 2-D control error {control:.3f}"

@@ -11,6 +11,7 @@ import pe3d.operators as operators_module
 import pe3d.tridiag as tridiag_module
 
 from conftest import (
+    apply_Y,
     make_config,
     make_env,
     make_grid,
@@ -30,7 +31,6 @@ from pe3d.environment import (
 )
 from pe3d.errors import DomainError, InvariantError, ShapeError, StepError
 from pe3d.marching import (
-    AZIMUTH_BLOCK,
     Marcher,
     default_output_stride,
     range_step,
@@ -40,6 +40,7 @@ from pe3d.operators import (
     StepCoefficients,
     assemble_azimuth_batch,
     assemble_depth_batch,
+    azimuth_stencil,
     compute_rhs,
 )
 
@@ -56,9 +57,26 @@ def make_marcher(config, frequency=50.0, slab_values=None, delta_r=None):
     return Marcher(grid, env, k0, coeffs, options.threads), slab_values
 
 
+def physical_step(marcher, u, j):
+    """One step of the (n_azimuth, n_depth) slab ``u``, through the modes."""
+    return marcher.from_modes(range_step(marcher, marcher.to_modes(u), j))
+
+
+def relative_error(x, reference):
+    return np.max(np.abs(x - reference)) / np.max(np.abs(reference))
+
+
+# The mode march against the physical-space reference step, which solves
+# the same scheme tri-diagonally in azimuth: the arithmetic differs, so
+# they agree to rounding, relative to the largest |u|.  Measured: at most
+# 1.7e-15 over 5 steps on 73 x 256, 8.7e-15 over 70 steps on the narrow
+# grids.
+ORACLE_TOLERANCE = 1e-12
+
+
 class TestSlabShape:
-    """A slab is an (n_azimuth, n_depth) array of the grid, or the step's
-    functions raise."""
+    """A slab is an (n_azimuth, n_depth) array of the grid and a mode slab
+    an (n_depth, n_modes) one, or the functions that take them raise."""
 
     @staticmethod
     def rejects(u, grid):
@@ -66,8 +84,10 @@ class TestSlabShape:
             compute_rhs(u, np.empty((grid.n_depth, grid.n_azimuth),
                                     dtype=complex))
         marcher, _ = make_marcher(make_config(grid=grid))
-        with pytest.raises(ShapeError):
-            range_step(marcher, u, 0)
+        for take in (marcher.to_modes, marcher.from_modes,
+                     lambda u: range_step(marcher, u, 0)):
+            with pytest.raises(ShapeError):
+                take(u)
 
     def test_grid_mismatch(self):
         self.rejects(np.zeros((4, 4), dtype=complex), make_grid())
@@ -75,63 +95,152 @@ class TestSlabShape:
     def test_must_be_matrix(self):
         self.rejects(np.zeros(8, dtype=complex), make_grid())
 
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_step_rejects_physical_slab(self, topology):
+        # the march state is the mode slab, never the (n_azimuth, n_depth)
+        # slab itself
+        marcher, u = make_marcher(make_config(
+            grid=make_grid(n_azimuth=8, n_depth=24, topology=topology)))
+        with pytest.raises(ShapeError, match="mode slab"):
+            range_step(marcher, u, 0)
+        assert range_step(marcher, marcher.to_modes(u), 0).shape \
+            == marcher.work.shape
+
+
+class TestModes:
+    """The azimuth transforms and the eigenvalues they diagonalise Y with."""
+
+    SHAPES = [(topology, n) for topology in (PERIODIC, SECTOR)
+              for n in (3, 4, 7, 12)]
+
+    @staticmethod
+    def marcher(topology, n_azimuth, n_depth=6):
+        grid = make_grid(n_azimuth=n_azimuth, n_depth=n_depth,
+                         topology=topology)
+        return make_marcher(make_config(grid=grid))[0]
+
+    @pytest.mark.parametrize("topology,n_azimuth", SHAPES)
+    def test_round_trip(self, topology, n_azimuth):
+        marcher = self.marcher(topology, n_azimuth)
+        u = random_slab_values(np.random.default_rng(n_azimuth),
+                               marcher.grid)
+        m = marcher.to_modes(u)
+        n_modes = n_azimuth if topology == PERIODIC else n_azimuth - 2
+        assert m.shape == (marcher.grid.n_depth, n_modes)
+        assert np.max(np.abs(marcher.from_modes(m) - u)) <= 1e-15 * n_azimuth
+
+    @pytest.mark.parametrize("topology,n_azimuth", SHAPES)
+    def test_mode_is_eigenvector_of_Y(self, topology, n_azimuth):
+        # a single mode comes back as an eigenvector of the azimuth
+        # operator, with eigenvalue sigma lambda_k at any range
+        marcher = self.marcher(topology, n_azimuth)
+        grid, r = marcher.grid, 123.0
+        sigma = azimuth_stencil(marcher.k0, r, grid.delta_theta)
+        for k, eigenvalue in enumerate(marcher.eigenvalues):
+            m = np.zeros(marcher.work.shape, dtype=complex)
+            m[1:, k] = 1.0 + 0.5j
+            u = marcher.from_modes(m)
+            y = apply_Y(u, marcher.k0, r, grid.delta_theta, topology)
+            # a sector's edge rows are identity equations, not rows of Y
+            rows = slice(None) if topology == PERIODIC else slice(1, -1)
+            assert np.max(np.abs(y - sigma * eigenvalue * u)[rows]) \
+                <= 1e-14 * sigma * np.max(np.abs(u)), k
+
+    @pytest.mark.parametrize("topology,n_azimuth", SHAPES)
+    def test_dirichlet_rows_exactly_zero(self, topology, n_azimuth):
+        # the surface row of a mode slab, and a sector's edge azimuths, are
+        # zero bits in the slab that from_modes gives back, even after
+        # steps and from any modes
+        marcher = self.marcher(topology, n_azimuth, n_depth=24)
+        u = random_slab_values(np.random.default_rng(3), marcher.grid)
+        m = marcher.to_modes(u)
+        for j in range(3):
+            m = range_step(marcher, m, j)
+        assert np.all(m[0] == 0.0)
+        assert np.all(marcher.from_modes(m)[:, 0] == 0.0)
+        if topology == SECTOR:
+            noise = np.random.default_rng(4).standard_normal(m.shape) + 0j
+            for modes in (m, noise):
+                assert np.all(marcher.from_modes(modes)[[0, -1]] == 0.0)
+
+    def test_gain_at_midpoint_range(self):
+        # g_j takes sigma at r_j + delta_r / 2 for every step, far past
+        # where the tri-diagonal march refactored its azimuth matrices
+        # in blocks of 64 steps
+        grid = make_grid(n_range=200, n_azimuth=12, n_depth=8,
+                         topology=SECTOR)
+        marcher = make_marcher(make_config(grid=grid))[0]
+        cy_lhs = marcher.coeffs.cy_lhs
+        for j in (0, 63, 64, 65, 130, 199):
+            sigma = azimuth_stencil(marcher.k0, grid.r_start
+                                    + (j + 0.5) * grid.delta_r,
+                                    grid.delta_theta)
+            want = 2.0 / (1.0 + cy_lhs * (sigma * marcher.eigenvalues)) - 1.0
+            assert marcher.gain(j).tobytes() == want.tobytes(), j
+            # lossless: the azimuth half-step is unitary per mode
+            assert np.max(np.abs(np.abs(want) - 1.0)) <= 1e-15
+
 
 class TestRangeStep:
     def test_delta_zero_identity_bitwise(self):
         rng = np.random.default_rng(5)
         config = make_config(n_azimuth=8, n_depth=24)
         values = random_slab_values(rng, config.grid)
-        marcher, u = make_marcher(config, slab_values=values.copy(),
-                                  delta_r=0.0)
-        after = range_step(marcher, u, 0)
-        assert after.tobytes() == values.tobytes()
-        assert not np.shares_memory(after, u)
+        marcher, u = make_marcher(config, slab_values=values, delta_r=0.0)
+        m = marcher.to_modes(u)
+        after = range_step(marcher, m, 0)
+        assert after.tobytes() == m.tobytes()
+        assert not np.shares_memory(after, m)
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_input_left_unchanged(self, topology):
-        # the step reads its slab and never writes it, not even the
-        # Dirichlet rows that a slab must have zero
+        # the step reads its mode slab and never writes it, not even the
+        # surface row that a mode slab must have zero
         config = make_config(grid=make_grid(topology=topology))
         values = random_slab_values(np.random.default_rng(9), config.grid,
                                     dirichlet=False)
-        marcher, u = make_marcher(config, slab_values=values.copy())
-        range_step(marcher, u, 0)
-        assert u.tobytes() == values.tobytes()
+        marcher, u = make_marcher(config, slab_values=values)
+        m = marcher.to_modes(u)
+        before = m.copy()
+        range_step(marcher, m, 0)
+        assert m.tobytes() == before.tobytes()
 
     def test_advances_range_and_index(self):
-        # a step from index j solves the systems of its own midpoint range
-        # into a new slab
+        # a step from index j takes the gain of its own midpoint range,
+        # into a new mode slab
         config = make_config(n_azimuth=6, n_depth=24)
         values = random_slab_values(np.random.default_rng(8), config.grid)
         marcher, _ = make_marcher(config)
-        first = range_step(marcher, values.copy(), 0)
-        assert first.shape == values.shape
-        assert not np.shares_memory(first, values)
-        assert not np.array_equal(range_step(marcher, values.copy(), 1), first)
+        m = marcher.to_modes(values)
+        first = range_step(marcher, m, 0)
+        assert first.shape == m.shape
+        assert not np.shares_memory(first, m)
+        assert not np.array_equal(range_step(marcher, m, 1), first)
 
     def test_step_beyond_grid_rejected(self):
         # a step index is one of 0 .. n_range - 1, for the step and for
-        # the azimuth factors it takes, which would otherwise have width 0
+        # the gain it takes
         config = make_config(n_range=3)
         marcher, u = make_marcher(config)
+        m = marcher.to_modes(u)
         for j in range(3):
-            u = range_step(marcher, u, j)
+            m = range_step(marcher, m, j)
         for j in (-1, 3, 4):
             with pytest.raises(DomainError, match="n_range"):
-                range_step(marcher, u, j)
+                range_step(marcher, m, j)
             with pytest.raises(DomainError, match="n_range"):
-                marcher.azimuth(j)
+                marcher.gain(j)
 
     def test_azimuth_symmetry_preserved_one_step(self):
         config = make_config(n_azimuth=16, n_depth=48)
-        out = range_step(*make_marcher(config), 0)
+        out = physical_step(*make_marcher(config), 0)
         mags = np.abs(out)
         spread = (mags.max(axis=0) - mags.min(axis=0)).max()
         assert spread <= 1e-12 * mags.max()
 
     def test_surface_zero_after_step(self):
         config = make_config()
-        out = range_step(*make_marcher(config), 0)
+        out = physical_step(*make_marcher(config), 0)
         assert np.all(out[:, 0] == 0.0)
 
     def test_dense_step_oracle_three_by_three(self):
@@ -143,7 +252,7 @@ class TestRangeStep:
         config = make_config(grid=grid, env=env, source_depth=7.0)
         u0 = random_slab_values(rng, grid)
         marcher, u = make_marcher(config, slab_values=u0.copy())
-        out = range_step(marcher, u, 0)
+        out = physical_step(marcher, u, 0)
 
         k0 = marcher.k0
         coeffs = marcher.coeffs
@@ -195,7 +304,7 @@ class TestRangeStep:
         coeffs = replace(StepCoefficients.for_step(k0, grid.delta_r),
                          cy_lhs=0j, cy_rhs=0j)
         u0 = random_slab_values(rng, grid)
-        out = range_step(Marcher(grid, env, k0, coeffs), u0.copy(), 0)
+        out = physical_step(Marcher(grid, env, k0, coeffs), u0.copy(), 0)
 
         n = grid.n_depth
         s_z = 1.0 / (k0 * grid.delta_z) ** 2
@@ -219,28 +328,9 @@ class TestRangeStep:
         k0 = 1.0  # s_z = 1, diag = 1 + 0.5 * (0 - 2) = 0
         marcher = Marcher(grid, env, k0, coeffs)
         with pytest.raises(StepError) as info:
-            range_step(marcher, np.ones((4, 8), dtype=complex), 0)
+            range_step(marcher, np.ones(marcher.work.shape, dtype=complex), 0)
         assert info.value.sweep == "depth"
         assert info.value.range_index == 1
-
-    def test_singular_azimuth_solve_becomes_step_error(self):
-        # sector grid with k0 * r * delta_theta == 1 at the midpoint of the
-        # step to index 2 (r = 6.25 + 1.5 * 2.5 = 10), so s = 1 and
-        # cy_lhs = 1/2 make the interior azimuth diagonal 1 - 2 * cy_lhs * s
-        # exactly zero: a zero pivot at row 1
-        grid = make_grid(n_azimuth=5, n_depth=8, delta_r=2.5, r_start=6.25,
-                         delta_z=1.0, delta_theta=0.1, topology=SECTOR)
-        config = make_config(grid=grid)
-        coeffs = StepCoefficients(delta=1j, cx_lhs=0.25 + 0.0j,
-                                  cx_rhs=0.25 + 0.0j, cy_lhs=0.5 + 0.0j,
-                                  cy_rhs=-0.5 + 0.0j)
-        marcher = Marcher(grid, config.environment, 1.0, coeffs)
-        u = range_step(marcher, np.ones((5, 8), dtype=complex), 0)
-        with pytest.raises(StepError) as info:
-            range_step(marcher, u, 1)
-        assert info.value.sweep == "azimuth"
-        assert info.value.range_index == 2
-        assert info.value.cause.pivot_index == 1
 
 
 def _reference_open(sub, main, sup, rhs):
@@ -320,8 +410,8 @@ def per_member(diagonals, width):
 def reference_step(u, j, grid, env, k0, coeffs):
     """One range step from the slab ``u`` at range index ``j``, with a
     matrix per member, assembled and factored in every step: the plain
-    form of the scheme the marcher shortcuts, with Y at the step's
-    midpoint range.  Both half-steps take the sum form: the depth one is
+    form of the scheme the marcher takes in azimuth modes, solving in
+    azimuth as FOR3D does, with Y at the step's midpoint range.  Both half-steps take the sum form: the depth one is
     t + (1 - rho)(s - t) with (I + cx_lhs X) s = t and rho = cx_rhs /
     cx_lhs, the azimuth one 2 w - v with (I + cy_lhs Y) w = v.  It zeroes
     the Dirichlet rows of the slab it returns, which the marcher's
@@ -345,16 +435,17 @@ def reference_step(u, j, grid, env, k0, coeffs):
 
 
 class TestReferenceStepper:
-    """The shared factors and the marcher's sum-form half-steps must give
-    the bits of a matrix per member and of whole-array expressions.
+    """The mode march against the physical reference step, a matrix per
+    member solved in depth and in azimuth, to ``ORACLE_TOLERANCE``; and
+    bitwise against itself at any thread count.
 
     The grids are larger than numpy's 256 KiB threshold for evaluating
     temporaries in place, where the reference's products by a temporary
     run with swapped operands: the solver's one depth profile must give
-    the bits of whole-grid expressions there.  Their 73 azimuth and 256
-    depth rows split unevenly into 3 and 7 thread blocks: some depth-pass
-    blocks start at an odd element offset, the periodic wrap rows land in
-    different blocks, and a sector's edge rows in the first and last.
+    the bits of whole-grid expressions there.  Their 256 depth rows split
+    unevenly into 3 and 7 thread blocks, so some blocks of the step's
+    passes start at an odd element offset; 73 azimuths is an odd mode
+    count, and 71 sine modes on the sector.
     """
 
     @staticmethod
@@ -385,6 +476,8 @@ class TestReferenceStepper:
     @pytest.mark.parametrize("threads", [1, 2, 3, 7])
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_range_step_bitwise(self, topology, threads):
+        # every step has the bits of the one-thread march, and its slab
+        # that of the reference to rounding
         config = self.config(topology)
         grid, env, _, _ = config
         assert grid.n_azimuth * grid.n_depth * 16 > 256 * 1024
@@ -392,18 +485,29 @@ class TestReferenceStepper:
         coeffs = StepCoefficients.for_step(k0, grid.delta_r)
         values = random_slab_values(np.random.default_rng(77), grid)
         marcher = Marcher(grid, env, k0, coeffs, threads)
-        u, reference = values.copy(), values.copy()
+        serial = Marcher(grid, env, k0, coeffs)
+        m = one = marcher.to_modes(values)
+        reference = values.copy()
         for j in range(5):
-            u = range_step(marcher, u, j)
+            m = range_step(marcher, m, j)
+            one = range_step(serial, one, j)
+            assert m.tobytes() == one.tobytes()
             reference = reference_step(reference, j, grid, env, k0, coeffs)
-            assert u.tobytes() == reference.tobytes()
+            assert relative_error(marcher.from_modes(m), reference) \
+                <= ORACLE_TOLERANCE
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 7])
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_run_frequency_bitwise(self, topology, threads):
+        # the TL has the bits of the one-thread run; against the
+        # reference's, the starter's bitwise (it is recorded before the
+        # march goes to modes), the rest to rounding where the field is
+        # above the TL floor in both
         config = self.config(topology)
         grid, env, source, _ = config
         result = run_frequency(config, 50.0, threads)
+        serial = run_frequency(config, 50.0, 1)
+        assert result.tl_field.tobytes() == serial.tl_field.tobytes()
         k0 = wavenumber(50.0, env.c0)
         coeffs = StepCoefficients.for_step(k0, grid.delta_r)
         reference = gaussian_starter(grid, source, k0)
@@ -411,10 +515,13 @@ class TestReferenceStepper:
         for j in range(grid.n_range):
             chain.append(reference_step(chain[-1], j, grid, env, k0, coeffs))
         indices = range(0, grid.n_range + 1, result.output_stride)
-        tl = [transmission_loss_field(chain[j], hankel_factor(
-            k0, grid.range_at(j)))[0] for j in indices]
+        tl = np.stack([transmission_loss_field(chain[j], hankel_factor(
+            k0, grid.range_at(j)))[0] for j in indices])
         assert result.ranges.tolist() == [grid.range_at(j) for j in indices]
-        assert result.tl_field.tobytes() == np.stack(tl).tobytes()
+        assert result.tl_field[0].tobytes() == tl[0].tobytes()
+        audible = (result.tl_field < 250.0) & (tl < 250.0)
+        assert audible[1:].mean() > 0.25
+        assert np.max(np.abs(result.tl_field - tl)[audible]) <= 1e-9
 
 
     @pytest.mark.parametrize("topology,shape", [
@@ -423,28 +530,29 @@ class TestReferenceStepper:
         for shape in [(12, 24), (3, 3), (3, 129), (5, 7), (8, 129), (97, 5)]
         for topology in (PERIODIC, SECTOR)])
     def test_across_azimuth_blocks(self, topology, shape):
-        # more steps than one block of azimuth factors, on narrow and odd
-        # (n_azimuth, n_depth) shapes too
-        grid = make_grid(n_range=AZIMUTH_BLOCK + 6, n_azimuth=shape[0],
-                         n_depth=shape[1], topology=topology)
+        # 70 steps, past the 64-step blocks in which the tri-diagonal
+        # march factored its azimuth matrices, on narrow and odd
+        # (n_azimuth, n_depth) shapes too: down to one sine mode
+        grid = make_grid(n_range=70, n_azimuth=shape[0], n_depth=shape[1],
+                         topology=topology)
         config = make_config(grid=grid)
         env = config.environment
         k0 = wavenumber(50.0, env.c0)
         coeffs = StepCoefficients.for_step(k0, grid.delta_r)
         values = random_slab_values(np.random.default_rng(78), grid)
         marcher = Marcher(grid, env, k0, coeffs)
-        u, reference = values.copy(), values.copy()
+        m, reference = marcher.to_modes(values), values.copy()
         for j in range(grid.n_range):
-            u = range_step(marcher, u, j)
+            m = range_step(marcher, m, j)
             reference = reference_step(reference, j, grid, env, k0, coeffs)
-        assert u.tobytes() == reference.tobytes()
+        assert relative_error(marcher.from_modes(m), reference) \
+            <= ORACLE_TOLERANCE
 
 
 class TestStepArrays:
-    """A step streams through the marcher's arrays: it builds no stencil,
-    factors nothing on a march within one block of azimuth factors,
-    allocates only the new slab, and substitutes each sweep whole on the
-    calling thread."""
+    """A step streams through the marcher's work array: it builds no
+    stencil, factors nothing, allocates only the new mode slab, and
+    substitutes its one sweep whole on the calling thread."""
 
     @staticmethod
     def stepped(topology, threads=1):
@@ -452,7 +560,7 @@ class TestStepArrays:
                          topology=topology)
         marcher, u = make_marcher(make_config(
             grid=grid, options=RunOptions(threads=threads)))
-        return marcher, range_step(marcher, u, 0)
+        return marcher, range_step(marcher, marcher.to_modes(u), 0)
 
     @pytest.mark.parametrize("topology,threads", [
         pytest.param(topology, threads, id=topology if threads == 1
@@ -468,42 +576,38 @@ class TestStepArrays:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - before <= 1.25 * slab_bytes
+        # beyond the new slab: numpy's iteration buffer (np.getbufsize()
+        # complex elements) for each thread's product by the broadcast gain
+        buffers = threads * np.getbufsize() * 16
+        assert peak - before <= 1.25 * slab_bytes + buffers
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_step_factors_nothing(self, topology, monkeypatch):
-        # within a block a step assembles and factors nothing; a march one
-        # step longer than a block assembles the azimuth matrices of each
-        # block once, the implicit side's: the explicit side is 2I minus them
-        grid = make_grid(n_range=AZIMUTH_BLOCK + 1, n_azimuth=12, n_depth=24,
+        # no step assembles or factors a matrix, nor transforms its slab,
+        # over a march longer than the 64-step blocks in which the
+        # tri-diagonal march factored its azimuth matrices
+        grid = make_grid(n_range=65, n_azimuth=12, n_depth=24,
                          topology=topology)
-        calls = []
-        assemble = marching_module.assemble_azimuth_batch
-
-        def counted(coeff, *args):
-            calls.append(coeff)
-            return assemble(coeff, *args)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("called by a range step")
 
-        monkeypatch.setattr(marching_module, "assemble_azimuth_batch", counted)
         marcher, u = make_marcher(make_config(grid=grid))
+        m = marcher.to_modes(u)
         with monkeypatch.context() as patch:
             for name in ("factor", "assemble_azimuth_batch",
-                         "assemble_depth_batch", "refraction_index_grid"):
+                         "assemble_depth_batch", "refraction_index_grid",
+                         "compute_rhs"):
                 patch.setattr(marching_module, name, forbidden)
             patch.setattr(operators_module, "depth_stencil", forbidden)
-            for j in range(AZIMUTH_BLOCK):
-                u = range_step(marcher, u, j)
-        range_step(marcher, u, AZIMUTH_BLOCK)
-        assert calls == [marcher.coeffs.cy_lhs] * 2
+            patch.setattr(np, "fft", None)
+            for j in range(grid.n_range):
+                m = range_step(marcher, m, j)
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_marcher_retains_no_medium_grid(self, topology):
-        # the work arrays are 2 slabs; the medium, the depth factors and
-        # the azimuth factors of a block are depth profiles or azimuth
-        # rows: 2.15 slabs periodic, 2.13 on the sector
+        # the work array is one mode slab; the medium, the depth factors
+        # and the eigenvalues are depth profiles or azimuth rows
         grid = make_grid(n_range=8, n_azimuth=72, n_depth=256,
                          topology=topology)
         config = make_config(grid=grid)
@@ -521,10 +625,12 @@ class TestStepArrays:
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_march_frees_each_slab_it_has_stepped_from(self, topology):
-        # the marcher's 2 slabs, the slab of the step and the new slab, and
-        # 0.6 slab of the factors and small arrays (4.61 slabs periodic,
-        # 4.57 on the sector); the starter slab is freed after the first
-        # step like every later one
+        # the marcher's work slab, the slab being stepped or recorded, a
+        # transform's arrays, and the factors and small arrays: 4.47 slabs
+        # periodic; on the sector 6.22, for its transforms hold an odd
+        # extension and its spectrum, each 2 (N - 1) azimuths wide.  The
+        # starter slab is freed once it is in modes, and each mode slab
+        # after the step from it
         grid = make_grid(n_range=8, n_azimuth=72, n_depth=256,
                          topology=topology)
         config = make_config(grid=grid)
@@ -536,13 +642,13 @@ class TestStepArrays:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - before - result.tl_field.nbytes <= 4.75 * slab_bytes
+        bound = 4.75 if topology == PERIODIC else 6.5
+        assert peak - before - result.tl_field.nbytes <= bound * slab_bytes
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_step_substitutes_each_sweep_whole(self, topology, monkeypatch):
         # at 2 threads the threads split the elementwise passes only: the
-        # depth and the azimuth sweep are one full-width substitution each,
-        # on the calling thread
+        # depth sweep is one full-width substitution, on the calling thread
         marcher, u = self.stepped(topology, threads=2)
         calls = []
         substitute = tridiag_module._substitute
@@ -553,14 +659,12 @@ class TestStepArrays:
 
         monkeypatch.setattr(tridiag_module, "_substitute", recorded)
         range_step(marcher, u, 1)
-        grid, caller = marcher.grid, threading.get_ident()
-        assert calls == [((grid.n_depth, grid.n_azimuth), caller),
-                         ((grid.n_azimuth, grid.n_depth), caller)]
+        assert calls == [(marcher.work.shape, threading.get_ident())]
 
     def test_new_slab_owns_its_memory(self):
-        marcher, u = self.stepped(PERIODIC)
-        new = range_step(marcher, u, 1)
-        for array in marcher.work + (u,):
+        marcher, m = self.stepped(PERIODIC)
+        new = range_step(marcher, m, 1)
+        for array in (marcher.work, m):
             assert not np.shares_memory(new, array)
 
 
@@ -569,7 +673,8 @@ class TestNormInvariants:
     symmetric operator: X, and Y at the step's midpoint range on both
     sides.  The step is unitary, so the discrete L2 norm of any field is
     conserved to rounding, on periodic and sector grids.  The absorber
-    makes every step a strict contraction."""
+    makes every step a strict contraction.  The norms are taken on the
+    mode slab: the transforms scale the norm by a constant (Parseval)."""
 
     @staticmethod
     def norms(attenuation, topology=PERIODIC, uniform=True):
@@ -589,12 +694,12 @@ class TestNormInvariants:
         zero_dirichlet_rows(values, grid)
         k0 = wavenumber(50.0, env.c0)
         marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, grid.delta_r))
-        u = values.copy()
-        norms = [np.linalg.norm(values)]
+        m = marcher.to_modes(values)
+        norms = [np.linalg.norm(m)]
         for j in range(grid.n_range):
-            u = range_step(marcher, u, j)
-            norms.append(np.linalg.norm(u))
-        moved = np.max(np.abs(u - values)) / np.max(np.abs(values))
+            m = range_step(marcher, m, j)
+            norms.append(np.linalg.norm(m))
+        moved = relative_error(marcher.from_modes(m), values)
         return np.array(norms), moved
 
     # (topology, uniform in azimuth): a field that varies in azimuth also

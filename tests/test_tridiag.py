@@ -229,15 +229,13 @@ class TestSolveBatch:
 
     def test_width_must_fit_rhs(self):
         # a batch shares one matrix: factors of several matrices are
-        # rejected until one column is taken out, and the right-hand sides
-        # must have its rows
+        # rejected, and the right-hand sides must have its rows
         rng = np.random.default_rng(12)
         wide = factor(Diagonals(np.ones((5, 3)), 4.0 * np.ones((6, 3)),
                                 np.ones((5, 3))))
         assert wide.width == 3
         with pytest.raises(ShapeError, match="one matrix"):
             SolveBatch(wide, np.ones((6, 4)))
-        assert SolveBatch(wide.column(2), np.ones((6, 4))).n == 6
         shared = factor(random_system(rng, 6, OPEN)[0])
         with pytest.raises(ShapeError):
             SolveBatch(shared, np.ones((5, 4)))
@@ -317,10 +315,8 @@ class TestWideFactor:
             else ("cp", "inv")
         for j in range(64):
             alone = factor(matrices[j])
-            col = factors.column(j)
-            assert col.width == 1 and col.singular is None
             for name in names:
-                assert getattr(col, name).tobytes() \
+                assert getattr(factors, name)[..., j:j + 1].tobytes() \
                     == getattr(alone, name).tobytes(), (j, name)
 
     def test_open_column_carries_its_error(self):
@@ -329,16 +325,12 @@ class TestWideFactor:
         pivot_0 = one_matrix(np.ones(4), [0.0, 1.0, 1.0, 1.0, 1.0], np.ones(4))
         factors = factor(wide_diagonals([regular, pivot_2, pivot_0]))
         assert factors.bad_row.tolist() == [-1, 2, 0]
-        assert factors.column(0).singular is None
-        assert factors.column(1).singular.pivot_index == 2
-        assert factors.column(2).singular.pivot_index == 0
-        first, alone = factors.singular, factors.column(1).singular
+        # the error is the first singular column's, as factored alone
+        first, alone = factors.singular, factor(pivot_2).singular
         assert (first.pivot_index, first.detail) \
-            == (alone.pivot_index, alone.detail)
-        solve_batch(SolveBatch(factors.column(0), np.ones((5, 3))))
-        with pytest.raises(SingularSystemError) as info:
-            solve_batch(SolveBatch(factors.column(1), np.ones((5, 3))))
-        assert info.value.pivot_index == 2
+            == (alone.pivot_index, alone.detail) == (2, "")
+        assert factor(regular).singular is None
+        assert factor(pivot_0).singular.pivot_index == 0
 
     def test_cyclic_column_carries_its_error(self):
         # column 1 is singular only in the rank-1 correction (row n = 3),
@@ -348,11 +340,10 @@ class TestWideFactor:
         pivot_1 = one_matrix(np.zeros(3), [1.0, 0.0, 1.0], np.zeros(3), CYCLIC)
         factors = factor(wide_diagonals([regular, rank1, pivot_1]))
         assert factors.bad_row.tolist() == [-1, 3, 1]
-        assert factors.column(0).singular is None
-        error = factors.column(1).singular
+        error = factors.singular
         assert (error.pivot_index, error.detail) \
             == (3, "singular rank-1 correction")
-        error = factors.column(2).singular
+        error = factor(pivot_1).singular
         assert (error.pivot_index, error.detail) == (1, "")
 
 
