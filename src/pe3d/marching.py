@@ -198,6 +198,11 @@ def range_step(marcher: Marcher, m: np.ndarray, j: int) -> np.ndarray:
     mode slab's shape.
     """
     g = marcher.gain(j)  # checks j first
+    if g.size == 1:
+        # one mode's gain as a scalar: numpy multiplies a one-row block by
+        # a length-1 array in another loop than a longer block, with
+        # other bits, and by a scalar in one loop for any block
+        g = g[0]
     marcher.check_modes(m)
     coeffs = marcher.coeffs
     # 1 - rho, without the cancellation of subtracting rho from 1

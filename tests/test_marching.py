@@ -532,7 +532,8 @@ class TestReferenceStepper:
     def test_across_azimuth_blocks(self, topology, shape):
         # 70 steps, past the 64-step blocks in which the tri-diagonal
         # march factored its azimuth matrices, on narrow and odd
-        # (n_azimuth, n_depth) shapes too: down to one sine mode
+        # (n_azimuth, n_depth) shapes too: down to one sine mode, and to
+        # thread blocks of one depth row, with the one-thread bits
         grid = make_grid(n_range=70, n_azimuth=shape[0], n_depth=shape[1],
                          topology=topology)
         config = make_config(grid=grid)
@@ -540,12 +541,16 @@ class TestReferenceStepper:
         k0 = wavenumber(50.0, env.c0)
         coeffs = StepCoefficients.for_step(k0, grid.delta_r)
         values = random_slab_values(np.random.default_rng(78), grid)
-        marcher = Marcher(grid, env, k0, coeffs)
-        m, reference = marcher.to_modes(values), values.copy()
+        marchers = [Marcher(grid, env, k0, coeffs, threads)
+                    for threads in (1, 2, 3, 7)]
+        modes = [marcher.to_modes(values) for marcher in marchers]
+        reference = values.copy()
         for j in range(grid.n_range):
-            m = range_step(marcher, m, j)
+            modes = [range_step(marcher, m, j)
+                     for marcher, m in zip(marchers, modes)]
             reference = reference_step(reference, j, grid, env, k0, coeffs)
-        assert relative_error(marcher.from_modes(m), reference) \
+        assert all(m.tobytes() == modes[0].tobytes() for m in modes)
+        assert relative_error(marchers[0].from_modes(modes[0]), reference) \
             <= ORACLE_TOLERANCE
 
 
