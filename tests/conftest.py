@@ -78,7 +78,7 @@ def one_matrix(sub, main, sup, topology=OPEN):
 # The depth and azimuth operators as plain functions that return new
 # arrays, from a second difference of their own: the oracles that the
 # matrices ``assemble_depth_batch`` and ``assemble_azimuth_batch`` build,
-# and the step solves against, are checked against.
+# and the azimuth modes the march multiplies, are checked against.
 
 def second_difference(u: np.ndarray, periodic: bool) -> np.ndarray:
     """u[i+1] - 2 u[i] + u[i-1] along the first axis of ``u``, with the
