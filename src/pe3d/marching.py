@@ -72,6 +72,13 @@ from .tridiag import Factors, SolveBatch, factor, solve_batch
 
 MAX_OUTPUT_SAMPLES = 512
 
+# Depth rows that the step's gain multiply and a sector's transforms take
+# at a time.  The gain is repeated down a block of this many rows, so the
+# multiply runs on operands of one shape, for which numpy takes no
+# iteration buffer, as it does for a gain broadcast over the rows; and a
+# sector's odd extension and its spectrum are this many rows tall.
+BLOCK_ROWS = 16
+
 
 @dataclass(eq=False)
 class Marcher:
@@ -84,8 +91,9 @@ class Marcher:
     -4 sin^2(pi k / N) for k = 0 .. N - 1 on a periodic grid of N
     azimuths, -4 sin^2(pi p / (2 (N - 1))) for p = 1 .. N - 2 on a
     sector.  No field holds an (azimuth x depth) medium array.  ``work``
-    is one (n_depth, n_modes) array that every step overwrites, so a
-    marcher serves one march at a time.
+    is one (n_depth, n_modes) array that every step overwrites, and
+    ``gain_rows`` the step's gain repeated down at most
+    :data:`BLOCK_ROWS` rows, so a marcher serves one march at a time.
 
     A singular depth matrix is not reported here but by the first step
     that solves with it, as a :class:`StepError`.
@@ -99,6 +107,7 @@ class Marcher:
     depth: Factors = field(init=False)
     eigenvalues: np.ndarray = field(init=False)
     work: np.ndarray = field(init=False)
+    gain_rows: np.ndarray = field(init=False)
 
     def __post_init__(self):
         grid = self.grid
@@ -112,6 +121,8 @@ class Marcher:
             angles = np.pi * np.arange(1, n - 1) / (2 * (n - 1))
         self.eigenvalues = -4.0 * np.sin(angles) ** 2
         self.work = np.empty((grid.n_depth, angles.size), dtype=np.complex128)
+        self.gain_rows = np.empty((min(BLOCK_ROWS, grid.n_depth), angles.size),
+                                  dtype=np.complex128)
 
     def gain(self, j: int) -> np.ndarray:
         """g_j(k) = 2 / (1 + cy_lhs sigma_j lambda_k) - 1 per mode k, the
@@ -140,8 +151,9 @@ class Marcher:
 
         Periodic: the FFT along azimuth.  Sector: the DST-I of the
         interior azimuths, as the FFT of their odd extension of length
-        2 (N - 1), whose modes 1 .. N - 2 are -2i times the sine sums;
-        the edge azimuths are ignored.
+        2 (N - 1), whose modes 1 .. N - 2 are -2i times the sine sums,
+        :data:`BLOCK_ROWS` depth rows at a time; the edge azimuths are
+        ignored.
         """
         grid = self.grid
         if u.shape != (grid.n_azimuth, grid.n_depth):
@@ -151,26 +163,34 @@ class Marcher:
         if grid.azimuth_topology == PERIODIC:
             return np.fft.fft(compute_rhs(u, np.empty(
                 (grid.n_depth, n), dtype=np.complex128)), axis=1)
-        odd = np.empty((grid.n_depth, 2 * (n - 1)), dtype=np.complex128)
-        compute_rhs(u, odd[:, :n])
-        odd[:, [0, n - 1]] = 0.0
-        np.negative(odd[:, n - 2:0:-1], out=odd[:, n:])
-        spectrum = np.fft.fft(odd, axis=1)
-        del odd
-        return spectrum[:, 1:n - 1].copy()
+        m = np.empty(self.work.shape, dtype=np.complex128)
+        odd = np.empty((BLOCK_ROWS, 2 * (n - 1)), dtype=np.complex128)
+        for lo in range(0, grid.n_depth, BLOCK_ROWS):
+            block = u[:, lo:lo + BLOCK_ROWS]
+            rows = odd[:block.shape[1]]
+            compute_rhs(block, rows[:, :n])
+            rows[:, [0, n - 1]] = 0.0
+            np.negative(rows[:, n - 2:0:-1], out=rows[:, n:])
+            m[lo:lo + block.shape[1]] = np.fft.fft(rows, axis=1)[:, 1:n - 1]
+        return m
 
     def from_modes(self, m: np.ndarray) -> np.ndarray:
         """The (n_azimuth, n_depth) slab of the mode slab ``m``: the
         transposed view of a new depth-major array, the inverse of
-        :meth:`to_modes`.  A sector's edge azimuths are exact zeros."""
+        :meth:`to_modes`, a sector's :data:`BLOCK_ROWS` depth rows at a
+        time.  A sector's edge azimuths are exact zeros."""
         self.check_modes(m)
         n = self.grid.n_azimuth
         if self.grid.azimuth_topology == PERIODIC:
             return np.fft.ifft(m, axis=1).T
-        odd = np.zeros((m.shape[0], 2 * (n - 1)), dtype=np.complex128)
-        odd[:, 1:n - 1] = m
-        np.negative(m[:, ::-1], out=odd[:, n:])
-        u = np.fft.ifft(odd, axis=1)[:, :n]
+        u = np.empty((m.shape[0], n), dtype=np.complex128)
+        odd = np.zeros((BLOCK_ROWS, 2 * (n - 1)), dtype=np.complex128)
+        for lo in range(0, m.shape[0], BLOCK_ROWS):
+            block = m[lo:lo + BLOCK_ROWS]
+            rows = odd[:block.shape[0]]
+            rows[:, 1:n - 1] = block
+            np.negative(block[:, ::-1], out=rows[:, n:])
+            u[lo:lo + block.shape[0]] = np.fft.ifft(rows, axis=1)[:, :n]
         u[:, [0, n - 1]] = 0.0
         return u.T
 
@@ -197,12 +217,8 @@ def range_step(marcher: Marcher, m: np.ndarray, j: int) -> np.ndarray:
     unless 0 <= j < n_range, a :class:`ShapeError` unless ``m`` has the
     mode slab's shape.
     """
-    g = marcher.gain(j)  # checks j first
-    if g.size == 1:
-        # one mode's gain as a scalar: numpy multiplies a one-row block by
-        # a length-1 array in another loop than a longer block, with
-        # other bits, and by a scalar in one loop for any block
-        g = g[0]
+    g = marcher.gain_rows
+    g[...] = marcher.gain(j)  # checks j first
     marcher.check_modes(m)
     coeffs = marcher.coeffs
     # 1 - rho, without the cancellation of subtracting rho from 1
@@ -219,7 +235,9 @@ def range_step(marcher: Marcher, m: np.ndarray, j: int) -> np.ndarray:
         np.subtract(s[lo:hi], m[lo:hi], out=s[lo:hi])
         np.multiply(s[lo:hi], weight, out=new[lo:hi])
         np.add(m[lo:hi], new[lo:hi], out=s[lo:hi])
-        np.multiply(s[lo:hi], g, out=new[lo:hi])
+        for i in range(lo, hi, g.shape[0]):
+            k = min(hi, i + g.shape[0])
+            np.multiply(s[i:k], g[:k - i], out=new[i:k])
 
     fork_join(passes, marcher.grid.n_depth, marcher.threads)
     return new

@@ -31,6 +31,7 @@ from pe3d.environment import (
 )
 from pe3d.errors import DomainError, InvariantError, ShapeError, StepError
 from pe3d.marching import (
+    BLOCK_ROWS,
     Marcher,
     default_output_stride,
     range_step,
@@ -121,7 +122,10 @@ class TestModes:
 
     @pytest.mark.parametrize("topology,n_azimuth", SHAPES)
     def test_round_trip(self, topology, n_azimuth):
-        marcher = self.marcher(topology, n_azimuth)
+        # a sector transforms two blocks of BLOCK_ROWS depth rows and a
+        # short one
+        marcher = self.marcher(topology, n_azimuth,
+                               n_depth=2 * BLOCK_ROWS + 5)
         u = random_slab_values(np.random.default_rng(n_azimuth),
                                marcher.grid)
         m = marcher.to_modes(u)
@@ -164,9 +168,8 @@ class TestModes:
                 assert np.all(marcher.from_modes(modes)[[0, -1]] == 0.0)
 
     def test_gain_at_midpoint_range(self):
-        # g_j takes sigma at r_j + delta_r / 2 for every step, far past
-        # where the tri-diagonal march refactored its azimuth matrices
-        # in blocks of 64 steps
+        # g_j takes sigma at r_j + delta_r / 2 for every step of a long
+        # march
         grid = make_grid(n_range=200, n_azimuth=12, n_depth=8,
                          topology=SECTOR)
         marcher = make_marcher(make_config(grid=grid))[0]
@@ -411,11 +414,12 @@ def reference_step(u, j, grid, env, k0, coeffs):
     """One range step from the slab ``u`` at range index ``j``, with a
     matrix per member, assembled and factored in every step: the plain
     form of the scheme the marcher takes in azimuth modes, solving in
-    azimuth as FOR3D does, with Y at the step's midpoint range.  Both half-steps take the sum form: the depth one is
-    t + (1 - rho)(s - t) with (I + cx_lhs X) s = t and rho = cx_rhs /
-    cx_lhs, the azimuth one 2 w - v with (I + cy_lhs Y) w = v.  It zeroes
-    the Dirichlet rows of the slab it returns, which the marcher's
-    matrices keep zero instead."""
+    azimuth as FOR3D does, with Y at the step's midpoint range.  Both
+    half-steps take the sum form: the depth one is t + (1 - rho)(s - t)
+    with (I + cx_lhs X) s = t and rho = cx_rhs / cx_lhs, the azimuth one
+    2 w - v with (I + cy_lhs Y) w = v.  It zeroes the Dirichlet rows of
+    the slab it returns, which the marcher's matrices keep zero
+    instead."""
     depth = reference_depth_matrix(coeffs.cx_lhs, medium_grid(env, grid), k0,
                                    grid.delta_z)
     t = np.ascontiguousarray(u.T)
@@ -498,30 +502,36 @@ class TestReferenceStepper:
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 7])
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
-    def test_run_frequency_bitwise(self, topology, threads):
-        # the TL has the bits of the one-thread run; against the
-        # reference's, the starter's bitwise (it is recorded before the
-        # march goes to modes), the rest to rounding where the field is
-        # above the TL floor in both
+    def test_run_frequency_bitwise(self, topology, threads, monkeypatch):
+        # the TL has the bits of the one-thread run; the field it is made
+        # from at each recorded range is the reference's: the starter's
+        # bitwise (it is recorded before the march goes to modes), the
+        # rest to rounding
         config = self.config(topology)
         grid, env, source, _ = config
+        fields = []
+
+        def recorded(u, *args, **kwargs):
+            fields.append(u.copy())
+            return transmission_loss_field(u, *args, **kwargs)
+
+        monkeypatch.setattr(marching_module, "transmission_loss_field",
+                            recorded)
         result = run_frequency(config, 50.0, threads)
+        monkeypatch.undo()
         serial = run_frequency(config, 50.0, 1)
         assert result.tl_field.tobytes() == serial.tl_field.tobytes()
         k0 = wavenumber(50.0, env.c0)
         coeffs = StepCoefficients.for_step(k0, grid.delta_r)
-        reference = gaussian_starter(grid, source, k0)
-        chain = [reference]
+        chain = [gaussian_starter(grid, source, k0)]
         for j in range(grid.n_range):
             chain.append(reference_step(chain[-1], j, grid, env, k0, coeffs))
         indices = range(0, grid.n_range + 1, result.output_stride)
-        tl = np.stack([transmission_loss_field(chain[j], hankel_factor(
-            k0, grid.range_at(j)))[0] for j in indices])
         assert result.ranges.tolist() == [grid.range_at(j) for j in indices]
-        assert result.tl_field[0].tobytes() == tl[0].tobytes()
-        audible = (result.tl_field < 250.0) & (tl < 250.0)
-        assert audible[1:].mean() > 0.25
-        assert np.max(np.abs(result.tl_field - tl)[audible]) <= 1e-9
+        assert len(fields) == len(indices)
+        assert fields[0].tobytes() == chain[0].tobytes()
+        for j, u in zip(indices, fields):
+            assert relative_error(u, chain[j]) <= ORACLE_TOLERANCE
 
 
     @pytest.mark.parametrize("topology,shape", [
@@ -530,11 +540,11 @@ class TestReferenceStepper:
         for shape in [(12, 24), (3, 3), (3, 129), (5, 7), (8, 129), (97, 5)]
         for topology in (PERIODIC, SECTOR)])
     def test_across_azimuth_blocks(self, topology, shape):
-        # 70 steps, past the 64-step blocks in which the tri-diagonal
-        # march factored its azimuth matrices, on narrow and odd
-        # (n_azimuth, n_depth) shapes too: down to one sine mode, and to
-        # thread blocks of one depth row, with the one-thread bits
-        grid = make_grid(n_range=70, n_azimuth=shape[0], n_depth=shape[1],
+        # a march on narrow and odd (n_azimuth, n_depth) shapes matches
+        # the reference: down to one sine mode, and to thread blocks of
+        # one depth row, with the one-thread bits; blocks of BLOCK_ROWS
+        # rows end inside thread blocks on the taller shapes
+        grid = make_grid(n_range=12, n_azimuth=shape[0], n_depth=shape[1],
                          topology=topology)
         config = make_config(grid=grid)
         env = config.environment
@@ -581,17 +591,12 @@ class TestStepArrays:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # beyond the new slab: numpy's iteration buffer (np.getbufsize()
-        # complex elements) for each thread's product by the broadcast gain
-        buffers = threads * np.getbufsize() * 16
-        assert peak - before <= 1.25 * slab_bytes + buffers
+        assert peak - before <= 1.25 * slab_bytes
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_step_factors_nothing(self, topology, monkeypatch):
-        # no step assembles or factors a matrix, nor transforms its slab,
-        # over a march longer than the 64-step blocks in which the
-        # tri-diagonal march factored its azimuth matrices
-        grid = make_grid(n_range=65, n_azimuth=12, n_depth=24,
+        # no step assembles or factors a matrix, nor transforms its slab
+        grid = make_grid(n_range=12, n_azimuth=12, n_depth=24,
                          topology=topology)
 
         def forbidden(*args, **kwargs):
@@ -611,8 +616,9 @@ class TestStepArrays:
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_marcher_retains_no_medium_grid(self, topology):
-        # the work array is one mode slab; the medium, the depth factors
-        # and the eigenvalues are depth profiles or azimuth rows
+        # the work array is one mode slab, the gain block BLOCK_ROWS mode
+        # rows; the medium, the depth factors and the eigenvalues are depth
+        # profiles or azimuth rows
         grid = make_grid(n_range=8, n_azimuth=72, n_depth=256,
                          topology=topology)
         config = make_config(grid=grid)
@@ -631,11 +637,10 @@ class TestStepArrays:
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_march_frees_each_slab_it_has_stepped_from(self, topology):
         # the marcher's work slab, the slab being stepped or recorded, a
-        # transform's arrays, and the factors and small arrays: 4.47 slabs
-        # periodic; on the sector 6.22, for its transforms hold an odd
-        # extension and its spectrum, each 2 (N - 1) azimuths wide.  The
-        # starter slab is freed once it is in modes, and each mode slab
-        # after the step from it
+        # transform's arrays, and the factors and small arrays: 4.11 slabs
+        # periodic, 3.88 on the sector, whose odd extension and its
+        # spectrum are BLOCK_ROWS rows tall.  The starter slab is freed
+        # once it is in modes, and each mode slab after the step from it
         grid = make_grid(n_range=8, n_azimuth=72, n_depth=256,
                          topology=topology)
         config = make_config(grid=grid)
@@ -647,8 +652,7 @@ class TestStepArrays:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 4.75 if topology == PERIODIC else 6.5
-        assert peak - before - result.tl_field.nbytes <= bound * slab_bytes
+        assert peak - before - result.tl_field.nbytes <= 4.75 * slab_bytes
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_step_substitutes_each_sweep_whole(self, topology, monkeypatch):
