@@ -14,15 +14,12 @@ once, and :meth:`Marcher.from_modes` transforms back only at recorded
 ranges.
 
 One range step advances the mode slab m from r_j to r_j + delta_r by
-
-1. solving one depth system per mode, (I + cx_lhs X) s = m, and taking
-   v = m + (1 - rho)(s - m),
-2. multiplying mode k of v by g_j(k) = 2 / (1 + cy_lhs sigma_j lambda_k)
-   - 1.
-
-With rho = cx_rhs / cx_lhs, (I + cx_rhs X) = rho (I + cx_lhs X) +
+the depth half-step v = rho m + (1 - rho) (I + cx_lhs X)^-1 m and the
+azimuth half-step g_j v, mode k of v times
+g_j(k) = 2 / (1 + cy_lhs sigma_j lambda_k) - 1.  With
+rho = cx_rhs / cx_lhs, (I + cx_rhs X) = rho (I + cx_lhs X) +
 (1 - rho) I, and cy_rhs == -cy_lhs makes (I + cy_rhs Y) =
-2I - (I + cy_lhs Y).  So steps 1 and 2 are the half-steps
+2I - (I + cy_lhs Y).  So these are the half-steps
 (I + c_lhs A)^-1 (I + c_rhs A) in their "sum" form (Collins 1993, JASA
 93(4)); in modes the azimuth one, 2 (I + cy_lhs Y)^-1 v - v, is a
 multiply, and cy_lhs is purely imaginary, so no g_j(k) divides by zero.
@@ -30,6 +27,12 @@ FOR3D solves tri-diagonal systems in azimuth instead: the same discrete
 scheme up to rounding, for a medium that varies in neither azimuth nor
 range.  Both sides take Y at the midpoint, so a lossless step keeps the
 norm (the paper puts the implicit side at the new range).
+
+A step is one solve and two passes.  The marcher's depth factors carry
+(1 - rho) / rho in their pre-scale, so the solve returns
+y = ((1 - rho) / rho) (I + cx_lhs X)^-1 m, and the new slab is
+(rho g_j) (m + y): m + y, then its product by rho g_j, a block of
+:data:`BLOCK_ROWS` depth rows at a time.
 
 The surface row of every mode slab is zero: the starter is made so, and
 the identity row of the depth matrix keeps it zero.  A sector's edge
@@ -72,10 +75,11 @@ from .tridiag import Factors, SolveBatch, factor, solve_batch
 
 MAX_OUTPUT_SAMPLES = 512
 
-# Depth rows that the step's gain multiply and a sector's transforms take
-# at a time.  The gain is repeated down a block of this many rows, so the
-# multiply runs on operands of one shape, for which numpy takes no
-# iteration buffer, as it does for a gain broadcast over the rows; and a
+# Depth rows that the step's closing passes and a sector's transforms
+# take at a time.  The gain is repeated down a block of this many rows, so
+# the multiply runs on operands of one shape, for which numpy takes no
+# iteration buffer, as it does for a gain broadcast over the rows; a block
+# of the sum and its product stays in cache between the two passes; and a
 # sector's odd extension and its spectrum are this many rows tall.
 BLOCK_ROWS = 16
 
@@ -85,14 +89,18 @@ class Marcher:
     """What stays fixed while one frequency is marched, what is derived
     from it once, and the array every step reuses.
 
-    Derived once: ``depth``, the factored implicit depth matrix
-    (I + cx_lhs X) on the depth profile of n; and ``eigenvalues``, the
+    Derived once: ``rho`` = cx_rhs / cx_lhs; ``depth``, the factored
+    implicit depth matrix (I + cx_lhs X) on the depth profile of n, its
+    pre-scale multiplied by w / rho with w = (cx_lhs - cx_rhs) / cx_lhs
+    = 1 - rho, so that a solve against it returns
+    (w / rho) (I + cx_lhs X)^-1 m, exactly zero when delta_r = 0; and
+    ``eigenvalues``, the
     lambda_k of the azimuth modes for a second difference of scale 1:
     -4 sin^2(pi k / N) for k = 0 .. N - 1 on a periodic grid of N
     azimuths, -4 sin^2(pi p / (2 (N - 1))) for p = 1 .. N - 2 on a
     sector.  No field holds an (azimuth x depth) medium array.  ``work``
     is one (n_depth, n_modes) array that every step overwrites, and
-    ``gain_rows`` the step's gain repeated down at most
+    ``gain_rows`` the step's rho g_j repeated down at most
     :data:`BLOCK_ROWS` rows, so a marcher serves one march at a time.
 
     A singular depth matrix is not reported here but by the first step
@@ -104,16 +112,22 @@ class Marcher:
     k0: float
     coeffs: StepCoefficients
     threads: int = 1
+    rho: complex = field(init=False)
     depth: Factors = field(init=False)
     eigenvalues: np.ndarray = field(init=False)
     work: np.ndarray = field(init=False)
     gain_rows: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        grid = self.grid
-        self.depth = factor(assemble_depth_batch(
-            self.coeffs.cx_lhs, refraction_index_grid(self.environment, grid),
+        grid, coeffs = self.grid, self.coeffs
+        self.rho = coeffs.cx_rhs / coeffs.cx_lhs
+        # 1 - rho, without the cancellation of subtracting rho from 1
+        weight = (coeffs.cx_lhs - coeffs.cx_rhs) / coeffs.cx_lhs
+        depth = factor(assemble_depth_batch(
+            coeffs.cx_lhs, refraction_index_grid(self.environment, grid),
             self.k0, grid.delta_z))
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.depth = replace(depth, inv=depth.inv * (weight / self.rho))
         n = grid.n_azimuth
         if grid.azimuth_topology == PERIODIC:
             angles = np.pi * np.arange(n) / n
@@ -218,26 +232,21 @@ def range_step(marcher: Marcher, m: np.ndarray, j: int) -> np.ndarray:
     mode slab's shape.
     """
     g = marcher.gain_rows
-    g[...] = marcher.gain(j)  # checks j first
+    g[...] = marcher.rho * marcher.gain(j)  # checks j first
     marcher.check_modes(m)
-    coeffs = marcher.coeffs
-    # 1 - rho, without the cancellation of subtracting rho from 1
-    weight = (coeffs.cx_lhs - coeffs.cx_rhs) / coeffs.cx_lhs
-    s = marcher.work
+    y = marcher.work
     try:
-        solve_batch(SolveBatch(marcher.depth, m), out=s)
+        solve_batch(SolveBatch(marcher.depth, m), out=y)
     except SingularSystemError as exc:
         raise StepError(j + 1, "depth", exc) from exc
-    new = np.empty_like(s)
+    new = np.empty_like(y)
 
     # every product writes into an array distinct from its operands
     def passes(lo, hi):
-        np.subtract(s[lo:hi], m[lo:hi], out=s[lo:hi])
-        np.multiply(s[lo:hi], weight, out=new[lo:hi])
-        np.add(m[lo:hi], new[lo:hi], out=s[lo:hi])
         for i in range(lo, hi, g.shape[0]):
             k = min(hi, i + g.shape[0])
-            np.multiply(s[i:k], g[:k - i], out=new[i:k])
+            np.add(m[i:k], y[i:k], out=y[i:k])
+            np.multiply(y[i:k], g[:k - i], out=new[i:k])
 
     fork_join(passes, marcher.grid.n_depth, marcher.threads)
     return new

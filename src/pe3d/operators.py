@@ -57,7 +57,9 @@ class StepCoefficients:
     to be nonzero), (I + cx_rhs X) = rho (I + cx_lhs X) + (1 - rho) I.
     So each half-step needs its implicit matrix only.  cy_lhs is checked
     to be purely imaginary, so (I + cy_lhs Y) is regular for the real
-    symmetric Y: the azimuth half-step cannot fail.
+    symmetric Y: the azimuth half-step cannot fail.  The step also divides
+    by rho (:class:`pe3d.marching.Marcher`), so cx_rhs is checked to be
+    nonzero; :meth:`for_step` gives |rho| = 1.
     """
 
     delta: complex
@@ -73,6 +75,8 @@ class StepCoefficients:
             raise InvariantError("cy_lhs + cy_rhs == 0 exactly")
         if self.cx_lhs == 0:
             raise InvariantError("cx_lhs != 0")
+        if self.cx_rhs == 0:
+            raise InvariantError("cx_rhs != 0")
         if self.cy_lhs.real != 0:
             raise InvariantError("cy_lhs is purely imaginary")
 

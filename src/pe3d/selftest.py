@@ -20,11 +20,12 @@ from .environment import (
     Grid3D,
     SoundSpeedProfile,
     SourceSpec,
+    refraction_index_grid,
     wavenumber,
 )
 from .config import Config, RunOptions
 from .marching import Marcher, range_step, run_frequency
-from .operators import StepCoefficients
+from .operators import StepCoefficients, assemble_depth_batch
 from .pool import block_ranges
 from .tridiag import (
     CYCLIC,
@@ -150,6 +151,39 @@ def _check_delta_zero_identity():
     _require(after.tobytes() == before.tobytes(), "delta=0 step not identity")
 
 
+def fold_oracle(marcher: Marcher, m: np.ndarray, j: int) -> np.ndarray:
+    """Step ``j`` of the mode slab ``m`` as the unfolded sum form,
+    g_j (rho m + (1 - rho) A^-1 m) with A = I + cx_lhs X, A^-1 taken
+    column by column by the dense oracle: what :func:`range_step` computes
+    as the pre-scaled solve and its two passes."""
+    coeffs, grid = marcher.coeffs, marcher.grid
+    rho = coeffs.cx_rhs / coeffs.cx_lhs
+    matrix = assemble_depth_batch(
+        coeffs.cx_lhs, refraction_index_grid(marcher.environment, grid),
+        marcher.k0, grid.delta_z)
+    solved = np.stack([dense_oracle_solve(matrix, column) for column in m.T],
+                      axis=1)
+    return marcher.gain(j) * (rho * m + (1.0 - rho) * solved)
+
+
+def _check_depth_step_oracle():
+    rng = np.random.default_rng(SELFTEST_SEED + 4)
+    for topology in TOPOLOGIES:
+        grid, env, _, _ = demo_config(n_azimuth=8, n_depth=37,
+                                      topology=topology)
+        k0 = wavenumber(50.0, env.c0)
+        marcher = Marcher(grid, env, k0,
+                          StepCoefficients.for_step(k0, grid.delta_r))
+        m = rng.standard_normal(marcher.work.shape) \
+            + 1j * rng.standard_normal(marcher.work.shape)
+        m[0] = 0.0
+        for j in (0, grid.n_range - 1):
+            err = _relative_error(range_step(marcher, m, j),
+                                  fold_oracle(marcher, m, j))
+            _require(err <= 1e-12,
+                     f"{topology} step {j} vs oracle error {err:.2e}")
+
+
 def _check_azimuth_symmetry():
     config = demo_config(n_range=20)
     tl = run_frequency(config, 50.0).tl_field[-1]
@@ -240,6 +274,7 @@ def run_selftest(corrupt_thomas: bool = False, out=print) -> bool:
          lambda: _check_oracle(solve, CYCLIC, SELFTEST_SEED + 1, 100)),
         ("batch-determinism", _check_batch_determinism),
         ("delta-zero-identity", _check_delta_zero_identity),
+        ("depth-step-vs-dense-oracle", _check_depth_step_oracle),
         ("azimuth-symmetry", _check_azimuth_symmetry),
         ("rerun-determinism", _check_rerun_determinism),
         ("separable-mode", _check_separable_mode),

@@ -11,10 +11,18 @@ substitutes the right-hand sides of a :class:`SolveBatch` against them.
 column.  The right-hand sides are laid out structure-of-arrays: one row
 per elimination index, contiguous across the batch, so every inner-loop
 operation is a unit-stride vector op over batch members, with the
-factors broadcast across them.  Nothing here multiplies by a matrix:
-the step takes its depth half-step in sum form, m + (1 - rho)(s - m),
-from a solve and its right-hand side.  The cyclic solver serves the
-tests' physical-space reference step and the selftest.
+factors broadcast across them.
+
+The forward sweep is pre-scaled: x = rhs inv, one whole-array product
+by the reciprocal pivots, then x_k -= mu_k x_(k-1) with
+mu_k = sub_(k-1) inv_k, which :class:`Factors` keeps in place of the
+sub-diagonal; the back sweep is x_k -= cp_k x_(k+1).  Both sweeps take
+two ufunc calls per row.  The pre-scale is the only place ``inv`` enters
+a substitution, so factors whose ``inv`` is scaled by c, with ``mu``
+kept, solve c A^-1 rhs: the marcher folds its depth weight into its
+factors that way (:class:`pe3d.marching.Marcher`).  Nothing here
+multiplies by a matrix.  The cyclic solver serves the tests'
+physical-space reference step and the selftest.
 
 Determinism: every kernel operation is elementwise per batch member (and
 per factored column), and numpy elementwise complex arithmetic is
@@ -26,9 +34,9 @@ substituted whole, on the calling thread.
 Rounding: numpy's vectorised complex product uses fused multiply-adds, so
 ``a * b`` and ``b * a`` can differ in their last bits.  Every product
 here keeps a fixed operand order and writes into an array distinct from
-its operands, the first row of a substitution included: on a length-1
-array, ``np.multiply(x, s, x)`` can round differently from ``x * s``,
-whether ``s`` is 0-d, of shape (1,) or full.
+its operands, the pre-scale of a substitution in place included: on a
+length-1 array, ``np.multiply(x, s, x)`` can round differently from
+``x * s``, whether ``s`` is 0-d, of shape (1,) or full.
 
 Cyclic systems are solved by a rank-1 (Sherman-Morrison) correction of an
 open solve.  Corner storage convention for cyclic systems of size n:
@@ -103,10 +111,11 @@ class Factors:
     Arrays keep the (row, matrix) layout of :class:`Diagonals`; width-1
     factors broadcast across the columns of a batch.  ``cp`` and
     ``inv`` are the modified super-diagonal and the reciprocal pivots of
-    the open elimination, ``sub`` the sub-diagonal its forward sweep
-    reads.  A cyclic matrix also keeps its Sherman-Morrison spike: ``q``
-    is the open solve against (gamma, 0, ..., 0, beta), and ``weight`` and
-    ``denom`` (one value per matrix) complete the rank-1 correction.
+    the open elimination, ``mu`` (n - 1 rows, mu_k = sub_(k-1) inv_k)
+    the multipliers of its pre-scaled forward sweep.  A cyclic matrix
+    also keeps its Sherman-Morrison spike: ``q`` is the open solve
+    against (gamma, 0, ..., 0, beta), and ``weight`` and ``denom`` (one
+    value per matrix) complete the rank-1 correction.
 
     ``bad_row`` holds, per matrix, its first singular row: -1 for a
     regular matrix, n for a cyclic one whose rank-1 correction is
@@ -114,13 +123,13 @@ class Factors:
     factorization made ahead of time fails where its first solve would
     have.
 
-    ``rows`` holds the rows of ``cp``, ``inv``, ``sub`` and ``q`` (None
-    when open) as the operands of the substitution (:func:`_rows`),
-    prepared once, when the factors are first substituted against.
+    ``rows`` holds the rows of ``cp``, ``mu`` and ``q`` (None when open)
+    as the operands of the substitution (:func:`_rows`), prepared once,
+    when the factors are first substituted against.
     """
 
     topology: str
-    sub: np.ndarray
+    mu: np.ndarray
     cp: np.ndarray
     inv: np.ndarray
     bad_row: np.ndarray
@@ -130,7 +139,7 @@ class Factors:
 
     @cached_property
     def rows(self) -> tuple:
-        return (_rows(self.cp), _rows(self.inv), _rows(self.sub),
+        return (_rows(self.cp), _rows(self.mu),
                 None if self.q is None else _rows(self.q))
 
     @property
@@ -190,7 +199,8 @@ class SolveBatch:
 
 
 def _factor_open(sub, main, sup):
-    """Forward elimination: per-row reciprocal pivots and modified supers.
+    """Forward elimination: the modified supers, the per-row reciprocal
+    pivots and the multipliers of the pre-scaled forward sweep.
 
     Pivots are not checked row by row: a pivot below ``PIVOT_FLOOR`` shows
     up afterwards as a reciprocal above ``1 / PIVOT_FLOOR``
@@ -212,7 +222,8 @@ def _factor_open(sub, main, sup):
             divide(1.0, t, out=inv[k])
             if k < n - 1:
                 multiply(sup[k], inv[k], out=cp[k])
-    return cp, inv
+        mu = sub * inv[1:]
+    return cp, inv, mu
 
 
 def _bad_pivots(inv) -> np.ndarray:
@@ -241,28 +252,28 @@ def _rows(arr) -> list:
     return list(arr)
 
 
-def _substitute_open(cp, inv, sub, rhs, x):
+def _substitute_open(cp, mu, inv, rhs, x):
     """Forward and back substitution into ``x``, which may be ``rhs``.
 
-    ``cp``, ``inv`` and ``sub`` are the factor rows of :func:`_rows`: one
-    matrix shared by every column of ``rhs`` (the row operations
-    broadcast, and elementwise complex arithmetic gives the same bits
-    whether an operand is broadcast or stored per column), or one matrix
-    per column of ``rhs``.  Each row costs three ufunc calls forward and
-    two back, on prepared operands, row views and one scratch row; the
-    first row is computed into the scratch row and copied, so that no
-    product writes into its own operand.
+    ``cp`` and ``mu`` are the factor rows of :func:`_rows` and ``inv``
+    the whole (row, matrix) array: one matrix shared by every column of
+    ``rhs`` (the operations broadcast, and elementwise complex arithmetic
+    gives the same bits whether an operand is broadcast or stored per
+    column), or one matrix per column of ``rhs``.  The pre-scale
+    x = rhs inv is one whole-array product into ``x``, from a copy of
+    ``rhs`` when ``x`` overlaps it, so that no product writes into its own
+    operand.  Then each row costs two ufunc calls forward and two back,
+    on prepared operands, row views and one scratch row.
     """
-    x_rows, rhs_rows = list(x), list(rhs)
+    if np.may_share_memory(rhs, x):
+        rhs = rhs.copy()
+    np.multiply(rhs, inv, out=x)
+    x_rows = list(x)
     t = np.empty_like(x_rows[0])
     multiply, subtract = np.multiply, np.subtract
-    multiply(rhs_rows[0], inv[0], t)
-    x_rows[0][...] = t
-    for s, x_prev, r, d, x_k in zip(sub, x_rows, rhs_rows[1:], inv[1:],
-                                    x_rows[1:]):
-        multiply(s, x_prev, t)
-        subtract(r, t, t)
-        multiply(t, d, x_k)
+    for m, x_prev, x_k in zip(mu, x_rows, x_rows[1:]):
+        multiply(m, x_prev, t)
+        subtract(x_k, t, x_k)
     for c, x_next, x_k in zip(cp[::-1], x_rows[:0:-1], x_rows[-2::-1]):
         multiply(c, x_next, t)
         subtract(x_k, t, x_k)
@@ -282,28 +293,26 @@ def factor(diagonals: Diagonals) -> Factors:
     """
     sub, main, sup = diagonals.sub, diagonals.main, diagonals.sup
     if diagonals.topology == OPEN:
-        cp, inv = _factor_open(sub, main, sup)
-        return Factors(OPEN, sub, cp, inv, _first_bad_row(_bad_pivots(inv)))
+        cp, inv, mu = _factor_open(sub, main, sup)
+        return Factors(OPEN, mu, cp, inv, _first_bad_row(_bad_pivots(inv)))
     n = diagonals.n
     alpha = sub[0]       # A[0, n-1]
     beta = sup[n - 1]    # A[n-1, 0]
-    sub_open = sub[1:]
     gamma = np.where(np.abs(main[0]) > 0, -main[0], np.complex128(1.0))
     main_mod = np.array(main, dtype=np.complex128)
     main_mod[0] = main[0] - gamma
     main_mod[n - 1] = main[n - 1] - alpha * beta / gamma
-    cp, inv = _factor_open(sub_open, main_mod, sup[: n - 1])
+    cp, inv, mu = _factor_open(sub[1:], main_mod, sup[: n - 1])
     del main_mod
     with np.errstate(invalid="ignore", over="ignore"):
         spike = np.zeros_like(inv)
         spike[0] = gamma
         spike[n - 1] = beta
-        q = _substitute_open(_rows(cp), _rows(inv), _rows(sub_open),
-                             spike, spike)
+        q = _substitute_open(_rows(cp), _rows(mu), inv, spike, spike)
         weight = alpha / gamma
         denom = 1.0 + q[0] + weight * q[n - 1]
         bad = np.vstack([_bad_pivots(inv), np.abs(denom) < PIVOT_FLOOR])
-    return Factors(CYCLIC, sub_open, cp, inv, _first_bad_row(bad),
+    return Factors(CYCLIC, mu, cp, inv, _first_bad_row(bad),
                    q, weight, denom)
 
 
@@ -315,8 +324,8 @@ def _substitute(factors: Factors, rhs: np.ndarray, x: np.ndarray):
     scratch row: a whole-array outer product with the spike would make
     numpy allocate iteration buffers for the broadcast.
     """
-    cp, inv, sub, q = factors.rows
-    _substitute_open(cp, inv, sub, rhs, x)
+    cp, mu, q = factors.rows
+    _substitute_open(cp, mu, factors.inv, rhs, x)
     if q is not None:
         n = factors.n
         correction = (x[0] + factors.weight * x[n - 1]) / factors.denom

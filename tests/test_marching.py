@@ -44,6 +44,7 @@ from pe3d.operators import (
     azimuth_stencil,
     compute_rhs,
 )
+from pe3d.selftest import fold_oracle
 
 
 def make_marcher(config, frequency=50.0, slab_values=None, delta_r=None):
@@ -322,13 +323,37 @@ class TestRangeStep:
         assert np.max(np.abs(out.ravel() - ref)) \
             <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_step_matches_fold_oracle(self, topology):
+        # the pre-scaled solve and its two passes are the unfolded sum form
+        # g_j (rho m + (1 - rho) A^-1 m), A^-1 by the dense oracle; over
+        # two full blocks of BLOCK_ROWS depth rows and a short one, which
+        # 2, 3 and 7 threads split elsewhere, with the one-thread bits
+        grid = make_grid(n_azimuth=12, n_depth=2 * BLOCK_ROWS + 5,
+                         topology=topology)
+        profile = SoundSpeedProfile(np.array([0.0, 60.0, grid.depth_extent]),
+                                    np.array([1500.0, 1470.0, 1530.0]))
+        env = make_env(grid, profile=profile, attenuation=0.05, start_frac=0.5)
+        k0 = wavenumber(50.0, env.c0)
+        coeffs = StepCoefficients.for_step(k0, grid.delta_r)
+        marchers = [Marcher(grid, env, k0, coeffs, threads)
+                    for threads in (1, 2, 3, 7)]
+        m = marchers[0].to_modes(random_slab_values(
+            np.random.default_rng(23), grid))
+        for j in (0, grid.n_range - 1):
+            steps = [range_step(marcher, m, j) for marcher in marchers]
+            assert relative_error(steps[0], fold_oracle(marchers[0], m, j)) \
+                <= ORACLE_TOLERANCE
+            assert all(step.tobytes() == steps[0].tobytes() for step in steps)
+
     def test_singular_solve_becomes_step_error(self):
         config = make_config(n_azimuth=4, n_depth=8, delta_z=1.0)
         grid, env, source, _ = config
         # hand-built coefficients making the depth diagonal exactly zero
-        coeffs = StepCoefficients(delta=1j, cx_lhs=0.5 + 0.0j, cx_rhs=0.0j,
-                                  cy_lhs=0.0j, cy_rhs=0.0j)
-        k0 = 1.0  # s_z = 1, diag = 1 + 0.5 * (0 - 2) = 0
+        coeffs = StepCoefficients(delta=1j, cx_lhs=0.125 + 0.0j,
+                                  cx_rhs=0.375 + 0.0j, cy_lhs=0.0j,
+                                  cy_rhs=0.0j)
+        k0 = 0.5  # s_z = 4, diag = 1 + 0.125 * (0 - 8) = 0
         marcher = Marcher(grid, env, k0, coeffs)
         with pytest.raises(StepError) as info:
             range_step(marcher, np.ones(marcher.work.shape, dtype=complex), 0)

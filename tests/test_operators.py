@@ -39,6 +39,9 @@ class TestStepCoefficients:
         # the depth half-step divides by cx_lhs
         with pytest.raises(InvariantError, match="cx_lhs != 0"):
             StepCoefficients(0.0j, 0.0j, 0.5 + 0.0j, 0.0j, 0.0j)
+        # and by rho = cx_rhs / cx_lhs
+        with pytest.raises(InvariantError, match="cx_rhs != 0"):
+            StepCoefficients(0.0j, 0.5 + 0.0j, 0.0j, 0.0j, 0.0j)
         # 1 + cy_lhs sigma lambda, the azimuth half-step's divisor per
         # mode, is never zero for a real sigma lambda
         with pytest.raises(InvariantError, match="cy_lhs is purely imaginary"):
