@@ -33,8 +33,7 @@ class ShapeError(Pe3dError):
 class SingularSystemError(Pe3dError):
     """A direct solve hit a zero or near-zero pivot.
 
-    ``pivot_index`` is the elimination row; a cyclic system whose rank-1
-    correction is singular reports row n.
+    ``pivot_index`` is the elimination row.
     """
 
     def __init__(self, pivot_index, detail=""):

@@ -28,8 +28,6 @@ from .marching import Marcher, range_step, run_frequency
 from .operators import StepCoefficients, assemble_depth_batch
 from .pool import block_ranges
 from .tridiag import (
-    CYCLIC,
-    OPEN,
     Diagonals,
     SolveBatch,
     dense_oracle_solve,
@@ -60,22 +58,18 @@ def demo_config(n_range=30, n_azimuth=16, n_depth=64, delta_r=5.0,
     return Config(grid, environment, source, RunOptions())
 
 
-def random_system(rng, n, topology) -> tuple[Diagonals, np.ndarray]:
-    """Random diagonally dominant complex system: width-1 diagonals and a
-    right-hand side."""
-    n_off = n if topology == CYCLIC else n - 1
-    sub = rng.standard_normal(n_off) + 1j * rng.standard_normal(n_off)
-    sup = rng.standard_normal(n_off) + 1j * rng.standard_normal(n_off)
+def random_system(rng, n) -> tuple[Diagonals, np.ndarray]:
+    """Random diagonally dominant open complex system: width-1 diagonals
+    and a right-hand side."""
+    sub = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    sup = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
     row_sum = np.zeros(n)
-    if topology == CYCLIC:
-        row_sum += np.abs(sub) + np.abs(sup)
-    else:
-        row_sum[1:] += np.abs(sub)
-        row_sum[:-1] += np.abs(sup)
+    row_sum[1:] += np.abs(sub)
+    row_sum[:-1] += np.abs(sup)
     phase = np.exp(1j * rng.uniform(0, 2 * math.pi, n))
     main = (row_sum + 1.0 + rng.uniform(0.1, 2.0, n)) * phase
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return Diagonals(sub[:, None], main[:, None], sup[:, None], topology), rhs
+    return Diagonals(sub[:, None], main[:, None], sup[:, None]), rhs
 
 
 class SelftestFailure(Exception):
@@ -107,33 +101,25 @@ def _check_coefficients():
              "cy_lhs + cy_rhs != 0")
 
 
-def _check_oracle(solver, topology, seed, count):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
+def _check_oracle(solver):
+    rng = np.random.default_rng(SELFTEST_SEED)
+    for _ in range(200):
         n = int(rng.integers(3, 65))
-        diagonals, rhs = random_system(rng, n, topology)
+        diagonals, rhs = random_system(rng, n)
         err = _relative_error(solver(diagonals, rhs),
                               dense_oracle_solve(diagonals, rhs))
-        _require(err <= 1e-10, f"{topology} solve vs oracle error {err:.2e}")
+        _require(err <= 1e-10, f"solve vs oracle error {err:.2e}")
 
 
 def _check_batch_determinism():
     rng = np.random.default_rng(SELFTEST_SEED + 2)
-    for topology in (OPEN, CYCLIC):
-        diagonals, _ = random_system(rng, 48, topology)
-        rhs = rng.standard_normal((48, 300)) \
-            + 1j * rng.standard_normal((48, 300))
-        factors = factor(diagonals)
-        scalar = np.stack([solve(diagonals, rhs[:, m]) for m in range(300)],
-                          axis=1)
-        # into a new array, in place, and in place at width 1
-        for width, in_place in ((300, False), (300, True), (1, True)):
-            x = rhs[:, :width].copy()
-            got = solve_batch(SolveBatch(factors, x),
-                              out=x if in_place else None)
-            _require(got.tobytes() == scalar[:, :width].tobytes(),
-                     f"{topology}: {width} members (in place: {in_place}) "
-                     f"differ from the scalar loop")
+    diagonals, _ = random_system(rng, 48)
+    rhs = rng.standard_normal((48, 300)) + 1j * rng.standard_normal((48, 300))
+    scalar = np.stack([solve(diagonals, rhs[:, m]) for m in range(300)],
+                      axis=1)
+    got = solve_batch(SolveBatch(factor(diagonals), rhs))
+    _require(got.tobytes() == scalar.tobytes(),
+             "300 members differ from the scalar loop")
 
 
 def _check_delta_zero_identity():
@@ -263,15 +249,12 @@ def _check_block_assignment():
 def run_selftest(corrupt_thomas: bool = False, out=print) -> bool:
     """Run every bundled property; returns True when all pass.
 
-    ``corrupt_thomas`` swaps in a deliberately wrong solver for the open
+    ``corrupt_thomas`` swaps in a deliberately wrong solver for the
     oracle property (negative-control hook for tests)."""
     solver = _corrupted_thomas if corrupt_thomas else solve
     checks = [
         ("coefficient-identities", _check_coefficients),
-        ("thomas-vs-dense-oracle",
-         lambda: _check_oracle(solver, OPEN, SELFTEST_SEED, 200)),
-        ("cyclic-vs-dense-oracle",
-         lambda: _check_oracle(solve, CYCLIC, SELFTEST_SEED + 1, 100)),
+        ("thomas-vs-dense-oracle", lambda: _check_oracle(solver)),
         ("batch-determinism", _check_batch_determinism),
         ("delta-zero-identity", _check_delta_zero_identity),
         ("depth-step-vs-dense-oracle", _check_depth_step_oracle),

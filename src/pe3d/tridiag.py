@@ -1,5 +1,5 @@
-"""Complex tri-diagonal direct solvers: one factorization, many
-substitutions.
+"""Complex tri-diagonal direct solver for open matrices: one
+factorization, many substitutions.
 
 This is the hot kernel of the range-marching scheme: one batch of
 depth solves per step, one system per azimuth mode (the azimuth
@@ -21,8 +21,7 @@ two ufunc calls per row.  The pre-scale is the only place ``inv`` enters
 a substitution, so factors whose ``inv`` is scaled by c, with ``mu``
 kept, solve c A^-1 rhs: the marcher folds its depth weight into its
 factors that way (:class:`pe3d.marching.Marcher`).  Nothing here
-multiplies by a matrix.  The cyclic solver serves the tests'
-physical-space reference step and the selftest.
+multiplies by a matrix.
 
 Determinism: every kernel operation is elementwise per batch member (and
 per factored column), and numpy elementwise complex arithmetic is
@@ -34,14 +33,15 @@ substituted whole, on the calling thread.
 Rounding: numpy's vectorised complex product uses fused multiply-adds, so
 ``a * b`` and ``b * a`` can differ in their last bits.  Every product
 here keeps a fixed operand order and writes into an array distinct from
-its operands, the pre-scale of a substitution in place included: on a
-length-1 array, ``np.multiply(x, s, x)`` can round differently from
-``x * s``, whether ``s`` is 0-d, of shape (1,) or full.
+its operands: on a length-1 array, ``np.multiply(x, s, x)`` can round
+differently from ``x * s``, whether ``s`` is 0-d, of shape (1,) or full.
 
-Cyclic systems are solved by a rank-1 (Sherman-Morrison) correction of an
-open solve.  Corner storage convention for cyclic systems of size n:
-``sub[0]`` holds A[0, n-1] and ``sup[n-1]`` holds A[n-1, 0]; the remaining
-entries are the ordinary sub/super diagonals.
+:class:`Diagonals` also describes cyclic matrices, which :func:`factor`
+rejects: the periodic azimuth operator of
+:func:`pe3d.operators.assemble_azimuth_batch`, for :func:`dense_matrix`
+and :func:`dense_oracle_solve`.  Corner storage convention for cyclic
+systems of size n: ``sub[0]`` holds A[0, n-1] and ``sup[n-1]`` holds
+A[n-1, 0]; the remaining entries are the ordinary sub/super diagonals.
 """
 
 from __future__ import annotations
@@ -105,42 +105,33 @@ class Diagonals:
 
 @dataclass(eq=False)
 class Factors:
-    """LU factors of tri-diagonal matrices of one size and topology, one
-    per column, ready for any number of substitutions.
+    """LU factors of open tri-diagonal matrices of one size, one per
+    column, ready for any number of substitutions.
 
     Arrays keep the (row, matrix) layout of :class:`Diagonals`; width-1
     factors broadcast across the columns of a batch.  ``cp`` and
     ``inv`` are the modified super-diagonal and the reciprocal pivots of
-    the open elimination, ``mu`` (n - 1 rows, mu_k = sub_(k-1) inv_k)
-    the multipliers of its pre-scaled forward sweep.  A cyclic matrix
-    also keeps its Sherman-Morrison spike: ``q`` is the open solve
-    against (gamma, 0, ..., 0, beta), and ``weight`` and ``denom`` (one
-    value per matrix) complete the rank-1 correction.
+    the elimination, ``mu`` (n - 1 rows, mu_k = sub_(k-1) inv_k) the
+    multipliers of its pre-scaled forward sweep.
 
-    ``bad_row`` holds, per matrix, its first singular row: -1 for a
-    regular matrix, n for a cyclic one whose rank-1 correction is
-    singular.  Its error is raised when the factors are used, so a
+    ``bad_row`` holds, per matrix, its first singular row, or -1 for a
+    regular matrix.  Its error is raised when the factors are used, so a
     factorization made ahead of time fails where its first solve would
     have.
 
-    ``rows`` holds the rows of ``cp``, ``mu`` and ``q`` (None when open)
-    as the operands of the substitution (:func:`_rows`), prepared once,
-    when the factors are first substituted against.
+    ``rows`` holds the rows of ``cp`` and ``mu`` as the operands of the
+    substitution (:func:`_rows`), prepared once, when the factors are
+    first substituted against.
     """
 
-    topology: str
     mu: np.ndarray
     cp: np.ndarray
     inv: np.ndarray
     bad_row: np.ndarray
-    q: np.ndarray | None = None
-    weight: np.ndarray | None = None
-    denom: np.ndarray | None = None
 
     @cached_property
     def rows(self) -> tuple:
-        return (_rows(self.cp), _rows(self.mu),
-                None if self.q is None else _rows(self.q))
+        return _rows(self.cp), _rows(self.mu)
 
     @property
     def n(self) -> int:
@@ -154,11 +145,7 @@ class Factors:
     def singular(self) -> SingularSystemError | None:
         """The error of the first singular matrix, or None."""
         bad = self.bad_row[self.bad_row >= 0]
-        if bad.size == 0:
-            return None
-        row = int(bad[0])
-        return SingularSystemError(
-            row, detail="singular rank-1 correction" if row == self.n else "")
+        return SingularSystemError(int(bad[0])) if bad.size else None
 
 
 @dataclass(eq=False)
@@ -195,21 +182,29 @@ class SolveBatch:
 
     @property
     def topology(self) -> str:
-        return self.factors.topology
+        return OPEN  # bench/tracing.py records it for each batch
 
 
-def _factor_open(sub, main, sup):
-    """Forward elimination: the modified supers, the per-row reciprocal
-    pivots and the multipliers of the pre-scaled forward sweep.
+def factor(diagonals: Diagonals) -> Factors:
+    """Factor every open matrix (column) of ``diagonals`` by forward
+    elimination: the modified supers, the per-row reciprocal pivots and
+    the multipliers of the pre-scaled forward sweep.  Cyclic diagonals
+    raise :class:`ShapeError`.
 
-    Pivots are not checked row by row: a pivot below ``PIVOT_FLOOR`` shows
-    up afterwards as a reciprocal above ``1 / PIVOT_FLOOR``
-    (:func:`_bad_pivots`).  A singular matrix carries inf/nan through the
-    remaining rows, so those warnings are silenced.
+    Never raises for a singular matrix (see :attr:`Factors.bad_row`).
+    Pivots are not checked row by row: a pivot below ``PIVOT_FLOOR``
+    shows up afterwards as a reciprocal above ``1 / PIVOT_FLOOR``, and a
+    matrix fails at its first such row.  A singular matrix carries
+    inf/nan through the remaining rows, so those warnings are silenced.
+    Every operation is elementwise per column, so a column's factors have
+    the bits of that column factored on its own.
     """
+    if diagonals.topology == CYCLIC:
+        raise ShapeError("factor takes open matrices, got cyclic ones")
+    sub, main, sup = diagonals.sub, diagonals.main, diagonals.sup
     n, w = main.shape
     inv = np.empty((n, w), dtype=np.complex128)
-    cp = np.empty((max(n - 1, 0), w), dtype=np.complex128)
+    cp = np.empty((n - 1, w), dtype=np.complex128)
     t = np.empty(w, dtype=np.complex128)
     multiply, subtract, divide = np.multiply, np.subtract, np.divide
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -223,23 +218,14 @@ def _factor_open(sub, main, sup):
             if k < n - 1:
                 multiply(sup[k], inv[k], out=cp[k])
         mu = sub * inv[1:]
-    return cp, inv, mu
-
-
-def _bad_pivots(inv) -> np.ndarray:
-    """(row, matrix) mask of the pivots below ``PIVOT_FLOOR``."""
-    return np.abs(inv) > 1.0 / PIVOT_FLOOR
-
-
-def _first_bad_row(bad) -> np.ndarray:
-    """Per column of the (row, matrix) mask ``bad``, its first set row, or
-    -1 when there is none."""
-    return np.where(bad.any(axis=0), np.argmax(bad, axis=0), -1)
+    bad = np.abs(inv) > 1.0 / PIVOT_FLOOR
+    return Factors(mu, cp, inv,
+                   np.where(bad.any(axis=0), np.argmax(bad, axis=0), -1))
 
 
 def _rows(arr) -> list:
-    """The rows of the (row, matrix) array ``arr`` as substitution
-    operands: 0-d views at width 1, else row views.
+    """The rows of the (row, 1) array ``arr`` as 0-d views, the operands
+    of a substitution.
 
     A substitution sweep of a few hundred members is bound by the cost of
     its ufunc calls, not by their arithmetic, and a call with a 0-d
@@ -247,26 +233,21 @@ def _rows(arr) -> list:
     1.1-1.3 us for a 360-wide product, numpy 2.4 on a 2-core Xeon VM);
     the bits are the same.
     """
-    if arr.shape[1] == 1:
-        return [arr[k, 0, ...] for k in range(arr.shape[0])]
-    return list(arr)
+    return [arr[k, 0, ...] for k in range(arr.shape[0])]
 
 
 def _substitute_open(cp, mu, inv, rhs, x):
-    """Forward and back substitution into ``x``, which may be ``rhs``.
+    """Forward and back substitution of ``rhs`` into ``x``, an array
+    distinct from ``rhs``.
 
     ``cp`` and ``mu`` are the factor rows of :func:`_rows` and ``inv``
-    the whole (row, matrix) array: one matrix shared by every column of
-    ``rhs`` (the operations broadcast, and elementwise complex arithmetic
+    the whole (row, 1) array of one matrix, shared by every column of
+    ``rhs``: the operations broadcast, and elementwise complex arithmetic
     gives the same bits whether an operand is broadcast or stored per
-    column), or one matrix per column of ``rhs``.  The pre-scale
-    x = rhs inv is one whole-array product into ``x``, from a copy of
-    ``rhs`` when ``x`` overlaps it, so that no product writes into its own
-    operand.  Then each row costs two ufunc calls forward and two back,
-    on prepared operands, row views and one scratch row.
+    column.  The pre-scale x = rhs inv is one whole-array product into
+    ``x``.  Then each row costs two ufunc calls forward and two back, on
+    prepared operands, row views and one scratch row.
     """
-    if np.may_share_memory(rhs, x):
-        rhs = rhs.copy()
     np.multiply(rhs, inv, out=x)
     x_rows = list(x)
     t = np.empty_like(x_rows[0])
@@ -280,62 +261,6 @@ def _substitute_open(cp, mu, inv, rhs, x):
     return x
 
 
-def factor(diagonals: Diagonals) -> Factors:
-    """Factor every matrix (column) of ``diagonals``; never raises for a
-    singular matrix (see :attr:`Factors.bad_row`).
-
-    A cyclic matrix is factored as its open part with a modified diagonal,
-    and the spike of the Sherman-Morrison correction is solved here, once,
-    for every later substitution.  A matrix fails at its first singular
-    pivot, else at a singular rank-1 correction (reported as row n).
-    Every operation is elementwise per column, so a column's factors have
-    the bits of that column factored on its own.
-    """
-    sub, main, sup = diagonals.sub, diagonals.main, diagonals.sup
-    if diagonals.topology == OPEN:
-        cp, inv, mu = _factor_open(sub, main, sup)
-        return Factors(OPEN, mu, cp, inv, _first_bad_row(_bad_pivots(inv)))
-    n = diagonals.n
-    alpha = sub[0]       # A[0, n-1]
-    beta = sup[n - 1]    # A[n-1, 0]
-    gamma = np.where(np.abs(main[0]) > 0, -main[0], np.complex128(1.0))
-    main_mod = np.array(main, dtype=np.complex128)
-    main_mod[0] = main[0] - gamma
-    main_mod[n - 1] = main[n - 1] - alpha * beta / gamma
-    cp, inv, mu = _factor_open(sub[1:], main_mod, sup[: n - 1])
-    del main_mod
-    with np.errstate(invalid="ignore", over="ignore"):
-        spike = np.zeros_like(inv)
-        spike[0] = gamma
-        spike[n - 1] = beta
-        q = _substitute_open(_rows(cp), _rows(mu), inv, spike, spike)
-        weight = alpha / gamma
-        denom = 1.0 + q[0] + weight * q[n - 1]
-        bad = np.vstack([_bad_pivots(inv), np.abs(denom) < PIVOT_FLOOR])
-    return Factors(CYCLIC, mu, cp, inv, _first_bad_row(bad),
-                   q, weight, denom)
-
-
-def _substitute(factors: Factors, rhs: np.ndarray, x: np.ndarray):
-    """Solve the columns of ``rhs`` against nonsingular width-1
-    ``factors`` into ``x``, which may be ``rhs``.
-
-    The rank-1 correction of a cyclic matrix runs row by row through one
-    scratch row: a whole-array outer product with the spike would make
-    numpy allocate iteration buffers for the broadcast.
-    """
-    cp, mu, q = factors.rows
-    _substitute_open(cp, mu, factors.inv, rhs, x)
-    if q is not None:
-        n = factors.n
-        correction = (x[0] + factors.weight * x[n - 1]) / factors.denom
-        t = np.empty_like(correction)
-        multiply, subtract = np.multiply, np.subtract
-        for q_row, x_row in zip(q, x):
-            multiply(q_row, correction, t)
-            subtract(x_row, t, x_row)
-
-
 def solve(diagonals: Diagonals, rhs) -> np.ndarray:
     """Solve one system, width-1 ``diagonals`` against the vector ``rhs``,
     as a batch of one."""
@@ -345,8 +270,8 @@ def solve(diagonals: Diagonals, rhs) -> np.ndarray:
 
 def solve_batch(batch: SolveBatch, out: np.ndarray | None = None) -> np.ndarray:
     """Solve every member; returns the solutions in the layout of the
-    right-hand sides, (n, n_systems): in ``out`` when given, which may be
-    ``batch.rhs`` itself, else in a new array.
+    right-hand sides, (n, n_systems): in ``out`` when given, which must
+    not share memory with ``batch.rhs``, else in a new array.
 
     The whole batch is substituted full-width in one kernel call, on the
     calling thread.  A singular matrix aborts the batch before any
@@ -361,8 +286,9 @@ def solve_batch(batch: SolveBatch, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty(rhs.shape, dtype=np.complex128)
     elif out.shape != rhs.shape or out.dtype != np.complex128:
         raise ShapeError(f"out must be complex of shape {rhs.shape}")
-    _substitute(factors, rhs, out)
-    return out
+    elif np.may_share_memory(out, rhs):
+        raise ShapeError("out must not share memory with the rhs")
+    return _substitute_open(*factors.rows, factors.inv, rhs, out)
 
 
 def dense_matrix(diagonals: Diagonals) -> np.ndarray:

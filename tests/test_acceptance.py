@@ -28,7 +28,7 @@ from pe3d.operators import StepCoefficients
 from pe3d.output import load_manifest
 from pe3d.pool import block_ranges, physical_core_count
 from pe3d.selftest import random_system, run_selftest
-from pe3d.tridiag import CYCLIC, OPEN, dense_matrix, dense_oracle_solve, solve
+from pe3d.tridiag import dense_matrix, dense_oracle_solve, solve
 
 
 def finish(num, limit_s, t0, detail=""):
@@ -43,19 +43,18 @@ def test_criterion_01_tridiag_oracle_equivalence():
     rng = np.random.default_rng(1001)
     worst_err = 0.0
     worst_res = 0.0
-    for topology, count in ((OPEN, 500), (CYCLIC, 500)):
-        for _ in range(count):
-            n = int(rng.integers(3, 129))
-            diagonals, rhs = random_system(rng, n, topology)
-            x = solve(diagonals, rhs)
-            ref = dense_oracle_solve(diagonals, rhs)
-            err = np.max(np.abs(x - ref)) / max(np.max(np.abs(ref)), 1e-30)
-            worst_err = max(worst_err, err)
-            assert err <= 1e-10, f"{topology} n={n}: relative error {err:.2e}"
-            residual = np.max(np.abs(dense_matrix(diagonals) @ x - rhs))
-            bound = 1e-10 * max(1.0, np.max(np.abs(rhs)))
-            worst_res = max(worst_res, residual / bound)
-            assert residual <= bound, f"{topology} n={n}: residual {residual:.2e}"
+    for _ in range(1000):
+        n = int(rng.integers(3, 129))
+        diagonals, rhs = random_system(rng, n)
+        x = solve(diagonals, rhs)
+        ref = dense_oracle_solve(diagonals, rhs)
+        err = np.max(np.abs(x - ref)) / max(np.max(np.abs(ref)), 1e-30)
+        worst_err = max(worst_err, err)
+        assert err <= 1e-10, f"n={n}: relative error {err:.2e}"
+        residual = np.max(np.abs(dense_matrix(diagonals) @ x - rhs))
+        bound = 1e-10 * max(1.0, np.max(np.abs(rhs)))
+        worst_res = max(worst_res, residual / bound)
+        assert residual <= bound, f"n={n}: residual {residual:.2e}"
     finish(1, 30.0, t0,
            f"1000 instances, worst oracle error {worst_err:.2e}, "
            f"worst residual/bound {worst_res:.2e}")

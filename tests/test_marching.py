@@ -685,13 +685,13 @@ class TestStepArrays:
         # depth sweep is one full-width substitution, on the calling thread
         marcher, u = self.stepped(topology, threads=2)
         calls = []
-        substitute = tridiag_module._substitute
+        substitute = tridiag_module._substitute_open
 
-        def recorded(factors, rhs, x):
+        def recorded(cp, mu, inv, rhs, x):
             calls.append((x.shape, threading.get_ident()))
-            return substitute(factors, rhs, x)
+            return substitute(cp, mu, inv, rhs, x)
 
-        monkeypatch.setattr(tridiag_module, "_substitute", recorded)
+        monkeypatch.setattr(tridiag_module, "_substitute_open", recorded)
         range_step(marcher, u, 1)
         assert calls == [(marcher.work.shape, threading.get_ident())]
 

@@ -40,6 +40,13 @@ class TestTriDiagSystem:
         with pytest.raises(ShapeError):
             solve(one_matrix(np.zeros(2), np.ones(3), np.zeros(2)), np.ones(4))
 
+    def test_factor_rejects_cyclic(self):
+        # a valid description, which only the dense oracle solves
+        d = one_matrix(np.full(3, -1.0), np.full(3, 3.0), np.full(3, -1.0),
+                       CYCLIC)
+        with pytest.raises(ShapeError, match="open"):
+            factor(d)
+
 
 class TestSolveThomas:
     def test_identity_system(self):
@@ -55,7 +62,7 @@ class TestSolveThomas:
 
     def test_random_against_oracle(self):
         rng = np.random.default_rng(101)
-        d, rhs = random_system(rng, 64, OPEN)
+        d, rhs = random_system(rng, 64)
         x = solve(d, rhs)
         ref = dense_oracle_solve(d, rhs)
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -69,30 +76,6 @@ class TestSolveThomas:
     def test_single_unknown(self):
         d = one_matrix(np.zeros(0), [2.0], np.zeros(0))
         assert solve(d, [5.0])[0] == 2.5
-
-
-class TestSolveCyclic:
-    def test_row_sum_case(self):
-        d = one_matrix(np.full(3, -1.0), np.full(3, 3.0), np.full(3, -1.0),
-                       CYCLIC)
-        x = solve(d, np.ones(3))
-        assert np.allclose(x, np.ones(3), rtol=1e-12)
-        assert np.allclose(dense_oracle_solve(d, np.ones(3)), x, rtol=1e-12)
-
-    def test_zero_corners_degenerate_to_open(self):
-        rng = np.random.default_rng(7)
-        d, rhs = random_system(rng, 16, OPEN)
-        zero = np.zeros((1, 1))
-        cyc = Diagonals(np.vstack([zero, d.sub]), d.main,
-                        np.vstack([d.sup, zero]), CYCLIC)
-        assert np.allclose(solve(cyc, rhs), solve(d, rhs), rtol=1e-12)
-
-    def test_random_against_oracle(self):
-        rng = np.random.default_rng(202)
-        d, rhs = random_system(rng, 32, CYCLIC)
-        x = solve(d, rhs)
-        ref = dense_oracle_solve(d, rhs)
-        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 class TestDenseOracle:
@@ -142,29 +125,22 @@ def one_at_a_time(diagonals, rhs):
 class TestSolveBatch:
     def test_batch_of_one_equals_scalar(self):
         rng = np.random.default_rng(1)
-        d, _ = random_system(rng, 32, OPEN)
+        d, _ = random_system(rng, 32)
         batch = shared_batch(d, 1, rng)
         assert solve_batch(batch).tobytes() \
             == one_at_a_time(d, batch.rhs).tobytes()
 
     def test_identical_members_identical_solutions(self):
         rng = np.random.default_rng(2)
-        d, rhs = random_system(rng, 24, OPEN)
+        d, rhs = random_system(rng, 24)
         batch = SolveBatch(factor(d), np.repeat(rhs[:, None], 100, axis=1))
         expected = np.repeat(solve(d, rhs)[:, None], 100, axis=1)
         assert solve_batch(batch).tobytes() == expected.tobytes()
 
     def test_open_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
-        d, _ = random_system(rng, 40, OPEN)
+        d, _ = random_system(rng, 40)
         batch = shared_batch(d, 900, rng)
-        assert solve_batch(batch).tobytes() \
-            == one_at_a_time(d, batch.rhs).tobytes()
-
-    def test_cyclic_batch_matches_scalar(self):
-        rng = np.random.default_rng(4)
-        d, _ = random_system(rng, 17, CYCLIC)
-        batch = shared_batch(d, 130, rng)
         assert solve_batch(batch).tobytes() \
             == one_at_a_time(d, batch.rhs).tobytes()
 
@@ -189,27 +165,11 @@ class TestSolveBatch:
         assert info.value.pivot_index == 1
         assert info.value.detail == ""
 
-    def test_cyclic_rank1_singular_reported(self):
-        # [[1, 0, 1], [0, 1, 0], [1, 0, 1]]: the open part is regular and
-        # the correction's denominator is exactly zero, reported as row n = 3
-        d = one_matrix([1.0, 0.0, 0.0], np.ones(3), [0.0, 0.0, 1.0], CYCLIC)
-        batch = SolveBatch(factor(d), np.ones((3, 200)))
-        with pytest.raises(SingularSystemError) as info:
-            solve_batch(batch)
-        assert info.value.pivot_index == 3
-        assert info.value.detail == "singular rank-1 correction"
-        # a zero pivot in the factorization is reported before the correction
-        d = one_matrix(np.zeros(3), [1.0, 0.0, 1.0], np.zeros(3), CYCLIC)
-        with pytest.raises(SingularSystemError) as info:
-            solve(d, np.ones(3))
-        assert (info.value.pivot_index, info.value.detail) == (1, "")
-
-    @pytest.mark.parametrize("topology", [OPEN, CYCLIC])
-    def test_shared_factors_match_per_member(self, topology):
+    def test_shared_factors_match_per_member(self):
         # one factorization, reused by several batches, gives every member
         # the bits of a solve against its own copy of the matrix
         rng = np.random.default_rng(11)
-        d, _ = random_system(rng, 33, topology)
+        d, _ = random_system(rng, 33)
         shared = factor(d)
         for n_rhs in (50, 7):
             batch = shared_batch(d, n_rhs, rng)
@@ -236,51 +196,32 @@ class TestSolveBatch:
         assert wide.width == 3
         with pytest.raises(ShapeError, match="one matrix"):
             SolveBatch(wide, np.ones((6, 4)))
-        shared = factor(random_system(rng, 6, OPEN)[0])
+        shared = factor(random_system(rng, 6)[0])
         with pytest.raises(ShapeError):
             SolveBatch(shared, np.ones((5, 4)))
         with pytest.raises(ShapeError):
             SolveBatch(shared, np.ones(6))
 
-    @pytest.mark.parametrize("topology", [OPEN, CYCLIC])
-    def test_out_in_place_or_given(self, topology):
-        # the solutions go into a given array, which may be the right-hand
-        # sides themselves; the bits are those of a solve into a new array
+    def test_out_given_never_in_place(self):
+        # the solutions go into a given array with the bits of a solve into
+        # a new array; an array that overlaps the right-hand sides is
+        # rejected, since the pre-scale would write into its own operand
         rng = np.random.default_rng(13)
-        batch = shared_batch(random_system(rng, 21, topology)[0], 40, rng)
+        batch = shared_batch(random_system(rng, 21)[0], 40, rng)
         expected = solve_batch(batch).tobytes()
-        rhs = batch.rhs.copy()
-        got = solve_batch(SolveBatch(batch.factors, rhs), out=rhs)
-        assert got is rhs and rhs.tobytes() == expected
         out = np.empty_like(batch.rhs)
         assert solve_batch(batch, out=out) is out
         assert out.tobytes() == expected
         with pytest.raises(ShapeError):
             solve_batch(batch, out=np.empty((21, 39), dtype=complex))
-
-    @pytest.mark.parametrize("n_rhs", [1, 97], ids=["width-1", "97"])
-    @pytest.mark.parametrize("topology", [OPEN, CYCLIC])
-    def test_in_place_matches_one_at_a_time(self, topology, n_rhs):
-        # solved in place, every member has the bits of its own solve: at
-        # width 1, and at a width that is not a multiple of the SIMD width;
-        # on systems of 1 and 2 rows, where the whole-array pre-scale is
-        # most of the solve, and on the smallest cyclic system, whose
-        # factors also solve their spike in place.  A length-1 product
-        # written into its own operand rounds differently about half the
-        # time, and the difference does not always reach the solution,
-        # hence 8 batches.
-        rng = np.random.default_rng(14)
-        for n in (1, 2, 29) if topology == OPEN else (3, 29):
-            d, _ = random_system(rng, n, topology)
-            for _ in range(8):
-                batch = shared_batch(d, n_rhs, rng)
-                expected = one_at_a_time(d, batch.rhs).tobytes()
-                rhs = batch.rhs.copy()
-                solve_batch(SolveBatch(batch.factors, rhs), out=rhs)
-                assert rhs.tobytes() == expected, n
+        rhs = batch.rhs.copy()
+        for overlap in (batch.rhs, batch.rhs[::-1]):
+            with pytest.raises(ShapeError, match="share memory"):
+                solve_batch(batch, out=overlap)
+        assert batch.rhs.tobytes() == rhs.tobytes()
 
     def test_empty_batch_rejected(self):
-        shared = factor(random_system(np.random.default_rng(0), 5, OPEN)[0])
+        shared = factor(random_system(np.random.default_rng(0), 5)[0])
         with pytest.raises(InvariantError):
             SolveBatch(shared, np.ones((5, 0)))
 
@@ -292,9 +233,9 @@ class TestSolveBatch:
 
     def test_system_round_trip(self):
         rng = np.random.default_rng(8)
-        d, _ = random_system(rng, 9, CYCLIC)
+        d, _ = random_system(rng, 9)
         batch = shared_batch(d, 4, rng)
-        assert batch.topology == CYCLIC
+        assert batch.topology == OPEN
         assert (batch.n, batch.n_systems) == (9, 4)
         assert solve_batch(batch)[:, 2].tobytes() \
             == solve(d, batch.rhs[:, 2]).tobytes()
@@ -304,27 +245,23 @@ def wide_diagonals(matrices):
     """The width-1 ``matrices`` side by side, one per column."""
     def stack(name):
         return np.hstack([getattr(d, name) for d in matrices])
-    return Diagonals(stack("sub"), stack("main"), stack("sup"),
-                     matrices[0].topology)
+    return Diagonals(stack("sub"), stack("main"), stack("sup"))
 
 
 class TestWideFactor:
-    @pytest.mark.parametrize("topology", [OPEN, CYCLIC])
-    def test_columns_equal_width_one_factors(self, topology):
+    def test_columns_equal_width_one_factors(self):
         rng = np.random.default_rng(21)
-        matrices = [random_system(rng, 40, topology)[0] for _ in range(64)]
+        matrices = [random_system(rng, 40)[0] for _ in range(64)]
         factors = factor(wide_diagonals(matrices))
         assert factors.width == 64 and factors.singular is None
-        names = ("cp", "inv", "q", "weight", "denom") if topology == CYCLIC \
-            else ("cp", "inv")
         for j in range(64):
             alone = factor(matrices[j])
-            for name in names:
+            for name in ("cp", "inv"):
                 assert getattr(factors, name)[..., j:j + 1].tobytes() \
                     == getattr(alone, name).tobytes(), (j, name)
 
     def test_open_column_carries_its_error(self):
-        regular, _ = random_system(np.random.default_rng(22), 5, OPEN)
+        regular, _ = random_system(np.random.default_rng(22), 5)
         pivot_2 = one_matrix(np.ones(4), [1.0, 1.0, 0.0, 2.0, 1.0], np.zeros(4))
         pivot_0 = one_matrix(np.ones(4), [0.0, 1.0, 1.0, 1.0, 1.0], np.ones(4))
         factors = factor(wide_diagonals([regular, pivot_2, pivot_0]))
@@ -336,34 +273,19 @@ class TestWideFactor:
         assert factor(regular).singular is None
         assert factor(pivot_0).singular.pivot_index == 0
 
-    def test_cyclic_column_carries_its_error(self):
-        # column 1 is singular only in the rank-1 correction (row n = 3),
-        # column 2 at pivot 1 of the factorization
-        regular, _ = random_system(np.random.default_rng(23), 3, CYCLIC)
-        rank1 = one_matrix([1.0, 0.0, 0.0], np.ones(3), [0.0, 0.0, 1.0], CYCLIC)
-        pivot_1 = one_matrix(np.zeros(3), [1.0, 0.0, 1.0], np.zeros(3), CYCLIC)
-        factors = factor(wide_diagonals([regular, rank1, pivot_1]))
-        assert factors.bad_row.tolist() == [-1, 3, 1]
-        error = factors.singular
-        assert (error.pivot_index, error.detail) \
-            == (3, "singular rank-1 correction")
-        error = factor(pivot_1).singular
-        assert (error.pivot_index, error.detail) == (1, "")
-
 
 class TestSolverProperties:
     def test_residual_bound_random_instances(self):
         rng = np.random.default_rng(404)
         for _ in range(150):
             n = int(rng.integers(3, 129))
-            topology = OPEN if rng.random() < 0.5 else CYCLIC
-            d, rhs = random_system(rng, n, topology)
+            d, rhs = random_system(rng, n)
             bound = 1e-10 * max(1.0, np.max(np.abs(rhs)))
             assert residual_inf(d, rhs, solve(d, rhs)) <= bound
 
     def test_linearity_in_rhs(self):
         rng = np.random.default_rng(505)
-        d, _ = random_system(rng, 48, OPEN)
+        d, _ = random_system(rng, 48)
         r1 = rng.standard_normal(48) + 1j * rng.standard_normal(48)
         r2 = rng.standard_normal(48) + 1j * rng.standard_normal(48)
         a, b = 0.7 - 1.1j, -2.0 + 0.4j
