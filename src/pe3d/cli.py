@@ -83,7 +83,7 @@ def cmd_run(args) -> int:
         # A manifest describes the run that wrote it: an earlier run's
         # goes before this run writes its first TL file.
         remove_manifest(outdir)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         print(f"config error: output_dir not writable: {exc}", file=sys.stderr)
         return 2
 

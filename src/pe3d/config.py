@@ -190,7 +190,7 @@ def _read_text(path: Path, what: str) -> str:
         return path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable, or a NUL
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 

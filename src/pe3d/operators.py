@@ -24,8 +24,8 @@ half-steps in sum form and no explicit matrix is assembled or
 multiplied.  Y has constant coefficients in azimuth, so the march takes
 its half-step per azimuth mode, from :func:`azimuth_stencil` alone
 (:mod:`pe3d.marching`).  :func:`assemble_azimuth_batch` builds the
-implicit azimuth matrices (I + cy_lhs Y) as tri-diagonal systems, which
-the tests' physical-space reference step solves.  :func:`compute_rhs`
+implicit azimuth matrix (I + cy_lhs Y) as one dense array, which the
+tests' physical-space reference step solves.  :func:`compute_rhs`
 copies a slab depth-major for the forward azimuth transform.
 
 Rounding: numpy's vectorised complex product uses fused multiply-adds, so
@@ -42,7 +42,7 @@ import numpy as np
 
 from .environment import PERIODIC
 from .errors import InvariantError, ShapeError
-from .tridiag import OPEN, CYCLIC, Diagonals
+from .tridiag import Diagonals
 
 
 @dataclass(frozen=True)
@@ -146,35 +146,31 @@ def assemble_depth_batch(coeff: complex, profile: np.ndarray, k0: float,
     sup = np.full((profile.size - 1, 1), off_value)
     main[0] = 1.0
     sup[0] = 0.0
-    return Diagonals(sub=sub, main=main, sup=sup, topology=OPEN)
+    return Diagonals(sub=sub, main=main, sup=sup)
 
 
-def assemble_azimuth_batch(coeff: complex, k0: float, ranges,
+def assemble_azimuth_batch(coeff: complex, k0: float, r: float,
                            delta_theta: float, topology: str,
-                           n_azimuth: int) -> Diagonals:
-    """The azimuth matrices (I + coeff * Y), one per range in ``ranges``
-    (a column each); each is shared by every depth index of its step.
+                           n_azimuth: int) -> np.ndarray:
+    """The azimuth matrix (I + coeff * Y) at range ``r``, as a dense
+    (n_azimuth, n_azimuth) complex array, shared by every depth index.
 
-    A matrix has constant coefficients, with cyclic corners when the grid
-    is periodic.  On a sector grid the azimuth edge rows are imposed as
-    identity equations u = 0 (Dirichlet edges), so the right-hand side must
-    be zero there; a periodic grid has no edges.
+    The march takes its azimuth half-step per mode and never builds this
+    matrix; the tests' physical-space reference step solves with it.  It
+    keeps its name because the benchmark's tracer (``bench/tracing.py``)
+    wraps ``marching.assemble_azimuth_batch``, until the run times its
+    own phases.
+
+    The corners wrap when the grid is periodic.  On a sector grid the
+    azimuth edge rows are imposed as identity equations u = 0 (Dirichlet
+    edges), so the right-hand side must be zero there.
     """
-    ranges = np.atleast_1d(np.asarray(ranges, dtype=np.float64))
-    if ranges.ndim != 1:
-        raise ShapeError("ranges must be a vector")
-    off = coeff * azimuth_stencil(k0, ranges, delta_theta)
-    diag = 1.0 - 2.0 * off
-    shape = (n_azimuth, ranges.size)
-    if topology == PERIODIC:
-        off = np.broadcast_to(off, shape)
-        return Diagonals(sub=off, main=np.broadcast_to(diag, shape), sup=off,
-                         topology=CYCLIC)
-    main = np.tile(diag, (n_azimuth, 1))
-    sub = np.tile(off, (n_azimuth - 1, 1))
-    sup = sub.copy()
-    main[0] = 1.0
-    main[-1] = 1.0
-    sup[0] = 0.0
-    sub[-1] = 0.0
-    return Diagonals(sub=sub, main=main, sup=sup, topology=OPEN)
+    off = coeff * azimuth_stencil(k0, r, delta_theta)
+    m = np.arange(n_azimuth)
+    a = np.zeros((n_azimuth, n_azimuth), dtype=np.complex128)
+    a[m, m] = 1.0 - 2.0 * off
+    a[m, m - 1] = off  # m - 1 wraps to n_azimuth - 1: the corners
+    a[m - 1, m] = off
+    if topology != PERIODIC:
+        a[[0, -1]] = np.eye(n_azimuth)[[0, -1]]
+    return a

@@ -36,12 +36,8 @@ here keeps a fixed operand order and writes into an array distinct from
 its operands: on a length-1 array, ``np.multiply(x, s, x)`` can round
 differently from ``x * s``, whether ``s`` is 0-d, of shape (1,) or full.
 
-:class:`Diagonals` also describes cyclic matrices, which :func:`factor`
-rejects: the periodic azimuth operator of
-:func:`pe3d.operators.assemble_azimuth_batch`, for :func:`dense_matrix`
-and :func:`dense_oracle_solve`.  Corner storage convention for cyclic
-systems of size n: ``sub[0]`` holds A[0, n-1] and ``sup[n-1]`` holds
-A[n-1, 0]; the remaining entries are the ordinary sub/super diagonals.
+:func:`dense_matrix` and :func:`dense_oracle_solve` are the test oracle:
+the full matrix, and Gaussian elimination with partial pivoting.
 """
 
 from __future__ import annotations
@@ -54,8 +50,7 @@ import numpy as np
 from .errors import DomainError, InvariantError, ShapeError, SingularSystemError
 from .pool import fork_join  # unused: bench/tracing.py patches it by name
 
-OPEN = "open"
-CYCLIC = "cyclic"
+OPEN = "open"  # SolveBatch.topology: bench/tracing.py records it
 
 PIVOT_FLOOR = 1e-300
 ORACLE_MAX_N = 4096
@@ -63,39 +58,28 @@ ORACLE_MAX_N = 4096
 
 @dataclass(eq=False)
 class Diagonals:
-    """Tri-diagonal matrices of one size and topology, one per column.
+    """Open tri-diagonal matrices of one size, one per column.
 
     Arrays are 2-D with shape (row, matrix), so each elimination row is
     contiguous across the matrices.  Arrays may be read-only broadcast
-    views.  Open topology: ``sub``/``sup`` have n - 1 rows.  Cyclic
-    topology: n rows, with the wrap-around corners stored as documented
-    above.
+    views.  ``sub``/``sup`` have n - 1 rows.
     """
 
     sub: np.ndarray
     main: np.ndarray
     sup: np.ndarray
-    topology: str = OPEN
 
     def __post_init__(self):
-        if self.topology not in (OPEN, CYCLIC):
-            raise InvariantError(f"topology in ({OPEN}, {CYCLIC})")
         for arr in (self.sub, self.main, self.sup):
             if arr.ndim != 2:
                 raise ShapeError("diagonal arrays must be 2-D (row x matrix)")
         n, k = self.main.shape
-        if self.topology == OPEN:
-            if n < 1:
-                raise InvariantError("n >= 1 for open systems")
-            want = n - 1
-        else:
-            if n < 3:
-                raise InvariantError("n >= 3 for cyclic systems")
-            want = n
-        if self.sub.shape != (want, k) or self.sup.shape != (want, k):
+        if n < 1:
+            raise InvariantError("n >= 1")
+        if self.sub.shape != (n - 1, k) or self.sup.shape != (n - 1, k):
             raise ShapeError(
-                f"{self.topology} system of size {n} needs off-diagonals of "
-                f"length {want}, got {self.sub.shape[0]}/{self.sup.shape[0]}"
+                f"system of size {n} needs off-diagonals of length {n - 1}, "
+                f"got {self.sub.shape[0]}/{self.sup.shape[0]}"
             )
 
     @property
@@ -188,8 +172,7 @@ class SolveBatch:
 def factor(diagonals: Diagonals) -> Factors:
     """Factor every open matrix (column) of ``diagonals`` by forward
     elimination: the modified supers, the per-row reciprocal pivots and
-    the multipliers of the pre-scaled forward sweep.  Cyclic diagonals
-    raise :class:`ShapeError`.
+    the multipliers of the pre-scaled forward sweep.
 
     Never raises for a singular matrix (see :attr:`Factors.bad_row`).
     Pivots are not checked row by row: a pivot below ``PIVOT_FLOOR``
@@ -199,8 +182,6 @@ def factor(diagonals: Diagonals) -> Factors:
     Every operation is elementwise per column, so a column's factors have
     the bits of that column factored on its own.
     """
-    if diagonals.topology == CYCLIC:
-        raise ShapeError("factor takes open matrices, got cyclic ones")
     sub, main, sup = diagonals.sub, diagonals.main, diagonals.sup
     n, w = main.shape
     inv = np.empty((n, w), dtype=np.complex128)
@@ -292,8 +273,7 @@ def solve_batch(batch: SolveBatch, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def dense_matrix(diagonals: Diagonals) -> np.ndarray:
-    """Materialize the full n x n matrix of width-1 ``diagonals`` (corners
-    included when cyclic)."""
+    """Materialize the full n x n matrix of width-1 ``diagonals``."""
     if diagonals.main.shape[1] != 1:
         raise ShapeError("dense_matrix takes one matrix (width-1 diagonals)")
     sub, main, sup = (d[:, 0] for d in (diagonals.sub, diagonals.main,
@@ -302,15 +282,8 @@ def dense_matrix(diagonals: Diagonals) -> np.ndarray:
     a = np.zeros((n, n), dtype=np.complex128)
     idx = np.arange(n)
     a[idx, idx] = main
-    if diagonals.topology == OPEN:
-        if n > 1:
-            a[idx[1:], idx[:-1]] = sub
-            a[idx[:-1], idx[1:]] = sup
-    else:
-        a[idx[1:], idx[:-1]] = sub[1:]
-        a[idx[:-1], idx[1:]] = sup[:-1]
-        a[0, n - 1] = sub[0]
-        a[n - 1, 0] = sup[n - 1]
+    a[idx[1:], idx[:-1]] = sub
+    a[idx[:-1], idx[1:]] = sup
     return a
 
 

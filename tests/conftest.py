@@ -17,7 +17,7 @@ from pe3d.environment import (
 )
 from pe3d.errors import InvariantError, ShapeError
 from pe3d.operators import azimuth_stencil, depth_stencil
-from pe3d.tridiag import OPEN, Diagonals
+from pe3d.tridiag import Diagonals
 
 
 def make_grid(n_range=10, n_azimuth=8, n_depth=32, delta_r=5.0, delta_z=4.0,
@@ -69,10 +69,10 @@ def zero_dirichlet_rows(values, grid):
     return values
 
 
-def one_matrix(sub, main, sup, topology=OPEN):
+def one_matrix(sub, main, sup):
     """Width-1 complex ``Diagonals`` from the vectors of one matrix."""
     return Diagonals(*(np.asarray(d, dtype=complex)[:, None]
-                       for d in (sub, main, sup)), topology)
+                       for d in (sub, main, sup)))
 
 
 # The depth and azimuth operators as plain functions that return new

@@ -381,26 +381,6 @@ def _reference_open(sub, main, sup, rhs):
     return x
 
 
-def _reference_cyclic(sub, main, sup, rhs):
-    """Sherman-Morrison correction of an open solve, column by column."""
-    n = main.shape[0]
-    alpha, beta = sub[0], sup[n - 1]
-    gamma = np.where(np.abs(main[0]) > 0, -main[0], np.complex128(1.0))
-    main_mod = np.array(main, dtype=complex)
-    main_mod[0] = main[0] - gamma
-    main_mod[n - 1] = main[n - 1] - alpha * beta / gamma
-    y = _reference_open(sub[1:], main_mod, sup[: n - 1], rhs)
-    spike = np.zeros_like(rhs)
-    spike[0] = gamma
-    spike[n - 1] = beta
-    q = _reference_open(sub[1:], main_mod, sup[: n - 1], spike)
-    weight = alpha / gamma
-    denom = 1.0 + q[0] + weight * q[n - 1]
-    q *= (y[0] + weight * y[n - 1]) / denom
-    y -= q
-    return y
-
-
 def medium_grid(env, grid):
     """n over the (azimuth x depth) grid: the depth profile broadcast over
     azimuth, as whole-grid expressions see it."""
@@ -428,45 +408,37 @@ def reference_depth_matrix(coeff, n_field, k0, delta_z):
     return sub, main, sup
 
 
-def per_member(diagonals, width):
-    """Width-1 ``diagonals`` as one matrix per member of a batch ``width``
-    wide: (sub, main, sup) broadcast to full width."""
-    return [np.broadcast_to(d, (d.shape[0], width))
-            for d in (diagonals.sub, diagonals.main, diagonals.sup)]
-
-
 def reference_step(u, j, grid, env, k0, coeffs):
-    """One range step from the slab ``u`` at range index ``j``, with a
-    matrix per member, assembled and factored in every step: the plain
-    form of the scheme the marcher takes in azimuth modes, solving in
-    azimuth as FOR3D does, with Y at the step's midpoint range.  Both
-    half-steps take the sum form: the depth one is t + (1 - rho)(s - t)
-    with (I + cx_lhs X) s = t and rho = cx_rhs / cx_lhs, the azimuth one
-    2 w - v with (I + cy_lhs Y) w = v.  It zeroes the Dirichlet rows of
-    the slab it returns, which the marcher's matrices keep zero
-    instead."""
+    """One range step from the slab ``u`` at range index ``j``, with the
+    matrices assembled in every step: the plain form of the scheme the
+    marcher takes in azimuth modes, solving in physical azimuth, as FOR3D
+    does, with Y at the step's midpoint range.  The depth half-step takes a
+    matrix per azimuth, the azimuth half-step one dense solve of
+    (I + cy_lhs Y).  Both take the sum form: the depth one is
+    t + (1 - rho)(s - t) with (I + cx_lhs X) s = t and
+    rho = cx_rhs / cx_lhs, the azimuth one 2 w - v with
+    (I + cy_lhs Y) w = v.  It zeroes the Dirichlet rows of the slab it
+    returns, which the marcher's matrices keep zero instead."""
     depth = reference_depth_matrix(coeffs.cx_lhs, medium_grid(env, grid), k0,
                                    grid.delta_z)
     t = np.ascontiguousarray(u.T)
     s = _reference_open(*depth, t)
     weight = (coeffs.cx_lhs - coeffs.cx_rhs) / coeffs.cx_lhs
     v = np.ascontiguousarray((t + (s - t) * weight).T)
-    full = per_member(assemble_azimuth_batch(
-        coeffs.cy_lhs, k0, [grid.range_at(j + 0.5)], grid.delta_theta,
-        grid.azimuth_topology, grid.n_azimuth), grid.n_depth)
+    azimuth = assemble_azimuth_batch(
+        coeffs.cy_lhs, k0, grid.range_at(j + 0.5), grid.delta_theta,
+        grid.azimuth_topology, grid.n_azimuth)
     if grid.azimuth_topology == SECTOR:
         v[0] = 0.0
         v[-1] = 0.0
-        w = _reference_open(*full, v)
-    else:
-        w = _reference_cyclic(*full, v)
+    w = np.linalg.solve(azimuth, v)
     return zero_dirichlet_rows(2.0 * w - v, grid)
 
 
 class TestReferenceStepper:
-    """The mode march against the physical reference step, a matrix per
-    member solved in depth and in azimuth, to ``ORACLE_TOLERANCE``; and
-    bitwise against itself at any thread count.
+    """The mode march against the physical reference step, solved in
+    depth and in azimuth, to ``ORACLE_TOLERANCE``; and bitwise against
+    itself at any thread count.
 
     The grids are larger than numpy's 256 KiB threshold for evaluating
     temporaries in place, where the reference's products by a temporary

@@ -14,10 +14,8 @@ from pe3d.operators import (
     depth_stencil,
 )
 from pe3d.tridiag import (
-    CYCLIC,
     SolveBatch,
     dense_matrix,
-    dense_oracle_solve,
     factor,
     solve,
     solve_batch,
@@ -168,90 +166,57 @@ class TestAssembleDepthSystem:
 
 class TestAssembleAzimuthSystem:
     def test_zero_coeff_identity(self):
-        batch = assemble_azimuth_batch(0.0, 1.0, 10.0, 0.2, SECTOR, 5)
-        assert np.all(batch.main == 1.0) and np.all(batch.sub == 0.0)
+        a = assemble_azimuth_batch(0.0, 1.0, 10.0, 0.2, SECTOR, 5)
+        assert np.array_equal(a, np.eye(5))
 
     def test_periodic_corners_equal_off_diagonal(self):
         coeff = -0.25j
-        batch = assemble_azimuth_batch(coeff, 0.2, 100.0, 2 * math.pi / 4,
-                                       PERIODIC, 4)
-        assert batch.topology == CYCLIC
+        a = assemble_azimuth_batch(coeff, 0.2, 100.0, 2 * math.pi / 4,
+                                   PERIODIC, 4)
         off = coeff / (0.2 * 100.0 * 2 * math.pi / 4) ** 2
-        assert batch.sub[0, 0] == off and batch.sup[-1, 0] == off
+        assert a[0, -1] == a[-1, 0] == a[0, 1] == a[1, 0] == off
 
     def test_constant_vector_preserved_on_ring(self):
         rhs = np.full(8, 2.0 - 1.0j)
-        batch = assemble_azimuth_batch(-0.1j, 0.3, 60.0, 2 * math.pi / 8,
-                                       PERIODIC, 8)
-        x = dense_oracle_solve(batch, rhs)
-        assert np.allclose(x, rhs, rtol=1e-12)
+        a = assemble_azimuth_batch(-0.1j, 0.3, 60.0, 2 * math.pi / 8,
+                                   PERIODIC, 8)
+        assert np.allclose(np.linalg.solve(a, rhs), rhs, rtol=1e-12)
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_matrix_matches_matrix_free(self, topology):
         rng = np.random.default_rng(6)
         n_az, n_dep = 12, 3
+        k0, r = 0.2, 90.0
         delta_theta = 2 * math.pi / n_az if topology == PERIODIC else 0.05
         coeff = -0.4j
         u = rng.standard_normal((n_az, n_dep)) \
             + 1j * rng.standard_normal((n_az, n_dep))
-        batch = assemble_azimuth_batch(coeff, 0.2, 90.0, delta_theta,
-                                       topology, n_az)
-        assert batch.main.shape[1] == 1  # one matrix for every depth index
-        a = dense_matrix(batch)
+        # one matrix for every depth index
+        a = assemble_azimuth_batch(coeff, k0, r, delta_theta, topology, n_az)
+        assert a.shape == (n_az, n_az) and a.dtype == np.complex128
         edges = slice(None) if topology == PERIODIC else slice(1, -1)
         for l in range(n_dep):
             lhs = a @ u[:, l]
-            rhs = u[:, l] + coeff * apply_Y(u[:, l], 0.2, 90.0, delta_theta,
+            rhs = u[:, l] + coeff * apply_Y(u[:, l], k0, r, delta_theta,
                                             topology)
             assert np.max(np.abs(lhs[edges] - rhs[edges])) \
                 <= 1e-13 * np.max(np.abs(rhs))
         if topology == SECTOR:  # Dirichlet edge rows
             assert np.array_equal(a[[0, -1]], np.eye(n_az)[[0, -1]])
-
-    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
-    def test_block_of_ranges(self, topology):
-        # one matrix per range, each with the bits of its own assembly and
-        # of the coefficient formula, squared by multiplication as numpy
-        # squares an array
-        coeff = -0.26179938779914946j
-        k0, delta_theta = 0.2094, 2 * math.pi / 9
-        ranges = [15.0 + 5.0 * i for i in range(7)]
-        block = assemble_azimuth_batch(coeff, k0, ranges, delta_theta,
-                                       topology, 9)
-        assert block.main.shape[1] == 7
-        for j, r in enumerate(ranges):
-            alone = assemble_azimuth_batch(coeff, k0, [r], delta_theta,
-                                           topology, 9)
-            for name in ("sub", "main", "sup"):
-                assert np.ascontiguousarray(getattr(block, name)[:, j]).tobytes() \
-                    == np.ascontiguousarray(getattr(alone, name)[:, 0]).tobytes()
-            x = k0 * r * delta_theta
-            s = 1.0 / (x * x)
-            assert block.main[4, j] == 1.0 - 2.0 * coeff * s
-            assert block.sub[4, j] == coeff * s
-        # the step's identity: the explicit matrices (I + cy_rhs Y) are
+        # the step's identity: the explicit matrix (I + cy_rhs Y) is
         # 2I - (I + cy_lhs Y), bitwise off the main diagonal and on a
         # sector's identity rows, to rounding on the main diagonal
         coeffs = StepCoefficients.for_step(k0, 5.0)
         implicit, explicit = (
-            assemble_azimuth_batch(c, k0, ranges, delta_theta, topology, 9)
+            assemble_azimuth_batch(c, k0, r, delta_theta, topology, n_az)
             for c in (coeffs.cy_lhs, coeffs.cy_rhs))
-        for name in ("sub", "sup"):
-            assert getattr(explicit, name).tobytes() \
-                == (0.0 - getattr(implicit, name)).tobytes()
-        mirror = 2.0 - implicit.main
-        rows = [0, -1] if topology == SECTOR else []
-        assert explicit.main[rows].tobytes() == mirror[rows].tobytes()
-        assert np.max(np.abs(explicit.main - mirror)) \
+        mirror = 2.0 * np.eye(n_az) - implicit
+        bitwise = ~np.eye(n_az, dtype=bool)
+        if topology == SECTOR:
+            bitwise[[0, -1]] = True
+        assert explicit[bitwise].tobytes() == mirror[bitwise].tobytes()
+        assert np.max(np.abs(explicit - mirror)) \
             <= 1e-15 * np.max(np.abs(mirror))
-
-    def test_sector_solve_leaves_rhs_unchanged(self):
-        grid = make_grid(n_azimuth=6, n_depth=4, topology=SECTOR)
-        rhs = np.ones((6, 4), dtype=complex)
-        batch = assemble_azimuth_batch(0.1 + 0.1j, 0.2, 80.0,
-                                       grid.delta_theta, SECTOR, 6)
-        solve_against(batch, rhs)
-        assert np.array_equal(rhs, np.ones((6, 4)))
 
 
 class TestComputeRhs:
@@ -303,24 +268,3 @@ class TestBatchAssembly:
                                      grid.delta_z)
         solutions = solve_against(batch, rhs)
         assert np.all(solutions[0] == 0.0)
-
-    def test_azimuth_batch_matches_scalar_systems(self):
-        rng = np.random.default_rng(19)
-        grid = make_grid(n_azimuth=10, n_depth=6, topology=SECTOR)
-        rhs = random_slab_values(rng, grid, dirichlet=False)
-        coeff = -0.2j
-        batch = assemble_azimuth_batch(coeff, 0.2, 120.0, grid.delta_theta,
-                                       SECTOR, grid.n_azimuth)
-        solutions = solve_against(batch, rhs)
-        for l in range(grid.n_depth):
-            scalar = solve(batch, rhs[:, l])
-            assert np.array_equal(solutions[:, l], scalar)
-
-    def test_sector_batch_edges_constrained(self):
-        grid = make_grid(n_azimuth=6, n_depth=5, topology=SECTOR)
-        rhs = np.ones((6, 5), dtype=complex)
-        rhs[[0, -1]] = 0.0  # the Dirichlet data every slab carries
-        batch = assemble_azimuth_batch(0.1 + 0.1j, 0.2, 80.0,
-                                       grid.delta_theta, SECTOR, 6)
-        solutions = solve_against(batch, rhs)
-        assert np.all(solutions[0] == 0.0) and np.all(solutions[-1] == 0.0)

@@ -696,6 +696,21 @@ class TestConfigErrorsBeforeCompute:
                                                "sound_speed_file = ssp"))
         assert_config_error(tmp_path, capsys, cfg, "cannot read sound_speed_file")
 
+    def test_sound_speed_file_with_a_nul_byte(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text().replace("sound_speed = 1500.0",
+                                               "sound_speed_file = p\0.txt"))
+        assert_config_error(tmp_path, capsys, cfg, "cannot read sound_speed_file")
+
+    def test_output_dir_with_a_nul_byte(self, tmp_path, capsys):
+        # no --output, which would override the key
+        cfg = write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text() + f"output_dir = {tmp_path}/out\0x\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output_dir not writable: ")
+        assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
     @pytest.mark.parametrize("old,new,expected", [
         pytest.param(old, new.format(value), rule, id=f"{key}-{value}")
         for key, old, new, rule in NUMERIC_KEYS for value in ("nan", "inf")

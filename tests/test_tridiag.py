@@ -5,7 +5,6 @@ from conftest import one_matrix
 from pe3d.errors import DomainError, InvariantError, ShapeError, SingularSystemError
 from pe3d.selftest import random_system
 from pe3d.tridiag import (
-    CYCLIC,
     OPEN,
     Diagonals,
     SolveBatch,
@@ -26,26 +25,11 @@ class TestTriDiagSystem:
 
     def test_open_length_rules(self):
         with pytest.raises(ShapeError):
-            one_matrix(np.zeros(3), np.ones(3), np.zeros(2), OPEN)
-
-    def test_cyclic_length_rules(self):
-        with pytest.raises(ShapeError):
-            one_matrix(np.zeros(2), np.ones(3), np.zeros(2), CYCLIC)
-
-    def test_cyclic_minimum_size(self):
-        with pytest.raises(InvariantError, match="n >= 3"):
-            one_matrix(np.zeros(2), np.ones(2), np.zeros(2), CYCLIC)
+            one_matrix(np.zeros(3), np.ones(3), np.zeros(2))
 
     def test_rhs_length(self):
         with pytest.raises(ShapeError):
             solve(one_matrix(np.zeros(2), np.ones(3), np.zeros(2)), np.ones(4))
-
-    def test_factor_rejects_cyclic(self):
-        # a valid description, which only the dense oracle solves
-        d = one_matrix(np.full(3, -1.0), np.full(3, 3.0), np.full(3, -1.0),
-                       CYCLIC)
-        with pytest.raises(ShapeError, match="open"):
-            factor(d)
 
 
 class TestSolveThomas:
