@@ -84,7 +84,8 @@ def cmd_run(args) -> int:
         # goes before this run writes its first TL file.
         remove_manifest(outdir)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        print(f"config error: output_dir not writable: {exc}", file=sys.stderr)
+        print(f"config error: output_dir not writable: {str(outdir)!r}: {exc}",
+              file=sys.stderr)
         return 2
 
     delivered = {}  # input index -> manifest entry, written or failed

@@ -185,13 +185,14 @@ def _parse_profile_pairs(text: str, origin: str) -> SoundSpeedProfile:
 
 def _read_text(path: Path, what: str) -> str:
     """The UTF-8 text of ``path``; a file that cannot be read is a
-    config error."""
+    config error, which names the path escaped, so a control character in
+    it never reaches the terminal raw."""
     try:
         return path.read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise ConfigError(f"{what} not found: {path}") from None
+        raise ConfigError(f"{what} not found: {str(path)!r}") from None
     except (OSError, ValueError) as exc:  # ValueError: undecodable, or a NUL
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+        raise ConfigError(f"cannot read {what} {str(path)!r}: {exc}") from None
 
 
 def load_config(path) -> Config:

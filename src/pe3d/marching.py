@@ -1,17 +1,29 @@
-"""Per-frequency range marching: the march in azimuth modes and
-transmission-loss assembly.
+"""Per-frequency range marching: the step's scheme, the march in azimuth
+modes and transmission-loss assembly.
 
-The medium is one depth profile, the same at every range and azimuth, so
-every step's Y is one constant-coefficient second difference in azimuth,
-scaled by sigma_j = 1 / (k0 r dtheta)^2 at the step's midpoint range
-r_j + delta_r / 2: cyclic on a periodic grid, Dirichlet-edged on a
-sector.  The discrete Fourier modes (periodic) and the sine modes of the
-interior azimuths (sector) are its eigenvectors, with eigenvalues
-sigma_j lambda_k (:attr:`Marcher.eigenvalues`), and X acts on every
-azimuth alike.  So the march keeps the depth-major *mode slab*
-(n_depth, n_modes): :meth:`Marcher.to_modes` transforms the starter
-once, and :meth:`Marcher.from_modes` transforms back only at recorded
-ranges.
+A range step applies a depth operator X and an azimuth operator Y as
+
+    [1 + (1/4 - d/4) X] [1 - d/4 Y] u_next = [1 + (1/4 + d/4) X] [1 + d/4 Y] u
+
+with d = i * k0 * delta_r (:class:`StepCoefficients`), and X carries the
+medium term:
+
+    (X u)_l = (n_l^2 - 1) u_l + (u_{l+1} - 2 u_l + u_{l-1}) / (k0 dz)^2
+
+with zero values outside the pressure-release surface and the
+absorber-backed bottom.  The medium is one depth profile, the same at
+every range and azimuth, so X is one tri-diagonal matrix for the whole
+slab (:func:`assemble_depth_batch`), and every step's Y is one
+constant-coefficient second difference in azimuth, scaled by
+sigma_j = 1 / (k0 r dtheta)^2 (:func:`azimuth_stencil`) at the step's
+midpoint range r_j + delta_r / 2: cyclic on a periodic grid,
+Dirichlet-edged on a sector.  The discrete Fourier modes (periodic) and
+the sine modes of the interior azimuths (sector) are its eigenvectors,
+with eigenvalues sigma_j lambda_k (:attr:`Marcher.eigenvalues`), and X
+acts on every azimuth alike.  So the march keeps the depth-major *mode
+slab* (n_depth, n_modes): :meth:`Marcher.to_modes` transforms the
+starter once, and :meth:`Marcher.from_modes` transforms back only at
+recorded ranges.
 
 One range step advances the mode slab m from r_j to r_j + delta_r by
 the depth half-step v = rho m + (1 - rho) (I + cx_lhs X)^-1 m and the
@@ -43,6 +55,11 @@ one short vector per step.  The depth systems share one matrix, so the
 depth sweep is one wide substitution, on the calling thread, as are the
 transforms; the threads split the step's elementwise passes into
 depth-row blocks, with the same bits for any split.
+
+Rounding: numpy's vectorised complex product uses fused multiply-adds, so
+``a * b`` and ``b * a`` can differ in their last bits, and numpy evaluates
+a temporary of 256 KiB or more in place, which swaps the operands of a
+product whose right operand is that temporary.
 """
 
 from __future__ import annotations
@@ -62,16 +79,15 @@ from .environment import (
     transmission_loss_field,
     wavenumber,
 )
-from .errors import DomainError, ShapeError, SingularSystemError, StepError
-from .operators import (
-    StepCoefficients,
-    assemble_azimuth_batch,  # unused: bench/tracing.py patches it by name
-    assemble_depth_batch,
-    azimuth_stencil,
-    compute_rhs,  # a function only so that bench/tracing.py can patch it
+from .errors import (
+    DomainError,
+    InvariantError,
+    ShapeError,
+    SingularSystemError,
+    StepError,
 )
 from .pool import fork_join
-from .tridiag import Factors, SolveBatch, factor, solve_batch
+from .tridiag import Diagonals, Factors, SolveBatch, factor, solve_batch
 
 MAX_OUTPUT_SAMPLES = 512
 
@@ -82,6 +98,131 @@ MAX_OUTPUT_SAMPLES = 512
 # of the sum and its product stays in cache between the two passes; and a
 # sector's odd extension and its spectrum are this many rows tall.
 BLOCK_ROWS = 16
+
+
+@dataclass(frozen=True)
+class StepCoefficients:
+    """The four bracket coefficients of one range step, plus d itself.
+
+    For real k0 and delta_r, d is purely imaginary, which makes the exact
+    identities cx_lhs + cx_rhs == 1/2 and cy_lhs + cy_rhs == 0 hold
+    bitwise (real and imaginary parts add independently).  The second
+    makes (I + cy_rhs Y) = 2I - (I + cy_lhs Y).  With rho = cx_rhs /
+    cx_lhs (cx_lhs has real part 1/4 from :meth:`for_step`, and is checked
+    to be nonzero), (I + cx_rhs X) = rho (I + cx_lhs X) + (1 - rho) I.
+    So each half-step needs its implicit matrix only.  cy_lhs is checked
+    to be purely imaginary, so (I + cy_lhs Y) is regular for the real
+    symmetric Y: the azimuth half-step cannot fail.  The step also divides
+    by rho (:class:`Marcher`), so cx_rhs is checked to be nonzero;
+    :meth:`for_step` gives |rho| = 1.
+    """
+
+    delta: complex
+    cx_lhs: complex
+    cx_rhs: complex
+    cy_lhs: complex
+    cy_rhs: complex
+
+    def __post_init__(self):
+        if self.cx_lhs + self.cx_rhs != 0.5 + 0.0j:
+            raise InvariantError("cx_lhs + cx_rhs == 1/2 exactly")
+        if self.cy_lhs + self.cy_rhs != 0.0 + 0.0j:
+            raise InvariantError("cy_lhs + cy_rhs == 0 exactly")
+        if self.cx_lhs == 0:
+            raise InvariantError("cx_lhs != 0")
+        if self.cx_rhs == 0:
+            raise InvariantError("cx_rhs != 0")
+        if self.cy_lhs.real != 0:
+            raise InvariantError("cy_lhs is purely imaginary")
+
+    @classmethod
+    def for_step(cls, k0: float, delta_r: float) -> "StepCoefficients":
+        delta = 1j * (k0 * delta_r)
+        quarter = delta / 4.0
+        return cls(
+            delta=delta,
+            cx_lhs=0.25 - quarter,
+            cx_rhs=0.25 + quarter,
+            cy_lhs=-quarter,
+            cy_rhs=+quarter,
+        )
+
+
+def azimuth_stencil(k0: float, r, delta_theta: float):
+    """The azimuth operator's second-difference scale 1 / (k0 r dtheta)^2
+    at ``r`` (a range or a vector of ranges); it has no local term."""
+    return 1.0 / (k0 * r * delta_theta) ** 2
+
+
+def compute_rhs(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The (n_azimuth, n_depth) slab ``u`` copied depth-major into
+    ``out``, of shape (n_depth, n_azimuth); returns ``out``.
+
+    This is the copy that feeds the forward azimuth transform
+    (:meth:`Marcher.to_modes`).  It stays a function because the
+    benchmark's tracer (``bench/tracing.py``) wraps ``marching.compute_rhs``
+    by name, until the run times its own phases.
+    """
+    if u.ndim != 2 or out.shape != u.shape[::-1]:
+        raise ShapeError(f"slab of shape {u.shape} into an array of shape "
+                         f"{out.shape}, not its transpose")
+    np.copyto(out, u.T)
+    return out
+
+
+def assemble_depth_batch(coeff: complex, profile: np.ndarray, k0: float,
+                         delta_z: float) -> Diagonals:
+    """The depth matrix (I + coeff * X) of one depth ``profile`` of n, as
+    width-1 diagonals (n_depth, 1), shared by every azimuth.
+
+    The surface row (depth index 0) is imposed as the identity equation
+    u = 0, so the solved field honors the pressure-release surface
+    exactly; the right-hand side must be zero there.
+
+    The diagonal is written ``(local - 2 s) * coeff``: the operand order
+    in which numpy evaluates the whole-grid ``coeff * (local - 2 s)`` of a
+    grid of 256 KiB or more (see the module docstring), kept fixed so that
+    the matrix has those bits on every grid.
+    """
+    profile = np.asarray(profile, dtype=np.complex128)
+    if profile.ndim != 1:
+        raise ShapeError("refraction values must be one depth profile")
+    s = 1.0 / (k0 * delta_z) ** 2
+    local = profile ** 2 - 1.0
+    main = (1.0 + np.multiply(local - 2.0 * s, coeff))[:, None]
+    off_value = np.complex128(coeff * s)
+    sub = np.broadcast_to(off_value, (profile.size - 1, 1))
+    sup = np.full((profile.size - 1, 1), off_value)
+    main[0] = 1.0
+    sup[0] = 0.0
+    return Diagonals(sub=sub, main=main, sup=sup)
+
+
+def assemble_azimuth_batch(coeff: complex, k0: float, r: float,
+                           delta_theta: float, topology: str,
+                           n_azimuth: int) -> np.ndarray:
+    """The azimuth matrix (I + coeff * Y) at range ``r``, as a dense
+    (n_azimuth, n_azimuth) complex array, shared by every depth index.
+
+    The march takes its azimuth half-step per mode and never builds this
+    matrix; the tests' physical-space reference step solves with it.  It
+    keeps its name because the benchmark's tracer (``bench/tracing.py``)
+    wraps ``marching.assemble_azimuth_batch``, until the run times its
+    own phases.
+
+    The corners wrap when the grid is periodic.  On a sector grid the
+    azimuth edge rows are imposed as identity equations u = 0 (Dirichlet
+    edges), so the right-hand side must be zero there.
+    """
+    off = coeff * azimuth_stencil(k0, r, delta_theta)
+    m = np.arange(n_azimuth)
+    a = np.zeros((n_azimuth, n_azimuth), dtype=np.complex128)
+    a[m, m] = 1.0 - 2.0 * off
+    a[m, m - 1] = off  # m - 1 wraps to n_azimuth - 1: the corners
+    a[m - 1, m] = off
+    if topology != PERIODIC:
+        a[[0, -1]] = np.eye(n_azimuth)[[0, -1]]
+    return a
 
 
 @dataclass(eq=False)

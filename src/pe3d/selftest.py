@@ -24,8 +24,13 @@ from .environment import (
     wavenumber,
 )
 from .config import Config, RunOptions
-from .marching import Marcher, range_step, run_frequency
-from .operators import StepCoefficients, assemble_depth_batch
+from .marching import (
+    Marcher,
+    StepCoefficients,
+    assemble_depth_batch,
+    range_step,
+    run_frequency,
+)
 from .pool import block_ranges
 from .tridiag import (
     Diagonals,

@@ -16,7 +16,6 @@ from pe3d.environment import (
     SourceSpec,
 )
 from pe3d.errors import InvariantError, ShapeError
-from pe3d.operators import azimuth_stencil, depth_stencil
 from pe3d.tridiag import Diagonals
 
 
@@ -76,9 +75,9 @@ def one_matrix(sub, main, sup):
 
 
 # The depth and azimuth operators as plain functions that return new
-# arrays, from a second difference of their own: the oracles that the
-# matrices ``assemble_depth_batch`` and ``assemble_azimuth_batch`` build,
-# and the azimuth modes the march multiplies, are checked against.
+# arrays, from a second difference and scales of their own: the oracles
+# that the matrices ``assemble_depth_batch`` and ``assemble_azimuth_batch``
+# build, and the azimuth modes the march multiplies, are checked against.
 
 def second_difference(u: np.ndarray, periodic: bool) -> np.ndarray:
     """u[i+1] - 2 u[i] + u[i-1] along the first axis of ``u``, with the
@@ -98,7 +97,8 @@ def apply_X(column: np.ndarray, n_column, k0: float, delta_z: float) -> np.ndarr
     are zero.
     """
     u = np.asarray(column, dtype=np.complex128)
-    scale, local = depth_stencil(n_column, k0, delta_z)
+    scale = 1.0 / (k0 * delta_z) ** 2
+    local = np.asarray(n_column, dtype=np.complex128) ** 2 - 1.0
     if local.shape not in ((), u.shape[-1:]):
         raise ShapeError(f"refraction values of shape {local.shape} are not "
                          f"a depth profile of a field of shape {u.shape}")
@@ -115,5 +115,5 @@ def apply_Y(row: np.ndarray, k0: float, r: float, delta_theta: float,
     if topology not in TOPOLOGIES:
         raise InvariantError(f"azimuth_topology in {TOPOLOGIES}")
     u = np.asarray(row, dtype=np.complex128)
-    scale = azimuth_stencil(k0, r, delta_theta)
+    scale = 1.0 / (k0 * r * delta_theta) ** 2
     return scale * second_difference(u, topology == PERIODIC)

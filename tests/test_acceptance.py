@@ -23,8 +23,12 @@ from pe3d.environment import (
     gaussian_starter,
     wavenumber,
 )
-from pe3d.marching import Marcher, range_step, run_frequency
-from pe3d.operators import StepCoefficients
+from pe3d.marching import (
+    Marcher,
+    StepCoefficients,
+    range_step,
+    run_frequency,
+)
 from pe3d.output import load_manifest
 from pe3d.pool import block_ranges, physical_core_count
 from pe3d.selftest import random_system, run_selftest

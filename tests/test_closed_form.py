@@ -19,8 +19,12 @@ import pe3d.marching as marching_module
 from conftest import make_config, make_env, make_grid
 from pe3d.config import RunOptions
 from pe3d.environment import PERIODIC, SECTOR, hankel_factor, wavenumber
-from pe3d.marching import Marcher, range_step, run_frequency
-from pe3d.operators import StepCoefficients
+from pe3d.marching import (
+    Marcher,
+    StepCoefficients,
+    range_step,
+    run_frequency,
+)
 from pe3d.selftest import separable_mode_error
 
 

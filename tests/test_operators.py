@@ -6,12 +6,11 @@ import pytest
 from conftest import apply_X, apply_Y, make_env, make_grid, random_slab_values
 from pe3d.environment import PERIODIC, SECTOR, refraction_index_grid, wavenumber
 from pe3d.errors import InvariantError, ShapeError
-from pe3d.operators import (
+from pe3d.marching import (
     StepCoefficients,
     assemble_azimuth_batch,
     assemble_depth_batch,
     compute_rhs,
-    depth_stencil,
 )
 from pe3d.tridiag import (
     SolveBatch,
@@ -57,9 +56,15 @@ class TestStepCoefficients:
 
 class TestOperatorStencil:
     def test_depth_stencil_carries_medium_term(self):
-        scale, local = depth_stencil(np.array([1.0, 1.1]), 0.2, 2.0)
-        assert scale == 1.0 / (0.2 * 2.0) ** 2
-        assert np.allclose(local, np.array([0.0, 1.1 ** 2 - 1.0]))
+        # below the surface row, the main diagonal of (I + X) is
+        # 1 + (n^2 - 1) - 2 / (k0 dz)^2 and the off-diagonals 1 / (k0 dz)^2
+        profile = np.array([1.0, 1.1, 0.9])
+        d = assemble_depth_batch(1.0, profile, 0.2, 2.0)
+        scale = 1.0 / (0.2 * 2.0) ** 2
+        assert np.allclose(d.main[1:, 0],
+                           1.0 + (profile[1:] ** 2 - 1.0) - 2.0 * scale,
+                           rtol=1e-15)
+        assert np.all(d.sub == scale) and d.sup[1, 0] == scale
 
 
 class TestApplyX:

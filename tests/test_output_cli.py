@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -655,13 +656,14 @@ NUMERIC_KEYS = [
 
 def assert_config_error(tmp_path, capsys, cfg, expected, flags=()):
     """The run prints ``config error: ...`` naming ``expected``, exits 2
-    and computes nothing."""
+    and computes nothing; returns what it printed."""
     outdir = tmp_path / "never"
     assert main(["run", "--config", str(cfg), "--output", str(outdir),
                  *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and expected in err
     assert not outdir.exists()
+    return err
 
 
 class TestConfigErrorsBeforeCompute:
@@ -700,7 +702,11 @@ class TestConfigErrorsBeforeCompute:
         cfg = write_cfg(tmp_path)
         cfg.write_text(cfg.read_text().replace("sound_speed = 1500.0",
                                                "sound_speed_file = p\0.txt"))
-        assert_config_error(tmp_path, capsys, cfg, "cannot read sound_speed_file")
+        # the message names the path escaped, never with a raw NUL
+        named = repr(str(tmp_path / "p\0.txt"))
+        err = assert_config_error(tmp_path, capsys, cfg,
+                                  f"cannot read sound_speed_file {named}: ")
+        assert "\0" not in err
 
     def test_output_dir_with_a_nul_byte(self, tmp_path, capsys):
         # no --output, which would override the key
@@ -708,7 +714,10 @@ class TestConfigErrorsBeforeCompute:
         cfg.write_text(cfg.read_text() + f"output_dir = {tmp_path}/out\0x\n")
         assert main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: output_dir not writable: ")
+        named = repr(f"{tmp_path}/out\0x")
+        assert err.startswith(f"config error: output_dir not writable: "
+                              f"{named}: ")
+        assert "\0" not in err
         assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
 
     @pytest.mark.parametrize("old,new,expected", [
@@ -821,3 +830,13 @@ class TestPackageSurface:
         exec("from pe3d import *", namespace)
         for name in self.RUN_PATH:
             assert namespace[name] is getattr(pe3d, name)
+
+    def test_readme_layout_lists_every_module(self):
+        # the README's package layout names each module of the package
+        # once, and no module that is gone
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Package layout", 1)[1] \
+            .split("```\nsrc/pe3d/\n", 1)[1].split("```", 1)[0]
+        listed = re.findall(r"^  (\S+\.py) ", block, re.MULTILINE)
+        assert sorted(listed) == sorted(
+            path.name for path in Path(pe3d.__file__).parent.glob("*.py"))
