@@ -40,21 +40,25 @@ scheme up to rounding, for a medium that varies in neither azimuth nor
 range.  Both sides take Y at the midpoint, so a lossless step keeps the
 norm (the paper puts the implicit side at the new range).
 
-A step is one solve and two passes.  The marcher's depth factors carry
-(1 - rho) / rho in their pre-scale, so the solve returns
-y = ((1 - rho) / rho) (I + cx_lhs X)^-1 m, and the new slab is
-(rho g_j) (m + y): m + y, then its product by rho g_j, a block of
-:data:`BLOCK_ROWS` depth rows at a time.
+The depth half-step is one operator D = rho I + (1 - rho)
+(I + cx_lhs X)^-1 for every mode and every step, and the gain rho g_j is
+one number per mode, so the two commute: after J steps the mode slab is
+(D^J m_0 / rho^J) times G_J = prod_{j<J} rho g_j per mode.  So
+:func:`range_step` is one solve and one add.  The marcher's depth
+factors carry (1 - rho) / rho in their pre-scale, so the solve returns
+y = ((1 - rho) / rho) (I + cx_lhs X)^-1 m, and the step is m + y =
+D m / rho.  :func:`run_frequency` keeps G, one vector of n_modes
+updated per step, and multiplies the mode slab by it only at recorded
+ranges.
 
 The surface row of every mode slab is zero: the starter is made so, and
 the identity row of the depth matrix keeps it zero.  A sector's edge
 azimuths are no mode, so :meth:`Marcher.from_modes` writes them as
 zeros.  A step assembles, factors and transforms nothing: a
-:class:`Marcher` factors the depth matrix once per frequency, and g_j is
-one short vector per step.  The depth systems share one matrix, so the
-depth sweep is one wide substitution, on the calling thread, as are the
-transforms; the threads split the step's elementwise passes into
-depth-row blocks, with the same bits for any split.
+:class:`Marcher` factors the depth matrix once per frequency.  The depth
+systems share one matrix, so the depth sweep is one wide substitution,
+on the calling thread, as are the transforms; the threads split the
+step's add into depth-row blocks, with the same bits for any split.
 
 Rounding: numpy's vectorised complex product uses fused multiply-adds, so
 ``a * b`` and ``b * a`` can differ in their last bits, and numpy evaluates
@@ -79,24 +83,14 @@ from .environment import (
     transmission_loss_field,
     wavenumber,
 )
-from .errors import (
-    DomainError,
-    InvariantError,
-    ShapeError,
-    SingularSystemError,
-    StepError,
-)
+from .errors import DomainError, InvariantError, ShapeError, StepError
 from .pool import fork_join
 from .tridiag import Diagonals, Factors, SolveBatch, factor, solve_batch
 
 MAX_OUTPUT_SAMPLES = 512
 
-# Depth rows that the step's closing passes and a sector's transforms
-# take at a time.  The gain is repeated down a block of this many rows, so
-# the multiply runs on operands of one shape, for which numpy takes no
-# iteration buffer, as it does for a gain broadcast over the rows; a block
-# of the sum and its product stays in cache between the two passes; and a
-# sector's odd extension and its spectrum are this many rows tall.
+# Depth rows that a sector's transforms take at a time: its odd extension
+# and their spectrum are this many rows tall.
 BLOCK_ROWS = 16
 
 
@@ -240,12 +234,11 @@ class Marcher:
     -4 sin^2(pi k / N) for k = 0 .. N - 1 on a periodic grid of N
     azimuths, -4 sin^2(pi p / (2 (N - 1))) for p = 1 .. N - 2 on a
     sector.  No field holds an (azimuth x depth) medium array.  ``work``
-    is one (n_depth, n_modes) array that every step overwrites, and
-    ``gain_rows`` the step's rho g_j repeated down at most
-    :data:`BLOCK_ROWS` rows, so a marcher serves one march at a time.
+    is one (n_depth, n_modes) array that every step overwrites, so a
+    marcher serves one march at a time.
 
-    A singular depth matrix is not reported here but by the first step
-    that solves with it, as a :class:`StepError`.
+    A singular depth matrix raises the :class:`StepError` of the first
+    step, which would solve with it.
     """
 
     grid: Grid3D
@@ -257,7 +250,6 @@ class Marcher:
     depth: Factors = field(init=False)
     eigenvalues: np.ndarray = field(init=False)
     work: np.ndarray = field(init=False)
-    gain_rows: np.ndarray = field(init=False)
 
     def __post_init__(self):
         grid, coeffs = self.grid, self.coeffs
@@ -267,6 +259,9 @@ class Marcher:
         depth = factor(assemble_depth_batch(
             coeffs.cx_lhs, refraction_index_grid(self.environment, grid),
             self.k0, grid.delta_z))
+        error = depth.singular
+        if error is not None:
+            raise StepError(1, "depth", error) from error
         with np.errstate(invalid="ignore", over="ignore"):
             self.depth = replace(depth, inv=depth.inv * (weight / self.rho))
         n = grid.n_azimuth
@@ -276,8 +271,6 @@ class Marcher:
             angles = np.pi * np.arange(1, n - 1) / (2 * (n - 1))
         self.eigenvalues = -4.0 * np.sin(angles) ** 2
         self.work = np.empty((grid.n_depth, angles.size), dtype=np.complex128)
-        self.gain_rows = np.empty((min(BLOCK_ROWS, grid.n_depth), angles.size),
-                                  dtype=np.complex128)
 
     def gain(self, j: int) -> np.ndarray:
         """g_j(k) = 2 / (1 + cy_lhs sigma_j lambda_k) - 1 per mode k, the
@@ -364,32 +357,18 @@ class FrequencyResult:
     wall_seconds: float
 
 
-def range_step(marcher: Marcher, m: np.ndarray, j: int) -> np.ndarray:
-    """Advance the mode slab ``m`` at range index ``j`` one range step;
-    returns the mode slab at ``j + 1``, a new array.  ``m`` must be zero
-    on its surface row (see above); the step reads it, never writes it,
-    and overwrites the marcher's work array.  A :class:`DomainError`
-    unless 0 <= j < n_range, a :class:`ShapeError` unless ``m`` has the
-    mode slab's shape.
+def range_step(marcher: Marcher, m: np.ndarray) -> np.ndarray:
+    """The mode slab ``m`` one range step on, without its gain: D m / rho,
+    m + y with y the solve into the marcher's work array (see above); a
+    new array.  ``m`` must be zero on its surface row; the step reads it,
+    never writes it.  A :class:`ShapeError` unless ``m`` has the mode
+    slab's shape.
     """
-    g = marcher.gain_rows
-    g[...] = marcher.rho * marcher.gain(j)  # checks j first
     marcher.check_modes(m)
-    y = marcher.work
-    try:
-        solve_batch(SolveBatch(marcher.depth, m), out=y)
-    except SingularSystemError as exc:
-        raise StepError(j + 1, "depth", exc) from exc
+    y = solve_batch(SolveBatch(marcher.depth, m), out=marcher.work)
     new = np.empty_like(y)
-
-    # every product writes into an array distinct from its operands
-    def passes(lo, hi):
-        for i in range(lo, hi, g.shape[0]):
-            k = min(hi, i + g.shape[0])
-            np.add(m[i:k], y[i:k], out=y[i:k])
-            np.multiply(y[i:k], g[:k - i], out=new[i:k])
-
-    fork_join(passes, marcher.grid.n_depth, marcher.threads)
+    fork_join(lambda lo, hi: np.add(m[lo:hi], y[lo:hi], out=new[lo:hi]),
+              marcher.grid.n_depth, marcher.threads)
     return new
 
 
@@ -404,8 +383,9 @@ def run_frequency(config, frequency: float, threads: int | None = None) -> Frequ
     ``config.options.threads``), which ``RunOptions`` checks.
 
     The march starts from :func:`gaussian_starter`, zero on the Dirichlet
-    rows, and records its TL as it is; it then marches in modes and
-    transforms back at each later recorded range.  Deterministic: the TL
+    rows, and records its TL as it is; it then marches in modes, keeps
+    the gain G of the steps taken, and transforms the mode slab times G
+    back at each later recorded range.  Deterministic: the TL
     field is a pure function of the config and the frequency, for every
     thread count.  A field that is not finite at a recorded range stops
     the march there with a :class:`StepError` naming that range index.
@@ -441,10 +421,13 @@ def run_frequency(config, frequency: float, threads: int | None = None) -> Frequ
     record(0, u)
     m = marcher.to_modes(u)
     del u
+    gain = np.ones(m.shape[1], dtype=np.complex128)
     for j in range(1, grid.n_range + 1):
-        m = range_step(marcher, m, j - 1)
+        m = range_step(marcher, m)
+        gain *= marcher.rho * marcher.gain(j - 1)
         if j % stride == 0:
-            record(j, marcher.from_modes(m))
+            record(j, marcher.from_modes(
+                np.multiply(m, gain, out=marcher.work)))
 
     return FrequencyResult(
         frequency=frequency,

@@ -1,8 +1,8 @@
 """Two-level parallel execution: threads inside a step, a frequency farm.
 
-Fine grain: :func:`pe3d.marching.range_step` splits its elementwise
-passes into contiguous row blocks on the shared thread pool; substitutions
-run whole.  Coarse grain: :func:`frequency_farm` runs independent
+Fine grain: :func:`pe3d.marching.range_step` splits its add into
+contiguous depth-row blocks on the shared thread pool; its substitution
+runs whole.  Coarse grain: :func:`frequency_farm` runs independent
 single-frequency jobs on worker processes, each worker a contiguous block
 of frequencies submitted one by one.  Both levels keep the bits of the
 serial path.

@@ -1,4 +1,4 @@
-"""Block partitioning and the thread fork-join of a step's elementwise passes.
+"""Block partitioning and the thread fork-join of a step's add.
 
 Work is partitioned into contiguous index blocks, one per thread.  The
 boundaries depend on the thread count, so callers keep results

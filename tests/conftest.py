@@ -16,6 +16,7 @@ from pe3d.environment import (
     SourceSpec,
 )
 from pe3d.errors import InvariantError, ShapeError
+from pe3d.marching import range_step
 from pe3d.tridiag import Diagonals
 
 
@@ -66,6 +67,12 @@ def zero_dirichlet_rows(values, grid):
     if grid.azimuth_topology == SECTOR:
         values[[0, -1]] = 0.0
     return values
+
+
+def whole_step(marcher, m, j):
+    """Step ``j`` of the mode slab ``m`` with its gain, a new array: the
+    bits that ``run_frequency`` records after one step from G = 1."""
+    return range_step(marcher, m) * (marcher.rho * marcher.gain(j))
 
 
 def one_matrix(sub, main, sup):

@@ -6,7 +6,9 @@ water (Lloyd's mirror) tests the starter, the march and the TL level at
 once; a separable discrete mode tests both sweeps against their exact
 per-step factors; a point source off the cylindrical axis tests the
 azimuth coupling against continuous physics (Siegmann, Kriegsmann & Lee
-1985, JASA 78(2)).
+1985, JASA 78(2)).  A whole run on each benchmark workload's grid is
+checked against the same scheme marched as a separable field, one depth
+column times one azimuth vector, by dense solves alone.
 """
 
 import math
@@ -16,15 +18,27 @@ import pytest
 
 import pe3d.marching as marching_module
 
-from conftest import make_config, make_env, make_grid
-from pe3d.config import RunOptions
-from pe3d.environment import PERIODIC, SECTOR, hankel_factor, wavenumber
-from pe3d.marching import (
-    Marcher,
-    StepCoefficients,
-    range_step,
-    run_frequency,
+from conftest import (
+    apply_X,
+    apply_Y,
+    make_config,
+    make_env,
+    make_grid,
+    whole_step,
 )
+from pe3d.config import RunOptions
+from pe3d.environment import (
+    PERIODIC,
+    SECTOR,
+    Absorber,
+    Environment,
+    SoundSpeedProfile,
+    gaussian_starter,
+    hankel_factor,
+    refraction_index_grid,
+    wavenumber,
+)
+from pe3d.marching import Marcher, StepCoefficients, run_frequency
 from pe3d.selftest import separable_mode_error
 
 
@@ -91,7 +105,7 @@ def displaced_source_error(offset, r0):
     marcher = Marcher(grid, env, k, StepCoefficients.for_step(k, grid.delta_r))
     modes = marcher.to_modes(exact(r0) / hankel_factor(k, r0))
     for j in range(grid.n_range):
-        modes = range_step(marcher, modes, j)
+        modes = whole_step(marcher, modes, j)
     u = marcher.from_modes(modes)
     assert math.isclose(grid.range_at(grid.n_range), r_end)
     rows = z < 250.0
@@ -110,3 +124,105 @@ def test_displaced_point_source(monkeypatch):
                         lambda *args: 0.0)
     control = displaced_source_error(100.0, 1000.0)
     assert control >= 0.3, f"N x 2-D control error {control:.3f}"
+
+
+# The grids of the benchmark's workloads (``bench/workloads.py``), each at
+# one frequency of its band with its source 100 m deep, and medium's and
+# long-csv's step counts cut to keep the test short: (grid, absorber start
+# depth, sound-speed knots or None for 1500 m/s, frequency, output stride).
+# sector-farm's absorber starts at its default, 0.75 of the grid depth.
+WORKLOAD_CASES = {
+    "medium": (dict(n_range=30, n_azimuth=360, n_depth=512, delta_r=10.0,
+                    delta_theta=math.radians(1.0), delta_z=4.0,
+                    r_start=10.0),
+               1500.0, None, 63.0, 10),
+    "sector-farm": (dict(n_range=120, n_azimuth=96, n_depth=256,
+                         delta_r=10.0, delta_theta=math.radians(0.5),
+                         delta_z=4.0, topology=SECTOR),
+                    765.0, ((0.0, 220.0, 600.0, 1020.0),
+                            (1500.0, 1480.0, 1490.0, 1510.0)), 57.0, 10),
+    "long-csv": (dict(n_range=400, n_azimuth=8, n_depth=129, delta_r=5.0,
+                      delta_theta=math.radians(45.0), delta_z=3.125),
+                 300.0, None, 62.0, 1),
+}
+
+# A run against the separable march, in dB where both are below 250 dB.
+# Measured: at most 1.8e-11 dB on these cases (long-csv), and 5.8e-10 dB
+# on the first two frequencies of each full workload; the margin is 50
+# times the first.
+SEPARABLE_TOLERANCE_DB = 1e-9
+
+
+def workload_case(name):
+    grid_kwargs, absorber_start, knots, frequency, stride = \
+        WORKLOAD_CASES[name]
+    profile = SoundSpeedProfile.uniform(1500.0) if knots is None \
+        else SoundSpeedProfile(*(np.array(k) for k in knots))
+    env = Environment(c0=1500.0, profile=profile,
+                      absorber=Absorber(absorber_start, 0.01))
+    config = make_config(grid=make_grid(**grid_kwargs), env=env,
+                         frequencies=(frequency,), source_depth=100.0,
+                         options=RunOptions(output_stride=stride))
+    return config, frequency
+
+
+def separable_march(config, frequency):
+    """The TL of the field c_j(z) a_j(theta) at the run's recorded ranges,
+    and its count of zero samples.  The depth column is marched by dense
+    solves of (I + cx_lhs X) c = (I + cx_rhs X) c_prev, X built by
+    ``apply_X``; the azimuth vector in physical azimuth by dense solves of
+    (I + cy_lhs Y_j) a = (I + cy_rhs Y_j) a_prev, Y_j by ``apply_Y`` at the
+    step's midpoint range.  Each marches its interior only: the surface
+    row and a sector's edge azimuths stay zero."""
+    grid, env, source, options = config
+    k0 = wavenumber(frequency, env.c0)
+    coeffs = StepCoefficients.for_step(k0, grid.delta_r)
+    starter = gaussian_starter(grid, source, k0)
+    inner = slice(1, -1) if grid.azimuth_topology == SECTOR else slice(None)
+    column = starter[grid.n_azimuth // 2, 1:]
+    # the starter is that column at every azimuth that is no edge
+    assert np.array_equal(starter[inner, 1:],
+                          np.broadcast_to(column, starter[inner, 1:].shape))
+    azimuth = np.ones(starter[inner].shape[0], dtype=complex)
+    x = apply_X(np.eye(grid.n_depth), refraction_index_grid(env, grid), k0,
+                grid.delta_z).T[1:, 1:]
+    eye_z, eye_a = np.eye(x.shape[0]), np.eye(azimuth.size)
+    depth_lhs, depth_rhs = eye_z + coeffs.cx_lhs * x, eye_z + coeffs.cx_rhs * x
+    c, a = np.zeros(grid.n_depth, dtype=complex), \
+        np.zeros(grid.n_azimuth, dtype=complex)
+    tl = []
+
+    def record(j):
+        c[1:], a[inner] = column, azimuth
+        magnitude = np.outer(np.abs(a), np.abs(c)) / math.sqrt(grid.range_at(j))
+        with np.errstate(divide="ignore"):
+            tl.append(-20.0 * np.log10(magnitude))
+
+    record(0)
+    for j in range(grid.n_range):
+        column = np.linalg.solve(depth_lhs, depth_rhs @ column)
+        y = apply_Y(eye_a, k0, grid.range_at(j + 0.5), grid.delta_theta,
+                    grid.azimuth_topology)
+        azimuth = np.linalg.solve(eye_a + coeffs.cy_lhs * y,
+                                  (eye_a + coeffs.cy_rhs * y) @ azimuth)
+        if (j + 1) % options.output_stride == 0:
+            record(j + 1)
+    tl = np.array(tl)
+    return tl, int(np.count_nonzero(np.isinf(tl)))
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_CASES))
+def test_run_matches_separable_march(workload):
+    # the run shares no solve, transform, thread split or block loop with
+    # the separable march; it zeroes the same samples, at 1 and 2 threads
+    config, frequency = workload_case(workload)
+    want, zeros = separable_march(config, frequency)
+    below = want < 250.0
+    for threads in (1, 2):
+        result = run_frequency(config, frequency, threads)
+        assert result.tl_field.shape == want.shape
+        assert result.clamped_samples == zeros
+        both = below & (result.tl_field < 250.0)
+        assert np.count_nonzero(both) >= 0.9 * np.count_nonzero(below)
+        error = np.max(np.abs(result.tl_field - want)[both])
+        assert error <= SEPARABLE_TOLERANCE_DB, f"{threads} threads: {error:.2e} dB"

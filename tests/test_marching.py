@@ -15,6 +15,7 @@ from conftest import (
     make_env,
     make_grid,
     random_slab_values,
+    whole_step,
     zero_dirichlet_rows,
 )
 from pe3d.config import RunOptions
@@ -58,7 +59,7 @@ def make_marcher(config, frequency=50.0, slab_values=None, delta_r=None):
 
 def physical_step(marcher, u, j):
     """One step of the (n_azimuth, n_depth) slab ``u``, through the modes."""
-    return marcher.from_modes(range_step(marcher, marcher.to_modes(u), j))
+    return marcher.from_modes(whole_step(marcher, marcher.to_modes(u), j))
 
 
 def relative_error(x, reference):
@@ -84,7 +85,7 @@ class TestSlabShape:
                                     dtype=complex))
         marcher, _ = make_marcher(make_config(grid=grid))
         for take in (marcher.to_modes, marcher.from_modes,
-                     lambda u: range_step(marcher, u, 0)):
+                     lambda u: range_step(marcher, u)):
             with pytest.raises(ShapeError):
                 take(u)
 
@@ -101,8 +102,8 @@ class TestSlabShape:
         marcher, u = make_marcher(make_config(
             grid=make_grid(n_azimuth=8, n_depth=24, topology=topology)))
         with pytest.raises(ShapeError, match="mode slab"):
-            range_step(marcher, u, 0)
-        assert range_step(marcher, marcher.to_modes(u), 0).shape \
+            range_step(marcher, u)
+        assert range_step(marcher, marcher.to_modes(u)).shape \
             == marcher.work.shape
 
 
@@ -157,7 +158,7 @@ class TestModes:
         u = random_slab_values(np.random.default_rng(3), marcher.grid)
         m = marcher.to_modes(u)
         for j in range(3):
-            m = range_step(marcher, m, j)
+            m = whole_step(marcher, m, j)
         assert np.all(m[0] == 0.0)
         assert np.all(marcher.from_modes(m)[:, 0] == 0.0)
         if topology == SECTOR:
@@ -189,9 +190,10 @@ class TestRangeStep:
         values = random_slab_values(rng, config.grid)
         marcher, u = make_marcher(config, slab_values=values, delta_r=0.0)
         m = marcher.to_modes(u)
-        after = range_step(marcher, m, 0)
+        after = range_step(marcher, m)
         assert after.tobytes() == m.tobytes()
         assert not np.shares_memory(after, m)
+        assert whole_step(marcher, m, 0).tobytes() == m.tobytes()
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_input_left_unchanged(self, topology):
@@ -203,7 +205,7 @@ class TestRangeStep:
         marcher, u = make_marcher(config, slab_values=values)
         m = marcher.to_modes(u)
         before = m.copy()
-        range_step(marcher, m, 0)
+        range_step(marcher, m)
         assert m.tobytes() == before.tobytes()
 
     def test_advances_range_and_index(self):
@@ -213,22 +215,17 @@ class TestRangeStep:
         values = random_slab_values(np.random.default_rng(8), config.grid)
         marcher, _ = make_marcher(config)
         m = marcher.to_modes(values)
-        first = range_step(marcher, m, 0)
+        first = whole_step(marcher, m, 0)
         assert first.shape == m.shape
-        assert not np.shares_memory(first, m)
-        assert not np.array_equal(range_step(marcher, m, 1), first)
+        assert not np.shares_memory(range_step(marcher, m), m)
+        assert not np.array_equal(whole_step(marcher, m, 1), first)
 
     def test_step_beyond_grid_rejected(self):
-        # a step index is one of 0 .. n_range - 1, for the step and for
-        # the gain it takes
-        config = make_config(n_range=3)
-        marcher, u = make_marcher(config)
-        m = marcher.to_modes(u)
+        # a step index is one of 0 .. n_range - 1 for the gain it takes
+        marcher, _ = make_marcher(make_config(n_range=3))
         for j in range(3):
-            m = range_step(marcher, m, j)
+            marcher.gain(j)
         for j in (-1, 3, 4):
-            with pytest.raises(DomainError, match="n_range"):
-                range_step(marcher, m, j)
             with pytest.raises(DomainError, match="n_range"):
                 marcher.gain(j)
 
@@ -322,12 +319,11 @@ class TestRangeStep:
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_step_matches_fold_oracle(self, topology):
-        # the pre-scaled solve and its two passes are the unfolded sum form
-        # g_j (rho m + (1 - rho) A^-1 m), A^-1 by the dense oracle; over
-        # two full blocks of BLOCK_ROWS depth rows and a short one, which
-        # 2, 3 and 7 threads split elsewhere, with the one-thread bits
-        grid = make_grid(n_azimuth=12, n_depth=2 * BLOCK_ROWS + 5,
-                         topology=topology)
+        # the pre-scaled solve and its add are the unfolded sum form
+        # rho^-1 (rho m + (1 - rho) A^-1 m), A^-1 by the dense oracle; on
+        # 37 depth rows, which 2, 3 and 7 threads split unevenly, with the
+        # one-thread bits
+        grid = make_grid(n_azimuth=12, n_depth=37, topology=topology)
         profile = SoundSpeedProfile(np.array([0.0, 60.0, grid.depth_extent]),
                                     np.array([1500.0, 1470.0, 1530.0]))
         env = make_env(grid, profile=profile, attenuation=0.05, start_frac=0.5)
@@ -337,11 +333,10 @@ class TestRangeStep:
                     for threads in (1, 2, 3, 7)]
         m = marchers[0].to_modes(random_slab_values(
             np.random.default_rng(23), grid))
-        for j in (0, grid.n_range - 1):
-            steps = [range_step(marcher, m, j) for marcher in marchers]
-            assert relative_error(steps[0], fold_oracle(marchers[0], m, j)) \
-                <= ORACLE_TOLERANCE
-            assert all(step.tobytes() == steps[0].tobytes() for step in steps)
+        steps = [range_step(marcher, m) for marcher in marchers]
+        assert relative_error(steps[0], fold_oracle(marchers[0], m)) \
+            <= ORACLE_TOLERANCE
+        assert all(step.tobytes() == steps[0].tobytes() for step in steps)
 
     def test_singular_solve_becomes_step_error(self):
         config = make_config(n_azimuth=4, n_depth=8, delta_z=1.0)
@@ -351,9 +346,10 @@ class TestRangeStep:
                                   cx_rhs=0.375 + 0.0j, cy_lhs=0.0j,
                                   cy_rhs=0.0j)
         k0 = 0.5  # s_z = 4, diag = 1 + 0.125 * (0 - 8) = 0
-        marcher = Marcher(grid, env, k0, coeffs)
+        # the depth factors are fixed per frequency: the marcher raises the
+        # error of the first step, which would solve with them
         with pytest.raises(StepError) as info:
-            range_step(marcher, np.ones(marcher.work.shape, dtype=complex), 0)
+            Marcher(grid, env, k0, coeffs)
         assert info.value.sweep == "depth"
         assert info.value.range_index == 1
 
@@ -489,8 +485,8 @@ class TestReferenceStepper:
         m = one = marcher.to_modes(values)
         reference = values.copy()
         for j in range(5):
-            m = range_step(marcher, m, j)
-            one = range_step(serial, one, j)
+            m = whole_step(marcher, m, j)
+            one = whole_step(serial, one, j)
             assert m.tobytes() == one.tobytes()
             reference = reference_step(reference, j, grid, env, k0, coeffs)
             assert relative_error(marcher.from_modes(m), reference) \
@@ -538,8 +534,7 @@ class TestReferenceStepper:
     def test_across_azimuth_blocks(self, topology, shape):
         # a march on narrow and odd (n_azimuth, n_depth) shapes matches
         # the reference: down to one sine mode, and to thread blocks of
-        # one depth row, with the one-thread bits; blocks of BLOCK_ROWS
-        # rows end inside thread blocks on the taller shapes
+        # one depth row, with the one-thread bits
         grid = make_grid(n_range=12, n_azimuth=shape[0], n_depth=shape[1],
                          topology=topology)
         config = make_config(grid=grid)
@@ -552,7 +547,7 @@ class TestReferenceStepper:
         modes = [marcher.to_modes(values) for marcher in marchers]
         reference = values.copy()
         for j in range(grid.n_range):
-            modes = [range_step(marcher, m, j)
+            modes = [whole_step(marcher, m, j)
                      for marcher, m in zip(marchers, modes)]
             reference = reference_step(reference, j, grid, env, k0, coeffs)
         assert all(m.tobytes() == modes[0].tobytes() for m in modes)
@@ -571,7 +566,7 @@ class TestStepArrays:
                          topology=topology)
         marcher, u = make_marcher(make_config(
             grid=grid, options=RunOptions(threads=threads)))
-        return marcher, range_step(marcher, marcher.to_modes(u), 0)
+        return marcher, range_step(marcher, marcher.to_modes(u))
 
     @pytest.mark.parametrize("topology,threads", [
         pytest.param(topology, threads, id=topology if threads == 1
@@ -583,7 +578,7 @@ class TestStepArrays:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            u = range_step(marcher, u, 1)
+            u = range_step(marcher, u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -607,13 +602,12 @@ class TestStepArrays:
                 patch.setattr(marching_module, name, forbidden)
             patch.setattr(np, "fft", None)
             for j in range(grid.n_range):
-                m = range_step(marcher, m, j)
+                m = whole_step(marcher, m, j)
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_marcher_retains_no_medium_grid(self, topology):
-        # the work array is one mode slab, the gain block BLOCK_ROWS mode
-        # rows; the medium, the depth factors and the eigenvalues are depth
-        # profiles or azimuth rows
+        # the work array is one mode slab; the medium, the depth factors and
+        # the eigenvalues are depth profiles or azimuth rows
         grid = make_grid(n_range=8, n_azimuth=72, n_depth=256,
                          topology=topology)
         config = make_config(grid=grid)
@@ -632,8 +626,8 @@ class TestStepArrays:
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_march_frees_each_slab_it_has_stepped_from(self, topology):
         # the marcher's work slab, the slab being stepped or recorded, a
-        # transform's arrays, and the factors and small arrays: 4.11 slabs
-        # periodic, 3.88 on the sector, whose odd extension and its
+        # transform's arrays, and the factors and small arrays: 4.06 slabs
+        # periodic, 3.63 on the sector, whose odd extension and its
         # spectrum are BLOCK_ROWS rows tall.  The starter slab is freed
         # once it is in modes, and each mode slab after the step from it
         grid = make_grid(n_range=8, n_azimuth=72, n_depth=256,
@@ -651,7 +645,7 @@ class TestStepArrays:
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_step_substitutes_each_sweep_whole(self, topology, monkeypatch):
-        # at 2 threads the threads split the elementwise passes only: the
+        # at 2 threads the threads split the add only: the
         # depth sweep is one full-width substitution, on the calling thread
         marcher, u = self.stepped(topology, threads=2)
         calls = []
@@ -662,12 +656,12 @@ class TestStepArrays:
             return substitute(cp, mu, inv, rhs, x)
 
         monkeypatch.setattr(tridiag_module, "_substitute_open", recorded)
-        range_step(marcher, u, 1)
+        range_step(marcher, u)
         assert calls == [(marcher.work.shape, threading.get_ident())]
 
     def test_new_slab_owns_its_memory(self):
         marcher, m = self.stepped(PERIODIC)
-        new = range_step(marcher, m, 1)
+        new = range_step(marcher, m)
         for array in (marcher.work, m):
             assert not np.shares_memory(new, array)
 
@@ -678,7 +672,8 @@ class TestNormInvariants:
     sides.  The step is unitary, so the discrete L2 norm of any field is
     conserved to rounding, on periodic and sector grids.  The absorber
     makes every step a strict contraction.  The norms are taken on the
-    mode slab: the transforms scale the norm by a constant (Parseval)."""
+    mode slab of whole steps, the gain included (``whole_step``): the
+    transforms scale the norm by a constant (Parseval)."""
 
     @staticmethod
     def norms(attenuation, topology=PERIODIC, uniform=True):
@@ -701,7 +696,7 @@ class TestNormInvariants:
         m = marcher.to_modes(values)
         norms = [np.linalg.norm(m)]
         for j in range(grid.n_range):
-            m = range_step(marcher, m, j)
+            m = whole_step(marcher, m, j)
             norms.append(np.linalg.norm(m))
         moved = relative_error(marcher.from_modes(m), values)
         return np.array(norms), moved
@@ -787,10 +782,12 @@ class TestRunFrequency:
         options = RunOptions(output_stride=2)
         config = make_config(n_range=8, options=options)
         real_step = marching_module.range_step
+        steps = []
 
-        def poisoned_step(marcher, u, j):
-            new = real_step(marcher, u, j)
-            if j + 1 == 3:
+        def poisoned_step(marcher, m):
+            new = real_step(marcher, m)
+            steps.append(None)
+            if len(steps) == 3:
                 new[2, 5] = np.nan
             return new
 
