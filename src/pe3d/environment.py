@@ -205,19 +205,23 @@ def refraction_index_grid(env: Environment, grid: Grid3D) -> np.ndarray:
     return re + 1j * (ab.max_attenuation * ramp * ramp)
 
 
-def gaussian_starter(grid: Grid3D, source: SourceSpec, k0: float) -> np.ndarray:
+def gaussian_starter(grid: Grid3D, source: SourceSpec, k0: float,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Gaussian starter slab at r_start, an (n_azimuth, n_depth) array:
     u(z) = sqrt(k0) * exp(-(k0^2 / 2) * (z - z_s)^2), identical in azimuth,
     and zero on the Dirichlet rows (the surface, a sector's edge azimuths),
-    which the march then keeps zero."""
+    which the march then keeps zero.  The slab is the transposed view of
+    ``out``, a depth-major complex (n_depth, n_azimuth) array that the
+    starter fills (a new one when None)."""
     z = grid.depths()
     profile = math.sqrt(k0) * np.exp(-0.5 * k0 * k0 * (z - source.depth) ** 2)
-    values = np.empty((grid.n_azimuth, grid.n_depth), dtype=np.complex128)
-    values[:] = profile
-    values[:, 0] = 0.0
+    values = np.empty((grid.n_depth, grid.n_azimuth), dtype=np.complex128) \
+        if out is None else out
+    values[:] = profile[:, None]
+    values[0] = 0.0
     if grid.azimuth_topology == SECTOR:
-        values[[0, -1]] = 0.0
-    return values
+        values[:, [0, -1]] = 0.0
+    return values.T
 
 
 def hankel_factor(k0: float, r: float) -> complex:

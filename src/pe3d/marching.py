@@ -25,6 +25,16 @@ slab* (n_depth, n_modes): :meth:`Marcher.to_modes` transforms the
 starter once, and :meth:`Marcher.from_modes` transforms back only at
 recorded ranges.
 
+A march holds two complex slabs besides its TL grid: the mode slab and
+the marcher's depth-major ``work`` (n_depth, n_azimuth).  The starter is
+built in ``work``; a step solves into ``work`` and adds in place into
+the mode slab; a record writes the mode slab times G into ``work`` and
+transforms it back there.  A sector's ``work`` has its N azimuths, so
+the starter and the recorded slab keep their edge azimuths; a mode slab
+of N - 2 columns fills the head of its memory, contiguous
+(:attr:`Marcher.work_modes`): numpy runs the step's whole-array products
+on strided rows through its iteration buffers.
+
 One range step advances the mode slab m from r_j to r_j + delta_r by
 the depth half-step v = rho m + (1 - rho) (I + cx_lhs X)^-1 m and the
 azimuth half-step g_j v, mode k of v times
@@ -46,10 +56,10 @@ one number per mode, so the two commute: after J steps the mode slab is
 (D^J m_0 / rho^J) times G_J = prod_{j<J} rho g_j per mode.  So
 :func:`range_step` is one solve and one add.  The marcher's depth
 factors carry (1 - rho) / rho in their pre-scale, so the solve returns
-y = ((1 - rho) / rho) (I + cx_lhs X)^-1 m, and the step is m + y =
-D m / rho.  :func:`run_frequency` keeps G, one vector of n_modes
-updated per step, and multiplies the mode slab by it only at recorded
-ranges.
+y = ((1 - rho) / rho) (I + cx_lhs X)^-1 m, and the step adds it into
+m in place: m + y = D m / rho.  :func:`run_frequency` keeps G, one
+vector of n_modes updated per step, and multiplies the mode slab by it
+only at recorded ranges.
 
 The surface row of every mode slab is zero: the starter is made so, and
 the identity row of the depth matrix keeps it zero.  A sector's edge
@@ -152,10 +162,11 @@ def compute_rhs(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The (n_azimuth, n_depth) slab ``u`` copied depth-major into
     ``out``, of shape (n_depth, n_azimuth); returns ``out``.
 
-    This is the copy that feeds the forward azimuth transform
-    (:meth:`Marcher.to_modes`).  It stays a function because the
-    benchmark's tracer (``bench/tracing.py``) wraps ``marching.compute_rhs``
-    by name, until the run times its own phases.
+    This is the copy that feeds a sector's forward azimuth transform
+    (:meth:`Marcher.to_modes`), a block of depth rows at a time.  It
+    stays a function because the benchmark's tracer
+    (``bench/tracing.py``) wraps ``marching.compute_rhs`` by name, until
+    the run times its own phases.
     """
     if u.ndim != 2 or out.shape != u.shape[::-1]:
         raise ShapeError(f"slab of shape {u.shape} into an array of shape "
@@ -234,8 +245,10 @@ class Marcher:
     -4 sin^2(pi k / N) for k = 0 .. N - 1 on a periodic grid of N
     azimuths, -4 sin^2(pi p / (2 (N - 1))) for p = 1 .. N - 2 on a
     sector.  No field holds an (azimuth x depth) medium array.  ``work``
-    is one (n_depth, n_modes) array that every step overwrites, so a
-    marcher serves one march at a time.
+    is one depth-major (n_depth, n_azimuth) array that the starter, every
+    step and every record overwrite, so a marcher serves one march at a
+    time; ``work_modes`` is the contiguous (n_depth, n_modes) view of
+    its memory's head: all of it on a periodic grid.
 
     A singular depth matrix raises the :class:`StepError` of the first
     step, which would solve with it.
@@ -250,6 +263,7 @@ class Marcher:
     depth: Factors = field(init=False)
     eigenvalues: np.ndarray = field(init=False)
     work: np.ndarray = field(init=False)
+    work_modes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         grid, coeffs = self.grid, self.coeffs
@@ -265,12 +279,14 @@ class Marcher:
         with np.errstate(invalid="ignore", over="ignore"):
             self.depth = replace(depth, inv=depth.inv * (weight / self.rho))
         n = grid.n_azimuth
+        self.work = np.empty((grid.n_depth, n), dtype=np.complex128)
         if grid.azimuth_topology == PERIODIC:
             angles = np.pi * np.arange(n) / n
         else:
             angles = np.pi * np.arange(1, n - 1) / (2 * (n - 1))
         self.eigenvalues = -4.0 * np.sin(angles) ** 2
-        self.work = np.empty((grid.n_depth, angles.size), dtype=np.complex128)
+        self.work_modes = self.work.reshape(-1)[:grid.n_depth * angles.size] \
+            .reshape(grid.n_depth, angles.size)
 
     def gain(self, j: int) -> np.ndarray:
         """g_j(k) = 2 / (1 + cy_lhs sigma_j lambda_k) - 1 per mode k, the
@@ -288,9 +304,9 @@ class Marcher:
 
     def check_modes(self, m: np.ndarray):
         """A :class:`ShapeError` unless ``m`` has the mode slab's shape."""
-        if m.shape != self.work.shape:
+        if m.shape != self.work_modes.shape:
             raise ShapeError(f"mode slab of shape {m.shape}, not "
-                             f"(n_depth, n_modes) = {self.work.shape}")
+                             f"(n_depth, n_modes) = {self.work_modes.shape}")
 
     def to_modes(self, u: np.ndarray) -> np.ndarray:
         """The mode slab (n_depth, n_modes) of the (n_azimuth, n_depth)
@@ -308,10 +324,9 @@ class Marcher:
             raise ShapeError(f"slab of shape {u.shape}, not (n_azimuth, "
                              f"n_depth) = {(grid.n_azimuth, grid.n_depth)}")
         n = grid.n_azimuth
+        m = np.empty(self.work_modes.shape, dtype=np.complex128)
         if grid.azimuth_topology == PERIODIC:
-            return np.fft.fft(compute_rhs(u, np.empty(
-                (grid.n_depth, n), dtype=np.complex128)), axis=1)
-        m = np.empty(self.work.shape, dtype=np.complex128)
+            return np.fft.fft(u.T, axis=1, out=m)
         odd = np.empty((BLOCK_ROWS, 2 * (n - 1)), dtype=np.complex128)
         for lo in range(0, grid.n_depth, BLOCK_ROWS):
             block = u[:, lo:lo + BLOCK_ROWS]
@@ -322,18 +337,24 @@ class Marcher:
             m[lo:lo + block.shape[1]] = np.fft.fft(rows, axis=1)[:, 1:n - 1]
         return m
 
-    def from_modes(self, m: np.ndarray) -> np.ndarray:
+    def from_modes(self, m: np.ndarray, out: np.ndarray | None = None
+                   ) -> np.ndarray:
         """The (n_azimuth, n_depth) slab of the mode slab ``m``: the
-        transposed view of a new depth-major array, the inverse of
-        :meth:`to_modes`, a sector's :data:`BLOCK_ROWS` depth rows at a
-        time.  A sector's edge azimuths are exact zeros."""
+        transposed view of ``out``, a depth-major (n_depth, n_azimuth)
+        array (a new one when None), the inverse of :meth:`to_modes`, a
+        sector's :data:`BLOCK_ROWS` depth rows at a time.  ``m`` may be
+        the head of ``out``'s memory (``work_modes`` of ``work``): the
+        transform then runs in place, a sector's blocks from the bottom
+        up, so that each block's rows of ``out`` cover only modes already
+        read.  A sector's edge azimuths are exact zeros."""
         self.check_modes(m)
         n = self.grid.n_azimuth
+        u = np.empty((m.shape[0], n), dtype=np.complex128) if out is None \
+            else out
         if self.grid.azimuth_topology == PERIODIC:
-            return np.fft.ifft(m, axis=1).T
-        u = np.empty((m.shape[0], n), dtype=np.complex128)
+            return np.fft.ifft(m, axis=1, out=u).T
         odd = np.zeros((BLOCK_ROWS, 2 * (n - 1)), dtype=np.complex128)
-        for lo in range(0, m.shape[0], BLOCK_ROWS):
+        for lo in reversed(range(0, m.shape[0], BLOCK_ROWS)):
             block = m[lo:lo + BLOCK_ROWS]
             rows = odd[:block.shape[0]]
             rows[:, 1:n - 1] = block
@@ -358,18 +379,17 @@ class FrequencyResult:
 
 
 def range_step(marcher: Marcher, m: np.ndarray) -> np.ndarray:
-    """The mode slab ``m`` one range step on, without its gain: D m / rho,
-    m + y with y the solve into the marcher's work array (see above); a
-    new array.  ``m`` must be zero on its surface row; the step reads it,
-    never writes it.  A :class:`ShapeError` unless ``m`` has the mode
-    slab's shape.
+    """The mode slab ``m`` one range step on, without its gain, in place:
+    D m / rho, m += y with y the solve into the marcher's
+    :attr:`~Marcher.work_modes` (see above); returns ``m``.  ``m`` must be
+    zero on its surface row, which stays zero.  A :class:`ShapeError`
+    unless ``m`` has the mode slab's shape.
     """
     marcher.check_modes(m)
-    y = solve_batch(SolveBatch(marcher.depth, m), out=marcher.work)
-    new = np.empty_like(y)
-    fork_join(lambda lo, hi: np.add(m[lo:hi], y[lo:hi], out=new[lo:hi]),
+    y = solve_batch(SolveBatch(marcher.depth, m), out=marcher.work_modes)
+    fork_join(lambda lo, hi: np.add(m[lo:hi], y[lo:hi], out=m[lo:hi]),
               marcher.grid.n_depth, marcher.threads)
-    return new
+    return m
 
 
 def default_output_stride(n_steps: int) -> int:
@@ -382,13 +402,14 @@ def run_frequency(config, frequency: float, threads: int | None = None) -> Frequ
     range, on ``threads`` intra-step threads (None:
     ``config.options.threads``), which ``RunOptions`` checks.
 
-    The march starts from :func:`gaussian_starter`, zero on the Dirichlet
-    rows, and records its TL as it is; it then marches in modes, keeps
-    the gain G of the steps taken, and transforms the mode slab times G
-    back at each later recorded range.  Deterministic: the TL
-    field is a pure function of the config and the frequency, for every
-    thread count.  A field that is not finite at a recorded range stops
-    the march there with a :class:`StepError` naming that range index.
+    The march starts from :func:`gaussian_starter`, built in the
+    marcher's ``work`` and zero on the Dirichlet rows, and records its TL
+    as it is; it then marches in modes, keeps the gain G of the steps
+    taken, and transforms the mode slab times G back in ``work`` at each
+    later recorded range.  Deterministic: the TL field is a pure function
+    of the config and the frequency, for every thread count.  A field
+    that is not finite at a recorded range stops the march there with a
+    :class:`StepError` naming that range index.
     """
     t_begin = time.perf_counter()
     grid, env, source, options = config
@@ -401,7 +422,7 @@ def run_frequency(config, frequency: float, threads: int | None = None) -> Frequ
     k0 = wavenumber(frequency, env.c0)
     marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, grid.delta_r),
                       options.threads)
-    u = gaussian_starter(grid, source, k0)
+    u = gaussian_starter(grid, source, k0, out=marcher.work)
 
     stride = options.output_stride or default_output_stride(grid.n_range)
     ranges = np.empty(1 + grid.n_range // stride, dtype=np.float64)
@@ -420,14 +441,13 @@ def run_frequency(config, frequency: float, threads: int | None = None) -> Frequ
 
     record(0, u)
     m = marcher.to_modes(u)
-    del u
     gain = np.ones(m.shape[1], dtype=np.complex128)
     for j in range(1, grid.n_range + 1):
         m = range_step(marcher, m)
         gain *= marcher.rho * marcher.gain(j - 1)
         if j % stride == 0:
-            record(j, marcher.from_modes(
-                np.multiply(m, gain, out=marcher.work)))
+            np.multiply(m, gain, out=marcher.work_modes)
+            record(j, marcher.from_modes(marcher.work_modes, marcher.work))
 
     return FrequencyResult(
         frequency=frequency,

@@ -10,9 +10,6 @@ serial path.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass
 
@@ -98,6 +95,12 @@ def frequency_farm(config, deliver=None) -> FarmReport:
         for index, frequency in enumerate(frequencies):
             settle(*_farm_job((config, index, frequency)))
     else:
+        # the process machinery loads only when the farm forks: a
+        # one-worker run does without its memory
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         context = multiprocessing.get_context(FARM_START_METHOD)
         with ExitStack() as pools:
             submitted = {}

@@ -71,7 +71,9 @@ def zero_dirichlet_rows(values, grid):
 
 def whole_step(marcher, m, j):
     """Step ``j`` of the mode slab ``m`` with its gain, a new array: the
-    bits that ``run_frequency`` records after one step from G = 1."""
+    bits that ``run_frequency`` records after one step from G = 1.  Like
+    ``range_step``, it steps ``m`` itself in place; a caller that compares
+    with ``m`` as it was keeps a copy."""
     return range_step(marcher, m) * (marcher.rho * marcher.gain(j))
 
 

@@ -123,8 +123,9 @@ def test_criterion_03_delta_zero_identity():
     k0 = wavenumber(50.0, env.c0)
     marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, 0.0))
     modes = marcher.to_modes(values)
+    before = modes.copy()  # the step writes its mode slab
     after = whole_step(marcher, modes, 0)
-    assert after.tobytes() == modes.tobytes()
+    assert after.tobytes() == before.tobytes()
     finish(3, 1.0, t0, "step returned its mode slab bitwise")
 
 

@@ -21,7 +21,7 @@ from pe3d.environment import (
     transmission_loss_field,
     wavenumber,
 )
-from pe3d.errors import InvariantError, ShapeError
+from pe3d.errors import InvariantError
 
 
 class TestGrid3D:
@@ -220,6 +220,18 @@ class TestGaussianStarter:
         slab = gaussian_starter(grid, SourceSpec((50.0,), depth=8.0),
                                 wavenumber(50.0, 1500.0))
         assert np.all(slab[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_fills_given_depth_major_array(self, topology):
+        # the slab is the transposed view of a depth-major array: the
+        # given one, filled whole over what it held, with the bits of a
+        # new one
+        grid = make_grid(n_azimuth=6, n_depth=32, topology=topology)
+        out = np.full((grid.n_depth, grid.n_azimuth), np.nan + 1j)
+        slab = gaussian_starter(grid, SourceSpec((50.0,), depth=60.0),
+                                wavenumber(50.0, 1500.0), out=out)
+        assert slab.base is out and slab.shape == out.T.shape
+        assert slab.tobytes() == self.starter(topology).tobytes()
 
     @staticmethod
     def starter(topology):

@@ -2,13 +2,17 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pe3d
 from conftest import make_config
 from pe3d.errors import DomainError
 from pe3d.marching import run_frequency
@@ -191,3 +195,19 @@ class TestFrequencyFarm:
             frequency_farm(with_workers(config, 2), deliver=deliver)
         assert len(calls) == 1
         assert multiprocessing.active_children() == []
+
+
+def test_cli_loads_no_process_machinery():
+    # the farm imports multiprocessing and the process pool only when it
+    # forks, so a one-worker run never loads them: checked in a fresh
+    # interpreter, which has imported nothing else
+    src = str(Path(pe3d.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pe3d.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert "pe3d.cli" in loaded
+    assert not loaded & {"multiprocessing", "concurrent.futures.process"}
