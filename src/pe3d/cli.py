@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import platform
 import sys
@@ -23,6 +22,7 @@ from .errors import ConfigError, InvariantError, Pe3dError
 from .output import (
     TL_FORMATS,
     file_sha256,
+    grid_fields,
     remove_manifest,
     tl_filename,
     write_manifest,
@@ -130,23 +130,13 @@ def cmd_run(args) -> int:
         print(f"frequency {failure.frequency:g} Hz FAILED: {failure.message}",
               file=sys.stderr)
 
-    grid = config.grid
     manifest = {
         "command": "run",
         "package_version": __version__,
         "created_unix": time.time(),
         "config_path": str(Path(args.config).resolve()),
         "config_sha256": config_sha256,
-        "grid": {
-            "n_range": grid.n_range,
-            "n_azimuth": grid.n_azimuth,
-            "n_depth": grid.n_depth,
-            "delta_r_m": grid.delta_r,
-            "delta_theta_deg": math.degrees(grid.delta_theta),
-            "delta_z_m": grid.delta_z,
-            "r_start_m": grid.r_start,
-            "azimuth_topology": grid.azimuth_topology,
-        },
+        "grid": {"n_range": config.grid.n_range, **grid_fields(config.grid)},
         "executor": {
             "intra_threads": options.threads,
             "freq_workers": options.workers,

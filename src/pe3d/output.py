@@ -3,7 +3,7 @@
 TL CSV layout: header lines prefixed ``#`` holding ``key=value`` pairs
 (the last one lists the column names), then one
 ``range_m,azimuth_deg,depth_m,tl_db`` row per sample in (range, azimuth,
-depth) order.
+depth) order, written one depth column at a time.
 
 The binary grid is the same data without text overhead: an 8-byte magic,
 a little-endian uint64 header length, a JSON header, then the raw
@@ -35,36 +35,45 @@ def tl_filename(frequency: float, tl_format: str) -> str:
     return f"tl_{frequency:012.4f}Hz.{TL_FORMATS[tl_format][0]}"
 
 
-def _tl_header(result: FrequencyResult, grid: Grid3D) -> dict:
+def grid_fields(grid: Grid3D) -> dict:
+    """The grid as TL headers and the run manifest describe it."""
     return {
-        "frequency_hz": result.frequency,
-        "n_range_samples": int(result.tl_field.shape[0]),
         "n_azimuth": grid.n_azimuth,
         "n_depth": grid.n_depth,
         "delta_r_m": grid.delta_r,
         "delta_theta_deg": math.degrees(grid.delta_theta),
         "delta_z_m": grid.delta_z,
         "r_start_m": grid.r_start,
-        "output_stride": result.output_stride,
         "azimuth_topology": grid.azimuth_topology,
+    }
+
+
+def _tl_header(result: FrequencyResult, grid: Grid3D) -> dict:
+    fields = grid_fields(grid)
+    topology = fields.pop("azimuth_topology")  # listed after the stride
+    return {
+        "frequency_hz": result.frequency,
+        "n_range_samples": int(result.tl_field.shape[0]),
+        **fields,
+        "output_stride": result.output_stride,
+        "azimuth_topology": topology,
         "clamped_samples": result.clamped_samples,
         "units": "dB re 1 at 1 m",
     }
 
 
 def write_tl_csv(path, result: FrequencyResult, grid: Grid3D) -> Path:
-    path = Path(path)
-    header = _tl_header(result, grid)
-    s, m, l = result.tl_field.shape
-    ranges = np.repeat(result.ranges, m * l)
-    azimuths = np.tile(np.repeat(np.degrees(grid.azimuths()), l), s)
-    depths = np.tile(grid.depths(), s * m)
-    table = np.column_stack([ranges, azimuths, depths, result.tl_field.ravel()])
-    lines = [f"# {key}={value}" for key, value in header.items()]
-    lines.append("# columns=" + ",".join(TL_CSV_COLUMNS))
-    np.savetxt(path, table, fmt="%.6f,%.6f,%.6f,%.6f",
-               header="\n".join(lines), comments="")
-    return path
+    """Write each depth column's rows in one ``%``: no copy of the grid."""
+    header = {**_tl_header(result, grid), "columns": ",".join(TL_CSV_COLUMNS)}
+    rows = ["%.6f,%%.6f\n" % depth for depth in grid.depths()]  # "z,%.6f\n"
+    azimuths = np.degrees(grid.azimuths())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {key}={value}\n" for key, value in header.items())
+        for range_m, sample in zip(result.ranges, result.tl_field):
+            for azimuth, column in zip(azimuths, sample):
+                prefix = "%.6f,%.6f," % (range_m, azimuth)
+                fh.write((prefix + prefix.join(rows)) % tuple(column.tolist()))
+    return Path(path)
 
 
 def _grid_shape(path, header) -> tuple:

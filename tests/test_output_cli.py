@@ -1,31 +1,36 @@
 import argparse
 import dataclasses
+import math
 import os
 import platform
 import re
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pe3d
 import pe3d.cli as cli
 import pe3d.marching as marching
 import pe3d.parallel as parallel
-from conftest import make_config
+from conftest import make_config, make_grid
 from pe3d.cli import main
 from pe3d.config import RunOptions, load_config
-from pe3d.environment import wavenumber
+from pe3d.environment import PERIODIC, SECTOR, Grid3D, wavenumber
 from pe3d.errors import ConfigError
-from pe3d.marching import run_frequency
+from pe3d.marching import FrequencyResult, run_frequency
 from pe3d.output import (
     BINARY_MAGIC,
     MANIFEST_NAME,
+    TL_CSV_COLUMNS,
     file_sha256,
     load_manifest,
     read_tl_binary,
@@ -211,6 +216,105 @@ class TestTLFiles:
         assert tl_filename(50.0, "csv") != tl_filename(62.5, "csv")
 
 
+# The CSV writer as it was when it formatted a table of the whole grid
+# with np.savetxt, verbatim: the format every CSV TL file has had.
+def reference_tl_header(result, grid):
+    return {
+        "frequency_hz": result.frequency,
+        "n_range_samples": int(result.tl_field.shape[0]),
+        "n_azimuth": grid.n_azimuth,
+        "n_depth": grid.n_depth,
+        "delta_r_m": grid.delta_r,
+        "delta_theta_deg": math.degrees(grid.delta_theta),
+        "delta_z_m": grid.delta_z,
+        "r_start_m": grid.r_start,
+        "output_stride": result.output_stride,
+        "azimuth_topology": grid.azimuth_topology,
+        "clamped_samples": result.clamped_samples,
+        "units": "dB re 1 at 1 m",
+    }
+
+
+def reference_write_tl_csv(path, result, grid):
+    path = Path(path)
+    header = reference_tl_header(result, grid)
+    s, m, l = result.tl_field.shape
+    ranges = np.repeat(result.ranges, m * l)
+    azimuths = np.tile(np.repeat(np.degrees(grid.azimuths()), l), s)
+    depths = np.tile(grid.depths(), s * m)
+    table = np.column_stack([ranges, azimuths, depths, result.tl_field.ravel()])
+    lines = [f"# {key}={value}" for key, value in header.items()]
+    lines.append("# columns=" + ",".join(TL_CSV_COLUMNS))
+    np.savetxt(path, table, fmt="%.6f,%.6f,%.6f,%.6f",
+               header="\n".join(lines), comments="")
+    return path
+
+
+# Negative zero, a negative that rounds to -0.000000, zero, the 300 dB
+# floor, and values above 1000 dB, one of them rounding up at the 6th
+# decimal.
+TL_SPECIALS = (-0.0, -1e-7, 0.0, 300.0, 1000.0000005, 123456.789)
+
+
+def hand_built_result(grid, tl, stride=1, frequency=50.0):
+    ranges = grid.r_start + stride * grid.delta_r * np.arange(tl.shape[0])
+    return FrequencyResult(
+        frequency=frequency, ranges=ranges, tl_field=tl,
+        clamped_samples=int(np.count_nonzero(tl == 300.0)),
+        output_stride=stride, wall_seconds=0.0)
+
+
+@st.composite
+def grids_and_results(draw):
+    topology = draw(st.sampled_from((PERIODIC, SECTOR)))
+    n_azimuth, n_depth = draw(st.integers(3, 6)), draw(st.integers(3, 9))
+    samples, stride = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    delta_theta = 2 * math.pi / n_azimuth if topology == PERIODIC \
+        else math.radians(draw(st.floats(0.1, 10.0)))
+    grid = Grid3D(
+        n_range=max(3, (samples - 1) * stride), n_azimuth=n_azimuth,
+        n_depth=n_depth, delta_r=draw(st.floats(0.5, 50.0)),
+        delta_theta=delta_theta, delta_z=draw(st.floats(0.5, 20.0)),
+        r_start=draw(st.floats(0.5, 100.0)), azimuth_topology=topology)
+    shape = (samples, n_azimuth, n_depth)
+    values = st.one_of(st.sampled_from(TL_SPECIALS), st.floats(-5.0, 5000.0))
+    tl = np.array(draw(st.lists(values, min_size=math.prod(shape),
+                                max_size=math.prod(shape)))).reshape(shape)
+    tl.flat[:len(TL_SPECIALS)] = TL_SPECIALS
+    return grid, hand_built_result(grid, tl, stride,
+                                   draw(st.floats(1.0, 500.0)))
+
+
+class TestCSVWriter:
+    @given(grids_and_results())
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_equal_the_savetxt_writer(self, case):
+        grid, result = case
+        with tempfile.TemporaryDirectory() as directory:
+            path = write_tl_csv(Path(directory) / "tl.csv", result, grid)
+            reference = reference_write_tl_csv(
+                Path(directory) / "reference.csv", result, grid)
+            assert path.read_bytes() == reference.read_bytes()
+
+    def test_peak_does_not_grow_with_range_samples(self, tmp_path):
+        # the write holds one depth column's text, not a table of the grid
+        grid = make_grid(n_azimuth=16, n_depth=64)
+        rng = np.random.default_rng(7)
+        peaks = []
+        for samples in (2, 32):
+            tl = rng.uniform(0.0, 150.0, (samples, 16, 64))
+            result = hand_built_result(grid, tl)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                write_tl_csv(tmp_path / "tl.csv", result, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        # 30 more range samples are 240 KB of TL
+        assert peaks[1] <= peaks[0] + 4096, peaks
+
+
 class TestCmdRun:
     def test_single_frequency_smoke(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -223,6 +327,23 @@ class TestCmdRun:
         tl_path = outdir / entry["file"]
         assert tl_path.exists()
         assert file_sha256(tl_path) == entry["sha256"]
+
+    def test_manifest_grid_is_the_tl_header_grid(self, tmp_path):
+        # the grid fields of the TL header, plus the range step count
+        cfg = write_cfg(tmp_path)
+        outdir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output", str(outdir)]) == 0
+        manifest = load_manifest(outdir)
+        grid = load_config(cfg).grid
+        assert manifest["grid"] == {
+            "n_range": 6, "n_azimuth": 8, "n_depth": 24, "delta_r_m": 5.0,
+            "delta_theta_deg": math.degrees(grid.delta_theta),
+            "delta_z_m": 6.0, "r_start_m": grid.r_start,
+            "azimuth_topology": "periodic"}
+        header, _ = read_tl_csv(outdir / manifest["frequencies"][0]["file"])
+        del manifest["grid"]["n_range"]
+        for key, value in manifest["grid"].items():
+            assert header[key] == value, key
 
     def test_eight_frequencies_eight_files(self, tmp_path):
         freqs = ",".join(str(25.0 + 5 * i) for i in range(8))
