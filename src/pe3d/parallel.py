@@ -3,14 +3,14 @@
 Fine grain: :func:`pe3d.marching.range_step` splits its add into
 contiguous depth-row blocks on the shared thread pool; its substitution
 runs whole.  Coarse grain: :func:`frequency_farm` runs independent
-single-frequency jobs on worker processes, each worker a contiguous block
-of frequencies submitted one by one.  Both levels keep the bits of the
+single-frequency jobs on forked worker processes, each worker a
+contiguous block of frequencies that it marches in order and sends back
+one result at a time down its own pipe.  Both levels keep the bits of the
 serial path.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass
 
 from .marching import run_frequency
@@ -41,17 +41,22 @@ class FarmReport:
         return not self.failures
 
 
-def _farm_job(payload):
-    """Worker-side job: run one frequency.
-
-    Module-level so process pools can pickle it.  Returns
-    (index, "ok", FrequencyResult) or (index, "error", message).
-    """
-    config, index, frequency = payload
+def _farm_job(config, index, frequency):
+    """Run one frequency: (index, "ok", FrequencyResult) or
+    (index, "error", message)."""
     try:
         return index, "ok", run_frequency(config, frequency)
     except Exception as exc:
         return index, "error", f"{type(exc).__name__}: {exc}"
+
+
+def _farm_block(connection, config, lo, hi):
+    """Worker-process body: march frequencies ``lo:hi`` in order and send
+    each :func:`_farm_job` outcome down ``connection``, then close it."""
+    frequencies = config.source.frequencies
+    with connection:
+        for index in range(lo, hi):
+            connection.send(_farm_job(config, index, frequencies[index]))
 
 
 def frequency_farm(config, deliver=None) -> FarmReport:
@@ -61,17 +66,19 @@ def frequency_farm(config, deliver=None) -> FarmReport:
     Each worker process owns one contiguous block of frequencies
     (:func:`pe3d.pool.block_ranges`): every frequency marches the same grid
     for the same number of steps, so blocks of equal size balance the
-    load.  A block runs on its own one-process pool, which gets each of
-    its frequencies as a separate job, so every result comes back as soon
-    as it is done.  Workers start by ``FARM_START_METHOD``.
+    load.  A worker is forked (``FARM_START_METHOD``) for its block alone,
+    marches it in order and sends each result down its own one-way pipe
+    as soon as it is done.  This process reads the pipes on its calling
+    thread, one result at a time, and starts no thread of its own.
 
     ``deliver(index, result)``, when given, is called in this process for
     each frequency that marched, as soon as its result is here: right
-    after the frequency on one worker, in completion order on several.
+    after the frequency on one worker, in arrival order on several.
     Once it returns, the result's TL grid is dropped (``tl_field`` set to
-    None), so the farm holds at most one grid per busy worker; the rest of
-    the result stays in ``results``.  An exception from ``deliver`` cancels
-    the jobs not yet started and propagates once the pools are shut down.
+    None), so the farm holds at most the grid being delivered while the
+    other workers wait to send theirs; the rest of the result stays in
+    ``results``.  An exception from ``deliver``, or any other, terminates
+    and joins the workers still running before it propagates.
 
     Failures never abort the farm; they are reported per frequency, in
     input order.  A worker process that dies fails the frequencies of its
@@ -93,35 +100,45 @@ def frequency_farm(config, deliver=None) -> FarmReport:
 
     if workers == 1:
         for index, frequency in enumerate(frequencies):
-            settle(*_farm_job((config, index, frequency)))
+            settle(*_farm_job(config, index, frequency))
     else:
         # the process machinery loads only when the farm forks: a
         # one-worker run does without its memory
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        from concurrent.futures.process import BrokenProcessPool
+        from multiprocessing.connection import wait
 
         context = multiprocessing.get_context(FARM_START_METHOD)
-        with ExitStack() as pools:
-            submitted = {}
+        blocks = {}  # receiving end -> (worker, indices not yet back)
+        try:
             for lo, hi in block_ranges(len(frequencies), workers):
-                pool = pools.enter_context(
-                    ProcessPoolExecutor(max_workers=1, mp_context=context))
-                for index in range(lo, hi):
-                    payload = (config, index, frequencies[index])
-                    submitted[pool.submit(_farm_job, payload)] = index
-            try:
-                for future in as_completed(submitted):
+                reader, writer = context.Pipe(duplex=False)
+                worker = context.Process(target=_farm_block,
+                                         args=(writer, config, lo, hi))
+                worker.start()
+                # the worker holds the only sending end, so its exit is EOF
+                writer.close()
+                blocks[reader] = (worker, list(range(lo, hi)))
+            while blocks:
+                for reader in wait(list(blocks)):
+                    worker, pending = blocks[reader]
                     try:
-                        outcome = future.result()
-                    except BrokenProcessPool as exc:
-                        outcome = (submitted[future], "error",
-                                   f"worker process died: {exc}")
+                        outcome = reader.recv()
+                    except (EOFError, OSError):
+                        # OSError: the worker died partway through a send
+                        worker.join()
+                        del blocks[reader]
+                        reader.close()
+                        for index in pending:
+                            errors[index] = ("worker process died: "
+                                             f"exit code {worker.exitcode}")
+                        continue
+                    pending.remove(outcome[0])
                     settle(*outcome)
-            except BaseException:
-                for future in submitted:
-                    future.cancel()
-                raise
+        finally:
+            for reader, (worker, _) in blocks.items():
+                worker.terminate()
+                worker.join()
+                reader.close()
 
     failures = [FarmFailure(index, frequencies[index], errors[index])
                 for index in sorted(errors)]

@@ -1,8 +1,10 @@
 """Shared builders for grids, environments and configs used across tests."""
 
 import math
+import multiprocessing
 
 import numpy as np
+import pytest
 
 from pe3d.config import Config, RunOptions
 from pe3d.environment import (
@@ -18,6 +20,13 @@ from pe3d.environment import (
 from pe3d.errors import InvariantError, ShapeError
 from pe3d.marching import range_step
 from pe3d.tridiag import Diagonals
+
+
+@pytest.fixture(autouse=True)
+def no_farm_worker_outlives_its_test():
+    """Every farm joins its worker processes before it returns or raises."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def make_grid(n_range=10, n_azimuth=8, n_depth=32, delta_r=5.0, delta_z=4.0,

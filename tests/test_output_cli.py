@@ -658,8 +658,8 @@ class TestStreamedOutput:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_does_not_grow_with_frequency_count(
             self, tmp_path, capsys, workers):
-        # one TL grid per busy worker at most: with two workers a grid
-        # being written and one being received can meet in this process
+        # one TL grid per busy worker at most; the farm receives one
+        # result at a time, but a received grid arrives beside its bytes
         grid_bytes = 41 * 32 * 128 * 8
         peaks = []
         for n in (1, 6):

@@ -1,9 +1,10 @@
 import dataclasses
 import math
-import multiprocessing
 import os
+import struct
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -134,31 +135,56 @@ class TestFrequencyFarm:
         assert report.failures[0].frequency == 75.0
         assert "DomainError" in report.failures[0].message
 
-    def test_dead_worker_fails_its_frequencies(self, monkeypatch):
-        # blocks (30, 50) and (70): the first worker dies at 50 Hz after
-        # finishing 30 Hz, whose result has already come back
+    @pytest.mark.parametrize("dies_at,lost", [(50.0, [1]), (30.0, [0, 1])],
+                             ids=["after-a-result", "before-any-result"])
+    def test_dead_worker_fails_its_frequencies(self, monkeypatch, dies_at,
+                                               lost):
+        # blocks (30, 50) and (70): the first worker dies at 50 Hz, after
+        # the result of 30 Hz has come back, or at 30 Hz, before it has
+        # sent anything
         freqs = (30.0, 50.0, 70.0)
         config = tiny_config(frequencies=freqs)
         real_run = parallel_module.run_frequency
 
         def dying_run(cfg, frequency, threads=None):
-            if frequency == 50.0:
+            if frequency == dies_at:
                 os._exit(3)
             return real_run(cfg, frequency, threads)
 
         # farm workers fork after the patch, so they inherit it
         monkeypatch.setattr(parallel_module, "run_frequency", dying_run)
         report = frequency_farm(with_workers(config, 2))
-        assert [f.index for f in report.failures] == [1]
-        assert "worker process died" in report.failures[0].message
-        assert report.results[1] is None
+        assert [f.index for f in report.failures] == lost
+        for failure in report.failures:
+            assert failure.message == "worker process died: exit code 3"
+            assert report.results[failure.index] is None
         monkeypatch.undo()
-        for index in (0, 2):
+        for index in sorted({0, 1, 2} - set(lost)):
             result = report.results[index]
             direct = run_frequency(config, freqs[index])
             assert result.frequency == freqs[index]
             assert result.tl_field.tobytes() == direct.tl_field.tobytes()
             assert np.array_equal(result.ranges, direct.ranges)
+
+    def test_worker_dead_partway_through_a_send_fails_its_block(
+            self, monkeypatch):
+        # a worker killed while it writes a result leaves a message cut
+        # short in its pipe: its block fails, the other block is kept
+        config = tiny_config(frequencies=(30.0, 50.0, 70.0))
+        real_block = parallel_module._farm_block
+
+        def truncating_block(connection, cfg, lo, hi):
+            if lo > 0:
+                return real_block(connection, cfg, lo, hi)
+            # a frame header announcing 100 bytes, then 3 of them
+            os.write(connection.fileno(), struct.pack("!i", 100) + b"abc")
+            os._exit(4)
+
+        monkeypatch.setattr(parallel_module, "_farm_block", truncating_block)
+        report = frequency_farm(with_workers(config, 2))
+        assert [f.index for f in report.failures] == [0, 1]
+        assert report.failures[0].message == "worker process died: exit code 4"
+        assert report.results[2].frequency == 70.0
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_deliver_gets_each_grid_then_the_farm_drops_it(self, workers):
@@ -180,26 +206,52 @@ class TestFrequencyFarm:
             assert delivered[index].tobytes() \
                 == kept.results[index].tl_field.tobytes()
 
-    def test_deliver_error_stops_the_farm(self):
-        # the jobs not yet started are cancelled and the pools shut down
-        # before the error reaches the caller
+    def test_deliver_runs_beside_no_thread_but_the_step_pool(self):
+        # the farm reads its workers' pipes on the calling thread and
+        # starts no thread to receive or feed them
+        config = tiny_config(frequencies=(30.0, 40.0, 50.0))
+        seen = []
+
+        def deliver(index, result):
+            seen.append((threading.current_thread().name,
+                         sorted(t.name for t in threading.enumerate())))
+
+        assert frequency_farm(with_workers(config, 2), deliver=deliver).ok
+        assert len(seen) == 3
+        for current, alive in seen:
+            assert current == "MainThread"
+            assert [name for name in alive if name != "MainThread"
+                    and not name.startswith("pe3d-worker")] == []
+
+    def test_deliver_error_stops_the_farm(self, monkeypatch):
+        # the workers still marching are terminated and joined before the
+        # error reaches the caller: every frequency but the first takes a
+        # minute, so a farm that waited for its workers would be late
         freqs = tuple(25.0 + 5.0 * i for i in range(8))
         config = tiny_config(frequencies=freqs)
+        real_run = parallel_module.run_frequency
         calls = []
+
+        def slow_run(cfg, frequency, threads=None):
+            if frequency != freqs[0]:
+                time.sleep(60.0)
+            return real_run(cfg, frequency, threads)
 
         def deliver(index, result):
             calls.append(index)
             raise OSError("disk full")
 
+        monkeypatch.setattr(parallel_module, "run_frequency", slow_run)
+        begin = time.monotonic()
         with pytest.raises(OSError, match="disk full"):
             frequency_farm(with_workers(config, 2), deliver=deliver)
-        assert len(calls) == 1
-        assert multiprocessing.active_children() == []
+        assert time.monotonic() - begin < 30.0
+        assert calls == [0]
 
 
 def test_cli_loads_no_process_machinery():
-    # the farm imports multiprocessing and the process pool only when it
-    # forks, so a one-worker run never loads them: checked in a fresh
+    # the farm imports multiprocessing only when it forks, so a one-worker
+    # run never loads it, nor a process pool: checked in a fresh
     # interpreter, which has imported nothing else
     src = str(Path(pe3d.__file__).resolve().parents[1])
     env = dict(os.environ)
