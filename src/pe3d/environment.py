@@ -238,15 +238,15 @@ def transmission_loss_field(values: np.ndarray, w: complex, out=None):
 
     The TL is written into ``out`` (a float64 array of the slab's shape)
     when given, else into a new array; no other slab-sized float array is
-    made.  Zero magnitudes take log10(1) and are then set to the floor.
+    made.  A zero magnitude's log10 is -inf, then set to the floor.
     """
     mag = np.abs(values, out=out)
     np.multiply(mag, abs(w), out=mag)
     nonfinite = mag.size - int(np.count_nonzero(np.isfinite(mag)))
     zero = mag == 0.0
     clamped = int(np.count_nonzero(zero))
-    np.copyto(mag, 1.0, where=zero)
-    np.log10(mag, out=mag)
+    with np.errstate(divide="ignore"):
+        np.log10(mag, out=mag)
     np.multiply(-20.0, mag, out=mag)
     np.copyto(mag, TL_FLOOR_DB, where=zero)
     return mag, clamped, nonfinite

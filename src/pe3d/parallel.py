@@ -2,11 +2,11 @@
 
 Fine grain: :func:`pe3d.marching.range_step` splits its add into
 contiguous depth-row blocks on the shared thread pool; its substitution
-runs whole.  Coarse grain: :func:`frequency_farm` runs independent
-single-frequency jobs on forked worker processes, each worker a
-contiguous block of frequencies that it marches in order and sends back
-one result at a time down its own pipe.  Both levels keep the bits of the
-serial path.
+runs whole.  Coarse grain: :func:`frequency_farm` splits the frequencies
+into contiguous blocks, one per worker, and every block runs the same
+loop, :func:`_farm_block`: in this process for one worker, in a forked
+process that sends each result down its own pipe for several.  Both
+levels keep the bits of the serial path.
 """
 
 from __future__ import annotations
@@ -41,35 +41,31 @@ class FarmReport:
         return not self.failures
 
 
-def _farm_job(config, index, frequency):
-    """Run one frequency: (index, "ok", FrequencyResult) or
-    (index, "error", message)."""
-    try:
-        return index, "ok", run_frequency(config, frequency)
-    except Exception as exc:
-        return index, "error", f"{type(exc).__name__}: {exc}"
-
-
-def _farm_block(connection, config, lo, hi):
-    """Worker-process body: march frequencies ``lo:hi`` in order and send
-    each :func:`_farm_job` outcome down ``connection``, then close it."""
-    frequencies = config.source.frequencies
-    with connection:
-        for index in range(lo, hi):
-            connection.send(_farm_job(config, index, frequencies[index]))
+def _farm_block(send, config, lo, hi):
+    """The farm's one frequency loop: march frequencies ``lo:hi`` in order,
+    pass each outcome, ``(index, "ok", FrequencyResult)`` or ``(index,
+    "error", message)``, to ``send`` and drop it, holding one grid at most."""
+    for index, frequency in enumerate(config.source.frequencies[lo:hi], lo):
+        try:
+            outcome = index, "ok", run_frequency(config, frequency)
+        except Exception as exc:
+            outcome = index, "error", f"{type(exc).__name__}: {exc}"
+        send(outcome)
+        del outcome
 
 
 def frequency_farm(config, deliver=None) -> FarmReport:
     """Solve each of ``config.source.frequencies`` as an independent job on
     ``config.options.workers`` processes; report in input order.
 
-    Each worker process owns one contiguous block of frequencies
+    The frequencies split into contiguous blocks, one per worker
     (:func:`pe3d.pool.block_ranges`): every frequency marches the same grid
     for the same number of steps, so blocks of equal size balance the
-    load.  A worker is forked (``FARM_START_METHOD``) for its block alone,
-    marches it in order and sends each result down its own one-way pipe
-    as soon as it is done.  This process reads the pipes on its calling
-    thread, one result at a time, and starts no thread of its own.
+    load.  Every block runs :func:`_farm_block`.  One worker runs it in
+    this process.  Several fork one process each (``FARM_START_METHOD``)
+    that sends each outcome down its own one-way pipe as soon as it is
+    done; this process reads the pipes on its calling thread, one result
+    at a time, and starts no thread of its own.
 
     ``deliver(index, result)``, when given, is called in this process for
     each frequency that marched, as soon as its result is here: right
@@ -99,8 +95,8 @@ def frequency_farm(config, deliver=None) -> FarmReport:
             payload.tl_field = None
 
     if workers == 1:
-        for index, frequency in enumerate(frequencies):
-            settle(*_farm_job(config, index, frequency))
+        _farm_block(lambda outcome: settle(*outcome), config, 0,
+                    len(frequencies))
     else:
         # the process machinery loads only when the farm forks: a
         # one-worker run does without its memory
@@ -108,31 +104,31 @@ def frequency_farm(config, deliver=None) -> FarmReport:
         from multiprocessing.connection import wait
 
         context = multiprocessing.get_context(FARM_START_METHOD)
-        blocks = {}  # receiving end -> (worker, indices not yet back)
+        blocks = {}  # receiving end -> (worker, its block of indices)
         try:
             for lo, hi in block_ranges(len(frequencies), workers):
                 reader, writer = context.Pipe(duplex=False)
                 worker = context.Process(target=_farm_block,
-                                         args=(writer, config, lo, hi))
+                                         args=(writer.send, config, lo, hi))
                 worker.start()
                 # the worker holds the only sending end, so its exit is EOF
                 writer.close()
-                blocks[reader] = (worker, list(range(lo, hi)))
+                blocks[reader] = (worker, range(lo, hi))
             while blocks:
                 for reader in wait(list(blocks)):
-                    worker, pending = blocks[reader]
                     try:
                         outcome = reader.recv()
                     except (EOFError, OSError):
                         # OSError: the worker died partway through a send
+                        worker, block = blocks.pop(reader)
                         worker.join()
-                        del blocks[reader]
                         reader.close()
-                        for index in pending:
-                            errors[index] = ("worker process died: "
-                                             f"exit code {worker.exitcode}")
+                        for index in block:
+                            if results[index] is None:
+                                errors.setdefault(
+                                    index, "worker process died: "
+                                    f"exit code {worker.exitcode}")
                         continue
-                    pending.remove(outcome[0])
                     settle(*outcome)
         finally:
             for reader, (worker, _) in blocks.items():

@@ -8,6 +8,7 @@ independent of the block it lands in.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -39,19 +40,14 @@ def block_ranges(n_items: int, n_blocks: int) -> list[tuple[int, int]]:
 # otherwise dominate small steps.  Forked farm workers must not inherit
 # live pools (their threads do not survive the fork), so children start
 # with an empty cache.
-_POOL_CACHE: dict[int, ThreadPoolExecutor] = {}
+@functools.cache
+def _shared_pool(n_workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=n_workers,
+                              thread_name_prefix="pe3d-worker")
+
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_POOL_CACHE.clear)
-
-
-def _shared_pool(n_workers: int) -> ThreadPoolExecutor:
-    pool = _POOL_CACHE.get(n_workers)
-    if pool is None:
-        pool = ThreadPoolExecutor(max_workers=n_workers,
-                                  thread_name_prefix="pe3d-worker")
-        _POOL_CACHE[n_workers] = pool
-    return pool
+    os.register_at_fork(after_in_child=_shared_pool.cache_clear)
 
 
 def fork_join(worker, n_items: int, threads: int) -> list[tuple[int, int]]:

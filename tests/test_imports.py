@@ -1,4 +1,5 @@
-"""Every import of the package and of its tests is read."""
+"""Every import of the package and of its tests is read, and every private
+helper of the package is named somewhere."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,30 @@ def test_no_unused_import(path):
     unused = unused_imports(path)
     assert kept <= unused, "an allowed import is read: drop it from KEPT"
     assert sorted(unused - kept) == []
+
+
+def private_definitions(path: Path) -> set:
+    """The private functions and classes that ``path`` defines at module
+    level."""
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def test_every_private_helper_is_named():
+    # a helper folded into its caller cannot be left behind: each private
+    # definition in src/pe3d is read, as a name or an attribute, by some
+    # file of the package or its tests
+    named = set()
+    for path in FILES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    defined = [(str(path.relative_to(ROOT)), name)
+               for path in sorted(ROOT.glob("src/pe3d/*.py"))
+               for name in sorted(private_definitions(path))]
+    assert defined, "no private helper found: the scan reads nothing"
+    assert [(path, name) for path, name in defined if name not in named] == []

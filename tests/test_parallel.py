@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from pe3d.errors import DomainError
 from pe3d.marching import run_frequency
 from pe3d.parallel import frequency_farm
 import pe3d.parallel as parallel_module
+import pe3d.pool as pool_module
 from pe3d.pool import block_ranges, fork_join
 
 
@@ -95,6 +97,27 @@ class TestFrequencyFarm:
         assert report.ok
         assert np.array_equal(report.results[0].tl_field, direct.tl_field)
 
+    def test_one_worker_marches_the_block_body_in_process(self,
+                                                          monkeypatch):
+        # a farm of one runs the loop of the forked workers, once, over
+        # every frequency, in this process
+        freqs = (30.0, 40.0, 50.0)
+        config = tiny_config(frequencies=freqs)
+        real_block = parallel_module._farm_block
+        calls = []
+
+        def spy(send, cfg, lo, hi):
+            calls.append((lo, hi))
+            return real_block(send, cfg, lo, hi)
+
+        monkeypatch.setattr(parallel_module, "_farm_block", spy)
+        report = frequency_farm(config)
+        assert calls == [(0, len(freqs))]
+        assert report.ok
+        for frequency, result in zip(freqs, report.results):
+            direct = run_frequency(config, frequency)
+            assert result.tl_field.tobytes() == direct.tl_field.tobytes()
+
     def test_results_ordered_by_input_index(self):
         freqs = (40.0, 80.0, 25.0, 63.0)
         config = tiny_config(frequencies=freqs)
@@ -135,18 +158,22 @@ class TestFrequencyFarm:
         assert report.failures[0].frequency == 75.0
         assert "DomainError" in report.failures[0].message
 
-    @pytest.mark.parametrize("dies_at,lost", [(50.0, [1]), (30.0, [0, 1])],
-                             ids=["after-a-result", "before-any-result"])
-    def test_dead_worker_fails_its_frequencies(self, monkeypatch, dies_at,
-                                               lost):
+    @pytest.mark.parametrize(
+        "raises_at,dies_at,died",
+        [(None, 50.0, [1]), (None, 30.0, [0, 1]), (30.0, 50.0, [1])],
+        ids=["after-a-result", "before-any-result", "after-an-error"])
+    def test_dead_worker_fails_its_frequencies(self, monkeypatch, raises_at,
+                                               dies_at, died):
         # blocks (30, 50) and (70): the first worker dies at 50 Hz, after
-        # the result of 30 Hz has come back, or at 30 Hz, before it has
-        # sent anything
+        # 30 Hz has come back as a result or as an error, or at 30 Hz,
+        # before it has sent anything
         freqs = (30.0, 50.0, 70.0)
         config = tiny_config(frequencies=freqs)
         real_run = parallel_module.run_frequency
 
         def dying_run(cfg, frequency, threads=None):
+            if frequency == raises_at:
+                raise DomainError("no field at 30 Hz")
             if frequency == dies_at:
                 os._exit(3)
             return real_run(cfg, frequency, threads)
@@ -154,12 +181,17 @@ class TestFrequencyFarm:
         # farm workers fork after the patch, so they inherit it
         monkeypatch.setattr(parallel_module, "run_frequency", dying_run)
         report = frequency_farm(with_workers(config, 2))
-        assert [f.index for f in report.failures] == lost
-        for failure in report.failures:
-            assert failure.message == "worker process died: exit code 3"
-            assert report.results[failure.index] is None
+        expected = {index: "worker process died: exit code 3"
+                    for index in died}
+        if raises_at is not None:
+            # the error that came back keeps its own message
+            expected[0] = "DomainError: no field at 30 Hz"
+        assert [(f.index, f.message) for f in report.failures] \
+            == sorted(expected.items())
+        for index in expected:
+            assert report.results[index] is None
         monkeypatch.undo()
-        for index in sorted({0, 1, 2} - set(lost)):
+        for index in sorted({0, 1, 2} - set(expected)):
             result = report.results[index]
             direct = run_frequency(config, freqs[index])
             assert result.frequency == freqs[index]
@@ -173,11 +205,12 @@ class TestFrequencyFarm:
         config = tiny_config(frequencies=(30.0, 50.0, 70.0))
         real_block = parallel_module._farm_block
 
-        def truncating_block(connection, cfg, lo, hi):
+        def truncating_block(send, cfg, lo, hi):
             if lo > 0:
-                return real_block(connection, cfg, lo, hi)
-            # a frame header announcing 100 bytes, then 3 of them
-            os.write(connection.fileno(), struct.pack("!i", 100) + b"abc")
+                return real_block(send, cfg, lo, hi)
+            # a frame header announcing 100 bytes, then 3 of them, on the
+            # pipe whose ``send`` the worker was given
+            os.write(send.__self__.fileno(), struct.pack("!i", 100) + b"abc")
             os._exit(4)
 
         monkeypatch.setattr(parallel_module, "_farm_block", truncating_block)
@@ -185,6 +218,41 @@ class TestFrequencyFarm:
         assert [f.index for f in report.failures] == [0, 1]
         assert report.failures[0].message == "worker process died: exit code 4"
         assert report.results[2].frequency == 70.0
+
+    def test_worker_drops_each_grid_once_sent(self, monkeypatch):
+        # in a worker, the grid of a frequency already sent is gone when
+        # the next frequency of its block starts marching
+        config = with_workers(tiny_config(frequencies=(30.0, 40.0, 50.0)), 2)
+        real_run = parallel_module.run_frequency
+        sent = []
+
+        def checking_run(cfg, frequency, threads=None):
+            if any(grid() is not None for grid in sent):
+                raise RuntimeError("a sent grid is still held")
+            result = real_run(cfg, frequency, threads)
+            sent.append(weakref.ref(result.tl_field))
+            return result
+
+        # farm workers fork after the patch, so they inherit it
+        monkeypatch.setattr(parallel_module, "run_frequency", checking_run)
+        report = frequency_farm(config)
+        assert report.failures == []
+
+    def test_workers_start_without_the_parents_step_pools(self, monkeypatch):
+        # a pool's threads stay in the parent when a worker forks, so a
+        # worker's threaded step must build a pool of its own
+        inherited = pool_module._shared_pool(2)
+        real_run = parallel_module.run_frequency
+
+        def checking_run(cfg, frequency, threads=None):
+            if pool_module._shared_pool(2) is inherited:
+                raise RuntimeError("a step pool came through the fork")
+            return real_run(cfg, frequency, threads)
+
+        monkeypatch.setattr(parallel_module, "run_frequency", checking_run)
+        config = with_workers(tiny_config(frequencies=(30.0, 40.0)), 2)
+        assert frequency_farm(config).failures == []
+        assert pool_module._shared_pool(2) is inherited
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_deliver_gets_each_grid_then_the_farm_drops_it(self, workers):
