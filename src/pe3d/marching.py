@@ -21,19 +21,16 @@ Dirichlet-edged on a sector.  The discrete Fourier modes (periodic) and
 the sine modes of the interior azimuths (sector) are its eigenvectors,
 with eigenvalues sigma_j lambda_k (:attr:`Marcher.eigenvalues`), and X
 acts on every azimuth alike.  So the march keeps the depth-major *mode
-slab* (n_depth, n_modes): :meth:`Marcher.to_modes` transforms the
+slab* (n_depth, n_azimuth): :meth:`Marcher.to_modes` transforms the
 starter once, and :meth:`Marcher.from_modes` transforms back only at
-recorded ranges.
+recorded ranges.  A sector's mode slab holds its N - 2 sine modes in
+columns 1 .. N - 2, and zeros in its edge modes 0 and N - 1.
 
 A march holds two complex slabs besides its TL grid: the mode slab and
-the marcher's depth-major ``work`` (n_depth, n_azimuth).  The starter is
+the marcher's depth-major ``work``, of the same shape.  The starter is
 built in ``work``; a step solves into ``work`` and adds in place into
 the mode slab; a record writes the mode slab times G into ``work`` and
-transforms it back there.  A sector's ``work`` has its N azimuths, so
-the starter and the recorded slab keep their edge azimuths; a mode slab
-of N - 2 columns fills the head of its memory, contiguous
-(:attr:`Marcher.work_modes`): numpy runs the step's whole-array products
-on strided rows through its iteration buffers.
+transforms it back there.
 
 One range step advances the mode slab m from r_j to r_j + delta_r by
 the depth half-step v = rho m + (1 - rho) (I + cx_lhs X)^-1 m and the
@@ -58,14 +55,15 @@ one number per mode, so the two commute: after J steps the mode slab is
 factors carry (1 - rho) / rho in their pre-scale, so the solve returns
 y = ((1 - rho) / rho) (I + cx_lhs X)^-1 m, and the step adds it into
 m in place: m + y = D m / rho.  :func:`run_frequency` keeps G, one
-vector of n_modes updated per step, and multiplies the mode slab by it
+value per mode updated per step, and multiplies the mode slab by it
 only at recorded ranges.
 
 The surface row of every mode slab is zero: the starter is made so, and
-the identity row of the depth matrix keeps it zero.  A sector's edge
-azimuths are no mode, so :meth:`Marcher.from_modes` writes them as
-zeros.  A step assembles, factors and transforms nothing: a
-:class:`Marcher` factors the depth matrix once per frequency.  The depth
+the identity row of the depth matrix keeps it zero.  So do a sector's
+edge modes, whose gains are finite (mode 0's is 1); its transforms read
+neither edge, and write zeros there.  A step assembles, factors and
+transforms nothing: a :class:`Marcher` factors the depth matrix once
+per frequency.  The depth
 systems share one matrix, so the depth sweep is one wide substitution,
 on the calling thread, as are the transforms; the threads split the
 step's add into depth-row blocks, with the same bits for any split.
@@ -100,7 +98,7 @@ from .tridiag import Diagonals, Factors, SolveBatch, factor, solve_batch
 MAX_OUTPUT_SAMPLES = 512
 
 # Depth rows that a sector's transforms take at a time: its odd extension
-# and their spectrum are this many rows tall.
+# and its spectrum are this many rows tall.
 BLOCK_ROWS = 16
 
 
@@ -162,11 +160,11 @@ def compute_rhs(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The (n_azimuth, n_depth) slab ``u`` copied depth-major into
     ``out``, of shape (n_depth, n_azimuth); returns ``out``.
 
-    This is the copy that feeds a sector's forward azimuth transform
-    (:meth:`Marcher.to_modes`), a block of depth rows at a time.  It
-    stays a function because the benchmark's tracer
-    (``bench/tracing.py``) wraps ``marching.compute_rhs`` by name, until
-    the run times its own phases.
+    This is the copy that feeds both of a sector's azimuth transforms
+    (:meth:`Marcher.to_modes` and :meth:`Marcher.from_modes`), a block
+    of depth rows at a time.  It stays a function because the
+    benchmark's tracer (``bench/tracing.py``) wraps
+    ``marching.compute_rhs`` by name, until the run times its own phases.
     """
     if u.ndim != 2 or out.shape != u.shape[::-1]:
         raise ShapeError(f"slab of shape {u.shape} into an array of shape "
@@ -240,15 +238,14 @@ class Marcher:
     pre-scale multiplied by w / rho with w = (cx_lhs - cx_rhs) / cx_lhs
     = 1 - rho, so that a solve against it returns
     (w / rho) (I + cx_lhs X)^-1 m, exactly zero when delta_r = 0; and
-    ``eigenvalues``, the
-    lambda_k of the azimuth modes for a second difference of scale 1:
-    -4 sin^2(pi k / N) for k = 0 .. N - 1 on a periodic grid of N
-    azimuths, -4 sin^2(pi p / (2 (N - 1))) for p = 1 .. N - 2 on a
-    sector.  No field holds an (azimuth x depth) medium array.  ``work``
-    is one depth-major (n_depth, n_azimuth) array that the starter, every
-    step and every record overwrite, so a marcher serves one march at a
-    time; ``work_modes`` is the contiguous (n_depth, n_modes) view of
-    its memory's head: all of it on a periodic grid.
+    ``eigenvalues``, the lambda_k of the azimuth modes for a second
+    difference of scale 1: -4 sin^2(pi k / P) for k = 0 .. N - 1 on a
+    grid of N azimuths, with P = N periodic and P = 2 (N - 1) on a
+    sector, whose edge modes k = 0 and N - 1 are held at zero.  No field
+    holds an (azimuth x depth) medium array.  ``work`` is one depth-major
+    (n_depth, n_azimuth) array, the mode slab's shape, that the starter,
+    every step and every record overwrite, so a marcher serves one march
+    at a time.
 
     A singular depth matrix raises the :class:`StepError` of the first
     step, which would solve with it.
@@ -263,7 +260,6 @@ class Marcher:
     depth: Factors = field(init=False)
     eigenvalues: np.ndarray = field(init=False)
     work: np.ndarray = field(init=False)
-    work_modes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         grid, coeffs = self.grid, self.coeffs
@@ -280,13 +276,8 @@ class Marcher:
             self.depth = replace(depth, inv=depth.inv * (weight / self.rho))
         n = grid.n_azimuth
         self.work = np.empty((grid.n_depth, n), dtype=np.complex128)
-        if grid.azimuth_topology == PERIODIC:
-            angles = np.pi * np.arange(n) / n
-        else:
-            angles = np.pi * np.arange(1, n - 1) / (2 * (n - 1))
-        self.eigenvalues = -4.0 * np.sin(angles) ** 2
-        self.work_modes = self.work.reshape(-1)[:grid.n_depth * angles.size] \
-            .reshape(grid.n_depth, angles.size)
+        period = n if grid.azimuth_topology == PERIODIC else 2 * (n - 1)
+        self.eigenvalues = -4.0 * np.sin(np.pi * np.arange(n) / period) ** 2
 
     def gain(self, j: int) -> np.ndarray:
         """g_j(k) = 2 / (1 + cy_lhs sigma_j lambda_k) - 1 per mode k, the
@@ -303,65 +294,66 @@ class Marcher:
             - 1.0
 
     def check_modes(self, m: np.ndarray):
-        """A :class:`ShapeError` unless ``m`` has the mode slab's shape."""
-        if m.shape != self.work_modes.shape:
+        """A :class:`ShapeError` unless ``m`` has the mode slab's shape,
+        (n_depth, n_azimuth) on both topologies."""
+        if m.shape != self.work.shape:
             raise ShapeError(f"mode slab of shape {m.shape}, not "
-                             f"(n_depth, n_modes) = {self.work_modes.shape}")
+                             f"(n_depth, n_azimuth) = {self.work.shape}")
 
     def to_modes(self, u: np.ndarray) -> np.ndarray:
-        """The mode slab (n_depth, n_modes) of the (n_azimuth, n_depth)
+        """The mode slab (n_depth, n_azimuth) of the (n_azimuth, n_depth)
         slab ``u``, a new array; a :class:`ShapeError` unless ``u`` is a
         grid slab.
 
         Periodic: the FFT along azimuth.  Sector: the DST-I of the
         interior azimuths, as the FFT of their odd extension of length
-        2 (N - 1), whose modes 1 .. N - 2 are -2i times the sine sums,
-        :data:`BLOCK_ROWS` depth rows at a time; the edge azimuths are
-        ignored.
+        2 (N - 1), whose modes 1 .. N - 2 are -2i times the sine sums;
+        the edge azimuths are ignored and the edge modes are zeros.
         """
         grid = self.grid
         if u.shape != (grid.n_azimuth, grid.n_depth):
             raise ShapeError(f"slab of shape {u.shape}, not (n_azimuth, "
                              f"n_depth) = {(grid.n_azimuth, grid.n_depth)}")
-        n = grid.n_azimuth
-        m = np.empty(self.work_modes.shape, dtype=np.complex128)
+        m = np.empty_like(self.work)
         if grid.azimuth_topology == PERIODIC:
             return np.fft.fft(u.T, axis=1, out=m)
+        return self._odd_transform(np.fft.fft, u, m)
+
+    def from_modes(self, m: np.ndarray, out: np.ndarray | None = None
+                   ) -> np.ndarray:
+        """The (n_azimuth, n_depth) slab of the mode slab ``m``: the
+        transposed view of ``out``, a depth-major complex128 array of
+        the mode slab's shape (a new one when None, else a
+        :class:`ShapeError` unless it is one), the inverse of
+        :meth:`to_modes`.  ``out`` may be ``m`` itself: the transform
+        then runs in place.  A sector's edge modes are ignored, and its
+        edge azimuths are exact zeros."""
+        self.check_modes(m)
+        out = np.empty_like(self.work) if out is None else out
+        if out.shape != m.shape or out.dtype != np.complex128:
+            raise ShapeError(f"output of shape {out.shape} and dtype "
+                             f"{out.dtype}, not complex128 {m.shape}")
+        if self.grid.azimuth_topology == PERIODIC:
+            return np.fft.ifft(m, axis=1, out=out).T
+        return self._odd_transform(np.fft.ifft, m.T, out).T
+
+    def _odd_transform(self, transform, u: np.ndarray, out: np.ndarray):
+        """The first N terms of ``transform`` (``np.fft.fft`` or
+        ``ifft``) of the odd extension of the (N, n_depth) ``u``'s
+        interior rows, into ``out`` (n_depth, N), :data:`BLOCK_ROWS`
+        depth rows at a time, zero in its edge columns; returns ``out``,
+        which may be ``u``'s memory: each block is copied, then written."""
+        n = self.grid.n_azimuth
         odd = np.empty((BLOCK_ROWS, 2 * (n - 1)), dtype=np.complex128)
-        for lo in range(0, grid.n_depth, BLOCK_ROWS):
+        for lo in range(0, out.shape[0], BLOCK_ROWS):
             block = u[:, lo:lo + BLOCK_ROWS]
             rows = odd[:block.shape[1]]
             compute_rhs(block, rows[:, :n])
             rows[:, [0, n - 1]] = 0.0
             np.negative(rows[:, n - 2:0:-1], out=rows[:, n:])
-            m[lo:lo + block.shape[1]] = np.fft.fft(rows, axis=1)[:, 1:n - 1]
-        return m
-
-    def from_modes(self, m: np.ndarray, out: np.ndarray | None = None
-                   ) -> np.ndarray:
-        """The (n_azimuth, n_depth) slab of the mode slab ``m``: the
-        transposed view of ``out``, a depth-major (n_depth, n_azimuth)
-        array (a new one when None), the inverse of :meth:`to_modes`, a
-        sector's :data:`BLOCK_ROWS` depth rows at a time.  ``m`` may be
-        the head of ``out``'s memory (``work_modes`` of ``work``): the
-        transform then runs in place, a sector's blocks from the bottom
-        up, so that each block's rows of ``out`` cover only modes already
-        read.  A sector's edge azimuths are exact zeros."""
-        self.check_modes(m)
-        n = self.grid.n_azimuth
-        u = np.empty((m.shape[0], n), dtype=np.complex128) if out is None \
-            else out
-        if self.grid.azimuth_topology == PERIODIC:
-            return np.fft.ifft(m, axis=1, out=u).T
-        odd = np.zeros((BLOCK_ROWS, 2 * (n - 1)), dtype=np.complex128)
-        for lo in reversed(range(0, m.shape[0], BLOCK_ROWS)):
-            block = m[lo:lo + BLOCK_ROWS]
-            rows = odd[:block.shape[0]]
-            rows[:, 1:n - 1] = block
-            np.negative(block[:, ::-1], out=rows[:, n:])
-            u[lo:lo + block.shape[0]] = np.fft.ifft(rows, axis=1)[:, :n]
-        u[:, [0, n - 1]] = 0.0
-        return u.T
+            out[lo:lo + block.shape[1]] = transform(rows, axis=1)[:, :n]
+        out[:, [0, n - 1]] = 0.0
+        return out
 
 
 @dataclass(eq=False)
@@ -381,12 +373,12 @@ class FrequencyResult:
 def range_step(marcher: Marcher, m: np.ndarray) -> np.ndarray:
     """The mode slab ``m`` one range step on, without its gain, in place:
     D m / rho, m += y with y the solve into the marcher's
-    :attr:`~Marcher.work_modes` (see above); returns ``m``.  ``m`` must be
+    :attr:`~Marcher.work` (see above); returns ``m``.  ``m`` must be
     zero on its surface row, which stays zero.  A :class:`ShapeError`
     unless ``m`` has the mode slab's shape.
     """
     marcher.check_modes(m)
-    y = solve_batch(SolveBatch(marcher.depth, m), out=marcher.work_modes)
+    y = solve_batch(SolveBatch(marcher.depth, m), out=marcher.work)
     fork_join(lambda lo, hi: np.add(m[lo:hi], y[lo:hi], out=m[lo:hi]),
               marcher.grid.n_depth, marcher.threads)
     return m
@@ -446,8 +438,8 @@ def run_frequency(config, frequency: float, threads: int | None = None) -> Frequ
         m = range_step(marcher, m)
         gain *= marcher.rho * marcher.gain(j - 1)
         if j % stride == 0:
-            np.multiply(m, gain, out=marcher.work_modes)
-            record(j, marcher.from_modes(marcher.work_modes, marcher.work))
+            np.multiply(m, gain, out=marcher.work)
+            record(j, marcher.from_modes(marcher.work, marcher.work))
 
     return FrequencyResult(
         frequency=frequency,

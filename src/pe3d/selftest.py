@@ -167,8 +167,8 @@ def _check_depth_step_oracle():
         k0 = wavenumber(50.0, env.c0)
         marcher = Marcher(grid, env, k0,
                           StepCoefficients.for_step(k0, grid.delta_r))
-        m = rng.standard_normal(marcher.work_modes.shape) \
-            + 1j * rng.standard_normal(marcher.work_modes.shape)
+        m = rng.standard_normal(marcher.work.shape) \
+            + 1j * rng.standard_normal(marcher.work.shape)
         m[0] = 0.0
         want = fold_oracle(marcher, m)  # before the step, which writes m
         err = _relative_error(range_step(marcher, m), want)

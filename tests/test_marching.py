@@ -76,7 +76,7 @@ ORACLE_TOLERANCE = 1e-12
 
 class TestSlabShape:
     """A slab is an (n_azimuth, n_depth) array of the grid and a mode slab
-    an (n_depth, n_modes) one, or the functions that take them raise."""
+    an (n_depth, n_azimuth) one, or the functions that take them raise."""
 
     @staticmethod
     def rejects(u, grid):
@@ -104,7 +104,21 @@ class TestSlabShape:
         with pytest.raises(ShapeError, match="mode slab"):
             range_step(marcher, u)
         assert range_step(marcher, marcher.to_modes(u)).shape \
-            == marcher.work_modes.shape
+            == marcher.work.shape
+
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_inverse_transform_checks_its_output(self, topology):
+        # the inverse transform writes only a complex128 array of the mode
+        # slab's shape: a float one would drop the imaginary parts
+        marcher, u = make_marcher(make_config(
+            grid=make_grid(n_azimuth=8, n_depth=24, topology=topology)))
+        m = marcher.to_modes(u)
+        shape = marcher.work.shape
+        for out in (np.empty(shape), np.empty(shape, dtype=np.complex64),
+                    np.empty(shape[::-1], dtype=complex),
+                    np.empty((shape[0] - 1, shape[1]), dtype=complex)):
+            with pytest.raises(ShapeError, match="output"):
+                marcher.from_modes(m, out)
 
 
 class TestModes:
@@ -121,23 +135,50 @@ class TestModes:
 
     @pytest.mark.parametrize("topology,n_azimuth", SHAPES)
     def test_round_trip(self, topology, n_azimuth):
-        # a sector transforms two blocks of BLOCK_ROWS depth rows and a
-        # short one
-        marcher = self.marcher(topology, n_azimuth,
-                               n_depth=2 * BLOCK_ROWS + 5)
-        u = random_slab_values(np.random.default_rng(n_azimuth),
-                               marcher.grid)
+        # a sector transforms blocks of BLOCK_ROWS depth rows: one short
+        # block, one whole block, or two whole blocks and a short one
+        for n_depth in (BLOCK_ROWS - 5, BLOCK_ROWS, 2 * BLOCK_ROWS + 5):
+            marcher = self.marcher(topology, n_azimuth, n_depth=n_depth)
+            u = random_slab_values(np.random.default_rng(n_azimuth),
+                                   marcher.grid)
+            m = marcher.to_modes(u)
+            assert m.shape == (n_depth, n_azimuth)
+            back = marcher.from_modes(m)
+            assert np.max(np.abs(back - u)) <= 1e-15 * n_azimuth, n_depth
+            # in place, in the work array: the bits of the new array
+            np.copyto(marcher.work, m)
+            in_place = marcher.from_modes(marcher.work, marcher.work)
+            assert np.shares_memory(in_place, marcher.work)
+            assert in_place.tobytes() == back.tobytes(), n_depth
+
+    @pytest.mark.parametrize("n_azimuth", [3, 4, 7, 12])
+    def test_sector_edge_modes_stay_zero(self, n_azimuth):
+        # a sector's mode slab has the work array's shape, and its edge
+        # modes 0 and N - 1 are zero bits, after steps and the gain too
+        marcher = self.marcher(SECTOR, n_azimuth, n_depth=24)
+        u = random_slab_values(np.random.default_rng(5), marcher.grid,
+                               dirichlet=False)
         m = marcher.to_modes(u)
-        n_modes = n_azimuth if topology == PERIODIC else n_azimuth - 2
-        assert m.shape == (marcher.grid.n_depth, n_modes)
-        back = marcher.from_modes(m)
-        assert np.max(np.abs(back - u)) <= 1e-15 * n_azimuth
-        # in place, from the modes at the head of the work array: the bits
-        # of the new array
-        np.copyto(marcher.work_modes, m)
-        in_place = marcher.from_modes(marcher.work_modes, marcher.work)
-        assert np.shares_memory(in_place, marcher.work)
-        assert in_place.tobytes() == back.tobytes()
+        assert m.shape == marcher.work.shape
+        gain = np.ones(n_azimuth, dtype=complex)
+        for j in range(3):
+            assert np.all(m[:, [0, -1]] == 0.0), j
+            m = range_step(marcher, m)
+            gain *= marcher.rho * marcher.gain(j)
+        assert np.all(np.isfinite(gain))
+        assert np.all((m * gain)[:, [0, -1]] == 0.0)
+
+    @pytest.mark.parametrize("n_azimuth", [3, 4, 7, 12])
+    def test_sector_ignores_its_edge_modes(self, n_azimuth):
+        # the inverse transform's bits do not depend on what modes 0 and
+        # N - 1 hold
+        marcher = self.marcher(SECTOR, n_azimuth, n_depth=BLOCK_ROWS + 5)
+        m = marcher.to_modes(random_slab_values(np.random.default_rng(6),
+                                                marcher.grid))
+        want = marcher.from_modes(m).tobytes()
+        for edge in (1.0 - 2.0j, np.nan, np.inf):
+            m[:, [0, -1]] = edge
+            assert marcher.from_modes(m).tobytes() == want, edge
 
     @pytest.mark.parametrize("topology,n_azimuth", SHAPES)
     def test_mode_is_eigenvector_of_Y(self, topology, n_azimuth):
@@ -147,7 +188,7 @@ class TestModes:
         grid, r = marcher.grid, 123.0
         sigma = azimuth_stencil(marcher.k0, r, grid.delta_theta)
         for k, eigenvalue in enumerate(marcher.eigenvalues):
-            m = np.zeros(marcher.work_modes.shape, dtype=complex)
+            m = np.zeros(marcher.work.shape, dtype=complex)
             m[1:, k] = 1.0 + 0.5j
             u = marcher.from_modes(m)
             y = apply_Y(u, marcher.k0, r, grid.delta_theta, topology)
@@ -603,8 +644,8 @@ class TestStepArrays:
     def test_step_allocates_one_slab(self, topology, threads):
         # nothing slab-sized: numpy's iteration buffer of np.getbufsize()
         # complex values (128 KiB), which the solve's pre-scale broadcasts
-        # through, and small arrays; measured 0.45 of this mode slab
-        # periodic and 0.46 on the sector, on 1 and 2 threads
+        # through, and small arrays; measured 0.45 of this mode slab on
+        # both topologies, on 1 and 2 threads
         marcher, m = self.stepped(topology, threads)
         _, peak = self.traced_step(marcher, m)
         assert peak <= 0.5 * m.nbytes
@@ -655,9 +696,9 @@ class TestStepArrays:
         # every record's inverse transform, and the mode slab, which the
         # steps advance in place.  The rest is the solve's 128 KiB
         # iteration buffer (0.44 of this slab), the factors and small
-        # arrays: measured 2.69 slabs periodic and 2.66 on the sector,
-        # whose odd extension and its spectrum are BLOCK_ROWS rows tall;
-        # the bound leaves 0.06
+        # arrays: measured 2.69 slabs on both topologies (a sector's odd
+        # extension and its spectrum are BLOCK_ROWS rows tall); the
+        # bound leaves 0.06
         grid = make_grid(n_range=8, n_azimuth=72, n_depth=256,
                          topology=topology)
         config = make_config(grid=grid)
@@ -686,7 +727,7 @@ class TestStepArrays:
 
         monkeypatch.setattr(tridiag_module, "_substitute_open", recorded)
         range_step(marcher, u)
-        assert calls == [(marcher.work_modes.shape, threading.get_ident())]
+        assert calls == [(marcher.work.shape, threading.get_ident())]
 
     def test_new_slab_owns_its_memory(self):
         # the step advances its mode slab in place: it returns its input,

@@ -913,6 +913,12 @@ class TestCmdSelftest:
         out = capsys.readouterr().out
         assert "PASS thomas-vs-dense-oracle" in out
         assert "FAIL" not in out
+        # the checks CI requires, in its order: a new check lands in both
+        workflow = (Path(__file__).resolve().parents[1] / ".github"
+                    / "workflows" / "tier1.yml").read_text()
+        listed = re.search(r"set -- ((?:.*\\\n)*.*)", workflow).group(1)
+        assert re.findall(r"^PASS (\S+)$", out, re.M) \
+            == listed.replace("\\", " ").split()
 
     def test_corrupted_solver_negative_control(self, capsys):
         assert main(["selftest", "--corrupt-thomas"]) == 1
