@@ -54,9 +54,9 @@ one number per mode, so the two commute: after J steps the mode slab is
 :func:`range_step` is one solve and one add.  The marcher's depth
 factors carry (1 - rho) / rho in their pre-scale, so the solve returns
 y = ((1 - rho) / rho) (I + cx_lhs X)^-1 m, and the step adds it into
-m in place: m + y = D m / rho.  :func:`run_frequency` keeps G, one
-value per mode updated per step, and multiplies the mode slab by it
-only at recorded ranges.
+m in place: m + y = D m / rho.  :func:`march` keeps G, one value per
+mode multiplied by :meth:`Marcher.gain` per step, and multiplies the
+mode slab by it only at recorded ranges.
 
 The surface row of every mode slab is zero: the starter is made so, and
 the identity row of the depth matrix keeps it zero.  So do a sector's
@@ -280,9 +280,10 @@ class Marcher:
         self.eigenvalues = -4.0 * np.sin(np.pi * np.arange(n) / period) ** 2
 
     def gain(self, j: int) -> np.ndarray:
-        """g_j(k) = 2 / (1 + cy_lhs sigma_j lambda_k) - 1 per mode k, the
-        azimuth half-step of step ``j``, with sigma_j at its midpoint
-        range r_j + delta_r / 2; a :class:`DomainError` unless
+        """rho g_j(k) per mode k: the factor of step ``j`` that
+        :func:`range_step` leaves out, with the azimuth half-step
+        g_j(k) = 2 / (1 + cy_lhs sigma_j lambda_k) - 1 and sigma_j at the
+        midpoint range r_j + delta_r / 2; a :class:`DomainError` unless
         0 <= j < n_range."""
         grid = self.grid
         if not 0 <= j < grid.n_range:
@@ -290,8 +291,8 @@ class Marcher:
                               f"[0, {grid.n_range})")
         sigma = azimuth_stencil(self.k0, grid.range_at(j + 0.5),
                                 grid.delta_theta)
-        return 2.0 / (1.0 + self.coeffs.cy_lhs * (sigma * self.eigenvalues)) \
-            - 1.0
+        return self.rho * (2.0 / (1.0 + self.coeffs.cy_lhs
+                                  * (sigma * self.eigenvalues)) - 1.0)
 
     def check_modes(self, m: np.ndarray):
         """A :class:`ShapeError` unless ``m`` has the mode slab's shape,
@@ -384,24 +385,38 @@ def range_step(marcher: Marcher, m: np.ndarray) -> np.ndarray:
     return m
 
 
+def march(marcher: Marcher, u: np.ndarray, stride: int):
+    """Yield ``(j, slab)`` for j = 0, ``stride``, 2 ``stride`` ... <=
+    n_range: the (n_azimuth, n_depth) slab at range index j of the march
+    from ``u``, which is zero on its Dirichlet rows and is the first slab.
+    The march steps in modes (:func:`range_step`), keeps the gain G of
+    the steps taken, and writes each later slab, the mode slab times G
+    transformed back, in the marcher's ``work``: it is valid until the
+    next iteration."""
+    yield 0, u
+    m = marcher.to_modes(u)
+    gain = np.ones(m.shape[1], dtype=np.complex128)
+    for j in range(1, marcher.grid.n_range + 1):
+        m = range_step(marcher, m)
+        gain *= marcher.gain(j - 1)
+        if j % stride == 0:
+            np.multiply(m, gain, out=marcher.work)
+            yield j, marcher.from_modes(marcher.work, marcher.work)
+
+
 def default_output_stride(n_steps: int) -> int:
     """Smallest stride keeping at most MAX_OUTPUT_SAMPLES range samples."""
     return max(1, (n_steps + 1 + MAX_OUTPUT_SAMPLES - 1) // MAX_OUTPUT_SAMPLES)
 
 
 def run_frequency(config, frequency: float, threads: int | None = None) -> FrequencyResult:
-    """March one frequency the grid's ``n_range`` steps from the starter
-    range, on ``threads`` intra-step threads (None:
-    ``config.options.threads``), which ``RunOptions`` checks.
-
-    The march starts from :func:`gaussian_starter`, built in the
-    marcher's ``work`` and zero on the Dirichlet rows, and records its TL
-    as it is; it then marches in modes, keeps the gain G of the steps
-    taken, and transforms the mode slab times G back in ``work`` at each
-    later recorded range.  Deterministic: the TL field is a pure function
-    of the config and the frequency, for every thread count.  A field
-    that is not finite at a recorded range stops the march there with a
-    :class:`StepError` naming that range index.
+    """The TL of each slab that :func:`march` yields for one frequency,
+    from :func:`gaussian_starter` (built in the marcher's ``work``), on
+    ``threads`` intra-step threads (None: ``config.options.threads``),
+    which ``RunOptions`` checks.  Deterministic: the TL field is a pure
+    function of the config and the frequency, for every thread count.  A
+    field that is not finite at a recorded range stops the march there
+    with a :class:`StepError` naming that range index.
     """
     t_begin = time.perf_counter()
     grid, env, source, options = config
@@ -420,9 +435,7 @@ def run_frequency(config, frequency: float, threads: int | None = None) -> Frequ
     ranges = np.empty(1 + grid.n_range // stride, dtype=np.float64)
     tl_field = np.empty(ranges.shape + u.shape, dtype=np.float64)
     clamped = 0
-
-    def record(j: int, u: np.ndarray):
-        nonlocal clamped
+    for j, u in march(marcher, u, stride):
         r = grid.range_at(j)
         _, n_clamped, n_nonfinite = transmission_loss_field(
             u, hankel_factor(k0, r), out=tl_field[j // stride])
@@ -430,16 +443,6 @@ def run_frequency(config, frequency: float, threads: int | None = None) -> Frequ
             raise StepError(j, None, f"{n_nonfinite} non-finite field values")
         ranges[j // stride] = r
         clamped += n_clamped
-
-    record(0, u)
-    m = marcher.to_modes(u)
-    gain = np.ones(m.shape[1], dtype=np.complex128)
-    for j in range(1, grid.n_range + 1):
-        m = range_step(marcher, m)
-        gain *= marcher.rho * marcher.gain(j - 1)
-        if j % stride == 0:
-            np.multiply(m, gain, out=marcher.work)
-            record(j, marcher.from_modes(marcher.work, marcher.work))
 
     return FrequencyResult(
         frequency=frequency,

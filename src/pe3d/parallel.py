@@ -77,8 +77,9 @@ def frequency_farm(config, deliver=None) -> FarmReport:
     and joins the workers still running before it propagates.
 
     Failures never abort the farm; they are reported per frequency, in
-    input order.  A worker process that dies fails the frequencies of its
-    block that had not come back; those that had are kept.
+    input order.  A worker process that cannot start fails its block, and
+    one that dies fails the frequencies of its block that had not come
+    back; those that had are kept.
     """
     frequencies = config.source.frequencies
     workers = config.options.workers
@@ -107,10 +108,18 @@ def frequency_farm(config, deliver=None) -> FarmReport:
         blocks = {}  # receiving end -> (worker, its block of indices)
         try:
             for lo, hi in block_ranges(len(frequencies), workers):
-                reader, writer = context.Pipe(duplex=False)
-                worker = context.Process(target=_farm_block,
-                                         args=(writer.send, config, lo, hi))
-                worker.start()
+                ends = ()
+                try:
+                    ends = reader, writer = context.Pipe(duplex=False)
+                    worker = context.Process(
+                        target=_farm_block, args=(writer.send, config, lo, hi))
+                    worker.start()
+                except OSError as exc:
+                    for end in ends:
+                        end.close()
+                    errors.update(dict.fromkeys(
+                        range(lo, hi), f"cannot start worker process: {exc}"))
+                    continue
                 # the worker holds the only sending end, so its exit is EOF
                 writer.close()
                 blocks[reader] = (worker, range(lo, hi))

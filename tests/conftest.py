@@ -1,7 +1,9 @@
 """Shared builders for grids, environments and configs used across tests."""
 
+import errno
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -16,9 +18,10 @@ from pe3d.environment import (
     Grid3D,
     SoundSpeedProfile,
     SourceSpec,
+    wavenumber,
 )
 from pe3d.errors import InvariantError, ShapeError
-from pe3d.marching import range_step
+from pe3d.marching import StepCoefficients, range_step
 from pe3d.tridiag import Diagonals
 
 
@@ -27,6 +30,22 @@ def no_farm_worker_outlives_its_test():
     """Every farm joins its worker processes before it returns or raises."""
     yield
     assert multiprocessing.active_children() == []
+
+
+def fail_second_fork(monkeypatch):
+    """Make the second farm worker's start fail as a fork does when the
+    system is out of processes; returns the list of processes started."""
+    fork_process = multiprocessing.context.ForkProcess
+    real_start, starts = fork_process.start, []
+
+    def start(process):
+        starts.append(process)
+        if len(starts) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_start(process)
+
+    monkeypatch.setattr(fork_process, "start", start)
+    return starts
 
 
 def make_grid(n_range=10, n_azimuth=8, n_depth=32, delta_r=5.0, delta_z=4.0,
@@ -83,7 +102,52 @@ def whole_step(marcher, m, j):
     bits that ``run_frequency`` records after one step from G = 1.  Like
     ``range_step``, it steps ``m`` itself in place; a caller that compares
     with ``m`` as it was keeps a copy."""
-    return range_step(marcher, m) * (marcher.rho * marcher.gain(j))
+    return range_step(marcher, m) * marcher.gain(j)
+
+
+def dense_step_case(seed):
+    """A 3 x 3 periodic lossless config, a random slab ``u0`` on it from
+    ``seed``, zero on its surface row, and the reference for ``u0`` one
+    50 Hz range step on: the 9 x 9 dense solves of the step's brackets,
+    Y at the step's midpoint range on both sides, with the surface rows
+    held as identity equations and projected out."""
+    rng = np.random.default_rng(seed)
+    grid = make_grid(n_azimuth=3, n_depth=3, delta_r=4.0, delta_z=7.0,
+                     r_start=30.0)
+    env = make_env(grid, attenuation=0.0, start_frac=0.5)
+    config = make_config(grid=grid, env=env, source_depth=7.0)
+    u0 = random_slab_values(rng, grid)
+    k0 = wavenumber(50.0, env.c0)
+    coeffs = StepCoefficients.for_step(k0, grid.delta_r)
+
+    def second_diff(n, periodic):
+        t = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) \
+            + np.diag(np.ones(n - 1), -1)
+        if periodic:
+            t[0, n - 1] += 1.0
+            t[n - 1, 0] += 1.0
+        return t
+
+    s_z = 1.0 / (k0 * grid.delta_z) ** 2
+    x_hat = np.kron(np.eye(3), s_z * second_diff(3, False))
+    r_mid = grid.r_start + 0.5 * grid.delta_r
+    s_y = 1.0 / (k0 * r_mid * grid.delta_theta) ** 2
+    y_hat = np.kron(s_y * second_diff(3, True), np.eye(3))
+    surface = [m * 3 for m in range(3)]
+    z_proj = np.eye(9)
+    for q in surface:
+        z_proj[q, q] = 0.0
+    explicit = (np.eye(9) + coeffs.cx_rhs * x_hat) @ (
+        np.eye(9) + coeffs.cy_rhs * y_hat)
+    rhs = z_proj @ explicit @ (z_proj @ u0.ravel())
+    a_mat = np.eye(9) + coeffs.cx_lhs * x_hat
+    for q in surface:
+        a_mat[q, :] = 0.0
+        a_mat[q, q] = 1.0
+    b_mat = np.eye(9) + coeffs.cy_lhs * y_hat
+    ref = (z_proj @ np.linalg.solve(
+        b_mat, np.linalg.solve(a_mat, rhs))).reshape(3, 3)
+    return config, u0, ref
 
 
 def one_matrix(sub, main, sup):

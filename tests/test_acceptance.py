@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from conftest import (
+    dense_step_case,
     make_config,
     make_env,
     make_grid,
@@ -69,46 +70,12 @@ def test_criterion_01_tridiag_oracle_equivalence():
 
 def test_criterion_02_dense_step_oracle():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(1002)
-    grid = make_grid(n_azimuth=3, n_depth=3, delta_r=4.0, delta_z=7.0,
-                     r_start=30.0)
-    env = make_env(grid, attenuation=0.0, start_frac=0.5)
-    config = make_config(grid=grid, env=env, source_depth=7.0)
+    config, u0, ref = dense_step_case(1002)
+    grid, env, _, _ = config
     k0 = wavenumber(50.0, env.c0)
     coeffs = StepCoefficients.for_step(k0, grid.delta_r)
-    u0 = random_slab_values(rng, grid)
     marcher = Marcher(grid, env, k0, coeffs)
     out = marcher.from_modes(whole_step(marcher, marcher.to_modes(u0), 0))
-
-    def second_diff(n, periodic):
-        t = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) \
-            + np.diag(np.ones(n - 1), -1)
-        if periodic:
-            t[0, n - 1] += 1.0
-            t[n - 1, 0] += 1.0
-        return t
-
-    s_z = 1.0 / (k0 * grid.delta_z) ** 2
-    x_hat = np.kron(np.eye(3), s_z * second_diff(3, False))
-
-    def y_hat(r):
-        s_y = 1.0 / (k0 * r * grid.delta_theta) ** 2
-        return np.kron(s_y * second_diff(3, True), np.eye(3))
-
-    r_mid = grid.r_start + 0.5 * grid.delta_r  # both sides' Y
-    z_proj = np.eye(9)
-    for m in range(3):
-        z_proj[m * 3, m * 3] = 0.0
-    explicit = (np.eye(9) + coeffs.cx_rhs * x_hat) @ (
-        np.eye(9) + coeffs.cy_rhs * y_hat(r_mid))
-    rhs = z_proj @ explicit @ (z_proj @ u0.ravel())
-    a_mat = np.eye(9) + coeffs.cx_lhs * x_hat
-    for m in range(3):
-        a_mat[m * 3, :] = 0.0
-        a_mat[m * 3, m * 3] = 1.0
-    b_mat = np.eye(9) + coeffs.cy_lhs * y_hat(r_mid)
-    ref = (z_proj @ np.linalg.solve(b_mat, np.linalg.solve(a_mat, rhs))
-           ).reshape(3, 3)
     err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
     assert err <= 1e-10
     finish(2, 1.0, t0, f"relative error {err:.2e}")

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import pe3d.marching as marching_module
+import pe3d.selftest as selftest_module
 
 from conftest import (
     apply_X,
@@ -24,7 +25,6 @@ from conftest import (
     make_config,
     make_env,
     make_grid,
-    whole_step,
 )
 from pe3d.config import RunOptions
 from pe3d.environment import (
@@ -103,10 +103,9 @@ def displaced_source_error(offset, r0):
         return np.exp(1j * k * r1) / r1 - np.exp(1j * k * r2) / r2
 
     marcher = Marcher(grid, env, k, StepCoefficients.for_step(k, grid.delta_r))
-    modes = marcher.to_modes(exact(r0) / hankel_factor(k, r0))
-    for j in range(grid.n_range):
-        modes = whole_step(marcher, modes, j)
-    u = marcher.from_modes(modes)
+    # the last slab the run's loop yields, at range index n_range
+    *_, (_, u) = marching_module.march(
+        marcher, exact(r0) / hankel_factor(k, r0), grid.n_range)
     assert math.isclose(grid.range_at(grid.n_range), r_end)
     rows = z < 250.0
     field = u[:, rows] * hankel_factor(k, r_end)
@@ -124,6 +123,24 @@ def test_displaced_point_source(monkeypatch):
                         lambda *args: 0.0)
     control = displaced_source_error(100.0, 1000.0)
     assert control >= 0.3, f"N x 2-D control error {control:.3f}"
+
+
+def test_closed_form_gates_march_the_runs_loop(monkeypatch):
+    # selftest's separable-mode check and the displaced source take their
+    # fields from the loop that run_frequency records, in one march each
+    real_march, strides = marching_module.march, []
+
+    def spy(marcher, u, stride):
+        strides.append(stride)
+        return real_march(marcher, u, stride)
+
+    monkeypatch.setattr(marching_module, "march", spy)
+    monkeypatch.setattr(selftest_module, "march", spy)
+    for topology in (PERIODIC, SECTOR):
+        assert separable_mode_error(topology)[0] <= 1e-12
+    assert strides == [200, 200]
+    assert displaced_source_error(100.0, 1000.0) <= 0.03
+    assert strides == [200, 200, 400]
 
 
 # The grids of the benchmark's workloads (``bench/workloads.py``), each at

@@ -11,6 +11,7 @@ import pe3d.tridiag as tridiag_module
 
 from conftest import (
     apply_Y,
+    dense_step_case,
     make_config,
     make_env,
     make_grid,
@@ -24,6 +25,7 @@ from pe3d.environment import (
     SECTOR,
     SoundSpeedProfile,
     gaussian_starter,
+    hankel_factor,
     refraction_index_grid,
     transmission_loss_field,
     wavenumber,
@@ -38,6 +40,7 @@ from pe3d.marching import (
     azimuth_stencil,
     compute_rhs,
     default_output_stride,
+    march,
     range_step,
     run_frequency,
 )
@@ -164,7 +167,7 @@ class TestModes:
         for j in range(3):
             assert np.all(m[:, [0, -1]] == 0.0), j
             m = range_step(marcher, m)
-            gain *= marcher.rho * marcher.gain(j)
+            gain *= marcher.gain(j)
         assert np.all(np.isfinite(gain))
         assert np.all((m * gain)[:, [0, -1]] == 0.0)
 
@@ -215,20 +218,22 @@ class TestModes:
                 assert np.all(marcher.from_modes(modes)[[0, -1]] == 0.0)
 
     def test_gain_at_midpoint_range(self):
-        # g_j takes sigma at r_j + delta_r / 2 for every step of a long
-        # march
+        # the gain of step j is rho g_j, with g_j taking sigma at
+        # r_j + delta_r / 2, for every step of a long march
         grid = make_grid(n_range=200, n_azimuth=12, n_depth=8,
                          topology=SECTOR)
         marcher = make_marcher(make_config(grid=grid))[0]
-        cy_lhs = marcher.coeffs.cy_lhs
+        coeffs = marcher.coeffs
         for j in (0, 63, 64, 65, 130, 199):
             sigma = azimuth_stencil(marcher.k0, grid.r_start
                                     + (j + 0.5) * grid.delta_r,
                                     grid.delta_theta)
-            want = 2.0 / (1.0 + cy_lhs * (sigma * marcher.eigenvalues)) - 1.0
+            g = 2.0 / (1.0 + coeffs.cy_lhs * (sigma * marcher.eigenvalues)) \
+                - 1.0
+            want = (coeffs.cx_rhs / coeffs.cx_lhs) * g
             assert marcher.gain(j).tobytes() == want.tobytes(), j
             # lossless: the azimuth half-step is unitary per mode
-            assert np.max(np.abs(np.abs(want) - 1.0)) <= 1e-15
+            assert np.max(np.abs(np.abs(g) - 1.0)) <= 1e-15
 
 
 class TestRangeStep:
@@ -297,48 +302,9 @@ class TestRangeStep:
 
     def test_dense_step_oracle_three_by_three(self):
         # full step on a 3x3 slab vs the dense 9x9 factorization
-        rng = np.random.default_rng(6)
-        grid = make_grid(n_azimuth=3, n_depth=3, delta_r=4.0, delta_z=7.0,
-                         r_start=30.0)
-        env = make_env(grid, attenuation=0.0, start_frac=0.5)
-        config = make_config(grid=grid, env=env, source_depth=7.0)
-        u0 = random_slab_values(rng, grid)
+        config, u0, ref = dense_step_case(6)
         marcher, u = make_marcher(config, slab_values=u0.copy())
         out = physical_step(marcher, u, 0)
-
-        k0 = marcher.k0
-        coeffs = marcher.coeffs
-
-        def second_diff(n, periodic):
-            t = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) \
-                + np.diag(np.ones(n - 1), -1)
-            if periodic:
-                t[0, n - 1] += 1.0
-                t[n - 1, 0] += 1.0
-            return t
-
-        s_z = 1.0 / (k0 * grid.delta_z) ** 2
-        x_hat = np.kron(np.eye(3), s_z * second_diff(3, False))
-        r_mid = grid.r_start + 0.5 * grid.delta_r  # both sides' Y
-
-        def y_hat(r):
-            s_y = 1.0 / (k0 * r * grid.delta_theta) ** 2
-            return np.kron(s_y * second_diff(3, True), np.eye(3))
-
-        surface = [m * 3 for m in range(3)]
-        z_proj = np.eye(9)
-        for q in surface:
-            z_proj[q, q] = 0.0
-        explicit = (np.eye(9) + coeffs.cx_rhs * x_hat) @ (
-            np.eye(9) + coeffs.cy_rhs * y_hat(r_mid))
-        rhs = z_proj @ explicit @ (z_proj @ u0.ravel())
-        a_mat = np.eye(9) + coeffs.cx_lhs * x_hat
-        for q in surface:
-            a_mat[q, :] = 0.0
-            a_mat[q, q] = 1.0
-        b_mat = np.eye(9) + coeffs.cy_lhs * y_hat(r_mid)
-        ref = (z_proj @ np.linalg.solve(
-            b_mat, np.linalg.solve(a_mat, rhs))).reshape(3, 3)
         assert np.max(np.abs(out - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
@@ -790,6 +756,35 @@ class TestNormInvariants:
         for field in self.FIELDS:
             norms, _ = self.norms(0.01, *field)
             assert np.all(np.diff(norms) < 0.0), field
+
+
+class TestMarch:
+    """The one loop that steps in modes, keeps the gain G and transforms
+    back at recorded ranges, for the run and for the closed-form gates."""
+
+    @pytest.mark.parametrize("stride", [1, 3, 4, 10])
+    def test_yields_every_stride_steps(self, stride):
+        # the first slab is the start itself; every later one is the
+        # marcher's work array, transformed back in place
+        marcher, u = make_marcher(make_config(n_range=10, n_azimuth=6,
+                                              n_depth=24))
+        yielded = list(march(marcher, u, stride))
+        assert [j for j, _ in yielded] == list(range(0, 11, stride))
+        assert len(yielded) == 10 // stride + 1
+        assert yielded[0][1] is u
+        for _, slab in yielded[1:]:
+            assert np.shares_memory(slab, marcher.work)
+
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    def test_consumed_by_hand_gives_the_run(self, topology):
+        config = make_config(grid=make_grid(n_range=7, topology=topology),
+                             options=RunOptions(output_stride=2))
+        marcher, u = make_marcher(config)
+        tl = [transmission_loss_field(slab, hankel_factor(
+                  marcher.k0, config.grid.range_at(j)))[0]
+              for j, slab in march(marcher, u, 2)]
+        run = run_frequency(config, 50.0)
+        assert np.array(tl).tobytes() == run.tl_field.tobytes()
 
 
 class TestRunFrequency:

@@ -21,7 +21,7 @@ import pe3d
 import pe3d.cli as cli
 import pe3d.marching as marching
 import pe3d.parallel as parallel
-from conftest import make_config, make_grid
+from conftest import fail_second_fork, make_config, make_grid
 from pe3d.cli import main
 from pe3d.config import RunOptions, load_config
 from pe3d.environment import PERIODIC, SECTOR, Grid3D, wavenumber
@@ -456,6 +456,25 @@ class TestCmdRun:
         assert "worker process died" in dead["message"]
         for entry in entries[:2]:
             assert entry["status"] == "ok"
+            assert file_sha256(outdir / entry["file"]) == entry["sha256"]
+
+    def test_worker_that_cannot_start_is_reported_in_manifest(
+            self, tmp_path, monkeypatch, capsys):
+        # blocks (40, 50) and (60): the second worker cannot be forked;
+        # 60 Hz fails by name, and the first block and the manifest are
+        # written
+        cfg = write_cfg(tmp_path, frequencies="40.0, 50.0, 60.0")
+        outdir = tmp_path / "unforked"
+        fail_second_fork(monkeypatch)
+        assert main(["run", "--config", str(cfg), "--output", str(outdir),
+                     "--workers", "2"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        entries = load_manifest(outdir)["frequencies"]
+        assert [e["frequency_hz"] for e in entries] == [40.0, 50.0, 60.0]
+        assert [e["status"] for e in entries] == ["ok", "ok", "error"]
+        assert entries[2]["message"].startswith(
+            "cannot start worker process: [Errno 11] ")
+        for entry in entries[:2]:
             assert file_sha256(outdir / entry["file"]) == entry["sha256"]
 
     def test_diverging_field_fails_its_frequency(self, tmp_path, monkeypatch):

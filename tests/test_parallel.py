@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import math
 import os
 import struct
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pe3d
-from conftest import make_config
+from conftest import fail_second_fork, make_config
 from pe3d.errors import DomainError
 from pe3d.marching import run_frequency
 from pe3d.parallel import frequency_farm
@@ -197,6 +198,24 @@ class TestFrequencyFarm:
             assert result.frequency == freqs[index]
             assert result.tl_field.tobytes() == direct.tl_field.tobytes()
             assert np.array_equal(result.ranges, direct.ranges)
+
+    def test_worker_that_cannot_start_fails_its_block(self, monkeypatch):
+        # blocks (30, 50) and (70): the second worker's start fails as a
+        # fork does when the system is out of processes; its frequency
+        # fails by name and the first block's results are kept
+        freqs = (30.0, 50.0, 70.0)
+        config = tiny_config(frequencies=freqs)
+        starts = fail_second_fork(monkeypatch)
+        report = frequency_farm(with_workers(config, 2))
+        assert len(starts) == 2
+        assert [(f.index, f.message) for f in report.failures] == [
+            (2, "cannot start worker process: [Errno 11] "
+                f"{os.strerror(errno.EAGAIN)}")]
+        assert report.results[2] is None
+        for index in (0, 1):
+            direct = run_frequency(config, freqs[index])
+            assert report.results[index].tl_field.tobytes() \
+                == direct.tl_field.tobytes()
 
     def test_worker_dead_partway_through_a_send_fails_its_block(
             self, monkeypatch):
