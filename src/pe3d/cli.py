@@ -88,47 +88,33 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return 2
 
-    delivered = {}  # input index -> manifest entry, written or failed
+    entries = {}  # input index -> manifest entry, written or failed
 
-    def deliver(index, result):
-        frequency = result.frequency
-        name = tl_filename(frequency, options.tl_format)
-        try:
-            path = write_tl_grid(outdir / name, result, config.grid,
-                                 options.tl_format)
-            digest = file_sha256(path)
-        except OSError as exc:
-            message = f"cannot write {name}: {exc.strerror or exc}"
-            delivered[index] = {"frequency_hz": frequency, "status": "error",
-                                "file": name, "message": message}
-            print(f"frequency {frequency:g} Hz FAILED: {message}",
+    def deliver(index, status, payload):
+        frequency = config.source.frequencies[index]
+        entry = entries[index] = {"frequency_hz": frequency, "status": status}
+        if status == "ok":
+            name = entry["file"] = tl_filename(frequency, options.tl_format)
+            try:
+                path = write_tl_grid(outdir / name, payload, config.grid,
+                                     options.tl_format)
+                entry["sha256"] = file_sha256(path)
+            except OSError as exc:
+                status = entry["status"] = "error"
+                payload = f"cannot write {name}: {exc.strerror or exc}"
+        if status != "ok":
+            entry["message"] = payload
+            print(f"frequency {frequency:g} Hz FAILED: {payload}",
                   file=sys.stderr)
             return
-        delivered[index] = {
-            "frequency_hz": frequency,
-            "status": "ok",
-            "file": name,
-            "sha256": digest,
-            "wall_seconds": result.wall_seconds,
-            "clamped_samples": result.clamped_samples,
-            "output_stride": result.output_stride,
-        }
+        entry.update(wall_seconds=payload.wall_seconds,
+                     clamped_samples=payload.clamped_samples,
+                     output_stride=payload.output_stride)
         print(f"frequency {frequency:g} Hz -> {name} "
-              f"({result.wall_seconds:.2f} s, {result.clamped_samples} clamped)",
+              f"({payload.wall_seconds:.2f} s, {payload.clamped_samples} clamped)",
               flush=True)
 
-    report = frequency_farm(config, deliver=deliver)
-
-    ok = report.ok and all(e["status"] == "ok" for e in delivered.values())
-    entries = [delivered[index] for index in sorted(delivered)]
-    for failure in report.failures:
-        entries.append({
-            "frequency_hz": failure.frequency,
-            "status": "error",
-            "message": failure.message,
-        })
-        print(f"frequency {failure.frequency:g} Hz FAILED: {failure.message}",
-              file=sys.stderr)
+    frequency_farm(config, deliver=deliver)
 
     manifest = {
         "command": "run",
@@ -150,7 +136,7 @@ def cmd_run(args) -> int:
             "physical_cores": physical_core_count(),
         },
         "tl_format": options.tl_format,
-        "frequencies": entries,
+        "frequencies": [entries[index] for index in sorted(entries)],
     }
     try:
         write_manifest(outdir, manifest)
@@ -158,7 +144,7 @@ def cmd_run(args) -> int:
         print(f"error: cannot write the run manifest in {outdir}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return 1
-    return 0 if ok else 1
+    return 0 if all(e["status"] == "ok" for e in entries.values()) else 1
 
 
 def cmd_selftest(args) -> int:

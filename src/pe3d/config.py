@@ -27,7 +27,8 @@ angles are written in degrees and converted to radians internally.
 
 Unknown keys are ignored, but ``[run] max_range`` is an error: a run
 marches ``[grid] n_range`` steps.  Each value is checked by the type that
-holds it, and the absorber and source depths by :class:`Config`.
+holds it, and the absorber and source depths and the numbers the step
+forms from the config by :class:`Config`.
 
 Example::
 
@@ -64,8 +65,10 @@ from .environment import (
     Grid3D,
     SoundSpeedProfile,
     SourceSpec,
+    wavenumber,
 )
 from .errors import ConfigError, InvariantError
+from .marching import azimuth_stencil
 from .output import TL_FORMATS
 
 
@@ -106,8 +109,9 @@ class Config:
     """A model and its run options, which unpacks as ``grid, environment,
     source, options``, and compares and hashes by value.  Each part checks
     its own fields; a Config checks the absorber and source depths against
-    the grid bottom, however it is built (:func:`load_config`, by hand or
-    ``dataclasses.replace``)."""
+    the grid bottom, and the numbers the step forms (k0 and the scales of
+    its operators) for every frequency, however it is built
+    (:func:`load_config`, by hand or ``dataclasses.replace``)."""
 
     grid: Grid3D
     environment: Environment
@@ -124,6 +128,45 @@ class Config:
             raise InvariantError("0 < source depth < grid depth extent",
                                  f"got depth {self.source.depth} vs grid "
                                  f"depth extent {bottom}")
+        self._check_step_values()
+
+    def _check_step_values(self):
+        """For every frequency, the numbers the scheme forms from this
+        config are finite and nonzero: k0 = 2 pi f / c0, k0 * delta_r, the
+        depth scale 1 / (k0 * delta_z)^2 and the azimuth scale sigma =
+        1 / (k0 r delta_theta)^2 at the first and last midpoint ranges r,
+        which bound it.  The message names the keys each one is formed
+        from."""
+        grid, c0 = self.grid, self.environment.c0
+        keys = {"c0": c0, "delta_r": grid.delta_r, "delta_z": grid.delta_z,
+                "r_start": grid.r_start, "n_range": grid.n_range,
+                "delta_theta": math.degrees(grid.delta_theta)}
+        first, last = grid.range_at(0.5), grid.range_at(grid.n_range - 0.5)
+        for frequency in self.source.frequencies:
+            k0 = wavenumber(frequency, c0)
+            for name, involved, form in (
+                    ("k0 = 2 pi f / c0", (), lambda: k0),
+                    ("k0 * delta_r", ("delta_r",), lambda: k0 * grid.delta_r),
+                    ("1 / (k0 * delta_z)^2", ("delta_z",),
+                     lambda: 1.0 / (k0 * grid.delta_z) ** 2),
+                    ("sigma = 1 / (k0 r delta_theta)^2 at the first midpoint "
+                     "range", ("r_start", "delta_r", "delta_theta"),
+                     lambda: azimuth_stencil(k0, first, grid.delta_theta)),
+                    ("sigma = 1 / (k0 r delta_theta)^2 at the last midpoint "
+                     "range", ("r_start", "delta_r", "n_range", "delta_theta"),
+                     lambda: azimuth_stencil(k0, last, grid.delta_theta))):
+                try:
+                    value = form()
+                except OverflowError:  # the square overflows: 1 / it is 0
+                    value = 0.0
+                except ZeroDivisionError:  # the square rounds to 0
+                    value = math.inf
+                if not 0 < abs(value) < math.inf:
+                    given = ", ".join(f"{key} = {keys[key]:g}"
+                                      for key in ("c0", *involved))
+                    raise InvariantError(
+                        f"{name} finite and nonzero",
+                        f"frequency {frequency:g} Hz, {given} give {value:g}")
 
     def __iter__(self):
         return iter((self.grid, self.environment, self.source, self.options))

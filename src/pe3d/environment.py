@@ -66,6 +66,12 @@ class Grid3D:
             value = getattr(self, name)
             if not (_real(value) and 0 < value < math.inf):
                 raise InvariantError(f"{name} > 0 and finite", f"got {value!r}")
+        for rule, value in (
+                ("(n_depth - 1) * delta_z finite", self.depth_extent),
+                ("r_start + n_range * delta_r finite",
+                 self.range_at(self.n_range))):
+            if not value < math.inf:
+                raise InvariantError(rule, f"got {value!r}")
         if self.azimuth_topology not in TOPOLOGIES:
             raise InvariantError(
                 f"azimuth_topology in {TOPOLOGIES}",

@@ -5,7 +5,7 @@ contiguous depth-row blocks on the shared thread pool; its substitution
 runs whole.  Coarse grain: :func:`frequency_farm` splits the frequencies
 into contiguous blocks, one per worker, and every block runs the same
 loop, :func:`_farm_block`: in this process for one worker, in a forked
-process that sends each result down its own pipe for several.  Both
+process that sends each outcome down its own pipe for several.  Both
 levels keep the bits of the serial path.
 """
 
@@ -44,7 +44,8 @@ class FarmReport:
 def _farm_block(send, config, lo, hi):
     """The farm's one frequency loop: march frequencies ``lo:hi`` in order,
     pass each outcome, ``(index, "ok", FrequencyResult)`` or ``(index,
-    "error", message)``, to ``send`` and drop it, holding one grid at most."""
+    "error", message)``, to ``send`` as soon as it is known, and drop it,
+    holding one grid at most."""
     for index, frequency in enumerate(config.source.frequencies[lo:hi], lo):
         try:
             outcome = index, "ok", run_frequency(config, frequency)
@@ -64,22 +65,23 @@ def frequency_farm(config, deliver=None) -> FarmReport:
     load.  Every block runs :func:`_farm_block`.  One worker runs it in
     this process.  Several fork one process each (``FARM_START_METHOD``)
     that sends each outcome down its own one-way pipe as soon as it is
-    done; this process reads the pipes on its calling thread, one result
+    done; this process reads the pipes on its calling thread, one outcome
     at a time, and starts no thread of its own.
 
-    ``deliver(index, result)``, when given, is called in this process for
-    each frequency that marched, as soon as its result is here: right
-    after the frequency on one worker, in arrival order on several.
-    Once it returns, the result's TL grid is dropped (``tl_field`` set to
-    None), so the farm holds at most the grid being delivered while the
-    other workers wait to send theirs; the rest of the result stays in
-    ``results``.  An exception from ``deliver``, or any other, terminates
-    and joins the workers still running before it propagates.
+    Failures never abort the farm.  A frequency fails when its march
+    raises, when its worker process cannot start (its whole block fails)
+    or when its worker dies before the frequency came back.
 
-    Failures never abort the farm; they are reported per frequency, in
-    input order.  A worker process that cannot start fails its block, and
-    one that dies fails the frequencies of its block that had not come
-    back; those that had are kept.
+    ``deliver(index, status, payload)``, when given, receives every
+    outcome in this process, once per frequency, as soon as it is known:
+    ``(index, "ok", FrequencyResult)`` or ``(index, "error", message)``.
+    On one worker that is right after the frequency; on several, in
+    arrival order.  Once ``deliver`` returns an ``ok`` outcome, the
+    result's TL grid is dropped (``tl_field`` set to None), so the farm
+    holds at most the grid being delivered while the other workers wait
+    to send theirs; the rest of the result stays in ``results``.  An
+    exception from ``deliver``, or any other, terminates and joins the
+    workers still running before it propagates.
     """
     frequencies = config.source.frequencies
     workers = config.options.workers
@@ -87,13 +89,14 @@ def frequency_farm(config, deliver=None) -> FarmReport:
     errors = {}
 
     def settle(index, status, payload):
-        if status != "ok":
+        if status == "ok":
+            results[index] = payload
+        else:
             errors[index] = payload
-            return
-        results[index] = payload
         if deliver is not None:
-            deliver(index, payload)
-            payload.tl_field = None
+            deliver(index, status, payload)
+            if status == "ok":
+                payload.tl_field = None
 
     if workers == 1:
         _farm_block(lambda outcome: settle(*outcome), config, 0,
@@ -117,8 +120,9 @@ def frequency_farm(config, deliver=None) -> FarmReport:
                 except OSError as exc:
                     for end in ends:
                         end.close()
-                    errors.update(dict.fromkeys(
-                        range(lo, hi), f"cannot start worker process: {exc}"))
+                    for index in range(lo, hi):
+                        settle(index, "error",
+                               f"cannot start worker process: {exc}")
                     continue
                 # the worker holds the only sending end, so its exit is EOF
                 writer.close()
@@ -133,10 +137,9 @@ def frequency_farm(config, deliver=None) -> FarmReport:
                         worker.join()
                         reader.close()
                         for index in block:
-                            if results[index] is None:
-                                errors.setdefault(
-                                    index, "worker process died: "
-                                    f"exit code {worker.exitcode}")
+                            if results[index] is None and index not in errors:
+                                settle(index, "error", "worker process died: "
+                                       f"exit code {worker.exitcode}")
                         continue
                     settle(*outcome)
         finally:

@@ -450,11 +450,11 @@ class TestCmdRun:
                      "--workers", "2"]) == 1
         assert note.read_text() == "True"
         entries = load_manifest(outdir)["frequencies"]
-        assert [e["frequency_hz"] for e in entries] == [40.0, 60.0, 50.0]
-        dead = entries[2]
+        assert [e["frequency_hz"] for e in entries] == [40.0, 50.0, 60.0]
+        dead = entries[1]
         assert dead["status"] == "error"
         assert "worker process died" in dead["message"]
-        for entry in entries[:2]:
+        for entry in entries[::2]:
             assert entry["status"] == "ok"
             assert file_sha256(outdir / entry["file"]) == entry["sha256"]
 
@@ -727,8 +727,8 @@ class TestStreamedOutput:
     def test_manifest_order_with_failing_middle_frequency(self, tmp_path,
                                                           monkeypatch):
         # blocks (30, 40, 50) and (60, 70): 30 Hz is slowed, so 60 and
-        # 70 Hz finish first; 50 Hz fails.  The manifest lists the marched
-        # frequencies in input order, then the failure.
+        # 70 Hz finish first; 50 Hz fails.  The manifest lists every
+        # frequency in input order, the failure in its place.
         cfg = write_cfg(tmp_path, frequencies="30.0, 40.0, 50.0, 60.0, 70.0")
         outdir = tmp_path / "order"
         real_run = parallel.run_frequency
@@ -745,9 +745,62 @@ class TestStreamedOutput:
                      "--workers", "2"]) == 1
         entries = load_manifest(outdir)["frequencies"]
         assert [e["frequency_hz"] for e in entries] \
-            == [30.0, 40.0, 60.0, 70.0, 50.0]
-        assert [e["status"] for e in entries] == ["ok"] * 4 + ["error"]
-        assert entries[4]["message"] == "ValueError: no 50 Hz"
+            == [30.0, 40.0, 50.0, 60.0, 70.0]
+        assert [e["status"] for e in entries] == ["ok"] * 2 + ["error"] \
+            + ["ok"] * 2
+        assert entries[2]["message"] == "ValueError: no 50 Hz"
+
+    @pytest.mark.parametrize("kind,workers", [
+        ("march-error", 1), ("march-error", 2), ("unwritable", 1),
+        ("unwritable", 2), ("dead-worker", 2), ("unstartable", 2)])
+    def test_manifest_lists_every_frequency_in_input_order(
+            self, tmp_path, monkeypatch, kind, workers):
+        # blocks (30, 40) and (50, 60) on two workers; 30 Hz fails, and
+        # its worker's death fails 40 Hz too, or the second block cannot
+        # start.  Every entry stands in its input place.
+        cfg = write_cfg(tmp_path, frequencies="30.0, 40.0, 50.0, 60.0",
+                        fmt="binary-grid")
+        outdir = tmp_path / "order"
+        real_run = parallel.run_frequency
+
+        def run(config, frequency, threads=None):
+            if frequency == 30.0 and kind == "dead-worker":
+                os._exit(3)
+            if frequency == 30.0 and kind in ("march-error", "unstartable"):
+                raise ValueError("no 30 Hz")
+            return real_run(config, frequency, threads)
+
+        monkeypatch.setattr(parallel, "run_frequency", run)
+        if kind == "unwritable":
+            (outdir / tl_filename(30.0, "binary-grid")).mkdir(parents=True)
+        if kind == "unstartable":
+            fail_second_fork(monkeypatch)
+        assert main(["run", "--config", str(cfg), "--output", str(outdir),
+                     "--workers", str(workers)]) == 1
+        failed = {"dead-worker": {30.0, 40.0},
+                  "unstartable": {30.0, 50.0, 60.0}}.get(kind, {30.0})
+        entries = load_manifest(outdir)["frequencies"]
+        assert [e["frequency_hz"] for e in entries] == [30.0, 40.0, 50.0, 60.0]
+        assert [e["status"] for e in entries] == [
+            "error" if e["frequency_hz"] in failed else "ok" for e in entries]
+
+    def test_failure_printed_before_next_frequency_marches(
+            self, tmp_path, monkeypatch, capsys):
+        cfg = write_cfg(tmp_path, frequencies="30.0, 40.0")
+        real_run = parallel.run_frequency
+        printed = {}
+
+        def run(config, frequency, threads=None):
+            if frequency == 30.0:
+                raise ValueError("no 30 Hz")
+            printed[frequency] = capsys.readouterr().err
+            return real_run(config, frequency, threads)
+
+        monkeypatch.setattr(parallel, "run_frequency", run)
+        assert main(["run", "--config", str(cfg), "--output",
+                     str(tmp_path / "out"), "--workers", "1"]) == 1
+        assert printed == {
+            40.0: "frequency 30 Hz FAILED: ValueError: no 30 Hz\n"}
 
     def test_earlier_manifest_removed_before_first_tl_file(self, tmp_path,
                                                            monkeypatch):
@@ -924,6 +977,53 @@ class TestConfigErrorsBeforeCompute:
         cfg = write_cfg(tmp_path, frequencies=frequencies)
         assert_config_error(tmp_path, capsys, cfg,
                             "would both write tl_0000050.0000Hz.csv")
+
+    SIGMA_FIRST = ("sigma = 1 / (k0 r delta_theta)^2 at the first midpoint "
+                   "range finite and nonzero: frequency 50 Hz, c0 = 1500, ")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("changes,expected", [
+        ({"delta_r = 5.0": "delta_r = 1e308"},
+         "r_start + n_range * delta_r finite: got inf"),
+        ({"delta_theta = 2.0": "delta_theta = 1e308"}, SIGMA_FIRST
+         + "r_start = 5, delta_r = 5, delta_theta = 1e+308 give 0"),
+        ({"delta_r = 5.0": "delta_r = 5.0\nr_start = 1e308"}, SIGMA_FIRST
+         + "r_start = 1e+308, delta_r = 5, delta_theta = 2 give 0"),
+        ({"delta_r = 5.0": "delta_r = 1e-308"}, SIGMA_FIRST
+         + "r_start = 1e-308, delta_r = 1e-308, delta_theta = 2 give inf"),
+        ({"delta_theta = 2.0": "delta_theta = 1e-308"}, SIGMA_FIRST
+         + "r_start = 5, delta_r = 5, delta_theta = 1e-308 give inf"),
+        ({"c0 = 1500.0": "c0 = 1e308"},
+         "1 / (k0 * delta_z)^2 finite and nonzero: frequency 50 Hz, "
+         "c0 = 1e+308, delta_z = 6 give inf"),
+        ({"frequencies = 50.0": "frequencies = 1e-308"},
+         "1 / (k0 * delta_z)^2 finite and nonzero: frequency 1e-308 Hz, "
+         "c0 = 1500, delta_z = 6 give inf"),
+        ({"c0 = 1500.0": "c0 = 1e-308"},
+         "k0 = 2 pi f / c0 finite and nonzero: frequency 50 Hz, "
+         "c0 = 1e-308 give inf"),
+        ({"frequencies = 50.0": "frequencies = 1e308"},
+         "k0 = 2 pi f / c0 finite and nonzero: frequency 1e+308 Hz, "
+         "c0 = 1500 give inf"),
+        ({"delta_z = 6.0": "delta_z = 1e308",
+          "c0 = 1500.0": "c0 = 1500.0\nabsorber_start_depth = 100.0"},
+         "(n_depth - 1) * delta_z finite: got inf"),
+    ], ids=["delta_r-1e308", "delta_theta-1e308", "r_start-1e308",
+            "delta_r-1e-308", "delta_theta-1e-308", "c0-1e308",
+            "frequency-1e-308", "c0-1e-308", "frequency-1e308",
+            "delta_z-1e308"])
+    def test_step_the_scheme_cannot_form(self, tmp_path, capsys, changes,
+                                         expected):
+        # each value passes its own key's check on a small sector config,
+        # but the scheme cannot form a number of its step from it
+        cfg = write_cfg(tmp_path)
+        text = cfg.read_text().replace(
+            "delta_theta = 45.0", "delta_theta = 2.0\nazimuth_topology = sector")
+        for old, new in changes.items():
+            assert old in text
+            text = text.replace(old, new)
+        cfg.write_text(text)
+        assert_config_error(tmp_path, capsys, cfg, expected)
 
 
 class TestCmdSelftest:

@@ -280,8 +280,8 @@ class TestFrequencyFarm:
         kept = frequency_farm(config)
         delivered = {}
 
-        def deliver(index, result):
-            assert index not in delivered
+        def deliver(index, status, result):
+            assert index not in delivered and status == "ok"
             delivered[index] = result.tl_field.copy()
 
         report = frequency_farm(with_workers(config, workers), deliver=deliver)
@@ -299,7 +299,7 @@ class TestFrequencyFarm:
         config = tiny_config(frequencies=(30.0, 40.0, 50.0))
         seen = []
 
-        def deliver(index, result):
+        def deliver(index, status, result):
             seen.append((threading.current_thread().name,
                          sorted(t.name for t in threading.enumerate())))
 
@@ -324,7 +324,7 @@ class TestFrequencyFarm:
                 time.sleep(60.0)
             return real_run(cfg, frequency, threads)
 
-        def deliver(index, result):
+        def deliver(index, status, result):
             calls.append(index)
             raise OSError("disk full")
 
@@ -334,6 +334,48 @@ class TestFrequencyFarm:
             frequency_farm(with_workers(config, 2), deliver=deliver)
         assert time.monotonic() - begin < 30.0
         assert calls == [0]
+
+    @pytest.mark.parametrize("raises_at,dies_at,workers,start_fails", [
+        (50.0, None, 1, False), (50.0, None, 2, False),
+        (None, 50.0, 2, False), (None, 30.0, 2, False),
+        (30.0, 50.0, 2, False), (None, None, 2, True),
+    ], ids=["march-error-1", "march-error-2", "dies-after-a-result",
+            "dies-before-any-result", "dies-after-an-error", "cannot-start"])
+    def test_every_outcome_reaches_deliver_once(self, monkeypatch, raises_at,
+                                                dies_at, workers, start_fails):
+        # blocks (30, 50) and (70) on two workers: each frequency reaches
+        # deliver once, as the result or the message that the report holds
+        freqs = (30.0, 50.0, 70.0)
+        config = tiny_config(frequencies=freqs)
+        real_run = parallel_module.run_frequency
+
+        def failing_run(cfg, frequency, threads=None):
+            if frequency == raises_at:
+                raise DomainError(f"no field at {frequency:g} Hz")
+            if frequency == dies_at:
+                os._exit(3)
+            return real_run(cfg, frequency, threads)
+
+        # farm workers fork after the patch, so they inherit it
+        monkeypatch.setattr(parallel_module, "run_frequency", failing_run)
+        if start_fails:
+            fail_second_fork(monkeypatch)
+        delivered = []
+        report = frequency_farm(
+            with_workers(config, workers),
+            deliver=lambda *outcome: delivered.append(outcome))
+        assert sorted(index for index, _, _ in delivered) == [0, 1, 2]
+        if workers == 1:
+            assert [index for index, _, _ in delivered] == [0, 1, 2]
+        failed = {f.index: f.message for f in report.failures}
+        assert failed
+        for index, status, payload in delivered:
+            if status == "ok":
+                assert index not in failed
+                assert payload is report.results[index]
+            else:
+                assert status == "error" and payload == failed[index]
+                assert report.results[index] is None
 
 
 def test_cli_loads_no_process_machinery():
