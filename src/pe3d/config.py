@@ -52,6 +52,7 @@ Example::
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import math
 from dataclasses import dataclass
@@ -135,9 +136,11 @@ class Config:
         config are finite and nonzero: k0 = 2 pi f / c0, k0 * delta_r, the
         depth scale 1 / (k0 * delta_z)^2 and the azimuth scale sigma =
         1 / (k0 r delta_theta)^2 at the first and last midpoint ranges r,
-        which bound it.  The message names the keys each one is formed
-        from."""
-        grid, c0 = self.grid, self.environment.c0
+        which bound it.  And n^2 of the depth profile is finite, checked
+        at n = c0 / (lowest sound speed) + i absorber_max_attenuation, the
+        largest |n^2| it can take.  The message names the keys each one is
+        formed from."""
+        grid, env, c0 = self.grid, self.environment, self.environment.c0
         keys = {"c0": c0, "delta_r": grid.delta_r, "delta_z": grid.delta_z,
                 "r_start": grid.r_start, "n_range": grid.n_range,
                 "delta_theta": math.degrees(grid.delta_theta)}
@@ -167,6 +170,14 @@ class Config:
                     raise InvariantError(
                         f"{name} finite and nonzero",
                         f"frequency {frequency:g} Hz, {given} give {value:g}")
+        speed = min(env.profile.speeds)
+        attenuation = env.absorber.max_attenuation
+        n = complex(c0 / speed, attenuation)
+        if not cmath.isfinite(n * n):
+            raise InvariantError(
+                "n^2 of the depth profile finite",
+                f"c0 = {c0:g}, lowest sound speed = {speed:g}, "
+                f"absorber_max_attenuation = {attenuation:g} give {n * n}")
 
     def __iter__(self):
         return iter((self.grid, self.environment, self.source, self.options))

@@ -62,6 +62,12 @@ class Grid3D:
                 raise InvariantError(f"{name} is an integer", f"got {value!r}")
             if value < 3:
                 raise InvariantError(f"{name} >= 3", f"got {value}")
+            try:  # the extents and the closure take the counts as floats
+                float(value)
+            except OverflowError:
+                raise InvariantError(f"{name} within the float range",
+                                     f"got an integer of {value.bit_length()}"
+                                     " bits") from None
         for name in ("delta_r", "delta_theta", "delta_z", "r_start"):
             value = getattr(self, name)
             if not (_real(value) and 0 < value < math.inf):

@@ -21,7 +21,7 @@ from pe3d.environment import (
     wavenumber,
 )
 from pe3d.errors import InvariantError, ShapeError
-from pe3d.marching import StepCoefficients, range_step
+from pe3d.marching import StepCoefficients, march
 from pe3d.tridiag import Diagonals
 
 
@@ -97,12 +97,13 @@ def zero_dirichlet_rows(values, grid):
     return values
 
 
-def whole_step(marcher, m, j):
-    """Step ``j`` of the mode slab ``m`` with its gain, a new array: the
-    bits that ``run_frequency`` records after one step from G = 1.  Like
-    ``range_step``, it steps ``m`` itself in place; a caller that compares
-    with ``m`` as it was keeps a copy."""
-    return range_step(marcher, m) * marcher.gain(j)
+def first_step(marcher, u):
+    """The slab one range step on from the slab ``u``: the first slab
+    after ``u`` that ``march``, the loop ``run_frequency`` records,
+    yields at stride 1 (a view of the marcher's work array)."""
+    slabs = march(marcher, u, 1)
+    next(slabs)  # u itself
+    return next(slabs)[1]
 
 
 def dense_step_case(seed):

@@ -12,11 +12,11 @@ import numpy as np
 
 from conftest import (
     dense_step_case,
+    first_step,
     make_config,
     make_env,
     make_grid,
     random_slab_values,
-    whole_step,
     zero_dirichlet_rows,
 )
 from pe3d.cli import main
@@ -32,7 +32,13 @@ from pe3d.environment import (
     gaussian_starter,
     wavenumber,
 )
-from pe3d.marching import Marcher, StepCoefficients, run_frequency
+from pe3d.marching import (
+    Marcher,
+    StepCoefficients,
+    march,
+    range_step,
+    run_frequency,
+)
 from pe3d.output import load_manifest
 from pe3d.pool import block_ranges, physical_core_count
 from pe3d.selftest import random_system, run_selftest
@@ -74,8 +80,7 @@ def test_criterion_02_dense_step_oracle():
     grid, env, _, _ = config
     k0 = wavenumber(50.0, env.c0)
     coeffs = StepCoefficients.for_step(k0, grid.delta_r)
-    marcher = Marcher(grid, env, k0, coeffs)
-    out = marcher.from_modes(whole_step(marcher, marcher.to_modes(u0), 0))
+    out = first_step(Marcher(grid, env, k0, coeffs), u0)
     err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
     assert err <= 1e-10
     finish(2, 1.0, t0, f"relative error {err:.2e}")
@@ -91,9 +96,10 @@ def test_criterion_03_delta_zero_identity():
     marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, 0.0))
     modes = marcher.to_modes(values)
     before = modes.copy()  # the step writes its mode slab
-    after = whole_step(marcher, modes, 0)
+    after = range_step(marcher, modes)
     assert after.tobytes() == before.tobytes()
-    finish(3, 1.0, t0, "step returned its mode slab bitwise")
+    assert np.all(marcher.gain(0) == 1.0)
+    finish(3, 1.0, t0, "step returned its mode slab bitwise, gain 1")
 
 
 def test_criterion_04_azimuth_symmetry_preservation():
@@ -104,16 +110,15 @@ def test_criterion_04_azimuth_symmetry_preservation():
     source = SourceSpec(frequencies=(50.0,), depth=200.0)
     k0 = wavenumber(50.0, env.c0)
     marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, grid.delta_r))
-    modes = marcher.to_modes(gaussian_starter(grid, source, k0))
     worst = 0.0
-    for j in range(100):
-        modes = whole_step(marcher, modes, j)
-        mags = np.abs(marcher.from_modes(modes))
+    for j, u in march(marcher, gaussian_starter(grid, source, k0), 1):
+        mags = np.abs(u)
         spread = (mags.max(axis=0) - mags.min(axis=0)).max()
         ratio = spread / mags.max()
         worst = max(worst, ratio)
         assert ratio <= 1e-9, f"azimuthal spread ratio {ratio:.2e}"
-    finish(4, 60.0, t0, f"worst spread ratio {worst:.2e} over 100 steps")
+    assert j == 100
+    finish(4, 60.0, t0, f"worst spread ratio {worst:.2e} over {j} steps")
 
 
 def test_criterion_05_cylindrical_spreading():
@@ -174,10 +179,8 @@ def test_criterion_06_convergence_order():
             np.outer(azimuth, modes).astype(np.complex128), grid)
         k0 = wavenumber(50.0, env.c0)
         marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, delta_r))
-        modes = marcher.to_modes(values)
-        for j in range(n_steps):
-            modes = whole_step(marcher, modes, j)
-        return marcher.from_modes(modes)
+        *_, (_, u) = march(marcher, values, n_steps)
+        return u
 
     details = []
     for topology, r_start in CONVERGENCE_CASES:

@@ -12,11 +12,11 @@ import pe3d.tridiag as tridiag_module
 from conftest import (
     apply_Y,
     dense_step_case,
+    first_step,
     make_config,
     make_env,
     make_grid,
     random_slab_values,
-    whole_step,
     zero_dirichlet_rows,
 )
 from pe3d.config import RunOptions
@@ -60,20 +60,15 @@ def make_marcher(config, frequency=50.0, slab_values=None, delta_r=None):
     return Marcher(grid, env, k0, coeffs, options.threads), slab_values
 
 
-def physical_step(marcher, u, j):
-    """One step of the (n_azimuth, n_depth) slab ``u``, through the modes."""
-    return marcher.from_modes(whole_step(marcher, marcher.to_modes(u), j))
-
-
 def relative_error(x, reference):
     return np.max(np.abs(x - reference)) / np.max(np.abs(reference))
 
 
 # The mode march against the physical-space reference step, which solves
 # the same scheme densely in physical azimuth: the arithmetic differs, so
-# they agree to rounding, relative to the largest |u|.  Measured: at most
-# 4.8e-15 over 5 steps on 73 x 256, 4.5e-15 over 12 steps on the narrow
-# grids.
+# they agree to rounding, relative to the largest |u|.  Measured on the
+# slabs the march yields: at most 2.2e-15 over 5 steps on 73 x 256,
+# 4.8e-15 over 12 steps on the narrow grids.
 ORACLE_TOLERANCE = 1e-12
 
 
@@ -208,8 +203,8 @@ class TestModes:
         marcher = self.marcher(topology, n_azimuth, n_depth=24)
         u = random_slab_values(np.random.default_rng(3), marcher.grid)
         m = marcher.to_modes(u)
-        for j in range(3):
-            m = whole_step(marcher, m, j)
+        for _ in range(3):
+            m = range_step(marcher, m)
         assert np.all(m[0] == 0.0)
         assert np.all(marcher.from_modes(m)[:, 0] == 0.0)
         if topology == SECTOR:
@@ -245,7 +240,7 @@ class TestRangeStep:
         m = marcher.to_modes(u)
         before = m.copy()  # the step writes its mode slab
         assert range_step(marcher, m).tobytes() == before.tobytes()
-        assert whole_step(marcher, m, 0).tobytes() == before.tobytes()
+        assert np.all(marcher.gain(0) == 1.0)
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_input_left_unchanged(self, topology):
@@ -268,16 +263,16 @@ class TestRangeStep:
             assert now.tobytes() == before.tobytes()
 
     def test_advances_range_and_index(self):
-        # a step from index j takes the gain of its own midpoint range;
-        # each step here starts from a copy of the same mode slab
+        # a step moves its mode slab, and the step from index j takes the
+        # gain of its own midpoint range
         config = make_config(n_azimuth=6, n_depth=24)
         values = random_slab_values(np.random.default_rng(8), config.grid)
         marcher, _ = make_marcher(config)
         m = marcher.to_modes(values)
-        first = whole_step(marcher, m.copy(), 0)
-        assert first.shape == m.shape
-        assert not np.array_equal(first, m)
-        assert not np.array_equal(whole_step(marcher, m.copy(), 1), first)
+        stepped = range_step(marcher, m.copy())
+        assert stepped.shape == m.shape
+        assert not np.array_equal(stepped, m)
+        assert not np.array_equal(marcher.gain(1), marcher.gain(0))
 
     def test_step_beyond_grid_rejected(self):
         # a step index is one of 0 .. n_range - 1 for the gain it takes
@@ -290,21 +285,20 @@ class TestRangeStep:
 
     def test_azimuth_symmetry_preserved_one_step(self):
         config = make_config(n_azimuth=16, n_depth=48)
-        out = physical_step(*make_marcher(config), 0)
+        out = first_step(*make_marcher(config))
         mags = np.abs(out)
         spread = (mags.max(axis=0) - mags.min(axis=0)).max()
         assert spread <= 1e-12 * mags.max()
 
     def test_surface_zero_after_step(self):
         config = make_config()
-        out = physical_step(*make_marcher(config), 0)
+        out = first_step(*make_marcher(config))
         assert np.all(out[:, 0] == 0.0)
 
     def test_dense_step_oracle_three_by_three(self):
         # full step on a 3x3 slab vs the dense 9x9 factorization
         config, u0, ref = dense_step_case(6)
-        marcher, u = make_marcher(config, slab_values=u0.copy())
-        out = physical_step(marcher, u, 0)
+        out = first_step(*make_marcher(config, slab_values=u0))
         assert np.max(np.abs(out - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
@@ -322,7 +316,7 @@ class TestRangeStep:
         coeffs = replace(StepCoefficients.for_step(k0, grid.delta_r),
                          cy_lhs=0j, cy_rhs=0j)
         u0 = random_slab_values(rng, grid)
-        out = physical_step(Marcher(grid, env, k0, coeffs), u0.copy(), 0)
+        out = first_step(Marcher(grid, env, k0, coeffs), u0)
 
         n = grid.n_depth
         s_z = 1.0 / (k0 * grid.delta_z) ** 2
@@ -492,8 +486,8 @@ class TestReferenceStepper:
     @pytest.mark.parametrize("threads", [1, 2, 3, 7])
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_range_step_bitwise(self, topology, threads):
-        # every step has the bits of the one-thread march, and its slab
-        # that of the reference to rounding
+        # every slab the march yields has the bits of the one-thread
+        # march's, and those of the reference to rounding
         config = self.config(topology)
         grid, env, _, _ = config
         assert grid.n_azimuth * grid.n_depth * 16 > 256 * 1024
@@ -502,16 +496,15 @@ class TestReferenceStepper:
         values = random_slab_values(np.random.default_rng(77), grid)
         marcher = Marcher(grid, env, k0, coeffs, threads)
         serial = Marcher(grid, env, k0, coeffs)
-        m = marcher.to_modes(values)
-        one = m.copy()
-        reference = values.copy()
-        for j in range(5):
-            m = whole_step(marcher, m, j)
-            one = whole_step(serial, one, j)
-            assert m.tobytes() == one.tobytes()
-            reference = reference_step(reference, j, grid, env, k0, coeffs)
-            assert relative_error(marcher.from_modes(m), reference) \
-                <= ORACLE_TOLERANCE
+        reference = values
+        for (j, u), (_, one) in zip(march(marcher, values, 1),
+                                    march(serial, values, 1)):
+            assert u.tobytes() == one.tobytes(), j
+            if j:
+                reference = reference_step(reference, j - 1, grid, env, k0,
+                                           coeffs)
+            assert relative_error(u, reference) <= ORACLE_TOLERANCE
+        assert j == grid.n_range
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 7])
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
@@ -563,17 +556,17 @@ class TestReferenceStepper:
         k0 = wavenumber(50.0, env.c0)
         coeffs = StepCoefficients.for_step(k0, grid.delta_r)
         values = random_slab_values(np.random.default_rng(78), grid)
-        marchers = [Marcher(grid, env, k0, coeffs, threads)
-                    for threads in (1, 2, 3, 7)]
-        modes = [marcher.to_modes(values) for marcher in marchers]
-        reference = values.copy()
+        reference = values
         for j in range(grid.n_range):
-            modes = [whole_step(marcher, m, j)
-                     for marcher, m in zip(marchers, modes)]
             reference = reference_step(reference, j, grid, env, k0, coeffs)
-        assert all(m.tobytes() == modes[0].tobytes() for m in modes)
-        assert relative_error(marchers[0].from_modes(modes[0]), reference) \
-            <= ORACLE_TOLERANCE
+        # the last slab of each march, at range index n_range
+        last = []
+        for threads in (1, 2, 3, 7):
+            *_, (_, u) = march(Marcher(grid, env, k0, coeffs, threads),
+                               values, grid.n_range)
+            last.append(u)
+        assert all(u.tobytes() == last[0].tobytes() for u in last)
+        assert relative_error(last[0], reference) <= ORACLE_TOLERANCE
 
 
 class TestStepArrays:
@@ -633,8 +626,8 @@ class TestStepArrays:
                          "compute_rhs"):
                 patch.setattr(marching_module, name, forbidden)
             patch.setattr(np, "fft", None)
-            for j in range(grid.n_range):
-                m = whole_step(marcher, m, j)
+            for _ in range(grid.n_range):
+                m = range_step(marcher, m)
 
     @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
     def test_marcher_retains_no_medium_grid(self, topology):
@@ -713,8 +706,9 @@ class TestNormInvariants:
     sides.  The step is unitary, so the discrete L2 norm of any field is
     conserved to rounding, on periodic and sector grids.  The absorber
     makes every step a strict contraction.  The norms are taken on the
-    mode slab of whole steps, the gain included (``whole_step``): the
-    transforms scale the norm by a constant (Parseval)."""
+    slabs that ``march``, the run's loop, yields after every step: the
+    transforms scale the norm by a constant (Parseval), so those of the
+    mode slab, the gain G included, behave alike."""
 
     @staticmethod
     def norms(attenuation, topology=PERIODIC, uniform=True):
@@ -734,13 +728,10 @@ class TestNormInvariants:
         zero_dirichlet_rows(values, grid)
         k0 = wavenumber(50.0, env.c0)
         marcher = Marcher(grid, env, k0, StepCoefficients.for_step(k0, grid.delta_r))
-        m = marcher.to_modes(values)
-        norms = [np.linalg.norm(m)]
-        for j in range(grid.n_range):
-            m = whole_step(marcher, m, j)
-            norms.append(np.linalg.norm(m))
-        moved = relative_error(marcher.from_modes(m), values)
-        return np.array(norms), moved
+        norms = []
+        for _, u in march(marcher, values, 1):
+            norms.append(np.linalg.norm(u))
+        return np.array(norms), relative_error(u, values)
 
     # (topology, uniform in azimuth): a field that varies in azimuth also
     # meets Y, whose two sides must be one matrix for the step to be unitary

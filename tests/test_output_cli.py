@@ -4,6 +4,7 @@ import math
 import os
 import platform
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -1008,10 +1009,13 @@ class TestConfigErrorsBeforeCompute:
         ({"delta_z = 6.0": "delta_z = 1e308",
           "c0 = 1500.0": "c0 = 1500.0\nabsorber_start_depth = 100.0"},
          "(n_depth - 1) * delta_z finite: got inf"),
+        ({"c0 = 1500.0": "c0 = 1500.0\nabsorber_max_attenuation = 1e308"},
+         "n^2 of the depth profile finite: c0 = 1500, lowest sound speed "
+         "= 1500, absorber_max_attenuation = 1e+308 give "),
     ], ids=["delta_r-1e308", "delta_theta-1e308", "r_start-1e308",
             "delta_r-1e-308", "delta_theta-1e-308", "c0-1e308",
             "frequency-1e-308", "c0-1e-308", "frequency-1e308",
-            "delta_z-1e308"])
+            "delta_z-1e308", "absorber_max_attenuation-1e308"])
     def test_step_the_scheme_cannot_form(self, tmp_path, capsys, changes,
                                          expected):
         # each value passes its own key's check on a small sector config,
@@ -1024,6 +1028,81 @@ class TestConfigErrorsBeforeCompute:
             text = text.replace(old, new)
         cfg.write_text(text)
         assert_config_error(tmp_path, capsys, cfg, expected)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("topology", [PERIODIC, SECTOR])
+    @pytest.mark.parametrize("key", ["n_range", "n_azimuth", "n_depth"])
+    def test_grid_count_beyond_float(self, tmp_path, capsys, key, topology):
+        # a count that no float holds is named where the counts are
+        # checked, before the extents or the periodic closure use it
+        cfg = write_cfg(tmp_path)
+        text = cfg.read_text().replace(
+            "delta_theta = 45.0", "delta_theta = 45.0\nazimuth_topology = "
+            + topology)
+        text = re.sub(rf"^{key} = \d+$", f"{key} = {'9' * 400}", text,
+                      flags=re.M)
+        cfg.write_text(text)
+        assert_config_error(tmp_path, capsys, cfg, f"{key} within the float "
+                            "range: got an integer of 1329 bits")
+
+    # A small valid config of each topology, with an interpolated profile,
+    # as [section] -> {key: value}; the fuzz sets each key in turn.
+    FUZZ_BASE = {
+        "grid": {"n_range": "6", "n_azimuth": "8", "n_depth": "32",
+                 "delta_r": "5.0", "delta_z": "4.0", "r_start": "5.0"},
+        "environment": {"c0": "1500.0",
+                        "sound_speed_profile": "\n    0 1500\n    60 1480"
+                                               "\n    124 1520",
+                        "absorber_start_depth": "93.0",
+                        "absorber_max_attenuation": "0.01"},
+        "source": {"frequencies": "30.0, 50.0", "depth": "60.0"},
+        "run": {"output_stride": "3", "tl_format": "binary-grid"},
+    }
+    TOPOLOGY_KEYS = {PERIODIC: {"delta_theta": "45.0",
+                                "azimuth_topology": PERIODIC},
+                     SECTOR: {"delta_theta": "2.0",
+                              "azimuth_topology": SECTOR}}
+    # 18 bad or edge values, and a count that no float holds; no grid
+    # count above 64, so no case allocates a large grid
+    FUZZ_VALUES = ["0", "-1", "1", "2", "3", "64", "0.5", "-0.0", "nan",
+                   "inf", "-inf", "1e308", "-1e308", "1e-308", "x", "",
+                   "\0", "1, 2", "9" * 400]
+
+    @pytest.mark.filterwarnings("error")
+    def test_single_key_fuzz(self, tmp_path, capsys):
+        # every single-key change of a valid config runs (exit 0) or is a
+        # config error (exit 2, before any output directory is made);
+        # none fails a frequency or prints a traceback
+        cfg, outdir, failures = tmp_path / "fuzz.ini", tmp_path / "out", []
+        for topology, keys in self.TOPOLOGY_KEYS.items():
+            base = dict(self.FUZZ_BASE,
+                        grid=dict(self.FUZZ_BASE["grid"], **keys))
+            for section, key, value in [
+                    (section, key, value) for section in base
+                    for key in base[section] for value in self.FUZZ_VALUES]:
+                config = dict(base, **{section: dict(base[section],
+                                                     **{key: value})})
+                cfg.write_text("".join(
+                    f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                            for k, v in fields.items())
+                    for name, fields in config.items()))
+                case = f"{topology} {key} = " + (
+                    repr(value) if len(value) < 20
+                    else f"a {len(value)}-digit integer")
+                try:
+                    code = main(["run", "--config", str(cfg),
+                                 "--output", str(outdir)])
+                except Exception as exc:
+                    code = f"raised {exc!r}"
+                out, err = capsys.readouterr()
+                if code not in (0, 2) or "Traceback" in out + err:
+                    failures.append(f"{case}: exit {code}: {err.strip()}")
+                elif code == 2 and (not err.startswith("config error: ")
+                                    or outdir.exists()):
+                    failures.append(f"{case}: exit 2 without a config "
+                                    f"error, or with output: {err!r}")
+                shutil.rmtree(outdir, ignore_errors=True)
+        assert not failures, f"{len(failures)} cases:\n" + "\n".join(failures)
 
 
 class TestCmdSelftest:
